@@ -189,9 +189,9 @@ def negotiate_features(
 def pack_header(size: int) -> bytes:
     """The 4-byte length header for a ``size``-byte body.
 
-    Used by the encode-once fan-out path, which writes the header and a
-    list of shared body pieces (``writelines``) instead of one
-    concatenated frame."""
+    Used by the encode-once fan-out path, which queues the header and a
+    list of shared body pieces for the connection's next flush instead
+    of concatenating each frame on its own."""
     return _HEADER.pack(size)
 
 

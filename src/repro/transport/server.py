@@ -80,6 +80,11 @@ __all__ = ["GatewayServer", "service_snapshot_dict"]
 #: Read-chunk size for the per-connection frame loop.
 _READ_CHUNK = 1 << 16
 
+#: Most bytes a connection corks before flushing without waiting for the
+#: end of the event-loop pass; a transport with a lower write high-water
+#: mark (``sndbuf_bytes``) flushes at that mark instead.
+_CORK_MAX_BYTES = 1 << 16
+
 _SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 
@@ -97,6 +102,11 @@ class _TransportMetrics:
             "repro_transport_bytes_total",
             "Wire bytes by direction and connection codec.",
             ("direction", "codec"),
+        )
+        self.socket_writes = registry.counter(
+            "repro_transport_socket_writes_total",
+            "Transport writes: one per flush of a connection's corked "
+            "outbound frames.",
         )
         self.stall = registry.counter(
             "repro_transport_backpressure_stall_seconds_total",
@@ -134,7 +144,18 @@ def _field(frame: dict, name: str):
 
 
 class _Connection:
-    """Per-socket state: write serialization and owned subscriptions."""
+    """Per-socket state: the corked writer and owned subscriptions.
+
+    Outbound frames are never written one by one.  Every write site
+    appends its encoded bytes to one FIFO and a single ``call_soon``
+    flush hands whatever the current event-loop pass queued — an ack,
+    the decided frames of every pump that woke, a control reply — to
+    the transport in one ``write``.  Encoding and queueing happen with
+    no ``await`` in between, so frames reach the wire in the order they
+    were encoded: a binary attribute-name delta precedes the first
+    frame that uses the id, and a ``qos_update`` pushed under the
+    source lock precedes the ack of a later ``re_filter``.
+    """
 
     def __init__(
         self,
@@ -147,15 +168,70 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.max_frame_bytes = max_frame_bytes
-        #: Negotiated sending-side codec (JSON until the hello upgrades it).
-        self.encoder = encoder
         #: Features agreed in the hello (empty for v1 peers).
         self.features: list[str] = []
         self.metrics = metrics
         self.pumps: dict[str, asyncio.Task] = {}
         self.sessions: dict[str, SubscriberSession] = {}
-        self._write_lock = asyncio.Lock()
         self.peer = writer.get_extra_info("peername")
+        self._loop = asyncio.get_running_loop()
+        self._corked: list[bytes] = []
+        self._corked_bytes = 0
+        self._flush_scheduled = False
+        # Flushing at the transport's own high-water mark keeps a
+        # slow consumer's backpressure as prompt as uncorked writes.
+        self._cork_limit = min(
+            _CORK_MAX_BYTES, writer.transport.get_write_buffer_limits()[1]
+        )
+        self.use_encoder(encoder)
+
+    def use_encoder(self, encoder: FrameEncoder) -> None:
+        """Adopt the sending-side codec (JSON until the hello upgrades
+        it) and resolve the per-codec metric children once, not per
+        frame."""
+        self.encoder = encoder
+        metrics = self.metrics
+        if metrics is not None:
+            codec = encoder.codec
+            self._frames_in = metrics.frames.labels("in", codec)
+            self._bytes_in = metrics.bytes.labels("in", codec)
+            self._frames_out = metrics.frames.labels("out", codec)
+            self._bytes_out = metrics.bytes.labels("out", codec)
+
+    def count_in(self, nbytes: int, nframes: int) -> None:
+        """Account one read chunk and the frames it completed."""
+        if self.metrics is not None:
+            self._bytes_in.inc(nbytes)
+            if nframes:
+                self._frames_in.inc(nframes)
+
+    # ------------------------------------------------------------------
+    # Corked writer
+    # ------------------------------------------------------------------
+    def _corked_frame(self, nbytes: int) -> None:
+        """Account one frame just appended to the FIFO; arrange its flush."""
+        if self.metrics is not None:
+            self._frames_out.inc()
+            self._bytes_out.inc(nbytes)
+        self._corked_bytes += nbytes
+        if self._corked_bytes >= self._cork_limit:
+            self.flush()
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Hand everything corked so far to the transport in one write."""
+        self._flush_scheduled = False
+        corked = self._corked
+        if not corked:
+            return
+        data = b"".join(corked)
+        corked.clear()
+        self._corked_bytes = 0
+        self.writer.write(data)
+        if self.metrics is not None:
+            self.metrics.socket_writes.inc()
 
     async def _drain(self) -> None:
         """Drain the socket, charging wait time to the stall counter."""
@@ -166,47 +242,42 @@ class _Connection:
         await self.writer.drain()
         self.metrics.stall.inc(time.perf_counter() - started)
 
-    async def send(self, frame: dict) -> None:
-        """Write one frame; pumps and replies interleave whole frames."""
+    def post(self, frame: dict) -> None:
+        """Cork one control frame without awaiting the socket.
+
+        For callers that may not await (the QoS listener runs under the
+        source lock); everything else goes through :meth:`send`.
+        """
         payload = encode_frame(frame, max_frame_bytes=self.max_frame_bytes)
-        async with self._write_lock:
-            self.writer.write(payload)
-            await self._drain()
-        if self.metrics is not None:
-            self.metrics.frames.labels("out", self.encoder.codec).inc()
-            self.metrics.bytes.labels("out", self.encoder.codec).inc(
-                len(payload)
-            )
+        self._corked.append(payload)
+        self._corked_frame(len(payload))
+
+    async def send(self, frame: dict) -> None:
+        """Cork one frame, then honour the socket's backpressure."""
+        self.post(frame)
+        await self._drain()
 
     async def send_decided(
         self, app: str, batch, *, shared: bool, traces=None
     ) -> None:
         """Fan one decided batch out as header + shared body pieces.
 
-        Encoding happens *inside* the write lock: the binary encoder's
-        attribute-name deltas must hit the wire in the order they were
-        computed, or a concurrent pump could use an id before the frame
-        that defines it is written.  The pieces are the per-tuple
-        segments shared by every session this batch's tuples fanned out
-        to — ``writelines`` ships them by reference, nothing is
-        re-serialized or joined per session.
+        The pieces are the per-tuple segments shared by every session
+        this batch's tuples fanned out to; they are corked by reference
+        and copied once, by the flush that joins them with everything
+        else bound for this socket.
         """
-        async with self._write_lock:
-            pieces, total = self.encoder.decided_pieces(
-                app,
-                batch,
-                max_frame_bytes=self.max_frame_bytes,
-                shared=shared,
-                traces=traces,
-            )
-            self.writer.write(pack_header(total))
-            self.writer.writelines(memoryview(piece) for piece in pieces)
-            await self._drain()
-        if self.metrics is not None:
-            self.metrics.frames.labels("out", self.encoder.codec).inc()
-            self.metrics.bytes.labels("out", self.encoder.codec).inc(
-                total + 4
-            )
+        pieces, total = self.encoder.decided_pieces(
+            app,
+            batch,
+            max_frame_bytes=self.max_frame_bytes,
+            shared=shared,
+            traces=traces,
+        )
+        self._corked.append(pack_header(total))
+        self._corked.extend(pieces)
+        self._corked_frame(total + 4)
+        await self._drain()
 
     async def send_quiet(self, frame: dict) -> None:
         """Best-effort send on teardown paths (peer may be gone)."""
@@ -215,9 +286,17 @@ class _Connection:
         except (ConnectionError, RuntimeError):
             pass
 
+    def close(self) -> None:
+        """Flush what is corked, then close the transport gracefully."""
+        self.flush()
+        self.writer.close()
+
     def abort(self) -> None:
         transport = self.writer.transport
         if transport is not None and not transport.is_closing():
+            # A reply corked this very pass (an auth or version error)
+            # must reach the socket before the transport is dropped.
+            self.flush()
             transport.abort()
 
 
@@ -395,7 +474,7 @@ class GatewayServer:
             except asyncio.TimeoutError:
                 conn.abort()
                 continue
-            conn.writer.close()
+            conn.close()
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
         if self._server is not None:
@@ -415,6 +494,14 @@ class GatewayServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self.sndbuf_bytes is not None:
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf_bytes
+                )
+            writer.transport.set_write_buffer_limits(high=self.sndbuf_bytes)
+        # After the buffer limits: the connection sizes its cork by them.
         conn = _Connection(
             reader,
             writer,
@@ -424,13 +511,6 @@ class GatewayServer:
         )
         if self._metrics is not None:
             self._metrics.connections.inc()
-        if self.sndbuf_bytes is not None:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf_bytes
-                )
-            writer.transport.set_write_buffer_limits(high=self.sndbuf_bytes)
         self._connections.add(conn)
         try:
             await self._serve_connection(conn)
@@ -445,7 +525,7 @@ class GatewayServer:
                 self._metrics.connections.dec()
             self._connections.discard(conn)
             await self._reap(conn)
-            conn.writer.close()
+            conn.close()
             try:
                 await conn.writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
@@ -455,18 +535,16 @@ class GatewayServer:
         decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
         greeted = False
         while True:
+            # Deliberately no flush here: an ack leaves with the pass
+            # that also ran the pumps.  Released earlier, acks let a
+            # closed-loop producer keep this loop (read() does not yield
+            # while input is buffered) and starve delivery — measured as
+            # +31% delivery p50 and an unsaturated server on decide-heavy.
             data = await conn.reader.read(_READ_CHUNK)
             if not data:
                 return
             frames = decoder.feed(data)
-            if self._metrics is not None:
-                self._metrics.bytes.labels("in", conn.encoder.codec).inc(
-                    len(data)
-                )
-                if frames:
-                    self._metrics.frames.labels(
-                        "in", conn.encoder.codec
-                    ).inc(len(frames))
+            conn.count_in(len(data), len(frames))
             for frame in frames:
                 if not greeted:
                     if not await self._greet(conn, frame):
@@ -528,10 +606,10 @@ class GatewayServer:
             }
         )
         conn.features = features
-        # Upgrade only after the welcome is on the wire: everything the
+        # Upgrade only after the welcome is encoded: everything the
         # client saw so far was JSON, everything after may be binary.
         if codec != conn.encoder.codec:
-            conn.encoder = self._make_encoder(codec)
+            conn.use_encoder(self._make_encoder(codec))
         return True
 
     # ------------------------------------------------------------------
@@ -798,12 +876,12 @@ class GatewayServer:
             degradation_config=degradation_config,
         )
         if degradation is not None and FEATURE_QOS in conn.features:
-            # Invoked synchronously under the source lock: only schedule
-            # the push, never await on the listener path.
+            # Invoked synchronously under the source lock: cork the
+            # push, never await on the listener path.  Corked there, it
+            # precedes every frame encoded after the lock is released —
+            # the ack of a client re_filter included.
             def _push_qos(update: dict, conn=conn) -> None:
-                asyncio.ensure_future(
-                    conn.send_quiet({"t": "qos_update", **update})
-                )
+                conn.post({"t": "qos_update", **update})
 
             session.qos_listener = _push_qos
         conn.sessions[app] = session
@@ -829,8 +907,8 @@ class GatewayServer:
     ) -> None:
         """Forward one session's delivered batches onto the socket.
 
-        ``conn.send`` awaits ``drain()``: a remote reader that stops
-        consuming eventually stalls this pump, the session queue fills,
+        ``conn.send_decided`` awaits ``drain()``: a remote reader that
+        stops consuming eventually stalls this pump, the session queue fills,
         and the overflow policy takes over — the socket inherits the
         broker's backpressure semantics.
         """
@@ -858,9 +936,10 @@ class GatewayServer:
                         app, batch, shared=shared, traces=wire_traces
                     )
                     if write_start_ns:
-                        # Encode + write + drain for the whole decided
-                        # frame; measured after the fact, so this stage is
-                        # histogram-only (never rides the wire).
+                        # Encode + cork + drain for the whole decided
+                        # frame (the flush that writes it follows within
+                        # one loop pass); measured after the fact, so this
+                        # stage is histogram-only (never rides the wire).
                         tele.observe_stage(
                             STAGE_SOCKET_WRITE,
                             time.perf_counter_ns() - write_start_ns,
@@ -910,7 +989,7 @@ class GatewayServer:
         if session.disconnected:
             # The disconnect overflow policy means it: drop the socket,
             # not just the session, so the laggard notices immediately.
-            conn.writer.close()
+            conn.close()
 
     async def _reap(self, conn: _Connection) -> None:
         """Reclaim a dead connection's subscriptions and pump tasks."""
