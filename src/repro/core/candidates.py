@@ -109,11 +109,17 @@ class CandidateSet:
     ``eligible`` optionally restricts which members may be chosen as
     output; it implements Chapter 5's "top"/"bottom" output prescriptions.
     When ``None``, every member is eligible.
+
+    ``owners`` names every filter this set stands for.  A candidate set
+    is a pure function of (filter spec, input), so filters with one
+    shared first stage share one set; each owner is owed the set's
+    output and the set weighs ``len(owners)`` in every group utility.
     """
 
     __slots__ = (
         "set_id",
         "filter_name",
+        "owners",
         "_tuples",
         "closed",
         "reference",
@@ -129,9 +135,10 @@ class CandidateSet:
         "_mask_dirty",
     )
 
-    def __init__(self, filter_name: str):
+    def __init__(self, filter_name: str, owners: tuple[str, ...] = ()):
         self.set_id: int = next(_set_ids)
         self.filter_name = filter_name
+        self.owners = owners or (filter_name,)
         #: Membership AND arrival order: dict insertion order is the
         #: arrival order, so no separate order list is kept (making
         #: ``remove`` O(1) instead of a ``list.remove`` scan).

@@ -27,7 +27,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    Hashable,
+    Iterable,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.core.accumulators import BoundedSamples
 from repro.core.candidates import CandidateSet, TupleInterner
@@ -76,6 +83,9 @@ class GroupFilterProtocol(Protocol):
     def make_self_interested(self) -> "SelfInterestedFilterProtocol":
         """A fresh, uncoordinated instance for the SI baseline."""
 
+    def sharing_key(self) -> Optional[Hashable]:
+        """Equal keys promise identical candidate sets; ``None`` opts out."""
+
 
 class SelfInterestedFilterProtocol(Protocol):
     """Baseline filter: emits its own preferred outputs immediately."""
@@ -88,23 +98,32 @@ class SelfInterestedFilterProtocol(Protocol):
 
 
 class FilterContext:
-    """Per-filter view of the shared global state (Figure 4.1).
+    """One first stage's view of the shared global state (Figure 4.1).
 
     Filters never touch the group state directly; they admit, dismiss and
     close through this context, which keeps group utilities, the region
     tracker and the decided-output log consistent.
+
+    ``filter`` is the instance the engine drives; ``owners`` names every
+    filter of the group it is driven for (itself first, then the filters
+    with an equal :meth:`~GroupFilterProtocol.sharing_key`, in the
+    caller's order).  Each candidate set it builds carries the owners
+    and weighs ``len(owners)`` in the group utility.
     """
 
-    def __init__(self, engine: "GroupAwareEngine", flt: GroupFilterProtocol):
+    def __init__(
+        self, engine: "GroupAwareEngine", flt: GroupFilterProtocol, decides_early: bool
+    ):
         self._engine = engine
         self.filter = flt
+        self.owners: tuple[str, ...] = (flt.name,)
         self._current: Optional[CandidateSet] = None
         self.last_decided: tuple[StreamTuple, ...] = ()
-        #: Snapshot of the filter's taxonomy statefulness.  The property
-        #: on filter classes derives it from a freshly built taxonomy
-        #: object; reading it per set closure is measurable, and a
-        #: filter's dependency class cannot change mid-run.
-        self.stateful = bool(flt.stateful)
+        #: Whether closed sets are decided per candidate set (section
+        #: 2.3.3) rather than with their region.  Snapshotted: a filter's
+        #: ``stateful`` derives from a freshly built taxonomy object,
+        #: which is measurable per set closure, and cannot change mid-run.
+        self.decides_early = decides_early
 
     # ------------------------------------------------------------------
     @property
@@ -119,17 +138,17 @@ class FilterContext:
         """First stage: add ``item`` to the filter's current candidate set."""
         current = self._current
         if current is None or current.closed:
-            current = self._current = CandidateSet(self.filter.name)
+            current = self._current = CandidateSet(self.filter.name, self.owners)
             self._engine._tracker.watch(current)
         if current.add(item):
-            self._engine._utility.increment(item)
+            self._engine._utility.increment(item, len(self.owners))
 
     def dismiss(self, item: StreamTuple) -> None:
         """Retract a tentatively admitted candidate (section 2.3.3)."""
         if self._current is None or item not in self._current:
             return
         self._current.remove(item)
-        self._engine._utility.decrement(item)
+        self._engine._utility.decrement(item, len(self.owners))
         self._engine._release_orphaned_bit(item.seq)
 
     def mark_reference(self, item: StreamTuple) -> None:
@@ -180,7 +199,6 @@ class EngineResult:
     #: an infinite live stream the count/total stay exact (so every mean
     #: is exact) while the distribution is a fixed-size reservoir.
     cpu_ns_per_tuple: BoundedSamples = field(default_factory=BoundedSamples)
-    greedy_runtimes_ms: list[float] = field(default_factory=list)
     regions_emitted: int = 0
     regions_cut: int = 0
     cuts_triggered: int = 0
@@ -247,7 +265,18 @@ class EngineResult:
 
 
 class GroupAwareEngine:
-    """Coordinator for a group of filters sharing one data source."""
+    """Coordinator for a group of filters sharing one data source.
+
+    Filters with equal sharing keys share one first stage: a candidate
+    set is a pure function of (filter spec, input), so one
+    :class:`FilterContext` evaluates it for all of them and the second
+    stage weighs the set by its owners, which keeps every greedy pick
+    what the duplicated sets would have made it.  A filter that decides
+    early reads the group utility *mid-arrival*, after the filters
+    before it and before those after it; sharing across it would move
+    an owner's contribution to the other side of that read.  So an
+    early decider is never shared, and no class spans one.
+    """
 
     def __init__(
         self,
@@ -266,7 +295,23 @@ class GroupAwareEngine:
             raise ValueError("a group needs at least one filter")
 
         self.algorithm = algorithm
-        self._contexts = [FilterContext(self, f) for f in filters]
+        self._filters = list(filters)
+        self._contexts: list[FilterContext] = []
+        shareable: dict[Hashable, FilterContext] = {}
+        for flt in filters:
+            decides_early = algorithm == "per_candidate_set" or bool(flt.stateful)
+            if decides_early:
+                shareable.clear()
+                key = None
+            else:
+                key = flt.sharing_key()
+            if key is not None and key in shareable:
+                shareable[key].owners += (flt.name,)
+                continue
+            ctx = FilterContext(self, flt, decides_early)
+            self._contexts.append(ctx)
+            if key is not None:
+                shareable[key] = ctx
         self._strategy = output_strategy if output_strategy is not None else RegionOutput()
         self._constraint = time_constraint
         self._predictor = predictor if predictor is not None else RuntimePredictor()
@@ -287,7 +332,12 @@ class GroupAwareEngine:
     # ------------------------------------------------------------------
     @property
     def filters(self) -> list[GroupFilterProtocol]:
-        return [ctx.filter for ctx in self._contexts]
+        return list(self._filters)
+
+    @property
+    def context_count(self) -> int:
+        """Distinct first stages evaluated per tuple (<= ``len(filters)``)."""
+        return len(self._contexts)
 
     @property
     def cuts_triggered(self) -> int:
@@ -375,8 +425,7 @@ class GroupAwareEngine:
     # Second stage: deciding outputs
     # ------------------------------------------------------------------
     def _on_set_closed(self, ctx: FilterContext, candidate_set: CandidateSet) -> None:
-        decide_early = self.algorithm == "per_candidate_set" or ctx.stateful
-        if decide_early:
+        if ctx.decides_early:
             self._decide_per_candidate_set(ctx, candidate_set)
 
     def _decide_per_candidate_set(
@@ -386,7 +435,8 @@ class GroupAwareEngine:
 
         Heuristic 1: prefer tuples already chosen by other filters.
         Heuristic 2: otherwise take the highest group utility.  Both are
-        subject to the freshest-timestamp tie-break.
+        subject to the freshest-timestamp tie-break.  An early decider's
+        context has exactly one owner (see the class docstring).
         """
         eligible = candidate_set.eligible_tuples
         degree = min(candidate_set.degree, len(eligible))
@@ -442,23 +492,27 @@ class GroupAwareEngine:
             ]
             if undecided:
                 started = time.perf_counter_ns()
-                selection = greedy_hitting_set(undecided, interner=self._interner)
+                selection = greedy_hitting_set(
+                    undecided,
+                    interner=self._interner,
+                    weights=[len(s.owners) for s in undecided],
+                )
                 elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-                self._result.greedy_runtimes_ms.append(elapsed_ms)
                 self._predictor.observe(region.size, elapsed_ms)
                 decisions = []
                 for candidate_set in undecided:
                     picks = tuple(selection.assignments[candidate_set.set_id])
-                    decision = Decision(
-                        filter_name=candidate_set.filter_name,
-                        set_id=candidate_set.set_id,
-                        tuples=picks,
-                        decide_ts=self.now,
-                    )
-                    decisions.append(decision)
-                    self._result.decisions[candidate_set.filter_name].append(decision)
+                    for owner in candidate_set.owners:
+                        decision = Decision(
+                            filter_name=owner,
+                            set_id=candidate_set.set_id,
+                            tuples=picks,
+                            decide_ts=self.now,
+                        )
+                        decisions.append(decision)
+                        self._result.decisions[owner].append(decision)
                     for item in picks:
-                        self._decided.record(item, candidate_set.filter_name)
+                        self._decided.record(item, *candidate_set.owners)
                 emissions.extend(self._strategy.on_decisions(decisions, self.now))
             emissions.extend(self._strategy.on_region_close(region, self.now))
             seqs = region.tuple_seqs

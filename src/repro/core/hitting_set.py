@@ -53,7 +53,9 @@ class Selection:
 
 
 def greedy_hitting_set(
-    sets: Sequence[CandidateSet], interner: Optional[TupleInterner] = None
+    sets: Sequence[CandidateSet],
+    interner: Optional[TupleInterner] = None,
+    weights: Optional[Sequence[int]] = None,
 ) -> Selection:
     """Greedy multi-degree hitting set (Figure 2.7 / section 5.3).
 
@@ -63,20 +65,36 @@ def greedy_hitting_set(
     every unsatisfied set that contains it; once a set has received its
     ``degree`` tuples it stops contributing utility.
 
+    ``weights[i]`` is the multiplicity of ``sets[i]``: the solve equals
+    the one over a list holding ``weights[i]`` copies of each set (the
+    copies are hit by the same picks and retire together), at the cost
+    of one.  Theorem 1's hitting set is indifferent to a duplicated set,
+    but the greedy *order* is not - a duplicate adds to the utility of
+    every tuple it holds - hence weights rather than deduplication.
+
     Membership is interned to integer bitsets (see
-    :class:`~repro.core.candidates.TupleInterner`): a tuple's utility is
-    ``(tuple_sets_mask & active_sets_mask).bit_count()``, so the inner
+    :class:`~repro.core.candidates.TupleInterner`).  Set ``i`` owns
+    position bit ``i`` plus ``weights[i] - 1`` further bits above the
+    sets' own, so a tuple's utility is still
+    ``(tuple_sets_mask & active_sets_mask).bit_count()`` and the inner
     loop is popcount/AND work rather than Python set algebra.  A caller
     that solves many regions (the engine) may pass a long-lived interner;
     by default a solve-local one is used.
     """
     if interner is None:
         interner = TupleInterner()
-
     n_sets = len(sets)
+    if weights is None:
+        weights = [1] * n_sets
+    elif len(weights) != n_sets:
+        raise ValueError("weights must give one multiplicity per set")
+
     set_ids: list[int] = []
     remaining: list[int] = []
-    # Per interned tuple bit: which sets (by position) contain the tuple.
+    # Per set position: every position bit the set owns.
+    blocks: list[int] = []
+    width = n_sets
+    # Per interned tuple bit: the blocks of the sets containing the tuple.
     sets_mask_of: dict[int, int] = {}
     tuple_of: dict[int, StreamTuple] = {}
 
@@ -89,17 +107,25 @@ def greedy_hitting_set(
         # A set can never need more tuples than it can offer.
         remaining.append(min(candidate_set.degree, members.bit_count()))
         set_ids.append(candidate_set.set_id)
-        position_bit = 1 << position
+        block = 1 << position
+        extra = weights[position] - 1
+        if extra:
+            if extra < 0:
+                raise ValueError("weights must be positive")
+            block |= ((1 << extra) - 1) << width
+            width += extra
+        blocks.append(block)
         while members:
             low = members & -members
             members ^= low
             bit = low.bit_length() - 1
-            sets_mask_of[bit] = sets_mask_of.get(bit, 0) | position_bit
+            sets_mask_of[bit] = sets_mask_of.get(bit, 0) | block
             if bit not in tuple_of:
                 tuple_of[bit] = candidate_set.tuple_for(interner.seq_at(bit))
 
     selection = Selection(assignments={sid: [] for sid in set_ids})
-    active = (1 << n_sets) - 1
+    own_bits = (1 << n_sets) - 1
+    active = (1 << width) - 1
 
     # A tuple's utility is popcount(tuple_sets_mask & active_sets_mask).
     # ``active`` only ever loses bits, so utilities are monotonically
@@ -127,6 +153,7 @@ def greedy_hitting_set(
 
         chosen = tuple_of[bit]
         selection.chosen.append(chosen)
+        hit &= own_bits
         while hit:
             low = hit & -hit
             hit ^= low
@@ -134,7 +161,7 @@ def greedy_hitting_set(
             remaining[position] -= 1
             selection.assignments[set_ids[position]].append(chosen)
             if remaining[position] == 0:
-                active ^= low
+                active &= ~blocks[position]
     return selection
 
 

@@ -21,6 +21,9 @@ __all__ = ["GroupUtility", "DecidedOutputs"]
 class GroupUtility:
     """Per-tuple count of candidate sets that currently include the tuple.
 
+    A set shared by several filters counts once per owner (``weight``),
+    exactly as the owners' separate, identical sets would.
+
     Ties between equal-utility tuples are broken by "the latest time stamp
     to favor time freshness" (section 2.3.3); :meth:`best` implements that
     ordering.
@@ -29,20 +32,17 @@ class GroupUtility:
     def __init__(self) -> None:
         self._counts: dict[int, int] = {}
 
-    def increment(self, item: StreamTuple) -> None:
-        self._counts[item.seq] = self._counts.get(item.seq, 0) + 1
+    def increment(self, item: StreamTuple, weight: int = 1) -> None:
+        self._counts[item.seq] = self._counts.get(item.seq, 0) + weight
 
-    def decrement(self, item: StreamTuple) -> None:
-        self.decrement_seq(item.seq)
-
-    def decrement_seq(self, seq: int) -> None:
-        count = self._counts.get(seq)
+    def decrement(self, item: StreamTuple, weight: int = 1) -> None:
+        count = self._counts.get(item.seq)
         if count is None:
-            raise KeyError(f"tuple {seq} has no utility entry")
-        if count <= 1:
-            del self._counts[seq]
+            raise KeyError(f"tuple {item.seq} has no utility entry")
+        if count <= weight:
+            del self._counts[item.seq]
         else:
-            self._counts[seq] = count - 1
+            self._counts[item.seq] = count - weight
 
     def get(self, item: StreamTuple) -> int:
         return self._counts.get(item.seq, 0)
@@ -87,8 +87,8 @@ class DecidedOutputs:
         self._choosers: dict[int, set[str]] = {}
         self._tuples: dict[int, StreamTuple] = {}
 
-    def record(self, item: StreamTuple, filter_name: str) -> None:
-        self._choosers.setdefault(item.seq, set()).add(filter_name)
+    def record(self, item: StreamTuple, *filter_names: str) -> None:
+        self._choosers.setdefault(item.seq, set()).update(filter_names)
         self._tuples[item.seq] = item
 
     def chosen_by_others(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
 
@@ -114,6 +114,21 @@ class GroupAwareFilter(ABC):
     @property
     def stateful(self) -> bool:
         return self.taxonomy.dependency.stateful
+
+    def sharing_key(self) -> Optional[Hashable]:
+        """Identity of this filter's first stage, or ``None`` (the default).
+
+        Two unused filters with equal keys promise identical candidate
+        sets, tuple for tuple, on any input, so the engine evaluates one
+        of them on behalf of both.  Only a filter whose admissions are a
+        deterministic function of its parameters and the input may
+        return a key: no dependence on decided outputs
+        (:meth:`on_output_decided`), no per-instance randomness.  The
+        key must cover every parameter that shapes admission - a
+        subclass that adds one overrides this - and conventionally
+        starts with the concrete class.
+        """
+        return None
 
     # -- online protocol -------------------------------------------------
     @abstractmethod

@@ -27,7 +27,7 @@ than on the reference, which forces per-candidate-set deciding.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -112,6 +112,12 @@ class DeltaFilterBase(GroupAwareFilter):
 
     def _attributes(self) -> tuple[str, ...]:
         return ()
+
+    def sharing_key(self) -> Optional[Hashable]:
+        # Stateful variants base each set on the decider's previous pick.
+        if self._stateful:
+            return None
+        return (type(self), self._attributes(), self.delta, self.slack)
 
     def _derive(self, item: StreamTuple) -> Optional[float]:
         raise NotImplementedError

@@ -14,7 +14,7 @@ the candidate set holds contiguous positions within ``slack`` of it.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -73,6 +73,9 @@ class LocationDeltaFilter(GroupAwareFilter):
             output_selection=OutputSelection(quantity=1, unit="tuple"),
             dependency=DependencySpec(stateful=False),
         )
+
+    def sharing_key(self) -> Hashable:
+        return (type(self), self.x_attribute, self.y_attribute, self.delta, self.slack)
 
     def _position(self, item: StreamTuple) -> tuple[float, float]:
         return (item.value(self.x_attribute), item.value(self.y_attribute))

@@ -15,7 +15,7 @@ those tuples is an equally good witness that the state changed (e.g.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -89,6 +89,10 @@ class BandTransitionFilter(GroupAwareFilter):
             output_selection=OutputSelection(quantity=1, unit="tuple"),
             dependency=DependencySpec(stateful=False),
         )
+
+    def sharing_key(self) -> Hashable:
+        bands = tuple((band.name, band.low, band.high) for band in self.bands)
+        return (type(self), self.attribute, self.witness_window, bands)
 
     def classify(self, value: float) -> Optional[str]:
         for band in self.bands:

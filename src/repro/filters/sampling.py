@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -79,6 +79,20 @@ class StratifiedSamplingFilter(GroupAwareFilter):
                 prescription=self.prescription,
             ),
             dependency=DependencySpec(stateful=False),
+        )
+
+    def sharing_key(self) -> Hashable:
+        # ``seed`` is absent on purpose: only the self-interested
+        # sampler draws from it; segments, degrees and top/bottom
+        # eligibility here are functions of the input alone.
+        return (
+            type(self),
+            self.attribute,
+            self.interval_ms,
+            self.threshold,
+            self.high_rate_percent,
+            self.low_rate_percent,
+            self.prescription,
         )
 
     def degree_for(self, members: list[StreamTuple]) -> int:

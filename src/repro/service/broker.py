@@ -289,6 +289,15 @@ class DisseminationService:
             self._m_sessions = registry.gauge(
                 "repro_broker_sessions", "Live subscriber sessions."
             )
+            contexts = registry.gauge(
+                "repro_broker_engine_contexts",
+                "Distinct filter first stages the live engines evaluate "
+                "per tuple (sessions with one shareable spec on one "
+                "source share one).",
+            )
+            registry.register_collector(
+                lambda: contexts.set(self.engine_context_count())
+            )
             self._m_flushes = registry.counter(
                 "repro_session_batch_flushes_total",
                 "Micro-batch flushes shipped toward session queues.",
@@ -340,6 +349,15 @@ class DisseminationService:
     def session_count(self) -> int:
         """Live subscriber sessions, without building a full snapshot."""
         return sum(len(src.sessions) for src in self._sources.values())
+
+    def engine_context_count(self) -> int:
+        """Distinct filter first stages across the live engines; against
+        :meth:`session_count` it is the sharing ratio."""
+        return sum(
+            slot.engine.context_count
+            for src in self._sources.values()
+            for slot in src.slots
+        )
 
     def _place(self, key: str) -> str:
         """Stable node placement, reusing the runtime's key hashing."""

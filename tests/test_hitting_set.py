@@ -126,6 +126,83 @@ class TestMultiDegree:
         assert len({t.seq for t in picks}) == 3
 
 
+def _clone(candidate_set, name):
+    return _set(
+        name,
+        candidate_set.tuples,
+        degree=candidate_set.degree,
+        eligible=candidate_set.eligible_tuples,
+    )
+
+
+def _picks(selection, sets):
+    return [[t.seq for t in selection.assignments[s.set_id]] for s in sets]
+
+
+class TestWeights:
+    """``weights`` stands for literally duplicated sets, at the cost of one."""
+
+    def _instance(self):
+        items = make_tuples(list(range(10)))
+        return items, [
+            _set("a", items[0:4]),
+            _set("b", items[2:6]),
+            _set("c", items[5:9], degree=2),
+            _set("d", items[3:10], degree=3, eligible=items[6:10]),
+        ]
+
+    def test_equals_literal_duplication(self):
+        _, sets = self._instance()
+        weights = [3, 1, 2, 4]
+        weighted = greedy_hitting_set(sets, weights=weights)
+        duplicated = [
+            [_clone(s, f"{s.filter_name}{k}") for k in range(w)]
+            for s, w in zip(sets, weights)
+        ]
+        reference = greedy_hitting_set([c for copies in duplicated for c in copies])
+        assert weighted.chosen == reference.chosen
+        for picks, copies in zip(_picks(weighted, sets), duplicated):
+            assert _picks(reference, copies) == [picks] * len(copies)
+
+    def test_weight_changes_the_pick_order(self):
+        """Why weights, not deduplication: a duplicate adds utility."""
+        items = make_tuples(list(range(4)))
+        sets = [_set("a", items[0:2]), _set("b", items[1:3]), _set("c", items[2:4])]
+        assert greedy_hitting_set(sets).chosen[0] == items[2]
+        assert greedy_hitting_set(sets, weights=[3, 1, 1]).chosen[0] == items[1]
+
+    def test_uniform_weights_equal_unweighted(self):
+        _, sets = self._instance()
+        plain = greedy_hitting_set(sets)
+        for weight in (1, 5):
+            weighted = greedy_hitting_set(sets, weights=[weight] * len(sets))
+            assert weighted.chosen == plain.chosen
+            assert _picks(weighted, sets) == _picks(plain, sets)
+
+    def test_freshest_timestamp_tie_break_preserved(self):
+        items = make_tuples([1.0, 2.0, 3.0])
+        selection = greedy_hitting_set([_set("a", items)], weights=[4])
+        assert selection.chosen == [items[2]]
+
+    def test_multi_degree_block_retires_together(self):
+        """A weight-3 degree-2 set takes exactly two picks, and once it
+        has them it stops lending utility to its remaining members."""
+        items = make_tuples(list(range(5)))
+        heavy = _set("a", items[0:3], degree=2)
+        light = _set("b", items[2:5])
+        selection = greedy_hitting_set([heavy, light], weights=[3, 1])
+        assert [t.seq for t in selection.assignments[heavy.set_id]] == [2, 1]
+        assert [t.seq for t in selection.assignments[light.set_id]] == [2]
+        assert selection.chosen == [items[2], items[1]]
+
+    def test_rejects_bad_weights(self):
+        items = make_tuples([1.0, 2.0])
+        with pytest.raises(ValueError, match="weights"):
+            greedy_hitting_set([_set("a", items)], weights=[1, 1])
+        with pytest.raises(ValueError, match="weights"):
+            greedy_hitting_set([_set("a", items)], weights=[0])
+
+
 class TestExactSolver:
     def test_minimal_solution(self):
         items = make_tuples(list(range(4)))

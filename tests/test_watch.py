@@ -721,6 +721,9 @@ def _start_serve(*extra_args: str) -> tuple[subprocess.Popen, int, int]:
         stderr=subprocess.STDOUT,
         text=True,
         env=_env(),
+        # Its own process group, so _stop_serve can see (and, if it must,
+        # kill) the workers a router spawned, not just the router.
+        start_new_session=True,
     )
     deadline = time.monotonic() + 60
     line = ""
@@ -735,6 +738,24 @@ def _start_serve(*extra_args: str) -> tuple[subprocess.Popen, int, int]:
     port = int(parts[0].rsplit(":", 1)[1])
     http_port = int(parts[1].rsplit(":", 1)[1])
     return proc, port, http_port
+
+
+def _stop_serve(proc: subprocess.Popen) -> None:
+    """SIGTERM, so a router takes its workers down with it (SIGKILLing
+    it strands them), then assert nothing of the tree is left."""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+    deadline = time.monotonic() + 20
+    while time.monotonic() < deadline:
+        proc.poll()  # reap the router: a zombie still holds the group
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=10)
+    raise AssertionError("serve tree outlived SIGTERM and had to be killed")
 
 
 class TestWatchClusterEndToEnd:
@@ -810,9 +831,7 @@ class TestWatchClusterEndToEnd:
             evidence = next(iter(fired.values()))["evidence"]["series"]
             assert evidence, critical
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            _stop_serve(proc)
 
     def test_repro_watch_cli_reaches_healthy_verdict(self, tmp_path):
         proc, _port, http_port = _start_serve("--watch-interval", "0")
@@ -852,12 +871,7 @@ class TestWatchClusterEndToEnd:
             final = json.loads(out_file.read_text())
             assert final["status"] == "ok"
         finally:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+            _stop_serve(proc)
 
 
 # ---------------------------------------------------------------------------
