@@ -94,7 +94,9 @@ def test_engine_shared_specs_throughput(benchmark):
     first stages, not 32.
 
     The gate is relative and in-process: the same group made unshareable
-    is timed beside it, so the ratio holds on any runner."""
+    is timed beside it, so the ratio holds on any runner.  Measured
+    0.21-0.24 at CI's 200 tuples and 0.18 at 2 000 (0.31 / 0.24 before
+    decisions carried their owners)."""
     trace = namos_trace(n=N_TUPLES, seed=7)
 
     def run(cls=DeltaCompressionFilter):
@@ -107,7 +109,7 @@ def test_engine_shared_specs_throughput(benchmark):
     ]
     shared, unshared = _best_of(run), _best_of(lambda: run(_UnsharedDelta))
     print(f"\nshared {shared * 1e3:.1f} ms, unshared {unshared * 1e3:.1f} ms")
-    assert shared <= 0.6 * unshared
+    assert shared <= 0.4 * unshared
 
 
 def test_engine_distinct_specs_throughput(benchmark):

@@ -321,6 +321,9 @@ class GroupAwareEngine:
         self._tracker = RegionTracker()
         self._interner = TupleInterner()
         self._early_decided_sets: set[int] = set()
+        #: Emissions an early decider released inside the current step
+        #: (filter callbacks cannot return them); ``_log`` drains it.
+        self._early: list[Emission] = []
         self.now = 0.0
         self._result = EngineResult(algorithm=algorithm)
         for name in names:
@@ -369,8 +372,7 @@ class GroupAwareEngine:
         emissions.extend(self._strategy.on_input(self.now))
 
         self._result.cpu_ns_per_tuple.append(time.perf_counter_ns() - started)
-        self._result.emissions.extend(emissions)
-        return emissions
+        return self._log(emissions)
 
     def tick(self, now: float, *, cuts: bool = True) -> list[Emission]:
         """Timer-driven pass with no input tuple (live-service clock tick).
@@ -403,8 +405,7 @@ class GroupAwareEngine:
         if cuts and self._constraint is not None:
             emissions.extend(self._check_cut())
         emissions.extend(self._poll_regions())
-        self._result.emissions.extend(emissions)
-        return emissions
+        return self._log(emissions)
 
     def finish(self) -> EngineResult:
         """End of stream: flush all filters and release buffered output."""
@@ -415,11 +416,24 @@ class GroupAwareEngine:
             ctx.filter.flush(ctx)
         emissions.extend(self._poll_regions(final=True))
         emissions.extend(self._strategy.flush(self.now))
-        self._result.emissions.extend(emissions)
+        self._log(emissions)
         self._result.regions_emitted = self._tracker.regions_emitted
         self._result.regions_cut = self._tracker.regions_cut
         self._finished = True
         return self._result
+
+    def _log(self, emissions: list[Emission]) -> list[Emission]:
+        """Log one step's emissions and return them, exactly once each.
+
+        Early deciders emit from inside filter callbacks, which all run
+        before the step's regions are polled, so their emissions come
+        first — the order they were made in.
+        """
+        if self._early:
+            emissions = self._early + emissions
+            self._early = []
+        self._result.emissions.extend(emissions)
+        return emissions
 
     # ------------------------------------------------------------------
     # Second stage: deciding outputs
@@ -465,8 +479,7 @@ class GroupAwareEngine:
         self._result.decisions[ctx.filter.name].append(decision)
         ctx.last_decided = tuple(picks)
         ctx.filter.on_output_decided(picks)
-        emitted = self._strategy.on_decisions([decision], self.now)
-        self._result.emissions.extend(emitted)
+        self._early.extend(self._strategy.on_decisions([decision], self.now))
 
     def _release_orphaned_bit(self, seq: int) -> None:
         """Recycle a dismissed tuple's interner bit once no set holds it.
@@ -500,19 +513,21 @@ class GroupAwareEngine:
                 elapsed_ms = (time.perf_counter_ns() - started) / 1e6
                 self._predictor.observe(region.size, elapsed_ms)
                 decisions = []
+                rows = self._result.decisions
                 for candidate_set in undecided:
-                    picks = tuple(selection.assignments[candidate_set.set_id])
-                    for owner in candidate_set.owners:
-                        decision = Decision(
-                            filter_name=owner,
-                            set_id=candidate_set.set_id,
-                            tuples=picks,
-                            decide_ts=self.now,
-                        )
-                        decisions.append(decision)
-                        self._result.decisions[owner].append(decision)
-                    for item in picks:
-                        self._decided.record(item, *candidate_set.owners)
+                    owners = candidate_set.owners
+                    decision = Decision(
+                        filter_name=candidate_set.filter_name,
+                        set_id=candidate_set.set_id,
+                        tuples=tuple(selection.assignments[candidate_set.set_id]),
+                        decide_ts=self.now,
+                        owners=owners,
+                    )
+                    decisions.append(decision)
+                    for owner in owners:
+                        rows[owner].append(decision)
+                    for item in decision.tuples:
+                        self._decided.record(item, *owners)
                 emissions.extend(self._strategy.on_decisions(decisions, self.now))
             emissions.extend(self._strategy.on_region_close(region, self.now))
             seqs = region.tuple_seqs

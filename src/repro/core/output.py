@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from repro.core.regions import Region
 from repro.core.tuples import StreamTuple
@@ -34,17 +35,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
-    """One filter's selection for one candidate set."""
+    """The selection made for one candidate set.
+
+    A set shared by several filters (equal ``sharing_key()``) is decided
+    once: ``owners`` names every filter the selection is for, and the
+    same object sits in each owner's ``EngineResult.decisions`` row.
+    Sharing it is safe because it is frozen, slotted and never mutated.
+    ``filter_name`` is the filter whose first stage built the set.
+    """
 
     filter_name: str
     set_id: int
     tuples: tuple[StreamTuple, ...]
     decide_ts: float
+    owners: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.owners:
+            object.__setattr__(self, "owners", (self.filter_name,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Emission:
     """A tuple handed to the multiplexer for multicast.
 
@@ -64,27 +77,62 @@ class Emission:
         return self.emit_ts - self.item.timestamp
 
 
-def merge_decisions(decisions: Iterable[Decision], emit_ts: float) -> list[Emission]:
-    """Multiplex decisions into per-tuple emissions with merged recipients."""
-    recipients: dict[int, set[str]] = {}
+#: Owner tuples of the decisions that chose one tuple -> their union.
+RecipientSets = dict[tuple[tuple[str, ...], ...], frozenset[str]]
+
+
+def merge_decisions(
+    decisions: Iterable[Decision],
+    emit_ts: float,
+    recipient_sets: Optional[RecipientSets] = None,
+) -> list[Emission]:
+    """Multiplex decisions into per-tuple emissions with merged recipients.
+
+    A tuple's recipients are the union of the owners of every decision
+    that chose it.  ``recipient_sets`` interns that union: callers that
+    pass the same table across calls get one shared ``frozenset`` per
+    distinct combination of owner tuples instead of one per emission.
+    """
+    if recipient_sets is None:
+        recipient_sets = {}
+    chosen_for: dict[int, tuple[tuple[str, ...], ...]] = {}
     first_decide: dict[int, float] = {}
     items: dict[int, StreamTuple] = {}
     for decision in decisions:
+        owners = (decision.owners,)
+        decide_ts = decision.decide_ts
         for item in decision.tuples:
-            items[item.seq] = item
-            recipients.setdefault(item.seq, set()).add(decision.filter_name)
-            first = first_decide.get(item.seq)
-            if first is None or decision.decide_ts < first:
-                first_decide[item.seq] = decision.decide_ts
-    emissions = [
-        Emission(
-            item=items[seq],
-            recipients=frozenset(recipients[seq]),
-            emit_ts=emit_ts,
-            decide_ts=first_decide[seq],
+            seq = item.seq
+            seen = chosen_for.get(seq)
+            if seen is None:
+                items[seq] = item
+                chosen_for[seq] = owners
+                first_decide[seq] = decide_ts
+            else:
+                chosen_for[seq] = seen + owners
+                if decide_ts < first_decide[seq]:
+                    first_decide[seq] = decide_ts
+    order: Iterable[int] = items
+    if len(items) > 1:
+        order = sorted(items, key=lambda s: (items[s].timestamp, s))
+    emissions = []
+    for seq in order:
+        key = chosen_for[seq]
+        if len(key) > 1:
+            # Decisions arrive in region order, which varies; the union
+            # does not, so one entry serves every order.
+            key = tuple(sorted(set(key)))
+        recipients = recipient_sets.get(key)
+        if recipients is None:
+            recipients = recipient_sets[key] = frozenset(chain.from_iterable(key))
+        emissions.append(
+            Emission(
+                item=items[seq],
+                recipients=recipients,
+                emit_ts=emit_ts,
+                decide_ts=first_decide[seq],
+            )
         )
-        for seq in sorted(items, key=lambda s: (items[s].timestamp, s))
-    ]
     return emissions
 
 
@@ -92,6 +140,13 @@ class OutputStrategy(ABC):
     """Scheduler for decided outputs; see section 3.4."""
 
     name = "abstract"
+
+    def __init__(self) -> None:
+        #: One ``frozenset`` per recipient combination this strategy has
+        #: emitted.  Per strategy, hence per engine: bounded by the
+        #: group's combinations of sharing classes, freed with the engine,
+        #: and never shared between engines deciding on different threads.
+        self._recipient_sets: RecipientSets = {}
 
     @abstractmethod
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
@@ -116,6 +171,7 @@ class RegionOutput(OutputStrategy):
     name = "region"
 
     def __init__(self) -> None:
+        super().__init__()
         self._pending: list[Decision] = []
 
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
@@ -126,11 +182,11 @@ class RegionOutput(OutputStrategy):
         region_sets = {s.set_id for s in region.sets}
         ready = [d for d in self._pending if d.set_id in region_sets]
         self._pending = [d for d in self._pending if d.set_id not in region_sets]
-        return merge_decisions(ready, emit_ts=now)
+        return merge_decisions(ready, now, self._recipient_sets)
 
     def flush(self, now: float) -> list[Emission]:
         ready, self._pending = self._pending, []
-        return merge_decisions(ready, emit_ts=now)
+        return merge_decisions(ready, now, self._recipient_sets)
 
 
 class PerCandidateSetOutput(OutputStrategy):
@@ -144,7 +200,7 @@ class PerCandidateSetOutput(OutputStrategy):
     name = "pcs"
 
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
-        return merge_decisions(decisions, emit_ts=now)
+        return merge_decisions(decisions, now, self._recipient_sets)
 
     def flush(self, now: float) -> list[Emission]:
         return []
@@ -158,6 +214,7 @@ class BatchedOutput(OutputStrategy):
     def __init__(self, batch_size: int):
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        super().__init__()
         self.batch_size = batch_size
         self._pending: list[Decision] = []
         self._since_release = 0
@@ -172,8 +229,8 @@ class BatchedOutput(OutputStrategy):
             return []
         self._since_release = 0
         ready, self._pending = self._pending, []
-        return merge_decisions(ready, emit_ts=now)
+        return merge_decisions(ready, now, self._recipient_sets)
 
     def flush(self, now: float) -> list[Emission]:
         ready, self._pending = self._pending, []
-        return merge_decisions(ready, emit_ts=now)
+        return merge_decisions(ready, now, self._recipient_sets)

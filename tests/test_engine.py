@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
 from repro.core.tuples import Trace
+from repro.filters import parse_filter
 from repro.filters.delta import DeltaCompressionFilter
+from repro.runtime.tasks import EngineConfig
+from repro.service.broker import engine_from_config
+from repro.sources import random_walk_trace
 from tests.conftest import paper_group, random_walk_values
 
 
@@ -62,6 +66,42 @@ class TestEngineLifecycle:
         result = GroupAwareEngine(paper_group()).run(paper_trace)
         assert len(result.cpu_ns_per_tuple) == len(paper_trace)
         assert all(ns >= 0 for ns in result.cpu_ns_per_tuple)
+
+
+class TestStepsReturnWhatTheyLog:
+    """A live broker routes only what ``process``/``tick`` return and
+    reads ``finish``'s share off the end of the log, so each step must
+    return exactly its own growth of ``EngineResult.emissions``.  The
+    regression: under ``(Pcs)`` output 0 of 2 840 logged emissions used
+    to be returned before ``finish``."""
+
+    SPECS = ("DC1(value, 1.5, 0.6)", "SDC(value, 2.0, 0.8)", "DC1(value, 1.5, 0.6)")
+
+    @pytest.mark.parametrize("constraint_ms", [None, 60.0])
+    @pytest.mark.parametrize("output", ["region", "pcs", "batched"])
+    @pytest.mark.parametrize("algorithm", ["region", "per_candidate_set"])
+    def test_every_step(self, algorithm, output, constraint_ms):
+        engine = engine_from_config(
+            [parse_filter(spec, name=f"f{i}") for i, spec in enumerate(self.SPECS)],
+            EngineConfig(algorithm, output, batch_size=16, constraint_ms=constraint_ms),
+        )
+        log = engine._result.emissions
+        returned = 0
+        for item in random_walk_trace(n=3000, seed=9):
+            for step in (
+                lambda: engine.process(item),
+                lambda: engine.tick(item.timestamp + 5.0),
+            ):
+                before = len(log)
+                emitted = step()
+                assert emitted == log[before:]
+                returned += len(emitted)
+        result = engine.finish()
+        assert result.emissions is log and len(log) > returned > 0
+        if output == "pcs":
+            # Released as decided: only the sets still open at the end
+            # of the stream are left for ``finish``.
+            assert len(log) - returned <= len(self.SPECS)
 
 
 class TestEngineResult:

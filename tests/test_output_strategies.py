@@ -1,5 +1,7 @@
 """Unit tests for output strategies (section 3.4)."""
 
+import pickle
+
 import pytest
 
 from repro.core.engine import GroupAwareEngine
@@ -13,15 +15,18 @@ from repro.core.output import (
 )
 from repro.core.regions import Region
 from repro.core.candidates import CandidateSet
+from repro.filters import parse_filter
+from repro.sources import random_walk_trace
 from tests.conftest import make_tuples, paper_group
 
 
-def _decision(name, items, set_id=None, decide_ts=0.0):
+def _decision(name, items, set_id=None, decide_ts=0.0, owners=()):
     return Decision(
         filter_name=name,
         set_id=set_id if set_id is not None else id(items) % 100000,
         tuples=tuple(items),
         decide_ts=decide_ts,
+        owners=owners,
     )
 
 
@@ -61,6 +66,103 @@ class TestMergeDecisions:
         items = make_tuples([1.0])
         emission = Emission(items[0], frozenset({"A"}), emit_ts=70.0, decide_ts=60.0)
         assert emission.delay_ms == 70.0
+
+    def test_hand_built_decision_is_owned_by_its_filter(self):
+        assert _decision("A", make_tuples([1.0])).owners == ("A",)
+
+    def test_overlapping_owner_tuples_give_the_union(self):
+        items = make_tuples([1.0, 2.0])
+        emissions = merge_decisions(
+            [
+                _decision("a", items, set_id=1, owners=("a", "b")),
+                _decision("c", [items[1]], set_id=2, owners=("c", "b")),
+                _decision("a", [items[1]], set_id=3, owners=("a", "b")),
+            ],
+            emit_ts=5.0,
+        )
+        assert [e.recipients for e in emissions] == [{"a", "b"}, {"a", "b", "c"}]
+
+    def test_multi_tuple_order_is_timestamp_then_seq(self):
+        a, b, c = make_tuples([1.0, 2.0, 3.0], interval_ms=0.0)  # equal timestamps
+        late = make_tuples([0.0, 9.0])[1]  # seq 1 again, later timestamp
+        emissions = merge_decisions(
+            [_decision("A", [late, c]), _decision("B", [a], set_id=2)], emit_ts=1.0
+        )
+        assert [(e.item.timestamp, e.item.seq) for e in emissions] == [
+            (0.0, 0), (0.0, 2), (10.0, 1),
+        ]  # fmt: skip
+
+    def test_one_frozenset_per_recipient_combination(self):
+        items = make_tuples([1.0, 2.0, 3.0])
+        ab, c = ("a", "b"), ("c",)
+        table = {}
+        first = merge_decisions(
+            [_decision("a", items, set_id=1, owners=ab), _decision("c", items[:2], set_id=2, owners=c)],
+            emit_ts=1.0,
+            recipient_sets=table,
+        )
+        # The same two classes, met in the other order, on a later call.
+        second = merge_decisions(
+            [_decision("c", items[:1], set_id=3, owners=c), _decision("a", items[:1], set_id=4, owners=ab)],
+            emit_ts=2.0,
+            recipient_sets=table,
+        )
+        assert first[0].recipients is first[1].recipients is second[0].recipients
+        assert first[2].recipients == {"a", "b"}
+        assert len(table) == 2
+        # Without a table nothing outlives the call.
+        assert merge_decisions([_decision("a", items, owners=ab)], 3.0)[0].recipients is not (
+            first[2].recipients
+        )
+
+
+class TestRecipientSetsBelongToOneEngine:
+    SPECS = ["DC1(value, 1.0, 0.4)", "DC1(value, 1.7, 0.6)", "DC1(value, 2.9, 1.1)"]
+
+    def _engine(self, strategy):
+        names = iter("abcdefghi")
+        group = [parse_filter(spec, name=next(names)) for spec in self.SPECS * 3]
+        return GroupAwareEngine(group, output_strategy=strategy)
+
+    def test_table_is_bounded_by_the_combinations_of_sharing_classes(self):
+        engine = self._engine(RegionOutput())
+        assert engine.context_count == 3
+        result = engine.run(random_walk_trace(n=40_000, seed=3))
+        assert result.regions_emitted > 10_000
+        combinations = {e.recipients for e in result.emissions}
+        assert 3 < len(combinations) <= 2**3 - 1
+        table = engine._strategy._recipient_sets
+        assert len(table) == len(combinations)
+        assert {id(e.recipients) for e in result.emissions} == {id(v) for v in table.values()}
+
+    def test_engines_do_not_see_each_others_table(self):
+        trace = list(random_walk_trace(n=500, seed=3))
+        one, two = self._engine(RegionOutput()), self._engine(BatchedOutput(7))
+        mine = {id(e.recipients) for e in one.run(trace).emissions}
+        theirs = {id(e.recipients) for e in two.run(trace).emissions}
+        assert one._strategy._recipient_sets is not two._strategy._recipient_sets
+        assert not mine & theirs
+
+
+class TestPickle:
+    """The ``runtime`` process executor ships results between processes."""
+
+    def test_slotted_decision_and_emission_round_trip(self):
+        items = make_tuples([1.0])
+        decision = _decision("a", items, set_id=4, decide_ts=2.0, owners=("a", "b"))
+        emission = Emission(items[0], frozenset({"a", "b"}), emit_ts=3.0, decide_ts=2.0)
+        for value in (decision, emission):
+            assert not hasattr(value, "__dict__")
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) == value
+
+    def test_engine_result_keeps_decisions_shared_across_rows(self):
+        group = [parse_filter("DC1(value, 1.0, 0.4)", name=n) for n in "ab"]
+        result = GroupAwareEngine(group).run(random_walk_trace(n=300, seed=5))
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.decisions == result.decisions and copy.emissions == result.emissions
+        assert len(copy.decisions["a"]) > 10
+        assert all(x is y for x, y in zip(copy.decisions["a"], copy.decisions["b"]))
 
 
 def _region_of(items, name="f"):

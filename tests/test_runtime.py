@@ -252,6 +252,29 @@ class TestShardedRuntime:
         assert run.canonical() == reference
         assert run.results["rg+c"].cuts_triggered >= 0
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_shared_decisions_survive_sharding(self, executor):
+        """Duplicate specs: co-owners' rows hold one decision object,
+        which the process executor pickles back row by row."""
+        specs = TABLE_4_1_GROUPS["DC_Tmpr"]
+        tasks = [
+            GroupTask.build(
+                key=f"dup/{output}",
+                specs=[spec for spec in specs for _ in range(3)],
+                stream=namos_trace(n=250, seed=11),
+                config=EngineConfig(algorithm="region", output=output, batch_size=20),
+            )
+            for output in ("region", "pcs", "batched")
+        ]
+        reference = run_sequential(tasks)
+        run = run_tasks(tasks, shards=2, executor=executor)
+        assert run.canonical() == reference.canonical()
+        for key, result in run.results.items():
+            rows = list(result.decisions.values())
+            assert len(rows) == 3 * len(specs) and all(rows)
+            assert rows[0] == rows[1] == rows[2] != rows[3]
+            assert canonical_result(result) == canonical_result(reference.results[key])
+
     def test_combined_metrics_sum_over_groups(self):
         tasks = _chapter4_tasks(n_tuples=150)
         run = run_sequential(tasks)

@@ -7,6 +7,7 @@ import asyncio
 import pytest
 
 from repro.core.engine import GroupAwareEngine
+from repro.core.output import PerCandidateSetOutput
 from repro.core.tuples import StreamTuple, Trace
 from repro.filters.spec import parse_filter
 from repro.runtime.merge import canonical_result
@@ -38,16 +39,18 @@ def _reference(algorithm: str, trace: Trace, specs=SPECS):
     return GroupAwareEngine(filters, algorithm=algorithm).run(trace)
 
 
-async def _spin_up(algorithm="region", *, batch_max_items=1, **session_kwargs):
+async def _spin_up(
+    algorithm="region", *, batch_max_items=1, output="region", specs=SPECS, **session_kwargs
+):
     service = DisseminationService(
         ServiceConfig(
-            engine=EngineConfig(algorithm=algorithm),
+            engine=EngineConfig(algorithm=algorithm, output=output),
             batch_max_items=batch_max_items,
         )
     )
     service.add_source("src")
     sessions = {}
-    for app, spec in SPECS:
+    for app, spec in specs:
         sessions[app] = await service.subscribe(
             app, "src", spec, queue_capacity=10_000, **session_kwargs
         )
@@ -95,6 +98,48 @@ class TestBatchEquivalence:
             assert set(delivered[app]) == {
                 t.seq for t in reference.outputs_for(app)
             }
+
+    @pytest.mark.parametrize(
+        "algorithm, specs",
+        [
+            ("per_candidate_set", SPECS),
+            # A stateful filter decides per candidate set under either algorithm.
+            ("region", SPECS[:2] + [("app2", "SDC(temp, 2.5, 1.0)")]),
+        ],
+    )
+    def test_pcs_output_is_delivered_live_not_at_close(self, algorithm, specs):
+        """``(Pcs)`` releases a decision the moment it is made; the broker
+        routes only what an engine step returns, so those emissions
+        must come back from ``process`` and not wait for the cutover."""
+        trace = _trace(seed=5)
+
+        async def run():
+            service, sessions = await _spin_up(algorithm, output="pcs", specs=specs)
+            await service.feed("src", trace)
+            live = {
+                app: [i.seq for b in s.queue.drain_nowait() for i in b.items]
+                for app, s in sessions.items()
+            }
+            await service.close()
+            tails = {
+                app: [i.seq for b in s.queue.drain_nowait() for i in b.items]
+                for app, s in sessions.items()
+            }
+            return live, tails
+
+        live, tails = asyncio.run(run())
+        reference = GroupAwareEngine(
+            [parse_filter(spec, name=app) for app, spec in specs],
+            algorithm=algorithm,
+            output_strategy=PerCandidateSetOutput(),
+        ).run(trace)
+        early = [app for app, _ in specs if algorithm != "region" or app == "app2"]
+        for app in early:
+            assert len(live[app]) > 10 and len(tails[app]) <= 1
+        for app, _ in specs:
+            assert live[app] + tails[app] == [
+                e.item.seq for e in reference.emissions if app in e.recipients
+            ]
 
     def test_ticks_do_not_change_decisions(self):
         trace = _trace(seed=8)

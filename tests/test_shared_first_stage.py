@@ -163,6 +163,27 @@ class TestEquivalentToUnshared:
         assert ref_engine.context_count == len(specs)
         assert engine.filters == group
         assert _observed(shared) == _observed(unshared)
+        _assert_decided_once_per_class(engine, shared)
+
+
+def _assert_decided_once_per_class(engine, result):
+    """The second stage's sharing: co-owners' rows hold the *same*
+    decision object, labelled with its candidate set's owners, and
+    equal recipient sets are one ``frozenset``."""
+    for ctx in engine._contexts:
+        first, *others = ctx.owners
+        for decision in result.decisions[first]:
+            assert decision.owners == ctx.owners
+            assert decision.filter_name == first
+        for other in others:
+            assert len(result.decisions[other]) == len(result.decisions[first])
+            for mine, theirs in zip(result.decisions[first], result.decisions[other]):
+                assert mine is theirs
+    interned = {}
+    for emission in result.emissions:
+        assert interned.setdefault(emission.recipients, emission.recipients) is (
+            emission.recipients
+        )
 
 
 def _context_count(specs, algorithm="region"):
