@@ -43,6 +43,9 @@ async def main() -> None:
             batch_max_items=4,
             queue_capacity=64,
             overflow="block",
+            # A live broker keeps no per-decision log by default; this
+            # demo reads the per-epoch decision counts back at the end.
+            record_epochs=True,
         )
     )
     service.add_source("volcano")

@@ -276,6 +276,13 @@ class GroupAwareEngine:
     before it and before those after it; sharing across it would move
     an owner's contribution to the other side of that read.  So an
     early decider is never shared, and no class spans one.
+
+    ``record=False`` is for a caller that consumes what each step
+    *returns* and never the log (the live broker): every step decides
+    and returns exactly what it otherwise would, but nothing is kept
+    per tuple — no ``emissions``, no ``decisions`` rows, no
+    ``cpu_ns_per_tuple`` sample — only the result's counters.  The
+    default records, because a batch run's product is the log.
     """
 
     def __init__(
@@ -285,6 +292,7 @@ class GroupAwareEngine:
         output_strategy: Optional[OutputStrategy] = None,
         time_constraint: Optional[TimeConstraint] = None,
         predictor: Optional[RuntimePredictor] = None,
+        record: bool = True,
     ):
         if algorithm not in ("region", "per_candidate_set"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -295,6 +303,7 @@ class GroupAwareEngine:
             raise ValueError("a group needs at least one filter")
 
         self.algorithm = algorithm
+        self._record = record
         self._filters = list(filters)
         self._contexts: list[FilterContext] = []
         shareable: dict[Hashable, FilterContext] = {}
@@ -357,7 +366,8 @@ class GroupAwareEngine:
         """Process one input tuple; return any emissions it triggered."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        started = time.perf_counter_ns()
+        if self._record:
+            started = time.perf_counter_ns()
         self.now = item.timestamp
         self._result.input_count += 1
         emissions: list[Emission] = []
@@ -371,7 +381,8 @@ class GroupAwareEngine:
         emissions.extend(self._poll_regions())
         emissions.extend(self._strategy.on_input(self.now))
 
-        self._result.cpu_ns_per_tuple.append(time.perf_counter_ns() - started)
+        if self._record:
+            self._result.cpu_ns_per_tuple.append(time.perf_counter_ns() - started)
         return self._log(emissions)
 
     def tick(self, now: float, *, cuts: bool = True) -> list[Emission]:
@@ -407,23 +418,30 @@ class GroupAwareEngine:
         emissions.extend(self._poll_regions())
         return self._log(emissions)
 
-    def finish(self) -> EngineResult:
-        """End of stream: flush all filters and release buffered output."""
+    def drain(self) -> list[Emission]:
+        """End of stream, as a step: flush all filters, decide what is
+        still open and return the buffered output.  The engine is
+        finished afterwards; a second call returns nothing."""
         if self._finished:
-            return self._result
+            return []
         emissions: list[Emission] = []
         for ctx in self._contexts:
             ctx.filter.flush(ctx)
         emissions.extend(self._poll_regions(final=True))
         emissions.extend(self._strategy.flush(self.now))
-        self._log(emissions)
         self._result.regions_emitted = self._tracker.regions_emitted
         self._result.regions_cut = self._tracker.regions_cut
         self._finished = True
+        return self._log(emissions)
+
+    def finish(self) -> EngineResult:
+        """:meth:`drain`, then everything the run measured."""
+        self.drain()
         return self._result
 
     def _log(self, emissions: list[Emission]) -> list[Emission]:
-        """Log one step's emissions and return them, exactly once each.
+        """Return one step's emissions, exactly once each, logging them
+        if the engine records.
 
         Early deciders emit from inside filter callbacks, which all run
         before the step's regions are polled, so their emissions come
@@ -432,7 +450,8 @@ class GroupAwareEngine:
         if self._early:
             emissions = self._early + emissions
             self._early = []
-        self._result.emissions.extend(emissions)
+        if self._record:
+            self._result.emissions.extend(emissions)
         return emissions
 
     # ------------------------------------------------------------------
@@ -476,7 +495,8 @@ class GroupAwareEngine:
             decide_ts=self.now,
         )
         self._early_decided_sets.add(candidate_set.set_id)
-        self._result.decisions[ctx.filter.name].append(decision)
+        if self._record:
+            self._result.decisions[ctx.filter.name].append(decision)
         ctx.last_decided = tuple(picks)
         ctx.filter.on_output_decided(picks)
         self._early.extend(self._strategy.on_decisions([decision], self.now))
@@ -513,6 +533,7 @@ class GroupAwareEngine:
                 elapsed_ms = (time.perf_counter_ns() - started) / 1e6
                 self._predictor.observe(region.size, elapsed_ms)
                 decisions = []
+                record = self._record
                 rows = self._result.decisions
                 for candidate_set in undecided:
                     owners = candidate_set.owners
@@ -524,8 +545,9 @@ class GroupAwareEngine:
                         owners=owners,
                     )
                     decisions.append(decision)
-                    for owner in owners:
-                        rows[owner].append(decision)
+                    if record:
+                        for owner in owners:
+                            rows[owner].append(decision)
                     for item in decision.tuples:
                         self._decided.record(item, *owners)
                 emissions.extend(self._strategy.on_decisions(decisions, self.now))

@@ -38,11 +38,14 @@ placement reuses the same stable-key hashing).
 from __future__ import annotations
 
 import asyncio
+import io
+import marshal
 import random
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.adaptive.regroup import cap_group_size, partition_by_attribute
@@ -92,8 +95,11 @@ _DEFAULT_NODES = tuple(f"node{i}" for i in range(8))
 
 #: Bound on per-source arrival-time tracking for decide latency: tuples
 #: the engines dismiss are never emitted, so their entries linger until
-#: the next rebuild; past this many the oldest are evicted.
-_ARRIVAL_TRACK_MAX = 1 << 16
+#: the next rebuild; at this many the older half is dropped.  An arrival
+#: only has to outlive its decide deferral, which on the benchmark's
+#: shapes is at most 28 offers (32 subscribers, region algorithm), so
+#: the window left after a drop is > 100x that.
+_ARRIVAL_TRACK_MAX = 1 << 13
 
 _SID_INGEST_RECV = stage_id(STAGE_INGEST_RECV)
 _SID_DECIDE_EXEC = stage_id(STAGE_DECIDE_EXEC)
@@ -110,14 +116,19 @@ def _make_strategy(output: str, batch_size: int) -> OutputStrategy:
 
 
 def engine_from_config(
-    filters: Sequence[GroupAwareFilter], engine_cfg: EngineConfig
+    filters: Sequence[GroupAwareFilter],
+    engine_cfg: EngineConfig,
+    *,
+    record: bool = True,
 ) -> GroupAwareEngine:
     """Fresh :class:`GroupAwareEngine` mirroring a portable config.
 
     Both the broker's epoch engines and any batch reference used to
     verify the service must come through here: algorithm, output
     strategy and time constraint all shape decided outputs, so the two
-    sides have to agree on every knob.
+    sides have to agree on every knob.  ``record`` is not such a knob:
+    it only says whether the engine keeps its per-tuple log (see
+    :class:`~repro.core.engine.GroupAwareEngine`), never what it decides.
     """
     constraint = (
         TimeConstraint(engine_cfg.constraint_ms)
@@ -129,6 +140,7 @@ def engine_from_config(
         algorithm=engine_cfg.algorithm,
         output_strategy=_make_strategy(engine_cfg.output, engine_cfg.batch_size),
         time_constraint=constraint,
+        record=record,
     )
 
 
@@ -171,6 +183,13 @@ class ServiceConfig:
     #: byte-identical replay; past the cap the journal goes lossy and
     #: export falls back to cutover-flush semantics.
     migration_journal_cap: int = 100_000
+    #: Keep every epoch's :class:`~repro.core.engine.EngineResult` (the
+    #: per-decision and per-emission logs) for
+    #: :meth:`DisseminationService.results` and ``close()``.  Off, a
+    #: live source retains nothing per decided tuple, which is what a
+    #: long-running server wants; a caller that checks the service
+    #: against a batch reference turns it on.
+    record_epochs: bool = False
 
     def __post_init__(self) -> None:
         if self.engine.algorithm == "self_interested":
@@ -193,9 +212,57 @@ class _EngineSlot:
 
     apps: tuple[str, ...]
     engine: GroupAwareEngine
-    #: Emissions already routed to sessions, as a prefix length of the
-    #: engine result's emission log (lets cutover route only the tail).
-    routed: int = 0
+
+
+class _EpochJournal:
+    """Replayable record of the current epoch, packed.
+
+    One entry per offer and per tick fed to the live engines.  Because
+    the epoch's engine state is a pure function of this sequence
+    (engines are deterministic and rebuilt fresh on churn), replaying it
+    into fresh engines reproduces the epoch exactly — the basis of live
+    migration and warm-standby re-arm.  Exact replay needs the whole
+    prefix (a filter's reference chains across candidate sets), so an
+    entry is kept as small as it can be rather than dropped: marshalled
+    at append into one buffer, ``(seq, timestamp, values)`` for an offer
+    and the bare float for a tick, and rebuilt into ``("o", tuple)`` /
+    ``("t", now_ms)`` only by :meth:`entries`.  The bytes never leave
+    the process.
+    """
+
+    __slots__ = ("packed", "count", "lossy")
+
+    def __init__(self) -> None:
+        self.packed = bytearray()
+        self.count = 0
+        #: Set once an entry could not be kept; export then falls back
+        #: to a cutover flush instead of exact replay.
+        self.lossy = False
+
+    def append(self, kind: str, payload) -> None:
+        """Pack one entry; ``ValueError`` if ``marshal`` refuses a value."""
+        if kind == "o":
+            payload = (payload.seq, payload.timestamp, payload.values)
+        else:
+            payload = float(payload)
+        self.packed += marshal.dumps(payload)
+        self.count += 1
+
+    def clear(self, lossy: bool = False) -> None:
+        self.packed = bytearray()
+        self.count = 0
+        self.lossy = lossy
+
+    def entries(self) -> list[tuple[str, object]]:
+        reader = io.BytesIO(self.packed)
+        entries: list[tuple[str, object]] = []
+        for _ in range(self.count):
+            payload = marshal.load(reader)
+            if type(payload) is float:
+                entries.append(("t", payload))
+            else:
+                entries.append(("o", StreamTuple.trusted(*payload)))
+        return entries
 
 
 @dataclass
@@ -214,16 +281,8 @@ class _SourceState:
     #: Wall-clock arrival time per offered-but-undecided tuple seq, for
     #: sub-tick decide-latency measurement (cleared on rebuild).
     arrivals_ns: dict[int, int] = field(default_factory=dict)
-    #: Replayable record of the current epoch: ``("o", item)`` per offer
-    #: and ``("t", now_ms)`` per tick fed to the live engines.  Because
-    #: the epoch's engine state is a pure function of this sequence
-    #: (engines are deterministic and rebuilt fresh on churn), replaying
-    #: it into fresh engines reproduces the epoch exactly — the basis of
-    #: live migration and warm-standby re-arm.  Cleared on rebuild.
-    journal: list[tuple[str, object]] = field(default_factory=list)
-    #: Set once the journal overflows its cap; export then falls back to
-    #: a cutover flush instead of exact replay.
-    journal_lossy: bool = False
+    #: Everything fed to the current epoch's engines (cleared on rebuild).
+    journal: _EpochJournal = field(default_factory=_EpochJournal)
 
 
 class DisseminationService:
@@ -263,6 +322,9 @@ class DisseminationService:
         self._decided_emissions = 0
         self._regroups = 0
         self._ticks = 0
+        #: Timely cuts fired by engines that are gone (cut over or
+        #: exported); the live engines' own counts come on top.
+        self._cuts_triggered = 0
         self._closed = False
         self.telemetry = telemetry
         if telemetry is not None:
@@ -297,6 +359,21 @@ class DisseminationService:
             )
             registry.register_collector(
                 lambda: contexts.set(self.engine_context_count())
+            )
+            journal_bytes = registry.gauge(
+                "repro_broker_journal_bytes",
+                "Bytes the live sources' packed epoch journals hold "
+                "(what exact migration costs in memory).",
+            )
+            registry.register_collector(
+                lambda: journal_bytes.set(self.journal_bytes())
+            )
+            self._m_journal_lossy = registry.counter(
+                "repro_broker_journal_lossy_total",
+                "Epoch journals that stopped being replayable: past "
+                "migration_journal_cap (cap) or offered a value that "
+                "cannot be packed (unportable).",
+                ("reason",),
             )
             self._m_flushes = registry.counter(
                 "repro_session_batch_flushes_total",
@@ -358,6 +435,10 @@ class DisseminationService:
             for src in self._sources.values()
             for slot in src.slots
         )
+
+    def journal_bytes(self) -> int:
+        """Bytes held by the live sources' packed epoch journals."""
+        return sum(len(src.journal.packed) for src in self._sources.values())
 
     def _place(self, key: str) -> str:
         """Stable node placement, reusing the runtime's key hashing."""
@@ -637,11 +718,12 @@ class DisseminationService:
     def _rebuild(self, src: _SourceState) -> None:
         """Fresh engines from the current subscription set."""
         filters = self._parse_group(src)
+        self._drop_slots(src)
+        # A rebuild always follows a cutover: the old epoch's tuples were
+        # emitted or dismissed with it, so their arrival times are dead.
+        src.arrivals_ns.clear()
+        src.journal.clear()
         if not filters:
-            src.slots = []
-            src.arrivals_ns.clear()
-            src.journal.clear()
-            src.journal_lossy = False
             return
         groups: list[list[GroupAwareFilter]] = (
             partition_by_attribute(filters)
@@ -654,21 +736,24 @@ class DisseminationService:
                 for group in groups
                 for chunk in cap_group_size(group, self.config.max_group_size)
             ]
-        engine_cfg = self.config.engine
         src.fed = 0
-        # A rebuild always follows a cutover: the old epoch's tuples were
-        # emitted or dismissed with it, so their arrival times are dead.
-        src.arrivals_ns.clear()
-        src.journal.clear()
-        src.journal_lossy = False
         src.slots = [
             _EngineSlot(
                 apps=tuple(f.name for f in group),
-                engine=engine_from_config(group, engine_cfg),
+                engine=engine_from_config(
+                    group, self.config.engine, record=self.config.record_epochs
+                ),
             )
             for group in groups
         ]
         self._regroups += 1
+
+    def _drop_slots(self, src: _SourceState) -> None:
+        """Forget the live engines, keeping what :meth:`snapshot` counts."""
+        self._cuts_triggered += sum(
+            slot.engine.cuts_triggered for slot in src.slots
+        )
+        src.slots = []
 
     async def _cutover(self, src: _SourceState) -> None:
         """Finish the live engines, delivering their tail emissions.
@@ -682,7 +767,7 @@ class DisseminationService:
         if src.fed == 0:
             # Nothing was ever offered to this epoch: no candidate state
             # to flush, so skip the empty EngineResult entirely.
-            src.slots = []
+            self._drop_slots(src)
             return
         started_ns = time.perf_counter_ns()
         # Finish every slot before mutating any source state: a failure
@@ -692,11 +777,11 @@ class DisseminationService:
         tails: list[Emission] = []
         results: list[EngineResult] = []
         for slot in src.slots:
-            result = slot.engine.finish()
-            tails.extend(result.emissions[slot.routed :])
-            results.append(result)
-        src.epochs.extend(results)
-        src.slots = []
+            tails.extend(slot.engine.drain())
+            results.append(slot.engine.finish())
+        if self.config.record_epochs:
+            src.epochs.extend(results)
+        self._drop_slots(src)
         self._note_emissions(src, tails)
         await self._route(src, tails, now=self._now)
         if self.telemetry is not None:
@@ -708,14 +793,31 @@ class DisseminationService:
     # ------------------------------------------------------------------
     # Live migration (epoch journal replay)
     # ------------------------------------------------------------------
-    def _journal(self, src: _SourceState, entry: tuple[str, object]) -> None:
-        if src.journal_lossy:
+    def _journal(self, src: _SourceState, kind: str, payload) -> None:
+        """Record one offer (``"o"``, the tuple) or tick (``"t"``, the
+        clock) of the current epoch, unless the journal already lost one."""
+        journal = src.journal
+        if journal.lossy:
             return
-        if len(src.journal) >= self.config.migration_journal_cap:
-            src.journal_lossy = True
-            src.journal.clear()
-            return
-        src.journal.append(entry)
+        reason = "cap"
+        if journal.count < self.config.migration_journal_cap:
+            try:
+                journal.append(kind, payload)
+                return
+            except ValueError:
+                # A value marshal will not take (a numpy scalar offered
+                # in process): the offer goes ahead, the epoch just
+                # cannot migrate exactly — as past the cap.
+                reason = "unportable"
+        if self.telemetry is not None:
+            self._m_journal_lossy.labels(reason).inc()
+            self.telemetry.events.emit(
+                "journal_lossy",
+                source=src.name,
+                reason=reason,
+                entries=journal.count,
+            )
+        journal.clear(lossy=True)
 
     async def export_source(self, source_name: str) -> dict:
         """Detach a source for live migration; returns its portable state.
@@ -746,10 +848,10 @@ class DisseminationService:
                 batch = session.batcher.flush(self._now)
                 if batch is not None:
                     await self._ship(src, session, batch)
-            exact = not src.journal_lossy
+            exact = not src.journal.lossy
             if not exact and src.fed:
                 await self._cutover(src)
-            journal = list(src.journal)
+            journal = src.journal.entries()
             subscriptions = [
                 (s.app_name, s.spec, s.node) for s in src.sessions.values()
             ]
@@ -764,8 +866,8 @@ class DisseminationService:
                 del self._app_sources[app]
                 await session.close()
                 self._retired.append(self._session_snapshot(session))
-            src.slots = []
-            src.journal = []
+            self._drop_slots(src)
+            src.journal.clear()
             src.arrivals_ns.clear()
             offered = src.offered
             del self._sources[source_name]
@@ -810,12 +912,12 @@ class DisseminationService:
                 batch = session.batcher.flush(self._now)
                 if batch is not None:
                     await self._ship(src, session, batch)
-            exact = not src.journal_lossy
+            exact = not src.journal.lossy
             return {
                 "source": source_name,
                 "node": src.node,
                 "exact": exact,
-                "journal": list(src.journal),
+                "journal": src.journal.entries(),
                 "fed": src.fed if exact else 0,
                 "offered": src.offered,
                 "subscriptions": [
@@ -838,11 +940,11 @@ class DisseminationService:
         nothing fed to the current epoch.  Engines are rebuilt fresh
         first (discarding any broadcast-tick contamination since the
         subscriptions attached), then the journal replays through the
-        normal engine steps with *suppressed* emissions — each slot's
-        ``routed`` prefix advances without routing, because those
-        emissions were already delivered by the exporting worker.  The
-        replayed journal is retained, so the adopted epoch can itself
-        be exported again (chained migration, standby re-arm).
+        normal engine steps with *suppressed* emissions — what each
+        step returns is dropped, because the exporting worker already
+        delivered it.  The replayed journal is retained, so the adopted
+        epoch can itself be exported again (chained migration, standby
+        re-arm).
 
         Returns the number of journal entries replayed.
         """
@@ -857,21 +959,15 @@ class DisseminationService:
             journal = list(state.get("journal") or ())
             replayed = 0
             if src.slots:
-                for entry in journal:
-                    kind, payload = entry
+                for kind, payload in journal:
                     if kind == "o":
-                        item = payload
                         for slot in src.slots:
-                            slot.routed += len(slot.engine.process(item))
+                            slot.engine.process(payload)
                     else:
                         now_ms = float(payload)  # type: ignore[arg-type]
                         for slot in src.slots:
-                            slot.routed += len(
-                                slot.engine.tick(
-                                    now_ms, cuts=self.config.tick_cuts
-                                )
-                            )
-                    self._journal(src, entry)
+                            slot.engine.tick(now_ms, cuts=self.config.tick_cuts)
+                    self._journal(src, kind, payload)
                     replayed += 1
             src.fed = int(state.get("fed", 0))
             src.offered += int(state.get("offered", 0))
@@ -930,11 +1026,16 @@ class DisseminationService:
         self._now = max(self._now, item.timestamp)
         arrivals = src.arrivals_ns
         if len(arrivals) >= _ARRIVAL_TRACK_MAX:
-            del arrivals[next(iter(arrivals))]
+            # One pass for the older half, not one delete per offer:
+            # deleting a dict's first key leaves a tombstone that every
+            # later ``next(iter(d))`` walks again.
+            arrivals = src.arrivals_ns = dict(
+                islice(arrivals.items(), _ARRIVAL_TRACK_MAX // 2, None)
+            )
         arrival_ns = time.perf_counter_ns()
         arrivals[item.seq] = arrival_ns
         if src.slots:
-            self._journal(src, ("o", item))
+            self._journal(src, "o", item)
         t = self.telemetry
         traced = False
         if t is not None:
@@ -1000,7 +1101,7 @@ class DisseminationService:
                     # Idle epochs (nothing fed) need no tick replay:
                     # fresh engines have no admitted tuples whose timely
                     # cuts a tick could advance.
-                    self._journal(src, ("t", now_ms))
+                    self._journal(src, "t", now_ms)
                 emissions = await self._run_slots(
                     src,
                     lambda engine: engine.tick(
@@ -1030,10 +1131,7 @@ class DisseminationService:
                     for slot in src.slots
                 )
             )
-        emissions: list[Emission] = []
-        for slot, slot_emissions in zip(src.slots, per_slot):
-            slot.routed += len(slot_emissions)
-            emissions.extend(slot_emissions)
+        emissions = [e for slot_emissions in per_slot for e in slot_emissions]
         self._note_emissions(src, emissions)
         return emissions
 
@@ -1070,7 +1168,7 @@ class DisseminationService:
             # emitted by several slots (and again on later ticks); every
             # emission must record its real latency, not a 0 for the
             # repeats.  Entries are reclaimed by the rebuild clear and
-            # the insertion-order eviction cap, so the map stays bounded.
+            # the older-half drop at the cap, so the map stays bounded.
             start_ns = arrivals.get(emission.item.seq)
             if start_ns is not None:
                 window.append((now_ns - start_ns) / 1e6)
@@ -1324,13 +1422,9 @@ class DisseminationService:
             for src in self._sources.values()
             for session in src.sessions.values()
         )
-        # Finished epochs plus the still-running engines: live cuts must
+        # Retired engines plus the still-running ones: live cuts must
         # show up in periodic snapshots, not only after a cutover/close.
-        cuts = sum(
-            epoch.cuts_triggered
-            for src in self._sources.values()
-            for epoch in src.epochs
-        ) + sum(
+        cuts = self._cuts_triggered + sum(
             slot.engine.cuts_triggered
             for src in self._sources.values()
             for slot in src.slots
@@ -1349,7 +1443,12 @@ class DisseminationService:
         )
 
     def results(self, source_name: str) -> list[EngineResult]:
-        """Finished engine epochs for one source (complete after close)."""
+        """Finished engine epochs for one source (complete after close).
+
+        Empty unless the service was built with
+        ``ServiceConfig(record_epochs=True)``: by default a live source
+        keeps no per-decision log.
+        """
         return list(self._src(source_name).epochs)
 
     async def close(self) -> dict[str, list[EngineResult]]:
@@ -1357,6 +1456,9 @@ class DisseminationService:
 
         Final flushes never block: if a closing batch cannot be enqueued
         it is counted as dropped rather than deadlocking shutdown.
+
+        Returns every source's finished epochs, as :meth:`results` does
+        — empty lists unless ``ServiceConfig(record_epochs=True)``.
         """
         if self._closed:
             return {src.name: list(src.epochs) for src in self._sources.values()}

@@ -588,6 +588,8 @@ def _broker_service(
             tick_cuts=tick_cuts,
             tuple_size_bytes=config.tuple_size_bytes,
             seed=config.seed,
+            # Only verification reads the engines' epochs back.
+            record_epochs=config.verify,
         ),
         nodes=["source-node"] + [f"host{i}" for i in range(hosts)],
         telemetry=telemetry,

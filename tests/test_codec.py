@@ -419,7 +419,9 @@ class TestBatchedIngest:
         ]
 
         async def run(batched: bool):
-            service = DisseminationService(ServiceConfig(batch_max_items=4))
+            service = DisseminationService(
+                ServiceConfig(batch_max_items=4, record_epochs=True)
+            )
             service.add_source("src")
             session = await service.subscribe("app", "src", "DC1(temp, 2.0, 1.0)")
 

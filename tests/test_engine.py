@@ -1,7 +1,10 @@
 """Unit tests for the group-aware and self-interested engines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cuts import RuntimePredictor
 from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
 from repro.core.tuples import Trace
 from repro.filters import parse_filter
@@ -69,11 +72,10 @@ class TestEngineLifecycle:
 
 
 class TestStepsReturnWhatTheyLog:
-    """A live broker routes only what ``process``/``tick`` return and
-    reads ``finish``'s share off the end of the log, so each step must
-    return exactly its own growth of ``EngineResult.emissions``.  The
-    regression: under ``(Pcs)`` output 0 of 2 840 logged emissions used
-    to be returned before ``finish``."""
+    """A live broker routes only what ``process``/``tick``/``drain``
+    return, so each step must return exactly its own growth of
+    ``EngineResult.emissions``.  The regression: under ``(Pcs)`` output
+    0 of 2 840 logged emissions used to be returned before ``finish``."""
 
     SPECS = ("DC1(value, 1.5, 0.6)", "SDC(value, 2.0, 0.8)", "DC1(value, 1.5, 0.6)")
 
@@ -96,12 +98,71 @@ class TestStepsReturnWhatTheyLog:
                 emitted = step()
                 assert emitted == log[before:]
                 returned += len(emitted)
-        result = engine.finish()
-        assert result.emissions is log and len(log) > returned > 0
+        tail = engine.drain()
+        assert tail == log[returned:] and len(log) > returned > 0
+        assert engine.drain() == [] and engine.finish().emissions is log
         if output == "pcs":
             # Released as decided: only the sets still open at the end
-            # of the stream are left for ``finish``.
-            assert len(log) - returned <= len(self.SPECS)
+            # of the stream are left for the draining step.
+            assert len(tail) <= len(self.SPECS)
+
+
+class _Clockless(RuntimePredictor):
+    """Keeps the measured greedy run time out of the cut test, so two
+    engines fed the same steps cut at the same tuples."""
+
+    def observe(self, region_size, runtime_ms):
+        super().observe(region_size, 0.0)
+
+
+class TestUnrecordedEngineIsTheSameEngine:
+    """``record=False`` decides, counts and returns step for step what
+    a recording twin does, and keeps nothing per tuple."""
+
+    SHARED = ("DC1(value, 1.5, 0.6)", "SDC(value, 2.0, 0.8)", "DC1(value, 1.5, 0.6)")
+    DISTINCT = ("DC1(value, 1.5, 0.6)", "SDC(value, 2.0, 0.8)", "DC1(value, 2.5, 1.0)")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["region", "per_candidate_set"]),
+        output=st.sampled_from(["region", "pcs", "batched"]),
+        constraint_ms=st.sampled_from([None, 60.0]),
+        specs=st.sampled_from([SHARED, DISTINCT]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        tick_every=st.integers(min_value=1, max_value=9),
+    )
+    def test_every_step_and_counter(
+        self, algorithm, output, constraint_ms, specs, seed, tick_every
+    ):
+        def build(record):
+            engine = engine_from_config(
+                [parse_filter(spec, name=f"f{i}") for i, spec in enumerate(specs)],
+                EngineConfig(algorithm, output, batch_size=16, constraint_ms=constraint_ms),
+                record=record,
+            )
+            engine._predictor = _Clockless()
+            return engine
+
+        twin, bare = build(True), build(False)
+        log = twin._result.emissions
+        for index, item in enumerate(random_walk_trace(n=400, seed=seed)):
+            steps = [lambda e: e.process(item)]
+            if index % tick_every == 0:
+                steps.append(lambda e: e.tick(item.timestamp + 5.0))
+            for step in steps:
+                before = len(log)
+                assert step(bare) == step(twin) == log[before:]
+            assert bare.cuts_triggered == twin.cuts_triggered
+        before = len(log)
+        assert bare.drain() == twin.drain() == log[before:]
+        kept, full = bare.finish(), twin.finish()
+        assert len(log) > 0
+        assert (kept.input_count, kept.regions_emitted, kept.regions_cut, kept.cuts_triggered) == (
+            full.input_count, full.regions_emitted, full.regions_cut, full.cuts_triggered
+        )  # fmt: skip
+        assert kept.emissions == [] and len(kept.cpu_ns_per_tuple) == 0
+        assert set(kept.decisions) == set(full.decisions)
+        assert not any(kept.decisions.values()) and any(full.decisions.values())
 
 
 class TestEngineResult:

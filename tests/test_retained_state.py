@@ -1,51 +1,74 @@
 """What a live source retains per offered tuple, counted not timed.
 
-An in-process :class:`DisseminationService` (no sockets, no sleeps, every
-subscriber drained) is fed a seeded trace; after a warm first half and a
-``gc.collect()`` the second half's growth in ``sys.getallocatedblocks()``
-and in ``len(gc.get_objects())`` is divided by the tuples offered.  Both
-counts repeat exactly from run to run, so the gate needs no tolerance
-for noise, only headroom for interpreter versions.
+An in-process :class:`DisseminationService` with the default
+``ServiceConfig()`` (no sockets, no sleeps, every subscriber drained) is
+fed tuples built *fresh* for every call from plain rows and dropped
+after the offer, as the wire decoder makes them — a pre-built trace
+would hide whatever pins the offered tuples themselves.  After a warm
+first part and a ``gc.collect()`` the rest's growth in
+``sys.getallocatedblocks()`` and in ``len(gc.get_objects())`` is divided
+by the tuples offered.  Both counts repeat exactly from run to run, so
+the gates need no tolerance for noise.
 
-Read on CPython 3.11.7 (x86-64 Linux), blocks / GC-tracked objects per
-offered tuple:
+Read on CPython 3.11.7 (x86-64 Linux), allocator blocks / GC-tracked
+objects per offered tuple over the second 4 096 of 8 192:
 
 =========================================  ==============  =============
-group                                      PR 15 (parent)  this change
+group                                      PR 16 (parent)  this change
 =========================================  ==============  =============
-32 subscribers on 4 DC specs, 64 per call  24.60 / 11.56   7.15 / 3.60
-2 subscribers on 2 DC specs, 1 per call     7.81 /  3.40   6.15 / 2.94
+32 subscribers on 4 DC specs, 64 per call  11.15 / 4.60    1.48 / 0.00
+2 subscribers on 2 DC specs, 1 per call    10.15 / 3.94    1.47 / 0.00
 =========================================  ==============  =============
 
-The first row is ``decide-heavy``'s shape: before decisions carried
-their owners, a shared candidate set left one ``Decision`` per owner and
-one recipient ``frozenset`` per emission behind.  What is still retained
-per tuple is the epoch journal entry, the arrival stamp, and one
-``Decision``/``Emission`` per decided set/tuple in the engine's log
-(ROADMAP item 2, "Flat cost").
+The parent kept, per offer, the journal's ``("o", item)`` entry with the
+tuple it pinned, and per decided tuple a ``Decision``/``Emission`` in the
+engine's log.  What is left is not per tuple for ever: the arrival map
+filling to its cap (an ``int`` stamp and its share of the dict an offer,
+until 8 192) and the packed journal's one buffer (no blocks at all, 30
+bytes an offer up to ``migration_journal_cap``).  Past both caps the
+count is 0.00 / 0.00, which the long variant gates.
+
+The object gate is interpreter-independent (nothing GC-tracked is kept).
+The block gate of 4.0 leaves 2.5 blocks of headroom over the 3.11.7
+reading for the 3.10–3.12 matrix, whose ``int``/``dict`` layouts differ
+by less than a block per entry, and still fails the parent's 10.15.
 """
 
 import asyncio
 import gc
 import sys
 
+from repro.core.tuples import StreamTuple
 from repro.experiments.configs import dc_specs_from_statistics
+from repro.obs.telemetry import Telemetry
 from repro.service import DisseminationService, ServiceConfig
+from repro.service import broker as broker_module
 from repro.sources import random_walk_trace
 
-_HALF = 4096
 
-
-def _retained_per_tuple(subscribers: int, specs: int, frame: int) -> tuple[float, float]:
-    trace = list(random_walk_trace(n=2 * _HALF, seed=7, attribute="v"))
+def _retained_per_tuple(
+    subscribers: int,
+    specs: int,
+    frame: int,
+    *,
+    warm: int = 4096,
+    measured: int = 4096,
+    config: ServiceConfig = ServiceConfig(),
+    telemetry=None,
+):
+    """``((blocks, objects), journal_bytes)``: what the measured part
+    retained per offered tuple, and what the journal held at its end."""
+    trace = random_walk_trace(n=warm + measured, seed=7, attribute="v")
     distinct = dc_specs_from_statistics(trace, "v", [1.0 + 0.5 * i for i in range(specs)])
+    rows = [(t.seq, t.timestamp, t.value("v")) for t in trace]
+    del trace
 
     async def drain(session):
         async for _ in session.batches():
             pass
 
     async def run():
-        service = DisseminationService(ServiceConfig())
+        service = DisseminationService(config, telemetry=telemetry)
         service.add_source("src")
         consumers = [
             asyncio.create_task(
@@ -54,32 +77,63 @@ def _retained_per_tuple(subscribers: int, specs: int, frame: int) -> tuple[float
             for i in range(subscribers)
         ]
 
-        async def feed(items):
-            for start in range(0, len(items), frame):
-                await service.offer_many("src", items[start : start + frame])
+        async def feed(start, stop):
+            for at in range(start, stop, frame):
+                await service.offer_many(
+                    "src",
+                    [
+                        StreamTuple.trusted(seq, ts, {"v": v})
+                        for seq, ts, v in rows[at : min(at + frame, stop)]
+                    ],
+                )
                 await asyncio.sleep(0)  # let the consumers empty their queues
 
-        await feed(trace[:_HALF])
+        await feed(0, warm)
         gc.collect()
         blocks, objects = sys.getallocatedblocks(), len(gc.get_objects())
-        await feed(trace[_HALF:])
+        await feed(warm, warm + measured)
         gc.collect()
         grown = (
-            (sys.getallocatedblocks() - blocks) / _HALF,
-            (len(gc.get_objects()) - objects) / _HALF,
+            (sys.getallocatedblocks() - blocks) / measured,
+            (len(gc.get_objects()) - objects) / measured,
         )
+        journal_bytes = service.journal_bytes()
         await service.close()
         await asyncio.gather(*consumers)
-        return grown
+        return grown, journal_bytes
 
     return asyncio.run(run())
 
 
 def test_shared_group_retains_little_per_offered_tuple():
-    blocks, objects = _retained_per_tuple(subscribers=32, specs=4, frame=64)
-    assert blocks <= 12.0 and objects <= 4.5, (blocks, objects)
+    (blocks, objects), _ = _retained_per_tuple(subscribers=32, specs=4, frame=64)
+    assert blocks <= 4.0 and objects <= 0.01, (blocks, objects)
 
 
 def test_unshared_pair_retains_no_more_than_before():
-    blocks, objects = _retained_per_tuple(subscribers=2, specs=2, frame=1)
-    assert blocks <= 7.79 and objects <= 3.39, (blocks, objects)
+    (blocks, objects), journal_bytes = _retained_per_tuple(subscribers=2, specs=2, frame=1)
+    assert blocks <= 4.0 and objects <= 0.01, (blocks, objects)
+    # Nothing was cut over, so the journal holds all 8 192 offers.
+    assert 0 < journal_bytes / 8192 <= 48
+
+
+def test_past_both_caps_a_source_retains_nothing_per_offered_tuple():
+    """Two arrival caps of warm-up take the arrival map through its
+    first rebuild and the (lowered) journal past its cap; the two caps
+    measured after that are a whole number of the map's rebuild periods,
+    so what it holds is the same at both ends."""
+    cap = broker_module._ARRIVAL_TRACK_MAX
+    telemetry = Telemetry(sample_period=0)
+    (blocks, objects), journal_bytes = _retained_per_tuple(
+        subscribers=2,
+        specs=2,
+        frame=64,
+        warm=2 * cap,
+        measured=2 * cap,
+        config=ServiceConfig(migration_journal_cap=cap),
+        telemetry=telemetry,
+    )
+    assert abs(blocks) <= 0.01 and abs(objects) <= 0.01, (blocks, objects)
+    assert journal_bytes == 0
+    lossy = [e for e in telemetry.events.since() if e["kind"] == "journal_lossy"]
+    assert [(e["reason"], e["entries"]) for e in lossy] == [("cap", cap)]

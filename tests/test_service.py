@@ -40,12 +40,21 @@ def _reference(algorithm: str, trace: Trace, specs=SPECS):
 
 
 async def _spin_up(
-    algorithm="region", *, batch_max_items=1, output="region", specs=SPECS, **session_kwargs
+    algorithm="region",
+    *,
+    batch_max_items=1,
+    output="region",
+    specs=SPECS,
+    record_epochs=False,
+    **session_kwargs,
 ):
+    """``record_epochs`` only for the tests whose oracle is the epochs'
+    own decision log; everything else runs the log-free default."""
     service = DisseminationService(
         ServiceConfig(
             engine=EngineConfig(algorithm=algorithm, output=output),
             batch_max_items=batch_max_items,
+            record_epochs=record_epochs,
         )
     )
     service.add_source("src")
@@ -65,7 +74,7 @@ class TestBatchEquivalence:
         trace = _trace()
 
         async def run():
-            service, sessions = await _spin_up(algorithm)
+            service, sessions = await _spin_up(algorithm, record_epochs=True)
             await service.feed("src", trace)
             epochs = (await service.close())["src"]
             return epochs, sessions
@@ -145,7 +154,7 @@ class TestBatchEquivalence:
         trace = _trace(seed=8)
 
         async def run():
-            service, _ = await _spin_up("region")
+            service, _ = await _spin_up("region", record_epochs=True)
             for index, item in enumerate(trace):
                 await service.offer("src", item)
                 if index % 25 == 0:
@@ -236,7 +245,11 @@ class TestDynamicSubscriptions:
 
         async def run():
             service = DisseminationService(
-                ServiceConfig(engine=EngineConfig(algorithm="region"), batch_max_items=1)
+                ServiceConfig(
+                    engine=EngineConfig(algorithm="region"),
+                    batch_max_items=1,
+                    record_epochs=True,
+                )
             )
             service.add_source("src")
             session = await service.subscribe(
@@ -300,6 +313,7 @@ class TestRegroupedSubgroups:
                     batch_max_items=1,
                     max_group_size=1,  # one engine per filter
                     shards=2,  # parallel subgroup decides
+                    record_epochs=True,
                 )
             )
             service.add_source("src")
@@ -381,7 +395,7 @@ class TestReviewRegressions:
         trace = _trace(n=100, seed=13)
 
         async def run():
-            service, sessions = await _spin_up("region")
+            service, sessions = await _spin_up("region", record_epochs=True)
             for item in trace[:50]:
                 await service.offer("src", item)
             # app0 is grafted at its placed node; re-subscribing a new app
@@ -408,7 +422,7 @@ class TestReviewRegressions:
         trace = _trace(n=100, seed=17)
 
         async def run():
-            service, sessions = await _spin_up("region")
+            service, sessions = await _spin_up("region", record_epochs=True)
             for item in trace[:50]:
                 await service.offer("src", item)
             with pytest.raises(ValueError, match="capacity"):
@@ -443,7 +457,11 @@ class TestReviewRegressions:
 
         async def run():
             service = DisseminationService(
-                ServiceConfig(engine=EngineConfig(algorithm="region"), max_group_size=1)
+                ServiceConfig(
+                    engine=EngineConfig(algorithm="region"),
+                    max_group_size=1,
+                    record_epochs=True,
+                )
             )
             service.add_source("src")
             for app, spec in SPECS[:2]:

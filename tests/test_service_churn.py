@@ -67,7 +67,9 @@ def test_churn_interleaving_equals_fresh_engine(ops, algorithm):
     async def run():
         service = DisseminationService(
             ServiceConfig(
-                engine=EngineConfig(algorithm=algorithm), batch_max_items=1
+                engine=EngineConfig(algorithm=algorithm),
+                batch_max_items=1,
+                record_epochs=True,
             )
         )
         service.add_source("src")

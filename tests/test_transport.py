@@ -145,7 +145,7 @@ class TestGatewayEndToEnd:
         trace = _trace()
 
         async def run():
-            service = _service(algorithm)
+            service = _service(algorithm, record_epochs=True)
             gateway = GatewayServer(service)
             await gateway.start()
             client = await GatewayClient.connect("127.0.0.1", gateway.port)
