@@ -49,8 +49,8 @@ try:
 except ImportError:  # pragma: no cover - script mode from a source checkout
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.obs import platform_info
-from repro.service import LoadGenConfig, run_loadgen
+from repro.obs.sysinfo import platform_info
+from repro.service.loadgen import LoadGenConfig, run_loadgen
 
 RATE = float(os.environ.get("BENCH_OBS_RATE", "50000"))
 DURATION_S = float(os.environ.get("BENCH_OBS_DURATION", "1.5"))

@@ -40,7 +40,7 @@ try:
 except ImportError:  # pragma: no cover - script mode from a source checkout
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.obs import platform_info
+from repro.obs.sysinfo import platform_info
 from repro.service.scenario import load_scenario_file, run_scenario
 
 _HERE = os.path.dirname(__file__)

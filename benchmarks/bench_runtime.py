@@ -44,8 +44,9 @@ except ImportError:  # pragma: no cover - script mode from a source checkout
 import pytest
 
 from repro.experiments.configs import TABLE_4_1_GROUPS
-from repro.obs import platform_info
-from repro.runtime import EngineConfig, GroupTask, run_sequential, run_tasks
+from repro.obs.sysinfo import platform_info
+from repro.runtime.sharded import run_sequential, run_tasks
+from repro.runtime.tasks import EngineConfig, GroupTask
 from repro.sources.namos import namos_trace
 
 N_TUPLES = int(os.environ.get("BENCH_RUNTIME_TUPLES", "2000"))

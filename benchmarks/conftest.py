@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -15,12 +15,9 @@ Run:  python examples/adaptive_filtering.py
 """
 
 from repro import DeltaCompressionFilter, SelfInterestedEngine
-from repro.adaptive import (
-    AdaptiveController,
-    isolate_greedy_filters,
-    partition_by_attribute,
-    selectivity_from_result,
-)
+from repro.adaptive.controller import AdaptiveController
+from repro.adaptive.regroup import isolate_greedy_filters, partition_by_attribute
+from repro.adaptive.selectivity import selectivity_from_result
 from repro.sources import namos_trace, step_trace
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import volcano_trace
 
 

@@ -24,9 +24,11 @@ import asyncio
 import json
 
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import CATALOG
-from repro.transport import GatewayClient, GatewayServer, SnapshotHTTP
+from repro.transport.client import GatewayClient
+from repro.transport.http import SnapshotHTTP
+from repro.transport.server import GatewayServer
 
 SOURCE = "volcano"
 SPEC_CONSOLE = "DC1(seis, 0.008, 0.004)"  # coarse: big changes only

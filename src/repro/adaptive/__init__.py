@@ -4,22 +4,3 @@ Selectivity monitoring, filter (re)grouping strategies and dynamic
 enabling/disabling of group-awareness - the future-work directions the
 dissertation sketches for production deployments.
 """
-
-from repro.adaptive.controller import AdaptiveController, AdaptiveOutcome, WindowOutcome
-from repro.adaptive.regroup import (
-    cap_group_size,
-    isolate_greedy_filters,
-    partition_by_attribute,
-)
-from repro.adaptive.selectivity import SelectivityMonitor, selectivity_from_result
-
-__all__ = [
-    "AdaptiveController",
-    "AdaptiveOutcome",
-    "SelectivityMonitor",
-    "WindowOutcome",
-    "cap_group_size",
-    "isolate_greedy_filters",
-    "partition_by_attribute",
-    "selectivity_from_result",
-]

@@ -1,49 +1,7 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-``EXPERIMENTS`` maps experiment ids (``table_4_1`` ... ``fig_5_5_scenario``)
-to runners; the CLI (``python -m repro.experiments``) prints the rows the
-paper reports.  DESIGN.md's per-experiment index maps ids to paper
-artifacts and modules.
+:data:`repro.experiments.registry.EXPERIMENTS` maps experiment ids
+(``table_4_1`` ... ``fig_5_5_scenario``) to runners; the CLI
+(``python -m repro.experiments``) prints the rows the paper reports.
+DESIGN.md's per-experiment index maps ids to paper artifacts and modules.
 """
-
-from repro.experiments.chapter4 import CHAPTER4
-from repro.experiments.chapter5 import CHAPTER5
-from repro.experiments.configs import (
-    FILTER_TYPE_NOTATIONS,
-    TABLE_4_1_GROUPS,
-    dc_specs_from_statistics,
-    fig_4_19_groups,
-    table_5_2_groups,
-)
-from repro.experiments.harness import (
-    STANDARD_VARIANTS,
-    GroupRun,
-    Variant,
-    run_group,
-    run_variant,
-)
-from repro.experiments.report import ExperimentRegistry, ExperimentReport
-
-__all__ = [
-    "CHAPTER4",
-    "CHAPTER5",
-    "EXPERIMENTS",
-    "ExperimentRegistry",
-    "ExperimentReport",
-    "FILTER_TYPE_NOTATIONS",
-    "GroupRun",
-    "STANDARD_VARIANTS",
-    "TABLE_4_1_GROUPS",
-    "Variant",
-    "dc_specs_from_statistics",
-    "fig_4_19_groups",
-    "run_group",
-    "run_variant",
-    "table_5_2_groups",
-]
-
-#: Unified registry over both chapters.
-EXPERIMENTS = ExperimentRegistry()
-for _registry in (CHAPTER4, CHAPTER5):
-    for _experiment_id in _registry.ids():
-        EXPERIMENTS._experiments[_experiment_id] = _registry._experiments[_experiment_id]

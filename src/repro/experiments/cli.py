@@ -22,14 +22,12 @@ import signal
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS
-from repro.experiments.harness import set_parallelism
-from repro.runtime import EXECUTORS
+from repro.runtime.tasks import EXECUTORS
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures.",
@@ -55,23 +53,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="load-generate against the broker, writing a run manifest",
     )
-    _add_service_knobs(loadgen)
-    loadgen.add_argument(
-        "--out",
-        default="runs/loadgen",
-        help="artifact directory for metrics.jsonl + summary.json",
-    )
-    loadgen.add_argument(
-        "--verify",
-        action="store_true",
-        help="replay the offered trace through the batch engine and "
-        "record whether decided outputs match",
-    )
-    loadgen.add_argument(
-        "--progress",
-        action="store_true",
-        help="print each periodic metrics record as it is captured",
-    )
+    if command == "loadgen":
+        # These options take their choices from the load generator's own
+        # module; `serve`, which every cluster worker runs, must not load
+        # it to describe options it will never parse.
+        _add_service_knobs(loadgen)
+        loadgen.add_argument(
+            "--out",
+            default="runs/loadgen",
+            help="artifact directory for metrics.jsonl + summary.json",
+        )
+        loadgen.add_argument(
+            "--verify",
+            action="store_true",
+            help="replay the offered trace through the batch engine and "
+            "record whether decided outputs match",
+        )
+        loadgen.add_argument(
+            "--progress",
+            action="store_true",
+            help="print each periodic metrics record as it is captured",
+        )
 
     watch = sub.add_parser(
         "watch",
@@ -151,16 +153,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
-    from repro.service import FANOUTS, OVERFLOW_POLICIES
-    from repro.transport import MAX_FRAME_BYTES
+    from repro.service.session import OVERFLOW_POLICIES
+    from repro.transport.protocol import MAX_FRAME_BYTES
 
+    # Selects nothing: benchmarks/e2e/harness/sut.py:123 still passes it.
     parser.add_argument(
         "--fanout",
-        choices=FANOUTS,
+        choices=("shared",),
         default="shared",
-        help="decided-batch delivery: 'shared' encodes each tuple once "
-        "per codec and fans the segments out by reference; "
-        "'per_session' re-serializes per subscriber (PR-3 baseline)",
+        help="accepted for older launch scripts; decided batches are "
+        "always fanned out from segments encoded once per codec",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
@@ -230,7 +232,6 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--auth-token", default=None)
     parser.add_argument("--max-frame-bytes", type=int, default=MAX_FRAME_BYTES)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--watch-interval",
         type=float,
@@ -251,7 +252,7 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_telemetry_knobs(parser: argparse.ArgumentParser) -> None:
-    from repro.obs import DEFAULT_SAMPLE_PERIOD
+    from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD
 
     parser.add_argument(
         "--trace-sample",
@@ -271,8 +272,9 @@ def _add_telemetry_knobs(parser: argparse.ArgumentParser) -> None:
 
 async def _serve_async(args: argparse.Namespace) -> int:
     from repro.runtime.tasks import EngineConfig
-    from repro.service import DisseminationService, ServiceConfig
-    from repro.transport import GatewayServer, SnapshotHTTP
+    from repro.service.broker import DisseminationService, ServiceConfig
+    from repro.transport.http import SnapshotHTTP
+    from repro.transport.server import GatewayServer
 
     source_names: list[str] = []
     for name in (part.strip() for part in args.sources.split(",")):
@@ -280,7 +282,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
             source_names.append(name)
     telemetry = None
     if not args.no_telemetry:
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry(sample_period=args.trace_sample)
     rules_config = None
@@ -321,7 +323,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
                 batch_max_items=args.batch_items,
                 batch_max_delay_ms=args.batch_delay_ms,
                 tick_cuts=not args.no_tick_cuts,
-                seed=args.seed,
                 max_frame_bytes=args.max_frame_bytes,
                 metrics_scrape_ttl_s=args.metrics_scrape_ttl,
                 standby=max(args.standby, 0),
@@ -340,7 +341,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
                 batch_max_items=args.batch_items,
                 batch_max_delay_ms=args.batch_delay_ms,
                 tick_cuts=not args.no_tick_cuts,
-                seed=args.seed,
             ),
             telemetry=telemetry,
         )
@@ -353,7 +353,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
         port=args.port,
         auth_token=args.auth_token,
         max_frame_bytes=args.max_frame_bytes,
-        fanout=args.fanout,
         telemetry=telemetry,
     )
     http = None
@@ -552,14 +551,8 @@ async def _watch_async(args: argparse.Namespace) -> int:
 
 
 def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
-    from repro.service import (
-        CODECS,
-        FANOUTS,
-        LOADGEN_SOURCES,
-        OVERFLOW_POLICIES,
-        SIZES,
-        TRANSPORTS,
-    )
+    from repro.service.loadgen import CODECS, LOADGEN_SOURCES, SIZES, TRANSPORTS
+    from repro.service.session import OVERFLOW_POLICIES
 
     parser.add_argument("--source", choices=LOADGEN_SOURCES, default="random_walk")
     parser.add_argument(
@@ -579,8 +572,8 @@ def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
         "--tuple-bytes",
         type=int,
         default=64,
-        help="simulated payload bytes per tuple (multicast accounting "
-        "and TCP ingest-frame padding)",
+        help="simulated payload bytes per tuple (TCP ingest-frame "
+        "padding and the QoS controller's egress estimate)",
     )
     parser.add_argument(
         "--codec",
@@ -588,13 +581,6 @@ def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
         default="binary",
         help="preferred wire body codec (tcp only; falls back to json "
         "if the server refuses binary)",
-    )
-    parser.add_argument(
-        "--fanout",
-        choices=FANOUTS,
-        default="shared",
-        help="self-hosted gateway delivery strategy: encode-once "
-        "'shared' segments vs the 'per_session' re-serialize baseline",
     )
     parser.add_argument(
         "--ingest-batch",
@@ -660,7 +646,7 @@ def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
 
 
 def _service_config(args: argparse.Namespace, out_dir: str | None, verify: bool):
-    from repro.service import LoadGenConfig, default_churn
+    from repro.service.loadgen import LoadGenConfig, default_churn
 
     config = LoadGenConfig(
         source=args.source,
@@ -682,7 +668,6 @@ def _service_config(args: argparse.Namespace, out_dir: str | None, verify: bool)
         connect=args.connect,
         tuple_size_bytes=args.tuple_bytes,
         codec=args.codec,
-        fanout=args.fanout,
         ingest_batch=args.ingest_batch,
         adaptive_batch=not args.fixed_batch,
         sources=args.sources,
@@ -781,18 +766,35 @@ def _scenario_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "shards", None) is not None:
-        set_parallelism(args.shards, args.executor)
+def _experiments(args: argparse.Namespace) -> int:
+    """``list`` / ``run`` / ``all``: the only commands that load the
+    experiment modules (both chapters, every source, the sharded runtime)."""
+    from repro.experiments.harness import set_parallelism
+    from repro.experiments.registry import EXPERIMENTS
+
     if args.command == "list":
         for experiment_id in EXPERIMENTS.ids():
             print(experiment_id)
         return 0
+    set_parallelism(args.shards, args.executor)
     if args.command == "run":
         report = EXPERIMENTS.run(args.experiment_id, **_kwargs(args))
         print(report)
         return 0
+    for experiment_id in EXPERIMENTS.ids():
+        started = time.perf_counter()
+        report = EXPERIMENTS.run(experiment_id, **_kwargs(args))
+        elapsed = time.perf_counter() - started
+        print(report)
+        print(f"[{experiment_id} regenerated in {elapsed:.1f}s]")
+        print()
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.command == "serve":
         return asyncio.run(_serve_async(args))
     if args.command == "watch":
@@ -803,7 +805,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "scenario":
         return _scenario_run(args)
     if args.command == "loadgen":
-        from repro.service import run_loadgen
+        from repro.service.loadgen import run_loadgen
 
         def show(record: dict) -> None:
             print(
@@ -830,15 +832,7 @@ def main(argv: list[str] | None = None) -> int:
             print("ERROR: live decided outputs diverged from the batch engine")
             return 1
         return 0
-    # "all"
-    for experiment_id in EXPERIMENTS.ids():
-        started = time.perf_counter()
-        report = EXPERIMENTS.run(experiment_id, **_kwargs(args))
-        elapsed = time.perf_counter() - started
-        print(report)
-        print(f"[{experiment_id} regenerated in {elapsed:.1f}s]")
-        print()
-    return 0
+    return _experiments(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

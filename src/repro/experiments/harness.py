@@ -13,9 +13,10 @@ from typing import Optional, Sequence
 
 from repro.core.engine import EngineResult
 from repro.core.tuples import Trace
-from repro.runtime import EngineConfig, GroupTask, ShardedRuntime
-from repro.runtime import EXECUTORS as _EXECUTORS
-from repro.runtime import run_task as run_worker_task
+from repro.runtime.sharded import ShardedRuntime
+from repro.runtime.tasks import EXECUTORS as _EXECUTORS
+from repro.runtime.tasks import EngineConfig, GroupTask
+from repro.runtime.worker import run_task as run_worker_task
 
 __all__ = [
     "Variant",

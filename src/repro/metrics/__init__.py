@@ -1,47 +1,2 @@
 """Metrics of the paper's evaluation: O/I ratio, output ratio, CPU cost,
 latency, and the box-plot summaries used by the Chapter 4 figures."""
-
-from repro.metrics.cpu import (
-    cpu_boxplot,
-    cpu_ms_per_batch,
-    cpu_ms_per_tuple,
-    cpu_overhead_ratio,
-    mean_cpu_ms_per_batch,
-)
-from repro.metrics.latency import (
-    DEFAULT_SOFTWARE_OVERHEAD_MS,
-    latency_boxplot,
-    latency_ms_per_tuple,
-    mean_latency_ms,
-)
-from repro.metrics.ratios import (
-    BatchRatios,
-    batch_output_ratios,
-    oi_ratio,
-    output_ratio,
-)
-from repro.metrics.report import format_value, render_series, render_table
-from repro.metrics.summary import BoxPlot, mean, median, quantile
-
-__all__ = [
-    "BatchRatios",
-    "BoxPlot",
-    "DEFAULT_SOFTWARE_OVERHEAD_MS",
-    "batch_output_ratios",
-    "cpu_boxplot",
-    "cpu_ms_per_batch",
-    "cpu_ms_per_tuple",
-    "cpu_overhead_ratio",
-    "format_value",
-    "latency_boxplot",
-    "latency_ms_per_tuple",
-    "mean",
-    "mean_cpu_ms_per_batch",
-    "mean_latency_ms",
-    "median",
-    "oi_ratio",
-    "output_ratio",
-    "quantile",
-    "render_series",
-    "render_table",
-]

@@ -22,67 +22,3 @@ The analysis side lives in :mod:`repro.obs.watch`: a
 (:mod:`repro.obs.detect`) and grades the signals with declarative rules
 and SLO burn windows (:mod:`repro.obs.slo`) into health verdicts.
 """
-
-from repro.obs.events import EventLog
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_expositions,
-    relabel_exposition,
-)
-from repro.obs.parse import Exposition, parse_exposition
-from repro.obs.rulesfile import RulesConfig, RulesFileError, load_rules_file
-from repro.obs.slo import (
-    HealthReport,
-    Rule,
-    SloWindow,
-    Verdict,
-    default_rules,
-    default_slos,
-)
-from repro.obs.sysinfo import platform_info
-from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry
-from repro.obs.trace import (
-    STAGES,
-    StageTracer,
-    TraceBag,
-    stage_id,
-    stage_name,
-)
-from repro.obs.watch import HttpProbe, LocalProbe, Watchtower
-
-__all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS_MS",
-    "DEFAULT_SAMPLE_PERIOD",
-    "EventLog",
-    "Exposition",
-    "Gauge",
-    "HealthReport",
-    "Histogram",
-    "HttpProbe",
-    "LocalProbe",
-    "MetricsRegistry",
-    "Rule",
-    "RulesConfig",
-    "RulesFileError",
-    "STAGES",
-    "SloWindow",
-    "StageTracer",
-    "Telemetry",
-    "TraceBag",
-    "Verdict",
-    "Watchtower",
-    "default_rules",
-    "default_slos",
-    "load_rules_file",
-    "merge_expositions",
-    "parse_exposition",
-    "platform_info",
-    "relabel_exposition",
-    "stage_id",
-    "stage_name",
-]

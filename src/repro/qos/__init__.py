@@ -1,31 +1,2 @@
 """Quality specification management and propagation
 (Figures 2.2, 3.1 and 4.1; sections 3.1 and 3.5.1)."""
-
-from repro.qos.controller import (
-    DegradationConfig,
-    DegradationController,
-    DegradationDecision,
-    policy_from_profile,
-    policy_to_profile,
-)
-from repro.qos.propagation import PropagatedRequirements, propagate
-from repro.qos.spec import (
-    DegradationPolicy,
-    QualitySpec,
-    SessionLimits,
-    session_limits,
-)
-
-__all__ = [
-    "DegradationConfig",
-    "DegradationController",
-    "DegradationDecision",
-    "DegradationPolicy",
-    "PropagatedRequirements",
-    "QualitySpec",
-    "SessionLimits",
-    "policy_from_profile",
-    "policy_to_profile",
-    "propagate",
-    "session_limits",
-]

@@ -8,41 +8,3 @@ runs a fresh engine per group, and the per-shard
 :class:`~repro.core.engine.EngineResult`s are merged into one consistent
 result whose decided outputs are identical to a sequential run.
 """
-
-from repro.runtime.merge import CombinedResult, canonical_result, combine
-from repro.runtime.partition import (
-    PLACEMENTS,
-    HashRing,
-    partition_keyed_stream,
-    partition_tasks,
-    shard_for_key,
-)
-from repro.runtime.sharded import (
-    EXECUTORS,
-    ShardedResult,
-    ShardedRuntime,
-    run_sequential,
-    run_tasks,
-)
-from repro.runtime.tasks import EngineConfig, GroupTask
-from repro.runtime.worker import build_engine, run_task
-
-__all__ = [
-    "CombinedResult",
-    "EXECUTORS",
-    "EngineConfig",
-    "HashRing",
-    "PLACEMENTS",
-    "GroupTask",
-    "ShardedResult",
-    "ShardedRuntime",
-    "build_engine",
-    "canonical_result",
-    "combine",
-    "partition_keyed_stream",
-    "partition_tasks",
-    "run_sequential",
-    "run_task",
-    "run_tasks",
-    "shard_for_key",
-]

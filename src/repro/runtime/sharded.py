@@ -32,12 +32,10 @@ from typing import Optional, Sequence
 from repro.core.engine import EngineResult
 from repro.runtime.merge import CombinedResult, canonical_result, combine
 from repro.runtime.partition import PLACEMENTS, partition_tasks
-from repro.runtime.tasks import GroupTask
+from repro.runtime.tasks import EXECUTORS, GroupTask
 from repro.runtime.worker import run_shard
 
-__all__ = ["EXECUTORS", "ShardedResult", "ShardedRuntime", "run_tasks", "run_sequential"]
-
-EXECUTORS = ("process", "thread", "serial")
+__all__ = ["ShardedResult", "ShardedRuntime", "run_tasks", "run_sequential"]
 
 #: Fallback order when a preferred executor cannot run.
 _FALLBACK = {"process": "thread", "thread": "serial"}

@@ -20,7 +20,11 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
 
-__all__ = ["EngineConfig", "GroupTask"]
+__all__ = ["EXECUTORS", "EngineConfig", "GroupTask"]
+
+#: Shard executors (:mod:`repro.runtime.sharded` describes each); named
+#: here so a command line can offer the choice without loading them.
+EXECUTORS = ("process", "thread", "serial")
 
 _ALGORITHMS = ("region", "per_candidate_set", "self_interested")
 _OUTPUTS = ("region", "pcs", "batched")

@@ -7,62 +7,3 @@ incremental decides on arrival and on timer ticks, per-session
 micro-batched delivery with bounded queues and backpressure, and an
 open/closed-loop load generator that emits replayable run manifests.
 """
-
-from repro.service.batching import Batch, MicroBatcher
-from repro.service.broker import DisseminationService, ServiceConfig
-from repro.service.loadgen import (
-    CODECS,
-    FANOUTS,
-    LOADGEN_SOURCES,
-    SIZES,
-    TRANSPORTS,
-    ChurnEvent,
-    LoadGenConfig,
-    decided_map,
-    default_churn,
-    make_trace,
-    run_loadgen,
-)
-from repro.service.remediate import (
-    Action,
-    RemediationLoop,
-    RemediationPolicy,
-    default_proposers,
-)
-from repro.service.session import (
-    OVERFLOW_POLICIES,
-    DeliveryQueue,
-    SessionDisconnected,
-    SessionStats,
-    SubscriberSession,
-)
-from repro.service.snapshot import ServiceSnapshot, SessionSnapshot
-
-__all__ = [
-    "Action",
-    "Batch",
-    "CODECS",
-    "ChurnEvent",
-    "FANOUTS",
-    "DeliveryQueue",
-    "DisseminationService",
-    "LOADGEN_SOURCES",
-    "LoadGenConfig",
-    "MicroBatcher",
-    "OVERFLOW_POLICIES",
-    "RemediationLoop",
-    "RemediationPolicy",
-    "ServiceConfig",
-    "ServiceSnapshot",
-    "SessionDisconnected",
-    "SessionSnapshot",
-    "SessionStats",
-    "SubscriberSession",
-    "decided_map",
-    "default_churn",
-    "default_proposers",
-    "make_trace",
-    "run_loadgen",
-    "SIZES",
-    "TRANSPORTS",
-]

@@ -10,10 +10,9 @@ and flushes on whichever bound trips first:
 * **latency** — the oldest staged tuple has waited ``max_delay_ms`` of
   stream time (checked on every stage and on broker clock ticks).
 
-Each flush becomes one :class:`Batch`, one bounded-queue slot and one
-:class:`~repro.net.multicast.ScribeMulticast` publish, so multicast
-accounting sees the batched (amortized) per-message overhead the paper
-measured rather than one software-overhead charge per tuple.
+Each flush becomes one :class:`Batch` and one bounded-queue slot, so a
+subscriber pays the per-message overhead the paper measured once per
+batch rather than once per tuple.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ engine streams decided tuples to them continuously.
 :class:`DisseminationService` provides that shape on top of the existing
 batch machinery:
 
-* it owns a :class:`~repro.net.pubsub.StreamingSystem` (overlay +
-  Scribe multicast) and one :class:`~repro.core.engine.GroupAwareEngine`
-  per source *epoch*;
+* it owns one :class:`~repro.core.engine.GroupAwareEngine` per source
+  *epoch* (one per subgroup when regrouping splits a source's filters);
 * tuples arrive incrementally (:meth:`offer` / :meth:`feed`) and drive
   candidate-set closing and region decisions on arrival; timer ticks
   (:meth:`tick`) drive timely cuts and latency-bounded batch flushes
@@ -31,8 +30,7 @@ decided outputs are identical to ``GroupAwareEngine.run`` —
 When regrouping splits a source's filters into several subgroups, each
 subgroup runs its own engine; with ``ServiceConfig.shards > 1`` the
 subgroup decides for one arrival run in parallel on a thread pool, the
-in-broker analogue of the ``repro.runtime`` shard executors (subgroup
-placement reuses the same stable-key hashing).
+in-broker analogue of the ``repro.runtime`` shard executors.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import io
 import marshal
-import random
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -61,9 +58,6 @@ from repro.core.output import (
 from repro.core.tuples import StreamTuple
 from repro.filters.base import GroupAwareFilter
 from repro.filters.spec import parse_filter
-from repro.net.multicast import ScribeMulticast
-from repro.net.overlay import OverlayNetwork
-from repro.net.pubsub import StreamingSystem
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import (
     STAGE_BATCH_FLUSH,
@@ -78,7 +72,6 @@ from repro.qos.controller import (
     DegradationDecision,
 )
 from repro.qos.spec import DegradationPolicy, QualitySpec, session_limits
-from repro.runtime.partition import shard_for_key
 from repro.runtime.tasks import EngineConfig
 from repro.service.batching import MicroBatcher
 from repro.service.session import (
@@ -89,9 +82,6 @@ from repro.service.session import (
 from repro.service.snapshot import ServiceSnapshot, SessionSnapshot
 
 __all__ = ["ServiceConfig", "DisseminationService", "engine_from_config"]
-
-#: Default overlay ring when the caller does not bring a system.
-_DEFAULT_NODES = tuple(f"node{i}" for i in range(8))
 
 #: Bound on per-source arrival-time tracking for decide latency: tuples
 #: the engines dismiss are never emitted, so their entries linger until
@@ -171,8 +161,10 @@ class ServiceConfig:
     #: Thread lanes for parallel subgroup decides (>1 only matters when
     #: regrouping produced several engines for one source).
     shards: int = 1
+    #: Payload bytes a tuple stands for: the degradation controller's
+    #: egress estimate (shipped tuples times this).
     tuple_size_bytes: int = 64
-    #: Seed for the multicast loss model's injected RNG.
+    #: Read by nothing; benchmarks/e2e/harness/workloads.py:235 passes it.
     seed: int = 0
     #: Sliding-window length for snapshot decide-latency percentiles
     #: (wall-clock arrival-to-emission milliseconds per decided tuple).
@@ -204,14 +196,6 @@ class ServiceConfig:
             )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-
-
-@dataclass
-class _EngineSlot:
-    """One live engine (a whole source group or a regrouped subgroup)."""
-
-    apps: tuple[str, ...]
-    engine: GroupAwareEngine
 
 
 class _EpochJournal:
@@ -268,11 +252,10 @@ class _EpochJournal:
 @dataclass
 class _SourceState:
     name: str
-    node: str
-    group_name: str
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     sessions: dict[str, SubscriberSession] = field(default_factory=dict)
-    slots: list[_EngineSlot] = field(default_factory=list)
+    #: Live engines: the whole source group, or one per regrouped subgroup.
+    engines: list[GroupAwareEngine] = field(default_factory=list)
     #: Finished engine results, one per subscription epoch and subgroup.
     epochs: list[EngineResult] = field(default_factory=list)
     offered: int = 0
@@ -292,26 +275,9 @@ class DisseminationService:
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        system: Optional[StreamingSystem] = None,
-        nodes: Optional[Sequence[str]] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.config = config if config is not None else ServiceConfig()
-        if system is not None:
-            if nodes is not None:
-                raise ValueError("pass either a system or node names, not both")
-            self.system = system
-            self._nodes = tuple(system.overlay.names)
-        else:
-            self._nodes = tuple(nodes) if nodes is not None else _DEFAULT_NODES
-            overlay = OverlayNetwork(list(self._nodes))
-            self.system = StreamingSystem(
-                overlay,
-                multicast=ScribeMulticast(
-                    overlay, rng=random.Random(self.config.seed)
-                ),
-                tuple_size_bytes=self.config.tuple_size_bytes,
-            )
         self._sources: dict[str, _SourceState] = {}
         self._app_sources: dict[str, str] = {}
         self._retired: list[SessionSnapshot] = []
@@ -399,22 +365,16 @@ class DisseminationService:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def add_source(self, source_name: str, node_name: Optional[str] = None) -> None:
-        """Advertise a source; its proxy node defaults deterministically."""
-        if node_name is None:
-            node_name = self._place(f"src:{source_name}")
-        try:
-            self.system.add_source(source_name, node_name)
-        except ValueError:
-            # A source that migrated away and back keeps its overlay
-            # proxy and multicast group; re-advertising is idempotent at
-            # that layer (placement is deterministic per name).
-            pass
-        self._sources[source_name] = _SourceState(
-            name=source_name,
-            node=node_name,
-            group_name=f"src:{source_name}",
-        )
+    def add_source(self, source_name: str) -> None:
+        """Advertise a source.
+
+        ``ValueError`` if it is already advertised (replacing its state
+        would orphan its sessions); a source that was exported is gone
+        from here, so it can migrate back.
+        """
+        if source_name in self._sources:
+            raise ValueError(f"source {source_name!r} is already advertised")
+        self._sources[source_name] = _SourceState(name=source_name)
 
     def has_source(self, source_name: str) -> bool:
         return source_name in self._sources
@@ -431,18 +391,14 @@ class DisseminationService:
         """Distinct filter first stages across the live engines; against
         :meth:`session_count` it is the sharing ratio."""
         return sum(
-            slot.engine.context_count
+            engine.context_count
             for src in self._sources.values()
-            for slot in src.slots
+            for engine in src.engines
         )
 
     def journal_bytes(self) -> int:
         """Bytes held by the live sources' packed epoch journals."""
         return sum(len(src.journal.packed) for src in self._sources.values())
-
-    def _place(self, key: str) -> str:
-        """Stable node placement, reusing the runtime's key hashing."""
-        return self._nodes[shard_for_key(key, len(self._nodes))]
 
     def _src(self, source_name: str) -> _SourceState:
         try:
@@ -458,7 +414,6 @@ class DisseminationService:
         app_name: str,
         source_name: str,
         spec: str,
-        node: Optional[str] = None,
         *,
         queue_capacity: Optional[int] = None,
         overflow: Optional[str] = None,
@@ -507,8 +462,6 @@ class DisseminationService:
         async with src.lock:
             if app_name in self._app_sources:
                 raise ValueError(f"app {app_name!r} is already subscribed")
-            if node is None:
-                node = self._place(app_name)
             parse_filter(spec, name=app_name)  # validate before any churn
             cfg = self.config
             if qos is not None:
@@ -539,15 +492,13 @@ class DisseminationService:
                     else batch_max_delay_ms
                 )
             # Everything fallible — spec parsing, per-session knob
-            # validation (queue/batcher construction), registration node
-            # checks — happens before the cutover: a failed subscribe
-            # must leave the current epoch's engines serving, not a
-            # stranded source.
+            # validation (queue/batcher construction) — happens before
+            # the cutover: a failed subscribe must leave the current
+            # epoch's engines serving, not a stranded source.
             session = SubscriberSession(
                 app_name=app_name,
                 source_name=source_name,
                 spec=spec,
-                node=node,
                 queue=DeliveryQueue(
                     capacity=queue_capacity
                     if queue_capacity is not None
@@ -565,18 +516,16 @@ class DisseminationService:
                 degradation=controller,
                 _broker=self,
             )
-            self.system.subscribe(app_name, node, source_name, spec)
             try:
                 await self._cutover(src)
                 src.sessions[app_name] = session
                 self._app_sources[app_name] = source_name
                 self._rebuild(src)
             except Exception:
-                # The cutover already emptied the live engines; undo the
-                # system registration and rebuild from the prior
-                # subscription set so the source keeps serving and a
-                # retry is not refused as "already subscribed".
-                self.system.unsubscribe(app_name, source_name)
+                # The cutover already emptied the live engines; rebuild
+                # from the prior subscription set so the source keeps
+                # serving and a retry is not refused as "already
+                # subscribed".
                 src.sessions.pop(app_name, None)
                 self._app_sources.pop(app_name, None)
                 self._rebuild(src)
@@ -624,35 +573,16 @@ class DisseminationService:
         self, src: _SourceState, session: SubscriberSession, new_spec: str
     ) -> None:
         """Spec-swap core (caller holds the source lock; no events)."""
-        app_name = session.app_name
-        source_name = src.name
-        parse_filter(new_spec, name=app_name)
+        parse_filter(new_spec, name=session.app_name)
         old_spec = session.spec
-        # Swap the registration before the cutover so a failure leaves
-        # the old epoch intact (and the old spec restored).
-        self.system.unsubscribe(app_name, source_name)
-        try:
-            self.system.subscribe(
-                app_name, session.node, source_name, new_spec
-            )
-        except Exception:
-            self.system.subscribe(
-                app_name, session.node, source_name, old_spec
-            )
-            raise
         try:
             await self._cutover(src)
             session.spec = new_spec
             self._rebuild(src)
         except Exception:
             # Same contract as subscribe: a failed churn must leave
-            # the source serving under the old spec, with the system
-            # registration matching what the engines filter on.
+            # the source serving under the old spec.
             session.spec = old_spec
-            self.system.unsubscribe(app_name, source_name)
-            self.system.subscribe(
-                app_name, session.node, source_name, old_spec
-            )
             self._rebuild(src)
             raise
 
@@ -680,13 +610,12 @@ class DisseminationService:
             # the source keeps serving (the session stays attached).
             self._rebuild(src)
             raise
-        self.system.unsubscribe(app_name, src.name)
         del src.sessions[app_name]
         del self._app_sources[app_name]
         # Decided-but-staged tuples must not vanish uncounted: flush the
         # batcher toward the consumer (or into the drop counters) just
         # like close() does for still-attached sessions.
-        self._final_flush(src, session)
+        self._final_flush(session)
         await session.close()
         # Keep the departed session's counters in broker-wide totals.
         self._retired.append(self._session_snapshot(session))
@@ -718,7 +647,7 @@ class DisseminationService:
     def _rebuild(self, src: _SourceState) -> None:
         """Fresh engines from the current subscription set."""
         filters = self._parse_group(src)
-        self._drop_slots(src)
+        self._drop_engines(src)
         # A rebuild always follows a cutover: the old epoch's tuples were
         # emitted or dismissed with it, so their arrival times are dead.
         src.arrivals_ns.clear()
@@ -737,23 +666,20 @@ class DisseminationService:
                 for chunk in cap_group_size(group, self.config.max_group_size)
             ]
         src.fed = 0
-        src.slots = [
-            _EngineSlot(
-                apps=tuple(f.name for f in group),
-                engine=engine_from_config(
-                    group, self.config.engine, record=self.config.record_epochs
-                ),
+        src.engines = [
+            engine_from_config(
+                group, self.config.engine, record=self.config.record_epochs
             )
             for group in groups
         ]
         self._regroups += 1
 
-    def _drop_slots(self, src: _SourceState) -> None:
+    def _drop_engines(self, src: _SourceState) -> None:
         """Forget the live engines, keeping what :meth:`snapshot` counts."""
         self._cuts_triggered += sum(
-            slot.engine.cuts_triggered for slot in src.slots
+            engine.cuts_triggered for engine in src.engines
         )
-        src.slots = []
+        src.engines = []
 
     async def _cutover(self, src: _SourceState) -> None:
         """Finish the live engines, delivering their tail emissions.
@@ -762,26 +688,26 @@ class DisseminationService:
         end-of-stream), so a subscription change never strands admitted
         tuples; the next epoch starts from clean coordination state.
         """
-        if not src.slots:
+        if not src.engines:
             return
         if src.fed == 0:
             # Nothing was ever offered to this epoch: no candidate state
             # to flush, so skip the empty EngineResult entirely.
-            self._drop_slots(src)
+            self._drop_engines(src)
             return
         started_ns = time.perf_counter_ns()
-        # Finish every slot before mutating any source state: a failure
+        # Finish every engine before mutating any source state: a failure
         # partway must leave the epoch list untouched (no phantom epochs
         # whose tails were never routed) so the churn paths' rollback
         # handlers can rebuild from a consistent record.
         tails: list[Emission] = []
         results: list[EngineResult] = []
-        for slot in src.slots:
-            tails.extend(slot.engine.drain())
-            results.append(slot.engine.finish())
+        for engine in src.engines:
+            tails.extend(engine.drain())
+            results.append(engine.finish())
         if self.config.record_epochs:
             src.epochs.extend(results)
-        self._drop_slots(src)
+        self._drop_engines(src)
         self._note_emissions(src, tails)
         await self._route(src, tails, now=self._now)
         if self.telemetry is not None:
@@ -852,9 +778,7 @@ class DisseminationService:
             if not exact and src.fed:
                 await self._cutover(src)
             journal = src.journal.entries()
-            subscriptions = [
-                (s.app_name, s.spec, s.node) for s in src.sessions.values()
-            ]
+            subscriptions = self.subscriptions(source_name)
             shipped = {
                 s.app_name: s.stats.shipped_tuples
                 for s in src.sessions.values()
@@ -862,11 +786,10 @@ class DisseminationService:
             fed = src.fed if exact else 0
             for app in list(src.sessions):
                 session = src.sessions.pop(app)
-                self.system.unsubscribe(app, source_name)
                 del self._app_sources[app]
                 await session.close()
                 self._retired.append(self._session_snapshot(session))
-            self._drop_slots(src)
+            self._drop_engines(src)
             src.journal.clear()
             src.arrivals_ns.clear()
             offered = src.offered
@@ -883,7 +806,6 @@ class DisseminationService:
                 )
             return {
                 "source": source_name,
-                "node": src.node,
                 "exact": exact,
                 "journal": journal,
                 "fed": fed,
@@ -915,15 +837,11 @@ class DisseminationService:
             exact = not src.journal.lossy
             return {
                 "source": source_name,
-                "node": src.node,
                 "exact": exact,
                 "journal": src.journal.entries(),
                 "fed": src.fed if exact else 0,
                 "offered": src.offered,
-                "subscriptions": [
-                    (s.app_name, s.spec, s.node)
-                    for s in src.sessions.values()
-                ],
+                "subscriptions": self.subscriptions(source_name),
                 "shipped": {
                     s.app_name: s.stats.shipped_tuples
                     for s in src.sessions.values()
@@ -958,15 +876,15 @@ class DisseminationService:
             self._rebuild(src)
             journal = list(state.get("journal") or ())
             replayed = 0
-            if src.slots:
+            if src.engines:
                 for kind, payload in journal:
                     if kind == "o":
-                        for slot in src.slots:
-                            slot.engine.process(payload)
+                        for engine in src.engines:
+                            engine.process(payload)
                     else:
                         now_ms = float(payload)  # type: ignore[arg-type]
-                        for slot in src.slots:
-                            slot.engine.tick(now_ms, cuts=self.config.tick_cuts)
+                        for engine in src.engines:
+                            engine.tick(now_ms, cuts=self.config.tick_cuts)
                     self._journal(src, kind, payload)
                     replayed += 1
             src.fed = int(state.get("fed", 0))
@@ -1034,7 +952,7 @@ class DisseminationService:
             )
         arrival_ns = time.perf_counter_ns()
         arrivals[item.seq] = arrival_ns
-        if src.slots:
+        if src.engines:
             self._journal(src, "o", item)
         t = self.telemetry
         traced = False
@@ -1051,7 +969,7 @@ class DisseminationService:
                         t.observe_stage(STAGE_INGEST_RECV, dur)
                 else:
                     t.bag.begin(key, arrival_ns)
-        emissions = await self._run_slots(
+        emissions = await self._run_engines(
             src, lambda engine: engine.process(item)
         )
         if traced:
@@ -1097,12 +1015,12 @@ class DisseminationService:
         for src in targets:
             async with src.lock:
                 self._now = max(self._now, now_ms)
-                if src.slots and src.fed:
+                if src.engines and src.fed:
                     # Idle epochs (nothing fed) need no tick replay:
                     # fresh engines have no admitted tuples whose timely
                     # cuts a tick could advance.
                     self._journal(src, "t", now_ms)
-                emissions = await self._run_slots(
+                emissions = await self._run_engines(
                     src,
                     lambda engine: engine.tick(
                         now_ms, cuts=self.config.tick_cuts
@@ -1112,26 +1030,26 @@ class DisseminationService:
                 emitted += len(emissions)
         return emitted
 
-    async def _run_slots(
+    async def _run_engines(
         self,
         src: _SourceState,
         step: Callable[[GroupAwareEngine], list[Emission]],
     ) -> list[Emission]:
-        """Run one engine step on every slot, in parallel when sharded."""
-        if not src.slots:
+        """Run one step on every live engine, in parallel when sharded."""
+        if not src.engines:
             return []
-        if len(src.slots) == 1 or self.config.shards == 1:
-            per_slot = [step(slot.engine) for slot in src.slots]
+        if len(src.engines) == 1 or self.config.shards == 1:
+            per_engine = [step(engine) for engine in src.engines]
         else:
             loop = asyncio.get_running_loop()
             pool = self._decide_pool()
-            per_slot = await asyncio.gather(
+            per_engine = await asyncio.gather(
                 *(
-                    loop.run_in_executor(pool, step, slot.engine)
-                    for slot in src.slots
+                    loop.run_in_executor(pool, step, engine)
+                    for engine in src.engines
                 )
             )
-        emissions = [e for slot_emissions in per_slot for e in slot_emissions]
+        emissions = [e for emitted in per_engine for e in emitted]
         self._note_emissions(src, emissions)
         return emissions
 
@@ -1165,7 +1083,7 @@ class DisseminationService:
             self._m_decided.inc(len(emissions))
         for emission in emissions:
             # get, not pop: with regrouped subgroups one tuple can be
-            # emitted by several slots (and again on later ticks); every
+            # emitted by several engines (and again on later ticks); every
             # emission must record its real latency, not a 0 for the
             # repeats.  Entries are reclaimed by the rebuild clear and
             # the older-half drop at the cap, so the map stays bounded.
@@ -1327,9 +1245,6 @@ class DisseminationService:
             self._m_queue_hw.labels(session.app_name).max(
                 session.queue.depth
             )
-        if session.disconnected or session.queue.closed:
-            return
-        self._publish_batch(src, session, batch)
 
     def _note_batch_traces(
         self, src: _SourceState, session: SubscriberSession, batch
@@ -1361,27 +1276,11 @@ class DisseminationService:
         if notes:
             session.note_traces(batch, now_ns, notes)
 
-    def _publish_batch(
-        self, src: _SourceState, session: SubscriberSession, batch
-    ) -> None:
-        # Tuple-level multicast accounting: one publish per flushed batch,
-        # labelled for this session only (per-session batching trades the
-        # shared-emission publish of the batch path for bounded queues).
-        self.system.multicast.publish(
-            src.group_name,
-            src.node,
-            frozenset({session.app_name}),
-            len(batch) * self.config.tuple_size_bytes,
-            batch.flushed_ms,
-        )
-
-    def _final_flush(
-        self, src: _SourceState, session: SubscriberSession
-    ) -> None:
+    def _final_flush(self, session: SubscriberSession) -> None:
         """Flush a session's batcher without blocking (teardown paths)."""
         batch = session.batcher.flush(self._now)
-        if batch is not None and session.deliver_nowait(batch):
-            self._publish_batch(src, session, batch)
+        if batch is not None:
+            session.deliver_nowait(batch)
 
     # ------------------------------------------------------------------
     # Observation and shutdown
@@ -1392,7 +1291,6 @@ class DisseminationService:
             app_name=session.app_name,
             source_name=session.source_name,
             spec=session.spec,
-            node=session.node,
             policy=session.queue.policy,
             queue_depth=session.queue.depth,
             queue_capacity=session.queue.capacity,
@@ -1425,9 +1323,9 @@ class DisseminationService:
         # Retired engines plus the still-running ones: live cuts must
         # show up in periodic snapshots, not only after a cutover/close.
         cuts = self._cuts_triggered + sum(
-            slot.engine.cuts_triggered
+            engine.cuts_triggered
             for src in self._sources.values()
-            for slot in src.slots
+            for engine in src.engines
         )
         return ServiceSnapshot.capture(
             now_ms=self._now,
@@ -1466,7 +1364,7 @@ class DisseminationService:
             async with src.lock:
                 await self._cutover(src)
                 for session in src.sessions.values():
-                    self._final_flush(src, session)
+                    self._final_flush(session)
                     await session.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)

@@ -100,7 +100,6 @@ class ClusterConfig:
     batch_max_items: int = 8
     batch_max_delay_ms: float = 50.0
     tick_cuts: bool = True
-    seed: int = 7
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: Router→worker wire body codec (binary is the whole point; json is
     #: kept for A/B and debugging).
@@ -796,8 +795,6 @@ class ClusterService:
             str(cfg.batch_max_delay_ms),
             "--max-frame-bytes",
             str(cfg.max_frame_bytes),
-            "--seed",
-            str(cfg.seed),
             # Workers never self-watch; health analysis runs once, at
             # the router, over the merged fleet surfaces.
             "--watch-interval",
@@ -1559,7 +1556,6 @@ class ClusterService:
         app_name: str,
         source_name: str,
         spec: str,
-        node: Optional[str] = None,
         *,
         queue_capacity: Optional[int] = None,
         overflow: Optional[str] = None,

@@ -54,8 +54,8 @@ from repro.core.engine import EngineResult
 from repro.core.tuples import StreamTuple, Trace
 from repro.experiments.configs import dc_specs_from_statistics
 from repro.filters.spec import parse_filter
-from repro.obs import DEFAULT_SAMPLE_PERIOD, Telemetry, stage_id, stage_name
-from repro.obs.trace import STAGE_SESSION_QUEUE
+from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry
+from repro.obs.trace import STAGE_SESSION_QUEUE, stage_id, stage_name
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import (
     DisseminationService,
@@ -69,7 +69,6 @@ __all__ = [
     "LOADGEN_SOURCES",
     "TRANSPORTS",
     "CODECS",
-    "FANOUTS",
     "ChurnEvent",
     "LoadGenConfig",
     "default_churn",
@@ -90,9 +89,6 @@ TRANSPORTS = ("inproc", "tcp")
 #: Wire body codecs (tcp only; mirrors ``repro.transport.codec``,
 #: duplicated here so the service package keeps its lazy transport import).
 CODECS = ("json", "binary")
-
-#: Decided-batch fan-out strategies (tcp self-hosted only).
-FANOUTS = ("shared", "per_session")
 
 
 @dataclass(frozen=True)
@@ -138,17 +134,13 @@ class LoadGenConfig:
     transport: str = "inproc"
     #: "host:port" of an external gateway (tcp only); None self-hosts.
     connect: Optional[str] = None
-    #: Simulated payload bytes per tuple: multicast accounting size and,
-    #: over TCP, padding attached to each ingest frame so wire throughput
-    #: reflects the configured tuple size.
+    #: Simulated payload bytes per tuple: over TCP, padding attached to
+    #: each ingest frame so wire throughput reflects the configured tuple
+    #: size; in the broker, the QoS controller's egress estimate.
     tuple_size_bytes: int = 64
     #: Preferred wire body codec (tcp only; the hello handshake may fall
     #: back to "json" against a server that refuses "binary").
     codec: str = "binary"
-    #: Decided-batch fan-out strategy of the self-hosted gateway:
-    #: "shared" is the encode-once segment path, "per_session" the PR-3
-    #: re-serialize-per-subscriber baseline (kept for A/B benchmarks).
-    fanout: str = "shared"
     #: Tuples per ingest frame / broker offer.  1 keeps the one-frame-
     #: per-tuple behaviour; larger values batch arrivals into
     #: ``ingest_batch`` frames (tcp) and ``offer_many`` calls (both
@@ -234,10 +226,6 @@ class LoadGenConfig:
         if self.codec not in CODECS:
             raise ValueError(
                 f"unknown codec {self.codec!r}; expected one of {CODECS}"
-            )
-        if self.fanout not in FANOUTS:
-            raise ValueError(
-                f"unknown fanout {self.fanout!r}; expected one of {FANOUTS}"
             )
         if self.ingest_batch < 1:
             raise ValueError("ingest_batch must be at least 1")
@@ -574,7 +562,6 @@ def _broker_service(
     config: LoadGenConfig,
     engine_cfg: EngineConfig,
     tick_cuts: bool,
-    hosts: int,
     sources: Sequence[str],
     telemetry: Optional[Telemetry] = None,
 ) -> DisseminationService:
@@ -587,15 +574,13 @@ def _broker_service(
             overflow=config.overflow,
             tick_cuts=tick_cuts,
             tuple_size_bytes=config.tuple_size_bytes,
-            seed=config.seed,
             # Only verification reads the engines' epochs back.
             record_epochs=config.verify,
         ),
-        nodes=["source-node"] + [f"host{i}" for i in range(hosts)],
         telemetry=telemetry,
     )
     for name in sources:
-        service.add_source(name, "source-node")
+        service.add_source(name)
     return service
 
 
@@ -618,13 +603,12 @@ class _InProcDriver:
         config: LoadGenConfig,
         engine_cfg: EngineConfig,
         tick_cuts: bool,
-        hosts: int,
         sources: Sequence[str],
         telemetry: Optional[Telemetry] = None,
     ):
         self.sources = list(sources)
         self.service = _broker_service(
-            config, engine_cfg, tick_cuts, hosts, self.sources, telemetry
+            config, engine_cfg, tick_cuts, self.sources, telemetry
         )
 
     async def start(self) -> None:
@@ -705,7 +689,6 @@ class _TcpDriver:
         config: LoadGenConfig,
         engine_cfg: EngineConfig,
         tick_cuts: bool,
-        hosts: int,
         sources: Sequence[str],
         telemetry: Optional[Telemetry] = None,
     ):
@@ -720,7 +703,6 @@ class _TcpDriver:
         self._app_client: dict[str, object] = {}
         self._engine_cfg = engine_cfg
         self._tick_cuts = tick_cuts
-        self._hosts = hosts
         #: Shared with the self-hosted backend *and* every client: one
         #: process, one registry — the client-side ``ingest_send`` stage
         #: and the broker's stages land in the same histograms.
@@ -746,7 +728,6 @@ class _TcpDriver:
                         batch_max_items=config.batch_max_items,
                         batch_max_delay_ms=config.batch_max_delay_ms,
                         tick_cuts=self._tick_cuts,
-                        seed=config.seed,
                         codec=config.codec,
                     ),
                     telemetry=self.telemetry,
@@ -758,7 +739,6 @@ class _TcpDriver:
                     config,
                     self._engine_cfg,
                     self._tick_cuts,
-                    self._hosts,
                     self.sources,
                     self.telemetry,
                 )
@@ -767,7 +747,6 @@ class _TcpDriver:
                 backend,
                 host="127.0.0.1",
                 port=0,
-                fanout=config.fanout,
                 telemetry=self.telemetry,
             )
         try:
@@ -949,14 +928,13 @@ async def _run_async(
     # arrivals: a tick-fired cut between two arrivals can legitimately
     # decide differently from the batch reference (GroupAwareEngine.tick).
     tick_cuts = not (config.verify and config.constraint_ms is not None)
-    hosts = sum(len(feed.specs) for feed in feeds) + len(config.churn) + 1
     tele = (
         Telemetry(sample_period=config.trace_sample)
         if config.trace_sample > 0
         else None
     )
     driver_cls = _TcpDriver if config.transport == "tcp" else _InProcDriver
-    driver = driver_cls(config, engine_cfg, tick_cuts, hosts, names, tele)
+    driver = driver_cls(config, engine_cfg, tick_cuts, names, tele)
     await driver.start()
     if config.adaptive_batch and config.ingest_batch > 1:
         # Lazy import: the service package must not import transport at
@@ -1488,7 +1466,6 @@ async def _run_async(
         #: Actually negotiated wire codec (None in-process; may be
         #: "json" despite a "binary" preference against an old server).
         "codec": driver.negotiated_codec,
-        "fanout": config.fanout if config.transport == "tcp" else None,
         "ingest_batch": config.ingest_batch,
         "adaptive_batch": feeds[0].controller is not None,
         "ingest_batch_trajectory": (

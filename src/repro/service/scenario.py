@@ -121,7 +121,6 @@ _LOAD_KEYS = frozenset(
         "max_in_flight",
         "transport",
         "codec",
-        "fanout",
         "ingest_batch",
         "adaptive_batch",
         "sources",

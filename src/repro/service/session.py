@@ -171,7 +171,6 @@ class SubscriberSession:
     app_name: str
     source_name: str
     spec: str
-    node: str
     queue: DeliveryQueue
     batcher: MicroBatcher
     stats: SessionStats = field(default_factory=SessionStats)
@@ -235,13 +234,12 @@ class SubscriberSession:
     # ------------------------------------------------------------------
     # Broker side
     # ------------------------------------------------------------------
-    def _account(self, rejected: Optional[Batch], batch: Batch) -> bool:
+    def _account(self, rejected: Optional[Batch], batch: Batch) -> None:
         """Record one enqueue attempt's outcome.
 
         ``rejected`` is what the queue refused: the evicted oldest batch
         under ``drop_oldest``, ``batch`` itself when it did not make it,
-        ``None`` on a clean enqueue.  Returns ``True`` when ``batch``
-        entered the queue.
+        ``None`` on a clean enqueue.
         """
         if rejected is not None:
             self.stats.dropped_batches += 1
@@ -249,8 +247,6 @@ class SubscriberSession:
         if rejected is not batch:
             self.stats.enqueued_batches += 1
             self.stats.shipped_tuples += len(batch)
-            return True
-        return False
 
     async def deliver(self, batch: Batch) -> None:
         """Enqueue one flushed batch, recording drops/disconnects."""
@@ -268,19 +264,18 @@ class SubscriberSession:
             return
         self._account(rejected, batch)
 
-    def deliver_nowait(self, batch: Batch) -> bool:
+    def deliver_nowait(self, batch: Batch) -> None:
         """Non-blocking deliver for shutdown/detach paths.
 
         Never waits: a batch that cannot be enqueued (full ``block``/
         ``disconnect`` queue, closed queue, gone consumer) is counted as
-        dropped instead of deadlocking teardown.  Returns ``True`` when
-        ``batch`` itself made it into the queue.
+        dropped instead of deadlocking teardown.
         """
         if self.disconnected:
             self.stats.dropped_batches += 1
             self.stats.dropped_tuples += len(batch)
-            return False
-        return self._account(self.queue.put_nowait(batch), batch)
+            return
+        self._account(self.queue.put_nowait(batch), batch)
 
     def note_traces(
         self, batch: Batch, enqueue_ns: int, traces: dict

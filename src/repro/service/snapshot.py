@@ -22,7 +22,6 @@ class SessionSnapshot:
     app_name: str
     source_name: str
     spec: str
-    node: str
     policy: str
     queue_depth: int
     queue_capacity: int

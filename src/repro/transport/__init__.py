@@ -10,65 +10,3 @@ sockets, and a minimal HTTP endpoint (:mod:`~repro.transport.http`)
 serves live snapshots for scraping.  Everything is stdlib asyncio — no
 new dependencies.
 """
-
-from repro.transport.client import GatewayClient, GatewayError, RemoteSubscription
-from repro.transport.codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    FANOUT_PER_SESSION,
-    FANOUT_SHARED,
-    FANOUTS,
-    SUPPORTED_CODECS,
-    BinaryEncoder,
-    JsonEncoder,
-    NameTable,
-    SegmentCache,
-    make_encoder,
-    negotiate,
-)
-from repro.transport.http import SnapshotHTTP
-from repro.transport.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    FrameTooLarge,
-    ProtocolError,
-    batch_from_wire,
-    batch_to_wire,
-    encode_frame,
-    pack_header,
-    tuple_from_wire,
-    tuple_to_wire,
-)
-from repro.transport.server import GatewayServer
-
-__all__ = [
-    "BinaryEncoder",
-    "CODEC_BINARY",
-    "CODEC_JSON",
-    "FANOUTS",
-    "FANOUT_PER_SESSION",
-    "FANOUT_SHARED",
-    "FrameDecoder",
-    "FrameTooLarge",
-    "GatewayClient",
-    "GatewayError",
-    "GatewayServer",
-    "JsonEncoder",
-    "MAX_FRAME_BYTES",
-    "NameTable",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RemoteSubscription",
-    "SUPPORTED_CODECS",
-    "SegmentCache",
-    "SnapshotHTTP",
-    "batch_from_wire",
-    "batch_to_wire",
-    "encode_frame",
-    "make_encoder",
-    "negotiate",
-    "pack_header",
-    "tuple_from_wire",
-    "tuple_to_wire",
-]

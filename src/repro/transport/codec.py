@@ -79,9 +79,6 @@ __all__ = [
     "CODEC_JSON",
     "CODEC_BINARY",
     "SUPPORTED_CODECS",
-    "FANOUT_SHARED",
-    "FANOUT_PER_SESSION",
-    "FANOUTS",
     "negotiate",
     "NameTable",
     "Segment",
@@ -99,11 +96,6 @@ CODEC_BINARY = "binary"
 
 #: Codecs this implementation can send and receive.
 SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
-
-#: Fan-out strategies for decided-batch delivery (gateway knob).
-FANOUT_SHARED = "shared"
-FANOUT_PER_SESSION = "per_session"
-FANOUTS = (FANOUT_SHARED, FANOUT_PER_SESSION)
 
 _TAG_INGEST = 0x01
 _TAG_INGEST_BATCH = 0x02
@@ -408,6 +400,16 @@ class FrameEncoder:
         raise NotImplementedError
 
 
+def _require_shared(shared: bool) -> None:
+    # ``decided_pieces(shared=)`` selects nothing any more; it is accepted
+    # because benchmarks/e2e/harness/layers.py:271 still passes True.
+    if not shared:
+        raise ValueError(
+            "decided frames are only assembled from shared segments; "
+            "shared=False selects nothing"
+        )
+
+
 class JsonEncoder(FrameEncoder):
     """The v1 JSON format, with encode-once segment assembly for fan-out."""
 
@@ -487,6 +489,7 @@ class JsonEncoder(FrameEncoder):
     def decided_pieces(
         self, app, batch, *, max_frame_bytes, shared=True, traces=None
     ):
+        _require_shared(shared)
         prefix = (
             b'{"t":"decided","app":'
             + json.dumps(app).encode("utf-8")
@@ -498,19 +501,7 @@ class JsonEncoder(FrameEncoder):
         )
         pieces: list[bytes] = [prefix]
         total = len(prefix)
-        if shared:
-            segments = [self.tuple_segment(item) for item in batch.items]
-        else:
-            # The PR-3 per-session baseline: re-serialize every tuple for
-            # every subscriber (kept for A/B benchmarking).
-            segments = [
-                Segment(
-                    json.dumps(
-                        tuple_to_wire(item), separators=(",", ":")
-                    ).encode("utf-8")
-                )
-                for item in batch.items
-            ]
+        segments = [self.tuple_segment(item) for item in batch.items]
         for index, segment in enumerate(segments):
             if index:
                 pieces.append(b",")
@@ -645,14 +636,8 @@ class BinaryEncoder(FrameEncoder):
     def decided_pieces(
         self, app, batch, *, max_frame_bytes, shared=True, traces=None
     ):
-        if shared:
-            segments = [self.tuple_segment(item) for item in batch.items]
-        else:
-            segments = []
-            for item in batch.items:
-                out = bytearray()
-                ids = self._encode_tuple(out, item)
-                segments.append(Segment(bytes(out), ids))
+        _require_shared(shared)
+        segments = [self.tuple_segment(item) for item in batch.items]
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
         _put_string(head, app)
         head += _F64.pack(batch.first_staged_ms)

@@ -65,7 +65,7 @@ untouched.  The defined features:
   Trace annotations are additive metadata — receivers that negotiated
   the feature but find no trace field simply record nothing.
 * ``"qos"``: server-initiated graceful degradation.  ``subscribe`` may
-  carry ``degradation`` — a :func:`repro.qos.policy_to_profile` shape
+  carry ``degradation`` — a :func:`repro.qos.controller.policy_to_profile` shape
   (``{levels, bandwidth_floors_kbps?, level?, config?}``) handing the
   server a whole fallback ladder — and the server pushes an unsolicited
   ``qos_update`` frame per applied level transition, carrying the
@@ -255,7 +255,7 @@ class FrameDecoder:
 
     def _decode_binary(self, body: bytes) -> dict:
         # Local import: codec.py imports the error types from this module.
-        from repro.transport import codec as _codec
+        import repro.transport.codec as _codec
 
         if self._binary_names is None:
             self._binary_names = _codec.BinaryNames()

@@ -22,8 +22,8 @@ bridges them onto a live :class:`~repro.service.broker.DisseminationService`:
 
 Connection teardown — a clean ``bye``, an abrupt reset, or EOF — always
 reclaims the connection's subscriptions: sessions are unsubscribed from
-the broker (which final-flushes their batchers and removes the pub/sub
-registration), so a vanished client never leaks filter-group state.
+the broker (which final-flushes their batchers), so a vanished client
+never leaks filter-group state.
 
 :meth:`GatewayServer.shutdown` is the graceful path used by ``repro
 serve`` on SIGINT/SIGTERM: stop accepting, close the service (cutover +
@@ -51,8 +51,6 @@ from repro.service.session import SubscriberSession
 from repro.transport.codec import (
     CODEC_BINARY,
     CODEC_JSON,
-    FANOUT_SHARED,
-    FANOUTS,
     SUPPORTED_CODECS,
     FrameEncoder,
     NameTable,
@@ -257,9 +255,7 @@ class _Connection:
         self.post(frame)
         await self._drain()
 
-    async def send_decided(
-        self, app: str, batch, *, shared: bool, traces=None
-    ) -> None:
+    async def send_decided(self, app: str, batch, *, traces=None) -> None:
         """Fan one decided batch out as header + shared body pieces.
 
         The pieces are the per-tuple segments shared by every session
@@ -271,7 +267,6 @@ class _Connection:
             app,
             batch,
             max_frame_bytes=self.max_frame_bytes,
-            shared=shared,
             traces=traces,
         )
         self._corked.append(pack_header(total))
@@ -323,7 +318,6 @@ class GatewayServer:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         sndbuf_bytes: Optional[int] = None,
         codecs: tuple[str, ...] = SUPPORTED_CODECS,
-        fanout: str = FANOUT_SHARED,
         segment_cache_size: int = 4096,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -339,15 +333,6 @@ class GatewayServer:
         #: Codecs this server will agree to in the hello negotiation
         #: (restrict to ("json",) to force the fallback path).
         self.codecs = tuple(codecs)
-        if fanout not in FANOUTS:
-            raise ValueError(
-                f"unknown fanout {fanout!r}; expected one of {FANOUTS}"
-            )
-        #: "shared" assembles decided frames from per-tuple segments
-        #: encoded once per codec; "per_session" re-serializes every
-        #: batch for every subscriber (the PR-3 baseline, kept for A/B
-        #: benchmarking).
-        self.fanout = fanout
         # Encode-once state shared by every connection: one sender-side
         # attribute-name table (binary ids are global to the server) and
         # one segment cache per codec.
@@ -913,7 +898,6 @@ class GatewayServer:
         broker's backpressure semantics.
         """
         oversized = False
-        shared = self.fanout == FANOUT_SHARED
         tele = self.telemetry
         try:
             async for batch in session.batches():
@@ -932,9 +916,7 @@ class GatewayServer:
                             wire_traces = tmap
                         write_start_ns = now_ns
                 try:
-                    await conn.send_decided(
-                        app, batch, shared=shared, traces=wire_traces
-                    )
+                    await conn.send_decided(app, batch, traces=wire_traces)
                     if write_start_ns:
                         # Encode + cork + drain for the whole decided
                         # frame (the flush that writes it follows within

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.adaptive import (
-    AdaptiveController,
-    SelectivityMonitor,
+from repro.adaptive.controller import AdaptiveController
+from repro.adaptive.regroup import (
     cap_group_size,
     isolate_greedy_filters,
     partition_by_attribute,
-    selectivity_from_result,
 )
+from repro.adaptive.selectivity import SelectivityMonitor, selectivity_from_result
 from repro.core.engine import SelfInterestedEngine
 from repro.core.tuples import Trace
 from repro.filters.delta import DeltaCompressionFilter

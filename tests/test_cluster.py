@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.tuples import StreamTuple
 from repro.runtime.partition import HashRing
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.cluster import ClusterConfig, ClusterService
 from repro.sources import random_walk_trace
 
@@ -176,7 +176,7 @@ async def _run_migrated(
         # Subscriptions re-attach before the import, in export order,
         # with whatever spec each app had at the hand-off (a re-filtered
         # app migrates with its current filter).
-        for app, spec, _node in state["subscriptions"]:
+        for app, spec in state["subscriptions"]:
             await attach(app, moving, spec)
         await target.import_source(moving, state)
 

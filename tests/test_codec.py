@@ -21,29 +21,27 @@ import struct
 import pytest
 
 from repro.core.tuples import StreamTuple
-from repro.service import (
-    Batch,
-    DisseminationService,
-    LoadGenConfig,
-    ServiceConfig,
-    run_loadgen,
-)
-from repro.transport import (
+from repro.service.batching import Batch
+from repro.service.broker import DisseminationService, ServiceConfig
+from repro.service.loadgen import LoadGenConfig, run_loadgen
+from repro.transport.client import GatewayClient
+from repro.transport.codec import (
     BinaryEncoder,
-    FrameDecoder,
-    FrameTooLarge,
-    GatewayClient,
-    GatewayServer,
     JsonEncoder,
     NameTable,
-    ProtocolError,
     SegmentCache,
+    negotiate,
+)
+from repro.transport.protocol import (
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    FrameTooLarge,
+    ProtocolError,
     batch_from_wire,
     encode_frame,
-    negotiate,
     pack_header,
 )
-from repro.transport.protocol import PROTOCOL_VERSION
+from repro.transport.server import GatewayServer
 
 
 def _item(seq=7, ts=120.0, **values) -> StreamTuple:
@@ -224,6 +222,14 @@ class TestEncodeOnce:
         assert pieces_a[-1] is pieces_b[-1]
         assert cache.hits >= 1
 
+    def test_decided_pieces_has_only_the_shared_path(self):
+        batch = Batch(items=(_item(),), first_staged_ms=1.0, flushed_ms=1.0)
+        for encoder in (JsonEncoder(), BinaryEncoder()):
+            with pytest.raises(ValueError, match="shared=False"):
+                encoder.decided_pieces(
+                    "a", batch, max_frame_bytes=1 << 20, shared=False
+                )
+
     def test_oversized_ingest_does_not_commit_names(self):
         # A client-side FrameTooLarge must not desync the connection's
         # announced-id state: the refused frame never reached the
@@ -386,6 +392,9 @@ class TestCrossCodecEquivalence:
                     codec=codec,
                     ingest_batch=4,
                     verify=True,
+                    # The totals below compare only if both runs offered
+                    # the whole trace, however slow the machine is.
+                    drain_trace=True,
                 )
             )
 
@@ -411,7 +420,7 @@ class TestCrossCodecEquivalence:
 # ---------------------------------------------------------------------------
 class TestBatchedIngest:
     def test_offer_many_matches_sequential_offers(self):
-        from repro.service import decided_map
+        from repro.service.loadgen import decided_map
 
         items = [
             StreamTuple(seq=i, timestamp=10.0 * (i + 1), values={"temp": float(i % 5)})

@@ -12,21 +12,22 @@ import asyncio
 
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
-from repro.qos import DegradationPolicy, QualitySpec
+from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.qos.controller import DegradationConfig, policy_to_profile
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.batching import Batch
-from repro.transport import FrameDecoder, GatewayServer, encode_frame
 from repro.transport.codec import CODEC_BINARY, make_encoder
 from repro.transport.protocol import (
     FEATURE_QOS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    FrameDecoder,
     batch_from_wire,
+    encode_frame,
     pack_header,
 )
-from repro.transport.server import _Connection, _TransportMetrics
+from repro.transport.server import GatewayServer, _Connection, _TransportMetrics
 
 
 class _FakeTransport:
@@ -114,7 +115,7 @@ def _batch(first_seq: int, names: tuple[str, ...], n: int = 2) -> Batch:
 def _decided_bytes(encoder, app: str, batch: Batch) -> bytes:
     """One decided frame as the uncorked writer put it on the wire."""
     pieces, total = encoder.decided_pieces(
-        app, batch, max_frame_bytes=MAX_FRAME_BYTES, shared=True
+        app, batch, max_frame_bytes=MAX_FRAME_BYTES
     )
     return pack_header(total) + b"".join(pieces)
 
@@ -128,8 +129,8 @@ class TestCorkedConnection:
             closed = {"t": "closed", "app": "a", "reason": "unsubscribed"}
             first, second = _batch(0, ("temp",)), _batch(2, ("temp", "hum"))
             await conn.send(ack)
-            await conn.send_decided("a", first, shared=True)
-            await conn.send_decided("b", second, shared=True)
+            await conn.send_decided("a", first)
+            await conn.send_decided("b", second)
             await conn.send_quiet(closed)
             before_flush = list(transport.log)
             await _next_pass()
@@ -222,7 +223,7 @@ class TestCorkedConnection:
             ]
             await asyncio.gather(
                 *(
-                    conn.send_decided(app, batch, shared=True)
+                    conn.send_decided(app, batch)
                     for app, batch in batches
                 )
             )

@@ -14,7 +14,8 @@ from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
 from repro.filters.spec import format_spec, parse_filter
 from repro.net.overlay import OverlayNetwork
 from repro.net.pubsub import StreamingSystem
-from repro.qos import QualitySpec, propagate
+from repro.qos.propagation import propagate
+from repro.qos.spec import QualitySpec
 from repro.sources import namos_trace
 from repro.workflow import WorkflowGraph, plan_deployment
 

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, TABLE_4_1_GROUPS
 from repro.experiments.cli import main
-from repro.experiments.configs import dc_specs_from_statistics, table_5_2_groups
+from repro.experiments.configs import (
+    TABLE_4_1_GROUPS,
+    dc_specs_from_statistics,
+    table_5_2_groups,
+)
 from repro.experiments.harness import (
     STANDARD_VARIANTS,
     Variant,
@@ -12,6 +15,7 @@ from repro.experiments.harness import (
     run_variant,
     variant_from_name,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.filters.spec import parse_filter
 from repro.sources import namos_trace
 

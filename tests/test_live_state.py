@@ -19,8 +19,8 @@ from repro.core.cuts import RuntimePredictor
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
-from repro.service import broker as broker_module
+from repro.service.broker import DisseminationService, ServiceConfig
+import repro.service.broker as broker_module
 from repro.sources import random_walk_trace
 
 #: app2 shares app0's first stage until app0 re-filters.

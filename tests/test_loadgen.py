@@ -7,8 +7,14 @@ import json
 
 import pytest
 
-from repro.service import ChurnEvent, LoadGenConfig, default_churn, run_loadgen
-from repro.service.loadgen import _subscriber_specs, make_trace
+from repro.service.loadgen import (
+    ChurnEvent,
+    LoadGenConfig,
+    _subscriber_specs,
+    default_churn,
+    make_trace,
+    run_loadgen,
+)
 
 
 def _config(**overrides) -> LoadGenConfig:
@@ -47,6 +53,9 @@ class TestArtifacts:
         assert summary["equivalent_to_batch"] is True
         assert summary["delivered_tuples"] > 0
         assert summary["dropped_tuples"] == 0
+        assert summary["clean_shutdown"] is True
+        latency = summary["decide_latency_ms"]
+        assert latency["p99"] >= latency["p50"] >= 0.0
 
     def test_closed_loop_verify_matches_batch(self):
         summary = run_loadgen(_config(mode="closed", verify=True))
@@ -128,8 +137,8 @@ def _external_gateway(on_stop: str = "shutdown"):
     import threading
 
     from repro.runtime.tasks import EngineConfig
-    from repro.service import DisseminationService, ServiceConfig
-    from repro.transport import GatewayServer
+    from repro.service.broker import DisseminationService, ServiceConfig
+    from repro.transport.server import GatewayServer
 
     started = threading.Event()
     box: dict = {}
@@ -184,6 +193,8 @@ class TestTcpTransport:
         assert summary["equivalent_to_batch"] is True
         assert summary["clean_shutdown"] is True
         assert summary["delivered_tuples"] > 0
+        latency = summary["decide_latency_ms"]
+        assert latency["p99"] >= latency["p50"] >= 0.0
 
     def test_tcp_closed_loop_with_churn(self, tmp_path):
         from dataclasses import replace
@@ -298,6 +309,34 @@ class TestMultiStream:
         assert digest is not None and len(digest) == 4
         for entry in digest.values():
             assert entry["count"] >= 0 and len(entry["blake2s"]) == 32
+
+    @pytest.mark.parametrize("algorithm", ["region", "per_candidate_set"])
+    def test_worker_fleet_verifies_and_delivers_the_single_process_streams(
+        self, algorithm
+    ):
+        """Sharding is semantics-free: a verified run delivers
+        byte-identical per-subscriber streams whether one process or a
+        2-worker fleet serves it."""
+        digests = {}
+        for workers in (1, 2):
+            # drain_trace: digests compare only across runs that replayed
+            # the identical offered set, whatever the wall budget.
+            summary = run_loadgen(
+                _config(
+                    mode="closed",
+                    algorithm=algorithm,
+                    sources=2,
+                    transport="tcp",
+                    ingest_batch=8,
+                    workers=workers,
+                    verify=True,
+                    drain_trace=True,
+                )
+            )
+            assert summary["equivalent_to_batch"] is True, (workers, summary)
+            assert summary["clean_shutdown"] is True, (workers, summary)
+            digests[workers] = summary["delivered_digest"]
+        assert digests[1] == digests[2]
 
     def test_adaptive_batching_records_trajectory(self):
         summary = run_loadgen(

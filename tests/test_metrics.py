@@ -3,21 +3,15 @@
 import pytest
 
 from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
-from repro.metrics import (
-    BoxPlot,
-    batch_output_ratios,
+from repro.metrics.cpu import (
     cpu_ms_per_batch,
     cpu_overhead_ratio,
-    mean,
     mean_cpu_ms_per_batch,
-    mean_latency_ms,
-    median,
-    oi_ratio,
-    output_ratio,
-    quantile,
-    render_series,
-    render_table,
 )
+from repro.metrics.latency import mean_latency_ms
+from repro.metrics.ratios import batch_output_ratios, oi_ratio, output_ratio
+from repro.metrics.report import render_series, render_table
+from repro.metrics.summary import BoxPlot, mean, median, quantile
 from tests.conftest import paper_group
 
 

@@ -18,18 +18,10 @@ import json
 
 import pytest
 
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    StageTracer,
-    Telemetry,
-    TraceBag,
-    merge_expositions,
-    platform_info,
-    relabel_exposition,
-    stage_id,
-    stage_name,
-)
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry, merge_expositions, relabel_exposition
+from repro.obs.sysinfo import platform_info
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import (
     STAGE_BATCH_FLUSH,
     STAGE_DECIDE,
@@ -37,11 +29,17 @@ from repro.obs.trace import (
     STAGE_INGEST_SEND,
     STAGE_SESSION_QUEUE,
     STAGES,
+    StageTracer,
+    TraceBag,
+    stage_id,
+    stage_name,
 )
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import random_walk_trace
-from repro.transport import GatewayClient, GatewayServer, SnapshotHTTP
+from repro.transport.client import GatewayClient
+from repro.transport.http import SnapshotHTTP
+from repro.transport.server import GatewayServer
 
 #: Nearly every tuple is decided for delivery.
 CHATTY_SPEC = "DC1(temp, 0.0001, 0.00005)"

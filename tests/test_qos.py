@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.qos import DegradationPolicy, QualitySpec, propagate, session_limits
+from repro.qos.propagation import propagate
+from repro.qos.spec import DegradationPolicy, QualitySpec, session_limits
 from repro.workflow import WorkflowGraph
 
 

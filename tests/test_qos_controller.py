@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.qos import DegradationPolicy, QualitySpec
+from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.qos.controller import (
     DegradationConfig,
     DegradationController,

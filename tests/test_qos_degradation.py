@@ -14,11 +14,12 @@ import asyncio
 import pytest
 
 from repro.core.tuples import StreamTuple
-from repro.qos import DegradationPolicy, QualitySpec
+from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.qos.controller import DegradationConfig
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
-from repro.transport import GatewayClient, GatewayServer
+from repro.service.broker import DisseminationService, ServiceConfig
+from repro.transport.client import GatewayClient
+from repro.transport.server import GatewayServer
 
 LEVELS = (
     "DC1(temp, 0.5, 0.25)",

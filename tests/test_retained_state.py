@@ -41,8 +41,8 @@ import sys
 from repro.core.tuples import StreamTuple
 from repro.experiments.configs import dc_specs_from_statistics
 from repro.obs.telemetry import Telemetry
-from repro.service import DisseminationService, ServiceConfig
-from repro.service import broker as broker_module
+from repro.service.broker import DisseminationService, ServiceConfig
+import repro.service.broker as broker_module
 from repro.sources import random_walk_trace
 
 

@@ -12,20 +12,16 @@ from repro.experiments.harness import (
     set_parallelism,
     variant_from_name,
 )
-from repro.runtime import (
-    EngineConfig,
-    GroupTask,
+from repro.runtime.merge import canonical_result, combine
+from repro.runtime.partition import (
     HashRing,
-    ShardedRuntime,
-    canonical_result,
-    combine,
     partition_keyed_stream,
     partition_tasks,
-    run_sequential,
-    run_task,
-    run_tasks,
     shard_for_key,
 )
+from repro.runtime.sharded import ShardedRuntime, run_sequential, run_tasks
+from repro.runtime.tasks import EngineConfig, GroupTask
+from repro.runtime.worker import run_task
 from repro.sources.namos import namos_trace
 from tests.conftest import make_tuples
 

@@ -12,13 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tuples import Trace
 from repro.experiments.configs import dc_specs_from_statistics
-from repro.runtime import (
-    EngineConfig,
-    GroupTask,
-    run_sequential,
-    run_tasks,
-    shard_for_key,
-)
+from repro.runtime.partition import shard_for_key
+from repro.runtime.sharded import run_sequential, run_tasks
+from repro.runtime.tasks import EngineConfig, GroupTask
 from tests.conftest import random_walk_values
 
 ALGORITHMS = ("region", "per_candidate_set", "self_interested")

@@ -11,8 +11,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.core.tuples import StreamTuple
-from repro.transport import GatewayClient
+from repro.experiments.cli import main
+from repro.transport.client import GatewayClient
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -25,17 +28,13 @@ def _env() -> dict:
     return env
 
 
-def _start_serve(*extra_args: str) -> tuple[subprocess.Popen, int, int | None]:
+def _start_serve(
+    *extra_args: str, python: tuple[str, ...] = ("-m", "repro.experiments")
+) -> tuple[subprocess.Popen, int, int | None, list[str]]:
+    """Start ``serve``; returns the process, its ports and every line it
+    printed (stdout and stderr) before the ready line."""
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.experiments",
-            "serve",
-            "--port",
-            "0",
-            *extra_args,
-        ],
+        [sys.executable, *python, "serve", "--port", "0", *extra_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -43,10 +42,12 @@ def _start_serve(*extra_args: str) -> tuple[subprocess.Popen, int, int | None]:
     )
     deadline = time.monotonic() + 30
     line = ""
+    preamble: list[str] = []
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
         if "listening on" in line:
             break
+        preamble.append(line)
         if proc.poll() is not None:
             raise AssertionError(f"serve exited early: {line}")
     assert "listening on" in line, f"no ready line: {line!r}"
@@ -54,13 +55,13 @@ def _start_serve(*extra_args: str) -> tuple[subprocess.Popen, int, int | None]:
     parts = line.strip().split(", http on ")
     port = int(parts[0].rsplit(":", 1)[1])
     http_port = int(parts[1].rsplit(":", 1)[1]) if len(parts) > 1 else None
-    return proc, port, http_port
+    return proc, port, http_port, preamble
 
 
 def test_sigterm_flushes_and_emits_terminal_snapshot():
     """SIGTERM final-flushes staged batches to live subscribers and
     prints a terminal snapshot before exit."""
-    proc, port, _ = _start_serve()
+    proc, port, _, _ = _start_serve()
     try:
 
         async def drive() -> list[int]:
@@ -113,7 +114,7 @@ def test_sigterm_flushes_and_emits_terminal_snapshot():
 
 def test_sigint_terminal_snapshot_without_clients():
     # The duplicated source name must be deduplicated, not crash startup.
-    proc, port, http_port = _start_serve(
+    proc, port, http_port, _ = _start_serve(
         "--http-port", "0", "--sources", "a,b,a"
     )
     try:
@@ -128,3 +129,105 @@ def test_sigint_terminal_snapshot_without_clients():
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=10)
+
+
+#: What a ``serve`` process (the harness's server, every cluster worker)
+#: has no use for: a name or, with everything under it, a package.
+_NOT_FOR_SERVE = (
+    "repro.service.loadgen",
+    "repro.service.scenario",
+    "repro.service.chaos",
+    "repro.service.remediate",
+    "repro.service.cluster",
+    "repro.transport.client",
+    "repro.obs.watch",
+    "repro.obs.rulesfile",
+    "repro.experiments.chapter4",
+    "repro.experiments.chapter5",
+    "repro.experiments.harness",
+    "repro.experiments.registry",
+    "repro.sources",
+    "repro.workflow",
+    "repro.net",
+    "repro.runtime.sharded",
+    "concurrent.futures.process",
+)
+
+
+def _unwanted(modules) -> list[str]:
+    return sorted(
+        module
+        for module in modules
+        if any(
+            module == name or module.startswith(name + ".")
+            for name in _NOT_FOR_SERVE
+        )
+    )
+
+
+def test_serve_imports_only_what_it_runs():
+    """The real process, started the way the benchmark harness and the
+    cluster start it: nothing it loads before it is ready belongs to the
+    load generator, the experiments, the router or the overlay simulator."""
+    proc, _, _, preamble = _start_serve(
+        python=("-X", "importtime", "-m", "repro.experiments.cli")
+    )
+    try:
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+        assert proc.returncode == 0, out
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=10)
+    # "import time:   self [us] | cumulative | imported package"
+    loaded = [
+        line.rsplit("|", 1)[1].strip()
+        for line in preamble
+        if line.startswith("import time:") and "[us]" not in line
+    ]
+    assert "repro.transport.server" in loaded, preamble[:5]
+    assert _unwanted(loaded) == []
+    ours = sorted(module for module in loaded if module.startswith("repro"))
+    assert len(ours) <= 55, ours
+
+
+def test_router_adds_only_the_cluster_to_the_serve_closure():
+    """``serve --workers N`` loads, on top of the above, the router, the
+    client it speaks to its workers with and the ring it places sources
+    on; still nothing of the load generator or the experiments."""
+    script = (
+        "import json, sys\n"
+        "import repro.experiments.cli, repro.service.broker\n"
+        "import repro.transport.http, repro.transport.server\n"
+        "before = set(sys.modules)\n"
+        "import repro.service.cluster\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=30,
+        check=True,
+    ).stdout
+    added = json.loads(out)
+    assert [module for module in added if module.startswith("repro")] == [
+        "repro.runtime.partition",
+        "repro.service.cluster",
+        "repro.transport.client",
+    ]
+    assert "concurrent.futures.process" not in added
+
+
+def test_serve_has_no_fanout_to_select_and_no_seed(capsys):
+    # The deleted choice, in two pieces so a grep for it finds nothing.
+    for args, complaint in (
+        (("--fanout", "per" + "_session"), "invalid choice"),
+        (("--seed", "1"), "unrecognized arguments: --seed"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", *args])
+        assert exit_.value.code == 2
+        assert complaint in capsys.readouterr().err

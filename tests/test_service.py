@@ -12,15 +12,10 @@ from repro.core.tuples import StreamTuple, Trace
 from repro.filters.spec import parse_filter
 from repro.runtime.merge import canonical_result
 from repro.runtime.tasks import EngineConfig
-from repro.service import (
-    Batch,
-    DeliveryQueue,
-    DisseminationService,
-    MicroBatcher,
-    ServiceConfig,
-    SessionDisconnected,
-    decided_map,
-)
+from repro.service.batching import Batch, MicroBatcher
+from repro.service.broker import DisseminationService, ServiceConfig
+from repro.service.loadgen import decided_map
+from repro.service.session import DeliveryQueue, SessionDisconnected
 from repro.sources import random_walk_trace
 
 SPECS = [
@@ -398,12 +393,8 @@ class TestReviewRegressions:
             service, sessions = await _spin_up("region", record_epochs=True)
             for item in trace[:50]:
                 await service.offer("src", item)
-            # app0 is grafted at its placed node; re-subscribing a new app
-            # from a node the overlay does not know must fail cleanly.
-            with pytest.raises(KeyError):
-                await service.subscribe(
-                    "newcomer", "src", "DC1(temp, 1.0, 0.5)", node="ghost-node"
-                )
+            with pytest.raises(ValueError, match="malformed filter spec"):
+                await service.subscribe("newcomer", "src", "DC1(temp, 1.0")
             for item in trace[50:]:
                 await service.offer("src", item)
             epochs = (await service.close())["src"]
@@ -435,8 +426,8 @@ class TestReviewRegressions:
                 )
             for item in trace[50:]:
                 await service.offer("src", item)
-            # The retry must succeed: the failed attempts left no leaked
-            # system subscription behind.
+            # The retry must succeed: the failed attempts left nothing
+            # registered under the app's name.
             await service.subscribe("newcomer", "src", "DC1(temp, 1.0, 0.5)")
             epochs = (await service.close())["src"]
             return epochs
@@ -450,7 +441,7 @@ class TestReviewRegressions:
         assert canonical_result(epochs[0]) == canonical_result(reference)
 
     def test_partial_cutover_failure_records_no_phantom_epoch(self):
-        """If one of several engine slots fails to finish mid-cutover, the
+        """If one of several engines fails to finish mid-cutover, the
         epoch list must stay untouched — no epoch whose tail emissions
         were never routed — and the source must keep serving."""
         trace = _trace(n=120, seed=23)
@@ -468,9 +459,9 @@ class TestReviewRegressions:
                 await service.subscribe(app, "src", spec, queue_capacity=10_000)
             for item in trace[:60]:
                 await service.offer("src", item)
-            slots = service._sources["src"].slots
-            assert len(slots) == 2
-            slots[1].engine.finish = lambda: (_ for _ in ()).throw(
+            engines = service._sources["src"].engines
+            assert len(engines) == 2
+            engines[1].finish = lambda: (_ for _ in ()).throw(
                 RuntimeError("boom")
             )
             with pytest.raises(RuntimeError, match="boom"):
@@ -489,7 +480,7 @@ class TestReviewRegressions:
 
         epochs_after_failure, epochs = asyncio.run(run())
         assert epochs_after_failure == 0
-        # One epoch per slot from the successful retry's cutover (the
+        # One epoch per engine from the successful retry's cutover (the
         # post-retry epoch is cut at close with nothing fed).
         assert len(epochs) == 2
 
@@ -504,7 +495,7 @@ class TestReviewRegressions:
             for item in trace[:40]:
                 await service.offer("src", item)
             # Inject a cutover failure: finishing the live engine raises.
-            engine = service._sources["src"].slots[0].engine
+            engine = service._sources["src"].engines[0]
             engine.finish = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
             with pytest.raises(RuntimeError, match="boom"):
                 await service.re_filter("app0", new_spec)
@@ -522,23 +513,36 @@ class TestReviewRegressions:
         assert specs_after_failure["app0"] == SPECS[0][1]
         assert specs_after_retry["app0"] == new_spec
 
-    def test_bad_node_subscribe_leaves_no_multicast_residue(self):
-        """A subscribe from an unknown node must not half-graft the app
-        into the Scribe group; a later valid subscribe must succeed."""
+    def test_add_source_of_a_live_source_raises_and_keeps_its_sessions(self):
+        """Re-advertising a source must not replace its state: the
+        subscribers it has would be orphaned (never fed, never closed,
+        their names still taken)."""
+        trace = _trace(n=100, seed=29)
 
         async def run():
-            service = DisseminationService(ServiceConfig())
-            service.add_source("src")
-            with pytest.raises(KeyError):
-                await service.subscribe(
-                    "app0", "src", "DC1(temp, 2.0, 1.0)", node="ghost-node"
-                )
-            session = await service.subscribe("app0", "src", "DC1(temp, 2.0, 1.0)")
-            await service.close()
-            return session
+            service, sessions = await _spin_up("region", record_epochs=True)
+            for item in trace[:50]:
+                await service.offer("src", item)
+            with pytest.raises(ValueError, match="already advertised"):
+                service.add_source("src")
+            kept = service.subscriptions("src"), service.session_count()
+            staged = sum(s.stats.staged_tuples for s in sessions.values())
+            for item in trace[50:]:
+                await service.offer("src", item)
+            epochs = (await service.close())["src"]
+            staged_after = sum(s.stats.staged_tuples for s in sessions.values())
+            return kept, staged, staged_after, epochs
 
-        session = asyncio.run(run())
-        assert session.app_name == "app0"
+        (subscriptions, session_count), staged, staged_after, epochs = (
+            asyncio.run(run())
+        )
+        assert subscriptions == SPECS
+        assert session_count == len(SPECS)
+        # The sessions kept receiving, from the one epoch they were in.
+        assert staged_after > staged
+        assert len(epochs) == 1
+        reference = _reference("region", trace)
+        assert canonical_result(epochs[0]) == canonical_result(reference)
 
     def test_unsubscribe_flushes_staged_batch(self):
         """Detach must not vanish decided-but-staged tuples uncounted."""

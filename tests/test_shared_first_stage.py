@@ -17,9 +17,9 @@ from repro.core.output import BatchedOutput, PerCandidateSetOutput, RegionOutput
 from repro.core.tuples import StreamTuple
 from repro.filters import parse_filter, replay_candidate_sets
 from repro.filters.sampling import StratifiedSamplingFilter
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import random_walk_trace
 
 # Spec templates over attributes ``v``/``w``; ``{d}`` is a drawn scale.
@@ -318,7 +318,7 @@ async def _run_script(trace, migrate_at=frozenset()):
         if index in migrate_at:
             state = await services[-1].export_source("src")
             services.append(broker())
-            for app, spec, _node in state["subscriptions"]:
+            for app, spec in state["subscriptions"]:
                 await attach(app, spec)
             await services[-1].import_source("src", state)
         await services[-1].offer("src", item)

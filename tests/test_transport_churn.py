@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from repro.core.engine import GroupAwareEngine
 from repro.filters.spec import parse_filter
 from repro.runtime.tasks import EngineConfig
-from repro.service import DisseminationService, ServiceConfig, decided_map
+from repro.service.broker import DisseminationService, ServiceConfig
+from repro.service.loadgen import decided_map
 from repro.sources import random_walk_trace
-from repro.transport import GatewayClient, GatewayServer
+from repro.transport.client import GatewayClient
+from repro.transport.server import GatewayServer
 
 APPS = ("a", "b", "c")
 SPEC_CHOICES = (

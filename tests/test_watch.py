@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.detect import (
     BucketDelta,
     EventWindow,
@@ -54,8 +54,8 @@ from repro.obs.slo import (
     worst,
 )
 from repro.obs.watch import HttpProbe, LocalProbe, Watchtower, format_report
-from repro.service import DisseminationService
-from repro.transport import SnapshotHTTP
+from repro.service.broker import DisseminationService
+from repro.transport.http import SnapshotHTTP
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -618,7 +618,7 @@ class TestEventsDropped:
 # ---------------------------------------------------------------------------
 class TestLoadgenHealth:
     def test_healthy_run_reports_ok_and_writes_health_json(self, tmp_path):
-        from repro.service import LoadGenConfig, run_loadgen
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
 
         summary = run_loadgen(
             LoadGenConfig(
@@ -648,7 +648,7 @@ class TestLoadgenHealth:
         assert reconciliation["within_tolerance"], reconciliation
 
     def test_overflow_storm_run_fires_critical_overflow_verdict(self):
-        from repro.service import LoadGenConfig, run_loadgen
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
 
         summary = run_loadgen(
             LoadGenConfig(
@@ -680,7 +680,7 @@ class TestLoadgenHealth:
         )
 
     def test_no_watch_opts_out(self):
-        from repro.service import LoadGenConfig, run_loadgen
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
 
         summary = run_loadgen(
             LoadGenConfig(

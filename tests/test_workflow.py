@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.qos import QualitySpec, propagate
+from repro.qos.propagation import propagate
+from repro.qos.spec import QualitySpec
 from repro.workflow import NodeKind, WorkflowGraph, plan_deployment
 
 

@@ -15,7 +15,9 @@ run meanwhile: the benchmark pins both CPUs of the reference container.
 A run whose result line is not ``correct`` with ``failed == 0`` stops
 the comparison (exit 1).  Every run goes to
 ``<out>/<workload>.seed-<s>.jsonl`` as it finishes; the per-metric
-median, quartiles, delta and wins/pairs go to the ``.md`` beside it.
+median, quartiles, delta and wins/pairs go to the ``.md`` beside it, and
+``<out>/README.md`` is rebuilt from every ``.jsonl`` in ``<out>``: the
+gated metrics of each comparison and a row for every run behind them.
 Uncommitted work is compared with ``--head $(git stash create)``.
 
 This file reads ``BENCHMARK.json`` for the workload names, the metrics'
@@ -117,7 +119,16 @@ def _verdict(wins: int, losses: int, pairs: int, delta: float, iqr: float,
     return "—"
 
 
-def _summary(rows: list[dict], spec: dict, title: str) -> str:
+def _title(rows: list[dict]) -> str:
+    first = rows[0]
+    sha = {row["side"]: row["sha"][:12] for row in rows}
+    return (
+        f"`{first['workload']}` seed {first['seed']}: `{sha.get('base')}` (base) against "
+        f"`{sha.get('head')}` (head), `--seconds {first['seconds']:g} --trace {first['trace']}`"
+    )
+
+
+def _summary(rows: list[dict], spec: dict, title: str, *, gated_only: bool = False) -> str:
     """Markdown table over the finished pairs of one workload."""
     declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     gated = [m["name"] for m in spec["end_to_end"]]
@@ -125,9 +136,10 @@ def _summary(rows: list[dict], spec: dict, title: str) -> str:
     for row in rows:
         by_pair.setdefault(row["pair"], {})[row["side"]] = row["metrics"]
     pairs = [p for p in by_pair.values() if len(p) == 2]
-    names = gated + sorted(
-        set.intersection(*(set(m) for p in pairs for m in p.values())) - set(gated)
-    )
+    common = set.intersection(*(set(m) for p in pairs for m in p.values())) if pairs else set()
+    names = [name for name in gated if name in common]
+    if not gated_only:
+        names += sorted(common - set(gated))
     out = [
         title,
         "",
@@ -161,6 +173,35 @@ def _summary(rows: list[dict], spec: dict, title: str) -> str:
     return "\n".join(out) + "\n"
 
 
+def _index(out_dir: Path, spec: dict) -> None:
+    """``README.md``: each comparison in ``out_dir`` by its gated metrics,
+    then every run it made, refused ones included."""
+    gated = [m["name"] for m in spec["end_to_end"]]
+    out = [
+        f"# {out_dir.name}: every run",
+        "",
+        "Written by `tools/ab_pairs.py` from the `.jsonl` files beside it; nothing "
+        "here is typed.  A heading links the table of every metric, per-layer ones "
+        "included.",
+        "",
+    ]
+    for log in sorted(out_dir.glob("*.jsonl")):
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        if not rows:
+            continue
+        heading = f"## [{_title(rows)}]({log.stem}.md)"
+        out.append(_summary(rows, spec, heading, gated_only=True))
+        out.append("| pair | side | " + " | ".join(f"`{n}`" for n in gated) + " | correct | failed |")
+        out.append("|---" * (len(gated) + 4) + "|")
+        for row in rows:
+            values = " | ".join(f"{row['metrics'][n]:.6g}" for n in gated)
+            out.append(
+                f"| {row['pair']} | {row['side']} | {values} | {row['correct']} | {row['failed']} |"
+            )
+        out.append("")
+    (out_dir / "README.md").write_text("\n".join(out))
+
+
 def _compare(work: Path, shas: dict, workload: str, args, spec: dict, out_dir: Path) -> bool:
     """All pairs of one workload; False as soon as a run is refused."""
     stem = f"{workload}.seed-{args.seed}" + (".traced" if args.trace else "")
@@ -186,11 +227,7 @@ def _compare(work: Path, shas: dict, workload: str, args, spec: dict, out_dir: P
                     print(f"refused: {side} run of pair {pair} is not correct", file=sys.stderr)
                     return False
                 rows.append(row)
-    title = (
-        f"# `{workload}` seed {args.seed}: `{shas['base'][:12]}` (base) against "
-        f"`{shas['head'][:12]}` (head), `--seconds {args.seconds:g} --trace {args.trace}`"
-    )
-    (out_dir / f"{stem}.md").write_text(_summary(rows, spec, title))
+    (out_dir / f"{stem}.md").write_text(_summary(rows, spec, f"# {_title(rows)}"))
     print(f"wrote {out_dir / stem}.md", flush=True)
     return True
 
@@ -215,9 +252,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         for side in SIDES:
             _extract(shas[side], Path(tmp) / side)
-        for workload in [args.workload] if args.workload else workloads:
-            if not _compare(Path(tmp), shas, workload, args, spec, out_dir):
-                return 1
+        try:
+            for workload in [args.workload] if args.workload else workloads:
+                if not _compare(Path(tmp), shas, workload, args, spec, out_dir):
+                    return 1
+        finally:
+            _index(out_dir, spec)
     return 0
 
 
