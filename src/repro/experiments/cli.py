@@ -162,7 +162,7 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
         choices=("shared",),
         default="shared",
         help="accepted for older launch scripts; decided batches are "
-        "always fanned out from segments encoded once per codec",
+        "always fanned out from segments encoded once",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
@@ -551,7 +551,7 @@ async def _watch_async(args: argparse.Namespace) -> int:
 
 
 def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
-    from repro.service.loadgen import CODECS, LOADGEN_SOURCES, SIZES, TRANSPORTS
+    from repro.service.loadgen import LOADGEN_SOURCES, SIZES, TRANSPORTS
     from repro.service.session import OVERFLOW_POLICIES
 
     parser.add_argument("--source", choices=LOADGEN_SOURCES, default="random_walk")
@@ -574,13 +574,6 @@ def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
         default=64,
         help="simulated payload bytes per tuple (TCP ingest-frame "
         "padding and the QoS controller's egress estimate)",
-    )
-    parser.add_argument(
-        "--codec",
-        choices=CODECS,
-        default="binary",
-        help="preferred wire body codec (tcp only; falls back to json "
-        "if the server refuses binary)",
     )
     parser.add_argument(
         "--ingest-batch",
@@ -667,7 +660,6 @@ def _service_config(args: argparse.Namespace, out_dir: str | None, verify: bool)
         transport=args.transport,
         connect=args.connect,
         tuple_size_bytes=args.tuple_bytes,
-        codec=args.codec,
         ingest_batch=args.ingest_batch,
         adaptive_batch=not args.fixed_batch,
         sources=args.sources,

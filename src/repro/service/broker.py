@@ -7,7 +7,7 @@ engine streams decided tuples to them continuously.
 batch machinery:
 
 * it owns one :class:`~repro.core.engine.GroupAwareEngine` per source
-  *epoch* (one per subgroup when regrouping splits a source's filters);
+  *epoch* — a source's subscribers are one filter group;
 * tuples arrive incrementally (:meth:`offer` / :meth:`feed`) and drive
   candidate-set closing and region decisions on arrival; timer ticks
   (:meth:`tick`) drive timely cuts and latency-bounded batch flushes
@@ -15,8 +15,7 @@ batch machinery:
 * subscriptions are dynamic — :meth:`subscribe`, :meth:`unsubscribe` and
   :meth:`re_filter` *cut the current engine over* (open candidate sets
   are flushed and decided) and rebuild the filter group from the new
-  subscription set, optionally regrouped via
-  :mod:`repro.adaptive.regroup`;
+  subscription set;
 * decided emissions are micro-batched per subscriber session and pushed
   into bounded queues whose overflow policy (block / drop-oldest /
   disconnect) makes slow consumers exert backpressure instead of
@@ -26,11 +25,6 @@ For a fixed trace with static subscriptions the service calls exactly
 the same engine methods in the same order as the batch path, so its
 decided outputs are identical to ``GroupAwareEngine.run`` —
 ``tests/test_service.py`` asserts this for both decide algorithms.
-
-When regrouping splits a source's filters into several subgroups, each
-subgroup runs its own engine; with ``ServiceConfig.shards > 1`` the
-subgroup decides for one arrival run in parallel on a thread pool, the
-in-broker analogue of the ``repro.runtime`` shard executors.
 """
 
 from __future__ import annotations
@@ -40,12 +34,10 @@ import io
 import marshal
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.adaptive.regroup import cap_group_size, partition_by_attribute
 from repro.core.cuts import TimeConstraint
 from repro.core.engine import EngineResult, GroupAwareEngine
 from repro.core.output import (
@@ -148,19 +140,11 @@ class ServiceConfig:
     #: Session outbound queue bound and overflow policy defaults.
     queue_capacity: int = 16
     overflow: str = "block"
-    #: Regrouping on subscription churn: cap subgroup size and/or split
-    #: by attribute overlap (``adaptive/regroup.py``).  ``None``/False
-    #: keeps one engine per source, which is the batch-identical mode.
-    max_group_size: Optional[int] = None
-    partition_attributes: bool = False
     #: Whether timer ticks may fire timely cuts between arrivals.  The
     #: live default is True (honest timeliness); False restricts cuts to
     #: arrivals so a constrained run stays deterministic against a batch
     #: reference (see GroupAwareEngine.tick) — the loadgen's verify mode.
     tick_cuts: bool = True
-    #: Thread lanes for parallel subgroup decides (>1 only matters when
-    #: regrouping produced several engines for one source).
-    shards: int = 1
     #: Payload bytes a tuple stands for: the degradation controller's
     #: egress estimate (shipped tuples times this).
     tuple_size_bytes: int = 64
@@ -194,17 +178,15 @@ class ServiceConfig:
                 f"unknown overflow policy {self.overflow!r}; "
                 f"expected {OVERFLOW_POLICIES}"
             )
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
 
 
 class _EpochJournal:
     """Replayable record of the current epoch, packed.
 
-    One entry per offer and per tick fed to the live engines.  Because
+    One entry per offer and per tick fed to the live engine.  Because
     the epoch's engine state is a pure function of this sequence
-    (engines are deterministic and rebuilt fresh on churn), replaying it
-    into fresh engines reproduces the epoch exactly — the basis of live
+    (an engine is deterministic and rebuilt fresh on churn), replaying it
+    into a fresh engine reproduces the epoch exactly — the basis of live
     migration and warm-standby re-arm.  Exact replay needs the whole
     prefix (a filter's reference chains across candidate sets), so an
     entry is kept as small as it can be rather than dropped: marshalled
@@ -254,17 +236,18 @@ class _SourceState:
     name: str
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     sessions: dict[str, SubscriberSession] = field(default_factory=dict)
-    #: Live engines: the whole source group, or one per regrouped subgroup.
-    engines: list[GroupAwareEngine] = field(default_factory=list)
-    #: Finished engine results, one per subscription epoch and subgroup.
+    #: The live engine over the whole source group; None with no
+    #: subscribers.
+    engine: Optional[GroupAwareEngine] = None
+    #: Finished engine results, one per subscription epoch.
     epochs: list[EngineResult] = field(default_factory=list)
     offered: int = 0
-    #: Tuples fed to the current epoch's engines (resets on rebuild).
+    #: Tuples fed to the current epoch's engine (resets on rebuild).
     fed: int = 0
     #: Wall-clock arrival time per offered-but-undecided tuple seq, for
     #: sub-tick decide-latency measurement (cleared on rebuild).
     arrivals_ns: dict[int, int] = field(default_factory=dict)
-    #: Everything fed to the current epoch's engines (cleared on rebuild).
+    #: Everything fed to the current epoch's engine (cleared on rebuild).
     journal: _EpochJournal = field(default_factory=_EpochJournal)
 
 
@@ -282,7 +265,6 @@ class DisseminationService:
         self._app_sources: dict[str, str] = {}
         self._retired: list[SessionSnapshot] = []
         self._decide_window: deque[float] = deque(maxlen=self.config.decide_window)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._now = 0.0
         self._offered = 0
         self._decided_emissions = 0
@@ -391,9 +373,9 @@ class DisseminationService:
         """Distinct filter first stages across the live engines; against
         :meth:`session_count` it is the sharing ratio."""
         return sum(
-            engine.context_count
+            src.engine.context_count
             for src in self._sources.values()
-            for engine in src.engines
+            if src.engine is not None
         )
 
     def journal_bytes(self) -> int:
@@ -424,7 +406,7 @@ class DisseminationService:
         degradation_level: int = 0,
         degradation_config: Optional[DegradationConfig] = None,
     ) -> SubscriberSession:
-        """Attach a subscriber at runtime; forces an engine regroup.
+        """Attach a subscriber at runtime; forces an engine rebuild.
 
         ``qos`` resolves the session's queue and batching bounds from the
         application's declared quality requirement (see
@@ -494,7 +476,7 @@ class DisseminationService:
             # Everything fallible — spec parsing, per-session knob
             # validation (queue/batcher construction) — happens before
             # the cutover: a failed subscribe must leave the current
-            # epoch's engines serving, not a stranded source.
+            # epoch's engine serving, not a stranded source.
             session = SubscriberSession(
                 app_name=app_name,
                 source_name=source_name,
@@ -522,7 +504,7 @@ class DisseminationService:
                 self._app_sources[app_name] = source_name
                 self._rebuild(src)
             except Exception:
-                # The cutover already emptied the live engines; rebuild
+                # The cutover already dropped the live engine; rebuild
                 # from the prior subscription set so the source keeps
                 # serving and a retry is not refused as "already
                 # subscribed".
@@ -540,14 +522,14 @@ class DisseminationService:
             return session
 
     async def unsubscribe(self, app_name: str) -> None:
-        """Detach a subscriber at runtime; forces an engine regroup."""
+        """Detach a subscriber at runtime; forces an engine rebuild."""
         source_name = self._require_app(app_name)
         src = self._src(source_name)
         async with src.lock:
             await self._detach(src, app_name)
 
     async def re_filter(self, app_name: str, new_spec: str) -> None:
-        """Swap a live subscriber's filter spec; forces an engine regroup.
+        """Swap a live subscriber's filter spec; forces an engine rebuild.
 
         A client-driven re-filter on a degradable session detaches its
         :class:`DegradationController`: an explicit spec choice is a
@@ -606,7 +588,7 @@ class DisseminationService:
         try:
             await self._cutover(src)
         except Exception:
-            # A failed cutover leaves half-finished engines; rebuild so
+            # A failed cutover leaves a half-finished engine; rebuild so
             # the source keeps serving (the session stays attached).
             self._rebuild(src)
             raise
@@ -645,69 +627,52 @@ class DisseminationService:
         ]
 
     def _rebuild(self, src: _SourceState) -> None:
-        """Fresh engines from the current subscription set."""
+        """A fresh engine from the current subscription set."""
         filters = self._parse_group(src)
-        self._drop_engines(src)
+        self._drop_engine(src)
         # A rebuild always follows a cutover: the old epoch's tuples were
         # emitted or dismissed with it, so their arrival times are dead.
         src.arrivals_ns.clear()
         src.journal.clear()
         if not filters:
             return
-        groups: list[list[GroupAwareFilter]] = (
-            partition_by_attribute(filters)
-            if self.config.partition_attributes
-            else [list(filters)]
-        )
-        if self.config.max_group_size is not None:
-            groups = [
-                chunk
-                for group in groups
-                for chunk in cap_group_size(group, self.config.max_group_size)
-            ]
         src.fed = 0
-        src.engines = [
-            engine_from_config(
-                group, self.config.engine, record=self.config.record_epochs
-            )
-            for group in groups
-        ]
+        src.engine = engine_from_config(
+            filters, self.config.engine, record=self.config.record_epochs
+        )
         self._regroups += 1
 
-    def _drop_engines(self, src: _SourceState) -> None:
-        """Forget the live engines, keeping what :meth:`snapshot` counts."""
-        self._cuts_triggered += sum(
-            engine.cuts_triggered for engine in src.engines
-        )
-        src.engines = []
+    def _drop_engine(self, src: _SourceState) -> None:
+        """Forget the live engine, keeping what :meth:`snapshot` counts."""
+        if src.engine is not None:
+            self._cuts_triggered += src.engine.cuts_triggered
+            src.engine = None
 
     async def _cutover(self, src: _SourceState) -> None:
-        """Finish the live engines, delivering their tail emissions.
+        """Finish the live engine, delivering its tail emissions.
 
         Open candidate sets are flushed and decided (the same semantics as
         end-of-stream), so a subscription change never strands admitted
         tuples; the next epoch starts from clean coordination state.
         """
-        if not src.engines:
+        engine = src.engine
+        if engine is None:
             return
         if src.fed == 0:
             # Nothing was ever offered to this epoch: no candidate state
             # to flush, so skip the empty EngineResult entirely.
-            self._drop_engines(src)
+            self._drop_engine(src)
             return
         started_ns = time.perf_counter_ns()
-        # Finish every engine before mutating any source state: a failure
-        # partway must leave the epoch list untouched (no phantom epochs
-        # whose tails were never routed) so the churn paths' rollback
-        # handlers can rebuild from a consistent record.
-        tails: list[Emission] = []
-        results: list[EngineResult] = []
-        for engine in src.engines:
-            tails.extend(engine.drain())
-            results.append(engine.finish())
+        # Finish the engine before mutating any source state: a failure
+        # must leave the epoch list untouched (no phantom epoch whose
+        # tail was never routed) so the churn paths' rollback handlers
+        # can rebuild from a consistent record.
+        tails = engine.drain()
+        result = engine.finish()
         if self.config.record_epochs:
-            src.epochs.extend(results)
-        self._drop_engines(src)
+            src.epochs.append(result)
+        self._drop_engine(src)
         self._note_emissions(src, tails)
         await self._route(src, tails, now=self._now)
         if self.telemetry is not None:
@@ -789,7 +754,7 @@ class DisseminationService:
                 del self._app_sources[app]
                 await session.close()
                 self._retired.append(self._session_snapshot(session))
-            self._drop_engines(src)
+            self._drop_engine(src)
             src.journal.clear()
             src.arrivals_ns.clear()
             offered = src.offered
@@ -855,7 +820,7 @@ class DisseminationService:
 
         The source must already exist here with the migrated
         subscriptions attached in their original insertion order and
-        nothing fed to the current epoch.  Engines are rebuilt fresh
+        nothing fed to the current epoch.  The engine is rebuilt fresh
         first (discarding any broadcast-tick contamination since the
         subscriptions attached), then the journal replays through the
         normal engine steps with *suppressed* emissions — what each
@@ -876,15 +841,13 @@ class DisseminationService:
             self._rebuild(src)
             journal = list(state.get("journal") or ())
             replayed = 0
-            if src.engines:
+            engine = src.engine
+            if engine is not None:
                 for kind, payload in journal:
                     if kind == "o":
-                        for engine in src.engines:
-                            engine.process(payload)
+                        engine.process(payload)
                     else:
-                        now_ms = float(payload)  # type: ignore[arg-type]
-                        for engine in src.engines:
-                            engine.tick(now_ms, cuts=self.config.tick_cuts)
+                        engine.tick(float(payload), cuts=self.config.tick_cuts)
                     self._journal(src, kind, payload)
                     replayed += 1
             src.fed = int(state.get("fed", 0))
@@ -952,7 +915,8 @@ class DisseminationService:
             )
         arrival_ns = time.perf_counter_ns()
         arrivals[item.seq] = arrival_ns
-        if src.engines:
+        engine = src.engine
+        if engine is not None:
             self._journal(src, "o", item)
         t = self.telemetry
         traced = False
@@ -969,9 +933,8 @@ class DisseminationService:
                         t.observe_stage(STAGE_INGEST_RECV, dur)
                 else:
                     t.bag.begin(key, arrival_ns)
-        emissions = await self._run_engines(
-            src, lambda engine: engine.process(item)
-        )
+        emissions = engine.process(item) if engine is not None else []
+        self._note_emissions(src, emissions)
         if traced:
             # Engine step time for this arrival, recorded without moving
             # the trace mark (the decide stage runs arrival -> emission).
@@ -1015,51 +978,19 @@ class DisseminationService:
         for src in targets:
             async with src.lock:
                 self._now = max(self._now, now_ms)
-                if src.engines and src.fed:
-                    # Idle epochs (nothing fed) need no tick replay:
-                    # fresh engines have no admitted tuples whose timely
-                    # cuts a tick could advance.
-                    self._journal(src, "t", now_ms)
-                emissions = await self._run_engines(
-                    src,
-                    lambda engine: engine.tick(
-                        now_ms, cuts=self.config.tick_cuts
-                    ),
-                )
+                engine = src.engine
+                emissions: list[Emission] = []
+                if engine is not None:
+                    if src.fed:
+                        # Idle epochs (nothing fed) need no tick replay:
+                        # a fresh engine has no admitted tuples whose
+                        # timely cuts a tick could advance.
+                        self._journal(src, "t", now_ms)
+                    emissions = engine.tick(now_ms, cuts=self.config.tick_cuts)
+                    self._note_emissions(src, emissions)
                 await self._dispatch(src, emissions, now=now_ms)
                 emitted += len(emissions)
         return emitted
-
-    async def _run_engines(
-        self,
-        src: _SourceState,
-        step: Callable[[GroupAwareEngine], list[Emission]],
-    ) -> list[Emission]:
-        """Run one step on every live engine, in parallel when sharded."""
-        if not src.engines:
-            return []
-        if len(src.engines) == 1 or self.config.shards == 1:
-            per_engine = [step(engine) for engine in src.engines]
-        else:
-            loop = asyncio.get_running_loop()
-            pool = self._decide_pool()
-            per_engine = await asyncio.gather(
-                *(
-                    loop.run_in_executor(pool, step, engine)
-                    for engine in src.engines
-                )
-            )
-        emissions = [e for emitted in per_engine for e in emitted]
-        self._note_emissions(src, emissions)
-        return emissions
-
-    def _decide_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.shards,
-                thread_name_prefix="repro-decide",
-            )
-        return self._pool
 
     def _note_emissions(
         self, src: _SourceState, emissions: Sequence[Emission]
@@ -1082,10 +1013,10 @@ class DisseminationService:
         if t is not None:
             self._m_decided.inc(len(emissions))
         for emission in emissions:
-            # get, not pop: with regrouped subgroups one tuple can be
-            # emitted by several engines (and again on later ticks); every
-            # emission must record its real latency, not a 0 for the
-            # repeats.  Entries are reclaimed by the rebuild clear and
+            # get, not pop: one tuple can be emitted more than once (the
+            # pcs and batched outputs release per decision, not per
+            # region); every emission must record its real latency, not
+            # a 0 for the repeats.  Entries are reclaimed by the rebuild clear and
             # the older-half drop at the cap, so the map stays bounded.
             start_ns = arrivals.get(emission.item.seq)
             if start_ns is not None:
@@ -1323,9 +1254,9 @@ class DisseminationService:
         # Retired engines plus the still-running ones: live cuts must
         # show up in periodic snapshots, not only after a cutover/close.
         cuts = self._cuts_triggered + sum(
-            engine.cuts_triggered
+            src.engine.cuts_triggered
             for src in self._sources.values()
-            for engine in src.engines
+            if src.engine is not None
         )
         return ServiceSnapshot.capture(
             now_ms=self._now,
@@ -1366,8 +1297,5 @@ class DisseminationService:
                 for session in src.sessions.values():
                     self._final_flush(session)
                     await session.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._closed = True
         return {src.name: list(src.epochs) for src in self._sources.values()}

@@ -18,9 +18,9 @@ directly onto process-per-shard scaling:
   / ``close``), so the *existing* :class:`GatewayServer` fronts it
   unchanged: client connections, subscriptions and the encode-once
   decided fan-out all stay in the router while every decide runs in a
-  worker process.  Router↔worker traffic speaks the binary wire codec
-  of :mod:`repro.transport.codec` — the inter-process format is the
-  wire format, there is no second serialization scheme;
+  worker process.  Router↔worker traffic is the wire protocol itself
+  (:mod:`repro.transport.protocol`: binary tuple frames, JSON control
+  frames) — there is no second serialization scheme;
 * **supervisor** — workers are health-checked (``/healthz`` pings plus
   process liveness); a dead worker is drained and respawned, its
   sources re-registered and its subscriptions re-subscribed with their
@@ -101,9 +101,6 @@ class ClusterConfig:
     batch_max_delay_ms: float = 50.0
     tick_cuts: bool = True
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Router→worker wire body codec (binary is the whole point; json is
-    #: kept for A/B and debugging).
-    codec: str = "binary"
     #: Supervisor cadence and tolerances.
     health_interval_s: float = 1.0
     health_misses: int = 3
@@ -146,8 +143,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.codec not in ("binary", "json"):
-            raise ValueError(f"unknown codec {self.codec!r}")
         if self.metrics_scrape_ttl_s < 0:
             raise ValueError("metrics_scrape_ttl_s must be >= 0")
         if self.standby < 0 or self.standby > self.workers:
@@ -868,7 +863,6 @@ class ClusterService:
             worker.client = await GatewayClient.connect(
                 "127.0.0.1",
                 worker.port,
-                codec=self.config.codec,
                 max_frame_bytes=self.config.max_frame_bytes,
                 telemetry=self._client_telemetry,
             )

@@ -68,7 +68,6 @@ __all__ = [
     "SIZES",
     "LOADGEN_SOURCES",
     "TRANSPORTS",
-    "CODECS",
     "ChurnEvent",
     "LoadGenConfig",
     "default_churn",
@@ -85,10 +84,6 @@ LOADGEN_SOURCES = ("random_walk", "sine", "namos", "volcano", "fire", "cow")
 
 #: How offered tuples reach the broker.
 TRANSPORTS = ("inproc", "tcp")
-
-#: Wire body codecs (tcp only; mirrors ``repro.transport.codec``,
-#: duplicated here so the service package keeps its lazy transport import).
-CODECS = ("json", "binary")
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,6 @@ class LoadGenConfig:
     #: each ingest frame so wire throughput reflects the configured tuple
     #: size; in the broker, the QoS controller's egress estimate.
     tuple_size_bytes: int = 64
-    #: Preferred wire body codec (tcp only; the hello handshake may fall
-    #: back to "json" against a server that refuses "binary").
-    codec: str = "binary"
     #: Tuples per ingest frame / broker offer.  1 keeps the one-frame-
     #: per-tuple behaviour; larger values batch arrivals into
     #: ``ingest_batch`` frames (tcp) and ``offer_many`` calls (both
@@ -223,10 +215,6 @@ class LoadGenConfig:
                 )
         if self.tuple_size_bytes < 0:
             raise ValueError("tuple_size_bytes must be non-negative")
-        if self.codec not in CODECS:
-            raise ValueError(
-                f"unknown codec {self.codec!r}; expected one of {CODECS}"
-            )
         if self.ingest_batch < 1:
             raise ValueError("ingest_batch must be at least 1")
         if self.sources < 1:
@@ -614,10 +602,6 @@ class _InProcDriver:
     async def start(self) -> None:
         pass
 
-    @property
-    def negotiated_codec(self) -> Optional[str]:
-        return None
-
     async def attach(
         self,
         source: str,
@@ -728,7 +712,6 @@ class _TcpDriver:
                         batch_max_items=config.batch_max_items,
                         batch_max_delay_ms=config.batch_max_delay_ms,
                         tick_cuts=self._tick_cuts,
-                        codec=config.codec,
                     ),
                     telemetry=self.telemetry,
                 )
@@ -759,7 +742,7 @@ class _TcpDriver:
                 port = int(port_text)
             for source in self.sources:
                 client = await GatewayClient.connect(
-                    host, port, codec=config.codec, telemetry=self.telemetry
+                    host, port, telemetry=self.telemetry
                 )
                 await client.ensure_source(source)
                 self.clients[source] = client
@@ -770,10 +753,6 @@ class _TcpDriver:
             # gateway down closes the backend, cluster included).
             await self.cleanup()
             raise
-
-    @property
-    def negotiated_codec(self) -> Optional[str]:
-        return self.control.codec if self.control is not None else None
 
     async def attach(
         self,
@@ -1463,9 +1442,6 @@ async def _run_async(
             "degradation_levels": list(config.degradation_levels),
         },
         "transport": config.transport,
-        #: Actually negotiated wire codec (None in-process; may be
-        #: "json" despite a "binary" preference against an old server).
-        "codec": driver.negotiated_codec,
         "ingest_batch": config.ingest_batch,
         "adaptive_batch": feeds[0].controller is not None,
         "ingest_batch_trajectory": (

@@ -120,7 +120,6 @@ _LOAD_KEYS = frozenset(
         "metrics_interval_s",
         "max_in_flight",
         "transport",
-        "codec",
         "ingest_batch",
         "adaptive_batch",
         "sources",

@@ -33,12 +33,7 @@ from repro.obs.trace import STAGE_INGEST_SEND, stage_id
 from repro.qos.controller import DegradationConfig, policy_to_profile
 from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.service.batching import Batch
-from repro.transport.codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-    make_encoder,
-)
+from repro.transport.codec import BinaryEncoder
 from repro.transport.protocol import (
     FEATURE_QOS,
     FEATURE_TRACE,
@@ -356,7 +351,7 @@ class GatewayClient:
         #: client-side ``ingest_send`` stage measurement, and local stage
         #: histograms.
         self.telemetry = telemetry
-        #: Features confirmed by the server's welcome (empty for v1).
+        #: Features confirmed by the server's welcome.
         self.features: list[str] = []
         self._seq = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -368,9 +363,8 @@ class GatewayClient:
         self._dead_reason: Optional[str] = None
         #: Populated from the server's welcome frame.
         self.server_sources: tuple[str, ...] = ()
-        #: Negotiated body codec ("json" until the welcome upgrades it).
-        self.codec: str = CODEC_JSON
-        self._encoder = make_encoder(CODEC_JSON)
+        #: Encodes this connection's ``ingest`` / ``ingest_batch`` frames.
+        self._encoder = BinaryEncoder()
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -383,27 +377,15 @@ class GatewayClient:
         *,
         token: Optional[str] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        codec: str = CODEC_BINARY,
         telemetry: Optional[Telemetry] = None,
     ) -> "GatewayClient":
-        """Open and authenticate one gateway connection.
-
-        ``codec`` is the *preferred* body codec.  The hello offers it
-        (with JSON as the standing fallback) and the server's welcome
-        confirms the choice; an old server that names no codec leaves
-        the connection on plain JSON, transparently.
-        """
-        if codec not in SUPPORTED_CODECS:
-            raise ValueError(
-                f"unknown codec {codec!r}; expected one of {SUPPORTED_CODECS}"
-            )
+        """Open and authenticate one gateway connection."""
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(
             reader, writer, max_frame_bytes=max_frame_bytes, telemetry=telemetry
         )
         client._read_task = asyncio.ensure_future(client._read_loop())
-        offered = [codec] if codec == CODEC_JSON else [codec, CODEC_JSON]
-        hello: dict = {"t": "hello", "v": PROTOCOL_VERSION, "codecs": offered}
+        hello: dict = {"t": "hello", "v": PROTOCOL_VERSION}
         # qos (server-pushed degradation updates) costs nothing to
         # receive, so it is always offered; trace only makes sense with
         # a telemetry bundle to record into.
@@ -419,11 +401,6 @@ class GatewayClient:
             await client.close(send_bye=False)
             raise
         client.server_sources = tuple(welcome.get("sources", ()))
-        chosen = welcome.get("codec", CODEC_JSON)
-        if chosen not in SUPPORTED_CODECS:
-            chosen = CODEC_JSON
-        client.codec = chosen
-        client._encoder = make_encoder(chosen)
         confirmed = welcome.get("features")
         if isinstance(confirmed, list):
             client.features = [f for f in confirmed if isinstance(f, str)]
@@ -462,7 +439,7 @@ class GatewayClient:
         )
 
     def _write_body(self, body: bytes) -> None:
-        """Write one pre-encoded frame body (codec hot paths)."""
+        """Write one pre-encoded binary frame body (the hot paths)."""
         if len(body) > self._max_frame_bytes:
             raise FrameTooLarge(len(body), self._max_frame_bytes)
         self._writer.write(pack_header(len(body)) + body)
@@ -551,9 +528,9 @@ class GatewayClient:
         completion semantics as the in-process ``offer``.  ``ack=False``
         is fire-and-forget (the frame is written and drained, nothing
         more).  ``pad_bytes`` attaches throwaway payload so the wire
-        frame approximates a configured tuple size.  The frame body uses
-        the negotiated codec.  ``adapt`` feeds the measured ack latency
-        to an :class:`AdaptiveIngest` controller (acked sends only).
+        frame approximates a configured tuple size.  ``adapt`` feeds the
+        measured ack latency to an :class:`AdaptiveIngest` controller
+        (acked sends only).
         ``trace`` attaches explicit ``(stage_id, dur_ns)`` pairs instead
         of the client-measured ``ingest_send`` stage — the cluster
         router uses it to forward a trace carried from the producer.

@@ -1,21 +1,16 @@
 """Sans-io binary wire codec for the dissemination gateway.
 
-The PR-3 wire protocol spends most of its per-tuple CPU on ``json.dumps``
-/ ``json.loads``: every ingest frame re-serializes the attribute names,
-and every decided batch is re-encoded once per subscriber session.  This
-module removes that tax while staying protocol-compatible:
+Protocol v2: every tuple frame (``ingest``, ``ingest_batch``,
+``decided``) is binary; every control frame (hello, ok, error,
+subscribe, snapshot, the migration verbs, ...) is JSON.  Nothing is
+negotiated — the two never overlap:
 
 * **Self-describing bodies.**  A frame body whose first byte is ``{``
-  (0x7B) is the v1 UTF-8 JSON format; any other first byte is a binary
+  (0x7B) is a UTF-8 JSON control frame; any other first byte is a binary
   frame *tag*.  The :class:`~repro.transport.protocol.FrameDecoder`
-  dispatches on that byte, so JSON and binary frames interleave freely
-  on one connection and every control frame (hello, ok, error,
-  subscribe, snapshot, ...) simply stays JSON — the transparent
-  fallback.
-* **Negotiated use.**  A peer may only *send* binary frames after the
-  hello handshake agreed to them: the client offers ``codecs`` in its
-  ``hello``, the server confirms the chosen codec in ``welcome``
-  (:func:`negotiate`).  A v1 client that offers nothing gets pure JSON.
+  dispatches on that byte, so control and tuple frames interleave freely
+  on one connection, and refuses a JSON body that claims a tuple-frame
+  type.
 * **Interned attribute names.**  Binary tuple records carry attribute
   *ids*, not names.  Each sender owns a :class:`NameTable` assigning
   dense ids; every frame that uses an id the receiving connection has
@@ -23,12 +18,11 @@ module removes that tax while staying protocol-compatible:
   self-contained per connection while tuples cost ~10 bytes of names
   overhead exactly once per attribute, not once per tuple.
 * **Encode-once segments.**  A tuple serializes to an immutable
-  :class:`Segment` — for the binary codec a struct-packed record over
-  the *shared* name table, for JSON the tuple's JSON text.  The gateway
-  keeps one :class:`SegmentCache` per codec, so a tuple fanned out to N
-  subscriber sessions is encoded once and the N ``decided`` frames are
-  assembled from the same segment bytes by reference
-  (:meth:`FrameEncoder.decided_pieces` returns a piece list for
+  :class:`Segment` — a struct-packed record over the *shared* name
+  table.  The gateway keeps one :class:`SegmentCache`, so a tuple fanned
+  out to N subscriber sessions is encoded once and the N ``decided``
+  frames are assembled from the same segment bytes by reference
+  (:meth:`BinaryEncoder.decided_pieces` returns a piece list for
   ``writelines``; nothing is concatenated per session).
 
 Binary frame layouts (after the 4-byte big-endian length header)::
@@ -60,42 +54,29 @@ between traced and untraced frames::
     0x12 ingest_batch  0x02 layout, then tracemap
     0x13 decided       0x03 layout, then tracemap
 
-Decoding always yields the *same dict shapes* the JSON protocol uses
-(``{"t": "ingest", "source": ..., "tuple": {...}}``), so the server
-dispatch, the client read loop and every test helper are codec-agnostic.
+Decoding yields the dict shape control frames have (``{"t": "ingest",
+"source": ..., "tuple": StreamTuple}``), so the server dispatch and the
+client read loop handle one kind of frame.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Iterable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
 from repro.service.batching import Batch
-from repro.transport.protocol import FrameTooLarge, ProtocolError, tuple_to_wire
+from repro.transport.protocol import FrameTooLarge, ProtocolError
 
 __all__ = [
-    "CODEC_JSON",
-    "CODEC_BINARY",
-    "SUPPORTED_CODECS",
-    "negotiate",
     "NameTable",
     "Segment",
     "SegmentCache",
-    "FrameEncoder",
-    "JsonEncoder",
     "BinaryEncoder",
     "make_encoder",
     "decode_binary_body",
     "BinaryNames",
 ]
-
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-
-#: Codecs this implementation can send and receive.
-SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
 
 _TAG_INGEST = 0x01
 _TAG_INGEST_BATCH = 0x02
@@ -110,26 +91,6 @@ _F64 = struct.Struct("<d")
 #: ``{seq: [(stage_id, duration_ns), ...]}`` — the normalized trace
 #: annotation shape (see :func:`repro.transport.protocol.traces_from_wire`).
 TraceMap = dict
-
-
-def negotiate(
-    offered: Optional[Sequence[str]],
-    supported: Sequence[str] = SUPPORTED_CODECS,
-) -> str:
-    """Server-side codec choice: first offered codec the server supports.
-
-    ``None`` or an empty offer is a v1 client — pure JSON.  An offer
-    containing no supported codec also falls back to JSON (the client
-    must treat an unconfirmed codec as refused).  ``supported`` lets a
-    server restrict itself below :data:`SUPPORTED_CODECS` (tests use a
-    JSON-only server to exercise the fallback path).
-    """
-    if not offered:
-        return CODEC_JSON
-    for name in offered:
-        if name in supported and name in SUPPORTED_CODECS:
-            return name
-    return CODEC_JSON
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +127,6 @@ def _put_trace_map(out: bytearray, traces) -> None:
     for seq, pairs in traces.items():
         _put_varint(out, int(seq))
         _put_trace_pairs(out, pairs)
-
-
-def _traces_json(traces) -> bytes:
-    """The JSON codec's ``traces`` object (string seq keys)."""
-    return json.dumps(
-        {
-            str(seq): [[int(sid), int(ns)] for sid, ns in pairs]
-            for seq, pairs in traces.items()
-        },
-        separators=(",", ":"),
-    ).encode("ascii")
 
 
 class _Reader:
@@ -274,7 +224,15 @@ class BinaryNames:
         self._names: dict[int, str] = {}
 
     def learn(self, nid: int, name: str) -> None:
-        self._names[nid] = name
+        # A sender's NameTable is append-only, so an id never changes
+        # its name; re-announcing the same name is legal (an oversized
+        # frame's refusal re-sends its delta).
+        known = self._names.setdefault(nid, name)
+        if known != name:
+            raise ProtocolError(
+                f"binary frame rebinds attribute id {nid} from "
+                f"{known!r} to {name!r}"
+            )
 
     def resolve(self, nid: int) -> str:
         try:
@@ -351,178 +309,17 @@ class SegmentCache:
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
-class FrameEncoder:
-    """Per-connection sending side of one negotiated codec.
+class BinaryEncoder:
+    """Per-connection sending side: struct-packed tuple frames over a
+    (possibly shared) name table.
 
-    Subclasses provide the three hot-path encodings (single ingest,
-    batched ingest, decided fan-out); everything else goes through
-    :func:`repro.transport.protocol.encode_frame` as plain JSON.
+    The three methods are the hot-path encodings (single ingest, batched
+    ingest, decided fan-out); everything else goes through
+    :func:`repro.transport.protocol.encode_frame` as JSON.
     ``decided_pieces`` returns ``(pieces, total_bytes)`` where ``pieces``
     is ready for ``StreamWriter.writelines`` — callers prepend the
     4-byte length header and never join the pieces.
     """
-
-    codec = CODEC_JSON
-
-    def ingest_body(
-        self,
-        source: str,
-        item: StreamTuple,
-        *,
-        seq: Optional[int] = None,
-        pad_bytes: int = 0,
-        max_frame_bytes: Optional[int] = None,
-        trace: Optional[list] = None,
-    ) -> bytes:
-        raise NotImplementedError
-
-    def ingest_batch_body(
-        self,
-        source: str,
-        items: Sequence[StreamTuple],
-        *,
-        seq: Optional[int] = None,
-        pad_bytes: int = 0,
-        max_frame_bytes: Optional[int] = None,
-        traces: Optional[TraceMap] = None,
-    ) -> bytes:
-        raise NotImplementedError
-
-    def decided_pieces(
-        self,
-        app: str,
-        batch: Batch,
-        *,
-        max_frame_bytes: int,
-        shared: bool = True,
-        traces: Optional[TraceMap] = None,
-    ) -> tuple[list[bytes], int]:
-        raise NotImplementedError
-
-
-def _require_shared(shared: bool) -> None:
-    # ``decided_pieces(shared=)`` selects nothing any more; it is accepted
-    # because benchmarks/e2e/harness/layers.py:271 still passes True.
-    if not shared:
-        raise ValueError(
-            "decided frames are only assembled from shared segments; "
-            "shared=False selects nothing"
-        )
-
-
-class JsonEncoder(FrameEncoder):
-    """The v1 JSON format, with encode-once segment assembly for fan-out."""
-
-    codec = CODEC_JSON
-
-    def __init__(self, cache: Optional[SegmentCache] = None):
-        self._cache = cache if cache is not None else SegmentCache()
-
-    # -- segments -------------------------------------------------------
-    def tuple_segment(self, item: StreamTuple) -> Segment:
-        segment = self._cache.get(item)
-        if segment is None:
-            segment = Segment(
-                json.dumps(
-                    tuple_to_wire(item), separators=(",", ":")
-                ).encode("utf-8")
-            )
-            self._cache.put(item, segment)
-        return segment
-
-    # -- hot paths ------------------------------------------------------
-    def ingest_body(
-        self,
-        source,
-        item,
-        *,
-        seq=None,
-        pad_bytes=0,
-        max_frame_bytes=None,
-        trace=None,
-    ):
-        frame: dict = {
-            "t": "ingest",
-            "source": source,
-            "tuple": tuple_to_wire(item),
-        }
-        if seq is not None:
-            frame["seq"] = seq
-        if pad_bytes > 0:
-            frame["pad"] = "x" * pad_bytes
-        if trace:
-            frame["trace"] = [[int(sid), int(ns)] for sid, ns in trace]
-        body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-        if max_frame_bytes is not None and len(body) > max_frame_bytes:
-            raise FrameTooLarge(len(body), max_frame_bytes)
-        return body
-
-    def ingest_batch_body(
-        self,
-        source,
-        items,
-        *,
-        seq=None,
-        pad_bytes=0,
-        max_frame_bytes=None,
-        traces=None,
-    ):
-        frame: dict = {
-            "t": "ingest_batch",
-            "source": source,
-            "tuples": [tuple_to_wire(item) for item in items],
-        }
-        if seq is not None:
-            frame["seq"] = seq
-        if pad_bytes > 0:
-            frame["pad"] = "x" * pad_bytes
-        if traces:
-            frame["traces"] = {
-                str(seq_): [[int(sid), int(ns)] for sid, ns in pairs]
-                for seq_, pairs in traces.items()
-            }
-        body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-        if max_frame_bytes is not None and len(body) > max_frame_bytes:
-            raise FrameTooLarge(len(body), max_frame_bytes)
-        return body
-
-    def decided_pieces(
-        self, app, batch, *, max_frame_bytes, shared=True, traces=None
-    ):
-        _require_shared(shared)
-        prefix = (
-            b'{"t":"decided","app":'
-            + json.dumps(app).encode("utf-8")
-            + b',"first_staged_ms":'
-            + repr(float(batch.first_staged_ms)).encode("ascii")
-            + b',"flushed_ms":'
-            + repr(float(batch.flushed_ms)).encode("ascii")
-            + b',"items":['
-        )
-        pieces: list[bytes] = [prefix]
-        total = len(prefix)
-        segments = [self.tuple_segment(item) for item in batch.items]
-        for index, segment in enumerate(segments):
-            if index:
-                pieces.append(b",")
-                total += 1
-            pieces.append(segment.data)
-            total += len(segment.data)
-        if traces:
-            tail = b'],"traces":' + _traces_json(traces) + b"}"
-        else:
-            tail = b"]}"
-        pieces.append(tail)
-        total += len(tail)
-        if total > max_frame_bytes:
-            raise FrameTooLarge(total, max_frame_bytes)
-        return pieces, total
-
-
-class BinaryEncoder(FrameEncoder):
-    """Struct-packed hot frames over a (possibly shared) name table."""
-
-    codec = CODEC_BINARY
 
     def __init__(
         self,
@@ -576,14 +373,14 @@ class BinaryEncoder(FrameEncoder):
     # -- hot paths ------------------------------------------------------
     def ingest_body(
         self,
-        source,
-        item,
+        source: str,
+        item: StreamTuple,
         *,
-        seq=None,
-        pad_bytes=0,
-        max_frame_bytes=None,
-        trace=None,
-    ):
+        seq: Optional[int] = None,
+        pad_bytes: int = 0,
+        max_frame_bytes: Optional[int] = None,
+        trace: Optional[list] = None,
+    ) -> bytes:
         head = bytearray([_TAG_INGEST_TRACED if trace else _TAG_INGEST])
         _put_varint(head, 0 if seq is None else seq + 1)
         _put_string(head, source)
@@ -604,14 +401,14 @@ class BinaryEncoder(FrameEncoder):
 
     def ingest_batch_body(
         self,
-        source,
-        items,
+        source: str,
+        items: Sequence[StreamTuple],
         *,
-        seq=None,
-        pad_bytes=0,
-        max_frame_bytes=None,
-        traces=None,
-    ):
+        seq: Optional[int] = None,
+        pad_bytes: int = 0,
+        max_frame_bytes: Optional[int] = None,
+        traces: Optional[TraceMap] = None,
+    ) -> bytes:
         head = bytearray(
             [_TAG_INGEST_BATCH_TRACED if traces else _TAG_INGEST_BATCH]
         )
@@ -634,9 +431,21 @@ class BinaryEncoder(FrameEncoder):
         return bytes(head + body)
 
     def decided_pieces(
-        self, app, batch, *, max_frame_bytes, shared=True, traces=None
-    ):
-        _require_shared(shared)
+        self,
+        app: str,
+        batch: Batch,
+        *,
+        max_frame_bytes: int,
+        shared: bool = True,
+        traces: Optional[TraceMap] = None,
+    ) -> tuple[list[bytes], int]:
+        # ``shared=`` selects nothing; it is accepted because
+        # benchmarks/e2e/harness/layers.py:271 still passes True.
+        if not shared:
+            raise ValueError(
+                "decided frames are only assembled from shared segments; "
+                "shared=False selects nothing"
+            )
         segments = [self.tuple_segment(item) for item in batch.items]
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
         _put_string(head, app)
@@ -672,13 +481,13 @@ def make_encoder(
     *,
     table: Optional[NameTable] = None,
     cache: Optional[SegmentCache] = None,
-) -> FrameEncoder:
-    """Encoder for one negotiated connection."""
-    if codec == CODEC_BINARY:
-        return BinaryEncoder(table=table, cache=cache)
-    if codec == CODEC_JSON:
-        return JsonEncoder(cache=cache)
-    raise ValueError(f"unknown codec {codec!r}; expected {SUPPORTED_CODECS}")
+) -> BinaryEncoder:
+    """Encoder for one connection."""
+    # The positional name selects nothing; it is accepted because
+    # benchmarks/e2e/harness/layers.py:213, :266 still pass "binary".
+    if codec != "binary":
+        raise ValueError(f"unknown codec {codec!r}; expected 'binary'")
+    return BinaryEncoder(table=table, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +522,17 @@ def _read_tuple(reader: _Reader, names: BinaryNames) -> StreamTuple:
     for _ in range(n_attrs):
         nid = reader.varint()
         values[names.resolve(nid)] = reader.f64()
-    # Decoded straight to a StreamTuple (the payload codecs pass
-    # instances through), skipping the dict round trip JSON pays.
+    # Decoded straight to a StreamTuple; tuple_from_wire passes
+    # instances through.
     return StreamTuple.trusted(seq, ts, values)
 
 
 def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
-    """Decode one binary frame body into the canonical JSON dict shape.
+    """Decode one binary frame body into the control frames' dict shape.
 
     ``names`` is the connection's receiver-side table; deltas carried by
-    the frame are learned before any tuple record is resolved.
+    the frame are learned before any tuple record is resolved.  The body
+    must be exactly one frame: bytes past its end are a protocol error.
     """
     reader = _Reader(body, pos=1)
     tag = body[0]
@@ -756,8 +566,7 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
                 frame["traces"] = _read_trace_map(reader)
         if req:
             frame["seq"] = req - 1
-        return frame
-    if tag in (_TAG_DECIDED, _TAG_DECIDED_TRACED):
+    elif tag in (_TAG_DECIDED, _TAG_DECIDED_TRACED):
         app = reader.string()
         first_staged_ms = reader.f64()
         flushed_ms = reader.f64()
@@ -772,5 +581,11 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
         }
         if tag == _TAG_DECIDED_TRACED:
             frame["traces"] = _read_trace_map(reader)
-        return frame
-    raise ProtocolError(f"unknown binary frame tag 0x{tag:02x}")
+    else:
+        raise ProtocolError(f"unknown binary frame tag 0x{tag:02x}")
+    if not reader.exhausted:
+        raise ProtocolError(
+            f"trailing bytes in binary frame: {len(body) - reader.pos} "
+            f"after a complete {frame['t']!r} body"
+        )
+    return frame

@@ -1,20 +1,29 @@
-"""Length-prefixed JSON wire protocol for the dissemination gateway.
+"""Length-prefixed wire protocol for the dissemination gateway.
 
 One frame on the wire is a 4-byte big-endian length header followed by
-that many bytes of UTF-8 JSON.  Every frame is a JSON object with a
-``"t"`` type tag; request frames carry a client-chosen ``"seq"`` and the
-server's response echoes it as ``"reply_to"``, so one connection can
-multiplex many outstanding requests with unsolicited ``decided`` /
-``closed`` delivery frames in between.
+that many body bytes.  Protocol v2 has exactly one body format per frame
+type: the tuple frames (``ingest``, ``ingest_batch``, ``decided``) are
+struct-packed binary (:mod:`repro.transport.codec`, which has the layout
+tables); every other frame — the control plane — is a UTF-8 JSON object.
+A body whose first byte is ``{`` is JSON, any other first byte is a
+binary frame tag, and a JSON body that claims a tuple-frame type is a
+:class:`ProtocolError`.  Nothing is negotiated about the format.
+
+Every frame decodes to a dict with a ``"t"`` type tag; request frames
+carry a client-chosen ``"seq"`` and the server's response echoes it as
+``"reply_to"``, so one connection can multiplex many outstanding
+requests with unsolicited ``decided`` / ``closed`` delivery frames in
+between.
 
 The protocol is versioned at the handshake: the first frame on a
 connection must be ``hello`` with ``"v" == PROTOCOL_VERSION``; the
 server answers ``welcome`` (or ``error`` + close on a version or auth
-mismatch).
+mismatch — a v1 hello, from a peer that could still send JSON tuple
+frames, is refused with ``code=version``).
 
 Frame vocabulary (client → server unless noted)::
 
-    hello         {v, token?, codecs?, features?} -> welcome | error
+    hello         {v, token?, features?}         -> welcome | error
     ensure_source {seq, source}                  -> ok {created}
     ingest        {source, tuple, seq?, pad?}    -> ok {emissions}   (when seq given)
     ingest_batch  {source, tuples, seq?, pad?}   -> ok {emissions}   (when seq given)
@@ -29,8 +38,7 @@ Frame vocabulary (client → server unless noted)::
     snapshot      {seq, window?}                 -> snapshot {snapshot}
     bye           {reason?}                      (either direction)
 
-    welcome       {v, server, sources, codec,
-                   features}                     (server → client)
+    welcome       {v, server, sources, features} (server → client)
     ok            {reply_to, ...}                (server → client)
     error         {reply_to?, code, message}     (server → client)
     decided       {app, items, first_staged_ms,
@@ -50,18 +58,17 @@ attach its raw decide-latency sliding window (``decide_window_ms``) so
 a front-tier router can merge several workers' windows into one honest
 percentile computation.
 
-Besides ``codecs``, the hello may offer ``features`` — protocol
-extensions beyond the body codec.  The server confirms the agreed
-subset in ``welcome`` (:func:`negotiate_features`); an extension may
-only appear on the wire after both sides agreed, so v1 peers are
-untouched.  The defined features:
+The hello may offer ``features`` — protocol extensions.  The server
+confirms the agreed subset in ``welcome`` (:func:`negotiate_features`);
+an extension may only appear on the wire after both sides agreed.  The
+defined features:
 
 * ``"trace"``: sampled per-tuple stage-latency annotations
   (:mod:`repro.obs.trace`).  When negotiated, ``ingest`` may carry
   ``trace`` (a ``[[stage_id, duration_ns], ...]`` pair list for its
   tuple) and ``ingest_batch`` / ``decided`` may carry ``traces`` (a
   ``{seq: pairs}`` map covering only the sampled tuples in the frame);
-  :func:`traces_from_wire` normalizes either codec's decoded shape.
+  :func:`traces_from_wire` normalizes the decoded shapes.
   Trace annotations are additive metadata — receivers that negotiated
   the feature but find no trace field simply record nothing.
 * ``"qos"``: server-initiated graceful degradation.  ``subscribe`` may
@@ -74,18 +81,9 @@ untouched.  The defined features:
   even for a client that did not negotiate ``qos``; only the
   ``qos_update`` notifications are gated on the agreement.
 
-Two *body codecs* share this frame vocabulary.  A body whose first byte
-is ``{`` is UTF-8 JSON (the v1 format); any other first byte is a
-struct-packed binary frame (:mod:`repro.transport.codec`).  The client
-offers ``codecs`` (preference-ordered) in its hello and the server
-confirms the chosen one in ``welcome``; either side may only *send*
-binary after that agreement, so a v1 peer never sees a binary frame.
-Control frames stay JSON under either codec — only the hot paths
-(``ingest``, ``ingest_batch``, ``decided``) have binary encodings.
-
 :class:`FrameDecoder` is sans-io: feed it whatever ``read()`` returned
 — half a header, three frames glued together — and it yields exactly
-the complete frames (as dicts, whichever codec encoded them), enforcing
+the complete frames (as dicts, JSON or binary on the wire), enforcing
 ``max_frame_bytes`` *from the header* so an oversized frame is rejected
 before its body is buffered.
 """
@@ -113,12 +111,14 @@ __all__ = [
     "FrameDecoder",
     "tuple_to_wire",
     "tuple_from_wire",
-    "batch_to_wire",
     "batch_from_wire",
     "traces_from_wire",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Frame types that only exist as binary bodies.
+_TUPLE_FRAMES = frozenset(("ingest", "ingest_batch", "decided"))
 
 #: Optional protocol extension: sampled per-tuple trace annotations.
 FEATURE_TRACE = "trace"
@@ -173,7 +173,7 @@ def negotiate_features(
 ) -> list[str]:
     """Server-side feature agreement: offered ∩ supported, offer order.
 
-    ``None`` (a v1 hello with no ``features`` key) or an unrecognized
+    ``None`` (a hello with no ``features`` key) or an unrecognized
     offer yields the empty agreement — nothing extension-gated may be
     sent to that peer.
     """
@@ -242,13 +242,19 @@ class FrameDecoder:
             self._expected = None
             if not body:
                 raise ProtocolError("empty frame body")
-            if body[0] == 0x7B:  # "{" — the v1 JSON body format
+            if body[0] == 0x7B:  # "{" — a JSON control frame
                 try:
                     frame = json.loads(body.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise ProtocolError(f"undecodable frame body: {exc}") from exc
                 if not isinstance(frame, dict) or "t" not in frame:
                     raise ProtocolError("a frame must be an object with a 't' tag")
+                kind = frame["t"]
+                if isinstance(kind, str) and kind in _TUPLE_FRAMES:
+                    raise ProtocolError(
+                        f"{kind!r} frames are binary; a JSON body cannot "
+                        "carry one"
+                    )
             else:
                 frame = self._decode_binary(body)
             yield frame
@@ -271,7 +277,7 @@ def tuple_to_wire(item: StreamTuple) -> dict:
 
 def tuple_from_wire(payload) -> StreamTuple:
     # The binary codec decodes tuple records straight to StreamTuples;
-    # pass them through so decided/ingest handling is codec-agnostic.
+    # dict payloads are the journal entries of the migration verbs.
     if isinstance(payload, StreamTuple):
         return payload
     try:
@@ -282,14 +288,6 @@ def tuple_from_wire(payload) -> StreamTuple:
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed tuple payload: {exc!r}") from exc
-
-
-def batch_to_wire(batch: Batch) -> dict:
-    return {
-        "items": [tuple_to_wire(item) for item in batch.items],
-        "first_staged_ms": batch.first_staged_ms,
-        "flushed_ms": batch.flushed_ms,
-    }
 
 
 def batch_from_wire(payload: Mapping) -> Batch:
@@ -312,11 +310,11 @@ def batch_from_wire(payload: Mapping) -> Batch:
 def traces_from_wire(frame: Mapping) -> dict[int, list[tuple[int, int]]]:
     """Normalize a frame's trace annotations to ``{seq: [(sid, ns)]}``.
 
-    Handles all three shapes: the JSON codec's string-keyed ``traces``
-    map, the binary codec's int-keyed map, and a single-tuple ``ingest``
-    frame's ``trace`` pair list (keyed by the tuple's own seq).  Returns
-    ``{}`` when the frame carries no annotations; malformed annotations
-    are dropped rather than failing the frame — traces are advisory.
+    Handles both shapes: a batch frame's ``traces`` map and a
+    single-tuple ``ingest`` frame's ``trace`` pair list (keyed by the
+    tuple's own seq).  Returns ``{}`` when the frame carries no
+    annotations; malformed annotations are dropped rather than failing
+    the frame — traces are advisory.
     """
     out: dict[int, list[tuple[int, int]]] = {}
     raw = frame.get("traces")

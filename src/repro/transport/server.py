@@ -1,7 +1,7 @@
 """TCP gateway: the dissemination broker behind real sockets.
 
 :class:`GatewayServer` accepts TCP connections speaking the
-length-prefixed JSON protocol of :mod:`repro.transport.protocol` and
+length-prefixed protocol of :mod:`repro.transport.protocol` and
 bridges them onto a live :class:`~repro.service.broker.DisseminationService`:
 
 * **ingest producers** send ``ingest`` frames; each is offered to the
@@ -48,16 +48,7 @@ from repro.qos.controller import policy_from_profile
 from repro.qos.spec import QualitySpec
 from repro.service.broker import DisseminationService
 from repro.service.session import SubscriberSession
-from repro.transport.codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-    FrameEncoder,
-    NameTable,
-    SegmentCache,
-    make_encoder,
-    negotiate,
-)
+from repro.transport.codec import BinaryEncoder, NameTable, SegmentCache
 from repro.transport.protocol import (
     FEATURE_QOS,
     FEATURE_TRACE,
@@ -83,6 +74,9 @@ _READ_CHUNK = 1 << 16
 #: mark (``sndbuf_bytes``) flushes at that mark instead.
 _CORK_MAX_BYTES = 1 << 16
 
+#: Tuples the server-wide encode-once segment cache holds.
+_SEGMENT_CACHE_SIZE = 4096
+
 _SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 
@@ -93,13 +87,13 @@ class _TransportMetrics:
         registry = telemetry.registry
         self.frames = registry.counter(
             "repro_transport_frames_total",
-            "Wire frames by direction and connection codec.",
-            ("direction", "codec"),
+            "Wire frames by direction.",
+            ("direction",),
         )
         self.bytes = registry.counter(
             "repro_transport_bytes_total",
-            "Wire bytes by direction and connection codec.",
-            ("direction", "codec"),
+            "Wire bytes by direction.",
+            ("direction",),
         )
         self.socket_writes = registry.counter(
             "repro_transport_socket_writes_total",
@@ -160,15 +154,24 @@ class _Connection:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         max_frame_bytes: int,
-        encoder: FrameEncoder,
+        encoder: BinaryEncoder,
         metrics: Optional[_TransportMetrics] = None,
     ):
         self.reader = reader
         self.writer = writer
         self.max_frame_bytes = max_frame_bytes
-        #: Features agreed in the hello (empty for v1 peers).
+        #: Encodes this connection's ``decided`` frames; control frames
+        #: are JSON (:func:`encode_frame`).
+        self.encoder = encoder
+        #: Features agreed in the hello.
         self.features: list[str] = []
         self.metrics = metrics
+        if metrics is not None:
+            # Metric children resolved once, not per frame.
+            self._frames_in = metrics.frames.labels("in")
+            self._bytes_in = metrics.bytes.labels("in")
+            self._frames_out = metrics.frames.labels("out")
+            self._bytes_out = metrics.bytes.labels("out")
         self.pumps: dict[str, asyncio.Task] = {}
         self.sessions: dict[str, SubscriberSession] = {}
         self.peer = writer.get_extra_info("peername")
@@ -181,20 +184,6 @@ class _Connection:
         self._cork_limit = min(
             _CORK_MAX_BYTES, writer.transport.get_write_buffer_limits()[1]
         )
-        self.use_encoder(encoder)
-
-    def use_encoder(self, encoder: FrameEncoder) -> None:
-        """Adopt the sending-side codec (JSON until the hello upgrades
-        it) and resolve the per-codec metric children once, not per
-        frame."""
-        self.encoder = encoder
-        metrics = self.metrics
-        if metrics is not None:
-            codec = encoder.codec
-            self._frames_in = metrics.frames.labels("in", codec)
-            self._bytes_in = metrics.bytes.labels("in", codec)
-            self._frames_out = metrics.frames.labels("out", codec)
-            self._bytes_out = metrics.bytes.labels("out", codec)
 
     def count_in(self, nbytes: int, nframes: int) -> None:
         """Account one read chunk and the frames it completed."""
@@ -317,8 +306,6 @@ class GatewayServer:
         auth_token: Optional[str] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         sndbuf_bytes: Optional[int] = None,
-        codecs: tuple[str, ...] = SUPPORTED_CODECS,
-        segment_cache_size: int = 4096,
         telemetry: Optional[Telemetry] = None,
     ):
         self.service = service
@@ -330,17 +317,11 @@ class GatewayServer:
         #: benchmarks use this to make slow-consumer backpressure kick in
         #: after kilobytes instead of megabytes of kernel buffering).
         self.sndbuf_bytes = sndbuf_bytes
-        #: Codecs this server will agree to in the hello negotiation
-        #: (restrict to ("json",) to force the fallback path).
-        self.codecs = tuple(codecs)
         # Encode-once state shared by every connection: one sender-side
         # attribute-name table (binary ids are global to the server) and
-        # one segment cache per codec.
+        # one segment cache.
         self._name_table = NameTable()
-        self._segment_caches = {
-            CODEC_JSON: SegmentCache(segment_cache_size),
-            CODEC_BINARY: SegmentCache(segment_cache_size),
-        }
+        self._segment_cache = SegmentCache(_SEGMENT_CACHE_SIZE)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_Connection] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -354,30 +335,21 @@ class GatewayServer:
         self._metrics: Optional[_TransportMetrics] = None
         if telemetry is not None:
             self._metrics = _TransportMetrics(telemetry)
+            cache = self._segment_cache
             cache_hits = telemetry.registry.counter(
                 "repro_transport_segment_cache_hits_total",
-                "Encode-once segment cache hits, by codec.",
-                ("codec",),
-            )
+                "Encode-once segment cache hits.",
+            ).labels()
             cache_misses = telemetry.registry.counter(
                 "repro_transport_segment_cache_misses_total",
-                "Encode-once segment cache misses, by codec.",
-                ("codec",),
-            )
+                "Encode-once segment cache misses.",
+            ).labels()
 
-            def _collect_caches() -> None:
-                for codec, cache in self._segment_caches.items():
-                    cache_hits.labels(codec).value = float(cache.hits)
-                    cache_misses.labels(codec).value = float(cache.misses)
+            def _collect_cache() -> None:
+                cache_hits.value = float(cache.hits)
+                cache_misses.value = float(cache.misses)
 
-            telemetry.registry.register_collector(_collect_caches)
-
-    def _make_encoder(self, codec: str) -> FrameEncoder:
-        return make_encoder(
-            codec,
-            table=self._name_table,
-            cache=self._segment_caches[codec],
-        )
+            telemetry.registry.register_collector(_collect_cache)
 
     async def _snapshot_dict(self) -> dict:
         return await service_snapshot_dict(self.service)
@@ -491,7 +463,7 @@ class GatewayServer:
             reader,
             writer,
             self.max_frame_bytes,
-            self._make_encoder(CODEC_JSON),
+            BinaryEncoder(self._name_table, self._segment_cache),
             metrics=self._metrics,
         )
         if self._metrics is not None:
@@ -565,13 +537,6 @@ class GatewayServer:
                 }
             )
             return False
-        offered = frame.get("codecs")
-        if offered is not None and (
-            not isinstance(offered, list)
-            or not all(isinstance(name, str) for name in offered)
-        ):
-            raise ProtocolError("hello 'codecs' must be a list of strings")
-        codec = negotiate(offered, self.codecs)
         offered_features = frame.get("features")
         if offered_features is not None and (
             not isinstance(offered_features, list)
@@ -586,15 +551,10 @@ class GatewayServer:
                 "v": PROTOCOL_VERSION,
                 "server": "repro-gateway",
                 "sources": list(self.service.sources()),
-                "codec": codec,
                 "features": features,
             }
         )
         conn.features = features
-        # Upgrade only after the welcome is encoded: everything the
-        # client saw so far was JSON, everything after may be binary.
-        if codec != conn.encoder.codec:
-            conn.use_encoder(self._make_encoder(codec))
         return True
 
     # ------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Tests for the binary wire codec: golden bytes, negotiation, fan-out.
+"""Tests for the binary wire codec: golden bytes, handshake, fan-out.
 
 Three layers of assurance:
 
-* **golden bytes** — both codecs' hot frames serialize to exact,
-  hand-derived byte strings (the wire format is a contract, not an
-  implementation detail) and round-trip through the sans-io decoder;
-* **negotiation** — the hello/welcome handshake agrees on a codec, old
-  peers fall back to JSON transparently, and either codec carries the
-  full live pipeline;
-* **cross-codec equivalence** — a verified loadgen run is
-  batch-equivalent under ``json`` and ``binary`` for both decide
-  algorithms, and the delivered streams are identical tuple for tuple.
+* **golden bytes** — the tuple frames and a JSON control frame serialize
+  to exact, hand-derived byte strings (the wire format is a contract,
+  not an implementation detail) and round-trip through the sans-io
+  decoder, which refuses every malformed shape with a typed error;
+* **handshake** — protocol v2 negotiates nothing about the body format:
+  tuple frames are binary, a v1 hello is refused, and a tuple frame in a
+  JSON body ends that connection and no other;
+* **wire equivalence** — a verified loadgen run over the wire is
+  batch-equivalent for both decide algorithms and delivers exactly what
+  the same run delivers in process.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from repro.service.loadgen import LoadGenConfig, run_loadgen
 from repro.transport.client import GatewayClient
 from repro.transport.codec import (
     BinaryEncoder,
-    JsonEncoder,
     NameTable,
     SegmentCache,
-    negotiate,
+    make_encoder,
 )
 from repro.transport.protocol import (
     PROTOCOL_VERSION,
@@ -63,15 +63,6 @@ class TestGoldenBytes:
         frame = {"t": "tick", "now_ms": 5.0, "seq": 1}
         expected = b'{"t":"tick","now_ms":5.0,"seq":1}'
         assert encode_frame(frame) == struct.pack(">I", len(expected)) + expected
-
-    def test_json_ingest_body_exact_bytes(self):
-        body = JsonEncoder().ingest_body(
-            "src", _item(seq=3, ts=30.0, temp=1.5), seq=9
-        )
-        assert body == (
-            b'{"t":"ingest","source":"src",'
-            b'"tuple":{"seq":3,"ts":30.0,"values":{"temp":1.5}},"seq":9}'
-        )
 
     def test_binary_ingest_body_exact_bytes(self):
         encoder = BinaryEncoder()
@@ -126,7 +117,7 @@ class TestGoldenBytes:
         assert [t.seq for t in frame["tuples"]] == [0, 1, 2, 3, 4]
         assert [t.values["temp"] for t in frame["tuples"]] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_decided_pieces_roundtrip_both_codecs(self):
+    def test_decided_pieces_roundtrip(self):
         batch = Batch(
             items=tuple(
                 _item(seq=i, ts=10.0 * (i + 1), temp=1.0 + i) for i in range(3)
@@ -134,20 +125,19 @@ class TestGoldenBytes:
             first_staged_ms=10.0,
             flushed_ms=30.0,
         )
-        for encoder in (JsonEncoder(), BinaryEncoder()):
-            pieces, total = encoder.decided_pieces(
-                "app0", batch, max_frame_bytes=1 << 20
-            )
-            body = b"".join(pieces)
-            assert len(body) == total
-            frame = _decode_body(body)
-            assert frame["t"] == "decided"
-            assert frame["app"] == "app0"
-            assert frame["first_staged_ms"] == 10.0
-            assert frame["flushed_ms"] == 30.0
-            decoded = batch_from_wire(frame)
-            assert [t.seq for t in decoded.items] == [0, 1, 2]
-            assert [t.values["temp"] for t in decoded.items] == [1.0, 2.0, 3.0]
+        pieces, total = BinaryEncoder().decided_pieces(
+            "app0", batch, max_frame_bytes=1 << 20
+        )
+        body = b"".join(pieces)
+        assert len(body) == total
+        frame = _decode_body(body)
+        assert frame["t"] == "decided"
+        assert frame["app"] == "app0"
+        assert frame["first_staged_ms"] == 10.0
+        assert frame["flushed_ms"] == 30.0
+        decoded = batch_from_wire(frame)
+        assert [t.seq for t in decoded.items] == [0, 1, 2]
+        assert [t.values["temp"] for t in decoded.items] == [1.0, 2.0, 3.0]
 
     def test_unknown_binary_tag_rejected(self):
         with pytest.raises(ProtocolError):
@@ -158,6 +148,42 @@ class TestGoldenBytes:
         body = encoder.ingest_body("src", _item())
         with pytest.raises(ProtocolError):
             _decode_body(body[:-3])
+
+    def test_trailing_bytes_rejected(self):
+        # A body is exactly one frame; what follows it is not ignored.
+        body = BinaryEncoder().ingest_body("src", _item(), seq=0)
+        with pytest.raises(ProtocolError, match="trailing bytes"):
+            _decode_body(body + b"\xff\xfe garbage")
+        batch = Batch(items=(_item(),), first_staged_ms=1.0, flushed_ms=1.0)
+        pieces, _ = BinaryEncoder().decided_pieces(
+            "app", batch, max_frame_bytes=1 << 20
+        )
+        with pytest.raises(ProtocolError, match="trailing bytes"):
+            _decode_body(b"".join(pieces) + b"\x00")
+
+    def test_name_id_rebind_rejected(self):
+        # A sender's table is append-only: id 0 cannot become another
+        # name mid-connection.  Announcing it again as the same name is
+        # legal (a refused oversized frame re-sends its delta).
+        decoder = FrameDecoder()
+        announces_temp = BinaryEncoder().ingest_body("src", _item())
+        _decode_body(announces_temp, decoder)
+        again = _decode_body(BinaryEncoder().ingest_body("src", _item(seq=8)), decoder)
+        assert again["tuple"].values == {"temp": 21.5}
+        rebinds = BinaryEncoder().ingest_body("src", _item(seq=9, other=1.0))
+        with pytest.raises(ProtocolError, match="rebinds attribute id 0"):
+            _decode_body(rebinds, decoder)
+
+    @pytest.mark.parametrize("kind", ["ingest", "ingest_batch", "decided"])
+    def test_json_tuple_frame_rejected(self, kind):
+        # Tuple frames are binary; JSON carries the control plane only.
+        with pytest.raises(ProtocolError, match="frames are binary"):
+            FrameDecoder().feed(encode_frame({"t": kind, "source": "src"}))
+
+    def test_make_encoder_takes_only_binary(self):
+        assert isinstance(make_encoder("binary"), BinaryEncoder)
+        with pytest.raises(ValueError, match="unknown codec"):
+            make_encoder("json")
 
     def test_unannounced_name_id_rejected(self):
         # A fresh decoder never saw the names delta of a previous
@@ -198,7 +224,7 @@ class TestEncodeOnce:
 
     def test_segment_cache_lru_eviction(self):
         cache = SegmentCache(capacity=2)
-        encoder = JsonEncoder(cache=cache)
+        encoder = BinaryEncoder(cache=cache)
         items = [_item(seq=i) for i in range(3)]
         segments = [encoder.tuple_segment(item) for item in items]
         assert len(cache) == 2
@@ -224,11 +250,10 @@ class TestEncodeOnce:
 
     def test_decided_pieces_has_only_the_shared_path(self):
         batch = Batch(items=(_item(),), first_staged_ms=1.0, flushed_ms=1.0)
-        for encoder in (JsonEncoder(), BinaryEncoder()):
-            with pytest.raises(ValueError, match="shared=False"):
-                encoder.decided_pieces(
-                    "a", batch, max_frame_bytes=1 << 20, shared=False
-                )
+        with pytest.raises(ValueError, match="shared=False"):
+            BinaryEncoder().decided_pieces(
+                "a", batch, max_frame_bytes=1 << 20, shared=False
+            )
 
     def test_oversized_ingest_does_not_commit_names(self):
         # A client-side FrameTooLarge must not desync the connection's
@@ -282,28 +307,33 @@ class TestEncodeOnce:
 
 
 # ---------------------------------------------------------------------------
-# Negotiation
+# Handshake (protocol v2: nothing about the body format is negotiated)
 # ---------------------------------------------------------------------------
-class TestNegotiation:
-    def test_negotiate_prefers_first_supported(self):
-        assert negotiate(["binary", "json"]) == "binary"
-        assert negotiate(["json", "binary"]) == "json"
-        assert negotiate(None) == "json"
-        assert negotiate([]) == "json"
-        assert negotiate(["zstd", "binary"]) == "binary"
-        assert negotiate(["zstd"]) == "json"
-        assert negotiate(["binary"], supported=("json",)) == "json"
+def _split_bodies(data: bytes) -> list[bytes]:
+    """Raw frame bodies in ``data`` (which must end on a frame boundary)."""
+    bodies = []
+    while data:
+        (size,) = struct.unpack(">I", data[:4])
+        bodies.append(data[4 : 4 + size])
+        data = data[4 + size :]
+    return bodies
 
-    def _pipeline(self, *, server_codecs=None, client_codec="binary"):
+
+async def _read_until_closed(reader: asyncio.StreamReader) -> bytes:
+    data = b""
+    while chunk := await asyncio.wait_for(reader.read(1 << 16), timeout=5.0):
+        data += chunk
+    return data
+
+
+class TestNegotiation:
+    def test_binary_negotiated_end_to_end(self):
         async def run():
             service = DisseminationService(ServiceConfig(batch_max_items=4))
             service.add_source("src")
-            kwargs = {} if server_codecs is None else {"codecs": server_codecs}
-            server = GatewayServer(service, **kwargs)
+            server = GatewayServer(service)
             await server.start()
-            client = await GatewayClient.connect(
-                "127.0.0.1", server.port, codec=client_codec
-            )
+            client = await GatewayClient.connect("127.0.0.1", server.port)
             sub = await client.subscribe(
                 "app", "src", "DC1(temp, 0.001, 0.0005)"
             )
@@ -325,29 +355,146 @@ class TestNegotiation:
             await asyncio.sleep(0.05)
             await client.unsubscribe("app")
             await task
-            negotiated = client.codec
+            features = client.features
             await client.close()
             await server.shutdown()
-            return negotiated, delivered
+            return features, delivered
 
-        return asyncio.run(run())
+        features, delivered = asyncio.run(run())
+        assert features == ["qos"]  # what the hello still negotiates
+        assert delivered  # decided tuples crossed the wire
 
-    def test_binary_negotiated_end_to_end(self):
-        negotiated, delivered = self._pipeline()
-        assert negotiated == "binary"
-        assert delivered  # decided tuples crossed the wire in binary
+    def test_hello_without_codecs_gets_binary_decided(self):
+        async def run():
+            service = DisseminationService(ServiceConfig(batch_max_items=1))
+            service.add_source("src")
+            server = GatewayServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            encoder = BinaryEncoder()
+            writer.write(
+                encode_frame({"t": "hello", "v": PROTOCOL_VERSION, "seq": 1})
+                + encode_frame(
+                    {
+                        "t": "subscribe",
+                        "seq": 2,
+                        "app": "app",
+                        "source": "src",
+                        "spec": "DC1(temp, 0.001, 0.0005)",
+                    }
+                )
+            )
+            for i in range(4):
+                body = encoder.ingest_body(
+                    "src", _item(seq=i, ts=10.0 * (i + 1), temp=float(i))
+                )
+                writer.write(pack_header(len(body)) + body)
+            writer.write(encode_frame({"t": "tick", "now_ms": 1000.0, "seq": 3}))
+            await writer.drain()
+            # The pumps deliver once the read loop idles: wait for a
+            # decided frame before saying bye.
+            data = b""
+            while b"\x03app" not in data:
+                data += await asyncio.wait_for(reader.read(1 << 16), timeout=5.0)
+            writer.write(encode_frame({"t": "bye"}))
+            await writer.drain()
+            data += await _read_until_closed(reader)
+            writer.close()
+            await writer.wait_closed()
+            await server.shutdown()
+            return data
 
-    def test_json_only_server_falls_back(self):
-        negotiated, delivered = self._pipeline(server_codecs=("json",))
-        assert negotiated == "json"
-        assert delivered
+        bodies = _split_bodies(asyncio.run(run()))
+        frames = FrameDecoder().feed(
+            b"".join(pack_header(len(body)) + body for body in bodies)
+        )
+        welcome = frames[0]
+        assert welcome["t"] == "welcome"
+        assert welcome["v"] == PROTOCOL_VERSION == 2
+        assert "codec" not in welcome
+        decided = [
+            body for body, frame in zip(bodies, frames) if frame["t"] == "decided"
+        ]
+        assert decided
+        assert all(body[0] == 0x03 for body in decided)  # the binary tag
+        assert all(
+            body[0] == 0x7B
+            for body, frame in zip(bodies, frames)
+            if frame["t"] != "decided"
+        )
 
-    def test_client_may_insist_on_json(self):
-        negotiated, delivered = self._pipeline(client_codec="json")
-        assert negotiated == "json"
-        assert delivered
+    def test_v1_hello_is_refused(self):
+        async def run():
+            service = DisseminationService()
+            service.add_source("src")
+            server = GatewayServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                encode_frame(
+                    {"t": "hello", "v": 1, "codecs": ["json"], "seq": 1}
+                )
+            )
+            await writer.drain()
+            data = await _read_until_closed(reader)
+            writer.close()
+            await writer.wait_closed()
+            await server.shutdown()
+            return FrameDecoder().feed(data)
 
-    def test_v1_hello_without_codecs_gets_json(self):
+        (reply,) = asyncio.run(run())
+        assert reply["t"] == "error"
+        assert reply["code"] == "version"
+        assert reply["reply_to"] == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "json_ingest",
+            "json_ingest_batch",
+            "json_decided",
+            "trailing_bytes",
+            "name_rebind",
+        ],
+    )
+    def test_malformed_tuple_frame_closes_that_connection_only(self, case):
+        wire_tuple = {"seq": 0, "ts": 10.0, "values": {"temp": 1.0}}
+
+        def framed(body: bytes) -> bytes:
+            return pack_header(len(body)) + body
+
+        if case == "json_ingest":
+            bad = encode_frame(
+                {"t": "ingest", "source": "src", "tuple": wire_tuple, "seq": 2}
+            )
+        elif case == "json_ingest_batch":
+            bad = encode_frame(
+                {"t": "ingest_batch", "source": "src", "tuples": [wire_tuple]}
+            )
+        elif case == "json_decided":
+            bad = encode_frame(
+                {
+                    "t": "decided",
+                    "app": "app",
+                    "items": [wire_tuple],
+                    "first_staged_ms": 10.0,
+                    "flushed_ms": 10.0,
+                }
+            )
+        elif case == "trailing_bytes":
+            bad = framed(
+                BinaryEncoder().ingest_body("src", _item(), seq=0)
+                + b"\xff\xfe garbage"
+            )
+        else:
+            bad = framed(BinaryEncoder().ingest_body("src", _item())) + framed(
+                BinaryEncoder().ingest_body("src", _item(seq=8, other=1.0))
+            )
+
         async def run():
             service = DisseminationService()
             service.add_source("src")
@@ -359,28 +506,35 @@ class TestNegotiation:
             writer.write(
                 encode_frame({"t": "hello", "v": PROTOCOL_VERSION, "seq": 1})
             )
-            await writer.drain()
             decoder = FrameDecoder()
-            frames: list[dict] = []
-            while not frames:
-                frames = decoder.feed(await reader.read(1 << 16))
+            replies = decoder.feed(
+                await asyncio.wait_for(reader.read(1 << 16), timeout=5.0)
+            )
+            writer.write(bad)
+            await writer.drain()
+            replies += decoder.feed(await _read_until_closed(reader))
             writer.close()
             await writer.wait_closed()
+            # The server is still serving: a well-formed peer is welcome.
+            client = await GatewayClient.connect("127.0.0.1", server.port)
+            emissions = await client.ingest("src", _item(seq=1, ts=20.0))
+            await client.close()
             await server.shutdown()
-            return frames[0]
+            return replies, emissions
 
-        welcome = asyncio.run(run())
-        assert welcome["t"] == "welcome"
-        assert welcome["codec"] == "json"
+        replies, emissions = asyncio.run(run())
+        assert [frame["t"] for frame in replies] == ["welcome", "error"]
+        assert replies[-1]["code"] == "protocol"
+        assert emissions is not None
 
 
 # ---------------------------------------------------------------------------
-# Cross-codec equivalence
+# Wire equivalence
 # ---------------------------------------------------------------------------
 class TestCrossCodecEquivalence:
     @pytest.mark.parametrize("algorithm", ["region", "per_candidate_set"])
     def test_verify_passes_and_streams_match(self, algorithm):
-        def summary(codec: str) -> dict:
+        def summary(transport: str) -> dict:
             return run_loadgen(
                 LoadGenConfig(
                     rate=400.0,
@@ -388,8 +542,7 @@ class TestCrossCodecEquivalence:
                     size="tiny",
                     mode="closed",
                     algorithm=algorithm,
-                    transport="tcp",
-                    codec=codec,
+                    transport=transport,
                     ingest_batch=4,
                     verify=True,
                     # The totals below compare only if both runs offered
@@ -398,20 +551,20 @@ class TestCrossCodecEquivalence:
                 )
             )
 
-        by_codec = {codec: summary(codec) for codec in ("json", "binary")}
-        for codec, result in by_codec.items():
-            assert result["codec"] == codec, result
-            assert result["clean_shutdown"] is True, (codec, result)
-            assert result["equivalent_to_batch"] is True, (codec, result)
-        # Byte-identical decided outputs: both codecs, same trace, same
-        # schedule — the delivered totals must agree exactly.
+        by_transport = {name: summary(name) for name in ("inproc", "tcp")}
+        for name, result in by_transport.items():
+            assert "codec" not in result, result
+            assert result["clean_shutdown"] is True, (name, result)
+            assert result["equivalent_to_batch"] is True, (name, result)
+        # Same trace, same schedule, with the binary wire in between or
+        # not: the delivered totals must agree exactly.
         assert (
-            by_codec["json"]["delivered_tuples"]
-            == by_codec["binary"]["delivered_tuples"]
+            by_transport["inproc"]["delivered_tuples"]
+            == by_transport["tcp"]["delivered_tuples"]
         )
         assert (
-            by_codec["json"]["decided_emissions"]
-            == by_codec["binary"]["decided_emissions"]
+            by_transport["inproc"]["decided_emissions"]
+            == by_transport["tcp"]["decided_emissions"]
         )
 
 

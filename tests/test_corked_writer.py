@@ -17,7 +17,7 @@ from repro.qos.controller import DegradationConfig, policy_to_profile
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.batching import Batch
-from repro.transport.codec import CODEC_BINARY, make_encoder
+from repro.transport.codec import BinaryEncoder
 from repro.transport.protocol import (
     FEATURE_QOS,
     MAX_FRAME_BYTES,
@@ -90,12 +90,12 @@ async def _next_pass() -> None:
     await done
 
 
-def _connection(transport: _FakeTransport, *, codec="json", metrics=None):
+def _connection(transport: _FakeTransport, *, metrics=None):
     return _Connection(
         asyncio.StreamReader(),
         _FakeWriter(transport),
         MAX_FRAME_BYTES,
-        make_encoder(codec),
+        BinaryEncoder(),
         metrics=metrics,
     )
 
@@ -124,7 +124,7 @@ class TestCorkedConnection:
     def test_one_pass_is_one_write_of_the_frames_in_order(self):
         async def run():
             transport = _FakeTransport()
-            conn = _connection(transport, codec=CODEC_BINARY)
+            conn = _connection(transport)
             ack = {"t": "ok", "reply_to": 7, "emissions": 3}
             closed = {"t": "closed", "app": "a", "reason": "unsubscribed"}
             first, second = _batch(0, ("temp",)), _batch(2, ("temp", "hum"))
@@ -134,7 +134,7 @@ class TestCorkedConnection:
             await conn.send_quiet(closed)
             before_flush = list(transport.log)
             await _next_pass()
-            reference = make_encoder(CODEC_BINARY)
+            reference = BinaryEncoder()
             expected = b"".join(
                 [
                     encode_frame(ack),
@@ -215,7 +215,7 @@ class TestCorkedConnection:
 
         async def run():
             transport = _FakeTransport()
-            conn = _connection(transport, codec=CODEC_BINARY)
+            conn = _connection(transport)
             batches = [
                 ("a", _batch(0, ("temp",))),
                 ("b", _batch(0, ("temp", "hum"))),
@@ -285,15 +285,15 @@ class TestCorkedConnection:
         lines = text.splitlines()
         assert "repro_transport_socket_writes_total 1" in lines
         assert (
-            'repro_transport_frames_total{direction="out",codec="json"} 5'
+            'repro_transport_frames_total{direction="out"} 5'
             in lines
         )
         assert (
-            f'repro_transport_bytes_total{{direction="out",codec="json"}} '
+            f'repro_transport_bytes_total{{direction="out"}} '
             f"{nbytes}" in lines
         )
         assert (
-            'repro_transport_frames_total{direction="in",codec="json"} 2'
+            'repro_transport_frames_total{direction="in"} 2'
             in lines
         )
 
@@ -316,10 +316,20 @@ def _service() -> DisseminationService:
     return service
 
 
-async def _serve_one_chunk(gateway: GatewayServer, frames: list[dict]):
-    """Run one connection whose whole input arrives as a single read."""
+async def _serve_one_chunk(gateway: GatewayServer, frames: list):
+    """Run one connection whose whole input arrives as a single read.
+
+    ``frames`` holds control frames as dicts and tuple frames as the
+    binary bodies an encoder returned."""
     reader = asyncio.StreamReader()
-    reader.feed_data(b"".join(encode_frame(frame) for frame in frames))
+    reader.feed_data(
+        b"".join(
+            encode_frame(frame)
+            if isinstance(frame, dict)
+            else pack_header(len(frame)) + frame
+            for frame in frames
+        )
+    )
     reader.feed_eof()
     transport = _FakeTransport()
     await gateway._handle(reader, _FakeWriter(transport))
@@ -380,16 +390,16 @@ class TestGatewayOverFakeTransport:
                     "overflow": "drop_oldest",
                 },
             ]
+            encoder = BinaryEncoder()
             frames += [
-                {
-                    "t": "ingest",
-                    "source": "src",
-                    "tuple": {
-                        "seq": seq,
-                        "ts": float(seq),
-                        "values": {"temp": float(seq % 7)},
-                    },
-                }
+                encoder.ingest_body(
+                    "src",
+                    StreamTuple(
+                        seq=seq,
+                        timestamp=float(seq),
+                        values={"temp": float(seq % 7)},
+                    ),
+                )
                 for seq in range(12)
             ]
             frames.append(

@@ -45,7 +45,7 @@ def _drained(sessions) -> dict[str, list[int]]:
     }
 
 
-async def _churned_run(record_epochs, constraint_ms, max_group_size):
+async def _churned_run(record_epochs, constraint_ms):
     """A seeded run with a re_filter, a subscribe and an unsubscribe
     mid-stream and a tick every seventh tuple."""
     trace = random_walk_trace(n=500, seed=31, attribute="temp")
@@ -53,7 +53,6 @@ async def _churned_run(record_epochs, constraint_ms, max_group_size):
         ServiceConfig(
             engine=EngineConfig(algorithm="region", constraint_ms=constraint_ms),
             batch_max_items=1,
-            max_group_size=max_group_size,
             record_epochs=record_epochs,
         )
     )
@@ -80,16 +79,15 @@ async def _churned_run(record_epochs, constraint_ms, max_group_size):
 
 
 class TestEpochRecordingIsOptional:
-    @pytest.mark.parametrize("max_group_size", [None, 1])
     @pytest.mark.parametrize("constraint_ms", [None, 40.0])
     def test_streams_and_snapshot_do_not_depend_on_it(
-        self, clockless, constraint_ms, max_group_size
+        self, clockless, constraint_ms
     ):
         on_streams, on_snapshot, epochs, _ = asyncio.run(
-            _churned_run(True, constraint_ms, max_group_size)
+            _churned_run(True, constraint_ms)
         )
         off_streams, off_snapshot, no_epochs, no_results = asyncio.run(
-            _churned_run(False, constraint_ms, max_group_size)
+            _churned_run(False, constraint_ms)
         )
         assert no_epochs == [] and no_results == []
         assert off_streams == on_streams

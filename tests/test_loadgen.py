@@ -213,6 +213,7 @@ class TestTcpTransport:
         assert (out / "metrics.jsonl").read_text().strip()
         manifest = json.loads((out / "summary.json").read_text())
         assert manifest["config"]["transport"] == "tcp"
+        assert "codec" not in manifest and "codec" not in manifest["config"]
 
     def test_tcp_external_server_verify(self):
         """--connect mode: verification against delivered streams when

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.core.tuples import StreamTuple
 from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.qos.controller import DegradationConfig

@@ -132,8 +132,12 @@ class TestLoader:
             scenario_from_dict({"scenario": {"name": "x"}, "chaso": []})
 
     def test_unknown_load_key(self):
-        # ``fanout`` named a gateway option that no longer exists.
-        for load in ({"out_dir": "/tmp/x"}, {"fanout": "shared"}):
+        # ``fanout`` and ``codec`` named options that no longer exist.
+        for load in (
+            {"out_dir": "/tmp/x"},
+            {"fanout": "shared"},
+            {"codec": "binary"},
+        ):
             with pytest.raises(ScenarioError, match="unknown key"):
                 scenario_from_dict({"scenario": {"name": "x"}, "load": load})
 

@@ -150,6 +150,7 @@ _NOT_FOR_SERVE = (
     "repro.workflow",
     "repro.net",
     "repro.runtime.sharded",
+    "repro.adaptive.regroup",
     "concurrent.futures.process",
 )
 
@@ -189,7 +190,7 @@ def test_serve_imports_only_what_it_runs():
     assert "repro.transport.server" in loaded, preamble[:5]
     assert _unwanted(loaded) == []
     ours = sorted(module for module in loaded if module.startswith("repro"))
-    assert len(ours) <= 55, ours
+    assert len(ours) <= 47, ours
 
 
 def test_router_adds_only_the_cluster_to_the_serve_closure():
@@ -231,3 +232,10 @@ def test_serve_has_no_fanout_to_select_and_no_seed(capsys):
             main(["serve", *args])
         assert exit_.value.code == 2
         assert complaint in capsys.readouterr().err
+
+
+def test_loadgen_has_no_codec_to_select(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["loadgen", "--codec", "json"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --codec" in capsys.readouterr().err

@@ -297,43 +297,17 @@ class TestDynamicSubscriptions:
         asyncio.run(run())
 
 
-class TestRegroupedSubgroups:
-    def test_capped_groups_still_serve_all_sessions(self):
-        trace = _trace(n=300, seed=6)
-
-        async def run():
-            service = DisseminationService(
-                ServiceConfig(
-                    engine=EngineConfig(algorithm="region"),
-                    batch_max_items=1,
-                    max_group_size=1,  # one engine per filter
-                    shards=2,  # parallel subgroup decides
-                    record_epochs=True,
-                )
-            )
-            service.add_source("src")
-            sessions = {}
-            for app, spec in SPECS:
-                sessions[app] = await service.subscribe(
-                    app, "src", spec, queue_capacity=10_000
-                )
-            await service.feed("src", trace)
-            epochs = (await service.close())["src"]
-            return sessions, epochs
-
-        sessions, epochs = asyncio.run(run())
-        assert len(epochs) == 3  # one engine per capped subgroup
-        for app, spec in SPECS:
-            # Isolated engines behave like singleton groups of the filter.
-            solo = GroupAwareEngine(
-                [parse_filter(spec, name=app)], algorithm="region"
-            ).run(trace)
-            delivered = {
-                item.seq
-                for batch in sessions[app].queue.drain_nowait()
-                for item in batch.items
-            }
-            assert delivered == {t.seq for t in solo.outputs_for(app)}
+class TestOneEnginePerSource:
+    @pytest.mark.parametrize(
+        "option",
+        [{"shards": 2}, {"max_group_size": 1}, {"partition_attributes": True}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_live_regrouping_options_are_gone(self, option):
+        # A live source's subscribers are one filter group on one engine;
+        # the paper's regrouping strategies are repro.adaptive.regroup's.
+        with pytest.raises(TypeError):
+            ServiceConfig(**option)
 
 
 class TestQueueAndBatcher:
@@ -441,16 +415,15 @@ class TestReviewRegressions:
         assert canonical_result(epochs[0]) == canonical_result(reference)
 
     def test_partial_cutover_failure_records_no_phantom_epoch(self):
-        """If one of several engines fails to finish mid-cutover, the
-        epoch list must stay untouched — no epoch whose tail emissions
-        were never routed — and the source must keep serving."""
+        """If the engine fails to finish mid-cutover, the epoch list must
+        stay untouched — no epoch whose tail emissions were never routed
+        — and the source must keep serving."""
         trace = _trace(n=120, seed=23)
 
         async def run():
             service = DisseminationService(
                 ServiceConfig(
                     engine=EngineConfig(algorithm="region"),
-                    max_group_size=1,
                     record_epochs=True,
                 )
             )
@@ -459,17 +432,15 @@ class TestReviewRegressions:
                 await service.subscribe(app, "src", spec, queue_capacity=10_000)
             for item in trace[:60]:
                 await service.offer("src", item)
-            engines = service._sources["src"].engines
-            assert len(engines) == 2
-            engines[1].finish = lambda: (_ for _ in ()).throw(
-                RuntimeError("boom")
-            )
+            service._sources["src"].engine.finish = lambda: (
+                _ for _ in ()
+            ).throw(RuntimeError("boom"))
             with pytest.raises(RuntimeError, match="boom"):
                 await service.subscribe(
                     "newcomer", "src", "DC1(temp, 1.0, 0.5)", queue_capacity=10_000
                 )
             epochs_after_failure = len(service.results("src"))
-            # The rebuilt engines keep serving, and the retry succeeds.
+            # The rebuilt engine keeps serving, and the retry succeeds.
             for item in trace[60:]:
                 await service.offer("src", item)
             await service.subscribe(
@@ -480,9 +451,9 @@ class TestReviewRegressions:
 
         epochs_after_failure, epochs = asyncio.run(run())
         assert epochs_after_failure == 0
-        # One epoch per engine from the successful retry's cutover (the
-        # post-retry epoch is cut at close with nothing fed).
-        assert len(epochs) == 2
+        # The one epoch is the successful retry's cutover (the post-retry
+        # epoch is cut at close with nothing fed).
+        assert len(epochs) == 1
 
     def test_failed_refilter_rolls_back_and_keeps_serving(self):
         """A cutover failure mid-re_filter must restore the old spec and
@@ -495,7 +466,7 @@ class TestReviewRegressions:
             for item in trace[:40]:
                 await service.offer("src", item)
             # Inject a cutover failure: finishing the live engine raises.
-            engine = service._sources["src"].engines[0]
+            engine = service._sources["src"].engine
             engine.finish = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
             with pytest.raises(RuntimeError, match="boom"):
                 await service.re_filter("app0", new_spec)

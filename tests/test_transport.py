@@ -58,7 +58,7 @@ def _service(algorithm="region", **overrides) -> DisseminationService:
 # ---------------------------------------------------------------------------
 class TestProtocol:
     def test_roundtrip_single_frame(self):
-        frame = {"t": "ingest", "source": "src", "tuple": {"seq": 1}}
+        frame = {"t": "ensure_source", "source": "src", "seq": 1}
         decoder = FrameDecoder()
         assert decoder.feed(encode_frame(frame)) == [frame]
 
@@ -91,7 +91,7 @@ class TestProtocol:
 
     def test_oversized_frame_rejected_from_header(self):
         decoder = FrameDecoder(max_frame_bytes=64)
-        frame = {"t": "ingest", "pad": "x" * 200}
+        frame = {"t": "subscribe", "spec": "x" * 200}
         with pytest.raises(FrameTooLarge):
             decoder.feed(encode_frame(frame))
 
@@ -379,7 +379,7 @@ class TestConnectionTeardown:
             # Feed enough chatty traffic to flood the tiny buffers.
             feeder = await GatewayClient.connect("127.0.0.1", gateway.port)
             disconnected = False
-            for index, item in enumerate(_trace(n=2000, seed=11)):
+            for index, item in enumerate(_trace(n=6000, seed=11)):
                 try:
                     await asyncio.wait_for(
                         feeder.ingest("src", item), timeout=5.0
