@@ -15,13 +15,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.core.tuples import StreamTuple
 
-__all__ = ["TimeCover", "TupleInterner", "CandidateSet"]
+__all__ = ["TimeCover", "TupleInterner", "CandidateSet", "reserve_set_ids"]
 
 _set_ids = itertools.count()
+
+
+def reserve_set_ids(count: int) -> int:
+    """Reserve ``count`` consecutive fresh candidate-set ids and return
+    the first: a restored engine renumbers its sets into them, keeping
+    their order, whatever ``count`` an image claims."""
+    global _set_ids
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"cannot reserve {count!r} set ids")
+    first = next(_set_ids)
+    _set_ids = itertools.count(first + count)
+    return first
 
 
 class TupleInterner:
@@ -304,6 +316,49 @@ class CandidateSet:
         if mine is None or theirs is None:
             return False
         return mine.intersects(theirs)
+
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[members, reference, degree, eligible, closed, cut]``:
+        members are seqs in arrival order, and every tuple goes through
+        ``ref``, which records it and returns its seq.  The membership
+        bitset is an index over one interner; the restored set builds
+        its own."""
+        return [
+            [ref(item) for item in self._tuples.values()],
+            None if self.reference is None else ref(self.reference),
+            self.degree,
+            None if self._eligible is None else sorted(self._eligible),
+            self.closed,
+            self.cut,
+        ]
+
+    @classmethod
+    def from_state(
+        cls,
+        state: list,
+        tuples: Mapping[int, StreamTuple],
+        *,
+        set_id: int,
+        filter_name: str,
+        owners: tuple[str, ...],
+    ) -> "CandidateSet":
+        """The set :meth:`state` recorded, under id ``set_id``."""
+        members, reference, degree, eligible, closed, cut = state
+        restored = cls(filter_name, owners)
+        restored.set_id = set_id
+        for seq in members:
+            restored.add(tuples[seq])
+        if reference is not None:
+            restored.reference = tuples[reference]
+        restored.degree = int(degree)
+        if eligible is not None:
+            restored._eligible = frozenset(eligible)
+        restored.closed = bool(closed)
+        restored.cut = bool(cut)
+        return restored
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"

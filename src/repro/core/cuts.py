@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = ["TimeConstraint", "RuntimePredictor"]
 
@@ -88,3 +89,14 @@ class RuntimePredictor:
         """Predicted greedy run time (ms) for a region of ``region_size``."""
         slope, intercept = self.coefficients()
         return max(0.0, slope * region_size + intercept)
+
+    def state(self) -> list:
+        """The window, oldest first: ``[size, ms, size, ms, ...]``.
+
+        A restored engine predicts from what this one measured instead
+        of measuring the window's solves again."""
+        return list(chain.from_iterable(self._observations))
+
+    def restore(self, state: list) -> None:
+        self._observations.clear()
+        self._observations.extend(zip(state[::2], state[1::2]))

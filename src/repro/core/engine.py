@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     Hashable,
     Iterable,
@@ -37,7 +38,7 @@ from typing import (
 )
 
 from repro.core.accumulators import BoundedSamples
-from repro.core.candidates import CandidateSet, TupleInterner
+from repro.core.candidates import CandidateSet, TupleInterner, reserve_set_ids
 from repro.core.cuts import RuntimePredictor, TimeConstraint
 from repro.core.hitting_set import greedy_hitting_set
 from repro.core.output import (
@@ -58,7 +59,11 @@ __all__ = [
     "EngineResult",
     "GroupAwareEngine",
     "SelfInterestedEngine",
+    "CHECKPOINT_VERSION",
 ]
+
+#: Layout of a :meth:`GroupAwareEngine.checkpoint` image.
+CHECKPOINT_VERSION = 1
 
 
 @runtime_checkable
@@ -118,7 +123,6 @@ class FilterContext:
         self.filter = flt
         self.owners: tuple[str, ...] = (flt.name,)
         self._current: Optional[CandidateSet] = None
-        self.last_decided: tuple[StreamTuple, ...] = ()
         #: Whether closed sets are decided per candidate set (section
         #: 2.3.3) rather than with their region.  Snapshotted: a filter's
         #: ``stateful`` derives from a freshly built taxonomy object,
@@ -439,6 +443,168 @@ class GroupAwareEngine:
         self.drain()
         return self._result
 
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> list:
+        """The engine's open state as a plain-data image.
+
+        Exactly what a ``record=False`` engine keeps between steps: the
+        watched candidate sets with their members, each first stage's
+        open set and filter state, the group utilities, the decided
+        outputs of unsolved regions, the output strategy's unreleased
+        decisions, the run-time predictor's window, the clock and the
+        counters.  No log (a recording engine's ``EngineResult`` rows
+        stay behind) and no index: the tuple interner's bit positions
+        never reach a decision (greedy picks order by utility,
+        timestamp and seq), so the restored engine interns afresh, as
+        its strategy rebuilds its recipient sets.  So the image's size
+        follows the open state, not the stream.
+
+        The image is a list of ints, floats, strings, bools, ``None``
+        and lists — it packs with ``marshal`` and travels as JSON.  Its
+        last element is the tuple table, ``[seq, timestamp, name,
+        value, name, value, ...]`` per tuple the state refers to; the
+        rest refers to tuples by seq, so a transport may ship the table
+        on its own.  Candidate-set ids are renumbered ``0..n-1`` in
+        order.  :meth:`restore` on an engine built the same way (same
+        filters in the same order, algorithm, output strategy and time
+        constraint) continues exactly where this one stands, and its
+        own checkpoint is this image again.
+        """
+        if self._finished:
+            raise RuntimeError("engine already finished")
+        table: dict[int, StreamTuple] = {}
+
+        def ref(item: StreamTuple) -> int:
+            table[item.seq] = item
+            return item.seq
+
+        watched = self._tracker.watched()
+        set_ids = sorted(
+            {
+                *(s.set_id for s in watched),
+                *self._early_decided_sets,
+                *(d.set_id for d in self._strategy.pending),
+            }
+        )
+        rank = {set_id: index for index, set_id in enumerate(set_ids)}.__getitem__
+        context_of = {ctx.filter.name: i for i, ctx in enumerate(self._contexts)}
+        sets = [
+            [rank(s.set_id), context_of[s.filter_name], *s.state(ref)]
+            for s in watched
+        ]
+        result = self._result
+        return [
+            CHECKPOINT_VERSION,
+            *self._shape(),
+            self.now,
+            len(set_ids),
+            sets,
+            [
+                None if ctx._current is None else rank(ctx._current.set_id)
+                for ctx in self._contexts
+            ],
+            [ctx.filter.state(ref) for ctx in self._contexts],
+            sorted(rank(set_id) for set_id in self._early_decided_sets),
+            self._strategy.state(ref, rank),
+            self._tracker.state(),
+            self._utility.state(),
+            self._decided.state(),
+            self._predictor.state(),
+            [result.input_count, result.cuts_triggered],
+            [
+                [item.seq, item.timestamp, *chain.from_iterable(item.values.items())]
+                for item in table.values()
+            ],
+        ]
+
+    def restore(self, image: Sequence) -> None:
+        """Continue from a :meth:`checkpoint` image.
+
+        The engine must be built the way the checkpointed one was;
+        ``ValueError`` if the image is of another layout or another
+        engine, or malformed (the engine is then unusable: build a
+        fresh one).  Runs no engine step.
+        """
+        if self._finished:
+            raise RuntimeError("engine already finished")
+        try:
+            (
+                version,
+                algorithm,
+                output,
+                constraint,
+                owners,
+                now,
+                set_count,
+                sets,
+                current,
+                filters,
+                early,
+                strategy,
+                tracker,
+                utility,
+                decided,
+                predictor,
+                counters,
+                rows,
+            ) = image
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"checkpoint layout {version!r} is not {CHECKPOINT_VERSION}")
+            shape = [algorithm, output, constraint, owners]
+            if shape != self._shape():
+                raise ValueError(
+                    f"checkpoint of another engine: {shape!r}, this one is {self._shape()!r}"
+                )
+            tuples = {
+                row[0]: StreamTuple.trusted(row[0], row[1], dict(zip(row[2::2], row[3::2])))
+                for row in rows
+            }
+            first_id = reserve_set_ids(set_count)
+
+            def set_id(rank: int) -> int:
+                if not 0 <= rank < set_count:
+                    raise ValueError(f"set rank {rank!r} outside 0..{set_count - 1}")
+                return first_id + rank
+
+            self._interner = TupleInterner()
+            restored: dict[int, CandidateSet] = {}
+            for rank, index, *state in sets:
+                ctx = self._contexts[index]
+                restored[rank] = CandidateSet.from_state(
+                    state,
+                    tuples,
+                    set_id=set_id(rank),
+                    filter_name=ctx.filter.name,
+                    owners=ctx.owners,
+                )
+            self._tracker.restore(tracker, restored.values())
+            for ctx, rank, state in zip(self._contexts, current, filters, strict=True):
+                ctx._current = None if rank is None else restored[rank]
+                ctx.filter.restore(state, tuples)
+            self._early_decided_sets = {set_id(rank) for rank in early}
+            self._strategy.restore(strategy, tuples, set_id)
+            self._utility.restore(utility)
+            self._decided.restore(decided)
+            self._predictor.restore(predictor)
+            self.now = now
+            self._result.input_count, self._result.cuts_triggered = counters
+        except (TypeError, KeyError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed checkpoint image: {exc!r}") from exc
+
+    def _shape(self) -> list:
+        """What a checkpoint must agree on with the engine restoring it."""
+        constraint = self._constraint
+        return [
+            self.algorithm,
+            self._strategy.name,
+            None
+            if constraint is None
+            else [constraint.max_delay_ms, constraint.overestimate_ms],
+            [list(ctx.owners) for ctx in self._contexts],
+        ]
+
     def _log(self, emissions: list[Emission]) -> list[Emission]:
         """Return one step's emissions, exactly once each, logging them
         if the engine records.
@@ -497,7 +663,6 @@ class GroupAwareEngine:
         self._early_decided_sets.add(candidate_set.set_id)
         if self._record:
             self._result.decisions[ctx.filter.name].append(decision)
-        ctx.last_decided = tuple(picks)
         ctx.filter.on_output_decided(picks)
         self._early.extend(self._strategy.on_decisions([decision], self.now))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.regions import Region
 from repro.core.tuples import StreamTuple
@@ -146,7 +146,52 @@ class OutputStrategy(ABC):
         #: emitted.  Per strategy, hence per engine: bounded by the
         #: group's combinations of sharing classes, freed with the engine,
         #: and never shared between engines deciding on different threads.
+        #: A cache: a checkpoint leaves it behind.
         self._recipient_sets: RecipientSets = {}
+        #: Decisions made but not yet released.
+        self._pending: list[Decision] = []
+
+    @property
+    def pending(self) -> Sequence[Decision]:
+        """Decisions made but not yet released, oldest first."""
+        return self._pending
+
+    def state(
+        self, ref: Callable[[StreamTuple], int], rank: Callable[[int], int]
+    ) -> list:
+        """``[pending]``, each decision as ``[set, filter, owners, seqs,
+        decide_ts]``: tuples go through ``ref``, set ids through
+        ``rank`` (see :meth:`GroupAwareEngine.checkpoint`)."""
+        return [
+            [
+                [
+                    rank(d.set_id),
+                    d.filter_name,
+                    list(d.owners),
+                    [ref(item) for item in d.tuples],
+                    d.decide_ts,
+                ]
+                for d in self._pending
+            ]
+        ]
+
+    def restore(
+        self,
+        state: list,
+        tuples: Mapping[int, StreamTuple],
+        set_id: Callable[[int], int],
+    ) -> None:
+        """Resume from :meth:`state`; ``set_id`` maps a rank back to an id."""
+        self._pending = [
+            Decision(
+                filter_name=name,
+                set_id=set_id(rank),
+                tuples=tuple(tuples[seq] for seq in seqs),
+                decide_ts=decide_ts,
+                owners=tuple(owners),
+            )
+            for rank, name, owners, seqs, decide_ts in state[0]
+        ]
 
     @abstractmethod
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
@@ -169,10 +214,6 @@ class RegionOutput(OutputStrategy):
     """Default order-preserving strategy: release at region closure."""
 
     name = "region"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending: list[Decision] = []
 
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
         self._pending.extend(decisions)
@@ -216,7 +257,6 @@ class BatchedOutput(OutputStrategy):
             raise ValueError("batch_size must be at least 1")
         super().__init__()
         self.batch_size = batch_size
-        self._pending: list[Decision] = []
         self._since_release = 0
 
     def on_decisions(self, decisions: Sequence[Decision], now: float) -> list[Emission]:
@@ -234,3 +274,11 @@ class BatchedOutput(OutputStrategy):
     def flush(self, now: float) -> list[Emission]:
         ready, self._pending = self._pending, []
         return merge_decisions(ready, now, self._recipient_sets)
+
+    def state(self, ref, rank) -> list:
+        """``[pending, inputs since the last release]``."""
+        return [*super().state(ref, rank), self._since_release]
+
+    def restore(self, state, tuples, set_id) -> None:
+        super().restore(state, tuples, set_id)
+        self._since_release = int(state[1])

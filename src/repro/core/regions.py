@@ -86,6 +86,23 @@ class RegionTracker:
     def discard(self, candidate_set: CandidateSet) -> None:
         self._active.pop(candidate_set.set_id, None)
 
+    def watched(self) -> list[CandidateSet]:
+        """Every watched set in watch order, the order :meth:`poll`
+        keeps between sets whose covers start together."""
+        return list(self._active.values())
+
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def state(self) -> list:
+        """The region counters; the engine records the sets themselves."""
+        return [self.regions_emitted, self.regions_cut]
+
+    def restore(self, state: list, watched: Iterable[CandidateSet]) -> None:
+        """Counters from :meth:`state`, ``watched`` in watch order."""
+        self.regions_emitted, self.regions_cut = state
+        self._active = {s.set_id: s for s in watched}
+
     # ------------------------------------------------------------------
     # Queries used by the cut machinery
     # ------------------------------------------------------------------

@@ -11,6 +11,7 @@ tuples chosen by each filter").
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
@@ -73,6 +74,13 @@ class GroupUtility:
         """Copy of the current counts (used by tests and the debugger)."""
         return dict(self._counts)
 
+    def state(self) -> list:
+        """``[seq, count, seq, count, ...]`` in insertion order."""
+        return list(chain.from_iterable(self._counts.items()))
+
+    def restore(self, state: list) -> None:
+        self._counts = dict(zip(state[::2], state[1::2]))
+
 
 class DecidedOutputs:
     """Tuples already chosen for output, and by which filters.
@@ -85,11 +93,9 @@ class DecidedOutputs:
 
     def __init__(self) -> None:
         self._choosers: dict[int, set[str]] = {}
-        self._tuples: dict[int, StreamTuple] = {}
 
     def record(self, item: StreamTuple, *filter_names: str) -> None:
         self._choosers.setdefault(item.seq, set()).update(filter_names)
-        self._tuples[item.seq] = item
 
     def chosen_by_others(
         self, candidates: Sequence[StreamTuple], filter_name: str
@@ -108,7 +114,19 @@ class DecidedOutputs:
     def forget(self, seqs: Iterable[int]) -> None:
         for seq in seqs:
             self._choosers.pop(seq, None)
-            self._tuples.pop(seq, None)
+
+    def state(self) -> list:
+        """``[seq, [filter, ...], ...]`` in insertion order."""
+        return list(
+            chain.from_iterable(
+                (seq, sorted(names)) for seq, names in self._choosers.items()
+            )
+        )
+
+    def restore(self, state: list) -> None:
+        self._choosers = {
+            seq: set(names) for seq, names in zip(state[::2], state[1::2])
+        }
 
     def __len__(self) -> int:
         return len(self._choosers)

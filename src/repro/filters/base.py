@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
 
@@ -152,6 +152,17 @@ class GroupAwareFilter(ABC):
 
     def on_output_decided(self, chosen: Sequence[StreamTuple]) -> None:
         """Decider callback; stateful filters update their base here."""
+
+    # -- checkpoint ------------------------------------------------------
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """What this filter carries from one arrival to the next, as
+        plain data for :meth:`GroupAwareEngine.checkpoint`; every tuple
+        goes through ``ref``, which records it and returns its seq."""
+        raise NotImplementedError(f"{type(self).__name__} has no checkpoint state")
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        """Resume from :meth:`state`; ``tuples`` maps seqs back."""
+        raise NotImplementedError(f"{type(self).__name__} has no checkpoint state")
 
     @abstractmethod
     def make_self_interested(self) -> "SelfInterestedFilterProtocol":

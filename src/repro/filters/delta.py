@@ -27,7 +27,8 @@ than on the reference, which forces per-candidate-set deciding.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -227,6 +228,26 @@ class DeltaFilterBase(GroupAwareFilter):
                 chosen[-1].seq, self._base if self._base is not None else 0.0
             )
             self._member_values = {}
+
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[phase, base, reference value, tentative, member values]``,
+        the member values as ``[seq, value, ...]``."""
+        return [
+            self._phase.value,
+            self._base,
+            self._ref_value,
+            [ref(item) for item in self._tentative],
+            list(chain.from_iterable(self._member_values.items())),
+        ]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        phase, self._base, self._ref_value, tentative, members = state
+        self._phase = _Phase(phase)
+        self._tentative = [tuples[seq] for seq in tentative]
+        self._member_values = dict(zip(members[::2], members[1::2]))
 
 
 class DeltaCompressionFilter(DeltaFilterBase):

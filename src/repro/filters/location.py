@@ -14,7 +14,8 @@ the candidate set holds contiguous positions within ``slack`` of it.
 from __future__ import annotations
 
 import enum
-from typing import Hashable, Optional
+from itertools import chain
+from typing import Callable, Hashable, Mapping, Optional
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -59,8 +60,9 @@ class LocationDeltaFilter(GroupAwareFilter):
         self._phase = _Phase.SEED
         self._base: Optional[tuple[float, float]] = None
         self._reference: Optional[tuple[float, float]] = None
-        self._tentative: list[StreamTuple] = []
-        self._positions: dict[int, tuple[float, float]] = {}
+        #: Tentative members with their positions, kept only until the
+        #: reference decides them.
+        self._tentative: list[tuple[StreamTuple, tuple[float, float]]] = []
 
     @property
     def taxonomy(self) -> FilterTaxonomy:
@@ -82,7 +84,6 @@ class LocationDeltaFilter(GroupAwareFilter):
 
     def process(self, item: StreamTuple, ctx: FilterContext) -> None:
         position = self._position(item)
-        self._positions[item.seq] = position
 
         if self._phase is _Phase.SEED:
             ctx.admit(item)
@@ -108,29 +109,27 @@ class LocationDeltaFilter(GroupAwareFilter):
             ctx.admit(item)
             ctx.mark_reference(item)
             self._reference = position
-            for tentative in self._tentative:
-                if (
-                    euclidean_distance(self._positions[tentative.seq], position)
-                    > self.slack
-                ):
+            for tentative, at in self._tentative:
+                if euclidean_distance(at, position) > self.slack:
                     ctx.dismiss(tentative)
             self._tentative = []
             self._phase = _Phase.POST_REF
         elif distance >= self.delta - self.slack:
             ctx.admit(item)
-            self._tentative.append(item)
+            self._tentative.append((item, position))
         else:
-            for tentative in self._tentative:
-                ctx.dismiss(tentative)
-            self._tentative = []
+            self._dismiss_tentative(ctx)
+
+    def _dismiss_tentative(self, ctx: FilterContext) -> None:
+        for tentative, _ in self._tentative:
+            ctx.dismiss(tentative)
+        self._tentative = []
 
     def flush(self, ctx: FilterContext) -> None:
         if self._phase is _Phase.POST_REF:
             ctx.close_set()
         else:
-            for tentative in self._tentative:
-                ctx.dismiss(tentative)
-            self._tentative = []
+            self._dismiss_tentative(ctx)
             ctx.close_set()
         self._phase = _Phase.PRE_REF
 
@@ -142,9 +141,27 @@ class LocationDeltaFilter(GroupAwareFilter):
             self._phase = _Phase.PRE_REF
             self._tentative = []
         else:
-            for tentative in self._tentative:
-                ctx.dismiss(tentative)
-            self._tentative = []
+            self._dismiss_tentative(ctx)
+
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[phase, base, reference, tentative]``, positions as
+        ``[x, y]`` and the tentative members as ``[seq, x, y, ...]``."""
+        return [
+            self._phase.value,
+            None if self._base is None else list(self._base),
+            None if self._reference is None else list(self._reference),
+            list(chain.from_iterable((ref(item), *at) for item, at in self._tentative)),
+        ]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        phase, base, reference, tentative = state
+        self._phase = _Phase(phase)
+        self._base = None if base is None else (base[0], base[1])
+        self._reference = None if reference is None else (reference[0], reference[1])
+        self._tentative = [
+            (tuples[seq], (x, y))
+            for seq, x, y in zip(tentative[::3], tentative[1::3], tentative[2::3])
+        ]
 
     def make_self_interested(self) -> "SelfInterestedLocation":
         return SelfInterestedLocation(self)

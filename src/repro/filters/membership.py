@@ -15,7 +15,7 @@ those tuples is an equally good witness that the state changed (e.g.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -135,6 +135,13 @@ class BandTransitionFilter(GroupAwareFilter):
     def on_force_close(self, ctx: FilterContext) -> None:
         ctx.close_set(cut=True)
         self._witnesses = 0
+
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[current band, witnesses in the open window]``."""
+        return [self._current_band, self._witnesses]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        self._current_band, self._witnesses = state
 
     def make_self_interested(self) -> "SelfInterestedBandWatcher":
         return SelfInterestedBandWatcher(self)

@@ -16,6 +16,8 @@ window.
 from __future__ import annotations
 
 import random
+import zlib
+from typing import Callable, Mapping
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -77,6 +79,13 @@ class ReservoirSamplingFilter(GroupAwareFilter):
     def on_force_close(self, ctx: FilterContext) -> None:
         self._close(ctx, cut=True)
 
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[tuples in the open window]``."""
+        return [self._count_in_window]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        (self._count_in_window,) = state
+
     def make_self_interested(self) -> "SelfInterestedReservoir":
         return SelfInterestedReservoir(self)
 
@@ -87,7 +96,8 @@ class SelfInterestedReservoir:
     def __init__(self, spec: ReservoirSamplingFilter):
         self.name = spec.name
         self._spec = spec
-        self._rng = random.Random(spec.seed ^ (hash(spec.name) & 0xFFFFFFFF))
+        # crc32, not hash(): string hashes are salted per process.
+        self._rng = random.Random(spec.seed ^ zlib.crc32(spec.name.encode()))
         self._reservoir: list[StreamTuple] = []
         self._seen = 0
 

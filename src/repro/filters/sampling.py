@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable, Optional
+import zlib
+from typing import Callable, Hashable, Mapping, Optional
 
 from repro.core.engine import FilterContext
 from repro.core.tuples import StreamTuple
@@ -136,6 +137,14 @@ class StratifiedSamplingFilter(GroupAwareFilter):
         """A cut closes the partial segment with a proportional degree."""
         self._close_segment(ctx, cut=True)
 
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """``[origin timestamp, segment index, open segment's members]``."""
+        return [self._origin_ts, self._segment_index, [ref(t) for t in self._members]]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        self._origin_ts, self._segment_index, members = state
+        self._members = [tuples[seq] for seq in members]
+
     def make_self_interested(self) -> "SelfInterestedSampler":
         return SelfInterestedSampler(self)
 
@@ -152,7 +161,8 @@ class SelfInterestedSampler:
     def __init__(self, spec: StratifiedSamplingFilter):
         self.name = spec.name
         self._spec = spec
-        self._rng = random.Random(spec.seed ^ hash(spec.name) & 0xFFFFFFFF)
+        # crc32, not hash(): string hashes are salted per process.
+        self._rng = random.Random(spec.seed ^ zlib.crc32(spec.name.encode()))
         self._origin_ts: Optional[float] = None
         self._segment_index: Optional[int] = None
         self._members: list[StreamTuple] = []

@@ -11,7 +11,7 @@ reference exactly as for DC1.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from repro.core.tuples import StreamTuple
 from repro.filters.delta import DeltaFilterBase, SelfInterestedDelta
@@ -64,6 +64,15 @@ class TrendDeltaFilter(DeltaFilterBase):
 
     def _derive(self, item: StreamTuple) -> Optional[float]:
         return self._trend.derive(item)
+
+    def state(self, ref: Callable[[StreamTuple], int]) -> list:
+        """The delta state plus the previous value and timestamp."""
+        trend = self._trend
+        return [*super().state(ref), trend._previous_value, trend._previous_ts]
+
+    def restore(self, state: list, tuples: Mapping[int, StreamTuple]) -> None:
+        super().restore(state[:-2], tuples)
+        self._trend._previous_value, self._trend._previous_ts = state[-2:]
 
     def make_self_interested(self) -> SelfInterestedDelta:
         state = _TrendState(self.attribute)

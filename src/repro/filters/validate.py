@@ -29,7 +29,6 @@ class RecordingContext:
         self.filter = flt
         self._current: CandidateSet | None = None
         self.closed_sets: list[CandidateSet] = []
-        self.last_decided: tuple[StreamTuple, ...] = ()
 
     @property
     def current_set(self) -> CandidateSet | None:
@@ -72,7 +71,6 @@ class RecordingContext:
         # Stateful replay: pretend the reference itself was chosen.
         last = self.closed_sets[-1]
         reference = last.reference if last.reference is not None else last.tuples[-1]
-        self.last_decided = (reference,)
         self.filter.on_output_decided([reference])
 
     def has_open_candidates(self) -> bool:

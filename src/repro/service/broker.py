@@ -19,7 +19,13 @@ batch machinery:
 * decided emissions are micro-batched per subscriber session and pushed
   into bounded queues whose overflow policy (block / drop-oldest /
   disconnect) makes slow consumers exert backpressure instead of
-  growing broker memory.
+  growing broker memory;
+* a live source keeps its open state, not its history: migration and
+  standby arming ship the engine's checkpoint
+  (:meth:`~DisseminationService.export_source`,
+  :meth:`~DisseminationService.snapshot_source`), and
+  :meth:`~DisseminationService.import_source` restores it without
+  running an engine step.
 
 For a fixed trace with static subscriptions the service calls exactly
 the same engine methods in the same order as the batch path, so its
@@ -30,7 +36,6 @@ decided outputs are identical to ``GroupAwareEngine.run`` —
 from __future__ import annotations
 
 import asyncio
-import io
 import marshal
 import time
 from collections import deque
@@ -97,6 +102,12 @@ def _make_strategy(output: str, batch_size: int) -> OutputStrategy:
     return BatchedOutput(batch_size)
 
 
+def _open_tuples(state: dict) -> int:
+    """Tuples in a source state's checkpoint (its tuple table's rows)."""
+    checkpoint = state.get("checkpoint")
+    return 0 if checkpoint is None else len(checkpoint[-1])
+
+
 def engine_from_config(
     filters: Sequence[GroupAwareFilter],
     engine_cfg: EngineConfig,
@@ -153,12 +164,6 @@ class ServiceConfig:
     #: Sliding-window length for snapshot decide-latency percentiles
     #: (wall-clock arrival-to-emission milliseconds per decided tuple).
     decide_window: int = 4096
-    #: Epoch-journal entry cap for live source migration.  The journal
-    #: records every offer/tick fed to the current engine epoch so
-    #: :meth:`export_source` can hand the epoch to another worker for
-    #: byte-identical replay; past the cap the journal goes lossy and
-    #: export falls back to cutover-flush semantics.
-    migration_journal_cap: int = 100_000
     #: Keep every epoch's :class:`~repro.core.engine.EngineResult` (the
     #: per-decision and per-emission logs) for
     #: :meth:`DisseminationService.results` and ``close()``.  Off, a
@@ -180,57 +185,6 @@ class ServiceConfig:
             )
 
 
-class _EpochJournal:
-    """Replayable record of the current epoch, packed.
-
-    One entry per offer and per tick fed to the live engine.  Because
-    the epoch's engine state is a pure function of this sequence
-    (an engine is deterministic and rebuilt fresh on churn), replaying it
-    into a fresh engine reproduces the epoch exactly — the basis of live
-    migration and warm-standby re-arm.  Exact replay needs the whole
-    prefix (a filter's reference chains across candidate sets), so an
-    entry is kept as small as it can be rather than dropped: marshalled
-    at append into one buffer, ``(seq, timestamp, values)`` for an offer
-    and the bare float for a tick, and rebuilt into ``("o", tuple)`` /
-    ``("t", now_ms)`` only by :meth:`entries`.  The bytes never leave
-    the process.
-    """
-
-    __slots__ = ("packed", "count", "lossy")
-
-    def __init__(self) -> None:
-        self.packed = bytearray()
-        self.count = 0
-        #: Set once an entry could not be kept; export then falls back
-        #: to a cutover flush instead of exact replay.
-        self.lossy = False
-
-    def append(self, kind: str, payload) -> None:
-        """Pack one entry; ``ValueError`` if ``marshal`` refuses a value."""
-        if kind == "o":
-            payload = (payload.seq, payload.timestamp, payload.values)
-        else:
-            payload = float(payload)
-        self.packed += marshal.dumps(payload)
-        self.count += 1
-
-    def clear(self, lossy: bool = False) -> None:
-        self.packed = bytearray()
-        self.count = 0
-        self.lossy = lossy
-
-    def entries(self) -> list[tuple[str, object]]:
-        reader = io.BytesIO(self.packed)
-        entries: list[tuple[str, object]] = []
-        for _ in range(self.count):
-            payload = marshal.load(reader)
-            if type(payload) is float:
-                entries.append(("t", payload))
-            else:
-                entries.append(("o", StreamTuple.trusted(*payload)))
-        return entries
-
-
 @dataclass
 class _SourceState:
     name: str
@@ -247,8 +201,6 @@ class _SourceState:
     #: Wall-clock arrival time per offered-but-undecided tuple seq, for
     #: sub-tick decide-latency measurement (cleared on rebuild).
     arrivals_ns: dict[int, int] = field(default_factory=dict)
-    #: Everything fed to the current epoch's engine (cleared on rebuild).
-    journal: _EpochJournal = field(default_factory=_EpochJournal)
 
 
 class DisseminationService:
@@ -308,19 +260,19 @@ class DisseminationService:
             registry.register_collector(
                 lambda: contexts.set(self.engine_context_count())
             )
-            journal_bytes = registry.gauge(
-                "repro_broker_journal_bytes",
-                "Bytes the live sources' packed epoch journals hold "
-                "(what exact migration costs in memory).",
+            open_state_bytes = registry.gauge(
+                "repro_broker_open_state_bytes",
+                "Bytes the live engines' checkpoints pack to (what a "
+                "migration or standby arming ships).",
             )
             registry.register_collector(
-                lambda: journal_bytes.set(self.journal_bytes())
+                lambda: open_state_bytes.set(self.open_state_bytes())
             )
-            self._m_journal_lossy = registry.counter(
-                "repro_broker_journal_lossy_total",
-                "Epoch journals that stopped being replayable: past "
-                "migration_journal_cap (cap) or offered a value that "
-                "cannot be packed (unportable).",
+            self._m_checkpoint_cutovers = registry.counter(
+                "repro_broker_checkpoint_cutover_total",
+                "Source exports and snapshots that cut the engine over "
+                "instead of shipping its checkpoint: a value in the open "
+                "state cannot be packed (unportable).",
                 ("reason",),
             )
             self._m_flushes = registry.counter(
@@ -378,9 +330,17 @@ class DisseminationService:
             if src.engine is not None
         )
 
-    def journal_bytes(self) -> int:
-        """Bytes held by the live sources' packed epoch journals."""
-        return sum(len(src.journal.packed) for src in self._sources.values())
+    def open_state_bytes(self) -> int:
+        """Bytes the live engines' checkpoints pack to (an engine whose
+        open state holds a value ``marshal`` refuses counts 0)."""
+        total = 0
+        for src in self._sources.values():
+            if src.engine is not None:
+                try:
+                    total += len(marshal.dumps(src.engine.checkpoint()))
+                except ValueError:
+                    pass
+        return total
 
     def _src(self, source_name: str) -> _SourceState:
         try:
@@ -633,7 +593,6 @@ class DisseminationService:
         # A rebuild always follows a cutover: the old epoch's tuples were
         # emitted or dismissed with it, so their arrival times are dead.
         src.arrivals_ns.clear()
-        src.journal.clear()
         if not filters:
             return
         src.fed = 0
@@ -682,51 +641,64 @@ class DisseminationService:
             )
 
     # ------------------------------------------------------------------
-    # Live migration (epoch journal replay)
+    # Live migration (engine checkpoints)
     # ------------------------------------------------------------------
-    def _journal(self, src: _SourceState, kind: str, payload) -> None:
-        """Record one offer (``"o"``, the tuple) or tick (``"t"``, the
-        clock) of the current epoch, unless the journal already lost one."""
-        journal = src.journal
-        if journal.lossy:
-            return
-        reason = "cap"
-        if journal.count < self.config.migration_journal_cap:
+    async def _source_state(self, src: _SourceState) -> dict:
+        """A source's portable state (caller holds the source lock).
+
+        The live engine's :meth:`~GroupAwareEngine.checkpoint` — its open
+        state, not its history — with the subscriptions it was built
+        from and each session's shipped count, after every staged batch
+        is flushed (blocking: the subscribers stay live), so ``shipped``
+        is everything ever routed to a session: the stream position an
+        importer continues from.
+
+        If ``marshal`` refuses a value of the open state (a numpy scalar
+        offered in process), the engine cuts over here instead — its
+        open candidate sets are decided and delivered, as on churn —
+        and the state ships the fresh epoch's checkpoint.  That is
+        counted, with the reason ``unportable``.
+        """
+        checkpoint = None
+        if src.engine is not None:
+            checkpoint = src.engine.checkpoint()
             try:
-                journal.append(kind, payload)
-                return
+                marshal.dumps(checkpoint)
             except ValueError:
-                # A value marshal will not take (a numpy scalar offered
-                # in process): the offer goes ahead, the epoch just
-                # cannot migrate exactly — as past the cap.
-                reason = "unportable"
-        if self.telemetry is not None:
-            self._m_journal_lossy.labels(reason).inc()
-            self.telemetry.events.emit(
-                "journal_lossy",
-                source=src.name,
-                reason=reason,
-                entries=journal.count,
-            )
-        journal.clear(lossy=True)
+                await self._cutover(src)
+                self._rebuild(src)
+                checkpoint = src.engine.checkpoint()
+                if self.telemetry is not None:
+                    self._m_checkpoint_cutovers.labels("unportable").inc()
+                    self.telemetry.events.emit(
+                        "checkpoint_cutover", source=src.name, reason="unportable"
+                    )
+        for session in src.sessions.values():
+            batch = session.batcher.flush(self._now)
+            if batch is not None:
+                await self._ship(src, session, batch)
+        return {
+            "source": src.name,
+            "checkpoint": checkpoint,
+            "fed": src.fed,
+            "offered": src.offered,
+            "subscriptions": self.subscriptions(src.name),
+            "shipped": {
+                s.app_name: s.stats.shipped_tuples for s in src.sessions.values()
+            },
+        }
 
     async def export_source(self, source_name: str) -> dict:
         """Detach a source for live migration; returns its portable state.
 
-        Flushes every session's staged batch (blocking — the subscribers
-        stay live through a migration, unlike teardown), then detaches
-        the sessions *without* a cutover: the epoch's engine state
-        travels as the offer/tick journal instead of being flushed, so
-        the importing worker reproduces it exactly and delivered streams
-        stay byte-identical to an unmigrated run.  Each detached
-        session's connection pump ends with the non-final
-        ``"unsubscribed"`` reason, which the router's staged-migration
-        continuation treats as a hand-off, not a teardown.
-
-        If the journal overflowed its cap the epoch cannot replay; the
-        fallback is a cutover (open candidate state is decided and
-        delivered rather than dropped) and the returned state is marked
-        ``exact: False``.
+        The state is :meth:`_source_state`'s; the sessions then detach
+        *without* a cutover — the engine's open state travels in the
+        checkpoint instead of being flushed, so the importing worker
+        continues where it stands and delivered streams stay
+        byte-identical to an unmigrated run.  Each detached session's
+        connection pump ends with the non-final ``"unsubscribed"``
+        reason, which the router's staged-migration continuation treats
+        as a hand-off, not a teardown.
 
         The caller must stop routing offers to this worker first (the
         cluster router gates the source's offer path); an ingest racing
@@ -735,101 +707,52 @@ class DisseminationService:
         """
         src = self._src(source_name)
         async with src.lock:
-            for session in src.sessions.values():
-                batch = session.batcher.flush(self._now)
-                if batch is not None:
-                    await self._ship(src, session, batch)
-            exact = not src.journal.lossy
-            if not exact and src.fed:
-                await self._cutover(src)
-            journal = src.journal.entries()
-            subscriptions = self.subscriptions(source_name)
-            shipped = {
-                s.app_name: s.stats.shipped_tuples
-                for s in src.sessions.values()
-            }
-            fed = src.fed if exact else 0
+            state = await self._source_state(src)
             for app in list(src.sessions):
                 session = src.sessions.pop(app)
                 del self._app_sources[app]
                 await session.close()
                 self._retired.append(self._session_snapshot(session))
             self._drop_engine(src)
-            src.journal.clear()
-            src.arrivals_ns.clear()
-            offered = src.offered
             del self._sources[source_name]
             if self.telemetry is not None:
                 self._m_sessions.set(self.session_count())
                 self.telemetry.events.emit(
                     "migration_export",
                     source=source_name,
-                    exact=exact,
-                    journal_len=len(journal),
-                    fed=fed,
-                    subscribers=len(subscriptions),
+                    open_tuples=_open_tuples(state),
+                    fed=state["fed"],
+                    subscribers=len(state["subscriptions"]),
                 )
-            return {
-                "source": source_name,
-                "exact": exact,
-                "journal": journal,
-                "fed": fed,
-                "offered": offered,
-                "subscriptions": subscriptions,
-                "shipped": shipped,
-            }
+            return state
 
     async def snapshot_source(self, source_name: str) -> dict:
-        """Non-destructive copy of a source's replayable epoch state.
+        """Non-destructive copy of a source's portable state.
 
         The same payload :meth:`export_source` produces, but the source
-        keeps serving — this is how a warm standby is re-armed after a
-        failover consumed its predecessor.  Exact only while the journal
-        has not overflowed; a lossy snapshot carries no journal and
-        ``exact: False`` (importing it arms the standby for future
-        epochs only).
+        keeps serving — this is how a warm standby is armed and re-armed
+        after a failover consumed its predecessor.
         """
         src = self._src(source_name)
         async with src.lock:
-            # Flush staged batches so each session's shipped count equals
-            # everything ever routed to it — the exact stream position the
-            # standby's mirror (whose replay is emission-suppressed) will
-            # continue from.
-            for session in src.sessions.values():
-                batch = session.batcher.flush(self._now)
-                if batch is not None:
-                    await self._ship(src, session, batch)
-            exact = not src.journal.lossy
-            return {
-                "source": source_name,
-                "exact": exact,
-                "journal": src.journal.entries(),
-                "fed": src.fed if exact else 0,
-                "offered": src.offered,
-                "subscriptions": self.subscriptions(source_name),
-                "shipped": {
-                    s.app_name: s.stats.shipped_tuples
-                    for s in src.sessions.values()
-                },
-            }
+            return await self._source_state(src)
 
     async def import_source(
         self, source_name: str, state: dict, *, force: bool = False
     ) -> int:
-        """Adopt an exported source's epoch by journal replay.
+        """Adopt an exported source's open state from its checkpoint.
 
         The source must already exist here with the migrated
         subscriptions attached in their original insertion order and
-        nothing fed to the current epoch.  The engine is rebuilt fresh
-        first (discarding any broadcast-tick contamination since the
-        subscriptions attached), then the journal replays through the
-        normal engine steps with *suppressed* emissions — what each
-        step returns is dropped, because the exporting worker already
-        delivered it.  The replayed journal is retained, so the adopted
-        epoch can itself be exported again (chained migration, standby
-        re-arm).
+        nothing fed to the current epoch (``force`` waives that: a
+        standby's mirror is re-armed over whatever it was fed).  The
+        engine is rebuilt fresh, then restored from the checkpoint; no
+        engine step runs, so nothing is emitted twice.  ``ValueError``
+        if the checkpoint does not fit the subscriptions (the source is
+        left serving a fresh epoch).  A checkpoint for a source that has
+        no subscribers here is dropped with the epoch it describes.
 
-        Returns the number of journal entries replayed.
+        Returns the number of open tuples restored.
         """
         src = self._src(source_name)
         async with src.lock:
@@ -839,28 +762,25 @@ class DisseminationService:
                     "fed to its current epoch; import requires a clean one"
                 )
             self._rebuild(src)
-            journal = list(state.get("journal") or ())
-            replayed = 0
-            engine = src.engine
-            if engine is not None:
-                for kind, payload in journal:
-                    if kind == "o":
-                        engine.process(payload)
-                    else:
-                        engine.tick(float(payload), cuts=self.config.tick_cuts)
-                    self._journal(src, kind, payload)
-                    replayed += 1
+            checkpoint = state.get("checkpoint")
+            restored = 0
+            if checkpoint is not None and src.engine is not None:
+                try:
+                    src.engine.restore(checkpoint)
+                except (ValueError, RuntimeError):
+                    self._rebuild(src)
+                    raise
+                restored = _open_tuples(state)
             src.fed = int(state.get("fed", 0))
             src.offered += int(state.get("offered", 0))
             if self.telemetry is not None:
                 self.telemetry.events.emit(
                     "migration_import",
                     source=source_name,
-                    exact=bool(state.get("exact", True)),
-                    journal_len=replayed,
+                    open_tuples=restored,
                     subscribers=len(src.sessions),
                 )
-            return replayed
+            return restored
 
     # ------------------------------------------------------------------
     # Data path
@@ -916,8 +836,6 @@ class DisseminationService:
         arrival_ns = time.perf_counter_ns()
         arrivals[item.seq] = arrival_ns
         engine = src.engine
-        if engine is not None:
-            self._journal(src, "o", item)
         t = self.telemetry
         traced = False
         if t is not None:
@@ -981,11 +899,6 @@ class DisseminationService:
                 engine = src.engine
                 emissions: list[Emission] = []
                 if engine is not None:
-                    if src.fed:
-                        # Idle epochs (nothing fed) need no tick replay:
-                        # a fresh engine has no admitted tuples whose
-                        # timely cuts a tick could advance.
-                        self._journal(src, "t", now_ms)
                     emissions = engine.tick(now_ms, cuts=self.config.tick_cuts)
                     self._note_emissions(src, emissions)
                 await self._dispatch(src, emissions, now=now_ms)
@@ -1299,3 +1212,4 @@ class DisseminationService:
                     await session.close()
         self._closed = True
         return {src.name: list(src.epochs) for src in self._sources.values()}
+

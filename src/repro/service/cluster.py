@@ -129,7 +129,7 @@ class ClusterConfig:
     #: remediation loop must not strand a dead worker).
     deferred_heal_grace_s: float = 10.0
     #: Whole-handshake bound for one live source migration (gating
-    #: offers, draining, journal transfer, replay).
+    #: offers, draining, checkpoint transfer, restore).
     migrate_timeout_s: float = 30.0
     ready_timeout_s: float = 30.0
     #: How long data-path calls (and orphaned sessions) wait for a
@@ -1801,17 +1801,18 @@ class ClusterService:
         offer gate): subscribe every open app on the target (fresh
         source, so no cutover), stage those streams into the sessions,
         move router-side ownership, then ``export_source`` on the old
-        worker (flush + detach, state as an offer/tick journal) and
-        ``import_source`` on the target (suppressed replay).  The old
-        streams end with the non-final ``"unsubscribed"`` reason and
-        each session continues into its staged stream — zero subscriber
-        teardown, and with an exact journal the delivered bytes are
-        identical to an unmigrated run.
+        worker (flush + detach, the engine's open state as a checkpoint)
+        and ``import_source`` on the target (restored, no engine step
+        run).  The old streams end with the non-final ``"unsubscribed"``
+        reason and each session continues into its staged stream — zero
+        subscriber teardown, and the delivered bytes are identical to an
+        unmigrated run.
 
         A failure before the export unwinds completely.  A failure after
         it cannot (the old worker no longer owns the source): ownership
         still moves and subscribers see a state gap — the same contract
-        as a worker crash, never a teardown.
+        as a worker crash, never a teardown.  The result's ``exact``
+        says whether the state arrived: False only for that gap.
         """
         self._require_source(source_name)
         try:
@@ -1908,12 +1909,9 @@ class ClusterService:
             for app, _session, _remote in staged:
                 await self._shadow_unsubscribe(old_standby, app, source_name)
             old_standby.stale_sources.discard(source_name)
-        exact = False
-        replayed = 0
         try:
             state = await old.client.export_source(source_name)
-            exact = bool(state.get("exact", False))
-            replayed = await new.client.import_source(source_name, state)
+            restored = await new.client.import_source(source_name, state)
         except (ConnectionError, GatewayError) as exc:
             self._sources[source_name] = new.index
             self._count_migration("lossy")
@@ -1930,28 +1928,27 @@ class ClusterService:
                 "source": source_name,
                 "moved": True,
                 "exact": False,
-                "replayed": 0,
+                "restored": 0,
                 "worker": new.index,
             }
         self._sources[source_name] = new.index
         if self.telemetry is not None:
             self._m_placements.labels(str(new.index)).inc()
-        self._count_migration("complete" if exact else "lossy")
+        self._count_migration("complete")
         self._stale_shard_standby(new.index, source_name)
         self._emit(
             "migration_complete",
             source=source_name,
             src=old.index,
             dst=new.index,
-            exact=exact,
-            replayed=replayed,
+            restored=restored,
             apps=len(staged),
         )
         return {
             "source": source_name,
             "moved": True,
-            "exact": exact,
-            "replayed": replayed,
+            "exact": True,
+            "restored": restored,
             "worker": new.index,
         }
 
@@ -2124,10 +2121,11 @@ class ClusterService:
         Per source, under its lock: tear down stale shadows, re-attach a
         shadow subscription per open app, pull a non-destructive
         ``snapshot_source`` from the primary (flushed, so its per-app
-        shipped offsets are exact) and force-import it — the suppressed
-        replay leaves the standby's engines byte-equal to the primary's
-        with the shadow streams starting exactly at the snapshot point.
-        Failures leave the source stale; the supervisor cadence retries.
+        shipped offsets are the stream positions) and force-import it —
+        the restored checkpoint leaves the standby's engine equal to the
+        primary's, with the shadow streams starting at the snapshot
+        point.  Failures leave the source stale; the supervisor cadence
+        retries.
         """
         try:
             primary = self._primary(standby.mirror_of)
@@ -2186,14 +2184,6 @@ class ClusterService:
                         standby.shadows[app] = shadow
                         standby.shadow_source[app] = source
                     state = await primary.client.snapshot_source(source)
-                    if not state.get("exact", False) and state.get("fed"):
-                        # Lossy journal: the mirror can only arm for the
-                        # *next* epoch; leave this source stale.
-                        for app, _session in sessions:
-                            await self._shadow_unsubscribe(
-                                standby, app, source
-                            )
-                        continue
                     await standby.client.import_source(
                         source, state, force=True
                     )

@@ -57,8 +57,8 @@ __all__ = [
 
 _READ_CHUNK = 1 << 16
 
-#: Journal entries per frame while streaming a live-migration transfer
-#: (kept well under MAX_FRAME_BYTES at typical tuple widths).
+#: Checkpoint tuple-table rows per frame while streaming a live-migration
+#: transfer (kept well under MAX_FRAME_BYTES at typical tuple widths).
 _MIGRATION_CHUNK = 1024
 
 _SID_INGEST_SEND = stage_id(STAGE_INGEST_SEND)
@@ -667,16 +667,18 @@ class GatewayClient:
     async def export_source(self, source: str) -> dict:
         """Detach ``source`` on the server; returns its portable state.
 
-        The epoch journal can exceed one frame, so it streams back in
-        ``export_pull`` chunks; the returned state's ``journal`` holds
-        wire-format entries ready to feed :meth:`import_source` on
+        The checkpoint's tuple table can exceed one frame, so it streams
+        back in ``export_pull`` chunks and is put back in place: the
+        returned state is what
+        :meth:`~repro.service.broker.DisseminationService.export_source`
+        returned on the server, ready to feed :meth:`import_source` on
         another gateway unchanged.
         """
         reply = await self._request({"t": "export_source", "source": source})
         return await self._pull_source_state(source, reply)
 
     async def snapshot_source(self, source: str) -> dict:
-        """Copy ``source``'s portable epoch state without detaching it.
+        """Copy ``source``'s portable state without detaching it.
 
         The non-destructive sibling of :meth:`export_source` — used to
         arm a warm standby from a serving primary.
@@ -688,54 +690,60 @@ class GatewayClient:
 
     async def _pull_source_state(self, source: str, reply: dict) -> dict:
         state = dict(reply["state"])
-        total = int(state.pop("journal_len", 0))
-        journal: list = []
-        while len(journal) < total:
+        total = int(state.pop("rows", 0))
+        rows: list = []
+        while len(rows) < total:
             pull = await self._request(
                 {
                     "t": "export_pull",
                     "source": source,
-                    "offset": len(journal),
+                    "offset": len(rows),
                     "count": _MIGRATION_CHUNK,
                 }
             )
-            entries = list(pull.get("entries") or ())
-            journal.extend(entries)
-            if pull.get("done") or not entries:
+            chunk = list(pull.get("rows") or ())
+            rows.extend(chunk)
+            if pull.get("done") or not chunk:
                 break
-        state["journal"] = journal
+        if state.get("checkpoint") is not None:
+            state["checkpoint"] = [*state["checkpoint"], rows]
         return state
 
     async def import_source(
         self, source: str, state: dict, *, force: bool = False
     ) -> int:
-        """Stream an exported source's epoch into this gateway's broker.
+        """Stream an exported source's state into this gateway's broker.
 
         ``source`` must already exist on the target with the migrated
-        subscriptions re-attached in their original order; returns the
-        number of journal entries replayed.
+        subscriptions re-attached in their original order.  The
+        checkpoint's tuple table goes in ``import_chunk`` rows (their
+        count announced by ``import_begin``), the rest with
+        ``import_commit``; returns the number of open tuples restored.
         """
-        journal = list(state.get("journal") or ())
-        await self._request({"t": "import_begin", "source": source})
-        for start in range(0, len(journal), _MIGRATION_CHUNK):
+        checkpoint = state.get("checkpoint")
+        rows = [] if checkpoint is None else checkpoint[-1]
+        await self._request(
+            {"t": "import_begin", "source": source, "rows": len(rows)}
+        )
+        for start in range(0, len(rows), _MIGRATION_CHUNK):
             await self._request(
                 {
                     "t": "import_chunk",
                     "source": source,
-                    "entries": journal[start : start + _MIGRATION_CHUNK],
+                    "rows": rows[start : start + _MIGRATION_CHUNK],
                 }
             )
         reply = await self._request(
             {
                 "t": "import_commit",
                 "source": source,
+                "checkpoint": None if checkpoint is None else checkpoint[:-1],
                 "fed": int(state.get("fed", 0)),
                 "offered": int(state.get("offered", 0)),
-                "exact": bool(state.get("exact", True)),
                 "force": force,
             }
         )
-        return int(reply.get("replayed", 0))
+        return int(reply.get("restored", 0))
 
     async def subscribe(
         self,

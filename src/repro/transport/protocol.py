@@ -277,7 +277,7 @@ def tuple_to_wire(item: StreamTuple) -> dict:
 
 def tuple_from_wire(payload) -> StreamTuple:
     # The binary codec decodes tuple records straight to StreamTuples;
-    # dict payloads are the journal entries of the migration verbs.
+    # dict payloads are tuple_to_wire's JSON shape.
     if isinstance(payload, StreamTuple):
         return payload
     try:

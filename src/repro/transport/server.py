@@ -61,7 +61,6 @@ from repro.transport.protocol import (
     pack_header,
     traces_from_wire,
     tuple_from_wire,
-    tuple_to_wire,
 )
 
 __all__ = ["GatewayServer", "service_snapshot_dict"]
@@ -135,6 +134,33 @@ def _field(frame: dict, name: str):
         ) from None
 
 
+def _row_from_wire(row) -> list:
+    """One checkpoint tuple-table row, ``[seq, timestamp, name, value,
+    ...]``, checked and coerced as an ingested tuple would be."""
+    try:
+        seq, timestamp, *pairs = row
+        names = pairs[::2]
+        if len(pairs) % 2 or not all(isinstance(name, str) for name in names):
+            raise ValueError("a row is seq, timestamp, then name/value pairs")
+        out = [int(seq), float(timestamp)]
+        for name, value in zip(names, pairs[1::2]):
+            out += (name, float(value))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _BadRequest(f"malformed checkpoint row: {exc}") from None
+    return out
+
+
+class _Import:
+    """One connection's inbound source state, between ``import_begin``
+    (which announces the tuple-table rows) and ``import_commit``."""
+
+    __slots__ = ("expected", "rows")
+
+    def __init__(self, expected: int):
+        self.expected = expected
+        self.rows: list[list] = []
+
+
 class _Connection:
     """Per-socket state: the corked writer and owned subscriptions.
 
@@ -174,6 +200,11 @@ class _Connection:
             self._bytes_out = metrics.bytes.labels("out")
         self.pumps: dict[str, asyncio.Task] = {}
         self.sessions: dict[str, SubscriberSession] = {}
+        #: Live-migration staging, per source: exported tuple tables
+        #: awaiting ``export_pull`` and imports awaiting their commit.
+        #: They belong to the connection that opened them and go with it.
+        self.export_stash: dict[str, list] = {}
+        self.import_stash: dict[str, _Import] = {}
         self.peer = writer.get_extra_info("peername")
         self._loop = asyncio.get_running_loop()
         self._corked: list[bytes] = []
@@ -272,6 +303,8 @@ class _Connection:
 
     def close(self) -> None:
         """Flush what is corked, then close the transport gracefully."""
+        self.export_stash.clear()
+        self.import_stash.clear()
         self.flush()
         self.writer.close()
 
@@ -326,11 +359,6 @@ class GatewayServer:
         self._connections: set[_Connection] = set()
         self._handlers: set[asyncio.Task] = set()
         self._shutting_down = False
-        # Live-migration staging: exported journals awaiting chunked
-        # pulls and inbound chunks awaiting an import commit.  Journals
-        # can exceed one frame, so the handshake streams them.
-        self._export_stash: dict[str, list] = {}
-        self._import_stash: dict[str, list] = {}
         self.telemetry = telemetry
         self._metrics: Optional[_TransportMetrics] = None
         if telemetry is not None:
@@ -620,29 +648,22 @@ class GatewayServer:
                 name = _field(frame, "source")
                 offset = int(_field(frame, "offset"))
                 count = max(1, int(_field(frame, "count")))
-                entries = self._export_stash.get(name, [])
-                chunk = entries[offset : offset + count]
-                done = offset + len(chunk) >= len(entries)
+                rows = conn.export_stash.get(name, [])
+                chunk = rows[offset : offset + count]
+                done = offset + len(chunk) >= len(rows)
                 if done:
-                    self._export_stash.pop(name, None)
+                    conn.export_stash.pop(name, None)
                 await conn.send(
-                    {
-                        "t": "ok",
-                        "reply_to": seq,
-                        "entries": chunk,
-                        "done": done,
-                    }
+                    {"t": "ok", "reply_to": seq, "rows": chunk, "done": done}
                 )
             elif kind == "import_begin":
-                self._import_stash[_field(frame, "source")] = []
+                rows = int(_field(frame, "rows"))
+                if rows < 0:
+                    raise _BadRequest(f"import_begin announces {rows} rows")
+                conn.import_stash[_field(frame, "source")] = _Import(rows)
                 await conn.send({"t": "ok", "reply_to": seq})
             elif kind == "import_chunk":
-                name = _field(frame, "source")
-                if name not in self._import_stash:
-                    raise _BadRequest(
-                        f"no import in progress for source {name!r}"
-                    )
-                self._import_stash[name].extend(_field(frame, "entries"))
+                self._on_import_chunk(conn, frame)
                 await conn.send({"t": "ok", "reply_to": seq})
             elif kind == "import_commit":
                 await self._on_import_commit(conn, frame, seq)
@@ -706,52 +727,76 @@ class GatewayServer:
     async def _send_source_state(
         self, conn: _Connection, seq, name: str, *, destructive: bool
     ) -> None:
-        """Reply with a source's portable epoch state; journal chunked.
+        """Reply with a source's portable state; tuple table chunked.
 
         ``export_source`` detaches the source (migration);
         ``snapshot_source`` copies it non-destructively (standby
-        arming).  Either way the reply carries the state minus the
-        journal (which can exceed one frame); the caller streams it
-        with ``export_pull`` until ``done``, freeing the stash.
+        arming).  Either way the reply carries the state with the
+        checkpoint minus its tuple table (the last element, and the one
+        part that can exceed a frame), whose length is ``rows``; the
+        caller streams the table with ``export_pull`` until ``done``.
         """
         if destructive:
             state = await self.service.export_source(name)
         else:
             state = await self.service.snapshot_source(name)
-        entries = [
-            ["o", tuple_to_wire(entry[1])]
-            if entry[0] == "o"
-            else ["t", entry[1]]
-            for entry in state.pop("journal")
-        ]
-        if entries:
-            self._export_stash[name] = entries
-        state["journal_len"] = len(entries)
+        checkpoint = state["checkpoint"]
+        rows: list = []
+        if checkpoint is not None:
+            rows = checkpoint[-1]
+            state["checkpoint"] = checkpoint[:-1]
+        if rows:
+            conn.export_stash[name] = rows
+        state["rows"] = len(rows)
         state["subscriptions"] = [list(sub) for sub in state["subscriptions"]]
         await conn.send({"t": "ok", "reply_to": seq, "state": state})
+
+    @staticmethod
+    def _on_import_chunk(conn: _Connection, frame: dict) -> None:
+        """Stage tuple-table rows, never more than ``import_begin``
+        announced: an import that overruns is dropped and refused."""
+        name = _field(frame, "source")
+        pending = conn.import_stash.get(name)
+        if pending is None:
+            raise _BadRequest(f"no import in progress for source {name!r}")
+        rows = _field(frame, "rows")
+        if not isinstance(rows, list):
+            raise _BadRequest("import_chunk 'rows' must be a list")
+        if len(pending.rows) + len(rows) > pending.expected:
+            del conn.import_stash[name]
+            raise _BadRequest(
+                f"import of {name!r} announced {pending.expected} rows, "
+                f"got {len(pending.rows) + len(rows)}"
+            )
+        pending.rows.extend(_row_from_wire(row) for row in rows)
 
     async def _on_import_commit(
         self, conn: _Connection, frame: dict, seq
     ) -> None:
         name = _field(frame, "source")
-        entries = self._import_stash.pop(name, [])
-        journal = [
-            ("o", tuple_from_wire(entry[1]))
-            if entry[0] == "o"
-            else ("t", float(entry[1]))
-            for entry in entries
-        ]
-        replayed = await self.service.import_source(
+        pending = conn.import_stash.pop(name, None)
+        if pending is None:
+            raise _BadRequest(f"no import in progress for source {name!r}")
+        if len(pending.rows) != pending.expected:
+            raise _BadRequest(
+                f"import of {name!r} announced {pending.expected} rows, "
+                f"got {len(pending.rows)}"
+            )
+        checkpoint = frame.get("checkpoint")
+        if checkpoint is not None:
+            if not isinstance(checkpoint, list):
+                raise _BadRequest("import_commit 'checkpoint' must be a list")
+            checkpoint = [*checkpoint, pending.rows]
+        restored = await self.service.import_source(
             name,
             {
-                "journal": journal,
+                "checkpoint": checkpoint,
                 "fed": int(frame.get("fed", 0)),
                 "offered": int(frame.get("offered", 0)),
-                "exact": bool(frame.get("exact", True)),
             },
             force=bool(frame.get("force", False)),
         )
-        await conn.send({"t": "ok", "reply_to": seq, "replayed": replayed})
+        await conn.send({"t": "ok", "reply_to": seq, "restored": restored})
 
     async def _on_ingest(
         self, conn: _Connection, frame: dict, seq

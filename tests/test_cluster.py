@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tuples import StreamTuple
+from repro.obs.telemetry import Telemetry
 from repro.runtime.partition import HashRing
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
@@ -147,7 +148,7 @@ async def _run_migrated(
     At every offer index in ``moves`` the source is exported from its
     current broker and imported into a brand-new one (subscriptions
     re-attached first, in their recorded order), so two moves exercise
-    the chained export of a replayed journal.  Per-app streams
+    the export of a restored checkpoint.  Per-app streams
     accumulate across brokers; transparency means the concatenation
     equals the unmigrated baseline byte for byte.
     """
@@ -443,8 +444,9 @@ def test_live_migration_moves_source_without_subscriber_teardown():
             raise
 
     received, expected, kinds = asyncio.run(run())
-    # Exact journal replay: the migrated stream is byte-identical to the
-    # unmigrated oracle — no gap, no replay, no teardown.
+    # The checkpoint carries the open state: the migrated stream is
+    # byte-identical to the unmigrated oracle — no gap, no repeat, no
+    # teardown.
     assert received == expected
     if kinds:
         assert "migration_start" in kinds and "migration_complete" in kinds
@@ -516,6 +518,76 @@ def test_standby_adoption_splices_stream_with_zero_gap():
     # across the failover equals the uncrashed oracle — zero gap, zero
     # duplicates, zero teardown.
     assert received == expected
+
+
+def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
+    """A standby armed mid-stream — ``snapshot_source`` on the primary,
+    ``import_source`` on the standby, across real processes — holds the
+    primary's open state: the failover after it splices exactly."""
+    offers = _tuples(0, 40)
+    spec = "DC1(value, 6.0, 3.0)"  # sets of a few tuples stay open
+
+    async def run():
+        expected = await _baseline_stream(offers, spec)
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=1,
+                standby=1,
+                sources=("solo",),
+                batch_max_items=1,
+                health_interval_s=0.25,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            session = await cluster.subscribe("solo.app", "solo", spec)
+            received: list[int] = []
+
+            async def consume():
+                async for batch in session.batches():
+                    received.extend(item.seq for item in batch.items)
+
+            consumer = asyncio.create_task(consume())
+            for item in offers[:17]:
+                await cluster.offer("solo", item)
+            await _settled(received)
+            primary = cluster._primary(0)
+            standby = cluster._standby_for(0)
+            assert standby is not None, "standby never came up"
+            # Drop the mirror armed from birth and arm it again from the
+            # primary's checkpoint, 17 offers in.
+            cluster._mark_stale(standby, "solo")
+            cluster._schedule_arm(standby)
+            await asyncio.wait_for(standby.arm_task, 30)
+            assert "solo" not in standby.stale_sources
+            for item in offers[17:25]:
+                await cluster.offer("solo", item)
+            await _settled(received)
+            old_pid = primary.process.pid
+            primary.process.kill()
+            for _ in range(600):
+                process = primary.process
+                if process is not None and process.pid != old_pid and primary.ready.is_set():
+                    break
+                await asyncio.sleep(0.05)
+            assert primary.ready.is_set(), "slot never healed"
+            for item in offers[25:]:
+                await cluster.offer("solo", item)
+            await cluster.close()
+            await asyncio.wait_for(consumer, timeout=30)
+            return received, expected, telemetry.events.since()
+        except BaseException:
+            await cluster.close()
+            raise
+
+    received, expected, events = asyncio.run(run())
+    armed = [e for e in events if e["kind"] == "standby_armed"]
+    adopted = [e for e in events if e["kind"] == "standby_adopt"]
+    assert armed and armed[0]["sources"] == 1
+    assert [(e["worker"], e["spliced"], e["cold"]) for e in adopted] == [(0, 1, 0)]
+    assert received == expected and len(expected) > 3
 
 
 def test_add_and_remove_worker_rebalance_via_live_migration():

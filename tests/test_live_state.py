@@ -1,5 +1,5 @@
-"""What a live source keeps: epochs only on request, a packed journal,
-a bounded arrival map.
+"""What a live source keeps: epochs only on request, its open state as
+a checkpoint it can ship, a bounded arrival map.
 
 Everything here runs an in-process :class:`DisseminationService`: no
 sockets, no subprocess, no sleeps.  The new paths have no runtime "off"
@@ -10,12 +10,14 @@ the recording engines' own logs, the tuples the test offered, a count.
 from __future__ import annotations
 
 import asyncio
+import marshal
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from repro.core.cuts import RuntimePredictor
+from repro.core.engine import GroupAwareEngine
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
 from repro.runtime.tasks import EngineConfig
@@ -108,22 +110,25 @@ class TestEpochRecordingIsOptional:
             ]
             assert len(stream) > 10
 
-    @pytest.mark.parametrize("journal_cap", [100_000, 50])
-    def test_cuts_triggered_survives_export_source(self, journal_cap):
-        """An exported source takes its engines with it (exactly, or by
-        a cutover once the journal is lossy); the cuts they fired stay
-        counted."""
-        trace = random_walk_trace(n=300, seed=11, attribute="temp")
+    @pytest.mark.parametrize("unportable", [False, True], ids=["portable", "unportable"])
+    def test_cuts_triggered_survives_export_source(self, unportable):
+        """An exported source takes its engine with it — as a checkpoint,
+        or by a cutover when its open state holds a value ``marshal``
+        refuses; the cuts it fired stay counted either way."""
+        trace = list(random_walk_trace(n=300, seed=11, attribute="temp"))
+        if unportable:
+            last = trace[-1]
+            trace[-1] = StreamTuple(
+                last.seq, last.timestamp, {"temp": Fraction(last.value("temp"))}
+            )
 
         async def run():
             service = DisseminationService(
-                ServiceConfig(
-                    engine=EngineConfig(algorithm="region", constraint_ms=30.0),
-                    migration_journal_cap=journal_cap,
-                )
+                ServiceConfig(engine=EngineConfig(algorithm="region", constraint_ms=30.0))
             )
             service.add_source("src")
-            for app, spec in SPECS:
+            # The reservoir keeps every offer in its open window.
+            for app, spec in SPECS + [("keep", "RS(2, 1000)")]:
                 await service.subscribe(app, "src", spec, queue_capacity=10_000)
             for item in trace:
                 await service.offer("src", item)
@@ -131,133 +136,156 @@ class TestEpochRecordingIsOptional:
             state = await service.export_source("src")
             after = service.snapshot().cuts_triggered
             await service.close()
-            return before, after, state["exact"]
+            return before, after, state
 
-        before, after, exact = asyncio.run(run())
-        assert exact == (journal_cap > 300)
+        before, after, state = asyncio.run(run())
+        assert (state["checkpoint"][-1] == []) == unportable
         assert after == before > 0
 
 
-def _fields(journal):
-    """Journal entries with everything ``StreamTuple.__eq__`` ignores."""
-    return [
-        (kind, payload)
-        if kind == "t"
-        else (
-            kind,
-            payload.seq,
-            payload.timestamp,
-            [(k, v, type(v)) for k, v in payload.values.items()],
-        )
-        for kind, payload in journal
-    ]
+async def _broker(specs=SPECS, telemetry=None):
+    service = DisseminationService(ServiceConfig(), telemetry=telemetry)
+    service.add_source("src")
+    sessions = {
+        app: await service.subscribe(app, "src", spec, queue_capacity=10_000)
+        for app, spec in specs
+    }
+    return service, sessions
 
 
-def _journal_run(items, **config):
-    """One subscriber fed ``items`` with telemetry on: its stream, the
-    journal bytes held after each offer, the final exposition, a source
-    snapshot and the ``journal_lossy`` events."""
-    telemetry = Telemetry(sample_period=0)
-
-    async def run():
-        service = DisseminationService(ServiceConfig(**config), telemetry=telemetry)
-        service.add_source("src")
-        session = await service.subscribe(
-            "app0", "src", "DC1(temp, 2.0, 1.0)", queue_capacity=10_000
-        )
-        held = []
-        for item in items:
-            await service.offer("src", item)
-            held.append(service.journal_bytes())
-        exposition = telemetry.registry.render()
-        state = await service.snapshot_source("src")
-        await service.close()
-        return _drained({"app0": session})["app0"], held, exposition, state
-
-    delivered, held, exposition, state = asyncio.run(run())
-    events = [e for e in telemetry.events.since() if e["kind"] == "journal_lossy"]
-    return delivered, held, exposition, state, events
-
-
-class TestPackedJournal:
-    def test_export_import_export_is_entry_for_entry(self):
-        """Ticks, ``int`` and ``float`` values and several attributes
-        come back out of the packed journal as they went in, and again
-        after a replay re-packed them."""
+class TestCheckpointTransfer:
+    def test_export_import_export_is_a_fixed_point(self):
+        """Ticks, ``int`` and ``float`` values and several attributes:
+        what a source exports, an importer restores and exports again
+        unchanged — no engine step in between, and the streams carry on
+        as if nothing moved."""
         items = [
-            StreamTuple(seq, seq * 10.0, {"temp": seq * 0.75, "hum": 40 + seq % 3, "n": seq})
-            for seq in range(120)
+            StreamTuple(seq, seq * 10.0, {"temp": seq * 0.75 % 7, "hum": 40 + seq % 3, "n": seq})
+            for seq in range(240)
         ]
-        fed: list[tuple] = []
-
-        async def broker():
-            service = DisseminationService(ServiceConfig())
-            service.add_source("src")
-            for app, spec in SPECS[:2]:
-                await service.subscribe(app, "src", spec, queue_capacity=10_000)
-            return service
 
         async def run():
-            first = await broker()
-            for item in items:
+            first, before = await _broker()
+            for item in items[:120]:
                 await first.offer("src", item)
-                fed.append(("o", item))
                 if item.seq % 5 == 0:
                     await first.tick(item.timestamp + 2.5)
-                    fed.append(("t", item.timestamp + 2.5))
             exported = await first.export_source("src")
-            second = await broker()
-            replayed = await second.import_source("src", exported)
-            again = await second.export_source("src")
+            second, after = await _broker()
+            restored = await second.import_source("src", exported)
+            again = await second.snapshot_source("src")
+            for item in items[120:]:
+                await second.offer("src", item)
             await first.close()
             await second.close()
-            return exported, replayed, again
+            streams = _drained(before)
+            for app, tail in _drained(after).items():
+                streams[app] += tail
+            return exported, restored, again, streams
 
-        exported, replayed, again = asyncio.run(run())
-        assert exported["exact"] and again["exact"]
-        assert replayed == len(fed) == len(exported["journal"])
-        assert _fields(exported["journal"]) == _fields(fed)
-        assert _fields(again["journal"]) == _fields(fed)
+        async def unmoved():
+            service, sessions = await _broker()
+            for item in items:
+                await service.offer("src", item)
+                if item.seq < 120 and item.seq % 5 == 0:
+                    await service.tick(item.timestamp + 2.5)
+            await service.close()
+            return _drained(sessions)
 
-    def test_a_value_marshal_refuses_costs_exactness_not_the_offer(self):
-        plain = list(random_walk_trace(n=200, seed=5, attribute="temp"))
+        exported, restored, again, streams = asyncio.run(run())
+        assert exported["checkpoint"] == again["checkpoint"]
+        assert restored == len(exported["checkpoint"][-1]) > 0
+        assert (exported["fed"], exported["offered"]) == (again["fed"], again["offered"])
+        # What the exporter shipped, then what the importer did: the
+        # unmoved run's streams, nothing lost and nothing twice.
+        assert streams == asyncio.run(unmoved())
+        assert all(len(stream) > 10 for stream in streams.values())
+
+    def test_import_runs_no_engine_step(self, monkeypatch):
+        steps = []
+        for name in ("process", "tick", "drain"):
+            step = getattr(GroupAwareEngine, name)
+            monkeypatch.setattr(
+                GroupAwareEngine,
+                name,
+                lambda self, *a, _step=step, _name=name, **k: (
+                    steps.append(_name) or _step(self, *a, **k)
+                ),
+            )
+
+        async def run():
+            first, _ = await _broker()
+            for item in random_walk_trace(n=200, seed=5, attribute="temp"):
+                await first.offer("src", item)
+            exported = await first.export_source("src")
+            second, _ = await _broker()
+            steps.clear()
+            restored = await second.import_source("src", exported)
+            return restored
+
+        assert asyncio.run(run()) > 0
+        assert steps == []
+
+    def test_an_unportable_value_costs_one_counted_cutover_not_the_offer(self):
+        """A value ``marshal`` refuses in the open state: the snapshot
+        cuts the engine over (counted once, with its reason) and ships
+        the fresh epoch, and the source keeps serving — its streams are
+        those of a plain run that re-filtered at the same point."""
+        plain = list(random_walk_trace(n=300, seed=5, attribute="temp"))
+        at = 150
         odd = [
             StreamTuple(t.seq, t.timestamp, {"temp": Fraction(t.value("temp"))})
-            if t.seq == 80
+            if t.seq == at - 1
             else t
             for t in plain
         ]
-        want, _, _, exact_state, no_events = _journal_run(plain)
-        delivered, held, exposition, state, events = _journal_run(odd)
-        assert exact_state["exact"] and not no_events
-        assert delivered == want and len(delivered) > 10
-        assert not state["exact"] and state["journal"] == []
-        assert held[79] > 0 and set(held[80:]) == {0}
-        assert [(e["source"], e["reason"], e["entries"]) for e in events] == [
-            ("src", "unportable", 80)
-        ]
-        assert 'repro_broker_journal_lossy_total{reason="unportable"} 1' in exposition
-        assert "repro_broker_journal_bytes 0" in exposition
+        spec = "RS(2, 1000)"  # every offer stays in the open window
 
-    def test_past_the_cap_is_counted_once_with_its_reason(self):
-        items = list(random_walk_trace(n=200, seed=5, attribute="temp"))
-        _, held, exposition, state, events = _journal_run(
-            items, migration_journal_cap=64
-        )
-        assert not state["exact"] and state["journal"] == []
-        assert held[63] > 0 and set(held[64:]) == {0}
-        assert [(e["source"], e["reason"], e["entries"]) for e in events] == [
-            ("src", "cap", 64)
-        ]
-        assert 'repro_broker_journal_lossy_total{reason="cap"} 1' in exposition
+        async def run(items, unportable):
+            telemetry = Telemetry(sample_period=0)
+            service, sessions = await _broker([("app0", spec)], telemetry)
+            state = None
+            for item in items:
+                if item.seq == at:
+                    if unportable:
+                        state = await service.snapshot_source("src")
+                    else:
+                        await service.re_filter("app0", spec)
+                await service.offer("src", item)
+            exposition = telemetry.registry.render()
+            await service.close()
+            events = [e for e in telemetry.events.since() if e["kind"] == "checkpoint_cutover"]
+            return _drained(sessions)["app0"], state, exposition, events
 
-    def test_journal_bytes_gauge_reads_what_the_sources_hold(self):
-        items = list(random_walk_trace(n=200, seed=5, attribute="temp"))
-        _, held, exposition, _, _ = _journal_run(items)
-        assert held == sorted(held) and held[-1] > 0
-        assert f"repro_broker_journal_bytes {held[-1]}" in exposition
-        # One attribute per tuple: the ceiling the README quotes.
-        assert held[-1] / len(items) <= 48
+        want, _, clean, no_events = asyncio.run(run(plain, False))
+        got, state, exposition, events = asyncio.run(run(odd, True))
+        assert got == want and len(got) > 2
+        assert not no_events and "repro_broker_checkpoint_cutover_total{" not in clean
+        assert state["checkpoint"] is not None and state["checkpoint"][-1] == []
+        assert state["fed"] == 0 and state["offered"] == at
+        assert [(e["source"], e["reason"]) for e in events] == [("src", "unportable")]
+        assert 'repro_broker_checkpoint_cutover_total{reason="unportable"} 1' in exposition
+
+    def test_open_state_bytes_gauge_reads_what_the_sources_hold(self):
+        telemetry = Telemetry(sample_period=0)
+
+        async def run():
+            service, _ = await _broker(telemetry=telemetry)
+            held = []
+            for item in random_walk_trace(n=200, seed=5, attribute="temp"):
+                await service.offer("src", item)
+                held.append(service.open_state_bytes())
+            engine = service._sources["src"].engine
+            packed = len(marshal.dumps(engine.checkpoint()))
+            exposition = telemetry.registry.render()
+            await service.close()
+            return held, packed, exposition
+
+        held, packed, exposition = asyncio.run(run())
+        assert held[-1] == packed > 0
+        assert f"repro_broker_open_state_bytes {packed}" in exposition
+        # Open state, not history: it rises and falls with the open sets.
+        assert max(held) < 4 * min(held[20:])
 
 
 class TestArrivalMapIsBounded:

@@ -6,37 +6,43 @@ fed tuples built *fresh* for every call from plain rows and dropped
 after the offer, as the wire decoder makes them — a pre-built trace
 would hide whatever pins the offered tuples themselves.  After a warm
 first part and a ``gc.collect()`` the rest's growth in
-``sys.getallocatedblocks()`` and in ``len(gc.get_objects())`` is divided
-by the tuples offered.  Both counts repeat exactly from run to run, so
-the gates need no tolerance for noise.
+``sys.getallocatedblocks()`` and in ``len(gc.get_objects())`` — and, in
+the long variant, in the bytes ``tracemalloc`` traces — is divided by
+the tuples offered.  All three repeat exactly from run to run, so the
+gates need no tolerance for noise.  ``tracemalloc`` starts before the
+warm-up: started later, it would miss the arrival map's buffers and
+count their release when the map is rebuilt.
 
 Read on CPython 3.11.7 (x86-64 Linux), allocator blocks / GC-tracked
-objects per offered tuple over the second 4 096 of 8 192:
+objects per offered tuple over the second 4 096 of 8 192: with broker
+engines that logged every decision beside a journal entry pinning every
+offered tuple, and today, with ``record=False`` engines and no journal:
 
 =========================================  ==============  =============
-group                                      PR 16 (parent)  this change
+group                                      logging         record=False
 =========================================  ==============  =============
 32 subscribers on 4 DC specs, 64 per call  11.15 / 4.60    1.48 / 0.00
 2 subscribers on 2 DC specs, 1 per call    10.15 / 3.94    1.47 / 0.00
 =========================================  ==============  =============
 
-The parent kept, per offer, the journal's ``("o", item)`` entry with the
-tuple it pinned, and per decided tuple a ``Decision``/``Emission`` in the
-engine's log.  What is left is not per tuple for ever: the arrival map
-filling to its cap (an ``int`` stamp and its share of the dict an offer,
-until 8 192) and the packed journal's one buffer (no blocks at all, 30
-bytes an offer up to ``migration_journal_cap``).  Past both caps the
-count is 0.00 / 0.00, which the long variant gates.
+What is left is not per tuple for ever: the arrival map filling to its
+cap (an ``int`` stamp and its share of the dict an offer, until 8 192;
+≈ 83 traced bytes an offer).  Past that cap the count is 0.00 / 0.00,
+which the long variant gates — and there the bytes too: 0.01 an offer.
+The epoch journal the broker kept before engine checkpoints was a
+single buffer, so no block count could see it; it held 33.1 traced
+bytes an offer in that variant.
 
 The object gate is interpreter-independent (nothing GC-tracked is kept).
 The block gate of 4.0 leaves 2.5 blocks of headroom over the 3.11.7
 reading for the 3.10–3.12 matrix, whose ``int``/``dict`` layouts differ
-by less than a block per entry, and still fails the parent's 10.15.
+by less than a block per entry, and still fails the logging 10.15.
 """
 
 import asyncio
 import gc
 import sys
+import tracemalloc
 
 from repro.core.tuples import StreamTuple
 from repro.experiments.configs import dc_specs_from_statistics
@@ -53,11 +59,13 @@ def _retained_per_tuple(
     *,
     warm: int = 4096,
     measured: int = 4096,
-    config: ServiceConfig = ServiceConfig(),
     telemetry=None,
+    traced: bool = False,
 ):
-    """``((blocks, objects), journal_bytes)``: what the measured part
-    retained per offered tuple, and what the journal held at its end."""
+    """``((blocks, objects, bytes), open_state_bytes)``: what the
+    measured part retained per offered tuple, and what the source's
+    checkpoint packed to at its end.  ``bytes`` is ``None`` unless
+    ``traced`` (``tracemalloc`` makes the run four times slower)."""
     trace = random_walk_trace(n=warm + measured, seed=7, attribute="v")
     distinct = dc_specs_from_statistics(trace, "v", [1.0 + 0.5 * i for i in range(specs)])
     rows = [(t.seq, t.timestamp, t.value("v")) for t in trace]
@@ -68,7 +76,7 @@ def _retained_per_tuple(
             pass
 
     async def run():
-        service = DisseminationService(config, telemetry=telemetry)
+        service = DisseminationService(ServiceConfig(), telemetry=telemetry)
         service.add_source("src")
         consumers = [
             asyncio.create_task(
@@ -91,49 +99,59 @@ def _retained_per_tuple(
         await feed(0, warm)
         gc.collect()
         blocks, objects = sys.getallocatedblocks(), len(gc.get_objects())
+        held = tracemalloc.get_traced_memory()[0]
         await feed(warm, warm + measured)
         gc.collect()
         grown = (
             (sys.getallocatedblocks() - blocks) / measured,
             (len(gc.get_objects()) - objects) / measured,
+            (tracemalloc.get_traced_memory()[0] - held) / measured if traced else None,
         )
-        journal_bytes = service.journal_bytes()
+        open_state_bytes = service.open_state_bytes()
         await service.close()
         await asyncio.gather(*consumers)
-        return grown, journal_bytes
+        return grown, open_state_bytes
 
-    return asyncio.run(run())
+    if not traced:
+        return asyncio.run(run())
+    tracemalloc.start()
+    try:
+        return asyncio.run(run())
+    finally:
+        tracemalloc.stop()
 
 
 def test_shared_group_retains_little_per_offered_tuple():
-    (blocks, objects), _ = _retained_per_tuple(subscribers=32, specs=4, frame=64)
+    (blocks, objects, _), _ = _retained_per_tuple(subscribers=32, specs=4, frame=64)
     assert blocks <= 4.0 and objects <= 0.01, (blocks, objects)
 
 
 def test_unshared_pair_retains_no_more_than_before():
-    (blocks, objects), journal_bytes = _retained_per_tuple(subscribers=2, specs=2, frame=1)
+    (blocks, objects, _), open_state_bytes = _retained_per_tuple(
+        subscribers=2, specs=2, frame=1
+    )
     assert blocks <= 4.0 and objects <= 0.01, (blocks, objects)
-    # Nothing was cut over, so the journal holds all 8 192 offers.
-    assert 0 < journal_bytes / 8192 <= 48
+    # Two open DC sets of a few tuples each, whatever the stream length.
+    assert 0 < open_state_bytes <= 2048
 
 
 def test_past_both_caps_a_source_retains_nothing_per_offered_tuple():
     """Two arrival caps of warm-up take the arrival map through its
-    first rebuild and the (lowered) journal past its cap; the two caps
-    measured after that are a whole number of the map's rebuild periods,
-    so what it holds is the same at both ends."""
+    first rebuild; the two caps measured after that are a whole number
+    of the map's rebuild periods, so what it holds is the same at both
+    ends — and nothing else grows with the stream."""
     cap = broker_module._ARRIVAL_TRACK_MAX
     telemetry = Telemetry(sample_period=0)
-    (blocks, objects), journal_bytes = _retained_per_tuple(
+    (blocks, objects, traced), open_state_bytes = _retained_per_tuple(
         subscribers=2,
         specs=2,
         frame=64,
         warm=2 * cap,
         measured=2 * cap,
-        config=ServiceConfig(migration_journal_cap=cap),
         telemetry=telemetry,
+        traced=True,
     )
     assert abs(blocks) <= 0.01 and abs(objects) <= 0.01, (blocks, objects)
-    assert journal_bytes == 0
-    lossy = [e for e in telemetry.events.since() if e["kind"] == "journal_lossy"]
-    assert [(e["reason"], e["entries"]) for e in lossy] == [("cap", cap)]
+    assert abs(traced) <= 1.0, traced
+    assert 0 < open_state_bytes <= 2048
+    assert 'repro_broker_checkpoint_cutover_total{' not in telemetry.registry.render()

@@ -1,5 +1,10 @@
 """Unit tests for stratified sampling filters (Chapter 5)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
@@ -116,6 +121,37 @@ class TestSelfInterestedSampler:
             return [t.seq for t in outputs]
 
         assert collect() == collect()
+
+    def test_samplers_agree_across_processes(self):
+        """The baselines' RNGs are seeded from the spec, not from the
+        per-process salted ``hash`` of its name: two interpreters with
+        different hash seeds sample the same tuples."""
+        script = """
+import json
+from repro.core.tuples import Trace
+from repro.filters.spec import parse_filter
+trace = Trace.from_values([float(i % 13) for i in range(400)], attribute="value")
+out = {}
+for spec in ("SS(value, 100, 5.0, 50, 20)", "RS(3, 10)"):
+    sampler = parse_filter(spec, name=spec).make_self_interested()
+    seqs = [t.seq for item in trace for t in sampler.process(item)]
+    out[spec] = seqs + [t.seq for t in sampler.flush()]
+print(json.dumps(out))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+        assert all(len(seqs) > 50 for seqs in json.loads(runs[0]).values())
 
     def test_outputs_sorted_within_segment(self):
         sampler = _filter(high=50, low=50).make_self_interested()

@@ -336,8 +336,8 @@ class TestBrokerSharing:
 
     @pytest.mark.parametrize("migrate_at", [{15}, {45}, {20, 75}])
     def test_migration_replay_stays_byte_identical(self, migrate_at):
-        """export_source/import_source replays the epoch journal into a
-        fresh engine; shared contexts must reproduce the same state."""
+        """export_source/import_source moves the engine's checkpoint into
+        a fresh engine; shared contexts must restore to the same state."""
         trace = list(random_walk_trace(n=120, seed=42, attribute="temp"))
         baseline, _ = asyncio.run(_run_script(trace))
         migrated, _ = asyncio.run(_run_script(trace, migrate_at=frozenset(migrate_at)))

@@ -560,6 +560,80 @@ class TestConnectionTeardown:
 
 
 # ---------------------------------------------------------------------------
+# Live-migration staging (export_pull / import_begin / import_chunk)
+# ---------------------------------------------------------------------------
+class TestMigrationStaging:
+    #: Every offer stays in the reservoir's open window: one checkpoint
+    #: row per offered tuple.
+    SPEC = "RS(2, 1000)"
+
+    def test_a_puller_that_disconnects_mid_pull_leaves_nothing(self):
+        async def run():
+            service = _service()
+
+            async def body(gateway):
+                client = await GatewayClient.connect("127.0.0.1", gateway.port)
+                await client.subscribe("app0", "src", self.SPEC)
+                for item in _trace(n=40):
+                    await client.ingest("src", item)
+                (conn,) = gateway._connections
+                reply = await client._request({"t": "snapshot_source", "source": "src"})
+                pull = await client._request(
+                    {"t": "export_pull", "source": "src", "offset": 0, "count": 5}
+                )
+                staged = len(conn.export_stash["src"])
+                await client.close(send_bye=False)
+                await asyncio.wait_for(asyncio.gather(*gateway._handlers), 10)
+                return reply["state"]["rows"], len(pull["rows"]), staged, conn, gateway
+
+            return await _with_gateway(service, body)
+
+        rows, pulled, staged, conn, gateway = asyncio.run(run())
+        assert rows == staged == 40 and pulled == 5
+        assert conn.export_stash == {} and conn.import_stash == {}
+        assert not gateway._connections
+
+    def test_an_overlong_import_is_refused_and_the_connection_keeps_serving(self):
+        row = [1, 10.0, "temp", 0.5]
+
+        async def run():
+            service = _service()
+
+            async def body(gateway):
+                client = await GatewayClient.connect("127.0.0.1", gateway.port)
+                (conn,) = gateway._connections
+                errors = []
+                await client._request({"t": "import_begin", "source": "src", "rows": 2})
+                await client._request({"t": "import_chunk", "source": "src", "rows": [row]})
+                for frame in (
+                    {"t": "import_chunk", "source": "src", "rows": [row, row]},
+                    {"t": "import_commit", "source": "src"},
+                ):
+                    with pytest.raises(GatewayError) as refused:
+                        await client._request(frame)
+                    errors.append((refused.value.code, refused.value.message))
+                stash = dict(conn.import_stash)
+                await client._request({"t": "import_begin", "source": "src", "rows": 1})
+                with pytest.raises(GatewayError) as malformed:
+                    await client._request(
+                        {"t": "import_chunk", "source": "src", "rows": [[1, "x"]]}
+                    )
+                snapshot = await client.snapshot()
+                await client.close()
+                return errors, stash, malformed.value.code, snapshot
+
+            return await _with_gateway(service, body)
+
+        errors, stash, malformed, snapshot = asyncio.run(run())
+        assert errors == [
+            ("bad_request", "import of 'src' announced 2 rows, got 3"),
+            ("bad_request", "no import in progress for source 'src'"),
+        ]
+        assert stash == {} and malformed == "bad_request"
+        assert snapshot["sources"] == ["src"]
+
+
+# ---------------------------------------------------------------------------
 # HTTP snapshot endpoint
 # ---------------------------------------------------------------------------
 async def _http_get(port: int, path: str) -> tuple[str, dict]:
