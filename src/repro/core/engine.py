@@ -356,6 +356,13 @@ class GroupAwareEngine:
         return len(self._contexts)
 
     @property
+    def sharing_classes(self) -> list[tuple[str, ...]]:
+        """Each first stage's owners, in filter order: every decision
+        names all of one class or none of it, so every emission's
+        recipients are a union of whole classes."""
+        return [ctx.owners for ctx in self._contexts]
+
+    @property
     def cuts_triggered(self) -> int:
         """Timely cuts fired so far (grows live; final in ``finish()``)."""
         return self._result.cuts_triggered

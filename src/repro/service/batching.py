@@ -1,18 +1,20 @@
-"""Per-session micro-batching of decided emissions.
+"""Micro-batching of decided emissions, once per delivery group.
 
 The batch engine's ``BatchedOutput`` strategy (section 3.4) gates *group*
 output on input-tuple counts; the live broker instead batches per
-*subscriber session* so one slow or chatty consumer cannot delay the
-others.  A :class:`MicroBatcher` accumulates a session's decided tuples
-and flushes on whichever bound trips first:
+*delivery group*: the sessions of one sharing class (they receive the
+same decided tuples, see :class:`~repro.core.output.Emission`) with the
+same batch bounds.  A :class:`MicroBatcher` accumulates a group's
+decided tuples and flushes on whichever bound trips first:
 
 * **size** — ``max_items`` tuples are staged, or
 * **latency** — the oldest staged tuple has waited ``max_delay_ms`` of
   stream time (checked on every stage and on broker clock ticks).
 
-Each flush becomes one :class:`Batch` and one bounded-queue slot, so a
-subscriber pays the per-message overhead the paper measured once per
-batch rather than once per tuple.
+Each flush becomes one immutable :class:`Batch`, put on every member's
+own bounded queue, so a subscriber pays the per-message overhead the
+paper measured once per batch rather than once per tuple, and the
+broker stages each tuple once per group rather than once per session.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = ["Batch", "MicroBatcher"]
 
 @dataclass(frozen=True)
 class Batch:
-    """One flushed group of decided tuples bound for one session."""
+    """One flushed run of decided tuples, shared by a group's sessions."""
 
     items: tuple[StreamTuple, ...]
     #: Stream time the first item was staged (decided).
@@ -44,7 +46,7 @@ class Batch:
 
 
 class MicroBatcher:
-    """Size- and latency-bounded accumulation of one session's output."""
+    """Size- and latency-bounded accumulation of one group's output."""
 
     def __init__(self, max_items: int = 8, max_delay_ms: float = 50.0):
         if max_items < 1:
@@ -55,8 +57,6 @@ class MicroBatcher:
         self.max_delay_ms = max_delay_ms
         self._staged: list[StreamTuple] = []
         self._first_staged_ms: float = 0.0
-        self.flushes = 0
-        self.staged_total = 0
 
     # ------------------------------------------------------------------
     @property
@@ -65,11 +65,14 @@ class MicroBatcher:
 
     def stage(self, item: StreamTuple, now_ms: float) -> Batch | None:
         """Stage one decided tuple; return a batch if a bound tripped."""
-        if not self._staged:
+        staged = self._staged
+        if not staged:
             self._first_staged_ms = now_ms
-        self._staged.append(item)
-        self.staged_total += 1
-        if len(self._staged) >= self.max_items or self.due(now_ms):
+        staged.append(item)
+        if (
+            len(staged) >= self.max_items
+            or now_ms - self._first_staged_ms >= self.max_delay_ms
+        ):
             return self.flush(now_ms)
         return None
 
@@ -90,5 +93,4 @@ class MicroBatcher:
             flushed_ms=now_ms,
         )
         self._staged.clear()
-        self.flushes += 1
         return batch

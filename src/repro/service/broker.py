@@ -16,10 +16,11 @@ batch machinery:
   :meth:`re_filter` *cut the current engine over* (open candidate sets
   are flushed and decided) and rebuild the filter group from the new
   subscription set;
-* decided emissions are micro-batched per subscriber session and pushed
-  into bounded queues whose overflow policy (block / drop-oldest /
-  disconnect) makes slow consumers exert backpressure instead of
-  growing broker memory;
+* decided emissions are micro-batched once per *delivery group* (the
+  sessions of one sharing class with equal batch bounds) and each batch
+  is pushed into every member's own bounded queue, whose overflow policy
+  (block / drop-oldest / disconnect) makes slow consumers exert
+  backpressure instead of growing broker memory;
 * a live source keeps its open state, not its history: migration and
   standby arming ship the engine's checkpoint
   (:meth:`~DisseminationService.export_source`,
@@ -41,7 +42,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from repro.core.cuts import TimeConstraint
 from repro.core.engine import EngineResult, GroupAwareEngine
@@ -185,6 +186,24 @@ class ServiceConfig:
             )
 
 
+class _DeliveryGroup:
+    """Sessions that receive the same decided tuples in the same batches.
+
+    Its members are one sharing class of the live engine (every emission
+    names all of them or none, see
+    :attr:`~repro.core.engine.GroupAwareEngine.sharing_classes`) with
+    equal batch bounds, so one batcher stages a tuple once for all of
+    them and each flushed :class:`~repro.service.batching.Batch` goes,
+    the same object, into every member's queue.
+    """
+
+    __slots__ = ("batcher", "members")
+
+    def __init__(self, batcher: MicroBatcher):
+        self.batcher = batcher
+        self.members: list[SubscriberSession] = []
+
+
 @dataclass
 class _SourceState:
     name: str
@@ -201,6 +220,14 @@ class _SourceState:
     #: Wall-clock arrival time per offered-but-undecided tuple seq, for
     #: sub-tick decide-latency measurement (cleared on rebuild).
     arrivals_ns: dict[int, int] = field(default_factory=dict)
+    #: The current epoch's delivery groups, in engine order.
+    groups: list[_DeliveryGroup] = field(default_factory=list)
+    #: Interned emission recipients -> the groups they name (per epoch).
+    routes: dict[frozenset[str], tuple[_DeliveryGroup, ...]] = field(
+        default_factory=dict
+    )
+    #: Sessions built with a degradation controller (per epoch).
+    controlled: list[SubscriberSession] = field(default_factory=list)
 
 
 class DisseminationService:
@@ -259,6 +286,15 @@ class DisseminationService:
             )
             registry.register_collector(
                 lambda: contexts.set(self.engine_context_count())
+            )
+            groups = registry.gauge(
+                "repro_broker_delivery_groups",
+                "Delivery groups the live sources batch and ship for "
+                "(sessions of one sharing class with equal batch bounds "
+                "share one).",
+            )
+            registry.register_collector(
+                lambda: groups.set(self.delivery_group_count())
             )
             open_state_bytes = registry.gauge(
                 "repro_broker_open_state_bytes",
@@ -329,6 +365,11 @@ class DisseminationService:
             for src in self._sources.values()
             if src.engine is not None
         )
+
+    def delivery_group_count(self) -> int:
+        """Batchers the live sources stage into; against
+        :meth:`session_count` it is how much fan-out is shared."""
+        return sum(len(src.groups) for src in self._sources.values())
 
     def open_state_bytes(self) -> int:
         """Bytes the live engines' checkpoints pack to (an engine whose
@@ -546,7 +587,10 @@ class DisseminationService:
         if session is None:
             return
         try:
-            await self._cutover(src)
+            # Decided-but-staged tuples must not vanish uncounted: the
+            # cutover's flush reaches the leaving session without
+            # blocking (its consumer may be gone), like close() does.
+            await self._cutover(src, final=(app_name,))
         except Exception:
             # A failed cutover leaves a half-finished engine; rebuild so
             # the source keeps serving (the session stays attached).
@@ -554,10 +598,6 @@ class DisseminationService:
             raise
         del src.sessions[app_name]
         del self._app_sources[app_name]
-        # Decided-but-staged tuples must not vanish uncounted: flush the
-        # batcher toward the consumer (or into the drop counters) just
-        # like close() does for still-attached sessions.
-        self._final_flush(session)
         await session.close()
         # Keep the departed session's counters in broker-wide totals.
         self._retired.append(self._session_snapshot(session))
@@ -587,19 +627,40 @@ class DisseminationService:
         ]
 
     def _rebuild(self, src: _SourceState) -> None:
-        """A fresh engine from the current subscription set."""
+        """A fresh engine and delivery groups from the current
+        subscription set."""
         filters = self._parse_group(src)
         self._drop_engine(src)
         # A rebuild always follows a cutover: the old epoch's tuples were
         # emitted or dismissed with it, so their arrival times are dead.
         src.arrivals_ns.clear()
+        for group in src.groups:
+            # Only a failed cutover leaves tuples staged here.
+            self._final_flush(group)
+        src.groups = []
+        src.routes = {}
+        src.controlled = [
+            s for s in src.sessions.values() if s.degradation is not None
+        ]
         if not filters:
             return
         src.fed = 0
-        src.engine = engine_from_config(
+        src.engine = engine = engine_from_config(
             filters, self.config.engine, record=self.config.record_epochs
         )
         self._regroups += 1
+        sessions = src.sessions
+        for owners in engine.sharing_classes:
+            by_bounds: dict[tuple[int, float], _DeliveryGroup] = {}
+            for app in owners:
+                session = sessions[app]
+                bounds = (session.batcher.max_items, session.batcher.max_delay_ms)
+                group = by_bounds.get(bounds)
+                if group is None:
+                    group = by_bounds[bounds] = _DeliveryGroup(MicroBatcher(*bounds))
+                    src.groups.append(group)
+                group.members.append(session)
+                session.batcher = group.batcher
 
     def _drop_engine(self, src: _SourceState) -> None:
         """Forget the live engine, keeping what :meth:`snapshot` counts."""
@@ -607,38 +668,41 @@ class DisseminationService:
             self._cuts_triggered += src.engine.cuts_triggered
             src.engine = None
 
-    async def _cutover(self, src: _SourceState) -> None:
+    async def _cutover(
+        self, src: _SourceState, final: Container[str] = ()
+    ) -> None:
         """Finish the live engine, delivering its tail emissions.
 
         Open candidate sets are flushed and decided (the same semantics as
         end-of-stream), so a subscription change never strands admitted
         tuples; the next epoch starts from clean coordination state.
+        Every delivery group is then flushed, so the next epoch's groups
+        start empty.
         """
         engine = src.engine
-        if engine is None:
-            return
-        if src.fed == 0:
+        if engine is not None and src.fed == 0:
             # Nothing was ever offered to this epoch: no candidate state
             # to flush, so skip the empty EngineResult entirely.
             self._drop_engine(src)
-            return
-        started_ns = time.perf_counter_ns()
-        # Finish the engine before mutating any source state: a failure
-        # must leave the epoch list untouched (no phantom epoch whose
-        # tail was never routed) so the churn paths' rollback handlers
-        # can rebuild from a consistent record.
-        tails = engine.drain()
-        result = engine.finish()
-        if self.config.record_epochs:
-            src.epochs.append(result)
-        self._drop_engine(src)
-        self._note_emissions(src, tails)
-        await self._route(src, tails, now=self._now)
-        if self.telemetry is not None:
-            self._m_cutovers.inc()
-            self._m_cutover_ms.observe(
-                (time.perf_counter_ns() - started_ns) / 1e6
-            )
+        elif engine is not None:
+            started_ns = time.perf_counter_ns()
+            # Finish the engine before mutating any source state: a
+            # failure must leave the epoch list untouched (no phantom
+            # epoch whose tail was never routed) so the churn paths'
+            # rollback handlers can rebuild from a consistent record.
+            tails = engine.drain()
+            result = engine.finish()
+            if self.config.record_epochs:
+                src.epochs.append(result)
+            self._drop_engine(src)
+            self._note_emissions(src, tails)
+            await self._route(src, tails, now=self._now)
+            if self.telemetry is not None:
+                self._m_cutovers.inc()
+                self._m_cutover_ms.observe(
+                    (time.perf_counter_ns() - started_ns) / 1e6
+                )
+        await self._flush_groups(src, final)
 
     # ------------------------------------------------------------------
     # Live migration (engine checkpoints)
@@ -673,10 +737,7 @@ class DisseminationService:
                     self.telemetry.events.emit(
                         "checkpoint_cutover", source=src.name, reason="unportable"
                     )
-        for session in src.sessions.values():
-            batch = session.batcher.flush(self._now)
-            if batch is not None:
-                await self._ship(src, session, batch)
+        await self._flush_groups(src)
         return {
             "source": src.name,
             "checkpoint": checkpoint,
@@ -761,6 +822,7 @@ class DisseminationService:
                     f"source {source_name!r} already has {src.fed} tuples "
                     "fed to its current epoch; import requires a clean one"
                 )
+            await self._flush_groups(src)
             self._rebuild(src)
             checkpoint = state.get("checkpoint")
             restored = 0
@@ -950,12 +1012,11 @@ class DisseminationService:
         safe (every mutator takes the same lock), so no per-arrival
         defensive copies."""
         await self._route(src, emissions, now)
+        for group in src.groups:
+            if group.batcher.due(now):
+                await self._ship(src, group, group.batcher.flush(now))
         dead: Optional[list[str]] = None
         for session in src.sessions.values():
-            if session.batcher.due(now):
-                batch = session.batcher.flush(now)
-                if batch is not None:
-                    await self._ship(src, session, batch)
             if session.disconnected:
                 if dead is None:
                     dead = []
@@ -979,7 +1040,7 @@ class DisseminationService:
             list[tuple[SubscriberSession, DegradationDecision]]
         ] = None
         tuple_bytes = self.config.tuple_size_bytes
-        for session in src.sessions.values():
+        for session in src.controlled:
             controller = session.degradation
             if controller is None or session.disconnected:
                 continue
@@ -1049,26 +1110,66 @@ class DisseminationService:
     async def _route(
         self, src: _SourceState, emissions: Sequence[Emission], now: float
     ) -> None:
+        """Stage each emission once per delivery group it names."""
+        routes = src.routes
         for emission in emissions:
-            for app in sorted(emission.recipients):
-                session = src.sessions.get(app)
-                if session is None or session.disconnected:
-                    continue
-                session.stats.staged_tuples += 1
-                batch = session.batcher.stage(emission.item, emission.emit_ts)
+            recipients = emission.recipients
+            groups = routes.get(recipients)
+            if groups is None:
+                # Recipients are interned per engine, so this runs once
+                # per distinct combination in an epoch.
+                groups = routes[recipients] = tuple(
+                    group
+                    for group in src.groups
+                    if group.members[0].app_name in recipients
+                )
+            for group in groups:
+                for session in group.members:
+                    if not session.disconnected:
+                        session.stats.staged_tuples += 1
+                batch = group.batcher.stage(emission.item, emission.emit_ts)
                 if batch is not None:
-                    await self._ship(src, session, batch)
+                    await self._ship(src, group, batch)
 
     async def _ship(
-        self, src: _SourceState, session: SubscriberSession, batch
+        self,
+        src: _SourceState,
+        group: _DeliveryGroup,
+        batch,
+        final: Container[str] = (),
     ) -> None:
+        """One flushed batch into every live member's queue; the apps in
+        ``final`` (leaving or closing) get it without blocking, as
+        :meth:`_final_flush` delivers it."""
+        t = self.telemetry
+        traces = None
+        if t is not None and t.tracer.enabled:
+            traces = self._batch_traces(src, batch)
+        for session in group.members:
+            if session.disconnected:
+                continue
+            if final and session.app_name in final:
+                session.deliver_nowait(batch)
+                continue
+            if traces is not None:
+                session.note_traces(batch, *traces)
+            await self._deliver(session, batch)
+
+    async def _flush_groups(
+        self, src: _SourceState, final: Container[str] = ()
+    ) -> None:
+        """Ship whatever every delivery group has staged."""
+        for group in src.groups:
+            batch = group.batcher.flush(self._now)
+            if batch is not None:
+                await self._ship(src, group, batch, final)
+
+    async def _deliver(self, session: SubscriberSession, batch) -> None:
         t = self.telemetry
         dropped_before = 0
         if t is not None:
             self._m_flushes.inc()
             dropped_before = session.stats.dropped_tuples
-            if t.tracer.enabled:
-                self._note_batch_traces(src, session, batch)
         controller = session.degradation
         if controller is not None:
             # A blocking put that waits is the clearest per-session
@@ -1090,17 +1191,15 @@ class DisseminationService:
                 session.queue.depth
             )
 
-    def _note_batch_traces(
-        self, src: _SourceState, session: SubscriberSession, batch
-    ) -> None:
-        """Attach sampled items' accumulated stages to the outbound batch.
+    def _batch_traces(self, src: _SourceState, batch):
+        """Sampled items' accumulated stages for one outbound batch, as
+        ``(enqueue_ns, {seq: pairs})``, or ``None`` if none is sampled.
 
-        The per-connection delivery pump picks these notes up (keyed by
+        Every member's delivery pump picks these notes up (keyed by
         batch identity) to extend the trace with the session-queue and
         socket-write stages and put it on the wire.  The batch-flush
         interval is measured against the shared trace mark without
-        moving it, so every fan-out recipient sees the same decide
-        boundary.
+        moving it, so every recipient sees the same decide boundary.
         """
         t = self.telemetry
         now_ns = time.perf_counter_ns()
@@ -1117,14 +1216,15 @@ class DisseminationService:
             if notes is None:
                 notes = {}
             notes[item.seq] = pairs
-        if notes:
-            session.note_traces(batch, now_ns, notes)
+        return (now_ns, notes) if notes else None
 
-    def _final_flush(self, session: SubscriberSession) -> None:
-        """Flush a session's batcher without blocking (teardown paths)."""
-        batch = session.batcher.flush(self._now)
+    def _final_flush(self, group: _DeliveryGroup) -> None:
+        """Flush a group's batcher without blocking (teardown paths)."""
+        batch = group.batcher.flush(self._now)
         if batch is not None:
-            session.deliver_nowait(batch)
+            for session in group.members:
+                if not session.disconnected:
+                    session.deliver_nowait(batch)
 
     # ------------------------------------------------------------------
     # Observation and shutdown
@@ -1206,9 +1306,8 @@ class DisseminationService:
             return {src.name: list(src.epochs) for src in self._sources.values()}
         for src in self._sources.values():
             async with src.lock:
-                await self._cutover(src)
+                await self._cutover(src, final=src.sessions)
                 for session in src.sessions.values():
-                    self._final_flush(session)
                     await session.close()
         self._closed = True
         return {src.name: list(src.epochs) for src in self._sources.values()}

@@ -1,9 +1,10 @@
 """Subscriber sessions with bounded outbound queues and backpressure.
 
 Each live subscriber holds a :class:`SubscriberSession`: its filter spec,
-a :class:`MicroBatcher` and a :class:`DeliveryQueue` bounded to
-``capacity`` batches.  What happens when the queue is full is the
-session's *overflow policy*:
+a :class:`MicroBatcher` (shared with the other sessions of its delivery
+group, see :mod:`repro.service.batching`) and a :class:`DeliveryQueue`
+of its own, bounded to ``capacity`` batches.  What happens when the
+queue is full is the session's *overflow policy*:
 
 * ``"block"`` — the broker awaits queue space, so a slow consumer slows
   the source feed down (closed-loop backpressure) instead of growing
@@ -15,8 +16,8 @@ session's *overflow policy*:
   unsubscribes the filter and regroups.
 
 Sessions are re-filterable at runtime (:meth:`SubscriberSession.re_filter`):
-the broker cuts the current engine over and rebuilds the group, which is
-the filter-churn path of ``adaptive/regroup.py``.
+the broker cuts the source's engine over and rebuilds it from the new
+subscription set, as it does on subscribe and unsubscribe.
 """
 
 from __future__ import annotations
@@ -66,7 +67,13 @@ class SessionStats:
 
 
 class DeliveryQueue:
-    """Bounded asyncio FIFO of :class:`Batch` with an overflow policy."""
+    """Bounded asyncio FIFO of :class:`Batch` with an overflow policy.
+
+    Parked producers and consumers wait on futures of their own, woken
+    one at a time in the style of :class:`asyncio.Queue`: a waiter
+    cancelled after it was woken passes the wake-up on to the next one
+    in line, so none is ever lost.
+    """
 
     def __init__(self, capacity: int = 16, policy: str = "block"):
         if capacity < 1:
@@ -78,7 +85,8 @@ class DeliveryQueue:
         self.capacity = capacity
         self.policy = policy
         self._batches: deque[Batch] = deque()
-        self._changed = asyncio.Condition()
+        self._getters: deque[asyncio.Future] = deque()
+        self._putters: deque[asyncio.Future] = deque()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -90,6 +98,38 @@ class DeliveryQueue:
     def closed(self) -> bool:
         return self._closed
 
+    @staticmethod
+    def _wakeup_next(waiters: deque) -> None:
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+
+    @staticmethod
+    async def _park(waiters: deque, still_blocked: Callable[[], bool]) -> None:
+        """Wait for one wake-up; a cancelled waiter that was already woken
+        hands the wake-up to the next in line unless it is still owed."""
+        waiter = asyncio.get_running_loop().create_future()
+        waiters.append(waiter)
+        try:
+            await waiter
+        except BaseException:
+            waiter.cancel()
+            try:
+                waiters.remove(waiter)
+            except ValueError:
+                pass  # already popped by the wake-up it was given
+            if not waiter.cancelled() and not still_blocked():
+                DeliveryQueue._wakeup_next(waiters)
+            raise
+
+    def _full(self) -> bool:
+        return len(self._batches) >= self.capacity and not self._closed
+
+    def _empty(self) -> bool:
+        return not self._batches and not self._closed
+
     async def put(self, batch: Batch) -> Optional[Batch]:
         """Enqueue one batch, applying the overflow policy.
 
@@ -98,43 +138,40 @@ class DeliveryQueue:
         when a ``disconnect`` queue overflows.  Puts to a closed queue are
         silently discarded (the consumer is gone).
         """
-        async with self._changed:
+        if self._closed:
+            return batch
+        if len(self._batches) >= self.capacity:
+            if self.policy == "disconnect":
+                raise SessionDisconnected(
+                    f"queue overflow at capacity {self.capacity}"
+                )
+            if self.policy == "drop_oldest":
+                return self.put_nowait(batch)
+            # "block": wait for the consumer — this await is the
+            # backpressure edge from broker to source feed.
+            while self._full():
+                await self._park(self._putters, self._full)
             if self._closed:
                 return batch
-            if len(self._batches) >= self.capacity:
-                if self.policy == "disconnect":
-                    raise SessionDisconnected(
-                        f"queue overflow at capacity {self.capacity}"
-                    )
-                if self.policy == "drop_oldest":
-                    dropped = self._batches.popleft()
-                    self._batches.append(batch)
-                    self._changed.notify_all()
-                    return dropped
-                # "block": wait for the consumer — this await is the
-                # backpressure edge from broker to source feed.
-                while len(self._batches) >= self.capacity and not self._closed:
-                    await self._changed.wait()
-                if self._closed:
-                    return batch
-            self._batches.append(batch)
-            self._changed.notify_all()
-            return None
+        self._batches.append(batch)
+        if self._getters:
+            self._wakeup_next(self._getters)
+        return None
 
     async def get(self) -> Batch:
         """Dequeue the next batch; raises ``StopAsyncIteration`` when the
         queue is closed and drained."""
-        async with self._changed:
-            while not self._batches and not self._closed:
-                await self._changed.wait()
-            if not self._batches:
-                raise StopAsyncIteration
-            batch = self._batches.popleft()
-            self._changed.notify_all()
-            return batch
+        while self._empty():
+            await self._park(self._getters, self._empty)
+        if not self._batches:
+            raise StopAsyncIteration
+        batch = self._batches.popleft()
+        if self._putters:
+            self._wakeup_next(self._putters)
+        return batch
 
     def put_nowait(self, batch: Batch) -> Optional[Batch]:
-        """Non-blocking enqueue for shutdown paths.
+        """Non-blocking enqueue (``drop_oldest`` overflow and shutdown paths).
 
         Returns the batch that did not make it: the evicted oldest batch
         under ``drop_oldest``, or ``batch`` itself when the queue is full
@@ -142,26 +179,33 @@ class DeliveryQueue:
         """
         if self._closed:
             return batch
+        dropped = None
         if len(self._batches) >= self.capacity:
-            if self.policy == "drop_oldest":
-                dropped = self._batches.popleft()
-                self._batches.append(batch)
-                return dropped
-            return batch
+            if self.policy != "drop_oldest":
+                return batch
+            dropped = self._batches.popleft()
         self._batches.append(batch)
-        return None
+        self._wakeup_next(self._getters)
+        return dropped
 
     def drain_nowait(self) -> list[Batch]:
         """Synchronously empty the queue (post-run accounting)."""
         drained = list(self._batches)
         self._batches.clear()
+        for _ in drained:
+            if not self._putters:
+                break
+            self._wakeup_next(self._putters)
         return drained
 
     async def close(self) -> None:
         """Close the queue; blocked producers and consumers wake up."""
-        async with self._changed:
-            self._closed = True
-            self._changed.notify_all()
+        self._closed = True
+        for waiters in (self._getters, self._putters):
+            while waiters:
+                waiter = waiters.popleft()
+                if not waiter.done():
+                    waiter.set_result(None)
 
 
 @dataclass
@@ -172,6 +216,8 @@ class SubscriberSession:
     source_name: str
     spec: str
     queue: DeliveryQueue
+    #: The session's batch bounds; while attached, the one batcher its
+    #: delivery group shares (the broker swaps it in at every rebuild).
     batcher: MicroBatcher
     stats: SessionStats = field(default_factory=SessionStats)
     disconnected: bool = False

@@ -215,13 +215,28 @@ class NameTable:
         return len(self._names)
 
 
-class BinaryNames:
-    """Receiver-side id -> name table, learned from frame deltas."""
+#: Decided frames a receiving connection remembers the tuples of; as
+#: many as the sender remembers bodies of (``_BODY_MEMO_BATCHES``).
+_RECORDS_MEMO_FRAMES = 64
 
-    __slots__ = ("_names",)
+
+class BinaryNames:
+    """Receiver-side id -> name table, learned from frame deltas.
+
+    It also remembers the decoded tuple records of the last
+    :data:`_RECORDS_MEMO_FRAMES` untraced ``decided`` frames, keyed by
+    their bytes.  The members of a delivery group are sent one batch, so
+    their frames differ only before the records: the first is decoded,
+    the others reuse its tuples.  Ids never change their name (see
+    :meth:`learn`), so equal record bytes always decode to equal tuples.
+    """
+
+    __slots__ = ("_names", "records")
 
     def __init__(self) -> None:
         self._names: dict[int, str] = {}
+        #: Record bytes (from the count on) -> the tuples they decode to.
+        self.records: dict[bytes, tuple[StreamTuple, ...]] = {}
 
     def learn(self, nid: int, name: str) -> None:
         # A sender's NameTable is append-only, so an id never changes
@@ -309,6 +324,13 @@ class SegmentCache:
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
+#: Decided batches a connection remembers the encoded body of.  One
+#: member's pump may drain its whole queue (16 batches by default)
+#: before the next member of its delivery group runs; a batch that fell
+#: out is re-assembled from the shared segment cache, nothing worse.
+_BODY_MEMO_BATCHES = 64
+
+
 class BinaryEncoder:
     """Per-connection sending side: struct-packed tuple frames over a
     (possibly shared) name table.
@@ -330,6 +352,14 @@ class BinaryEncoder:
         self._cache = cache if cache is not None else SegmentCache()
         #: Shared-table ids this connection's peer has been told about.
         self._announced: set[int] = set()
+        #: Recently encoded decided batches by identity: ``id(batch) ->
+        #: (batch, segment bytes, name ids, body length)``.  A delivery
+        #: group's members on this connection are sent one batch object,
+        #: so all but the first pay only the header.  One member's pump
+        #: may drain its whole queue before the next member's runs, so
+        #: this remembers more than the last batch; the entry pins the
+        #: batch, so its ``id`` cannot be reused while it lives.
+        self._bodies: dict[int, tuple[Batch, list[bytes], frozenset[int], int]] = {}
 
     # -- segments -------------------------------------------------------
     def tuple_segment(self, item: StreamTuple) -> Segment:
@@ -363,7 +393,7 @@ class BinaryEncoder:
         the caller commits only once the frame passed the size check, so
         a refused oversized frame cannot leave the peer's table behind.
         """
-        fresh = {nid for nid in used_ids if nid not in self._announced}
+        fresh = set(used_ids).difference(self._announced)
         _put_varint(out, len(fresh))
         for nid in sorted(fresh):
             _put_varint(out, nid)
@@ -446,31 +476,38 @@ class BinaryEncoder:
                 "decided frames are only assembled from shared segments; "
                 "shared=False selects nothing"
             )
-        segments = [self.tuple_segment(item) for item in batch.items]
+        bodies = self._bodies
+        body = bodies.get(id(batch))
+        if body is not None and body[0] is batch:
+            _, data, name_ids, body_len = body
+        else:
+            segments = [self.tuple_segment(item) for item in batch.items]
+            data = [segment.data for segment in segments]
+            name_ids = frozenset(
+                nid for segment in segments for nid in segment.name_ids
+            )
+            body_len = sum(map(len, data))
+            if len(bodies) >= _BODY_MEMO_BATCHES:
+                del bodies[next(iter(bodies))]
+            bodies[id(batch)] = (batch, data, name_ids, body_len)
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
         _put_string(head, app)
         head += _F64.pack(batch.first_staged_ms)
         head += _F64.pack(batch.flushed_ms)
-        fresh = self._names_delta(
-            head, (nid for segment in segments for nid in segment.name_ids)
-        )
-        _put_varint(head, len(segments))
+        fresh = self._names_delta(head, name_ids)
+        _put_varint(head, len(data))
         tail = b""
         if traces:
             tail_out = bytearray()
             _put_trace_map(tail_out, traces)
             tail = bytes(tail_out)
         pieces: list[bytes] = [bytes(head)]
-        total = (
-            len(head)
-            + sum(len(segment) for segment in segments)
-            + len(tail)
-        )
+        total = len(head) + body_len + len(tail)
         if total > max_frame_bytes:
             raise FrameTooLarge(total, max_frame_bytes)
         # Size check passed: the delta will reach the peer, commit it.
         self._announced |= fresh
-        pieces.extend(segment.data for segment in segments)
+        pieces.extend(data)
         if tail:
             pieces.append(tail)
         return pieces, total
@@ -536,6 +573,7 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
     """
     reader = _Reader(body, pos=1)
     tag = body[0]
+    key = None
     if tag in (
         _TAG_INGEST,
         _TAG_INGEST_BATCH,
@@ -571,13 +609,21 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
         first_staged_ms = reader.f64()
         flushed_ms = reader.f64()
         _read_names(reader, names)
-        count = reader.varint()
+        # An untraced frame ends with its records, so they are the key.
+        key = body[reader.pos :] if tag == _TAG_DECIDED else None
+        items = names.records.get(key) if key is not None else None
+        if items is None:
+            count = reader.varint()
+            items = tuple(_read_tuple(reader, names) for _ in range(count))
+        else:
+            key = None  # a hit: nothing to remember
+            reader.pos = len(body)
         frame = {
             "t": "decided",
             "app": app,
             "first_staged_ms": first_staged_ms,
             "flushed_ms": flushed_ms,
-            "items": [_read_tuple(reader, names) for _ in range(count)],
+            "items": items,
         }
         if tag == _TAG_DECIDED_TRACED:
             frame["traces"] = _read_trace_map(reader)
@@ -588,4 +634,10 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
             f"trailing bytes in binary frame: {len(body) - reader.pos} "
             f"after a complete {frame['t']!r} body"
         )
+    if key is not None:
+        # Remembered only once the whole body decoded cleanly.
+        records = names.records
+        if len(records) >= _RECORDS_MEMO_FRAMES:
+            del records[next(iter(records))]
+        records[key] = items
     return frame

@@ -248,6 +248,89 @@ class TestEncodeOnce:
         assert pieces_a[-1] is pieces_b[-1]
         assert cache.hits >= 1
 
+    def test_a_groups_members_on_one_connection_pay_only_the_header(self):
+        encoder = BinaryEncoder()
+        batches = [
+            Batch(
+                items=tuple(
+                    _item(seq=i, ts=10.0 * i, temp=float(i))
+                    for i in range(first, first + 3)
+                ),
+                first_staged_ms=0.0,
+                flushed_ms=20.0,
+            )
+            for first in (0, 3)
+        ]
+        # Refused oversized: nothing is committed, memo or not.
+        with pytest.raises(FrameTooLarge):
+            encoder.decided_pieces("a", batches[0], max_frame_bytes=8)
+        # One member's pump drains both batches before the next runs.
+        first = [
+            encoder.decided_pieces("a", b, max_frame_bytes=1 << 20)[0]
+            for b in batches
+        ]
+        lookups = encoder._cache.hits + encoder._cache.misses
+        second = [
+            encoder.decided_pieces("b", b, max_frame_bytes=1 << 20)[0]
+            for b in batches
+        ]
+        assert encoder._cache.hits + encoder._cache.misses == lookups
+        for x, y in zip(first, second):
+            assert all(p is q for p, q in zip(x[1:], y[1:]))
+        decoder = FrameDecoder()
+        frames = [_decode_body(b"".join(p), decoder) for p in first + second]
+        assert [f["app"] for f in frames] == ["a", "a", "b", "b"]
+        assert [[t.seq for t in batch_from_wire(f).items] for f in frames] == [
+            [0, 1, 2], [3, 4, 5], [0, 1, 2], [3, 4, 5]
+        ]
+        # The name delta went out once, with the first frame.
+        assert len(second[0][0]) == len(first[0][0]) - len(b"\x00\x04temp")
+
+    def test_a_groups_members_on_one_connection_are_decoded_once(self):
+        encoder = BinaryEncoder()
+        shared = Batch(
+            items=(_item(seq=1, temp=1.0), _item(seq=2, temp=2.0)),
+            first_staged_ms=0.0,
+            flushed_ms=5.0,
+        )
+        other = Batch(
+            items=(_item(seq=3, temp=3.0),), first_staged_ms=0.0, flushed_ms=5.0
+        )
+
+        def body(app, batch, traces=None):
+            pieces, _ = encoder.decided_pieces(
+                app, batch, max_frame_bytes=1 << 20, traces=traces
+            )
+            return b"".join(pieces)
+
+        decoder = FrameDecoder()
+        a, b, c = (
+            _decode_body(body(app, batch), decoder)
+            for app, batch in (("a", shared), ("b", shared), ("c", other))
+        )
+        traced = _decode_body(body("d", shared, traces={1: [(0, 9)]}), decoder)
+        assert (a["app"], b["app"]) == ("a", "b")
+        assert b["items"] is a["items"]
+        assert [(t.seq, t.values) for t in a["items"]] == [
+            (1, {"temp": 1.0}), (2, {"temp": 2.0})
+        ]
+        assert [t.seq for t in c["items"]] == [3]
+        # A traced frame's records are not the end of its body: decoded.
+        assert traced["items"] is not a["items"]
+        assert traced["items"] == a["items"] and traced["traces"] == {1: [(0, 9)]}
+        # A malformed body is never remembered, so it fails every time.
+        bad = body("e", other) + b"\x00"
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="trailing bytes"):
+                _decode_body(bad, decoder)
+        # Bounded: the oldest frames' records are forgotten first.
+        for seq in range(100, 200):
+            one = Batch(items=(_item(seq=seq),), first_staged_ms=0.0, flushed_ms=0.0)
+            _decode_body(body("f", one), decoder)
+        records = decoder._binary_names.records
+        assert len(records) == 64
+        assert _decode_body(body("g", shared), decoder)["items"] is not a["items"]
+
     def test_decided_pieces_has_only_the_shared_path(self):
         batch = Batch(items=(_item(),), first_staged_ms=1.0, flushed_ms=1.0)
         with pytest.raises(ValueError, match="shared=False"):

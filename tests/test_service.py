@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import types
 
 import pytest
 
@@ -23,6 +24,25 @@ SPECS = [
     ("app1", "DC1(temp, 3.0, 1.5)"),
     ("app2", "DC1(temp, 4.4, 2.0)"),
 ]
+
+
+@types.coroutine
+def _one_pass():
+    """Yield to the event loop once: every ready task takes one step."""
+    yield
+
+
+async def _passes(n: int = 3) -> None:
+    for _ in range(n):
+        await _one_pass()
+
+
+def _batch(seq: int = 0) -> Batch:
+    return Batch(
+        items=(StreamTuple(seq, float(seq), {"v": 1}),),
+        first_staged_ms=0,
+        flushed_ms=0,
+    )
 
 
 def _trace(n=400, seed=3) -> Trace:
@@ -170,11 +190,82 @@ class TestBackpressure:
             batch = Batch(items=(StreamTuple(0, 0.0, {"v": 1}),), first_staged_ms=0, flushed_ms=0)
             await queue.put(batch)
             producer = asyncio.create_task(queue.put(batch))
-            await asyncio.sleep(0.01)
+            await _passes()
             assert not producer.done()  # backpressure: producer parked
             await queue.get()
             await asyncio.wait_for(producer, timeout=1.0)
             assert producer.done()
+
+        asyncio.run(run())
+
+    def test_close_wakes_a_parked_producer_and_a_parked_consumer(self):
+        async def run():
+            full = DeliveryQueue(capacity=1, policy="block")
+            await full.put(_batch(0))
+            producer = asyncio.create_task(full.put(_batch(1)))
+            empty = DeliveryQueue(capacity=1, policy="block")
+            consumer = asyncio.create_task(empty.get())
+            await _passes()
+            assert not producer.done() and not consumer.done()
+            await full.close()
+            await empty.close()
+            await _passes()
+            # The parked put is discarded (returned as not enqueued); the
+            # queued batch still drains before the end of the stream.
+            assert producer.done() and producer.result().items[0].seq == 1
+            assert consumer.done()
+            with pytest.raises(StopAsyncIteration):
+                consumer.result()
+            assert (await full.get()).items[0].seq == 0
+            with pytest.raises(StopAsyncIteration):
+                await full.get()
+
+        asyncio.run(run())
+
+    def test_drop_oldest_wakes_the_consumer(self):
+        async def run():
+            queue = DeliveryQueue(capacity=1, policy="drop_oldest")
+            consumer = asyncio.create_task(queue.get())
+            await _passes()
+            assert not consumer.done()
+            # Two puts before the consumer runs: the second evicts the
+            # first, and the consumer wakes to the fresh one.
+            assert await queue.put(_batch(0)) is None
+            dropped = await queue.put(_batch(1))
+            assert dropped.items[0].seq == 0
+            await _passes()
+            assert consumer.done() and consumer.result().items[0].seq == 1
+            assert queue.depth == 0
+
+        asyncio.run(run())
+
+    def test_a_cancelled_getter_passes_its_wake_up_on(self):
+        async def run():
+            queue = DeliveryQueue(capacity=4, policy="block")
+            first = asyncio.create_task(queue.get())
+            second = asyncio.create_task(queue.get())
+            await _passes()
+            await queue.put(_batch(7))  # wakes ``first``, which has not run
+            first.cancel()
+            await _passes()
+            assert first.cancelled()
+            assert second.done() and second.result().items[0].seq == 7
+
+        asyncio.run(run())
+
+    def test_a_cancelled_putter_passes_its_wake_up_on(self):
+        async def run():
+            queue = DeliveryQueue(capacity=1, policy="block")
+            await queue.put(_batch(0))
+            first = asyncio.create_task(queue.put(_batch(1)))
+            second = asyncio.create_task(queue.put(_batch(2)))
+            await _passes()
+            assert (await queue.get()).items[0].seq == 0  # wakes ``first``
+            first.cancel()
+            await _passes()
+            assert first.cancelled()
+            assert second.done() and second.result() is None
+            assert [b.items[0].seq for b in queue.drain_nowait()] == [2]
 
         asyncio.run(run())
 

@@ -1,25 +1,32 @@
 """The opcode gate: what ``DisseminationService.offer`` executes per tuple.
 
 ``tools/work_counters.py`` replays a fixed seeded prefix in process and
-counts the bytecode the broker's offer path runs (two subscribers on
-two distinct DC specs, region algorithm, 3 000 tuples).  The count
-repeats exactly on one interpreter version, whatever the hash seed, so
-it is gated at its exact value: a change that adds work to the offer
-path moves it, and must move this number with it, on purpose.
+counts the bytecode the broker's offer path runs (region algorithm,
+3 000 tuples): ``broker_offer`` with two subscribers on two distinct DC
+specs (two delivery groups of one), ``broker_offer_shared`` with four,
+two on each spec (two delivery groups of two).  The count repeats
+exactly on one interpreter version, whatever the hash seed, so it is
+gated at its exact value: a change that adds work to the offer path
+moves it, and must move this number with it, on purpose.
 
 Read on CPython 3.11.7 (x86-64 Linux), opcodes over the 3 000 tuples:
 
-=======================================  ==========  ================
-layer                                    before      engine checkpoint
-=======================================  ==========  ================
-batch engine, ``record=True``            5 305 651   5 273 145
-batch engine, ``record=False``           5 100 977   5 068 471
-``DisseminationService.offer``           6 730 120   6 493 614
-=======================================  ==========  ================
+=======================================  ==========  =================  ===============
+layer                                    before      engine checkpoint  delivery groups
+=======================================  ==========  =================  ===============
+batch engine, ``record=True``            5 305 651   5 273 145          5 273 145
+batch engine, ``record=False``           5 100 977   5 068 471          5 068 471
+``offer``, 2 specs x 1                   6 730 120   6 493 614          6 385 347
+``offer``, 2 specs x 2                   --          7 126 111          6 587 975
+=======================================  ==========  =================  ===============
 
-The offer path lost the epoch journal's append (a ``marshal.dumps`` and
-a buffer append per offer); both engines lost a dictionary of decided
-tuples that nothing read.  Opcodes do not count time inside C calls.
+Engine checkpoints: the offer path lost the epoch journal's append (a
+``marshal.dumps`` and a buffer append per offer); both engines lost a
+dictionary of decided tuples that nothing read.  Delivery groups: a
+tuple is staged once per sharing class rather than once per session,
+and the session queue parks waiters on futures rather than crossing an
+``asyncio.Condition`` on every put.  Opcodes do not count time inside C
+calls.
 """
 
 import importlib.util
@@ -30,8 +37,8 @@ import pytest
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "work_counters.py"
 
-#: The reading before engine checkpoints replaced the epoch journal.
-BEFORE = 6_730_120
+#: Readings before delivery groups (per-session batchers, Condition queue).
+BEFORE = {"broker_offer": 6_493_614, "broker_offer_shared": 7_126_111}
 
 
 def _tool():
@@ -48,4 +55,13 @@ def _tool():
 )
 def test_offer_path_opcodes_are_gated_exactly():
     opcodes = _tool().count_opcodes("broker_offer", tuples=3000, seed=7)
-    assert opcodes == 6_493_614 < BEFORE, opcodes
+    assert opcodes == 6_385_347 <= BEFORE["broker_offer"], opcodes
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="opcode counts are per interpreter version; read on CPython 3.11",
+)
+def test_shared_offer_path_opcodes_are_gated_exactly():
+    opcodes = _tool().count_opcodes("broker_offer_shared", tuples=3000, seed=7)
+    assert opcodes == 6_587_975 < BEFORE["broker_offer_shared"], opcodes

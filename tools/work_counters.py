@@ -13,10 +13,11 @@ and reports, per offered tuple:
 * ``bytes`` — growth of the bytes ``tracemalloc`` traces over the run.
 
 The layers: the batch engine recording its log (``record=True``), the
-same engine as a live broker runs it (``record=False``), and
+same engine as a live broker runs it (``record=False``),
 ``DisseminationService.offer`` — two subscribers on two distinct DC
 specs, region algorithm, default ``ServiceConfig``, sessions emptied
-after every offer.  Each reading repeats exactly from run to run on one
+after every offer — and the same offer path with four subscribers, two
+on each spec (``broker_offer_shared``: two delivery groups of two).  Each reading repeats exactly from run to run on one
 interpreter version (bytecode differs between versions), so a change of
 a few opcodes is visible where wall-clock time cannot resolve 10 %.
 Opcodes do not see time spent inside C calls (``marshal.dumps``, dict
@@ -40,7 +41,7 @@ from repro.filters.spec import parse_filter
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import random_walk_trace
 
-LAYERS = ("engine_record", "engine_live", "broker_offer")
+LAYERS = ("engine_record", "engine_live", "broker_offer", "broker_offer_shared")
 
 #: Delta multipliers (of the trace's mean step) of the two subscribers.
 _DELTAS = (1.0, 1.5)
@@ -108,13 +109,19 @@ def _run_engine(rows, specs, record: bool, counter=None) -> GroupAwareEngine:
     return engine
 
 
-def _run_broker(rows, specs, counter=None) -> DisseminationService:
+def _run_broker(rows, specs, counter=None, copies: int = 1) -> DisseminationService:
     async def run() -> DisseminationService:
         service = DisseminationService(ServiceConfig())
         service.add_source("src")
         sessions = [
-            await service.subscribe(f"app{i}", "src", spec, queue_capacity=1 << 20)
+            await service.subscribe(
+                f"app{i}.{copy}" if copy else f"app{i}",
+                "src",
+                spec,
+                queue_capacity=1 << 20,
+            )
             for i, spec in enumerate(specs)
+            for copy in range(copies)
         ]
         for item in _fresh(rows):
             if counter is None:
@@ -132,6 +139,8 @@ def _run_broker(rows, specs, counter=None) -> DisseminationService:
 def _run(layer: str, rows, specs, counter=None):
     if layer == "broker_offer":
         return _run_broker(rows, specs, counter)
+    if layer == "broker_offer_shared":
+        return _run_broker(rows, specs, counter, copies=2)
     return _run_engine(rows, specs, layer == "engine_record", counter)
 
 
@@ -168,13 +177,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     print(
-        f"# {args.tuples} tuples, seed {args.seed}, 2 DC subscribers, region; "
+        f"# {args.tuples} tuples, seed {args.seed}, 2 DC specs, region; "
         f"CPython {sys.version.split()[0]}"
     )
-    print(f"{'layer':<16}{'opcodes/tuple':>15}{'blocks/tuple':>14}{'bytes/tuple':>13}")
+    print(f"{'layer':<21}{'opcodes/tuple':>15}{'blocks/tuple':>14}{'bytes/tuple':>13}")
     for r in readings(args.tuples, args.seed):
         print(
-            f"{r.layer:<16}{r.per_tuple(r.opcodes):>15.1f}"
+            f"{r.layer:<21}{r.per_tuple(r.opcodes):>15.1f}"
             f"{r.per_tuple(r.blocks):>14.2f}{r.per_tuple(r.bytes):>13.1f}"
         )
     print(
