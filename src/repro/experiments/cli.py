@@ -184,9 +184,11 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="keep N warm standby workers mirroring the first N shards; "
-        "a failover promotes the standby and splices its shadow "
-        "streams with zero delivery gap (requires --workers > 1... N)",
+        help="keep N standby spare workers for the first N shards; the "
+        "router keeps each covered source's checkpoint and the tail of "
+        "ingest since, and a failover promotes the spare, restores the "
+        "checkpoint, replays the tail and splices every stream with zero "
+        "delivery gap (requires --workers > 1... N)",
     )
     parser.add_argument(
         "--self-heal",

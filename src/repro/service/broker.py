@@ -791,33 +791,32 @@ class DisseminationService:
         """Non-destructive copy of a source's portable state.
 
         The same payload :meth:`export_source` produces, but the source
-        keeps serving — this is how a warm standby is armed and re-armed
-        after a failover consumed its predecessor.
+        keeps serving — this is the checkpoint a cluster router keeps
+        for failover, beside the tail of ingest it forwards afterwards.
         """
         src = self._src(source_name)
         async with src.lock:
             return await self._source_state(src)
 
-    async def import_source(
-        self, source_name: str, state: dict, *, force: bool = False
-    ) -> int:
+    async def import_source(self, source_name: str, state: dict) -> int:
         """Adopt an exported source's open state from its checkpoint.
 
         The source must already exist here with the migrated
         subscriptions attached in their original insertion order and
-        nothing fed to the current epoch (``force`` waives that: a
-        standby's mirror is re-armed over whatever it was fed).  The
-        engine is rebuilt fresh, then restored from the checkpoint; no
-        engine step runs, so nothing is emitted twice.  ``ValueError``
-        if the checkpoint does not fit the subscriptions (the source is
-        left serving a fresh epoch).  A checkpoint for a source that has
-        no subscribers here is dropped with the epoch it describes.
+        nothing fed to the current epoch — a migration target, or a
+        respawned or promoted cluster worker, which the router then
+        feeds the tail it kept since the checkpoint.  The engine is
+        rebuilt fresh, then restored from the checkpoint; no engine step
+        runs, so nothing is emitted twice.  ``ValueError`` if the
+        checkpoint does not fit the subscriptions (the source is left
+        serving a fresh epoch).  A checkpoint for a source that has no
+        subscribers here is dropped with the epoch it describes.
 
         Returns the number of open tuples restored.
         """
         src = self._src(source_name)
         async with src.lock:
-            if src.fed and not force:
+            if src.fed:
                 raise RuntimeError(
                     f"source {source_name!r} already has {src.fed} tuples "
                     "fed to its current epoch; import requires a clean one"

@@ -22,10 +22,12 @@ directly onto process-per-shard scaling:
   (:mod:`repro.transport.protocol`: binary tuple frames, JSON control
   frames) — there is no second serialization scheme;
 * **supervisor** — workers are health-checked (``/healthz`` pings plus
-  process liveness); a dead worker is drained and respawned, its
-  sources re-registered and its subscriptions re-subscribed with their
-  previously resolved bounds, and the router-side sessions resume
-  transparently (subscribers see a delivery gap, never a teardown).
+  process liveness); a dead worker is replaced by its standby spare or
+  respawned, its sources re-registered and its subscriptions
+  re-subscribed with their previously resolved bounds, and the
+  router-side sessions resume transparently.  A source the router
+  holds a failover record for (checkpoint + tail) resumes exactly;
+  any other sees a delivery gap, never a teardown.
 
 Backpressure is preserved end to end: a ``block``-policy stall in a
 worker withholds the ingest ack, which suspends the router's inline
@@ -84,6 +86,14 @@ _FINAL_REASONS = frozenset(
 _SID_ROUTER_FORWARD = stage_id(STAGE_ROUTER_FORWARD)
 _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
 
+#: Tail tuples after which a covered source's failover checkpoint is
+#: re-armed and its tail dropped.  The trade, measured on a 2-CPU Xeon
+#: (one source, four subscribers, a random walk in 64-tuple frames): a
+#: re-arm costs ~1.2 ms (one ~1 KB checkpoint round trip), ~1.2 us per
+#: tuple at this cadence; a failover replays ~0.1 ms per tail tuple in
+#: such frames (~0.4 ms one per frame), so at most ~0.1-0.4 s.
+_REARM_TUPLES = 1024
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -116,11 +126,12 @@ class ClusterConfig:
     #: so a correlated fleet-wide crash doesn't respawn in lockstep).
     respawn_backoff_base_s: float = 0.2
     respawn_backoff_max_s: float = 5.0
-    #: Warm standby workers.  Standby ``k`` mirrors primary ``k``: same
-    #: sources, shadow subscriptions, and every offer fed to both — so
-    #: a failover adopts the standby's live engine state instead of
-    #: cold-respawning, and subscribers' streams splice byte-identically.
-    #: Primaries beyond the standby count fall back to cold respawn.
+    #: Standby workers.  Standby ``k`` is a blank spare process for
+    #: primary ``k``'s slot, and the router keeps each covered source of
+    #: that shard's checkpoint plus the tail of ingest and ticks since:
+    #: a failover promotes the spare (or respawns the slot), restores
+    #: the checkpoint, replays the tail, and subscribers' streams splice
+    #: byte-identically.  Primaries beyond the standby count respawn cold.
     standby: int = 0
     #: With an attached remediation loop (``--self-heal``) the
     #: supervisor defers worker-death actuation this long so the
@@ -246,10 +257,10 @@ class ClusterSession:
         self._replacement: Optional[asyncio.Future] = None
         #: Tuples this session has yielded to the front tier.
         self.delivered_tuples = 0
-        #: Tuples yielded from the *current* remote's stream (reset at
-        #: every generation switch) — the router-side stream position a
-        #: warm standby's discard consumer throttles against.  When a
-        #: stream ends, its final count parks in
+        #: Position in the *current* remote's stream, counted as its
+        #: worker's shipped tuples (reset at every generation switch; a
+        #: splice's dropped prefix counts) — what a failover splice
+        #: aligns against.  When a stream ends, its final count parks in
         #: :attr:`last_remote_delivered` for the splice-skip math.
         self.delivered_this_remote = 0
         self.last_remote_delivered = 0
@@ -415,24 +426,25 @@ class ClusterSession:
 
 
 class _SpliceRemote:
-    """A standby shadow subscription minus its already-delivered prefix.
+    """A re-attached subscription minus its already-delivered prefix.
 
-    At failover the primary's stream had delivered tuples the standby's
-    throttled discard consumer had not yet drained from the mirror;
-    those tuples sit (whole or mid-batch) at the head of the shadow
-    buffer.  Dropping exactly that prefix makes the spliced stream
-    continue byte-identically from the subscriber's point of view — a
-    delivery gap of zero, not a replay and not a hole.
+    At failover the new process restores the router's checkpoint of the
+    source and replays the tail kept since, so its stream for each app
+    starts at the checkpoint's ``shipped`` offset (``consumed``) —
+    behind what the dead stream had delivered.  Dropping exactly that
+    prefix makes the spliced stream continue byte-identically from the
+    subscriber's point of view: a delivery gap of zero, not a replay
+    and not a hole.
 
     The skip is computed *lazily*, on first consumption: the session's
     ``batches()`` loop only switches remotes after fully draining the
-    dead stream, so only then is ``last_remote_delivered`` final.  Both
-    counters are absolute stream positions (``consumed`` starts at the
-    worker-reported shipped offset the mirror was armed at), and the
-    discard throttle guarantees ``consumed <= delivered``, so the skip
-    is never negative.  If the dead worker's queue lost shipped-but-
-    undelivered tuples, the clamp surfaces that as a small delivery gap
-    — never duplicates.
+    dead stream, so only then is ``last_remote_delivered`` final.  The
+    checkpoint's reply followed every ``decided`` frame its offsets
+    count, so ``consumed <= delivered`` and the skip is never negative;
+    should the dead stream still have lost tuples, the clamp surfaces
+    that as a small delivery gap, never as duplicates.  Dropped tuples
+    count toward the session's position on this stream: the offset
+    the next splice aligns against.
     """
 
     def __init__(self, remote, session: "ClusterSession", consumed: int):
@@ -460,19 +472,40 @@ class _SpliceRemote:
         return self._remote.claim_trace(seq)
 
     async def batches(self):
+        session = self._session
         if self._skip is None:
-            self._skip = max(
-                0, self._session.last_remote_delivered - self._consumed
-            )
+            self._skip = max(0, session.last_remote_delivered - self._consumed)
         async for batch in self._remote.batches():
             if self._skip:
                 items = batch.items
                 if len(items) <= self._skip:
                     self._skip -= len(items)
+                    session.delivered_this_remote += len(items)
                     continue
                 batch = dc_replace(batch, items=items[self._skip :])
+                session.delivered_this_remote += self._skip
                 self._skip = 0
             yield batch
+
+
+class _Record:
+    """A covered source's failover state, held by the router.
+
+    ``state`` is the latest ``snapshot_source`` payload; ``tail`` lists
+    what the primary applied since, in its order: each ingest's item
+    list and each tick's ``now_ms`` (a float).  ``retries`` maps the
+    ``id`` of a tail entry whose ingest failed with the primary to the
+    future its caller waits on: the replay resolves it with the entry's
+    emissions, a cold re-attach with ``None``.
+    """
+
+    __slots__ = ("state", "tail", "tuples", "retries")
+
+    def __init__(self, state: dict):
+        self.state = state
+        self.tail: list = []
+        self.tuples = 0
+        self.retries: dict[int, asyncio.Future] = {}
 
 
 class _Worker:
@@ -480,9 +513,9 @@ class _Worker:
 
     def __init__(self, index: int, *, role: str = "primary", mirror_of: Optional[int] = None):
         self.index = index
-        #: "primary" serves routed traffic; "standby" mirrors a primary.
+        #: "primary" serves routed traffic; "standby" is a blank spare.
         self.role = role
-        #: Primary slot index a standby shadows (None for primaries).
+        #: Primary slot index a standby spares (None for primaries).
         self.mirror_of = mirror_of
         self.process: Optional[asyncio.subprocess.Process] = None
         self.port: Optional[int] = None
@@ -499,17 +532,6 @@ class _Worker:
         #: grace accounting); None while alive.
         self.death_seen_ts: Optional[float] = None
         self.health_misses = 0
-        #: Standby-only state: shadow subscriptions per app, tuples the
-        #: throttled discard consumer has drained per app, the discard
-        #: tasks, and sources whose mirror went stale (failed shadow
-        #: churn or missed offers) — stale sources fall back to cold
-        #: re-subscribe at failover instead of a byte-identical splice.
-        self.shadows: dict[str, object] = {}
-        self.shadow_consumed: dict[str, int] = {}
-        self.shadow_tasks: dict[str, asyncio.Task] = {}
-        self.shadow_source: dict[str, str] = {}
-        self.stale_sources: set[str] = set()
-        self.arm_task: Optional[asyncio.Task] = None
         #: Serializes heal decisions for this slot (monitor vs an
         #: attached remediation loop racing to fix the same death).
         self.heal_lock = asyncio.Lock()
@@ -547,9 +569,9 @@ class ClusterService:
     ):
         self.config = config
         self._workers = [_Worker(i) for i in range(config.workers)]
-        #: Warm standby tier: standby ``k`` mirrors primary ``k``.
+        #: Standby tier: standby ``k`` spares primary ``k``'s slot.
         #: Standbys live outside ``_workers`` so primary indexing (and
-        #: every merged-snapshot total) never sees mirrored traffic.
+        #: every merged-snapshot total) never sees them.
         self._standbys = [
             _Worker(config.workers + k, role="standby", mirror_of=k)
             for k in range(config.standby)
@@ -563,15 +585,19 @@ class ClusterService:
         #: sources on first registration, so a migrated source stays
         #: where the migration put it.
         self._sources: dict[str, int] = {}
-        #: Per-source serialization of the data path against migration
-        #: and standby arming (uncontended in steady state).
+        #: Per-source serialization of the data path against migration,
+        #: failover and re-arming (uncontended in steady state); it also
+        #: orders each failover tail.
         self._source_locks: dict[str, asyncio.Lock] = {}
+        #: Failover records of the covered sources (see :meth:`_arm`).
+        self._records: dict[str, _Record] = {}
         #: Set by an attached remediation loop: worker-death actuation
         #: is deferred (up to ``deferred_heal_grace_s``) so the
         #: propose/verify/schedule pipeline owns the fix.
         self.defer_death_handling = False
         self._apps: dict[str, ClusterSession] = {}
         self._monitor_task: Optional[asyncio.Task] = None
+        self._arm_task: Optional[asyncio.Task] = None
         self._started = False
         self._closed = False
         self._final_snapshot: Optional[dict] = None
@@ -586,6 +612,7 @@ class ClusterService:
         self._events_pull_ts: Optional[float] = None
         self._m_scrape_cache = None
         self._m_migrations = None
+        self._m_rearms = None
         if telemetry is not None:
             self._client_telemetry = Telemetry(
                 sample_period=0, event_capacity=1, trace_capacity=1
@@ -633,8 +660,19 @@ class ClusterService:
             )
             m_standby_armed = registry.gauge(
                 "repro_cluster_standby_armed_sources",
-                "Sources this standby can splice byte-identically.",
+                "Sources of this standby's shard whose failover "
+                "checkpoint the router holds.",
                 ("worker",),
+            )
+            m_standby_tail = registry.gauge(
+                "repro_cluster_standby_tail_tuples",
+                "Tuples in the failover tails the router holds for this "
+                "standby's shard (replayed at failover).",
+                ("worker",),
+            )
+            self._m_rearms = registry.counter(
+                "repro_cluster_standby_rearms_total",
+                "Failover checkpoints taken (first arms and re-arms).",
             )
 
             def _collect_fleet() -> None:
@@ -656,13 +694,13 @@ class ClusterService:
                     )
                     m_window.labels(label).set(float(in_window))
                 for standby in self._standbys:
-                    armed = sum(
-                        1
-                        for s in self._shard_sources(standby.mirror_of)
-                        if s not in standby.stale_sources
-                    )
-                    m_standby_armed.labels(str(standby.index)).set(
-                        float(armed) if standby.ready.is_set() else 0.0
+                    label = str(standby.index)
+                    records = [
+                        self._records[s] for s in self._armed_sources(standby)
+                    ]
+                    m_standby_armed.labels(label).set(float(len(records)))
+                    m_standby_tail.labels(label).set(
+                        float(sum(r.tuples for r in records))
                     )
                 m_sessions.set(float(self.session_count()))
 
@@ -709,31 +747,30 @@ class ClusterService:
             lock = self._source_locks[source_name] = asyncio.Lock()
         return lock
 
-    def _standby_for(self, shard: int) -> Optional[_Worker]:
-        """The live, ready standby mirroring primary ``shard`` (or None)."""
+    def _standby_slot(self, shard: int) -> Optional[_Worker]:
+        """The standby slot of primary ``shard``, unless lost (or None)."""
         for standby in self._standbys:
-            if standby.mirror_of != shard or standby.failed:
-                continue
-            process = standby.process
-            if (
-                process is None
-                or process.returncode is not None
-                or not standby.ready.is_set()
-                or standby.client is None
-            ):
-                continue
-            return standby
+            if standby.mirror_of == shard and not standby.failed:
+                return standby
         return None
 
-    def _mark_stale(self, standby: _Worker, source_name: str) -> None:
-        """The mirror for ``source_name`` diverged: splice is off the
-        table until the next re-arm; failover falls back to a cold
-        re-subscribe for this source's apps."""
-        if source_name not in standby.stale_sources:
-            standby.stale_sources.add(source_name)
-            self._emit(
-                "standby_stale", standby=standby.index, source=source_name
-            )
+    def _standby_for(self, shard: int) -> Optional[_Worker]:
+        """The live, ready standby of primary ``shard`` (or None)."""
+        standby = self._standby_slot(shard)
+        if (
+            standby is None
+            or standby.process is None
+            or standby.process.returncode is not None
+            or not standby.ready.is_set()
+            or standby.client is None
+        ):
+            return None
+        return standby
+
+    def _armed_sources(self, standby: _Worker) -> list[str]:
+        return [
+            s for s in self._shard_sources(standby.mirror_of) if s in self._records
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -755,8 +792,6 @@ class ClusterService:
             raise failures[0]
         for worker in fleet:
             worker.ready.set()
-        for standby in self._standbys:
-            await self._arm_standby(standby)
         self._monitor_task = asyncio.ensure_future(self._monitor())
 
     def _worker_command(self, worker: _Worker) -> list[str]:
@@ -938,20 +973,17 @@ class ClusterService:
                 # process exit) must not abort shutdown: the workers
                 # below still need terminating.
                 pass
-        for worker in self._workers + self._standbys:
-            for task in (worker.respawn_task, worker.arm_task):
-                if task is not None and not task.done():
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-            for task in worker.shadow_tasks.values():
+        tasks = [self._arm_task] + [w.respawn_task for w in self._workers + self._standbys]
+        for task in tasks:
+            if task is not None and not task.done():
                 task.cancel()
-            worker.shadow_tasks.clear()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):
+                    pass
         # Latency windows must be read before the workers die; terminal
         # totals come from the terminal snapshots afterwards.  Standbys
-        # are excluded: their mirrored traffic would double every total.
+        # serve no traffic, so they are left out.
         live = await asyncio.gather(
             *(self._worker_snapshot(worker) for worker in self._workers)
         )
@@ -1059,11 +1091,25 @@ class ClusterService:
                         returncode=process.returncode,
                         reason="unresponsive",
                     )
-            for standby in self._standbys:
-                # Self-correcting mirror: anything stale (or any open app
-                # without a shadow) re-arms on the supervisor's cadence.
-                if standby.ready.is_set() and not standby.failed:
-                    self._schedule_arm(standby)
+            # A covered source without a failover record (born since,
+            # or back cold) is armed on the supervisor's cadence, in a
+            # task of its own: a snapshot stuck behind backpressure must
+            # not stall the health checks.
+            if self._arm_task is None or self._arm_task.done():
+                self._arm_task = asyncio.ensure_future(self._arm_missing())
+
+    async def _arm_missing(self) -> None:
+        for source in list(self._sources):
+            if source in self._records:
+                continue
+            worker = self._primary(self.shard_of(source))
+            if self._standby_slot(worker.index) is None:
+                continue
+            async with self._source_lock(source):
+                if source not in self._records and (
+                    self._primary(self.shard_of(source)) is worker
+                ):
+                    await self._arm(source, worker)
 
     async def _on_worker_death(
         self,
@@ -1186,13 +1232,13 @@ class ClusterService:
         an occasional crash per hour never exhausts anything.  The first
         attempt after a quiet period is immediate.
 
-        For a primary, every session the slot owned is re-subscribed
-        with its previously resolved bounds and re-attached, so
-        router-side pumps resume.  The decided state of the dead process
-        is gone — subscribers see a delivery gap, which is the paper's
-        timeliness-over-completeness stance applied to process failure.
-        A respawned standby instead comes back empty and re-arms its
-        mirror from the serving primary.
+        For a primary, every source re-attaches (:meth:`_reattach`):
+        a covered source restores the router's checkpoint, replays its
+        tail and splices; any other source's sessions re-subscribe with
+        their previously resolved bounds on a fresh epoch — a delivery
+        gap, which is the paper's timeliness-over-completeness stance
+        applied to process failure.  A respawned standby comes back as a
+        blank spare.
         """
         cfg = self.config
         worker.ready.clear()
@@ -1208,14 +1254,6 @@ class ClusterService:
         if worker.drain_task is not None:
             await worker.drain_task
             worker.drain_task = None
-        for task in worker.shadow_tasks.values():
-            task.cancel()
-        worker.shadow_tasks.clear()
-        worker.shadows.clear()
-        worker.shadow_consumed.clear()
-        worker.shadow_source.clear()
-        if worker.role == "standby":
-            worker.stale_sources = set(self._shard_sources(worker.mirror_of))
         self._emit("drain_end", worker=worker.index)
         while True:
             now = time.monotonic()
@@ -1246,44 +1284,22 @@ class ClusterService:
             worker.respawns += 1
             try:
                 await self._launch(worker)
+                spliced = cold = 0
                 if worker.role == "primary":
-                    for app, session in list(worker.apps.items()):
-                        if session.closed:
-                            worker.apps.pop(app, None)
-                            # Identity check: the name may have been
-                            # re-used by a live session on another worker.
-                            if self._apps.get(app) is session:
-                                del self._apps[app]
-                            continue
-                        remote = await worker.client.subscribe(
-                            app,
-                            session.source_name,
-                            session.spec,
-                            queue_capacity=session.queue.capacity,
-                            overflow=session.queue.policy,
-                            batch_max_items=session.batcher.max_items,
-                            batch_max_delay_ms=session.batcher.max_delay_ms,
-                            degradation=session.degradation,
-                        )
-                        self._wire_qos(session, remote)
-                        session.adopt(remote)
+                    for source in self._shard_sources(worker.index):
+                        async with self._source_lock(source):
+                            counts = await self._reattach(worker, source)
+                        spliced += counts[0]
+                        cold += counts[1]
                 worker.ready.set()
                 worker.death_seen_ts = None
-                if worker.role == "standby":
-                    await self._arm_standby(worker)
-                else:
-                    # A cold respawn starts the engines fresh, so any
-                    # standby mirror of this slot no longer matches.
-                    standby = self._standby_for(worker.index)
-                    if standby is not None:
-                        for source in self._shard_sources(worker.index):
-                            self._mark_stale(standby, source)
-                        self._schedule_arm(standby)
                 self._emit(
                     "worker_respawn",
                     worker=worker.index,
                     role=worker.role,
                     respawns=worker.respawns,
+                    spliced=spliced,
+                    cold=cold,
                 )
                 return
             except Exception:
@@ -1356,14 +1372,6 @@ class ClusterService:
         except BaseException:
             del self._sources[source_name]
             raise
-        # Mirror the registration: a source born while its standby is
-        # live is armed from birth (nothing fed yet on either side).
-        standby = self._standby_for(shard)
-        if standby is not None:
-            try:
-                await standby.client.ensure_source(source_name)
-            except (ConnectionError, GatewayError):
-                self._mark_stale(standby, source_name)
 
     def session_count(self) -> int:
         return sum(0 if s.closed else 1 for s in self._apps.values())
@@ -1390,8 +1398,8 @@ class ClusterService:
         The ready-wait happens *outside* the lock (a parked offer must
         not block the migration or adoption that would unpark it), then
         the placement is re-checked under the lock — a migration may
-        have moved the source while we waited.  Async context manager
-        yielding ``(worker, standby)``.
+        have moved the source while we waited.  Returns ``(lock,
+        worker)`` with the lock held.
         """
         while True:
             worker = await self._worker_for(source_name)
@@ -1401,30 +1409,8 @@ class ClusterService:
                 self._primary(self.shard_of(source_name)) is worker
                 and worker.ready.is_set()
             ):
-                return lock, worker, self._standby_for(worker.index)
+                return lock, worker
             lock.release()
-
-    async def _mirrored_ingest(
-        self, source_name: str, worker: _Worker, standby: Optional[_Worker], coro, mirror_coro
-    ) -> int:
-        """Run the primary ingest and its mirror copy concurrently.
-
-        The primary's ack is authoritative (its failure propagates, its
-        emissions count returns); a mirror whose outcome *diverges* from
-        the primary's marks the source stale — the mirrored streams can
-        no longer be byte-aligned.
-        """
-        if standby is None:
-            return int(await coro() or 0)
-        primary_result, mirror_result = await asyncio.gather(
-            coro(), mirror_coro(), return_exceptions=True
-        )
-        primary_failed = isinstance(primary_result, BaseException)
-        if isinstance(mirror_result, BaseException) != primary_failed:
-            self._mark_stale(standby, source_name)
-        if primary_failed:
-            raise primary_result
-        return int(primary_result or 0)
 
     async def offer(self, source_name: str, item) -> int:
         """Route one tuple to its source's worker; ack-for-ack.
@@ -1433,27 +1419,28 @@ class ClusterService:
         stall inside the worker withholds it, which suspends exactly the
         router read loop that forwarded this frame — per-connection
         backpressure survives the extra hop.  The per-source lock held
-        across the ingest is the migration/arming offer-gate, and the
-        standby mirror (when one is armed) sees every tuple in the same
-        per-source order.
+        across the ingest is the migration/re-arm offer gate, and it
+        orders a covered source's failover tail.  A frame that fails
+        with its worker is retried by the failover when the source is
+        covered (:meth:`_await_retry`), and raises otherwise.
         """
         self._require_source(source_name)
-        lock, worker, standby = await self._ingest_guarded(source_name)
+        lock, worker = await self._ingest_guarded(source_name)
         try:
             trace = self._forward_trace(source_name, item.seq)
-            return await self._mirrored_ingest(
-                source_name,
-                worker,
-                standby,
-                lambda: worker.client.ingest(source_name, item, trace=trace),
-                lambda: standby.client.ingest(source_name, item),
-            )
-        except (ConnectionError, GatewayError) as exc:
-            raise RuntimeError(
-                f"worker {worker.index} failed ingest for {source_name!r}: {exc}"
-            ) from exc
+            try:
+                emissions = await worker.client.ingest(
+                    source_name, item, trace=trace
+                )
+            except (ConnectionError, GatewayError) as exc:
+                retry = self._retry_in_tail(source_name, worker, (item,), exc)
+            else:
+                if source_name in self._records:
+                    await self._extend_tail(source_name, worker, (item,))
+                return int(emissions or 0)
         finally:
             lock.release()
+        return await self._await_retry(source_name, retry)
 
     def _forward_trace(self, source_name: str, seq: int) -> Optional[list]:
         """Close the ``router_forward`` stage and hand the pairs over.
@@ -1492,58 +1479,122 @@ class ClusterService:
         self._require_source(source_name)
         if not items:
             return 0
-        lock, worker, standby = await self._ingest_guarded(source_name)
+        lock, worker = await self._ingest_guarded(source_name)
         try:
             traces = self._forward_traces(source_name, items)
-            return await self._mirrored_ingest(
-                source_name,
-                worker,
-                standby,
-                lambda: worker.client.ingest_many(
+            try:
+                emissions = await worker.client.ingest_many(
                     source_name, items, traces=traces
-                ),
-                lambda: standby.client.ingest_many(source_name, items),
-            )
-        except (ConnectionError, GatewayError) as exc:
+                )
+            except (ConnectionError, GatewayError) as exc:
+                retry = self._retry_in_tail(source_name, worker, tuple(items), exc)
+            else:
+                if source_name in self._records:
+                    await self._extend_tail(source_name, worker, tuple(items))
+                return int(emissions or 0)
+        finally:
+            lock.release()
+        return await self._await_retry(source_name, retry)
+
+    async def _extend_tail(
+        self, source_name: str, worker: _Worker, items: tuple
+    ) -> None:
+        """Append an acked ingest to a covered source's tail (caller
+        holds the source lock); re-arm once it holds ``_REARM_TUPLES``."""
+        record = self._records[source_name]
+        record.tail.append(items)
+        record.tuples += len(items)
+        if record.tuples >= _REARM_TUPLES:
+            await self._arm(source_name, worker)
+
+    def _retry_in_tail(
+        self, source_name: str, worker: _Worker, items: tuple, exc: Exception
+    ):
+        """An ingest failed with its worker (caller holds the source
+        lock).  A covered source's frame joins the tail, where the
+        failover replays it; anything else raises as before."""
+        record = self._records.get(source_name)
+        if record is None or not isinstance(exc, ConnectionError):
             raise RuntimeError(
                 f"worker {worker.index} failed ingest for {source_name!r}: {exc}"
             ) from exc
-        finally:
-            lock.release()
+        future = asyncio.get_running_loop().create_future()
+        record.tail.append(items)
+        record.tuples += len(items)
+        record.retries[id(items)] = future
+        return record, items, future
+
+    async def _await_retry(self, source_name: str, retry) -> int:
+        """Wait for the re-attach that replays a failed frame (at most
+        ``reattach_timeout_s``); return its emissions.  A cold
+        re-attach, or none in time, raises — and a frame still waiting
+        then leaves the tail, so it is never applied after its caller
+        was told it failed."""
+        record, items, future = retry
+        await asyncio.wait((future,), timeout=self.config.reattach_timeout_s)
+        if not future.done():
+            async with self._source_lock(source_name):
+                if not future.done():
+                    future.set_result(None)
+                    record.retries.pop(id(items), None)
+                    record.tail = [e for e in record.tail if e is not items]
+                    record.tuples -= len(items)
+        emissions = future.result()
+        if emissions is None:
+            raise RuntimeError(
+                f"ingest for {source_name!r} failed with its worker, "
+                "and the failover did not replay it"
+            )
+        return emissions
 
     async def tick(self, now_ms: float, source_name: Optional[str] = None) -> int:
-        """Broadcast a timer tick (or route a per-source one).
+        """Broadcast a timer tick to the primaries (or route a
+        per-source one).
 
-        Standbys receive broadcast ticks too, so mirrored engines cut at
-        the same times.  Mirror fidelity is exact for offer-driven
-        decided output; in constrained mode a tick racing a concurrent
-        offer may land at a different per-source boundary on the mirror
-        — drivers that tick and offer from one task (the load generator
-        does) keep the interleaving identical.
+        Where a worker's sources hold failover records, the forward runs
+        under those sources' locks, so the tick takes its exact place in
+        each tail; a tick a dead worker missed joins the tails as well,
+        for the failover to replay.
         """
         if source_name is not None:
             self._require_source(source_name)
             worker = await self._worker_for(source_name)
-            targets = [worker]
-            standby = self._standby_for(worker.index)
-            if standby is not None:
-                targets.append(standby)
-        else:
-            targets = [
-                worker
-                for worker in self._workers + self._standbys
-                if not worker.failed
-                and worker.ready.is_set()
-                and worker.client is not None
-            ]
+            return await self._tick_worker(worker, now_ms, source_name)
+        return sum(
+            await asyncio.gather(
+                *(
+                    self._tick_worker(worker, now_ms, None)
+                    for worker in self._workers
+                    if not worker.failed
+                )
+            )
+        )
 
-        async def one(worker: _Worker) -> int:
-            try:
-                return await worker.client.tick(now_ms)
-            except (ConnectionError, GatewayError):
-                return 0
-
-        return sum(await asyncio.gather(*(one(w) for w in targets)))
+    async def _tick_worker(
+        self, worker: _Worker, now_ms: float, source_name: Optional[str]
+    ) -> int:
+        sources = (
+            (source_name,)
+            if source_name is not None
+            else self._shard_sources(worker.index)
+        )
+        recorded = sorted(s for s in sources if s in self._records)
+        async with AsyncExitStack() as stack:
+            for source in recorded:
+                await stack.enter_async_context(self._source_lock(source))
+            emissions = 0
+            if worker.ready.is_set() and worker.client is not None:
+                try:
+                    emissions = await worker.client.tick(now_ms, source_name)
+                except GatewayError:
+                    return 0  # refused: applied nowhere
+                except ConnectionError:
+                    pass  # died with it: the failover replays it
+            for source in recorded:
+                record = self._records.get(source)
+                if record is not None and self._sources[source] == worker.index:
+                    record.tail.append(float(now_ms))
+        return emissions
 
     async def subscribe(
         self,
@@ -1586,7 +1637,7 @@ class ClusterService:
                 profile = dict(degradation)
                 if degradation_level:
                     profile["level"] = degradation_level
-        lock, worker, standby = await self._ingest_guarded(source_name)
+        lock, worker = await self._ingest_guarded(source_name)
         try:
             try:
                 remote = await worker.client.subscribe(
@@ -1619,8 +1670,7 @@ class ClusterService:
             self._wire_qos(session, remote)
             self._apps[app_name] = session
             worker.apps[app_name] = session
-            if standby is not None and source_name not in standby.stale_sources:
-                await self._shadow_subscribe(standby, session, consumed=0)
+            await self._arm(source_name, worker)
             self._emit(
                 "subscribe",
                 app=app_name,
@@ -1636,9 +1686,8 @@ class ClusterService:
 
         The worker owns the controller; the router mirrors each applied
         transition into the session (spec + profile level, so the next
-        re-subscribe carries the ladder at the right rung), stales any
-        standby shadow (its mirror now decides at a stale spec), and
-        relays the update to the front tier's listener.
+        re-subscribe carries the ladder at the right rung) and relays
+        the update to the front tier's listener.
         """
         if session.degradation is None:
             return
@@ -1650,52 +1699,11 @@ class ClusterService:
             level = update.get("level")
             if isinstance(level, int) and session.degradation is not None:
                 session.degradation["level"] = level
-            standby = self._standby_for(
-                self.shard_of(session.source_name)
-            )
-            if standby is not None and session.app_name in standby.shadows:
-                self._mark_stale(standby, session.source_name)
             listener = session.qos_listener
             if listener is not None:
                 listener(update)
 
         remote.on_qos_update = _on_update
-
-    async def _shadow_subscribe(
-        self, standby: _Worker, session: ClusterSession, *, consumed: int
-    ) -> None:
-        """Mirror one subscription onto the standby (same app name, the
-        primary's resolved bounds) and start its throttled discard
-        consumer.  Only ``block``-policy streams can splice byte-exactly
-        (drop policies drop *different* tuples on each side), so any
-        other policy stales the source instead.  Sessions with a live
-        degradation ladder also stale: the worker may re-filter them at
-        any dispatch, after which a mirror decided at the old spec can
-        no longer splice — failover re-attaches the ladder on the cold
-        path instead."""
-        if session.queue.policy != "block" or session.degradation is not None:
-            self._mark_stale(standby, session.source_name)
-            return
-        try:
-            shadow = await standby.client.subscribe(
-                session.app_name,
-                session.source_name,
-                session.spec,
-                queue_capacity=session.queue.capacity,
-                overflow=session.queue.policy,
-                batch_max_items=session.batcher.max_items,
-                batch_max_delay_ms=session.batcher.max_delay_ms,
-            )
-        except (ConnectionError, GatewayError):
-            self._mark_stale(standby, session.source_name)
-            return
-        app = session.app_name
-        standby.shadows[app] = shadow
-        standby.shadow_consumed[app] = consumed
-        standby.shadow_source[app] = session.source_name
-        standby.shadow_tasks[app] = asyncio.ensure_future(
-            self._shadow_discard(standby, app, session, shadow)
-        )
 
     async def unsubscribe(self, app_name: str) -> None:
         # A locally-closed session (oversized decided frame, shutdown
@@ -1710,11 +1718,6 @@ class ClusterService:
             worker = self._primary(self.shard_of(session.source_name))
             self._apps.pop(app_name, None)
             worker.apps.pop(app_name, None)
-            standby = self._standby_for(worker.index)
-            if standby is not None:
-                await self._shadow_unsubscribe(
-                    standby, app_name, session.source_name
-                )
             forwarded = False
             # Forward whenever a client exists, ready flag or not: during
             # a respawn the fresh worker may already hold this app's
@@ -1729,6 +1732,8 @@ class ClusterService:
                     forwarded = True
                 except (ConnectionError, GatewayError):
                     pass
+            if forwarded:
+                await self._arm(session.source_name, worker)
             if forwarded and not session.closed:
                 # Do NOT end the remote locally here: the worker's
                 # final-flushed decided frames may still be in flight
@@ -1739,30 +1744,11 @@ class ClusterService:
                 return
             session.end_local("unsubscribed")
 
-    async def _shadow_unsubscribe(
-        self, standby: _Worker, app: str, source_name: str
-    ) -> None:
-        """Retire one app's mirror subscription alongside the real one."""
-        task = standby.shadow_tasks.pop(app, None)
-        if task is not None:
-            task.cancel()
-        shadow = standby.shadows.pop(app, None)
-        standby.shadow_consumed.pop(app, None)
-        standby.shadow_source.pop(app, None)
-        if shadow is None:
-            return
-        shadow.close_local("unsubscribed")
-        if standby.client is not None:
-            try:
-                await standby.client.unsubscribe(app)
-            except (ConnectionError, GatewayError):
-                self._mark_stale(standby, source_name)
-
     async def re_filter(self, app_name: str, new_spec: str) -> None:
         session = self._apps.get(app_name)
         if session is None or session.closed:
             raise KeyError(f"app {app_name!r} is not subscribed")
-        lock, worker, standby = await self._ingest_guarded(session.source_name)
+        lock, worker = await self._ingest_guarded(session.source_name)
         try:
             try:
                 await worker.client.re_filter(app_name, new_spec)
@@ -1777,16 +1763,12 @@ class ClusterService:
             # detaches its controller, so drop the recorded ladder too
             # (a respawn must not resurrect the automatic policy).
             session.degradation = None
-            if standby is not None and app_name in standby.shadows:
-                try:
-                    await standby.client.re_filter(app_name, new_spec)
-                except (ConnectionError, GatewayError):
-                    self._mark_stale(standby, session.source_name)
+            await self._arm(session.source_name, worker)
         finally:
             lock.release()
 
     # ------------------------------------------------------------------
-    # Live migration, warm standby, elasticity (the actuator surface)
+    # Live migration, standby failover, elasticity (the actuator surface)
     # ------------------------------------------------------------------
     def _count_migration(self, outcome: str) -> None:
         if self._m_migrations is not None:
@@ -1864,18 +1846,7 @@ class ClusterService:
         try:
             await new.client.ensure_source(source_name)
             for app, session in apps:
-                remote = await new.client.subscribe(
-                    app,
-                    source_name,
-                    session.spec,
-                    queue_capacity=session.queue.capacity,
-                    overflow=session.queue.policy,
-                    batch_max_items=session.batcher.max_items,
-                    batch_max_delay_ms=session.batcher.max_delay_ms,
-                    degradation=session.degradation,
-                )
-                self._wire_qos(session, remote)
-                staged.append((app, session, remote))
+                staged.append((app, session, await self._resubscribe(new, session)))
         except (ConnectionError, GatewayError) as exc:
             for app, _session, remote in staged:
                 remote.close_local("router_closed")
@@ -1902,20 +1873,13 @@ class ClusterService:
             session.stage_migration(remote)
             old.apps.pop(app, None)
             new.apps[app] = session
-        old_standby = next(
-            (sb for sb in self._standbys if sb.mirror_of == old.index), None
-        )
-        if old_standby is not None:
-            for app, _session, _remote in staged:
-                await self._shadow_unsubscribe(old_standby, app, source_name)
-            old_standby.stale_sources.discard(source_name)
         try:
             state = await old.client.export_source(source_name)
             restored = await new.client.import_source(source_name, state)
         except (ConnectionError, GatewayError) as exc:
             self._sources[source_name] = new.index
             self._count_migration("lossy")
-            self._stale_shard_standby(new.index, source_name)
+            await self._arm(source_name, new)
             self._emit(
                 "migration_failed",
                 source=source_name,
@@ -1935,7 +1899,7 @@ class ClusterService:
         if self.telemetry is not None:
             self._m_placements.labels(str(new.index)).inc()
         self._count_migration("complete")
-        self._stale_shard_standby(new.index, source_name)
+        await self._arm(source_name, new)
         self._emit(
             "migration_complete",
             source=source_name,
@@ -1952,47 +1916,23 @@ class ClusterService:
             "worker": new.index,
         }
 
-    def _stale_shard_standby(self, shard: int, source_name: str) -> None:
-        """A source just landed on ``shard``: its standby (if any) has no
-        mirror of it yet — flag it so the arm cadence picks it up."""
-        for standby in self._standbys:
-            if standby.mirror_of == shard and not standby.failed:
-                self._mark_stale(standby, source_name)
-
     async def adopt_standby(self, shard: int) -> None:
-        """Promote the warm standby into its dead primary's slot.
+        """Promote the standby into its dead primary's slot.
 
-        Under every source lock of the shard: freeze the mirror's
-        discard consumers, retire the dead process, swap the standby's
-        process/client into the primary slot, then per source either
-        *splice* (armed: every open app has a shadow and the mirror
-        never went stale — subscribers continue byte-identically minus
-        the already-delivered prefix) or *cold re-subscribe* (state gap,
-        stream preserved).  The emptied standby slot relaunches and
-        re-arms itself afterwards.
+        The standby is a blank spare.  Under every source lock of the
+        shard: retire the dead process, move the standby's process and
+        client into the primary slot, and re-attach each source
+        (:meth:`_reattach` — checkpoint + tail replay and a splice, or
+        cold).  The emptied standby slot relaunches as a new spare.
         """
         primary = self._primary(shard)
         standby = self._standby_for(shard)
         if standby is None:
-            raise RuntimeError(f"no armed standby for worker {shard}")
-        if standby.arm_task is not None and not standby.arm_task.done():
-            standby.arm_task.cancel()
-            try:
-                await standby.arm_task
-            except (asyncio.CancelledError, Exception):
-                pass
+            raise RuntimeError(f"no ready standby for worker {shard}")
         sources = sorted(self._shard_sources(shard))
         async with AsyncExitStack() as stack:
             for source in sources:
                 await stack.enter_async_context(self._source_lock(source))
-            for task in standby.shadow_tasks.values():
-                task.cancel()
-            for task in list(standby.shadow_tasks.values()):
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-            standby.shadow_tasks.clear()
             if primary.client is not None:
                 await primary.client.close(send_bye=False)
             process = primary.process
@@ -2012,75 +1952,21 @@ class ClusterService:
             primary.metrics_cache = None
             primary.terminal_snapshot = None
             primary.health_misses = 0
-            shadows = standby.shadows
-            consumed = standby.shadow_consumed
-            stale = standby.stale_sources
             standby.process = None
             standby.port = None
             standby.http_port = None
             standby.client = None
             standby.drain_task = None
             standby.stdout_tail = deque(maxlen=8)
-            standby.shadows = {}
-            standby.shadow_consumed = {}
-            standby.shadow_source = {}
-            standby.stale_sources = set(sources)
             standby.events_cursor = 0
             standby.metrics_cache = None
             standby.ready.clear()
+            self._schedule_respawn(standby)
             spliced = cold = 0
             for source in sources:
-                open_apps = [
-                    (app, session)
-                    for app, session in primary.apps.items()
-                    if session.source_name == source and not session.closed
-                ]
-                armed = source not in stale and all(
-                    app in shadows for app, _ in open_apps
-                )
-                for app, session in open_apps:
-                    shadow = shadows.pop(app, None)
-                    if armed:
-                        session.adopt(
-                            _SpliceRemote(shadow, session, consumed[app])
-                        )
-                        spliced += 1
-                        continue
-                    # Cold path: retire any half-armed shadow, then a
-                    # fresh subscribe (state gap, stream preserved).
-                    if shadow is not None:
-                        shadow.close_local("router_closed")
-                        try:
-                            await primary.client.unsubscribe(app)
-                        except (ConnectionError, GatewayError):
-                            pass
-                    try:
-                        remote = await primary.client.subscribe(
-                            app,
-                            source,
-                            session.spec,
-                            queue_capacity=session.queue.capacity,
-                            overflow=session.queue.policy,
-                            batch_max_items=session.batcher.max_items,
-                            batch_max_delay_ms=session.batcher.max_delay_ms,
-                            degradation=session.degradation,
-                        )
-                    except (ConnectionError, GatewayError):
-                        # Session stays parked; the reattach timeout (or
-                        # a later heal) decides its fate.
-                        continue
-                    self._wire_qos(session, remote)
-                    session.adopt(remote)
-                    cold += 1
-            # Shadows for apps that closed since arming: retire them so
-            # they do not keep decided streams flowing on the promoted
-            # worker.
-            for app, shadow in shadows.items():
-                shadow.close_local("router_closed")
-                try:
-                    await primary.client.unsubscribe(app)
-                except (ConnectionError, GatewayError):
-                    pass
+                counts = await self._reattach(primary, source)
+                spliced += counts[0]
+                cold += counts[1]
             primary.ready.set()
             primary.death_seen_ts = None
             primary.failed = False
@@ -2092,157 +1978,129 @@ class ClusterService:
                 spliced=spliced,
                 cold=cold,
             )
-        # Outside the locks: bring up a fresh standby process for the
-        # emptied slot and re-arm it against the promoted primary.
-        self._schedule_respawn(standby)
 
-    def _schedule_arm(self, standby: _Worker) -> None:
-        if standby.arm_task is not None and not standby.arm_task.done():
-            return
-        if not self._needs_arming(standby):
-            return
-        standby.arm_task = asyncio.ensure_future(self._arm_standby(standby))
+    async def _resubscribe(self, worker: _Worker, session: ClusterSession):
+        """Subscribe ``session``'s app on ``worker`` with its resolved
+        bounds and degradation profile (re-attach and migration)."""
+        remote = await worker.client.subscribe(
+            session.app_name,
+            session.source_name,
+            session.spec,
+            queue_capacity=session.queue.capacity,
+            overflow=session.queue.policy,
+            batch_max_items=session.batcher.max_items,
+            batch_max_delay_ms=session.batcher.max_delay_ms,
+            degradation=session.degradation,
+        )
+        self._wire_qos(session, remote)
+        return remote
 
-    def _needs_arming(self, standby: _Worker) -> bool:
-        if standby.stale_sources:
-            return True
-        try:
-            primary = self._primary(standby.mirror_of)
-        except KeyError:
-            return False
-        return any(
-            not session.closed and app not in standby.shadows
-            for app, session in primary.apps.items()
+    async def _reattach(self, worker: _Worker, source: str) -> tuple[int, int]:
+        """Re-attach one source's open apps to the process now in
+        ``worker``'s slot (caller holds the source lock); returns the
+        ``(spliced, cold)`` app counts.
+
+        Every open app re-subscribes, in insertion order.  With a
+        failover record, the checkpoint is imported, each app continues
+        at its delivered offset (:class:`_SpliceRemote`) and the tail is
+        replayed — ``offer_many`` per item list, a per-source ``tick``
+        per tick — so the streams splice with zero gap.  Offer-driven
+        output is exact.  Under a ``TimeConstraint`` the replay measures
+        its solve times afresh, so a timely cut there repeats the dead
+        primary's only where those measurements agree.  Without a record
+        (or when the import is refused) the apps continue on a fresh
+        epoch: cold, a state gap, never a teardown.  A
+        ``ConnectionError`` means this process died too; the record and
+        its pending retries stay for the next attempt.
+        """
+        for app, session in list(worker.apps.items()):
+            if session.source_name == source and session.closed:
+                worker.apps.pop(app, None)
+                # Identity check: the name may have been re-used by a
+                # live session on another worker.
+                if self._apps.get(app) is session:
+                    del self._apps[app]
+        sessions = [s for s in worker.apps.values() if s.source_name == source]
+        await worker.client.ensure_source(source)
+        remotes = [await self._resubscribe(worker, s) for s in sessions]
+        record = self._records.get(source)
+        if record is not None:
+            try:
+                await worker.client.import_source(source, record.state)
+            except GatewayError:
+                self._drop_record(source)
+                record = None
+        if record is None:
+            for session, remote in zip(sessions, remotes):
+                session.adopt(remote)
+            return 0, len(sessions)
+        # Adopt before the replay: its output must flow while it runs.
+        shipped = record.state.get("shipped") or {}
+        for session, remote in zip(sessions, remotes):
+            session.adopt(
+                _SpliceRemote(remote, session, int(shipped.get(session.app_name, 0)))
+            )
+        # From here on each app's position counts on this process, whose
+        # streams start at the checkpoint.
+        record.state["shipped"] = {}
+        for entry in record.tail:
+            if isinstance(entry, float):
+                emissions = await worker.client.tick(entry, source)
+            else:
+                emissions = await worker.client.ingest_many(source, entry)
+            future = record.retries.pop(id(entry), None)
+            if future is not None and not future.done():
+                future.set_result(int(emissions or 0))
+        return len(sessions), 0
+
+    def _covered(self, source_name: str, worker: _Worker) -> bool:
+        """Whether a failover record can cover the source: its shard has
+        a standby, and no open session drops or re-filters what a replay
+        cannot know about (a non-``block`` queue, a degradation ladder)."""
+        return self._standby_slot(worker.index) is not None and all(
+            session.queue.policy == "block" and session.degradation is None
+            for session in worker.apps.values()
+            if session.source_name == source_name and not session.closed
         )
 
-    async def _arm_standby(self, standby: _Worker) -> None:
-        """(Re-)arm a standby's mirror from its serving primary.
+    async def _arm(self, source_name: str, worker: _Worker) -> None:
+        """(Re-)arm a source's failover record from its serving primary
+        (caller holds the source lock).
 
-        Per source, under its lock: tear down stale shadows, re-attach a
-        shadow subscription per open app, pull a non-destructive
-        ``snapshot_source`` from the primary (flushed, so its per-app
-        shipped offsets are the stream positions) and force-import it —
-        the restored checkpoint leaves the standby's engine equal to the
-        primary's, with the shadow streams starting at the snapshot
-        point.  Failures leave the source stale; the supervisor cadence
-        retries.
+        Runs after every subscribe, unsubscribe and re-filter, when a
+        migration lands, every ``_REARM_TUPLES`` tail tuples and, for a
+        source without a record, on the supervisor cadence.  The new
+        record replaces the old one only once its snapshot has arrived:
+        a primary dying mid-snapshot leaves the old record and its tail
+        intact.  An uncovered source holds no record.
         """
-        try:
-            primary = self._primary(standby.mirror_of)
-        except KeyError:
+        if not self._covered(source_name, worker):
+            self._drop_record(source_name)
             return
-        armed: list[str] = []
-        for source in self._shard_sources(standby.mirror_of):
-            if (
-                standby.failed
-                or not standby.ready.is_set()
-                or standby.client is None
-            ):
-                return
-            async with self._source_lock(source):
-                sessions = [
-                    (app, session)
-                    for app, session in primary.apps.items()
-                    if session.source_name == source and not session.closed
-                ]
-                needs = source in standby.stale_sources or any(
-                    app not in standby.shadows for app, _ in sessions
-                )
-                if not needs:
-                    continue
-                if (
-                    primary.client is None
-                    or not primary.ready.is_set()
-                    or (
-                        primary.process is not None
-                        and primary.process.returncode is not None
-                    )
-                ):
-                    continue  # nothing to mirror from; retry next cadence
-                try:
-                    for app in [
-                        a
-                        for a, s in standby.shadow_source.items()
-                        if s == source
-                    ]:
-                        await self._shadow_unsubscribe(standby, app, source)
-                    await standby.client.ensure_source(source)
-                    if any(
-                        s.queue.policy != "block" for _, s in sessions
-                    ):
-                        continue  # splice impossible; stays stale
-                    for app, session in sessions:
-                        shadow = await standby.client.subscribe(
-                            app,
-                            source,
-                            session.spec,
-                            queue_capacity=session.queue.capacity,
-                            overflow=session.queue.policy,
-                            batch_max_items=session.batcher.max_items,
-                            batch_max_delay_ms=session.batcher.max_delay_ms,
-                        )
-                        standby.shadows[app] = shadow
-                        standby.shadow_source[app] = source
-                    state = await primary.client.snapshot_source(source)
-                    await standby.client.import_source(
-                        source, state, force=True
-                    )
-                    shipped = dict(state.get("shipped") or {})
-                    for app, session in sessions:
-                        standby.shadow_consumed[app] = int(
-                            shipped.get(app, 0)
-                        )
-                        standby.shadow_tasks[app] = asyncio.ensure_future(
-                            self._shadow_discard(
-                                standby, app, session, standby.shadows[app]
-                            )
-                        )
-                    standby.stale_sources.discard(source)
-                    armed.append(source)
-                except (ConnectionError, GatewayError, RuntimeError):
-                    self._mark_stale(standby, source)
-        if armed:
+        if not worker.ready.is_set() or worker.client is None:
+            return
+        try:
+            state = await worker.client.snapshot_source(source_name)
+        except (ConnectionError, GatewayError):
+            return
+        first = source_name not in self._records
+        self._records[source_name] = _Record(state)
+        if self._m_rearms is not None:
+            self._m_rearms.inc()
+        if first:
             self._emit(
                 "standby_armed",
-                standby=standby.index,
-                worker=standby.mirror_of,
-                sources=len(armed),
+                standby=self._standby_slot(worker.index).index,
+                worker=worker.index,
+                source=source_name,
             )
 
-    async def _shadow_discard(
-        self,
-        standby: _Worker,
-        app: str,
-        session: ClusterSession,
-        shadow,
-    ) -> None:
-        """Throttled consumer of one mirror stream.
-
-        Drains shadow batches only while staying ``batch_max_items``
-        *behind* the real subscriber's stream position — the invariant
-        that makes the failover skip non-negative: every tuple the
-        primary delivered but the mirror did not yet discard is still in
-        the shadow buffer, mid-batch or whole.
-        """
-        margin = session.batcher.max_items
-        try:
-            iterator = shadow.batches().__aiter__()
-            while True:
-                consumed = standby.shadow_consumed.get(app)
-                if consumed is None:
-                    return  # unsubscribed underneath us
-                if consumed + margin > session.delivered_this_remote:
-                    await asyncio.sleep(0.02)
-                    continue
-                batch = await iterator.__anext__()
-                if app in standby.shadow_consumed:
-                    standby.shadow_consumed[app] += len(batch.items)
-        except StopAsyncIteration:
-            return  # mirror stream ended (standby died or re-armed)
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            self._mark_stale(standby, session.source_name)
+    def _drop_record(self, source_name: str) -> None:
+        record = self._records.pop(source_name, None)
+        if record is not None:
+            for future in record.retries.values():
+                if not future.done():
+                    future.set_result(None)
 
     # ------------------------------------------------------------------
     # Elasticity
@@ -2280,8 +2138,8 @@ class ClusterService:
         """Shrink the primary tier by one slot (the newest).
 
         Its sources live-migrate to their new ring owners first; only
-        then does the process retire.  A standby mirroring the removed
-        slot retires with it.
+        then does the process retire.  The standby of the removed slot
+        retires with it.
         """
         if len(self._workers) <= 1:
             raise RuntimeError("cannot remove the last worker")
@@ -2305,9 +2163,6 @@ class ClusterService:
             sb for sb in self._standbys if sb.mirror_of == worker.index
         ]:
             self._standbys.remove(standby)
-            for task in standby.shadow_tasks.values():
-                task.cancel()
-            standby.shadow_tasks.clear()
             await self._retire_process(standby)
         await self._retire_process(worker)
         self._emit("worker_removed", worker=worker.index)
@@ -2371,10 +2226,7 @@ class ClusterService:
                     and standby.process.returncode is None,
                     "ready": standby.ready.is_set(),
                     "failed": standby.failed,
-                    "armed_sources": sorted(
-                        set(self._shard_sources(standby.mirror_of))
-                        - standby.stale_sources
-                    ),
+                    "armed_sources": sorted(self._armed_sources(standby)),
                 }
                 for standby in self._standbys
             ],
@@ -2571,10 +2423,7 @@ class ClusterService:
                     "ready": standby.ready.is_set(),
                     "failed": standby.failed,
                     "respawns": standby.respawns,
-                    "armed_sources": sorted(
-                        set(self._shard_sources(standby.mirror_of))
-                        - standby.stale_sources
-                    ),
+                    "armed_sources": sorted(self._armed_sources(standby)),
                 }
                 for standby in self._standbys
             ],

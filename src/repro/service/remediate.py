@@ -147,10 +147,11 @@ def _firing(transitions: Sequence[tuple], *names: str) -> list:
 def propose_heal(transitions, fleet: dict, policy: RemediationPolicy) -> list[Action]:
     """Dead worker → promote its armed standby, else respawn the slot.
 
-    Adoption is both lower-risk and higher-confidence than a cold
-    respawn: the standby's mirrored engines and shadow streams splice
-    with zero delivery gap, while a respawn loses the dead epoch's
-    state.  The ranker therefore always prefers it when one is armed.
+    Adoption is both lower-risk and higher-confidence than a respawn: the
+    spare process is already up, and the router's checkpoint + tail of
+    each armed source restore there with zero delivery gap, while a
+    cold respawn loses the dead epoch's state.  The ranker therefore
+    always prefers it when one is armed.
     """
     verdicts = _firing(transitions, *_DEATH_VERDICTS)
     if not verdicts:
@@ -189,8 +190,8 @@ def propose_heal(transitions, fleet: dict, policy: RemediationPolicy) -> list[Ac
                     reason=reason,
                     blast_radius=1.0 / population,
                     confidence=0.7,
-                    detail="no armed standby; cold respawn loses the "
-                    "dead epoch's decided state",
+                    detail="no armed standby; a respawn restores only the "
+                    "sources the router holds a checkpoint of",
                 )
             )
     # A dead standby is repaired too, at near-zero blast radius: no

@@ -87,6 +87,7 @@ class DeliveryQueue:
         self._batches: deque[Batch] = deque()
         self._getters: deque[asyncio.Future] = deque()
         self._putters: deque[asyncio.Future] = deque()
+        self._drainers: deque[asyncio.Future] = deque()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -168,6 +169,8 @@ class DeliveryQueue:
         batch = self._batches.popleft()
         if self._putters:
             self._wakeup_next(self._putters)
+        if self._drainers and not self._batches:
+            self._wake_all(self._drainers)
         return batch
 
     def put_nowait(self, batch: Batch) -> Optional[Batch]:
@@ -192,20 +195,36 @@ class DeliveryQueue:
         """Synchronously empty the queue (post-run accounting)."""
         drained = list(self._batches)
         self._batches.clear()
+        self._wake_all(self._drainers)
         for _ in drained:
             if not self._putters:
                 break
             self._wakeup_next(self._putters)
         return drained
 
+    async def drained(self) -> None:
+        """Wait until the consumer has taken every batch put so far (or
+        the queue closed).  The consumer runs on from its ``get`` before
+        a drained waiter wakes, so whatever it does with the last batch
+        up to its next ``await`` has happened by then."""
+        while self._batches and not self._closed:
+            await self._park(
+                self._drainers, lambda: bool(self._batches) and not self._closed
+            )
+
+    @staticmethod
+    def _wake_all(waiters: deque) -> None:
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+
     async def close(self) -> None:
-        """Close the queue; blocked producers and consumers wake up."""
+        """Close the queue; blocked producers, consumers and drained
+        waiters wake up."""
         self._closed = True
-        for waiters in (self._getters, self._putters):
-            while waiters:
-                waiter = waiters.popleft()
-                if not waiter.done():
-                    waiter.set_result(None)
+        for waiters in (self._getters, self._putters, self._drainers):
+            self._wake_all(waiters)
 
 
 @dataclass

@@ -278,6 +278,8 @@ class RemoteSubscription:
     async def batches(self) -> AsyncIterator[Batch]:
         """Yield delivered batches until the server closes the stream."""
         while True:
+            if self._ended and self._queue.empty():
+                return
             batch = await self._queue.get()
             self._space.set()
             if batch is None:
@@ -310,10 +312,11 @@ class RemoteSubscription:
     def _close(self, reason: str) -> None:
         """End the stream without ever blocking (teardown paths).
 
-        If the consumer lagged a full window behind, the oldest buffered
-        batch is evicted to guarantee the end-of-stream sentinel lands —
-        a closing subscription prefers terminating its consumer over
-        preserving a tail the consumer stopped reading.
+        A full buffer gets no end-of-stream sentinel: its consumer is not
+        parked, and :meth:`batches` ends once it has drained the buffer.
+        Either way every batch that arrived is yielded, in order, before
+        the stream ends — what a cluster router's failover splice counts
+        on.
         """
         if self._ended:
             return
@@ -322,15 +325,10 @@ class RemoteSubscription:
         # Release a read loop blocked on a full buffer (it re-checks
         # _ended and drops the batch).
         self._space.set()
-        while True:
-            try:
-                self._queue.put_nowait(None)
-                return
-            except asyncio.QueueFull:
-                try:
-                    self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    pass
+        try:
+            self._queue.put_nowait(None)
+        except asyncio.QueueFull:
+            pass
 
 
 class GatewayClient:
@@ -646,9 +644,13 @@ class GatewayClient:
         await self._writer.drain()
         return None
 
-    async def tick(self, now_ms: float) -> int:
-        """Advance the broker's timer (timely cuts, latency flushes)."""
-        reply = await self._request({"t": "tick", "now_ms": now_ms})
+    async def tick(self, now_ms: float, source: Optional[str] = None) -> int:
+        """Advance the broker's timer (timely cuts, latency flushes) for
+        every source, or for ``source`` alone."""
+        frame: dict = {"t": "tick", "now_ms": now_ms}
+        if source is not None:
+            frame["source"] = source
+        reply = await self._request(frame)
         return int(reply.get("emissions", 0))
 
     async def snapshot(self, *, window: bool = False) -> dict:
@@ -680,8 +682,8 @@ class GatewayClient:
     async def snapshot_source(self, source: str) -> dict:
         """Copy ``source``'s portable state without detaching it.
 
-        The non-destructive sibling of :meth:`export_source` — used to
-        arm a warm standby from a serving primary.
+        The non-destructive sibling of :meth:`export_source` — the
+        failover checkpoint a cluster router keeps of a serving primary.
         """
         reply = await self._request(
             {"t": "snapshot_source", "source": source}
@@ -709,9 +711,7 @@ class GatewayClient:
             state["checkpoint"] = [*state["checkpoint"], rows]
         return state
 
-    async def import_source(
-        self, source: str, state: dict, *, force: bool = False
-    ) -> int:
+    async def import_source(self, source: str, state: dict) -> int:
         """Stream an exported source's state into this gateway's broker.
 
         ``source`` must already exist on the target with the migrated
@@ -740,7 +740,6 @@ class GatewayClient:
                 "checkpoint": None if checkpoint is None else checkpoint[:-1],
                 "fed": int(state.get("fed", 0)),
                 "offered": int(state.get("offered", 0)),
-                "force": force,
             }
         )
         return int(reply.get("restored", 0))

@@ -607,8 +607,14 @@ class GatewayServer:
                 )
                 await conn.send({"t": "ok", "reply_to": seq})
             elif kind == "tick":
+                source = frame.get("source")
+                if source is not None and (
+                    not isinstance(source, str)
+                    or not self.service.has_source(source)
+                ):
+                    raise _BadRequest(f"tick names unknown source {source!r}")
                 emissions = await self.service.tick(
-                    float(_field(frame, "now_ms"))
+                    float(_field(frame, "now_ms")), source
                 )
                 if seq is not None:
                     await conn.send(
@@ -730,16 +736,23 @@ class GatewayServer:
         """Reply with a source's portable state; tuple table chunked.
 
         ``export_source`` detaches the source (migration);
-        ``snapshot_source`` copies it non-destructively (standby
-        arming).  Either way the reply carries the state with the
-        checkpoint minus its tuple table (the last element, and the one
-        part that can exceed a frame), whose length is ``rows``; the
-        caller streams the table with ``export_pull`` until ``done``.
+        ``snapshot_source`` copies it non-destructively (a cluster
+        router's failover checkpoint), and its reply follows every
+        ``decided`` frame this connection's sessions of the source were
+        shipped before it, so the caller holds each stream up to the
+        state's ``shipped`` offsets when the reply arrives.  Either way
+        the reply carries the state with the checkpoint minus its tuple
+        table (the last element, and the one part that can exceed a
+        frame), whose length is ``rows``; the caller streams the table
+        with ``export_pull`` until ``done``.
         """
         if destructive:
             state = await self.service.export_source(name)
         else:
             state = await self.service.snapshot_source(name)
+            for session in list(conn.sessions.values()):
+                if session.source_name == name:
+                    await session.queue.drained()
         checkpoint = state["checkpoint"]
         rows: list = []
         if checkpoint is not None:
@@ -794,7 +807,6 @@ class GatewayServer:
                 "fed": int(frame.get("fed", 0)),
                 "offered": int(frame.get("offered", 0)),
             },
-            force=bool(frame.get("force", False)),
         )
         await conn.send({"t": "ok", "reply_to": seq, "restored": restored})
 

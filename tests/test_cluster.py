@@ -17,16 +17,21 @@ Three contracts:
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cuts import RuntimePredictor
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
 from repro.runtime.partition import HashRing
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
-from repro.service.cluster import ClusterConfig, ClusterService
+from repro.service.cluster import _REARM_TUPLES, ClusterConfig, ClusterService
+from repro.transport.client import GatewayError
 from repro.sources import random_walk_trace
 
 SOURCES = ("part-a", "part-b", "part-c")
@@ -365,9 +370,12 @@ def test_slow_worker_throttles_only_its_sources_producers():
 # ---------------------------------------------------------------------------
 # Live migration / warm standby / elasticity (real subprocess fleets)
 # ---------------------------------------------------------------------------
-async def _baseline_stream(offers: list[StreamTuple], spec: str) -> list[int]:
+async def _baseline_stream(
+    offers: list[StreamTuple], spec: str, *, refilter_at: int = -1
+) -> list[int]:
     """What one app subscribed with ``spec`` sees from an unmigrated,
-    uncrashed single broker fed ``offers`` — the byte-identity oracle."""
+    uncrashed single broker fed ``offers`` — the byte-identity oracle
+    (re-filtered to the same spec before offer ``refilter_at``)."""
     service = _broker("region", ["oracle"])
     session = await service.subscribe("oracle.app", "oracle", spec)
     delivered: list[int] = []
@@ -377,11 +385,17 @@ async def _baseline_stream(offers: list[StreamTuple], spec: str) -> list[int]:
             delivered.extend(item.seq for item in batch.items)
 
     consumer = asyncio.create_task(drain())
-    for item in offers:
+    for index, item in enumerate(offers):
+        if index == refilter_at:
+            await service.re_filter("oracle.app", spec)
         await service.offer("oracle", item)
     await service.close()
     await consumer
     return delivered
+
+
+def _rearms(telemetry: Telemetry) -> float:
+    return telemetry.registry.get("repro_cluster_standby_rearms_total").value
 
 
 async def _settled(received: list[int], *, quiet_s: float = 0.4) -> None:
@@ -482,7 +496,7 @@ def test_standby_adoption_splices_stream_with_zero_gap():
             primary = cluster._primary(0)
             standby = cluster._standby_for(0)
             assert standby is not None, "standby never armed"
-            assert "solo" not in standby.stale_sources
+            assert "solo" in cluster.fleet_status()["standbys"][0]["armed_sources"]
             old_pid = primary.process.pid
             standby_pid = standby.process.pid
             primary.process.kill()
@@ -521,14 +535,15 @@ def test_standby_adoption_splices_stream_with_zero_gap():
 
 
 def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
-    """A standby armed mid-stream — ``snapshot_source`` on the primary,
-    ``import_source`` on the standby, across real processes — holds the
-    primary's open state: the failover after it splices exactly."""
+    """A failover record re-armed mid-stream — ``snapshot_source`` on the
+    primary after a same-spec ``re_filter`` — and the tail kept since
+    restore the primary's state on the promoted standby, across real
+    processes: the failover after it splices exactly."""
     offers = _tuples(0, 40)
     spec = "DC1(value, 6.0, 3.0)"  # sets of a few tuples stay open
 
     async def run():
-        expected = await _baseline_stream(offers, spec)
+        expected = await _baseline_stream(offers, spec, refilter_at=17)
         telemetry = Telemetry()
         cluster = ClusterService(
             ClusterConfig(
@@ -554,14 +569,11 @@ def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
                 await cluster.offer("solo", item)
             await _settled(received)
             primary = cluster._primary(0)
-            standby = cluster._standby_for(0)
-            assert standby is not None, "standby never came up"
-            # Drop the mirror armed from birth and arm it again from the
-            # primary's checkpoint, 17 offers in.
-            cluster._mark_stale(standby, "solo")
-            cluster._schedule_arm(standby)
-            await asyncio.wait_for(standby.arm_task, 30)
-            assert "solo" not in standby.stale_sources
+            assert cluster._standby_for(0) is not None, "standby never came up"
+            # Re-arm from the primary's checkpoint, 17 offers in.
+            rearms = _rearms(telemetry)
+            await cluster.re_filter("solo.app", spec)
+            assert _rearms(telemetry) == rearms + 1
             for item in offers[17:25]:
                 await cluster.offer("solo", item)
             await _settled(received)
@@ -585,9 +597,252 @@ def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
     received, expected, events = asyncio.run(run())
     armed = [e for e in events if e["kind"] == "standby_armed"]
     adopted = [e for e in events if e["kind"] == "standby_adopt"]
-    assert armed and armed[0]["sources"] == 1
+    assert armed and armed[0]["source"] == "solo"
     assert [(e["worker"], e["spliced"], e["cold"]) for e in adopted] == [(0, 1, 0)]
     assert received == expected and len(expected) > 3
+
+
+# ---------------------------------------------------------------------------
+# Failover from the router's checkpoint + tail, wherever the primary dies
+# ---------------------------------------------------------------------------
+_FAILOVER_APPS = (("solo.wide", "DC1(value, 6.0, 3.0)"), ("solo.narrow", "DC1(value, 3.0, 1.5)"))
+_FAILOVER_CHUNK = 64
+
+
+@pytest.fixture
+def fixed_solve_times(tmp_path, monkeypatch):
+    """The fixed-time ``RuntimePredictor`` of ``test_checkpoint``, here and
+    in every worker process the cluster starts (through a
+    ``sitecustomize`` on their ``PYTHONPATH``): timely cuts then depend
+    on the stream alone, not on how long this machine took to solve."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "from repro.core.cuts import RuntimePredictor\n"
+        "_observe = RuntimePredictor.observe\n"
+        "RuntimePredictor.observe = (\n"
+        "    lambda self, size, ms: _observe(self, size, 3.0)\n"
+        ")\n"
+    )
+    monkeypatch.setenv(
+        "PYTHONPATH",
+        os.pathsep.join(p for p in (str(tmp_path), os.environ.get("PYTHONPATH")) if p),
+    )
+    observe = RuntimePredictor.observe
+    monkeypatch.setattr(
+        RuntimePredictor, "observe", lambda self, size, ms: observe(self, size, 3.0)
+    )
+
+
+def _failover_script(tuples: int, *, ticks: bool) -> list:
+    """``offer_many`` item lists of a sawtooth (sets keep opening and
+    closing), with a tick (a float) after each one when ``ticks`` — 8 ms
+    past its last tuple, short of the next, and late enough for a
+    timely cut of its own."""
+    items = [
+        StreamTuple(seq=seq, timestamp=seq * 10.0, values={"value": float(seq % 24)})
+        for seq in range(tuples)
+    ]
+    script: list = []
+    for start in range(0, tuples, _FAILOVER_CHUNK):
+        chunk = items[start : start + _FAILOVER_CHUNK]
+        script.append(chunk)
+        if ticks:
+            script.append(chunk[-1].timestamp + 8.0)
+    return script
+
+
+async def _failover_oracle(script: list, constraint_ms) -> dict[str, list[int]]:
+    service = DisseminationService(
+        ServiceConfig(
+            engine=EngineConfig(algorithm="region", constraint_ms=constraint_ms),
+            batch_max_items=1,
+            batch_max_delay_ms=1e9,
+            queue_capacity=10_000,
+        )
+    )
+    service.add_source("solo")
+    received: dict[str, list[int]] = {}
+    consumers = []
+    for app, spec in _FAILOVER_APPS:
+        session = await service.subscribe(app, "solo", spec)
+        consumers.append(asyncio.create_task(_consume(session, received.setdefault(app, []))))
+    for step in script:
+        if isinstance(step, float):
+            await service.tick(step)
+        else:
+            await service.offer_many("solo", step)
+    await service.close()
+    await asyncio.gather(*consumers)
+    return received
+
+
+async def _consume(session, into: list[int]) -> None:
+    async for batch in session.batches():
+        into.extend(item.seq for item in batch.items)
+
+
+async def _healed(worker, old_pid: int) -> None:
+    """Wait until the slot runs a different, ready process."""
+    for _ in range(600):
+        process = worker.process
+        if process is not None and process.pid != old_pid and worker.ready.is_set():
+            return
+        await asyncio.sleep(0.05)
+    raise AssertionError("slot never healed")
+
+
+async def _standby_idle(cluster) -> None:
+    """A standby is a blank spare: no ingest, no sessions, before failover."""
+    for _ in range(600):
+        standby = cluster._standby_for(0)
+        if standby is not None:
+            break
+        await asyncio.sleep(0.05)
+    else:
+        raise AssertionError("standby never came up")
+    snapshot = await standby.client.snapshot()
+    assert (snapshot["offered"], snapshot["session_count"]) == (0, 0), snapshot
+
+
+@pytest.mark.parametrize(
+    "kill", ["after_rearm", "mid_tail", "offer_in_flight", "second_kill", "constrained"]
+)
+def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
+    """SIGKILL the primary at a chosen point of a real-process run: right
+    after a re-arm (empty tail), mid-tail, with an ``offer_many`` in
+    flight (its frame is retried, not raised), twice in a row, and under
+    a time constraint with ticks in the tail.  Every delivered stream
+    equals the uncrashed run's, and each adoption splices every app."""
+    constrained = kill == "constrained"
+    if constrained:
+        request.getfixturevalue("fixed_solve_times")
+    constraint_ms = 30.0 if constrained else None
+    script = _failover_script(_REARM_TUPLES + 8 * _FAILOVER_CHUNK, ticks=constrained)
+    per_arm = _REARM_TUPLES // _FAILOVER_CHUNK * (2 if constrained else 1)
+    # Kill after script[:at] has run (the re-arm fires inside the step
+    # that fills the tail).
+    at = per_arm if kill == "after_rearm" else per_arm + 2
+    kills = [at, at + 3] if kill == "second_kill" else [at]
+
+    async def run():
+        expected = await _failover_oracle(script, constraint_ms)
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=1,
+                standby=1,
+                sources=("solo",),
+                batch_max_items=1,
+                constraint_ms=constraint_ms,
+                health_interval_s=0.25,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            received: dict[str, list[int]] = {}
+            consumers = []
+            for app, spec in _FAILOVER_APPS:
+                session = await cluster.subscribe(app, "solo", spec)
+                consumers.append(
+                    asyncio.create_task(_consume(session, received.setdefault(app, [])))
+                )
+            rearms = _rearms(telemetry)
+            primary = cluster._primary(0)
+            for index, step in enumerate(script):
+                if isinstance(step, float):
+                    await cluster.tick(step)
+                    continue
+                if index not in kills:
+                    await cluster.offer_many("solo", step)
+                    continue
+                await _standby_idle(cluster)
+                old_pid = primary.process.pid
+                if kill == "offer_in_flight":
+                    # Frozen first, so the frame is written but never acked.
+                    os.kill(old_pid, signal.SIGSTOP)
+                    in_flight = asyncio.create_task(cluster.offer_many("solo", step))
+                    await asyncio.sleep(0.1)
+                    assert not in_flight.done()
+                    primary.process.kill()
+                    assert isinstance(await in_flight, int)
+                else:
+                    if kill == "after_rearm":
+                        assert _rearms(telemetry) == rearms + 1
+                    primary.process.kill()
+                    await cluster.offer_many("solo", step)
+                await _healed(primary, old_pid)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return received, expected, telemetry.events.since()
+        except BaseException:
+            await cluster.close()
+            raise
+
+    received, expected, events = asyncio.run(run())
+    adopted = [
+        (e["worker"], e["spliced"], e["cold"])
+        for e in events
+        if e["kind"] == "standby_adopt"
+    ]
+    assert adopted == [(0, len(_FAILOVER_APPS), 0)] * len(kills)
+    for app, _spec in _FAILOVER_APPS:
+        assert len(expected[app]) > 100
+        assert received[app] == expected[app], app
+
+
+def test_per_source_tick_cuts_only_that_source():
+    """``tick(now_ms, source)`` reaches the worker as a per-source tick:
+    its timely cut closes that source's open sets and no other's."""
+    sources = ("tick-a", "tick-b")
+
+    async def run():
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=1,
+                sources=sources,
+                batch_max_items=1,
+                constraint_ms=50.0,
+                health_interval_s=0.25,
+            )
+        )
+        await cluster.start()
+        try:
+            received: dict[str, list[int]] = {}
+            consumers = []
+            for source in sources:
+                session = await cluster.subscribe(
+                    f"{source}.app", source, "DC1(value, 6.0, 3.0)"
+                )
+                consumers.append(
+                    asyncio.create_task(_consume(session, received.setdefault(source, [])))
+                )
+            for item in _tuples(0, 4):
+                for source in sources:
+                    await cluster.offer(source, item)
+            counts = []
+            for source in sources:
+                await _settled(received["tick-a"])
+                await _settled(received["tick-b"])
+                counts.append({s: len(received[s]) for s in sources})
+                assert await cluster.tick(10_000.0, source) > 0
+            await _settled(received["tick-a"])
+            await _settled(received["tick-b"])
+            counts.append({s: len(received[s]) for s in sources})
+            with pytest.raises(GatewayError) as refused:
+                await cluster._primary(0).client.tick(1.0, "tick-nope")
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return counts, refused.value.code
+        except BaseException:
+            await cluster.close()
+            raise
+
+    counts, code = asyncio.run(run())
+    before, after_a, after_b = counts
+    assert after_a["tick-a"] > before["tick-a"]
+    assert after_a["tick-b"] == before["tick-b"]
+    assert after_b["tick-b"] > after_a["tick-b"]
+    assert code == "bad_request"
 
 
 def test_add_and_remove_worker_rebalance_via_live_migration():

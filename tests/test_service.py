@@ -222,6 +222,41 @@ class TestBackpressure:
 
         asyncio.run(run())
 
+    def test_drained_waits_for_the_consumer_to_take_every_batch(self):
+        """What a snapshot reply waits on: the consumer's last ``get``,
+        and what it does with that batch before its next ``await``,
+        come first.  Closing the queue releases the wait."""
+
+        async def run():
+            queue = DeliveryQueue(capacity=4, policy="block")
+            await asyncio.wait_for(queue.drained(), 1.0)  # empty: at once
+            await queue.put(_batch(0))
+            await queue.put(_batch(1))
+            waiter = asyncio.create_task(queue.drained())
+            await _passes()
+            assert not waiter.done()
+            taken: list[int] = []
+
+            async def consume():
+                while True:
+                    taken.append((await queue.get()).items[0].seq)
+                    await _passes()
+
+            consumer = asyncio.create_task(consume())
+            await asyncio.wait_for(waiter, 1.0)
+            seen = list(taken)
+            consumer.cancel()
+            stuck = DeliveryQueue(capacity=1, policy="block")
+            await stuck.put(_batch(2))
+            released = asyncio.create_task(stuck.drained())
+            await _passes()
+            assert not released.done()
+            await stuck.close()
+            await asyncio.wait_for(released, 1.0)
+            return seen
+
+        assert asyncio.run(run()) == [0, 1]
+
     def test_drop_oldest_wakes_the_consumer(self):
         async def run():
             queue = DeliveryQueue(capacity=1, policy="drop_oldest")

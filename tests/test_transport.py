@@ -15,7 +15,8 @@ from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.loadgen import decided_map
 from repro.sources import random_walk_trace
-from repro.transport.client import GatewayClient, GatewayError
+from repro.service.batching import Batch
+from repro.transport.client import GatewayClient, GatewayError, RemoteSubscription
 from repro.transport.http import SnapshotHTTP
 from repro.transport.protocol import (
     PROTOCOL_VERSION,
@@ -562,6 +563,26 @@ class TestConnectionTeardown:
 # ---------------------------------------------------------------------------
 # Live-migration staging (export_pull / import_begin / import_chunk)
 # ---------------------------------------------------------------------------
+class TestRemoteSubscription:
+    def test_a_stream_closed_on_a_full_buffer_yields_every_batch(self):
+        """A connection that dies while the consumer lags a full window
+        behind still hands over every batch that arrived, in order."""
+
+        async def run():
+            sub = RemoteSubscription("app0", "src", CHATTY_SPEC, capacity=2)
+            batches = [
+                Batch(items=(item,), first_staged_ms=0.0, flushed_ms=0.0)
+                for item in _trace(n=2)
+            ]
+            for batch in batches:
+                await sub._push(batch)
+            sub._close("connection_closed")
+            return batches, [batch async for batch in sub.batches()]
+
+        sent, received = asyncio.run(run())
+        assert received == sent
+
+
 class TestMigrationStaging:
     #: Every offer stays in the reservoir's open window: one checkpoint
     #: row per offered tuple.
