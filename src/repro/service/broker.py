@@ -756,10 +756,11 @@ class DisseminationService:
         *without* a cutover — the engine's open state travels in the
         checkpoint instead of being flushed, so the importing worker
         continues where it stands and delivered streams stay
-        byte-identical to an unmigrated run.  Each detached session's
-        connection pump ends with the non-final ``"unsubscribed"``
-        reason, which the router's staged-migration continuation treats
-        as a hand-off, not a teardown.
+        byte-identical to an unmigrated run.  Each detached session is
+        marked ``migrated``, so its connection pump ends the stream with
+        the non-final ``"migrated"`` reason: a cluster router's session
+        waits there for its re-attach on the target, as it does on a
+        dead worker connection.
 
         The caller must stop routing offers to this worker first (the
         cluster router gates the source's offer path); an ingest racing
@@ -772,6 +773,7 @@ class DisseminationService:
             for app in list(src.sessions):
                 session = src.sessions.pop(app)
                 del self._app_sources[app]
+                session.migrated = True
                 await session.close()
                 self._retired.append(self._session_snapshot(session))
             self._drop_engine(src)

@@ -72,6 +72,8 @@ __all__ = ["ClusterConfig", "ClusterService", "ClusterSession"]
 
 #: Subscription-close reasons that are final: the worker (or the router)
 #: ended the subscription on purpose, so the session must not re-attach.
+#: Any other end — ``"migrated"`` (the source was exported) or a dead
+#: connection — parks the session until :meth:`ClusterSession.adopt`.
 _FINAL_REASONS = frozenset(
     {
         "unsubscribed",
@@ -206,10 +208,12 @@ class ClusterSession:
 
     Duck-compatible with the slice of
     :class:`~repro.service.session.SubscriberSession` the front tier
-    touches: ``batches()``, ``disconnected``, ``queue`` and ``batcher``.
-    When the owning worker dies mid-stream, :meth:`batches` parks until
-    the supervisor re-subscribes on the respawned worker and then keeps
-    yielding — the subscriber's socket never learns the worker changed.
+    touches: ``batches()``, ``disconnected``, ``migrated`` (never set:
+    the router exports nothing), ``queue`` and ``batcher``.
+    When the owning worker dies or exports the source mid-stream,
+    :meth:`batches` parks until the router re-attaches it on the
+    source's new process and then keeps yielding — the subscriber's
+    socket never learns the worker changed.
     """
 
     def __init__(
@@ -251,6 +255,7 @@ class ClusterSession:
             float(bound("batch_max_delay_ms", defaults.batch_max_delay_ms)),
         )
         self.disconnected = False
+        self.migrated = False
         self.closed = False
         self._explicit = False
         self._reattach_timeout_s = reattach_timeout_s
@@ -264,11 +269,6 @@ class ClusterSession:
         #: :attr:`last_remote_delivered` for the splice-skip math.
         self.delivered_this_remote = 0
         self.last_remote_delivered = 0
-        #: Replacement subscription staged by a live migration: when the
-        #: current remote's stream ends (the exporting worker closes it
-        #: as "unsubscribed"), :meth:`batches` continues into the staged
-        #: remote instead of treating the reason as final.
-        self._staged = None
         #: Wire-shape degradation profile (``policy_to_profile`` dict)
         #: with its ``level`` key tracking the worker's active level, so
         #: every re-subscribe path (respawn, migration, failover) can
@@ -288,48 +288,27 @@ class ClusterSession:
             return 0
         return int(self.degradation.get("level", 0))
 
-    # -- supervisor side -------------------------------------------------
     def adopt(self, remote) -> None:
-        """Swap in a respawned worker's subscription (supervisor path)."""
+        """Swap in the subscription a re-attach (failover, respawn or
+        migration) made on the source's new process."""
         self.remote = remote
         waiter = self._replacement
         if waiter is not None and not waiter.done():
             waiter.set_result(remote)
 
-    def stage_migration(self, remote) -> None:
-        """Park the migration target's subscription for hand-off."""
-        self._staged = remote
-
-    def unstage_migration(self) -> None:
-        self._staged = None
-
-    def abandon(self, reason: str) -> None:
-        """Give up on this session (worker lost for good, shutdown)."""
-        self.closed = True
-        waiter = self._replacement
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-        staged, self._staged = self._staged, None
-        if staged is not None:
-            staged.close_local(reason)
-        self.remote.close_local(reason)
-
-    # -- router side -----------------------------------------------------
     def mark_explicit(self) -> None:
         """The next stream end is intentional; do not re-attach."""
         self._explicit = True
 
     def end_local(self, reason: str) -> None:
+        """End the session here (unsubscribe, shutdown, worker lost)."""
         self._explicit = True
         self.closed = True
-        # A batches() loop parked waiting for a respawn re-attach must
-        # end now, not after the reattach timeout.
+        # A batches() loop parked waiting for a re-attach must end now,
+        # not after the reattach timeout.
         waiter = self._replacement
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
-        staged, self._staged = self._staged, None
-        if staged is not None:
-            staged.close_local(reason)
         self.remote.close_local(reason)
 
     _TRACE_NOTES_MAX = 64
@@ -384,22 +363,17 @@ class ClusterSession:
             # final — exactly what a standby splice must align against.
             self.last_remote_delivered = self.delivered_this_remote
             self.delivered_this_remote = 0
-            staged = self._staged
-            if staged is not None and not self.closed:
-                # Live-migration hand-off: the old worker drained this
-                # stream and closed it on purpose; continue into the
-                # target's subscription without surfacing anything.
-                self._staged = None
-                self.remote = staged
-                continue
             reason = remote.closed_reason or "connection_closed"
             if reason == "overflow_disconnect":
                 self.disconnected = True
-            if self._explicit or self.closed or reason in _FINAL_REASONS:
+            # An unsubscribe in flight goes to wherever a migrated
+            # source lands, and that stream ends after its final flush.
+            explicit = self._explicit and reason != "migrated"
+            if explicit or self.closed or reason in _FINAL_REASONS:
                 self.closed = True
                 return
-            # The worker connection died underneath a live subscription:
-            # wait for the supervisor's respawn to re-attach us.
+            # The source moved, or its worker connection died: wait for
+            # the re-attach on the source's new process.
             replacement = await self._await_replacement(remote)
             if replacement is None:
                 self.closed = True
@@ -491,8 +465,9 @@ class _SpliceRemote:
 class _Record:
     """A covered source's failover state, held by the router.
 
-    ``state`` is the latest ``snapshot_source`` payload; ``tail`` lists
-    what the primary applied since, in its order: each ingest's item
+    ``state`` is the latest ``snapshot_source`` payload (or the
+    ``export_source`` payload a migration landed); ``tail`` lists what
+    the primary applied since, in its order: each ingest's item
     list and each tick's ``now_ms`` (a float).  ``retries`` maps the
     ``id`` of a tail entry whose ingest failed with the primary to the
     future its caller waits on: the replay resolves it with the entry's
@@ -542,7 +517,6 @@ class _Worker:
         self.stdout_tail: deque[str] = deque(maxlen=8)
         self.drain_task: Optional[asyncio.Task] = None
         self.respawn_task: Optional[asyncio.Task] = None
-        self.terminal_snapshot: Optional[dict] = None
         #: High-water mark of worker-local event ids already folded into
         #: the router's event log (reset on respawn: fresh process,
         #: fresh id space).
@@ -879,7 +853,6 @@ class ClusterService:
             limit=1 << 23,
         )
         worker.process = process
-        worker.terminal_snapshot = None
         worker.health_misses = 0
         try:
             ready_line = await asyncio.wait_for(
@@ -912,9 +885,7 @@ class ClusterService:
                 http_port=worker.http_port,
             )
         except BaseException:
-            if process.returncode is None:
-                self._signal(process, kill=True)
-                await process.wait()
+            await self._stop_process(worker, kill=True)
             raise
 
     @staticmethod
@@ -1003,31 +974,39 @@ class ClusterService:
                 terminals.append(terminal)
         for session in list(self._apps.values()):
             if not session.closed:
-                session.abandon("shutdown")
+                session.end_local("shutdown")
         self._final_snapshot = self._merge(terminals, window_override=window)
         return dict(self._final_snapshot)
 
     async def _terminate_workers(self) -> None:
-        for worker in self._workers + self._standbys:
-            process = worker.process
-            if process is not None and process.returncode is None:
-                self._signal(process, kill=False)
-        for worker in self._workers + self._standbys:
-            process = worker.process
-            if process is None:
-                continue
+        # Concurrent: every process is signalled before any is waited on.
+        await asyncio.gather(
+            *(
+                self._stop_process(worker, kill=False)
+                for worker in self._workers + self._standbys
+            )
+        )
+
+    async def _stop_process(self, worker: _Worker, *, kill: bool) -> None:
+        """Stop the slot's process — SIGKILL, or SIGTERM with a 10 s
+        grace before SIGKILL — then await its stdout drain and close its
+        client.  The slot is left unready and empty of both."""
+        worker.ready.clear()
+        process = worker.process
+        if process is not None:
+            if process.returncode is None:
+                self._signal(process, kill=kill)
             try:
                 await asyncio.wait_for(process.wait(), timeout=10.0)
             except asyncio.TimeoutError:
                 self._signal(process, kill=True)
                 await process.wait()
-            if worker.drain_task is not None:
-                await worker.drain_task
-                worker.drain_task = None
-            if worker.client is not None:
-                await worker.client.close(send_bye=False)
-                worker.client = None
-            worker.ready.clear()
+        if worker.drain_task is not None:
+            await worker.drain_task
+            worker.drain_task = None
+        if worker.client is not None:
+            await worker.client.close(send_bye=False)
+            worker.client = None
 
     @staticmethod
     def _parse_terminal(worker: _Worker) -> Optional[dict]:
@@ -1057,7 +1036,10 @@ class ClusterService:
 
     async def _monitor(self) -> None:
         cfg = self.config
-        while True:
+        # Not `while True`: on Python < 3.12 a `wait_for` whose inner
+        # await completes as close() cancels this task swallows the
+        # cancel, and close() would wait on the monitor forever.
+        while not self._closed:
             await asyncio.sleep(cfg.health_interval_s)
             for worker in self._workers + self._standbys:
                 if worker.failed:
@@ -1215,7 +1197,7 @@ class ClusterService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
+            except ConnectionError:
                 pass
 
     async def _healthz(self, worker: _Worker) -> bool:
@@ -1241,19 +1223,8 @@ class ClusterService:
         blank spare.
         """
         cfg = self.config
-        worker.ready.clear()
         self._emit("drain_start", worker=worker.index)
-        if worker.client is not None:
-            await worker.client.close(send_bye=False)
-            worker.client = None
-        process = worker.process
-        if process is not None:
-            if process.returncode is None:
-                self._signal(process, kill=True)
-            await process.wait()
-        if worker.drain_task is not None:
-            await worker.drain_task
-            worker.drain_task = None
+        await self._stop_process(worker, kill=True)
         self._emit("drain_end", worker=worker.index)
         while True:
             now = time.monotonic()
@@ -1286,12 +1257,9 @@ class ClusterService:
                 await self._launch(worker)
                 spliced = cold = 0
                 if worker.role == "primary":
-                    for source in self._shard_sources(worker.index):
-                        async with self._source_lock(source):
-                            counts = await self._reattach(worker, source)
-                        spliced += counts[0]
-                        cold += counts[1]
-                worker.ready.set()
+                    spliced, cold = await self._reattach_shard(worker)
+                else:
+                    worker.ready.set()
                 worker.death_seen_ts = None
                 self._emit(
                     "worker_respawn",
@@ -1303,13 +1271,7 @@ class ClusterService:
                 )
                 return
             except Exception:
-                process = worker.process
-                if process is not None and process.returncode is None:
-                    self._signal(process, kill=True)
-                    await process.wait()
-                if worker.client is not None:
-                    await worker.client.close(send_bye=False)
-                    worker.client = None
+                await self._stop_process(worker, kill=True)
         worker.failed = True
         worker.backoff_s = 0.0
         self._emit(
@@ -1319,7 +1281,7 @@ class ClusterService:
             respawns=worker.respawns,
         )
         for app, session in list(worker.apps.items()):
-            session.abandon("worker_lost")
+            session.end_local("worker_lost")
             worker.apps.pop(app, None)
             if self._apps.get(app) is session:
                 del self._apps[app]
@@ -1770,31 +1732,34 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Live migration, standby failover, elasticity (the actuator surface)
     # ------------------------------------------------------------------
-    def _count_migration(self, outcome: str) -> None:
-        if self._m_migrations is not None:
+    def _migration_event(
+        self, kind: str, source: str, old: _Worker, new: _Worker, *,
+        outcome: Optional[str] = None, **fields
+    ) -> None:
+        """Emit one migration event, counting its outcome if it has one."""
+        if outcome is not None and self._m_migrations is not None:
             self._m_migrations.labels(outcome).inc()
+        self._emit(kind, source=source, src=old.index, dst=new.index, **fields)
 
     async def migrate_source(
         self, source_name: str, target_index: int
     ) -> dict:
         """Move one live source to another worker, subscribers attached.
 
-        The handshake, all under the source's lock (so it doubles as the
-        offer gate): subscribe every open app on the target (fresh
-        source, so no cutover), stage those streams into the sessions,
-        move router-side ownership, then ``export_source`` on the old
-        worker (flush + detach, the engine's open state as a checkpoint)
-        and ``import_source`` on the target (restored, no engine step
-        run).  The old streams end with the non-final ``"unsubscribed"``
-        reason and each session continues into its staged stream — zero
-        subscriber teardown, and the delivered bytes are identical to an
-        unmigrated run.
+        A migration is a failover without a death, run under the
+        source's lock (so it doubles as the offer gate): every open app
+        re-subscribes on the target, the old worker exports the source
+        (flush + detach; its streams end as ``"migrated"``), the export
+        becomes the source's failover record with an empty tail, and
+        :meth:`_land` imports it, splices each app and replays nothing —
+        the delivered bytes equal an unmigrated run's.  The record stays
+        only if the target's shard is covered.
 
-        A failure before the export unwinds completely.  A failure after
-        it cannot (the old worker no longer owns the source): ownership
-        still moves and subscribers see a state gap — the same contract
-        as a worker crash, never a teardown.  The result's ``exact``
-        says whether the state arrived: False only for that gap.
+        A target that fails, or an export the old worker refuses,
+        unwinds: the old worker still owns the source.  An exporter
+        that is dead or has no client fails over instead, from the
+        record the router holds (exact) or cold.  The result's ``exact``
+        says whether the state arrived.
         """
         self._require_source(source_name)
         try:
@@ -1815,13 +1780,9 @@ class ClusterService:
                     timeout=self.config.migrate_timeout_s,
                 )
             except asyncio.TimeoutError:
-                self._count_migration("timeout")
-                self._emit(
-                    "migration_failed",
-                    source=source_name,
-                    src=old.index,
-                    dst=new.index,
-                    reason="timeout",
+                self._migration_event(
+                    "migration_failed", source_name, old, new,
+                    outcome="timeout", reason="timeout",
                 )
                 raise RuntimeError(
                     f"migration of {source_name!r} timed out"
@@ -1830,154 +1791,134 @@ class ClusterService:
     async def _migrate_locked(
         self, source_name: str, old: _Worker, new: _Worker
     ) -> dict:
-        apps = [
-            (app, session)
-            for app, session in old.apps.items()
-            if session.source_name == source_name and not session.closed
-        ]
-        self._emit(
-            "migration_start",
-            source=source_name,
-            src=old.index,
-            dst=new.index,
-            apps=len(apps),
+        sessions = self._open_sessions(old, source_name)
+        self._migration_event(
+            "migration_start", source_name, old, new, apps=len(sessions)
         )
-        staged: list[tuple[str, ClusterSession, object]] = []
+        remotes: list = []
         try:
+            if new.client is None or not new.ready.is_set():
+                raise ConnectionError(f"worker {new.index} is not ready")
             await new.client.ensure_source(source_name)
-            for app, session in apps:
-                staged.append((app, session, await self._resubscribe(new, session)))
+            for session in sessions:
+                remotes.append(await self._resubscribe(new, session))
+            state = None
+            # A ready slot has re-attached every source it owns; an
+            # unready one serves none of them (see _reattach_shard).
+            if old.client is not None and old.ready.is_set():
+                try:
+                    state = await old.client.export_source(source_name)
+                except ConnectionError:
+                    pass  # died unnoticed: fail over from the record
         except (ConnectionError, GatewayError) as exc:
-            for app, _session, remote in staged:
+            for session, remote in zip(sessions, remotes):
                 remote.close_local("router_closed")
                 try:
-                    await new.client.unsubscribe(app)
+                    await new.client.unsubscribe(session.app_name)
                 except (ConnectionError, GatewayError):
                     pass
-            self._count_migration("failed")
-            self._emit(
-                "migration_failed",
-                source=source_name,
-                src=old.index,
-                dst=new.index,
-                reason=str(exc),
+            self._migration_event(
+                "migration_failed", source_name, old, new,
+                outcome="failed", reason=str(exc),
             )
             raise RuntimeError(
-                f"cannot stage migration of {source_name!r}: {exc}"
+                f"cannot migrate {source_name!r}: {exc}"
             ) from exc
-        # Hand-off point: stage the target streams and move router-side
-        # ownership before the export detaches anything, so a racing
-        # respawn of the old slot can no longer re-subscribe the moving
-        # apps there.
-        for app, session, remote in staged:
-            session.stage_migration(remote)
-            old.apps.pop(app, None)
-            new.apps[app] = session
-        try:
-            state = await old.client.export_source(source_name)
-            restored = await new.client.import_source(source_name, state)
-        except (ConnectionError, GatewayError) as exc:
-            self._sources[source_name] = new.index
-            self._count_migration("lossy")
-            await self._arm(source_name, new)
-            self._emit(
-                "migration_failed",
-                source=source_name,
-                src=old.index,
-                dst=new.index,
-                reason=str(exc),
-                lossy=True,
-            )
-            return {
-                "source": source_name,
-                "moved": True,
-                "exact": False,
-                "restored": 0,
-                "worker": new.index,
-            }
+        if state is not None:
+            self._drop_record(source_name)
+            self._records[source_name] = _Record(state)
+        for session in sessions:
+            old.apps.pop(session.app_name, None)
+            new.apps[session.app_name] = session
         self._sources[source_name] = new.index
         if self.telemetry is not None:
             self._m_placements.labels(str(new.index)).inc()
-        self._count_migration("complete")
-        await self._arm(source_name, new)
-        self._emit(
-            "migration_complete",
-            source=source_name,
-            src=old.index,
-            dst=new.index,
-            restored=restored,
-            apps=len(staged),
+        spliced, cold = await self._land(new, source_name, sessions, remotes)
+        exact = source_name in self._records
+        if not self._covered(source_name, new):
+            self._drop_record(source_name)
+        self._migration_event(
+            "migration_complete", source_name, old, new,
+            outcome="complete" if exact else "lossy",
+            exact=exact, spliced=spliced, cold=cold,
         )
         return {
             "source": source_name,
             "moved": True,
-            "exact": True,
-            "restored": restored,
+            "exact": exact,
             "worker": new.index,
         }
 
     async def adopt_standby(self, shard: int) -> None:
-        """Promote the standby into its dead primary's slot.
+        """Promote the standby into its primary's slot.
 
         The standby is a blank spare.  Under every source lock of the
-        shard: retire the dead process, move the standby's process and
-        client into the primary slot, and re-attach each source
-        (:meth:`_reattach` — checkpoint + tail replay and a splice, or
+        shard (:meth:`_reattach_shard`): stop the old process, move the
+        standby's process and client into the primary slot, and
+        re-attach each source (checkpoint + tail replay and a splice, or
         cold).  The emptied standby slot relaunches as a new spare.
         """
         primary = self._primary(shard)
         standby = self._standby_for(shard)
         if standby is None:
             raise RuntimeError(f"no ready standby for worker {shard}")
-        sources = sorted(self._shard_sources(shard))
+        spliced, cold = await self._reattach_shard(primary, standby)
+        primary.death_seen_ts = None
+        primary.failed = False
+        self._emit(
+            "standby_adopt",
+            worker=shard,
+            standby=standby.index,
+            spliced=spliced,
+            cold=cold,
+        )
+
+    async def _promote(self, primary: _Worker, standby: _Worker) -> None:
+        await self._stop_process(primary, kill=True)
+        primary.process = standby.process
+        primary.port = standby.port
+        primary.http_port = standby.http_port
+        primary.client = standby.client
+        primary.drain_task = standby.drain_task
+        primary.stdout_tail = standby.stdout_tail
+        primary.events_cursor = standby.events_cursor
+        primary.metrics_cache = None
+        primary.health_misses = 0
+        standby.process = None
+        standby.port = None
+        standby.http_port = None
+        standby.client = None
+        standby.drain_task = None
+        standby.stdout_tail = deque(maxlen=8)
+        standby.ready.clear()
+        # The respawn resets the rest (metrics cache, events cursor).
+        self._schedule_respawn(standby)
+
+    async def _reattach_shard(
+        self, worker: _Worker, standby: Optional[_Worker] = None
+    ) -> tuple[int, int]:
+        """Re-attach every source of a primary's shard to the process
+        now in its slot (promoting ``standby`` into it first, if given)
+        and mark the slot ready; returns the summed ``(spliced, cold)``.
+
+        Every lock of the shard is held until the slot is ready, so
+        whoever else holds one of them sees a ready slot that serves the
+        source or an unready one that does not — what a migration away
+        from the slot decides its export on.
+        """
+        sources = sorted(self._shard_sources(worker.index))
+        spliced = cold = 0
         async with AsyncExitStack() as stack:
             for source in sources:
                 await stack.enter_async_context(self._source_lock(source))
-            if primary.client is not None:
-                await primary.client.close(send_bye=False)
-            process = primary.process
-            if process is not None:
-                if process.returncode is None:
-                    self._signal(process, kill=True)
-                await process.wait()
-            if primary.drain_task is not None:
-                await primary.drain_task
-            primary.process = standby.process
-            primary.port = standby.port
-            primary.http_port = standby.http_port
-            primary.client = standby.client
-            primary.drain_task = standby.drain_task
-            primary.stdout_tail = standby.stdout_tail
-            primary.events_cursor = standby.events_cursor
-            primary.metrics_cache = None
-            primary.terminal_snapshot = None
-            primary.health_misses = 0
-            standby.process = None
-            standby.port = None
-            standby.http_port = None
-            standby.client = None
-            standby.drain_task = None
-            standby.stdout_tail = deque(maxlen=8)
-            standby.events_cursor = 0
-            standby.metrics_cache = None
-            standby.ready.clear()
-            self._schedule_respawn(standby)
-            spliced = cold = 0
+            if standby is not None:
+                await self._promote(worker, standby)
             for source in sources:
-                counts = await self._reattach(primary, source)
+                counts = await self._reattach(worker, source)
                 spliced += counts[0]
                 cold += counts[1]
-            primary.ready.set()
-            primary.death_seen_ts = None
-            primary.failed = False
-            primary.health_misses = 0
-            self._emit(
-                "standby_adopt",
-                worker=shard,
-                standby=standby.index,
-                spliced=spliced,
-                cold=cold,
-            )
+            worker.ready.set()
+        return spliced, cold
 
     async def _resubscribe(self, worker: _Worker, session: ClusterSession):
         """Subscribe ``session``'s app on ``worker`` with its resolved
@@ -1995,24 +1936,9 @@ class ClusterService:
         self._wire_qos(session, remote)
         return remote
 
-    async def _reattach(self, worker: _Worker, source: str) -> tuple[int, int]:
-        """Re-attach one source's open apps to the process now in
-        ``worker``'s slot (caller holds the source lock); returns the
-        ``(spliced, cold)`` app counts.
-
-        Every open app re-subscribes, in insertion order.  With a
-        failover record, the checkpoint is imported, each app continues
-        at its delivered offset (:class:`_SpliceRemote`) and the tail is
-        replayed — ``offer_many`` per item list, a per-source ``tick``
-        per tick — so the streams splice with zero gap.  Offer-driven
-        output is exact.  Under a ``TimeConstraint`` the replay measures
-        its solve times afresh, so a timely cut there repeats the dead
-        primary's only where those measurements agree.  Without a record
-        (or when the import is refused) the apps continue on a fresh
-        epoch: cold, a state gap, never a teardown.  A
-        ``ConnectionError`` means this process died too; the record and
-        its pending retries stay for the next attempt.
-        """
+    def _open_sessions(self, worker: _Worker, source: str) -> list[ClusterSession]:
+        """The source's open sessions on ``worker``, in insertion order;
+        its closed ones are forgotten."""
         for app, session in list(worker.apps.items()):
             if session.source_name == source and session.closed:
                 worker.apps.pop(app, None)
@@ -2020,9 +1946,44 @@ class ClusterService:
                 # live session on another worker.
                 if self._apps.get(app) is session:
                     del self._apps[app]
-        sessions = [s for s in worker.apps.values() if s.source_name == source]
+        return [s for s in worker.apps.values() if s.source_name == source]
+
+    async def _reattach(self, worker: _Worker, source: str) -> tuple[int, int]:
+        """Re-attach one source's open apps to the process now in
+        ``worker``'s slot (caller holds the source lock); returns the
+        ``(spliced, cold)`` app counts.  A source that has moved since
+        the caller listed it is left alone.
+
+        Every open app re-subscribes, in insertion order, and
+        :meth:`_land` restores the source.  A ``ConnectionError`` means
+        this process died too; the record and its pending retries stay
+        for the next attempt.
+        """
+        if self._sources.get(source) != worker.index:
+            return 0, 0
+        sessions = self._open_sessions(worker, source)
         await worker.client.ensure_source(source)
         remotes = [await self._resubscribe(worker, s) for s in sessions]
+        return await self._land(worker, source, sessions, remotes)
+
+    async def _land(
+        self, worker: _Worker, source: str, sessions: list, remotes: list
+    ) -> tuple[int, int]:
+        """Restore a source on ``worker``, whose process holds the
+        ``remotes`` just subscribed for ``sessions``; returns the
+        ``(spliced, cold)`` app counts.  Failover, respawn and migration
+        all land here.
+
+        With a record, the checkpoint is imported, each app continues
+        at its delivered offset (:class:`_SpliceRemote`) and the tail is
+        replayed — ``offer_many`` per item list, a per-source ``tick``
+        per tick — so the streams splice with zero gap.  Offer-driven
+        output is exact.  Under a ``TimeConstraint`` the replay measures
+        its solve times afresh, so a timely cut there repeats the dead
+        primary's only where those measurements agree.  Without a record
+        (or when the import is refused) the apps continue on a fresh
+        epoch: cold, a state gap, never a teardown.
+        """
         record = self._records.get(source)
         if record is not None:
             try:
@@ -2067,9 +2028,10 @@ class ClusterService:
         """(Re-)arm a source's failover record from its serving primary
         (caller holds the source lock).
 
-        Runs after every subscribe, unsubscribe and re-filter, when a
-        migration lands, every ``_REARM_TUPLES`` tail tuples and, for a
-        source without a record, on the supervisor cadence.  The new
+        Runs after every subscribe, unsubscribe and re-filter, every
+        ``_REARM_TUPLES`` tail tuples and, for a source without a
+        record, on the supervisor cadence.  (A migration needs none: its
+        export is the new record.)  The new
         record replaces the old one only once its snapshot has arrived:
         a primary dying mid-snapshot leaves the old record and its tail
         intact.  An uncovered source holds no record.
@@ -2163,28 +2125,10 @@ class ClusterService:
             sb for sb in self._standbys if sb.mirror_of == worker.index
         ]:
             self._standbys.remove(standby)
-            await self._retire_process(standby)
-        await self._retire_process(worker)
+            await self._stop_process(standby, kill=False)
+        await self._stop_process(worker, kill=False)
         self._emit("worker_removed", worker=worker.index)
         return worker.index
-
-    async def _retire_process(self, worker: _Worker) -> None:
-        worker.ready.clear()
-        process = worker.process
-        if process is not None and process.returncode is None:
-            self._signal(process, kill=False)
-        if process is not None:
-            try:
-                await asyncio.wait_for(process.wait(), timeout=10.0)
-            except asyncio.TimeoutError:
-                self._signal(process, kill=True)
-                await process.wait()
-        if worker.drain_task is not None:
-            await worker.drain_task
-            worker.drain_task = None
-        if worker.client is not None:
-            await worker.client.close(send_bye=False)
-            worker.client = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -2201,31 +2145,32 @@ class ClusterService:
         everything its proposers and invariant checks need without
         waiting on a scrape of a possibly-wedged fleet.
         """
+
+        def row(worker: _Worker) -> dict:
+            return {
+                "index": worker.index,
+                "port": worker.port,
+                "alive": worker.process is not None
+                and worker.process.returncode is None,
+                "ready": worker.ready.is_set(),
+                "failed": worker.failed,
+                "respawns": worker.respawns,
+                "backoff_s": worker.backoff_s,
+            }
+
         return {
             "workers": [
                 {
-                    "index": worker.index,
-                    "alive": worker.process is not None
-                    and worker.process.returncode is None,
-                    "ready": worker.ready.is_set(),
-                    "failed": worker.failed,
-                    "respawns": worker.respawns,
-                    "backoff_s": worker.backoff_s,
+                    **row(worker),
                     "sources": self._shard_sources(worker.index),
-                    "apps": [
-                        a for a, s in worker.apps.items() if not s.closed
-                    ],
+                    "apps": [a for a, s in worker.apps.items() if not s.closed],
                 }
                 for worker in self._workers
             ],
             "standbys": [
                 {
-                    "index": standby.index,
+                    **row(standby),
                     "mirror_of": standby.mirror_of,
-                    "alive": standby.process is not None
-                    and standby.process.returncode is None,
-                    "ready": standby.ready.is_set(),
-                    "failed": standby.failed,
                     "armed_sources": sorted(self._armed_sources(standby)),
                 }
                 for standby in self._standbys
@@ -2380,6 +2325,7 @@ class ClusterService:
 
         sessions = [row for s in snapshots for row in s.get("sessions", ())]
         retired = [row for s in snapshots for row in s.get("retired", ())]
+        fleet = self.fleet_status()
         return {
             "now_ms": max((float(s.get("now_ms", 0.0)) for s in snapshots), default=0.0),
             "sources": list(self._sources),
@@ -2398,33 +2344,6 @@ class ClusterService:
             "decide_p99_ms": percentiles["p99"],
             "sessions": sessions,
             "retired": retired,
-            "workers": [
-                {
-                    "index": worker.index,
-                    "port": worker.port,
-                    "alive": worker.process is not None
-                    and worker.process.returncode is None,
-                    "ready": worker.ready.is_set(),
-                    "failed": worker.failed,
-                    "respawns": worker.respawns,
-                    "sources": self._shard_sources(worker.index),
-                    "apps": [
-                        a for a, s in worker.apps.items() if not s.closed
-                    ],
-                }
-                for worker in self._workers
-            ],
-            "standbys": [
-                {
-                    "index": standby.index,
-                    "mirror_of": standby.mirror_of,
-                    "alive": standby.process is not None
-                    and standby.process.returncode is None,
-                    "ready": standby.ready.is_set(),
-                    "failed": standby.failed,
-                    "respawns": standby.respawns,
-                    "armed_sources": sorted(self._armed_sources(standby)),
-                }
-                for standby in self._standbys
-            ],
+            "workers": fleet["workers"],
+            "standbys": fleet["standbys"],
         }

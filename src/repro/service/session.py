@@ -240,6 +240,9 @@ class SubscriberSession:
     batcher: MicroBatcher
     stats: SessionStats = field(default_factory=SessionStats)
     disconnected: bool = False
+    #: Set when the broker exported the session's source: the stream
+    #: ended because the source moved, not because the app left.
+    migrated: bool = False
     #: Server-driven quality adaptation (None = fixed-spec session).
     #: The broker evaluates it per dispatch and applies its decisions
     #: through the re-filter machinery; a *client* re-filter detaches it

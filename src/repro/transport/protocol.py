@@ -58,6 +58,15 @@ attach its raw decide-latency sliding window (``decide_window_ms``) so
 a front-tier router can merge several workers' windows into one honest
 percentile computation.
 
+``closed`` ends one subscription's ``decided`` stream, after its last
+batch.  Its ``reason`` is ``unsubscribed`` (the app left),
+``overflow_disconnect`` (a ``disconnect`` queue overflowed; the socket
+closes too), ``frame_too_large`` (a batch encodes past the frame
+bound), ``shutdown`` (the server is stopping), or ``migrated`` (an
+``export_source`` moved the source away).  All but ``migrated`` are
+final; a ``migrated`` stream continues wherever the source lands, which
+a cluster router re-attaches it to.
+
 The hello may offer ``features`` — protocol extensions.  The server
 confirms the agreed subset in ``welcome`` (:func:`negotiate_features`);
 an extension may only appear on the wire after both sides agreed.  The

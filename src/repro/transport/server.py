@@ -735,19 +735,27 @@ class GatewayServer:
     ) -> None:
         """Reply with a source's portable state; tuple table chunked.
 
-        ``export_source`` detaches the source (migration);
+        ``export_source`` detaches the source (migration), and its reply
+        follows the end of each detached stream on this connection;
         ``snapshot_source`` copies it non-destructively (a cluster
         router's failover checkpoint), and its reply follows every
         ``decided`` frame this connection's sessions of the source were
-        shipped before it, so the caller holds each stream up to the
-        state's ``shipped`` offsets when the reply arrives.  Either way
-        the reply carries the state with the checkpoint minus its tuple
+        shipped before it.  Either way the caller holds each stream up
+        to the state's ``shipped`` offsets when the reply arrives.  The
+        reply carries the state with the checkpoint minus its tuple
         table (the last element, and the one part that can exceed a
         frame), whose length is ``rows``; the caller streams the table
         with ``export_pull`` until ``done``.
         """
         if destructive:
+            pumps = [
+                conn.pumps[app]
+                for app, session in conn.sessions.items()
+                if session.source_name == name and app in conn.pumps
+            ]
             state = await self.service.export_source(name)
+            if pumps:
+                await asyncio.wait(pumps)
         else:
             state = await self.service.snapshot_source(name)
             for session in list(conn.sessions.values()):
@@ -954,8 +962,8 @@ class GatewayServer:
             # Socket died mid-delivery; the handler's teardown reclaims
             # the subscription (and the broker re-counts the loss).
             return
-        # The subscription is over (unsubscribe, shutdown, overflow or an
-        # oversized batch below): forget it, so a later teardown of this
+        # The subscription is over (unsubscribe, export, shutdown, overflow
+        # or an oversized batch below): forget it, so a later teardown of this
         # connection cannot unsubscribe a re-registered app of the same
         # name now owned by someone else.  Guard against a re-subscribe
         # having already replaced the entries.
@@ -982,6 +990,8 @@ class GatewayServer:
             reason = "overflow_disconnect"
         elif self._shutting_down:
             reason = "shutdown"
+        elif session.migrated:
+            reason = "migrated"
         else:
             reason = "unsubscribed"
         await conn.send_quiet({"t": "closed", "app": app, "reason": reason})

@@ -417,13 +417,15 @@ def test_live_migration_moves_source_without_subscriber_teardown():
 
     async def run():
         expected = await _baseline_stream(offers, _CHATTY)
+        telemetry = Telemetry()
         cluster = ClusterService(
             ClusterConfig(
                 workers=2,
                 sources=(source_a, source_b),
                 batch_max_items=1,
                 health_interval_s=0.25,
-            )
+            ),
+            telemetry=telemetry,
         )
         await cluster.start()
         try:
@@ -450,9 +452,7 @@ def test_live_migration_moves_source_without_subscriber_teardown():
                 await cluster.offer(source_a, item)
             await cluster.close()
             await asyncio.wait_for(consumer, timeout=30)
-            kinds = [e["event"] for e in cluster.telemetry.events.tail(200)] \
-                if cluster.telemetry else []
-            return received, expected, kinds
+            return received, expected, [e["kind"] for e in telemetry.events.since()]
         except BaseException:
             await cluster.close()
             raise
@@ -462,8 +462,7 @@ def test_live_migration_moves_source_without_subscriber_teardown():
     # byte-identical to the unmigrated oracle — no gap, no repeat, no
     # teardown.
     assert received == expected
-    if kinds:
-        assert "migration_start" in kinds and "migration_complete" in kinds
+    assert "migration_start" in kinds and "migration_complete" in kinds
 
 
 def test_standby_adoption_splices_stream_with_zero_gap():
@@ -668,6 +667,8 @@ async def _failover_oracle(script: list, constraint_ms) -> dict[str, list[int]]:
     for step in script:
         if isinstance(step, float):
             await service.tick(step)
+        elif isinstance(step, str):
+            await service.unsubscribe(step)
         else:
             await service.offer_many("solo", step)
     await service.close()
@@ -787,6 +788,199 @@ def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
     assert adopted == [(0, len(_FAILOVER_APPS), 0)] * len(kills)
     for app, _spec in _FAILOVER_APPS:
         assert len(expected[app]) > 100
+        assert received[app] == expected[app], app
+
+
+# ---------------------------------------------------------------------------
+# Migration is a failover without a death (real processes)
+# ---------------------------------------------------------------------------
+async def _subscribe_apps(cluster, source: str):
+    """Subscribe ``_FAILOVER_APPS`` to ``source``; returns their received
+    streams and consumer tasks."""
+    received: dict[str, list[int]] = {}
+    consumers = []
+    for app, spec in _FAILOVER_APPS:
+        session = await cluster.subscribe(app, source, spec)
+        consumers.append(
+            asyncio.create_task(_consume(session, received.setdefault(app, [])))
+        )
+    return received, consumers
+
+
+def test_migration_from_a_dead_exporter_fails_over_exactly():
+    """The source's primary is SIGKILLed and the supervisor has not seen
+    it yet, so the export fails: the migration fails over instead, from
+    the router's checkpoint + tail — a frame that failed with the dead
+    primary included — and every stream equals the uncrashed run's."""
+    source_a, source_b = _two_sources_on_distinct_shards()
+    script = _failover_script(6 * _FAILOVER_CHUNK, ticks=False)
+
+    async def run():
+        expected = await _failover_oracle(script, None)
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=2,
+                standby=1,
+                sources=(source_a, source_b),
+                batch_max_items=1,
+                health_interval_s=60.0,
+            )
+        )
+        await cluster.start()
+        try:
+            received, consumers = await _subscribe_apps(cluster, source_a)
+            for step in script[:3]:
+                await cluster.offer_many(source_a, step)
+            primary = cluster._primary(0)
+            primary.process.kill()
+            await primary.process.wait()
+            assert primary.ready.is_set()  # unnoticed
+            in_flight = asyncio.create_task(cluster.offer_many(source_a, script[3]))
+            record = cluster._records[source_a]
+            for _ in range(200):
+                if record.retries:
+                    break
+                await asyncio.sleep(0.01)
+            assert record.retries, "the frame never failed with the primary"
+            result = await cluster.migrate_source(source_a, 1)
+            assert isinstance(await in_flight, int)
+            for step in script[4:]:
+                await cluster.offer_many(source_a, step)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return result, received, expected
+        except BaseException:
+            await cluster.close()
+            raise
+
+    result, received, expected = asyncio.run(run())
+    assert result == {"source": source_a, "moved": True, "exact": True, "worker": 1}
+    for app, _spec in _FAILOVER_APPS:
+        assert len(expected[app]) > 50
+        assert received[app] == expected[app], app
+
+
+def test_migration_onto_a_covered_shard_splices_when_the_target_dies():
+    """A migration's export is the landed source's failover record: the
+    target's shard has a standby, so killing the target splices every
+    app from that record plus the tail kept since."""
+    source_a, source_b = _two_sources_on_distinct_shards()
+    script = _failover_script(6 * _FAILOVER_CHUNK, ticks=False)
+
+    async def run():
+        expected = await _failover_oracle(script, None)
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=2,
+                standby=1,
+                sources=(source_a, source_b),
+                batch_max_items=1,
+                health_interval_s=0.25,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            received, consumers = await _subscribe_apps(cluster, source_b)
+            for step in script[:2]:
+                await cluster.offer_many(source_b, step)
+            result = await cluster.migrate_source(source_b, 0)
+            for step in script[2:4]:
+                await cluster.offer_many(source_b, step)
+            tail = cluster._records[source_b].tuples
+            await _standby_idle(cluster)
+            primary = cluster._primary(0)
+            old_pid = primary.process.pid
+            primary.process.kill()
+            await cluster.offer_many(source_b, script[4])
+            await _healed(primary, old_pid)
+            for step in script[5:]:
+                await cluster.offer_many(source_b, step)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return result, tail, received, expected, telemetry.events.since()
+        except BaseException:
+            await cluster.close()
+            raise
+
+    result, tail, received, expected, events = asyncio.run(run())
+    assert result["exact"] and result["worker"] == 0
+    assert tail == 2 * _FAILOVER_CHUNK
+    adopted = [
+        (e["worker"], e["spliced"], e["cold"])
+        for e in events
+        if e["kind"] == "standby_adopt"
+    ]
+    assert adopted == [(0, len(_FAILOVER_APPS), 0)]
+    for app, _spec in _FAILOVER_APPS:
+        assert received[app] == expected[app], app
+
+
+def test_migration_racing_an_adoption_of_its_old_shard_leaves_the_source_alone():
+    """``adopt_standby`` lists its shard's sources before it takes their
+    locks; a migration holding one of those locks moves that source
+    away meanwhile, and an unsubscribe queued behind it re-arms the
+    source's record on the target.  The adoption re-checks placement
+    and skips the source: re-attaching it on the promoted process would
+    reset the record's ``shipped`` offsets, and the target's failover
+    would then splice the remaining app short."""
+    source_a, source_b = _two_sources_on_distinct_shards()
+    narrow = _FAILOVER_APPS[1][0]
+    chunks = _failover_script(4 * _FAILOVER_CHUNK, ticks=False)
+    script = chunks[:2] + [narrow] + chunks[2:]
+
+    async def run():
+        expected = await _failover_oracle(script, None)
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=2,
+                standby=2,
+                sources=(source_a, source_b),
+                batch_max_items=1,
+                health_interval_s=0.25,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            received, consumers = await _subscribe_apps(cluster, source_a)
+            for step in chunks[:2]:
+                await cluster.offer_many(source_a, step)
+            await _standby_idle(cluster)
+            lock = cluster._source_lock(source_a)
+            migration = asyncio.create_task(cluster.migrate_source(source_a, 1))
+            await asyncio.sleep(0)
+            assert lock.locked()
+            unsubscribe = asyncio.create_task(cluster.unsubscribe(narrow))
+            await asyncio.sleep(0)
+            assert not unsubscribe.done()  # queued on the source lock
+            await cluster.adopt_standby(0)
+            result = await migration
+            await unsubscribe
+            await cluster.offer_many(source_a, chunks[2])
+            target = cluster._primary(1)
+            old_pid = target.process.pid
+            target.process.kill()
+            await cluster.offer_many(source_a, chunks[3])
+            await _healed(target, old_pid)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return result, received, expected, telemetry.events.since()
+        except BaseException:
+            await cluster.close()
+            raise
+
+    result, received, expected, events = asyncio.run(run())
+    assert result["exact"] and result["worker"] == 1
+    adopted = [
+        (e["worker"], e["spliced"], e["cold"])
+        for e in events
+        if e["kind"] == "standby_adopt"
+    ]
+    assert adopted == [(0, 0, 0), (1, 1, 0)]
+    for app, _spec in _FAILOVER_APPS:
         assert received[app] == expected[app], app
 
 

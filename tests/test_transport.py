@@ -561,7 +561,7 @@ class TestConnectionTeardown:
 
 
 # ---------------------------------------------------------------------------
-# Live-migration staging (export_pull / import_begin / import_chunk)
+# Client-side subscription buffer
 # ---------------------------------------------------------------------------
 class TestRemoteSubscription:
     def test_a_stream_closed_on_a_full_buffer_yields_every_batch(self):
@@ -583,10 +583,40 @@ class TestRemoteSubscription:
         assert received == sent
 
 
+# ---------------------------------------------------------------------------
+# Live-migration staging (export_pull / import_begin / import_chunk)
+# ---------------------------------------------------------------------------
 class TestMigrationStaging:
     #: Every offer stays in the reservoir's open window: one checkpoint
     #: row per offered tuple.
     SPEC = "RS(2, 1000)"
+
+    def test_an_exported_stream_ends_as_migrated_after_its_last_batch(self):
+        """``export_source`` ends each detached stream with the non-final
+        ``migrated`` reason, after every batch its ``shipped`` counts,
+        and its reply follows that end."""
+
+        async def run():
+            service = _service()
+
+            async def body(gateway):
+                client = await GatewayClient.connect("127.0.0.1", gateway.port)
+                sub = await client.subscribe("app0", "src", CHATTY_SPEC)
+                for item in _trace(n=10):
+                    await client.ingest("src", item)
+                state = await client.export_source("src")
+                reason = sub.closed_reason
+                received = [
+                    item.seq async for batch in sub.batches() for item in batch.items
+                ]
+                await client.close()
+                return state, received, reason
+
+            return await _with_gateway(service, body)
+
+        state, received, reason = asyncio.run(run())
+        assert reason == "migrated"
+        assert len(received) == state["shipped"]["app0"] > 0
 
     def test_a_puller_that_disconnects_mid_pull_leaves_nothing(self):
         async def run():
