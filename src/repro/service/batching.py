@@ -19,25 +19,55 @@ broker stages each tuple once per group rather than once per session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.core.tuples import StreamTuple
 
-__all__ = ["Batch", "MicroBatcher"]
+__all__ = ["Batch", "MicroBatcher", "TraceMap"]
+
+#: Sampled items' accumulated stages: ``{seq: ((stage_id, dur_ns), ...)}``.
+TraceMap = dict[int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """One flushed run of decided tuples, shared by a group's sessions."""
+    """One flushed run of decided tuples, shared by a group's sessions.
+
+    ``traces`` is ``None`` unless an item is sampled for stage tracing
+    (:mod:`repro.obs.trace`); then it is ``(mark_ns, {seq: pairs})``:
+    each sampled item's ``(stage_id, dur_ns)`` pairs so far, and the
+    local ``perf_counter_ns`` at which the next stage began.  Only
+    :meth:`with_traces` sets it, so an untraced batch never pays for it
+    (and a ``dataclasses.replace`` copy carries none).  A hop that adds
+    a stage gets its own copy from :meth:`stamped` — the members of a
+    delivery group share one batch, so nobody extends a shared trace.
+    Equality is identity: a batch is one delivery, not a value.
+    """
 
     items: tuple[StreamTuple, ...]
     #: Stream time the first item was staged (decided).
     first_staged_ms: float
     #: Stream time the batch was flushed toward the session queue.
     flushed_ms: float
+    traces: Optional[tuple[int, TraceMap]] = field(default=None, init=False)
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def with_traces(self, traces: tuple[int, TraceMap]) -> "Batch":
+        """A copy of this batch carrying ``traces``."""
+        batch = Batch(self.items, self.first_staged_ms, self.flushed_ms)
+        object.__setattr__(batch, "traces", traces)
+        return batch
+
+    def stamped(self, sid: int, now_ns: int) -> "Batch":
+        """A copy whose every trace closes stage ``sid`` at ``now_ns``."""
+        mark_ns, tmap = self.traces
+        pair = ((sid, now_ns - mark_ns),)
+        return self.with_traces(
+            (now_ns, {seq: pairs + pair for seq, pairs in tmap.items()})
+        )
 
     @property
     def batching_delay_ms(self) -> float:

@@ -1143,17 +1143,14 @@ class DisseminationService:
         ``final`` (leaving or closing) get it without blocking, as
         :meth:`_final_flush` delivers it."""
         t = self.telemetry
-        traces = None
         if t is not None and t.tracer.enabled:
-            traces = self._batch_traces(src, batch)
+            batch = self._traced(src, batch)
         for session in group.members:
             if session.disconnected:
                 continue
             if final and session.app_name in final:
                 session.deliver_nowait(batch)
                 continue
-            if traces is not None:
-                session.note_traces(batch, *traces)
             await self._deliver(session, batch)
 
     async def _flush_groups(
@@ -1192,19 +1189,19 @@ class DisseminationService:
                 session.queue.depth
             )
 
-    def _batch_traces(self, src: _SourceState, batch):
-        """Sampled items' accumulated stages for one outbound batch, as
-        ``(enqueue_ns, {seq: pairs})``, or ``None`` if none is sampled.
+    def _traced(self, src: _SourceState, batch):
+        """``batch`` carrying its sampled items' stages up to the flush.
 
-        Every member's delivery pump picks these notes up (keyed by
-        batch identity) to extend the trace with the session-queue and
-        socket-write stages and put it on the wire.  The batch-flush
-        interval is measured against the shared trace mark without
-        moving it, so every recipient sees the same decide boundary.
+        Attached once per flush, so every member of the group receives
+        the same traces; each session stamps its own queue dwell on its
+        own copy (:meth:`SubscriberSession.batches`).  The batch-flush
+        interval is measured against the trace mark without moving it,
+        so every group an item fans out to sees the same decide
+        boundary.  Returns ``batch`` itself when no item is sampled.
         """
         t = self.telemetry
         now_ns = time.perf_counter_ns()
-        notes: Optional[dict[int, list[tuple[int, int]]]] = None
+        tmap = {}
         for item in batch.items:
             key = (src.name, item.seq)
             pairs = t.bag.peek(key)
@@ -1214,10 +1211,8 @@ class DisseminationService:
             if dur is not None:
                 pairs.append((_SID_BATCH_FLUSH, dur))
                 t.observe_stage(STAGE_BATCH_FLUSH, dur)
-            if notes is None:
-                notes = {}
-            notes[item.seq] = pairs
-        return (now_ns, notes) if notes else None
+            tmap[item.seq] = tuple(pairs)
+        return batch.with_traces((now_ns, tmap)) if tmap else batch
 
     def _final_flush(self, group: _DeliveryGroup) -> None:
         """Flush a group's batcher without blocking (teardown paths)."""

@@ -60,6 +60,7 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.trace import (
     STAGE_ROUTER_FORWARD,
     STAGE_ROUTER_REASSEMBLY,
+    STAGE_SESSION_QUEUE,
     stage_id,
 )
 from repro.qos.controller import DegradationConfig, policy_to_profile
@@ -87,6 +88,7 @@ _FINAL_REASONS = frozenset(
 
 _SID_ROUTER_FORWARD = stage_id(STAGE_ROUTER_FORWARD)
 _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
+_SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 #: Tail tuples after which a covered source's failover checkpoint is
 #: re-armed and its tail dropped.  The trade, measured on a 2-CPU Xeon
@@ -95,6 +97,35 @@ _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
 #: tuple at this cadence; a failover replays ~0.1 ms per tail tuple in
 #: such frames (~0.4 ms one per frame), so at most ~0.1-0.4 s.
 _REARM_TUPLES = 1024
+
+#: Missed health checks in a row that declare a live worker dead.
+_HEALTH_MISSES = 3
+#: Sliding-window respawn budget per worker slot: more than
+#: ``_RESPAWNS_PER_WINDOW`` respawn attempts inside
+#: ``_RESPAWN_WINDOW_S`` declares the slot lost (a crash-looping
+#: worker paces out via exponential backoff instead of burning a
+#: lifetime budget in milliseconds; an occasional crash per hour
+#: never exhausts anything).
+_RESPAWNS_PER_WINDOW = 3
+_RESPAWN_WINDOW_S = 60.0
+#: Exponential backoff between respawn attempts (with +-50% jitter
+#: so a correlated fleet-wide crash doesn't respawn in lockstep).
+_RESPAWN_BACKOFF_BASE_S = 0.2
+_RESPAWN_BACKOFF_MAX_S = 5.0
+#: With an attached remediation loop (``--self-heal``) the
+#: supervisor defers worker-death actuation this long so the
+#: detect -> propose -> verify -> execute pipeline owns the fix;
+#: past the grace it falls back to direct supervision (a dead
+#: remediation loop must not strand a dead worker).
+_DEFERRED_HEAL_GRACE_S = 10.0
+#: Whole-handshake bound for one live source migration (gating
+#: offers, draining, checkpoint transfer, restore).
+_MIGRATE_TIMEOUT_S = 30.0
+#: How long a starting worker has to report ready.
+_READY_TIMEOUT_S = 30.0
+#: How long data-path calls (and orphaned sessions) wait for a
+#: respawning worker before giving up.
+_REATTACH_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -113,21 +144,8 @@ class ClusterConfig:
     batch_max_delay_ms: float = 50.0
     tick_cuts: bool = True
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Supervisor cadence and tolerances.
+    #: Supervisor cadence (its tolerance is :data:`_HEALTH_MISSES`).
     health_interval_s: float = 1.0
-    health_misses: int = 3
-    #: Sliding-window respawn budget per worker slot: more than
-    #: ``respawns_per_window`` respawn attempts inside
-    #: ``respawn_window_s`` declares the slot lost (a crash-looping
-    #: worker paces out via exponential backoff instead of burning a
-    #: lifetime budget in milliseconds; an occasional crash per hour
-    #: never exhausts anything).
-    respawns_per_window: int = 3
-    respawn_window_s: float = 60.0
-    #: Exponential backoff between respawn attempts (with +-50% jitter
-    #: so a correlated fleet-wide crash doesn't respawn in lockstep).
-    respawn_backoff_base_s: float = 0.2
-    respawn_backoff_max_s: float = 5.0
     #: Standby workers.  Standby ``k`` is a blank spare process for
     #: primary ``k``'s slot, and the router keeps each covered source of
     #: that shard's checkpoint plus the tail of ingest and ticks since:
@@ -135,19 +153,6 @@ class ClusterConfig:
     #: the checkpoint, replays the tail, and subscribers' streams splice
     #: byte-identically.  Primaries beyond the standby count respawn cold.
     standby: int = 0
-    #: With an attached remediation loop (``--self-heal``) the
-    #: supervisor defers worker-death actuation this long so the
-    #: detect -> propose -> verify -> execute pipeline owns the fix;
-    #: past the grace it falls back to direct supervision (a dead
-    #: remediation loop must not strand a dead worker).
-    deferred_heal_grace_s: float = 10.0
-    #: Whole-handshake bound for one live source migration (gating
-    #: offers, draining, checkpoint transfer, restore).
-    migrate_timeout_s: float = 30.0
-    ready_timeout_s: float = 30.0
-    #: How long data-path calls (and orphaned sessions) wait for a
-    #: respawning worker before giving up.
-    reattach_timeout_s: float = 30.0
     #: How long scraped worker observability bodies (``/metrics``
     #: bodies, folded ``/events``) stay fresh before the next request
     #: re-scrapes the fleet.  0 disables caching entirely.
@@ -160,8 +165,6 @@ class ClusterConfig:
             raise ValueError("metrics_scrape_ttl_s must be >= 0")
         if self.standby < 0 or self.standby > self.workers:
             raise ValueError("standby must be between 0 and workers")
-        if self.respawns_per_window < 1:
-            raise ValueError("respawns_per_window must be at least 1")
 
 
 class _SessionQueue:
@@ -213,7 +216,9 @@ class ClusterSession:
     When the owning worker dies or exports the source mid-stream,
     :meth:`batches` parks until the router re-attaches it on the
     source's new process and then keeps yielding — the subscriber's
-    socket never learns the worker changed.
+    socket never learns the worker changed.  Like a broker session it
+    yields a traced batch as its own copy, with the router's stages
+    stamped on (see :meth:`batches`).
     """
 
     def __init__(
@@ -223,7 +228,6 @@ class ClusterSession:
         spec: str,
         remote,
         *,
-        reattach_timeout_s: float,
         defaults: "ClusterConfig",
         telemetry: Optional[Telemetry] = None,
     ):
@@ -232,10 +236,6 @@ class ClusterSession:
         self.spec = spec
         self.remote = remote
         self._telemetry = telemetry
-        #: Same side channel as ``SubscriberSession``: the router's
-        #: delivery pump pops ``(noted_ns, {seq: pairs})`` per batch to
-        #: extend traces with its own queue/write stages.
-        self._trace_notes: dict = {}
         resolved = remote.resolved
 
         def bound(key: str, fallback):
@@ -258,7 +258,6 @@ class ClusterSession:
         self.migrated = False
         self.closed = False
         self._explicit = False
-        self._reattach_timeout_s = reattach_timeout_s
         self._replacement: Optional[asyncio.Future] = None
         #: Tuples this session has yielded to the front tier.
         self.delivered_tuples = 0
@@ -311,51 +310,30 @@ class ClusterSession:
             waiter.set_result(None)
         self.remote.close_local(reason)
 
-    _TRACE_NOTES_MAX = 64
-
-    def _note_batch_traces(self, batch, remote) -> None:
-        """Claim the remote's traces for this batch, stamping reassembly.
+    def _stamp(self, batch):
+        """The router's stages on a traced batch from the worker.
 
         The worker's decided frame carried each sampled tuple's stage
-        pairs; the router extends them with its ``router_reassembly``
-        stage (frame decode -> this batch surfacing to the front-tier
-        pump) and parks them for :meth:`pop_traces`.
+        pairs, marked when the router decoded it; this copy adds
+        ``router_reassembly`` (frame decode -> the batch surfacing here)
+        and then this session's ``session_queue`` — the hand-off to the
+        front tier's pump, which this generator makes directly.  Only a
+        router with telemetry asks its workers for traces.
         """
-        tele = self._telemetry
-        if tele is None or not tele.tracer.enabled:
-            return
-        tmap: Optional[dict] = None
-        now_ns = 0
-        for item in batch.items:
-            claimed = remote.claim_trace(item.seq)
-            if claimed is None:
-                continue
-            pairs, noted_ns = claimed
-            if not now_ns:
-                now_ns = time.perf_counter_ns()
-            if noted_ns:
-                dur = now_ns - noted_ns
-                tele.observe_stage(STAGE_ROUTER_REASSEMBLY, dur)
-                pairs = pairs + [(_SID_ROUTER_REASSEMBLY, dur)]
-            if tmap is None:
-                tmap = {}
-            tmap[item.seq] = pairs
-        if tmap:
-            notes = self._trace_notes
-            while len(notes) >= self._TRACE_NOTES_MAX:
-                del notes[next(iter(notes))]
-            notes[id(batch)] = (now_ns, tmap)
-
-    def pop_traces(self, batch):
-        """Claim the traces noted for ``batch`` (``None`` if untraced)."""
-        return self._trace_notes.pop(id(batch), None)
+        now_ns = time.perf_counter_ns()
+        dur = now_ns - batch.traces[0]
+        for _ in batch.traces[1]:
+            self._telemetry.observe_stage(STAGE_ROUTER_REASSEMBLY, dur)
+        batch = batch.stamped(_SID_ROUTER_REASSEMBLY, now_ns)
+        return batch.stamped(_SID_SESSION_QUEUE, now_ns)
 
     async def batches(self):
         """Yield delivered batches across worker generations."""
         while True:
             remote = self.remote
             async for batch in remote.batches():
-                self._note_batch_traces(batch, remote)
+                if batch.traces is not None:
+                    batch = self._stamp(batch)
                 self.delivered_tuples += len(batch.items)
                 self.delivered_this_remote += len(batch.items)
                 yield batch
@@ -391,7 +369,7 @@ class ClusterSession:
             return self.remote
         try:
             return await asyncio.wait_for(
-                self._replacement, timeout=self._reattach_timeout_s
+                self._replacement, timeout=_REATTACH_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             return None
@@ -442,9 +420,6 @@ class _SpliceRemote:
     def close_local(self, reason: str) -> None:
         self._remote.close_local(reason)
 
-    def claim_trace(self, seq):
-        return self._remote.claim_trace(seq)
-
     async def batches(self):
         session = self._session
         if self._skip is None:
@@ -456,6 +431,8 @@ class _SpliceRemote:
                     self._skip -= len(items)
                     session.delivered_this_remote += len(items)
                     continue
+                # The copy carries no traces: the dropped prefix's went
+                # out with the dead stream, and traces are advisory.
                 batch = dc_replace(batch, items=items[self._skip :])
                 session.delivered_this_remote += self._skip
                 self._skip = 0
@@ -566,7 +543,7 @@ class ClusterService:
         #: Failover records of the covered sources (see :meth:`_arm`).
         self._records: dict[str, _Record] = {}
         #: Set by an attached remediation loop: worker-death actuation
-        #: is deferred (up to ``deferred_heal_grace_s``) so the
+        #: is deferred (up to ``_DEFERRED_HEAL_GRACE_S``) so the
         #: propose/verify/schedule pipeline owns the fix.
         self.defer_death_handling = False
         self._apps: dict[str, ClusterSession] = {}
@@ -664,7 +641,7 @@ class ClusterService:
                     in_window = sum(
                         1
                         for ts in worker.respawn_times
-                        if now - ts <= self.config.respawn_window_s
+                        if now - ts <= _RESPAWN_WINDOW_S
                     )
                     m_window.labels(label).set(float(in_window))
                 for standby in self._standbys:
@@ -857,7 +834,7 @@ class ClusterService:
         try:
             ready_line = await asyncio.wait_for(
                 self._read_ready_line(process),
-                timeout=self.config.ready_timeout_s,
+                timeout=_READY_TIMEOUT_S,
             )
             # "gateway listening on HOST:PORT, http on HOST:PORT"
             parts = ready_line.strip().split(", http on ")
@@ -1064,7 +1041,7 @@ class ClusterService:
                     worker.health_misses = 0
                     continue
                 worker.health_misses += 1
-                if worker.health_misses >= cfg.health_misses:
+                if worker.health_misses >= _HEALTH_MISSES:
                     # Alive but unresponsive: treat as dead.
                     self._signal(process, kill=True)
                     await process.wait()
@@ -1121,7 +1098,7 @@ class ClusterService:
         if (
             worker.role == "primary"
             and self.defer_death_handling
-            and now - worker.death_seen_ts < self.config.deferred_heal_grace_s
+            and now - worker.death_seen_ts < _DEFERRED_HEAL_GRACE_S
         ):
             return
         await self.heal_worker(worker.index)
@@ -1209,8 +1186,8 @@ class ClusterService:
         """Drain a dead worker slot and bring up a replacement.
 
         Attempts are paced by a jittered exponential backoff and bounded
-        by a *sliding-window* budget: more than ``respawns_per_window``
-        attempts inside ``respawn_window_s`` declares the slot lost, but
+        by a *sliding-window* budget: more than ``_RESPAWNS_PER_WINDOW``
+        attempts inside ``_RESPAWN_WINDOW_S`` declares the slot lost, but
         an occasional crash per hour never exhausts anything.  The first
         attempt after a quiet period is immediate.
 
@@ -1222,7 +1199,6 @@ class ClusterService:
         applied to process failure.  A respawned standby comes back as a
         blank spare.
         """
-        cfg = self.config
         self._emit("drain_start", worker=worker.index)
         await self._stop_process(worker, kill=True)
         self._emit("drain_end", worker=worker.index)
@@ -1230,16 +1206,16 @@ class ClusterService:
             now = time.monotonic()
             while (
                 worker.respawn_times
-                and now - worker.respawn_times[0] > cfg.respawn_window_s
+                and now - worker.respawn_times[0] > _RESPAWN_WINDOW_S
             ):
                 worker.respawn_times.popleft()
-            if len(worker.respawn_times) >= cfg.respawns_per_window:
+            if len(worker.respawn_times) >= _RESPAWNS_PER_WINDOW:
                 break  # budget exhausted inside the window: slot lost
             attempt = len(worker.respawn_times) + 1
             if attempt > 1:
                 backoff = min(
-                    cfg.respawn_backoff_max_s,
-                    cfg.respawn_backoff_base_s * (2 ** (attempt - 2)),
+                    _RESPAWN_BACKOFF_MAX_S,
+                    _RESPAWN_BACKOFF_BASE_S * (2 ** (attempt - 2)),
                 ) * random.uniform(0.5, 1.5)
                 worker.backoff_s = backoff
                 self._emit(
@@ -1295,7 +1271,7 @@ class ClusterService:
         if not worker.ready.is_set():
             try:
                 await asyncio.wait_for(
-                    worker.ready.wait(), timeout=self.config.reattach_timeout_s
+                    worker.ready.wait(), timeout=_REATTACH_TIMEOUT_S
                 )
             except asyncio.TimeoutError:
                 raise RuntimeError(
@@ -1488,12 +1464,12 @@ class ClusterService:
 
     async def _await_retry(self, source_name: str, retry) -> int:
         """Wait for the re-attach that replays a failed frame (at most
-        ``reattach_timeout_s``); return its emissions.  A cold
+        ``_REATTACH_TIMEOUT_S``); return its emissions.  A cold
         re-attach, or none in time, raises — and a frame still waiting
         then leaves the tail, so it is never applied after its caller
         was told it failed."""
         record, items, future = retry
-        await asyncio.wait((future,), timeout=self.config.reattach_timeout_s)
+        await asyncio.wait((future,), timeout=_REATTACH_TIMEOUT_S)
         if not future.done():
             async with self._source_lock(source_name):
                 if not future.done():
@@ -1624,7 +1600,6 @@ class ClusterService:
                 source_name,
                 spec,
                 remote,
-                reattach_timeout_s=self.config.reattach_timeout_s,
                 defaults=self.config,
                 telemetry=self.telemetry,
             )
@@ -1665,7 +1640,7 @@ class ClusterService:
             if listener is not None:
                 listener(update)
 
-        remote.on_qos_update = _on_update
+        remote.qos_listener = _on_update
 
     async def unsubscribe(self, app_name: str) -> None:
         # A locally-closed session (oversized decided frame, shutdown
@@ -1777,7 +1752,7 @@ class ClusterService:
             try:
                 return await asyncio.wait_for(
                     self._migrate_locked(source_name, old, new),
-                    timeout=self.config.migrate_timeout_s,
+                    timeout=_MIGRATE_TIMEOUT_S,
                 )
             except asyncio.TimeoutError:
                 self._migration_event(

@@ -55,7 +55,7 @@ from repro.core.tuples import StreamTuple, Trace
 from repro.experiments.configs import dc_specs_from_statistics
 from repro.filters.spec import parse_filter
 from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry
-from repro.obs.trace import STAGE_SESSION_QUEUE, stage_id, stage_name
+from repro.obs.trace import stage_name
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import (
     DisseminationService,
@@ -448,48 +448,15 @@ async def _consume(
         total += len(batch)
         if sink is not None:
             sink.extend(item.seq for item in batch.items)
-        if stages is not None:
-            _collect_stages(handle, batch, stages)
+        if stages is not None and batch.traces is not None:
+            for pairs in batch.traces[1].values():
+                for sid, dur in pairs:
+                    stages.setdefault(sid, []).append(dur)
         if delay_ms > 0.0:
             await asyncio.sleep(delay_ms / 1000.0)
         if gate is not None and not gate.is_set():
             await gate.wait()
     return total
-
-
-_SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
-
-
-def _collect_stages(handle, batch, stages: dict) -> None:
-    """Fold one delivered batch's sampled traces into ``stages``.
-
-    Remote subscriptions store traces per tuple seq (already carrying
-    every wire-measured stage); in-process sessions park them per batch
-    with the enqueue timestamp, so the consumer-side queue dwell is
-    measured here — the same interval the gateway's delivery pump
-    observes on the TCP path.
-    """
-    claim = getattr(handle, "claim_trace", None)
-    if claim is not None:
-        for item in batch.items:
-            claimed = claim(item.seq)
-            if claimed is None:
-                continue
-            for sid, dur in claimed[0]:
-                stages.setdefault(sid, []).append(dur)
-        return
-    pop = getattr(handle, "pop_traces", None)
-    if pop is None:
-        return
-    noted = pop(batch)
-    if noted is None:
-        return
-    enqueue_ns, traces = noted
-    dwell = time.perf_counter_ns() - enqueue_ns
-    for pairs in traces.values():
-        for sid, dur in pairs:
-            stages.setdefault(sid, []).append(dur)
-        stages.setdefault(_SID_SESSION_QUEUE, []).append(dwell)
 
 
 def _pctl_ns(ordered: Sequence[int], q: float) -> int:
@@ -994,12 +961,7 @@ async def _run_async(
                     }
                 )
 
-            # In-process sessions push through the broker's listener
-            # seam, remote subscriptions through the qos_update hook.
-            if hasattr(handle, "on_qos_update"):
-                handle.on_qos_update = on_update
-            else:
-                handle.qos_listener = on_update
+            handle.qos_listener = on_update
         else:
             handle = await driver.attach(source, app, spec)
         live[app] = (source, spec)

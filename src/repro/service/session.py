@@ -23,11 +23,13 @@ subscription set, as it does on subscribe and unsubscribe.
 from __future__ import annotations
 
 import asyncio
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AsyncIterator, Callable, Optional
 
 from repro.core.tuples import StreamTuple
+from repro.obs.trace import STAGE_SESSION_QUEUE, stage_id
 from repro.service.batching import Batch, MicroBatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 OVERFLOW_POLICIES = ("block", "drop_oldest", "disconnect")
+
+_SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 
 class SessionDisconnected(Exception):
@@ -254,16 +258,6 @@ class SubscriberSession:
     #: schedule work, never await.
     qos_listener: Optional[Callable[[dict], None]] = None
     _broker: Optional["DisseminationService"] = None
-    #: Trace side channel, keyed by batch identity: ``id(batch) ->
-    #: (enqueue_ns, {seq: [(stage_id, dur_ns), ...]})`` for sampled
-    #: tuples in that batch.  Written by the broker at ship time, popped
-    #: by the delivery pump to extend the trace with queue/write stages.
-    #: Bounded: traces are advisory, so entries whose batches were
-    #: dropped by overflow (never popped) are evicted oldest-first.
-    _trace_notes: dict = field(default_factory=dict)
-
-    #: Eviction bound for :attr:`_trace_notes`.
-    _TRACE_NOTES_MAX = 64
 
     @property
     def degradation_level(self) -> int:
@@ -277,12 +271,18 @@ class SubscriberSession:
         return self.batches()
 
     async def batches(self) -> AsyncIterator[Batch]:
-        """Yield delivered batches until the session closes."""
+        """Yield delivered batches until the session closes.
+
+        A traced batch comes out as this session's own copy, its traces
+        extended with the ``session_queue`` stage (flush -> dequeue).
+        """
         while True:
             try:
                 batch = await self.queue.get()
             except StopAsyncIteration:
                 return
+            if batch.traces is not None:
+                batch = batch.stamped(_SID_SESSION_QUEUE, time.perf_counter_ns())
             self.stats.delivered_batches += 1
             self.stats.delivered_tuples += len(batch)
             yield batch
@@ -344,19 +344,6 @@ class SubscriberSession:
             self.stats.dropped_tuples += len(batch)
             return
         self._account(self.queue.put_nowait(batch), batch)
-
-    def note_traces(
-        self, batch: Batch, enqueue_ns: int, traces: dict
-    ) -> None:
-        """Attach sampled-tuple traces to one outbound batch."""
-        notes = self._trace_notes
-        while len(notes) >= self._TRACE_NOTES_MAX:
-            del notes[next(iter(notes))]
-        notes[id(batch)] = (enqueue_ns, traces)
-
-    def pop_traces(self, batch: Batch):
-        """Claim the traces noted for ``batch`` (``None`` if untraced)."""
-        return self._trace_notes.pop(id(batch), None)
 
     async def close(self) -> None:
         await self.queue.close()

@@ -45,7 +45,6 @@ from repro.transport.protocol import (
     batch_from_wire,
     encode_frame,
     pack_header,
-    traces_from_wire,
 )
 
 __all__ = [
@@ -195,13 +194,6 @@ class RemoteSubscription:
         #: frame lands on this object, never on the replacement.
         self._removed = asyncio.Event()
         self._ended = False
-        #: Sampled per-tuple stage traces off decided frames, keyed by
-        #: tuple seq: ``{seq: [(stage_id, dur_ns), ...]}``.  Bounded
-        #: (oldest evicted); the load generator reads this after a run to
-        #: build its per-stage latency summary.
-        self.stage_traces: dict[int, list] = {}
-        self._trace_noted_ns: dict[int, int] = {}
-        self._stage_traces_max = 4096
         #: Server-driven degradation state: the active level (updated by
         #: ``qos_update`` frames), every update received (in order), and
         #: an optional synchronous callback invoked per update — the
@@ -209,32 +201,7 @@ class RemoteSubscription:
         #: the end subscriber.
         self.degradation_level: int = 0
         self.qos_updates: list[dict] = []
-        self.on_qos_update = None
-
-    def _note_traces(self, traces: dict) -> None:
-        """Fold one decided frame's trace map into the bounded store."""
-        store = self.stage_traces
-        noted = self._trace_noted_ns
-        now_ns = time.perf_counter_ns()
-        for seq, pairs in traces.items():
-            while len(store) >= self._stage_traces_max and seq not in store:
-                evicted = next(iter(store))
-                del store[evicted]
-                noted.pop(evicted, None)
-            store[seq] = pairs
-            noted[seq] = now_ns
-
-    def claim_trace(self, seq: int):
-        """Remove and return ``(pairs, noted_ns)`` for one tuple.
-
-        ``noted_ns`` is the local ``perf_counter_ns`` at which the
-        decided frame carrying the trace was decoded — the cluster
-        router uses it to measure its reassembly stage.
-        """
-        pairs = self.stage_traces.pop(seq, None)
-        if pairs is None:
-            return None
-        return pairs, self._trace_noted_ns.pop(seq, 0)
+        self.qos_listener = None
 
     def _resize(self, capacity: int) -> None:
         """Adopt the server-resolved bound without dropping anything.
@@ -772,7 +739,7 @@ class GatewayClient:
         the ladder instead of dropping or disconnecting it, announcing
         each transition with a ``qos_update`` frame (reflected in the
         returned subscription's ``degradation_level`` / ``qos_updates``
-        and its ``on_qos_update`` callback).  ``spec`` must equal the
+        and its ``qos_listener`` callback).  ``spec`` must equal the
         active level's filter spec.
         """
         existing = self._subscriptions.get(app)
@@ -905,8 +872,6 @@ class GatewayClient:
         if kind == "decided":
             subscription = self._subscriptions.get(frame.get("app"))
             if subscription is not None:
-                if "traces" in frame:
-                    subscription._note_traces(traces_from_wire(frame))
                 # This put blocks when the consumer lags, intentionally
                 # pausing the read loop (see the module docstring).
                 await subscription._push(batch_from_wire(frame))
@@ -933,7 +898,7 @@ class GatewayClient:
                     )
                 }
                 subscription.qos_updates.append(update)
-                callback = subscription.on_qos_update
+                callback = subscription.qos_listener
                 if callback is not None:
                     callback(update)
         elif kind == "closed":

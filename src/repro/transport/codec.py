@@ -65,7 +65,7 @@ import struct
 from typing import Iterable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
-from repro.service.batching import Batch
+from repro.service.batching import Batch, TraceMap
 from repro.transport.protocol import FrameTooLarge, ProtocolError
 
 __all__ = [
@@ -87,10 +87,6 @@ _TAG_INGEST_BATCH_TRACED = 0x12
 _TAG_DECIDED_TRACED = 0x13
 
 _F64 = struct.Struct("<d")
-
-#: ``{seq: [(stage_id, duration_ns), ...]}`` — the normalized trace
-#: annotation shape (see :func:`repro.transport.protocol.traces_from_wire`).
-TraceMap = dict
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +348,13 @@ class BinaryEncoder:
         self._cache = cache if cache is not None else SegmentCache()
         #: Shared-table ids this connection's peer has been told about.
         self._announced: set[int] = set()
-        #: Recently encoded decided batches by identity: ``id(batch) ->
-        #: (batch, segment bytes, name ids, body length)``.  A delivery
-        #: group's members on this connection are sent one batch object,
-        #: so all but the first pay only the header.  One member's pump
-        #: may drain its whole queue before the next member's runs, so
-        #: this remembers more than the last batch; the entry pins the
-        #: batch, so its ``id`` cannot be reused while it lives.
-        self._bodies: dict[int, tuple[Batch, list[bytes], frozenset[int], int]] = {}
+        #: Recently encoded decided batches (a batch hashes by identity):
+        #: ``batch -> (segment bytes, name ids, body length)``.  A
+        #: delivery group's members on this connection are sent one batch
+        #: object, so all but the first pay only the header.  One
+        #: member's pump may drain its whole queue before the next
+        #: member's runs, so this remembers more than the last batch.
+        self._bodies: dict[Batch, tuple[list[bytes], frozenset[int], int]] = {}
 
     # -- segments -------------------------------------------------------
     def tuple_segment(self, item: StreamTuple) -> Segment:
@@ -477,9 +472,9 @@ class BinaryEncoder:
                 "shared=False selects nothing"
             )
         bodies = self._bodies
-        body = bodies.get(id(batch))
-        if body is not None and body[0] is batch:
-            _, data, name_ids, body_len = body
+        body = bodies.get(batch)
+        if body is not None:
+            data, name_ids, body_len = body
         else:
             segments = [self.tuple_segment(item) for item in batch.items]
             data = [segment.data for segment in segments]
@@ -489,7 +484,7 @@ class BinaryEncoder:
             body_len = sum(map(len, data))
             if len(bodies) >= _BODY_MEMO_BATCHES:
                 del bodies[next(iter(bodies))]
-            bodies[id(batch)] = (batch, data, name_ids, body_len)
+            bodies[batch] = (data, name_ids, body_len)
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
         _put_string(head, app)
         head += _F64.pack(batch.first_staged_ms)

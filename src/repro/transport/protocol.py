@@ -101,10 +101,11 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 from typing import Iterator, Mapping, Optional
 
 from repro.core.tuples import StreamTuple
-from repro.service.batching import Batch
+from repro.service.batching import Batch, TraceMap
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -307,17 +308,20 @@ def batch_from_wire(payload: Mapping) -> Batch:
             decoded = tuple(items)
         else:
             decoded = tuple(tuple_from_wire(item) for item in items)
-        return Batch(
+        batch = Batch(
             items=decoded,
             first_staged_ms=float(payload["first_staged_ms"]),
             flushed_ms=float(payload["flushed_ms"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed batch payload: {exc!r}") from exc
+    tmap = traces_from_wire(payload) if "traces" in payload else None
+    # Marked at decode: the receiving hop's next stage starts here.
+    return batch.with_traces((time.perf_counter_ns(), tmap)) if tmap else batch
 
 
-def traces_from_wire(frame: Mapping) -> dict[int, list[tuple[int, int]]]:
-    """Normalize a frame's trace annotations to ``{seq: [(sid, ns)]}``.
+def traces_from_wire(frame: Mapping) -> TraceMap:
+    """Normalize a frame's trace annotations to ``{seq: ((sid, ns), ...)}``.
 
     Handles both shapes: a batch frame's ``traces`` map and a
     single-tuple ``ingest`` frame's ``trace`` pair list (keyed by the
@@ -325,14 +329,12 @@ def traces_from_wire(frame: Mapping) -> dict[int, list[tuple[int, int]]]:
     annotations; malformed annotations are dropped rather than failing
     the frame — traces are advisory.
     """
-    out: dict[int, list[tuple[int, int]]] = {}
+    out: TraceMap = {}
     raw = frame.get("traces")
     if isinstance(raw, Mapping):
         for key, pairs in raw.items():
             try:
-                out[int(key)] = [
-                    (int(sid), int(ns)) for sid, ns in pairs
-                ]
+                out[int(key)] = tuple((int(sid), int(ns)) for sid, ns in pairs)
             except (TypeError, ValueError):
                 continue
     single = frame.get("trace")
@@ -344,7 +346,7 @@ def traces_from_wire(frame: Mapping) -> dict[int, list[tuple[int, int]]]:
                 if isinstance(payload, StreamTuple)
                 else int(payload["seq"])
             )
-            out[seq] = [(int(sid), int(ns)) for sid, ns in single]
+            out[seq] = tuple((int(sid), int(ns)) for sid, ns in single)
         except (KeyError, TypeError, ValueError):
             pass
     return out

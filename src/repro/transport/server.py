@@ -39,11 +39,7 @@ import time
 from typing import Optional
 
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import (
-    STAGE_SESSION_QUEUE,
-    STAGE_SOCKET_WRITE,
-    stage_id,
-)
+from repro.obs.trace import STAGE_SESSION_QUEUE, STAGE_SOCKET_WRITE
 from repro.qos.controller import policy_from_profile
 from repro.qos.spec import QualitySpec
 from repro.service.broker import DisseminationService
@@ -75,8 +71,6 @@ _CORK_MAX_BYTES = 1 << 16
 
 #: Tuples the server-wide encode-once segment cache holds.
 _SEGMENT_CACHE_SIZE = 4096
-
-_SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 
 class _TransportMetrics:
@@ -928,18 +922,16 @@ class GatewayServer:
             async for batch in session.batches():
                 wire_traces = None
                 write_start_ns = 0
-                if tele is not None:
-                    notes = session.pop_traces(batch)
-                    if notes is not None:
-                        enqueue_ns, tmap = notes
-                        now_ns = time.perf_counter_ns()
-                        qdur = now_ns - enqueue_ns
-                        tele.observe_stage(STAGE_SESSION_QUEUE, qdur)
-                        for pairs in tmap.values():
-                            pairs.append((_SID_SESSION_QUEUE, qdur))
-                        if FEATURE_TRACE in conn.features:
-                            wire_traces = tmap
-                        write_start_ns = now_ns
+                if tele is not None and batch.traces is not None:
+                    tmap = batch.traces[1]
+                    # The session stamped its queue dwell last, on every
+                    # trace of its own copy.
+                    tele.observe_stage(
+                        STAGE_SESSION_QUEUE, next(iter(tmap.values()))[-1][1]
+                    )
+                    if FEATURE_TRACE in conn.features:
+                        wire_traces = tmap
+                    write_start_ns = time.perf_counter_ns()
                 try:
                     await conn.send_decided(app, batch, traces=wire_traces)
                     if write_start_ns:

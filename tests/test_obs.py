@@ -27,6 +27,8 @@ from repro.obs.trace import (
     STAGE_DECIDE,
     STAGE_INGEST_RECV,
     STAGE_INGEST_SEND,
+    STAGE_ROUTER_FORWARD,
+    STAGE_ROUTER_REASSEMBLY,
     STAGE_SESSION_QUEUE,
     STAGES,
     StageTracer,
@@ -419,7 +421,9 @@ class TestObservabilityHTTP:
 class TestTracedGateway:
     def test_stage_chain_rides_the_wire(self):
         """Every sampled tuple's decided frame carries the full local
-        stage decomposition, and both processes' histograms fill in."""
+        stage decomposition, each stage once — also for two apps of one
+        sharing class, whose sessions share each flushed batch — and
+        both processes' histograms fill in."""
         trace = random_walk_trace(n=40, seed=3, attribute="temp")
 
         async def run():
@@ -431,42 +435,53 @@ class TestTracedGateway:
             client = await GatewayClient.connect(
                 "127.0.0.1", gateway.port, telemetry=client_tele
             )
-            sub = await client.subscribe(
-                "app0", "src", CHATTY_SPEC, queue_capacity=10_000
-            )
-            chains: dict[int, list] = {}
+            subs = [
+                await client.subscribe(
+                    app, "src", CHATTY_SPEC, queue_capacity=10_000
+                )
+                for app in ("app0", "app1")
+            ]
+            chains: dict[str, dict[int, tuple]] = {"app0": {}, "app1": {}}
 
-            async def consume():
+            async def consume(sub):
                 async for batch in sub.batches():
-                    for item in batch.items:
-                        claimed = sub.claim_trace(item.seq)
-                        if claimed is not None:
-                            chains[item.seq] = claimed[0]
+                    if batch.traces is not None:
+                        chains[sub.app].update(batch.traces[1])
 
-            consumer = asyncio.create_task(consume())
+            consumers = [asyncio.create_task(consume(sub)) for sub in subs]
             for item in trace:
                 await client.ingest("src", item)
             await service.close()
-            await consumer
+            await asyncio.gather(*consumers)
             await client.close()
             await gateway.shutdown()
             return chains, server_tele, client_tele
 
         chains, server_tele, client_tele = asyncio.run(run())
-        assert chains, "no traces delivered"
-        want = {
-            stage_id(STAGE_INGEST_SEND),
-            stage_id(STAGE_INGEST_RECV),
-            stage_id(STAGE_DECIDE),
-            stage_id(STAGE_BATCH_FLUSH),
-            stage_id(STAGE_SESSION_QUEUE),
-        }
-        for seq, pairs in chains.items():
-            stages = [sid for sid, _ in pairs]
-            assert set(stages) >= want, (seq, pairs)
-            assert all(dur >= 0 for _, dur in pairs), (seq, pairs)
+        assert chains["app0"], "no traces delivered"
+        assert chains["app0"].keys() == chains["app1"].keys()
+        want = [
+            stage_id(stage)
+            for stage in (
+                STAGE_INGEST_SEND,
+                STAGE_INGEST_RECV,
+                STAGE_DECIDE,
+                STAGE_BATCH_FLUSH,
+                STAGE_SESSION_QUEUE,
+            )
+        ]
+        for app, app_chains in chains.items():
+            for seq, pairs in app_chains.items():
+                assert [sid for sid, _ in pairs] == want, (app, seq, pairs)
+                assert all(dur >= 0 for _, dur in pairs), (app, seq, pairs)
         server_text = server_tele.registry.render()
         assert 'repro_stage_latency_ms_count{stage="decide"}' in server_text
+        # One queue dwell per session per traced (one-tuple) batch.
+        dwells = 2 * len(chains["app0"])
+        assert (
+            f'repro_stage_latency_ms_count{{stage="session_queue"}} {dwells}'
+            in server_text
+        )
         assert "repro_transport_frames_total" in server_text
         assert "repro_broker_offered_tuples_total 40" in server_text
         client_text = client_tele.registry.render()
@@ -474,6 +489,71 @@ class TestTracedGateway:
             'repro_stage_latency_ms_count{stage="ingest_send"}'
             in client_text
         )
+
+    def test_router_stages_ride_once_per_app(self):
+        """Behind a 2-worker cluster, two apps of one sharing class get
+        identical stage sequences: the router's forward and reassembly
+        stages once each, a worker and a router queue dwell apiece."""
+        from repro.core.tuples import StreamTuple
+        from repro.service.cluster import ClusterConfig, ClusterService
+
+        async def run():
+            tele = Telemetry(sample_period=1)
+            cluster = ClusterService(
+                ClusterConfig(workers=2, sources=("src",), batch_max_items=1),
+                telemetry=tele,
+            )
+            await cluster.start()
+            gateway = GatewayServer(cluster, telemetry=tele)
+            await gateway.start()
+            client = await GatewayClient.connect(
+                "127.0.0.1", gateway.port, telemetry=Telemetry(sample_period=1)
+            )
+            try:
+                spec = "DC1(value, 0.0001, 0.00005)"
+                # Room for the whole run: a failed consumer must not
+                # stall the ingest loop behind a full buffer.
+                subs = [
+                    await client.subscribe(
+                        app, "src", spec, queue_capacity=10_000
+                    )
+                    for app in ("app0", "app1")
+                ]
+                chains: dict[str, dict[int, tuple]] = {"app0": {}, "app1": {}}
+
+                async def consume(sub):
+                    async for batch in sub.batches():
+                        if batch.traces is not None:
+                            chains[sub.app].update(batch.traces[1])
+
+                consumers = [asyncio.create_task(consume(sub)) for sub in subs]
+                for seq in range(40):
+                    await client.ingest(
+                        "src",
+                        StreamTuple(
+                            seq=seq,
+                            timestamp=seq * 10.0,
+                            values={"value": float(seq)},
+                        ),
+                    )
+                await cluster.close()
+                await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+                return chains
+            finally:
+                await client.close()
+                await gateway.shutdown()
+                await cluster.close()
+
+        chains = asyncio.run(run())
+        assert chains["app0"], "no traces delivered"
+        sequences = {
+            app: {seq: [sid for sid, _ in pairs] for seq, pairs in app_chains.items()}
+            for app, app_chains in chains.items()
+        }
+        assert sequences["app0"] == sequences["app1"]
+        for stages in sequences["app0"].values():
+            assert stages.count(stage_id(STAGE_ROUTER_FORWARD)) == 1, stages
+            assert stages.count(stage_id(STAGE_ROUTER_REASSEMBLY)) == 1, stages
 
     def test_untraced_peers_negotiate_nothing(self):
         """A telemetry-less client speaks the PR-5 wire shape untouched
@@ -495,10 +575,13 @@ class TestTracedGateway:
                 "app0", "src", CHATTY_SPEC, queue_capacity=10_000
             )
             delivered: list[int] = []
+            traced: list = []
 
             async def consume():
                 async for batch in sub.batches():
                     delivered.extend(item.seq for item in batch.items)
+                    if batch.traces is not None:
+                        traced.append(batch)
 
             consumer = asyncio.create_task(consume())
             for item in trace:
@@ -507,11 +590,11 @@ class TestTracedGateway:
             await consumer
             await client.close()
             await gateway.shutdown()
-            return delivered, sub
+            return delivered, traced
 
-        delivered, sub = asyncio.run(run())
+        delivered, traced = asyncio.run(run())
         assert delivered
-        assert sub.stage_traces == {}  # nothing rode the wire
+        assert traced == []  # nothing rode the wire
 
 
 # ---------------------------------------------------------------------------

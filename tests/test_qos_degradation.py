@@ -189,7 +189,7 @@ class TestWireDegradation:
                 overflow="drop_oldest",
             )
             seen = []
-            sub.on_qos_update = seen.append
+            sub.qos_listener = seen.append
 
             async def consume():
                 async for _ in sub.batches():
