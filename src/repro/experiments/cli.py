@@ -367,30 +367,15 @@ async def _serve_async(args: argparse.Namespace) -> int:
             if telemetry is not None and args.watch_interval > 0:
                 from repro.obs.watch import LocalProbe, Watchtower
 
-                watch_kwargs: dict = {}
+                watch_kwargs: dict = {"interval_s": args.watch_interval}
                 if rules_config is not None:
-                    watch_kwargs["rules"] = rules_config.rules
-                    watch_kwargs["slos"] = rules_config.slos
                     # File settings win over the CLI defaults.
-                    settings = rules_config.watch
-                    if "decide_p99_target_ms" in settings:
-                        watch_kwargs["decide_p99_target_ms"] = settings[
-                            "decide_p99_target_ms"
-                        ]
-                    if "death_window_s" in settings:
-                        watch_kwargs["death_window_s"] = settings[
-                            "death_window_s"
-                        ]
-                    if "flap_window_s" in settings:
-                        watch_kwargs["flap_window_s"] = settings[
-                            "flap_window_s"
-                        ]
-                interval = args.watch_interval
-                if rules_config is not None:
-                    interval = rules_config.watch.get("interval_s", interval)
+                    watch_kwargs.update(
+                        rules=rules_config.rules, slos=rules_config.slos,
+                        **rules_config.watch,
+                    )
                 watchtower = Watchtower(
                     LocalProbe(telemetry, service=service),
-                    interval_s=interval,
                     events=telemetry.events,
                     **watch_kwargs,
                 )
@@ -484,8 +469,7 @@ async def _watch_async(args: argparse.Namespace) -> int:
     if not port_text.isdigit():
         print(f"--connect must be HOST:PORT, got {args.connect!r}")
         return 2
-    tower_kwargs: dict = {}
-    interval = args.interval
+    tower_kwargs: dict = {"interval_s": args.interval}
     if args.rules is not None:
         from repro.obs.rulesfile import RulesFileError, load_rules_file
 
@@ -494,22 +478,12 @@ async def _watch_async(args: argparse.Namespace) -> int:
         except RulesFileError as exc:
             print(f"watch: {exc}", file=sys.stderr)
             return 2
-        tower_kwargs["rules"] = config.rules
-        tower_kwargs["slos"] = config.slos
-        settings = config.watch
-        if "decide_p99_target_ms" in settings:
-            tower_kwargs["decide_p99_target_ms"] = settings[
-                "decide_p99_target_ms"
-            ]
-        if "death_window_s" in settings:
-            tower_kwargs["death_window_s"] = settings["death_window_s"]
-        if "flap_window_s" in settings:
-            tower_kwargs["flap_window_s"] = settings["flap_window_s"]
-        interval = settings.get("interval_s", interval)
+        # File settings win over the CLI defaults.
+        tower_kwargs.update(
+            rules=config.rules, slos=config.slos, **config.watch
+        )
     tower = Watchtower(
-        HttpProbe(host or "127.0.0.1", int(port_text)),
-        interval_s=interval,
-        **tower_kwargs,
+        HttpProbe(host or "127.0.0.1", int(port_text)), **tower_kwargs
     )
     report = None
     polls = 0
@@ -522,7 +496,7 @@ async def _watch_async(args: argparse.Namespace) -> int:
             print(format_report(report), flush=True)
         if args.polls is not None and polls >= args.polls:
             break
-        await asyncio.sleep(interval)
+        await asyncio.sleep(tower.interval_s)
     if args.out is not None and report is not None:
         Path(args.out).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"

@@ -59,7 +59,9 @@ __all__ = [
     "rules_config_from_dict",
 ]
 
-#: Keys accepted in a ``[watch]`` table (anything else is a typo).
+#: Keys accepted in a ``[watch]`` table (anything else is a typo).  They
+#: are :class:`~repro.obs.watch.Watchtower` keyword names: callers pass
+#: the table as keywords, after their own defaults.
 _WATCH_KEYS = frozenset(
     {
         "interval_s",

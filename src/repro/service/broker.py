@@ -926,19 +926,13 @@ class DisseminationService:
         return len(emissions)
 
     async def feed(
-        self,
-        source_name: str,
-        items: Iterable[StreamTuple],
-        *,
-        interval_s: float = 0.0,
+        self, source_name: str, items: Iterable[StreamTuple]
     ) -> int:
-        """Offer a whole iterable (optionally paced); returns tuple count."""
+        """Offer a whole iterable; returns tuple count."""
         count = 0
         for item in items:
             await self.offer(source_name, item)
             count += 1
-            if interval_s > 0.0:
-                await asyncio.sleep(interval_s)
         return count
 
     async def tick(

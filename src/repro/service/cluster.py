@@ -1351,7 +1351,38 @@ class ClusterService:
             lock.release()
 
     async def offer(self, source_name: str, item) -> int:
-        """Route one tuple to its source's worker; ack-for-ack.
+        """Route one tuple: an :meth:`offer_many` of one."""
+        return await self.offer_many(source_name, (item,))
+
+    def _forward_traces(
+        self, source_name: str, items: Sequence
+    ) -> Optional[dict]:
+        """Close each sampled tuple's ``router_forward`` stage and hand
+        its pairs over.
+
+        The front-tier gateway opened the trace in the router's bag at
+        frame decode; the forward write to the worker closes it here —
+        the worker's broker takes the relay from the wire copy.
+        """
+        tele = self.telemetry
+        if tele is None or not tele.tracer.enabled:
+            return None
+        bag = tele.bag
+        traces = {}
+        for item in items:
+            key = (source_name, item.seq)
+            if key not in bag:
+                continue
+            dur = bag.stamp(key, _SID_ROUTER_FORWARD, time.perf_counter_ns())
+            if dur is not None:
+                tele.observe_stage(STAGE_ROUTER_FORWARD, dur)
+            pairs = bag.pop(key)
+            if pairs:
+                traces[item.seq] = pairs
+        return traces or None
+
+    async def offer_many(self, source_name: str, items: Sequence) -> int:
+        """Route tuples to their source's worker; ack-for-ack.
 
         The worker's ack *is* the broker's completion: a block-policy
         stall inside the worker withholds it, which suspends exactly the
@@ -1362,58 +1393,6 @@ class ClusterService:
         with its worker is retried by the failover when the source is
         covered (:meth:`_await_retry`), and raises otherwise.
         """
-        self._require_source(source_name)
-        lock, worker = await self._ingest_guarded(source_name)
-        try:
-            trace = self._forward_trace(source_name, item.seq)
-            try:
-                emissions = await worker.client.ingest(
-                    source_name, item, trace=trace
-                )
-            except (ConnectionError, GatewayError) as exc:
-                retry = self._retry_in_tail(source_name, worker, (item,), exc)
-            else:
-                if source_name in self._records:
-                    await self._extend_tail(source_name, worker, (item,))
-                return int(emissions or 0)
-        finally:
-            lock.release()
-        return await self._await_retry(source_name, retry)
-
-    def _forward_trace(self, source_name: str, seq: int) -> Optional[list]:
-        """Close the ``router_forward`` stage and hand the pairs over.
-
-        The front-tier gateway opened the trace in the router's bag at
-        frame decode; the forward write to the worker closes it here —
-        the worker's broker takes the relay from the wire copy.
-        """
-        tele = self.telemetry
-        if tele is None or not tele.tracer.enabled:
-            return None
-        key = (source_name, seq)
-        if key not in tele.bag:
-            return None
-        now_ns = time.perf_counter_ns()
-        dur = tele.bag.stamp(key, _SID_ROUTER_FORWARD, now_ns)
-        if dur is not None:
-            tele.observe_stage(STAGE_ROUTER_FORWARD, dur)
-        return tele.bag.pop(key)
-
-    def _forward_traces(
-        self, source_name: str, items: Sequence
-    ) -> Optional[dict]:
-        tele = self.telemetry
-        if tele is None or not tele.tracer.enabled:
-            return None
-        traces = {
-            item.seq: pairs
-            for item in items
-            for pairs in (self._forward_trace(source_name, item.seq),)
-            if pairs
-        }
-        return traces or None
-
-    async def offer_many(self, source_name: str, items: Sequence) -> int:
         self._require_source(source_name)
         if not items:
             return 0

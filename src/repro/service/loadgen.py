@@ -133,10 +133,9 @@ class LoadGenConfig:
     #: each ingest frame so wire throughput reflects the configured tuple
     #: size; in the broker, the QoS controller's egress estimate.
     tuple_size_bytes: int = 64
-    #: Tuples per ingest frame / broker offer.  1 keeps the one-frame-
-    #: per-tuple behaviour; larger values batch arrivals into
-    #: ``ingest_batch`` frames (tcp) and ``offer_many`` calls (both
-    #: transports), amortizing per-tuple wire and lock overhead.
+    #: Tuples per ingest frame (tcp) / ``offer_many`` call (inproc).  1
+    #: offers one tuple per frame; larger values batch arrivals,
+    #: amortizing per-tuple wire and lock overhead.
     ingest_batch: int = 1
     #: Adaptive (AIMD) ingest batching — the default when
     #: ``ingest_batch > 1``: the knob becomes the *maximum* batch size
@@ -591,15 +590,7 @@ class _InProcDriver:
     async def re_filter(self, app: str, spec: str) -> None:
         await self.service.re_filter(app, spec)
 
-    async def offer(self, source: str, item: StreamTuple, adapt=None) -> None:
-        if adapt is None:
-            await self.service.offer(source, item)
-            return
-        started = time.perf_counter()
-        await self.service.offer(source, item)
-        adapt.observe(1, time.perf_counter() - started)
-
-    async def offer_many(
+    async def offer(
         self, source: str, items: Sequence[StreamTuple], adapt=None
     ) -> None:
         if adapt is None:
@@ -750,21 +741,12 @@ class _TcpDriver:
     async def re_filter(self, app: str, spec: str) -> None:
         await self._app_client.get(app, self.control).re_filter(app, spec)
 
-    async def offer(self, source: str, item: StreamTuple, adapt=None) -> None:
-        # ack=True gives the in-process completion semantics: the call
-        # resolves when the broker has processed the tuple.
-        await self.clients[source].ingest(
-            source,
-            item,
-            pad_bytes=self.config.tuple_size_bytes,
-            adapt=adapt,
-        )
-
-    async def offer_many(
+    async def offer(
         self, source: str, items: Sequence[StreamTuple], adapt=None
     ) -> None:
-        # One frame, one ack, padded per tuple so wire bytes still
-        # reflect the configured payload size.
+        # One frame, one ack (the in-process completion semantics: the
+        # call resolves when the broker has processed the tuples),
+        # padded per tuple so wire bytes reflect the configured size.
         await self.clients[source].ingest_many(
             source,
             items,
@@ -995,12 +977,17 @@ async def _run_async(
         backend = getattr(driver, "cluster", None) or getattr(
             driver, "service", None
         )
+        tower_kwargs: dict = {"interval_s": config.watch_interval_s}
+        if watch_rules is not None:
+            # The file's [watch] settings win over the config's default.
+            tower_kwargs.update(
+                rules=watch_rules.rules, slos=watch_rules.slos,
+                **watch_rules.watch,
+            )
         watchtower = Watchtower(
             LocalProbe(tele, service=backend),
-            interval_s=config.watch_interval_s,
             events=tele.events,
-            rules=watch_rules.rules if watch_rules is not None else None,
-            slos=watch_rules.slos if watch_rules is not None else None,
+            **tower_kwargs,
         )
         watch_task = asyncio.create_task(watchtower.run())
 
@@ -1027,10 +1014,7 @@ async def _run_async(
     offer_failures: dict = {"count": 0, "sample": []}
 
     async def offer_batch(feed: _Feed, batch: Sequence[StreamTuple]) -> None:
-        if len(batch) == 1:
-            await driver.offer(feed.source, batch[0], adapt=feed.controller)
-        else:
-            await driver.offer_many(feed.source, batch, adapt=feed.controller)
+        await driver.offer(feed.source, batch, adapt=feed.controller)
         feed.processed_ts = max(feed.processed_ts, batch[-1].timestamp)
 
     async def offer_tracked(feed: _Feed, batch: Sequence[StreamTuple]) -> None:
@@ -1505,9 +1489,9 @@ def run_loadgen(
     :class:`~repro.service.chaos.ChaosSchedule`) injects scheduled
     faults into the run; ``watch_rules`` (a
     :class:`~repro.obs.rulesfile.RulesConfig`) replaces the in-run
-    Watchtower's stock rules/SLOs; ``collect_digests`` records per-app
-    delivered-stream digests regardless of ``verify=`` (the scenario
-    harness's evidence of intact delivery).
+    Watchtower's stock rules/SLOs and settings; ``collect_digests``
+    records per-app delivered-stream digests regardless of ``verify=``
+    (the scenario harness's evidence of intact delivery).
     """
     return asyncio.run(
         _run_async(

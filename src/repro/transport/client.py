@@ -2,8 +2,8 @@
 
 :class:`GatewayClient` speaks the :mod:`repro.transport.protocol` wire
 format over one TCP connection, multiplexing request/response calls
-(``ingest``, ``subscribe``, ``tick``, ``snapshot``, ...) with unsolicited
-``decided`` delivery frames.  Subscriptions come back as
+(``ingest_batch``, ``subscribe``, ``tick``, ``snapshot``, ...) with
+unsolicited ``decided`` delivery frames.  Subscriptions come back as
 :class:`RemoteSubscription` objects whose :meth:`~RemoteSubscription.batches`
 iterator mirrors the in-process
 :meth:`~repro.service.session.SubscriberSession.batches` — the load
@@ -62,6 +62,10 @@ _MIGRATION_CHUNK = 1024
 
 _SID_INGEST_SEND = stage_id(STAGE_INGEST_SEND)
 
+#: Size changes an :class:`AdaptiveIngest` trajectory keeps, so a run
+#: manifest stays bounded; later changes reach only its event log.
+_TRAJECTORY_LIMIT = 512
+
 
 class AdaptiveIngest:
     """AIMD sizing of ingest batches from observed ack latency.
@@ -94,7 +98,6 @@ class AdaptiveIngest:
         min_size: int = 1,
         backoff_ratio: float = 2.0,
         baseline_decay: float = 1.02,
-        trajectory_limit: int = 512,
         events=None,
     ):
         if min_size < 1:
@@ -114,7 +117,6 @@ class AdaptiveIngest:
         self.backoffs = 0
         self._best_per_tuple_s: Optional[float] = None
         self._trajectory: list[tuple[int, int]] = [(0, min_size)]
-        self._trajectory_limit = trajectory_limit
         #: Optional :class:`repro.obs.events.EventLog`: every size change
         #: is emitted as an ``adaptive_resize`` event.
         self._events = events
@@ -138,7 +140,7 @@ class AdaptiveIngest:
         else:
             self.size = min(self.max_size, self.size + 1)
         if self.size != previous:
-            if len(self._trajectory) < self._trajectory_limit:
+            if len(self._trajectory) < _TRAJECTORY_LIMIT:
                 self._trajectory.append((self.observations, self.size))
             if self._events is not None:
                 self._events.emit(
@@ -409,29 +411,9 @@ class GatewayClient:
             raise FrameTooLarge(len(body), self._max_frame_bytes)
         self._writer.write(pack_header(len(body)) + body)
 
-    def _trace_start(self, source: str, seq: int) -> int:
-        """``perf_counter_ns`` at ingest entry when ``seq`` is sampled
-        and the trace feature was negotiated; 0 otherwise."""
-        tele = self.telemetry
-        if (
-            tele is None
-            or not tele.tracer.enabled
-            or FEATURE_TRACE not in self.features
-            or not tele.tracer.sampled(source, seq)
-        ):
-            return 0
-        return time.perf_counter_ns()
-
-    def _send_trace(self, start_ns: int):
-        """Close the client-side ``ingest_send`` stage for one tuple."""
-        if not start_ns:
-            return None
-        dur = time.perf_counter_ns() - start_ns
-        self.telemetry.observe_stage(STAGE_INGEST_SEND, dur)
-        return [(_SID_INGEST_SEND, dur)]
-
     def _send_traces(self, start_ns: int, seqs: list):
-        """Same, shared across every sampled tuple of one batch frame."""
+        """Close the client-side ``ingest_send`` stage, shared across
+        every sampled tuple of one frame."""
         if not start_ns or not seqs:
             return None
         dur = time.perf_counter_ns() - start_ns
@@ -484,58 +466,12 @@ class GatewayClient:
         ack: bool = True,
         pad_bytes: int = 0,
         adapt: Optional[AdaptiveIngest] = None,
-        trace: Optional[list] = None,
     ) -> Optional[int]:
-        """Offer one tuple to the broker across the wire.
-
-        With ``ack=True`` (default) the call resolves when the broker has
-        *processed* the tuple and returns the emission count — the same
-        completion semantics as the in-process ``offer``.  ``ack=False``
-        is fire-and-forget (the frame is written and drained, nothing
-        more).  ``pad_bytes`` attaches throwaway payload so the wire
-        frame approximates a configured tuple size.  ``adapt`` feeds the
-        measured ack latency to an :class:`AdaptiveIngest` controller
-        (acked sends only).
-        ``trace`` attaches explicit ``(stage_id, dur_ns)`` pairs instead
-        of the client-measured ``ingest_send`` stage — the cluster
-        router uses it to forward a trace carried from the producer.
-        """
-        encoder = self._encoder
-        limit = self._max_frame_bytes
-        trace_start_ns = 0 if trace is not None else self._trace_start(
-            source, item.seq
+        """Offer one tuple: an ``ingest_batch`` frame of one (see
+        :meth:`ingest_many`)."""
+        return await self.ingest_many(
+            source, (item,), ack=ack, pad_bytes=pad_bytes, adapt=adapt
         )
-        if ack:
-            started = time.perf_counter() if adapt is not None else 0.0
-            reply = await self._roundtrip(
-                lambda seq: self._write_body(
-                    encoder.ingest_body(
-                        source,
-                        item,
-                        seq=seq,
-                        pad_bytes=pad_bytes,
-                        max_frame_bytes=limit,
-                        trace=(trace if trace is not None
-                               else self._send_trace(trace_start_ns)),
-                    )
-                )
-            )
-            if adapt is not None:
-                adapt.observe(1, time.perf_counter() - started)
-            return reply.get("emissions")
-        self._check_alive()
-        self._write_body(
-            encoder.ingest_body(
-                source,
-                item,
-                pad_bytes=pad_bytes,
-                max_frame_bytes=limit,
-                trace=(trace if trace is not None
-                       else self._send_trace(trace_start_ns)),
-            )
-        )
-        await self._writer.drain()
-        return None
 
     async def ingest_many(
         self,
@@ -547,16 +483,22 @@ class GatewayClient:
         adapt: Optional[AdaptiveIngest] = None,
         traces: Optional[dict] = None,
     ) -> Optional[int]:
-        """Offer many tuples in one ``ingest_batch`` frame.
+        """Offer tuples to the broker across the wire, in one
+        ``ingest_batch`` frame.
 
         One frame, one (optional) ack, one broker lock acquisition for
         the whole batch — the per-tuple wire and scheduling overhead is
-        amortized across ``len(items)``.  Returns the summed emission
-        count when ``ack=True``.  ``adapt`` feeds the measured ack
-        latency to an :class:`AdaptiveIngest` controller so the *next*
-        batch is sized from how this one fared.  ``traces`` attaches an
-        explicit ``{seq: pairs}`` trace map (cluster forward path)
-        instead of the client-measured ``ingest_send`` stage.
+        amortized across ``len(items)``.  With ``ack=True`` (default)
+        the call resolves when the broker has *processed* the tuples and
+        returns the summed emission count — the same completion
+        semantics as the in-process ``offer_many``.  ``ack=False`` is
+        fire-and-forget (the frame is written and drained, nothing
+        more).  ``pad_bytes`` attaches throwaway payload so the wire
+        frame approximates a configured tuple size.  ``adapt`` feeds the
+        measured ack latency to an :class:`AdaptiveIngest` controller so
+        the *next* batch is sized from how this one fared.  ``traces``
+        attaches an explicit ``{seq: pairs}`` trace map (cluster forward
+        path) instead of the client-measured ``ingest_send`` stage.
         """
         if not items:
             return 0 if ack else None

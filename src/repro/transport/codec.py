@@ -1,9 +1,9 @@
 """Sans-io binary wire codec for the dissemination gateway.
 
-Protocol v2: every tuple frame (``ingest``, ``ingest_batch``,
-``decided``) is binary; every control frame (hello, ok, error,
-subscribe, snapshot, the migration verbs, ...) is JSON.  Nothing is
-negotiated — the two never overlap:
+Protocol v3: every tuple frame (``ingest_batch``, ``decided``) is
+binary; every control frame (hello, ok, error, subscribe, snapshot, the
+migration verbs, ...) is JSON.  Nothing is negotiated — the two never
+overlap:
 
 * **Self-describing bodies.**  A frame body whose first byte is ``{``
   (0x7B) is a UTF-8 JSON control frame; any other first byte is a binary
@@ -34,10 +34,9 @@ Binary frame layouts (after the 4-byte big-endian length header)::
     tuple    = varint seq + f64 timestamp + varint n_attrs
                + n_attrs * (varint name_id + f64 value)
 
-    0x01 ingest        varint req(0=none, else seq+1), string source,
-                       varint pad_len + pad bytes, names, tuple
-    0x02 ingest_batch  varint req, string source, varint pad_len + pad,
-                       names, varint count, count * tuple
+    0x02 ingest_batch  varint req(0=none, else seq+1), string source,
+                       varint pad_len + pad bytes, names,
+                       varint count, count * tuple
     0x03 decided       string app, f64 first_staged_ms, f64 flushed_ms,
                        names, varint count, count * tuple
 
@@ -50,13 +49,14 @@ between traced and untraced frames::
     pairs    = varint n, then n * (varint stage_id + varint dur_ns)
     tracemap = varint n, then n * (varint seq + pairs)
 
-    0x11 ingest        0x01 layout, then pairs       (for its tuple)
     0x12 ingest_batch  0x02 layout, then tracemap
     0x13 decided       0x03 layout, then tracemap
 
-Decoding yields the dict shape control frames have (``{"t": "ingest",
-"source": ..., "tuple": StreamTuple}``), so the server dispatch and the
-client read loop handle one kind of frame.
+``ingest_batch`` is the only ingest frame: one tuple is a batch of one.
+
+Decoding yields the dict shape control frames have (``{"t":
+"ingest_batch", "source": ..., "tuples": [StreamTuple, ...]}``), so the
+server dispatch and the client read loop handle one kind of frame.
 """
 
 from __future__ import annotations
@@ -78,11 +78,9 @@ __all__ = [
     "BinaryNames",
 ]
 
-_TAG_INGEST = 0x01
 _TAG_INGEST_BATCH = 0x02
 _TAG_DECIDED = 0x03
 #: Traced variants: base layout + appended trace section (see docstring).
-_TAG_INGEST_TRACED = 0x11
 _TAG_INGEST_BATCH_TRACED = 0x12
 _TAG_DECIDED_TRACED = 0x13
 
@@ -331,8 +329,8 @@ class BinaryEncoder:
     """Per-connection sending side: struct-packed tuple frames over a
     (possibly shared) name table.
 
-    The three methods are the hot-path encodings (single ingest, batched
-    ingest, decided fan-out); everything else goes through
+    The hot-path encodings are ``ingest_batch_body`` and
+    ``decided_pieces`` (decided fan-out); everything else goes through
     :func:`repro.transport.protocol.encode_frame` as JSON.
     ``decided_pieces`` returns ``(pieces, total_bytes)`` where ``pieces``
     is ready for ``StreamWriter.writelines`` — callers prepend the
@@ -404,25 +402,16 @@ class BinaryEncoder:
         seq: Optional[int] = None,
         pad_bytes: int = 0,
         max_frame_bytes: Optional[int] = None,
-        trace: Optional[list] = None,
     ) -> bytes:
-        head = bytearray([_TAG_INGEST_TRACED if trace else _TAG_INGEST])
-        _put_varint(head, 0 if seq is None else seq + 1)
-        _put_string(head, source)
-        _put_varint(head, max(0, pad_bytes))
-        head += b"\x00" * max(0, pad_bytes)
-        body = bytearray()
-        ids = self._encode_tuple(body, item)
-        if trace:
-            _put_trace_pairs(body, trace)
-        fresh = self._names_delta(head, ids)
-        total = len(head) + len(body)
-        if max_frame_bytes is not None and total > max_frame_bytes:
-            # Refused before the delta is committed: the peer never saw
-            # this frame, so the names must go out with the next one.
-            raise FrameTooLarge(total, max_frame_bytes)
-        self._announced |= fresh
-        return bytes(head + body)
+        """A batch of one; kept because
+        benchmarks/e2e/harness/layers.py:221 still calls it."""
+        return self.ingest_batch_body(
+            source,
+            (item,),
+            seq=seq,
+            pad_bytes=pad_bytes,
+            max_frame_bytes=max_frame_bytes,
+        )
 
     def ingest_batch_body(
         self,
@@ -451,6 +440,8 @@ class BinaryEncoder:
         fresh = self._names_delta(head, used)
         total = len(head) + len(body)
         if max_frame_bytes is not None and total > max_frame_bytes:
+            # Refused before the delta is committed: the peer never saw
+            # this frame, so the names must go out with the next one.
             raise FrameTooLarge(total, max_frame_bytes)
         self._announced |= fresh
         return bytes(head + body)
@@ -569,34 +560,20 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
     reader = _Reader(body, pos=1)
     tag = body[0]
     key = None
-    if tag in (
-        _TAG_INGEST,
-        _TAG_INGEST_BATCH,
-        _TAG_INGEST_TRACED,
-        _TAG_INGEST_BATCH_TRACED,
-    ):
+    if tag in (_TAG_INGEST_BATCH, _TAG_INGEST_BATCH_TRACED):
         req = reader.varint()
         source = reader.string()
         pad_len = reader.varint()
         reader.take(pad_len)  # padding is load-shaping only; discard
         _read_names(reader, names)
-        if tag in (_TAG_INGEST, _TAG_INGEST_TRACED):
-            frame: dict = {
-                "t": "ingest",
-                "source": source,
-                "tuple": _read_tuple(reader, names),
-            }
-            if tag == _TAG_INGEST_TRACED:
-                frame["trace"] = _read_trace_pairs(reader)
-        else:
-            count = reader.varint()
-            frame = {
-                "t": "ingest_batch",
-                "source": source,
-                "tuples": [_read_tuple(reader, names) for _ in range(count)],
-            }
-            if tag == _TAG_INGEST_BATCH_TRACED:
-                frame["traces"] = _read_trace_map(reader)
+        count = reader.varint()
+        frame: dict = {
+            "t": "ingest_batch",
+            "source": source,
+            "tuples": [_read_tuple(reader, names) for _ in range(count)],
+        }
+        if tag == _TAG_INGEST_BATCH_TRACED:
+            frame["traces"] = _read_trace_map(reader)
         if req:
             frame["seq"] = req - 1
     elif tag in (_TAG_DECIDED, _TAG_DECIDED_TRACED):

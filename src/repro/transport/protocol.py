@@ -1,10 +1,10 @@
 """Length-prefixed wire protocol for the dissemination gateway.
 
 One frame on the wire is a 4-byte big-endian length header followed by
-that many body bytes.  Protocol v2 has exactly one body format per frame
-type: the tuple frames (``ingest``, ``ingest_batch``, ``decided``) are
-struct-packed binary (:mod:`repro.transport.codec`, which has the layout
-tables); every other frame — the control plane — is a UTF-8 JSON object.
+that many body bytes.  Protocol v3 has exactly one body format per frame
+type: the tuple frames (``ingest_batch``, ``decided``) are struct-packed
+binary (:mod:`repro.transport.codec`, which has the layout tables);
+every other frame — the control plane — is a UTF-8 JSON object.
 A body whose first byte is ``{`` is JSON, any other first byte is a
 binary frame tag, and a JSON body that claims a tuple-frame type is a
 :class:`ProtocolError`.  Nothing is negotiated about the format.
@@ -18,14 +18,14 @@ between.
 The protocol is versioned at the handshake: the first frame on a
 connection must be ``hello`` with ``"v" == PROTOCOL_VERSION``; the
 server answers ``welcome`` (or ``error`` + close on a version or auth
-mismatch — a v1 hello, from a peer that could still send JSON tuple
-frames, is refused with ``code=version``).
+mismatch — a v1 or v2 hello, from a peer that could still send JSON
+tuple frames or single-tuple ``ingest`` frames, is refused with
+``code=version``).
 
 Frame vocabulary (client → server unless noted)::
 
     hello         {v, token?, features?}         -> welcome | error
     ensure_source {seq, source}                  -> ok {created}
-    ingest        {source, tuple, seq?, pad?}    -> ok {emissions}   (when seq given)
     ingest_batch  {source, tuples, seq?, pad?}   -> ok {emissions}   (when seq given)
     subscribe     {seq, app, source, spec, qos?,
                    degradation?, queue_capacity?,
@@ -47,16 +47,15 @@ Frame vocabulary (client → server unless noted)::
                    signal, value, threshold}     (server → client)
     closed        {app, reason}                  (server → client)
 
-``ingest`` may carry ``pad`` — a throwaway string whose only purpose is
-to make the wire frame approximate a real payload size (the load
-generator uses it so TCP throughput numbers reflect the configured
-tuple size, not just the attribute dictionary).  ``ingest_batch``
-amortizes the per-frame round trip and the broker's per-offer task and
-lock overhead across many tuples; its ``ok`` reports the summed
-emission count.  ``snapshot`` with ``window=true`` asks the server to
-attach its raw decide-latency sliding window (``decide_window_ms``) so
-a front-tier router can merge several workers' windows into one honest
-percentile computation.
+``ingest_batch`` is the one ingest frame: it carries N ≥ 1 tuples, in
+arrival order, and its ``ok`` reports the summed emission count.  It
+may carry ``pad`` — throwaway bytes whose only purpose is to make the
+wire frame approximate a real payload size (the load generator uses it
+so TCP throughput numbers reflect the configured tuple size, not just
+the attribute dictionary).  ``snapshot`` with ``window=true`` asks the
+server to attach its raw decide-latency sliding window
+(``decide_window_ms``) so a front-tier router can merge several
+workers' windows into one honest percentile computation.
 
 ``closed`` ends one subscription's ``decided`` stream, after its last
 batch.  Its ``reason`` is ``unsubscribed`` (the app left),
@@ -73,11 +72,10 @@ an extension may only appear on the wire after both sides agreed.  The
 defined features:
 
 * ``"trace"``: sampled per-tuple stage-latency annotations
-  (:mod:`repro.obs.trace`).  When negotiated, ``ingest`` may carry
-  ``trace`` (a ``[[stage_id, duration_ns], ...]`` pair list for its
-  tuple) and ``ingest_batch`` / ``decided`` may carry ``traces`` (a
-  ``{seq: pairs}`` map covering only the sampled tuples in the frame);
-  :func:`traces_from_wire` normalizes the decoded shapes.
+  (:mod:`repro.obs.trace`).  When negotiated, ``ingest_batch`` /
+  ``decided`` may carry ``traces`` (a ``{seq: [[stage_id,
+  duration_ns], ...]}`` map covering only the sampled tuples in the
+  frame); :func:`traces_from_wire` normalizes it.
   Trace annotations are additive metadata — receivers that negotiated
   the feature but find no trace field simply record nothing.
 * ``"qos"``: server-initiated graceful degradation.  ``subscribe`` may
@@ -125,10 +123,10 @@ __all__ = [
     "traces_from_wire",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frame types that only exist as binary bodies.
-_TUPLE_FRAMES = frozenset(("ingest", "ingest_batch", "decided"))
+_TUPLE_FRAMES = frozenset(("ingest_batch", "decided"))
 
 #: Optional protocol extension: sampled per-tuple trace annotations.
 FEATURE_TRACE = "trace"
@@ -321,13 +319,11 @@ def batch_from_wire(payload: Mapping) -> Batch:
 
 
 def traces_from_wire(frame: Mapping) -> TraceMap:
-    """Normalize a frame's trace annotations to ``{seq: ((sid, ns), ...)}``.
+    """Normalize a frame's ``traces`` map to ``{seq: ((sid, ns), ...)}``.
 
-    Handles both shapes: a batch frame's ``traces`` map and a
-    single-tuple ``ingest`` frame's ``trace`` pair list (keyed by the
-    tuple's own seq).  Returns ``{}`` when the frame carries no
-    annotations; malformed annotations are dropped rather than failing
-    the frame — traces are advisory.
+    Returns ``{}`` when the frame carries no annotations; malformed
+    annotations are dropped rather than failing the frame — traces are
+    advisory.
     """
     out: TraceMap = {}
     raw = frame.get("traces")
@@ -337,16 +333,4 @@ def traces_from_wire(frame: Mapping) -> TraceMap:
                 out[int(key)] = tuple((int(sid), int(ns)) for sid, ns in pairs)
             except (TypeError, ValueError):
                 continue
-    single = frame.get("trace")
-    if single is not None:
-        payload = frame.get("tuple")
-        try:
-            seq = (
-                payload.seq
-                if isinstance(payload, StreamTuple)
-                else int(payload["seq"])
-            )
-            out[seq] = tuple((int(sid), int(ns)) for sid, ns in single)
-        except (KeyError, TypeError, ValueError):
-            pass
     return out

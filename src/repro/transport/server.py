@@ -4,11 +4,11 @@
 length-prefixed protocol of :mod:`repro.transport.protocol` and
 bridges them onto a live :class:`~repro.service.broker.DisseminationService`:
 
-* **ingest producers** send ``ingest`` frames; each is offered to the
-  broker *inline* in the connection's read loop, so a ``block`` overflow
-  policy on any subscriber propagates as backpressure all the way to the
-  producer's socket (the server simply stops reading further frames
-  until the offer completes);
+* **ingest producers** send ``ingest_batch`` frames of N ≥ 1 tuples;
+  each is offered to the broker *inline* in the connection's read loop,
+  so a ``block`` overflow policy on any subscriber propagates as
+  backpressure all the way to the producer's socket (the server simply
+  stops reading further frames until the offer completes);
 * **subscribers** send ``subscribe``; the server attaches a
   :class:`~repro.service.session.SubscriberSession` and starts a *pump*
   task that forwards every delivered batch as a ``decided`` frame.  The
@@ -586,9 +586,7 @@ class GatewayServer:
         kind = frame.get("t")
         seq = frame.get("seq")
         try:
-            if kind == "ingest":
-                await self._on_ingest(conn, frame, seq)
-            elif kind == "ingest_batch":
+            if kind == "ingest_batch":
                 await self._on_ingest_batch(conn, frame, seq)
             elif kind == "subscribe":
                 await self._on_subscribe(conn, frame, seq)
@@ -812,24 +810,11 @@ class GatewayServer:
         )
         await conn.send({"t": "ok", "reply_to": seq, "restored": restored})
 
-    async def _on_ingest(
-        self, conn: _Connection, frame: dict, seq
-    ) -> None:
-        source = _field(frame, "source")
-        item = tuple_from_wire(_field(frame, "tuple"))
-        self._open_traces(frame, source, (item,))
-        emissions = await self.service.offer(source, item)
-        if seq is not None:
-            await conn.send(
-                {"t": "ok", "reply_to": seq, "emissions": emissions}
-            )
-
     async def _on_ingest_batch(
         self, conn: _Connection, frame: dict, seq
     ) -> None:
-        # Inline like single ingest: a block-policy stall anywhere in the
-        # batch pauses this connection's read loop, so batched producers
-        # inherit the same backpressure semantics.
+        # Inline: a block-policy stall anywhere in the batch pauses this
+        # connection's read loop, so backpressure reaches the producer.
         source = _field(frame, "source")
         items = [tuple_from_wire(t) for t in _field(frame, "tuples")]
         self._open_traces(frame, source, items)

@@ -6,9 +6,10 @@ Three layers of assurance:
   to exact, hand-derived byte strings (the wire format is a contract,
   not an implementation detail) and round-trip through the sans-io
   decoder, which refuses every malformed shape with a typed error;
-* **handshake** — protocol v2 negotiates nothing about the body format:
-  tuple frames are binary, a v1 hello is refused, and a tuple frame in a
-  JSON body ends that connection and no other;
+* **handshake** — protocol v3 negotiates nothing about the body format:
+  tuple frames are binary, a v1 or v2 hello is refused, and a tuple
+  frame in a JSON body, or a v2 single-tuple ``ingest`` body, ends that
+  connection and no other;
 * **wire equivalence** — a verified loadgen run over the wire is
   batch-equivalent for both decide algorithms and delivers exactly what
   the same run delivers in process.
@@ -68,11 +69,12 @@ class TestGoldenBytes:
         encoder = BinaryEncoder()
         body = encoder.ingest_body("src", _item(seq=3, ts=30.0, temp=1.5), seq=9)
         expected = (
-            b"\x01"  # tag: ingest
+            b"\x02"  # tag: ingest_batch (one tuple is a batch of one)
             b"\x0a"  # request seq 9 encoded as varint(9+1)
             b"\x03src"  # source
             b"\x00"  # pad length 0
             b"\x01\x00\x04temp"  # names delta: 1 entry, id 0 -> "temp"
+            b"\x01"  # one tuple
             b"\x03"  # tuple seq 3
             + struct.pack("<d", 30.0)
             + b"\x01"  # one attribute
@@ -90,16 +92,16 @@ class TestGoldenBytes:
         decoder = FrameDecoder()
         one = _decode_body(first, decoder)
         two = _decode_body(second, decoder)
-        assert one["tuple"].values == {"temp": 1.0}
-        assert two["tuple"].values == {"temp": 2.0}
+        assert one["tuples"][0].values == {"temp": 1.0}
+        assert two["tuples"][0].values == {"temp": 2.0}
 
     def test_binary_roundtrip_multi_attribute(self):
         encoder = BinaryEncoder()
         item = _item(seq=12345, ts=99.5, temp=21.5, humidity=0.33)
         frame = _decode_body(encoder.ingest_body("src", item, pad_bytes=11))
-        assert frame["t"] == "ingest"
+        assert frame["t"] == "ingest_batch"
         assert frame["source"] == "src"
-        decoded = frame["tuple"]
+        (decoded,) = frame["tuples"]
         assert isinstance(decoded, StreamTuple)
         assert decoded.seq == 12345
         assert decoded.timestamp == 99.5
@@ -169,12 +171,12 @@ class TestGoldenBytes:
         announces_temp = BinaryEncoder().ingest_body("src", _item())
         _decode_body(announces_temp, decoder)
         again = _decode_body(BinaryEncoder().ingest_body("src", _item(seq=8)), decoder)
-        assert again["tuple"].values == {"temp": 21.5}
+        assert again["tuples"][0].values == {"temp": 21.5}
         rebinds = BinaryEncoder().ingest_body("src", _item(seq=9, other=1.0))
         with pytest.raises(ProtocolError, match="rebinds attribute id 0"):
             _decode_body(rebinds, decoder)
 
-    @pytest.mark.parametrize("kind", ["ingest", "ingest_batch", "decided"])
+    @pytest.mark.parametrize("kind", ["ingest_batch", "decided"])
     def test_json_tuple_frame_rejected(self, kind):
         # Tuple frames are binary; JSON carries the control plane only.
         with pytest.raises(ProtocolError, match="frames are binary"):
@@ -202,7 +204,7 @@ class TestGoldenBytes:
         frames = decoder.feed(
             pack_header(len(binary)) + binary + json_frame
         )
-        assert [f["t"] for f in frames] == ["ingest", "tick"]
+        assert [f["t"] for f in frames] == ["ingest_batch", "tick"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ class TestEncodeOnce:
         frame = _decode_body(
             encoder.ingest_body("src", _item(), max_frame_bytes=1 << 20)
         )
-        assert frame["tuple"].values == {"temp": 21.5}
+        assert frame["tuples"][0].values == {"temp": 21.5}
 
     def test_oversized_ingest_many_leaves_connection_usable(self):
         async def run():
@@ -495,7 +497,7 @@ class TestNegotiation:
         )
         welcome = frames[0]
         assert welcome["t"] == "welcome"
-        assert welcome["v"] == PROTOCOL_VERSION == 2
+        assert welcome["v"] == PROTOCOL_VERSION == 3
         assert "codec" not in welcome
         decided = [
             body for body, frame in zip(bodies, frames) if frame["t"] == "decided"
@@ -508,7 +510,10 @@ class TestNegotiation:
             if frame["t"] != "decided"
         )
 
-    def test_v1_hello_is_refused(self):
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_old_hello_is_refused(self, version):
+        # v1 peers may send JSON tuple frames, v2 peers single-tuple
+        # ``ingest`` frames; neither survives the handshake.
         async def run():
             service = DisseminationService()
             service.add_source("src")
@@ -519,7 +524,7 @@ class TestNegotiation:
             )
             writer.write(
                 encode_frame(
-                    {"t": "hello", "v": 1, "codecs": ["json"], "seq": 1}
+                    {"t": "hello", "v": version, "codecs": ["json"], "seq": 1}
                 )
             )
             await writer.drain()
@@ -542,6 +547,8 @@ class TestNegotiation:
             "json_decided",
             "trailing_bytes",
             "name_rebind",
+            "v2_ingest",
+            "v2_ingest_traced",
         ],
     )
     def test_malformed_tuple_frame_closes_that_connection_only(self, case):
@@ -550,6 +557,14 @@ class TestNegotiation:
         def framed(body: bytes) -> bytes:
             return pack_header(len(body)) + body
 
+        # Protocol v2's single-tuple ingest body after its tag and
+        # request seq: source, pad, names delta, one tuple, no count.
+        v2_ingest = (
+            b"\x03src\x00\x01\x00\x04temp\x00"
+            + struct.pack("<d", 10.0)
+            + b"\x01\x00"
+            + struct.pack("<d", 1.0)
+        )
         if case == "json_ingest":
             bad = encode_frame(
                 {"t": "ingest", "source": "src", "tuple": wire_tuple, "seq": 2}
@@ -573,10 +588,15 @@ class TestNegotiation:
                 BinaryEncoder().ingest_body("src", _item(), seq=0)
                 + b"\xff\xfe garbage"
             )
-        else:
+        elif case == "name_rebind":
             bad = framed(BinaryEncoder().ingest_body("src", _item())) + framed(
                 BinaryEncoder().ingest_body("src", _item(seq=8, other=1.0))
             )
+        elif case == "v2_ingest":
+            bad = framed(b"\x01\x03" + v2_ingest)
+        else:
+            # Traced: the same layout plus one (stage, ns) pair.
+            bad = framed(b"\x11\x03" + v2_ingest + b"\x01\x00\x05")
 
         async def run():
             service = DisseminationService()
@@ -607,7 +627,9 @@ class TestNegotiation:
 
         replies, emissions = asyncio.run(run())
         assert [frame["t"] for frame in replies] == ["welcome", "error"]
-        assert replies[-1]["code"] == "protocol"
+        # A JSON "ingest" is no frame type at all any more.
+        expected = "unknown_type" if case == "json_ingest" else "protocol"
+        assert replies[-1]["code"] == expected
         assert emissions is not None
 
 

@@ -679,6 +679,31 @@ class TestLoadgenHealth:
             for v in storm
         )
 
+    def test_rules_file_watch_settings_reach_the_run(self):
+        # The [watch] table configures the in-run Watchtower too, not
+        # only its rules and SLOs: an unmeetable decide target (and the
+        # file's poll interval, under the config's 1 s default) must
+        # turn the decide SLO critical.
+        from repro.obs.rulesfile import rules_config_from_dict
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
+
+        rules = rules_config_from_dict(
+            {"watch": {"interval_s": 0.2, "decide_p99_target_ms": 1e-9}}
+        )
+        summary = run_loadgen(
+            LoadGenConfig(
+                rate=300.0,
+                duration_s=1.5,
+                size="tiny",
+                mode="closed",
+                trace_sample=1,
+            ),
+            watch_rules=rules,
+        )
+        assert summary["clean_shutdown"], summary["errors"]
+        verdicts = {v["name"]: v for v in summary["health"]["verdicts"]}
+        assert verdicts["slo_decide_p99"]["status"] == "critical", verdicts
+
     def test_no_watch_opts_out(self):
         from repro.service.loadgen import LoadGenConfig, run_loadgen
 
