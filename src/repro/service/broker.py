@@ -18,9 +18,10 @@ batch machinery:
   subscription set;
 * decided emissions are micro-batched once per *delivery group* (the
   sessions of one sharing class with equal batch bounds) and each batch
-  is pushed into every member's own bounded queue, whose overflow policy
-  (block / drop-oldest / disconnect) makes slow consumers exert
-  backpressure instead of growing broker memory;
+  is put once on every delivery link its members read (a gateway
+  connection's subscribers share one), under every member's own bound
+  and overflow policy (block / drop-oldest / disconnect), so slow
+  consumers exert backpressure instead of growing broker memory;
 * a live source keeps its open state, not its history: migration and
   standby arming ship the engine's checkpoint
   (:meth:`~DisseminationService.export_source`,
@@ -41,6 +42,7 @@ import marshal
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Container, Iterable, Optional, Sequence
 
@@ -74,6 +76,7 @@ from repro.runtime.tasks import EngineConfig
 from repro.service.batching import MicroBatcher
 from repro.service.session import (
     OVERFLOW_POLICIES,
+    DeliveryLink,
     DeliveryQueue,
     SubscriberSession,
 )
@@ -194,14 +197,27 @@ class _DeliveryGroup:
     :attr:`~repro.core.engine.GroupAwareEngine.sharing_classes`) with
     equal batch bounds, so one batcher stages a tuple once for all of
     them and each flushed :class:`~repro.service.batching.Batch` goes,
-    the same object, into every member's queue.
+    the same object, once onto every delivery link the members read.
     """
-
-    __slots__ = ("batcher", "members")
 
     def __init__(self, batcher: MicroBatcher):
         self.batcher = batcher
         self.members: list[SubscriberSession] = []
+
+    # Derived on first use: a group's members are fixed before it
+    # stages anything.
+    @cached_property
+    def queues(self) -> tuple[DeliveryQueue, ...]:
+        """The members' queues, in member order."""
+        return tuple(session.queue for session in self.members)
+
+    @cached_property
+    def links(self) -> list[tuple[DeliveryLink, tuple[DeliveryQueue, ...]]]:
+        """``(link, its members' queues)`` per distinct link."""
+        by_link: dict[DeliveryLink, list[DeliveryQueue]] = {}
+        for queue in self.queues:
+            by_link.setdefault(queue.link, []).append(queue)
+        return [(link, tuple(queues)) for link, queues in by_link.items()]
 
 
 @dataclass
@@ -228,6 +244,8 @@ class _SourceState:
     )
     #: Sessions built with a degradation controller (per epoch).
     controlled: list[SubscriberSession] = field(default_factory=list)
+    #: A put disconnected a session since the last dispatch reaped.
+    disconnects: bool = False
 
 
 class DisseminationService:
@@ -325,6 +343,9 @@ class DisseminationService:
                 "Tuples dropped by session overflow policy.",
                 ("policy",),
             )
+            # Both read the queues' own counters, at scrape time and
+            # when a session retires, not per delivered batch.
+            registry.register_collector(self._collect_queues)
             self._m_degradation = registry.gauge(
                 "repro_session_degradation_level",
                 "Active QoS degradation level per session "
@@ -406,8 +427,14 @@ class DisseminationService:
         degradation: Optional[DegradationPolicy] = None,
         degradation_level: int = 0,
         degradation_config: Optional[DegradationConfig] = None,
+        link: Optional[DeliveryLink] = None,
     ) -> SubscriberSession:
         """Attach a subscriber at runtime; forces an engine rebuild.
+
+        ``link`` is the delivery link the session's batches wait on,
+        shared with the other sessions of one consumer (a gateway
+        connection); by default the session reads a link of its own
+        through :meth:`SubscriberSession.batches`.
 
         ``qos`` resolves the session's queue and batching bounds from the
         application's declared quality requirement (see
@@ -487,6 +514,8 @@ class DisseminationService:
                     if queue_capacity is not None
                     else cfg.queue_capacity,
                     policy=overflow if overflow is not None else cfg.overflow,
+                    link=link,
+                    app=app_name,
                 ),
                 batcher=MicroBatcher(
                     max_items=batch_max_items
@@ -599,8 +628,7 @@ class DisseminationService:
         del src.sessions[app_name]
         del self._app_sources[app_name]
         await session.close()
-        # Keep the departed session's counters in broker-wide totals.
-        self._retired.append(self._session_snapshot(session))
+        self._retire(session)
         self._rebuild(src)
         if self.telemetry is not None:
             self._m_sessions.set(self.session_count())
@@ -775,7 +803,7 @@ class DisseminationService:
                 del self._app_sources[app]
                 session.migrated = True
                 await session.close()
-                self._retired.append(self._session_snapshot(session))
+                self._retire(session)
             self._drop_engine(src)
             del self._sources[source_name]
             if self.telemetry is not None:
@@ -1006,20 +1034,18 @@ class DisseminationService:
         lock — which is what makes iterating the session dict directly
         safe (every mutator takes the same lock), so no per-arrival
         defensive copies."""
-        await self._route(src, emissions, now)
+        if emissions:
+            await self._route(src, emissions, now)
         for group in src.groups:
             if group.batcher.due(now):
                 await self._ship(src, group, group.batcher.flush(now))
-        dead: Optional[list[str]] = None
-        for session in src.sessions.values():
-            if session.disconnected:
-                if dead is None:
-                    dead = []
-                dead.append(session.app_name)
-        if dead:
+        if src.disconnects:
+            src.disconnects = False
+            dead = [s.app_name for s in src.sessions.values() if s.disconnected]
             for app in dead:
                 await self._detach(src, app)
-        await self._adapt_quality(src)
+        if src.controlled:
+            await self._adapt_quality(src)
 
     async def _adapt_quality(self, src: _SourceState) -> None:
         """Evaluate degradation controllers; apply at most one step each.
@@ -1039,6 +1065,10 @@ class DisseminationService:
             controller = session.degradation
             if controller is None or session.disconnected:
                 continue
+            queue = session.queue
+            if queue.wait_ms:
+                controller.note_flush_wait(queue.wait_ms)
+                queue.wait_ms = 0.0
             decision = controller.observe(
                 time.monotonic(),
                 queue_depth=session.queue.depth,
@@ -1119,9 +1149,9 @@ class DisseminationService:
                     if group.members[0].app_name in recipients
                 )
             for group in groups:
-                for session in group.members:
-                    if not session.disconnected:
-                        session.stats.staged_tuples += 1
+                for queue in group.queues:
+                    if not queue.disconnected:
+                        queue.stats.staged_tuples += 1
                 batch = group.batcher.stage(emission.item, emission.emit_ts)
                 if batch is not None:
                     await self._ship(src, group, batch)
@@ -1133,19 +1163,17 @@ class DisseminationService:
         batch,
         final: Container[str] = (),
     ) -> None:
-        """One flushed batch into every live member's queue; the apps in
-        ``final`` (leaving or closing) get it without blocking, as
-        :meth:`_final_flush` delivers it."""
+        """One flushed batch onto every link the members read, once per
+        link; the apps in ``final`` (leaving or closing) get it without
+        blocking, as :meth:`_final_flush` delivers it."""
         t = self.telemetry
-        if t is not None and t.tracer.enabled:
-            batch = self._traced(src, batch)
-        for session in group.members:
-            if session.disconnected:
-                continue
-            if final and session.app_name in final:
-                session.deliver_nowait(batch)
-                continue
-            await self._deliver(session, batch)
+        if t is not None:
+            self._m_flushes.inc(len(group.queues))
+            if t.tracer.enabled:
+                batch = self._traced(src, batch)
+        for link, queues in group.links:
+            if await link.put(batch, queues, final):
+                src.disconnects = True
 
     async def _flush_groups(
         self, src: _SourceState, final: Container[str] = ()
@@ -1156,39 +1184,37 @@ class DisseminationService:
             if batch is not None:
                 await self._ship(src, group, batch, final)
 
-    async def _deliver(self, session: SubscriberSession, batch) -> None:
-        t = self.telemetry
-        dropped_before = 0
-        if t is not None:
-            self._m_flushes.inc()
-            dropped_before = session.stats.dropped_tuples
-        controller = session.degradation
-        if controller is not None:
-            # A blocking put that waits is the clearest per-session
-            # stress signal there is (the consumer is pacing the broker);
-            # measure it so the controller sees it even when the policy
-            # never drops.
-            ship_started_ns = time.perf_counter_ns()
-            await session.deliver(batch)
-            controller.note_flush_wait(
-                (time.perf_counter_ns() - ship_started_ns) / 1e6
-            )
-        else:
-            await session.deliver(batch)
-        if t is not None:
-            dropped = session.stats.dropped_tuples - dropped_before
+    def _collect_queues(self) -> None:
+        """Session queue metrics from the queues' counters: drops per
+        policy (live and retired sessions) and each live app's
+        high-water mark."""
+        drops = dict.fromkeys(OVERFLOW_POLICIES, 0)
+        for retired in self._retired:
+            drops[retired.policy] += retired.dropped_tuples
+        for src in self._sources.values():
+            for session in src.sessions.values():
+                drops[session.queue.policy] += session.stats.dropped_tuples
+                self._m_queue_hw.labels(session.app_name).max(
+                    session.queue.high_water
+                )
+        for policy, dropped in drops.items():
             if dropped:
-                self._m_drops.labels(session.queue.policy).inc(dropped)
+                self._m_drops.labels(policy).value = float(dropped)
+
+    def _retire(self, session: SubscriberSession) -> None:
+        """Keep a departed session's counters in broker-wide totals."""
+        self._retired.append(self._session_snapshot(session))
+        if self.telemetry is not None:
             self._m_queue_hw.labels(session.app_name).max(
-                session.queue.depth
+                session.queue.high_water
             )
 
     def _traced(self, src: _SourceState, batch):
         """``batch`` carrying its sampled items' stages up to the flush.
 
         Attached once per flush, so every member of the group receives
-        the same traces; each session stamps its own queue dwell on its
-        own copy (:meth:`SubscriberSession.batches`).  The batch-flush
+        the same traces; the link that queued it stamps the queue dwell
+        on its own copy as the batch is taken.  The batch-flush
         interval is measured against the trace mark without moving it,
         so every group an item fans out to sees the same decide
         boundary.  Returns ``batch`` itself when no item is sampled.
@@ -1212,9 +1238,8 @@ class DisseminationService:
         """Flush a group's batcher without blocking (teardown paths)."""
         batch = group.batcher.flush(self._now)
         if batch is not None:
-            for session in group.members:
-                if not session.disconnected:
-                    session.deliver_nowait(batch)
+            for link, queues in group.links:
+                link.put_nowait(batch, queues)
 
     # ------------------------------------------------------------------
     # Observation and shutdown

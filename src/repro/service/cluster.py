@@ -172,15 +172,24 @@ class _SessionQueue:
 
     The router's front tier inspects ``session.queue`` (capacity /
     policy / depth / closed, and ``close()`` in the shutdown
-    wedge-breaker).  For a routed session the real bounded queue lives
-    in the worker; this facade reports the worker-resolved bounds and
-    the router-side buffer depth.
+    wedge-breaker) and pumps ``session.queue.link``.  For a routed
+    session the real bounded queue lives in the worker; this facade
+    reports the worker-resolved bounds and the router-side buffer depth,
+    and is a delivery link of one app: :meth:`take` hands out the
+    session's batches one at a time, then its end item.
     """
 
     def __init__(self, session: "ClusterSession", capacity: int, policy: str):
         self._session = session
+        self.app = session.app_name
         self.capacity = capacity
         self.policy = policy
+        self._stream = None
+        self._ended = False
+
+    @property
+    def link(self) -> "_SessionQueue":
+        return self
 
     @property
     def depth(self) -> int:
@@ -189,6 +198,22 @@ class _SessionQueue:
     @property
     def closed(self) -> bool:
         return self._session.closed
+
+    async def take(self) -> list:
+        if self._ended:
+            raise StopAsyncIteration
+        if self._stream is None:
+            self._stream = self._session.batches()
+        try:
+            batch = await self._stream.__anext__()
+        except StopAsyncIteration:
+            self._ended = True
+            return [(None, (self,))]
+        return [(batch, (self,))]
+
+    def drain_nowait(self) -> list:
+        """Nothing waits here: the batches stream from the worker."""
+        return []
 
     async def close(self) -> None:
         self._session.end_local("router_closed")
@@ -1527,12 +1552,15 @@ class ClusterService:
         degradation=None,
         degradation_level: int = 0,
         degradation_config: Optional[DegradationConfig] = None,
+        link=None,
     ) -> ClusterSession:
         """Attach a subscriber on its source's worker.
 
         Same signature the broker exposes (the front tier calls either
         interchangeably); QoS resolution happens in the worker, and the
-        resolved bounds come back with the subscribe reply.
+        resolved bounds come back with the subscribe reply.  ``link`` is
+        not used: the session's batches arrive from the worker's stream,
+        and its ``queue`` is a delivery link of its own.
         ``degradation`` (a :class:`DegradationPolicy` or a wire-shape
         profile mapping) attaches the controller in the *worker*; the
         router records the profile so respawn/migration/failover can

@@ -2,18 +2,25 @@
 
 Each live subscriber holds a :class:`SubscriberSession`: its filter spec,
 a :class:`MicroBatcher` (shared with the other sessions of its delivery
-group, see :mod:`repro.service.batching`) and a :class:`DeliveryQueue`
-of its own, bounded to ``capacity`` batches.  What happens when the
-queue is full is the session's *overflow policy*:
+group, see :mod:`repro.service.batching`) and a :class:`DeliveryQueue`:
+its own bound of ``capacity`` pending batches on a :class:`DeliveryLink`,
+the FIFO its consumer reads.  An in-process subscriber has a link of its
+own; the subscribers of one gateway connection share the connection's
+link, so a batch bound for several of them is queued — and written to
+the socket — once, naming them all (the paper's "each tuple is
+transmitted at most once on any link").
+
+Each app keeps its own pending count, and what happens when a put finds
+it at ``capacity`` is that app's *overflow policy*:
 
 * ``"block"`` — the broker awaits queue space, so a slow consumer slows
   the source feed down (closed-loop backpressure) instead of growing
   broker memory;
-* ``"drop_oldest"`` — the oldest queued batch is evicted and counted, so
-  a laggard sees fresh data with holes (the paper's timeliness-over-
-  completeness stance, Chapter 3, applied to delivery);
-* ``"disconnect"`` — the session is closed on the spot; the broker then
-  unsubscribes the filter and regroups.
+* ``"drop_oldest"`` — the app's oldest queued batch is evicted and
+  counted, so a laggard sees fresh data with holes (the paper's
+  timeliness-over-completeness stance, Chapter 3, applied to delivery);
+* ``"disconnect"`` — the app's queue is closed on the spot; the broker
+  then unsubscribes the filter and regroups.
 
 Sessions are re-filterable at runtime (:meth:`SubscriberSession.re_filter`):
 the broker cuts the source's engine over and rebuilds it from the new
@@ -26,7 +33,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AsyncIterator, Callable, Optional
+from typing import TYPE_CHECKING, AsyncIterator, Callable, Container, Optional
 
 from repro.core.tuples import StreamTuple
 from repro.obs.trace import STAGE_SESSION_QUEUE, stage_id
@@ -40,6 +47,7 @@ __all__ = [
     "OVERFLOW_POLICIES",
     "SessionDisconnected",
     "SessionStats",
+    "DeliveryLink",
     "DeliveryQueue",
     "SubscriberSession",
 ]
@@ -70,16 +78,241 @@ class SessionStats:
     dropped_tuples: int = 0
 
 
-class DeliveryQueue:
-    """Bounded asyncio FIFO of :class:`Batch` with an overflow policy.
+def _wakeup_next(waiters: deque) -> None:
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+            return
 
-    Parked producers and consumers wait on futures of their own, woken
-    one at a time in the style of :class:`asyncio.Queue`: a waiter
-    cancelled after it was woken passes the wake-up on to the next one
-    in line, so none is ever lost.
+
+def _wake_all(waiters: deque) -> None:
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+
+
+async def _park(waiters: deque, still_blocked: Callable[[], bool]) -> None:
+    """Wait for one wake-up; a cancelled waiter that was already woken
+    hands the wake-up to the next in line unless it is still owed.
+
+    Waiters are woken one at a time in the style of
+    :class:`asyncio.Queue`, so none is ever lost."""
+    waiter = asyncio.get_running_loop().create_future()
+    waiters.append(waiter)
+    try:
+        await waiter
+    except BaseException:
+        waiter.cancel()
+        try:
+            waiters.remove(waiter)
+        except ValueError:
+            pass  # already popped by the wake-up it was given
+        if not waiter.cancelled() and not still_blocked():
+            _wakeup_next(waiters)
+        raise
+
+
+class DeliveryLink:
+    """One consumer's FIFO of ``(batch, queues)`` items.
+
+    A put queues a batch once for every :class:`DeliveryQueue` it names;
+    the consumer takes the item once.  When a queue on a shared link
+    closes, an *end item* ``(None, [queue])`` follows its last batch.  A
+    sampled batch comes out stamped with the ``session_queue`` stage
+    (flush -> take), once for every app it names.
     """
 
-    def __init__(self, capacity: int = 16, policy: str = "block"):
+    __slots__ = ("_items", "_getters", "_drainers", "_closed")
+
+    def __init__(self) -> None:
+        self._items: deque[tuple[Optional[Batch], list["DeliveryQueue"]]] = deque()
+        self._getters: deque[asyncio.Future] = deque()
+        self._drainers: deque[asyncio.Future] = deque()
+        self._closed = False
+
+    @property
+    def depth(self) -> int:
+        return len(self._items)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _idle(self) -> bool:
+        return not self._items and not self._closed
+
+    # -- producer side --------------------------------------------------
+    async def put(
+        self,
+        batch: Batch,
+        queues: "tuple[DeliveryQueue, ...]",
+        final: Container[str] = (),
+    ) -> bool:
+        """Queue ``batch`` once for every queue in ``queues`` with room.
+
+        Each queue is served in turn under its own policy: a full
+        ``block`` queue waits for the consumer, a full ``drop_oldest``
+        one evicts its oldest batch, a full ``disconnect`` one closes.
+        The apps in ``final`` (leaving or closing) never wait: a full
+        queue of theirs refuses the batch, counted dropped.  Returns
+        whether a queue disconnected.
+        """
+        size = len(batch)
+        named = []
+        disconnected = slow = False
+        for queue in queues:
+            if queue.pending >= queue.capacity or queue._closed:
+                # Rare: the queue is full or closed.
+                slow = True
+                try:
+                    refused = await queue._make_room(
+                        batch, bool(final) and queue.app in final
+                    )
+                except SessionDisconnected:
+                    disconnected = True
+                    continue
+                if refused is batch:
+                    continue
+            # _admit, inlined: this runs per member of every batch.
+            queue.pending = pending = queue.pending + 1
+            if pending > queue.high_water:
+                queue.high_water = pending
+            stats = queue.stats
+            stats.enqueued_batches += 1
+            stats.shipped_tuples += size
+            named.append(queue)
+        if slow:
+            # A queue that closed while this put waited has had its end
+            # queued: the batch must not follow it.
+            for queue in [queue for queue in named if queue._closed]:
+                named.remove(queue)
+                queue.pending -= 1
+                queue.stats.enqueued_batches -= 1
+                queue.stats.shipped_tuples -= size
+                queue._drop(batch)
+        self._append(batch, named)
+        return disconnected
+
+    def put_nowait(self, batch: Batch, queues) -> None:
+        """:meth:`put` with every app final: never waits."""
+        named = [
+            queue for queue in queues if queue._overflow(batch, True) is not batch
+        ]
+        for queue in named:
+            queue._admit(len(batch))
+        self._append(batch, named)
+
+    def _append(self, batch: Batch, named: list) -> None:
+        if named:
+            self._items.append((batch, named))
+            if self._getters:
+                _wakeup_next(self._getters)
+
+    def _end(self, queue: "DeliveryQueue") -> None:
+        self._items.append((None, [queue]))
+        _wakeup_next(self._getters)
+
+    def _evict(self, queue: "DeliveryQueue", first: bool = False) -> list[Batch]:
+        """Take ``queue`` off its queued batches (only the oldest with
+        ``first``); returns them, oldest first.  An item left naming no
+        queue goes."""
+        evicted: list[Batch] = []
+        items = self._items
+        index = 0
+        while index < len(items):
+            batch, queues = items[index]
+            if batch is not None and queue in queues:
+                evicted.append(batch)
+                if len(queues) == 1:
+                    del items[index]
+                    index -= 1
+                else:
+                    queues.remove(queue)
+                if first:
+                    break
+            index += 1
+        if not items:
+            _wake_all(self._drainers)
+        return evicted
+
+    # -- consumer side --------------------------------------------------
+    def _taken(self, item):
+        batch, queues = item
+        if batch is None:
+            return item
+        size = len(batch)
+        for queue in queues:
+            queue.pending -= 1
+            stats = queue.stats
+            stats.delivered_batches += 1
+            stats.delivered_tuples += size
+            if queue._putters:
+                _wakeup_next(queue._putters)
+        if batch.traces is not None:
+            return batch.stamped(_SID_SESSION_QUEUE, time.perf_counter_ns()), queues
+        return item
+
+    async def get(self) -> tuple[Optional[Batch], list["DeliveryQueue"]]:
+        """The oldest item; ``StopAsyncIteration`` once the link is
+        closed and empty."""
+        while not self._items:
+            if self._closed:
+                raise StopAsyncIteration
+            await _park(self._getters, self._idle)
+        item = self._taken(self._items.popleft())
+        if self._drainers and not self._items:
+            _wake_all(self._drainers)
+        return item
+
+    async def take(self) -> list[tuple[Optional[Batch], list["DeliveryQueue"]]]:
+        """Every queued item at once (at least one), oldest first;
+        ``StopAsyncIteration`` once the link is closed and empty."""
+        while not self._items:
+            if self._closed:
+                raise StopAsyncIteration
+            await _park(self._getters, self._idle)
+        items, self._items = self._items, deque()
+        if self._drainers:
+            _wake_all(self._drainers)
+        taken = self._taken
+        return [taken(item) for item in items]
+
+    async def drained(self) -> None:
+        """Wait until the consumer has taken every item queued so far
+        (or the link closed).  The consumer runs on from its take before
+        a drained waiter wakes, so whatever it does with those items up
+        to its next ``await`` has happened by then."""
+        while self._items and not self._closed:
+            await _park(
+                self._drainers, lambda: bool(self._items) and not self._closed
+            )
+
+    def close(self) -> None:
+        """No more items: the consumer ends once it took what is queued."""
+        self._closed = True
+        _wake_all(self._getters)
+        _wake_all(self._drainers)
+
+
+class DeliveryQueue:
+    """One app's bounded share of a :class:`DeliveryLink`.
+
+    It holds the app's bound (``capacity`` pending batches), overflow
+    policy, pending count and counters (:attr:`stats`); the batches
+    themselves wait on ``link`` — by default a link of its own, which
+    :meth:`get` then reads one batch at a time.
+    """
+
+    def __init__(
+        self,
+        capacity: int = 16,
+        policy: str = "block",
+        *,
+        link: Optional[DeliveryLink] = None,
+        app: str = "",
+    ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         if policy not in OVERFLOW_POLICIES:
@@ -88,147 +321,139 @@ class DeliveryQueue:
             )
         self.capacity = capacity
         self.policy = policy
-        self._batches: deque[Batch] = deque()
-        self._getters: deque[asyncio.Future] = deque()
-        self._putters: deque[asyncio.Future] = deque()
-        self._drainers: deque[asyncio.Future] = deque()
+        self.app = app
+        self._own_link = link is None
+        self.link = DeliveryLink() if link is None else link
+        #: Batches queued for this app and not yet taken.
+        self.pending = 0
+        self.high_water = 0
+        #: Longest wait of a blocking put since the broker last read it
+        #: (the degradation controller's ``flush_wait`` signal).
+        self.wait_ms = 0.0
+        self.stats = SessionStats()
+        #: Set when a ``disconnect`` overflow (or the transport) ended
+        #: the stream; every later batch is skipped uncounted.
+        self.disconnected = False
         self._closed = False
+        self._putters: deque[asyncio.Future] = deque()
 
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        return len(self._batches)
+        return self.pending
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    @staticmethod
-    def _wakeup_next(waiters: deque) -> None:
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-                return
-
-    @staticmethod
-    async def _park(waiters: deque, still_blocked: Callable[[], bool]) -> None:
-        """Wait for one wake-up; a cancelled waiter that was already woken
-        hands the wake-up to the next in line unless it is still owed."""
-        waiter = asyncio.get_running_loop().create_future()
-        waiters.append(waiter)
-        try:
-            await waiter
-        except BaseException:
-            waiter.cancel()
-            try:
-                waiters.remove(waiter)
-            except ValueError:
-                pass  # already popped by the wake-up it was given
-            if not waiter.cancelled() and not still_blocked():
-                DeliveryQueue._wakeup_next(waiters)
-            raise
-
     def _full(self) -> bool:
-        return len(self._batches) >= self.capacity and not self._closed
+        return self.pending >= self.capacity and not self._closed
 
-    def _empty(self) -> bool:
-        return not self._batches and not self._closed
+    def _drop(self, batch: Batch) -> None:
+        self.stats.dropped_batches += 1
+        self.stats.dropped_tuples += len(batch)
+
+    def _admit(self, size: int) -> None:
+        self.pending += 1
+        self.high_water = max(self.high_water, self.pending)
+        self.stats.enqueued_batches += 1
+        self.stats.shipped_tuples += size
+
+    def _overflow(self, batch: Batch, nowait: bool) -> Optional[Batch]:
+        """The policy's verdict on one more batch, without waiting.
+
+        Returns what did not make it, as :meth:`put` does: the evicted
+        oldest batch (``drop_oldest``; ``batch`` goes in), ``batch``
+        itself when it is refused, ``None`` when there is room.  Evicted
+        and refused batches are counted dropped; a disconnected queue
+        refuses uncounted.  A ``disconnect`` overflow closes the queue
+        and raises :class:`SessionDisconnected` unless ``nowait``.
+        """
+        if self.disconnected:
+            return batch
+        if self._closed:
+            self._drop(batch)
+            return batch
+        if self.pending < self.capacity:
+            return None
+        if self.policy == "drop_oldest":
+            (evicted,) = self.link._evict(self, first=True)
+            self.pending -= 1
+            self._drop(evicted)
+            return evicted
+        self._drop(batch)
+        if self.policy == "disconnect" and not nowait:
+            self.disconnected = True
+            self._close()
+            raise SessionDisconnected(f"queue overflow at capacity {self.capacity}")
+        return batch
+
+    async def _make_room(self, batch: Batch, nowait: bool) -> Optional[Batch]:
+        """:meth:`_overflow`, after a full ``block`` queue (unless
+        ``nowait``) waited for the consumer to take a batch — the
+        backpressure edge from broker to source feed."""
+        if self.policy == "block" and not nowait and self._full():
+            started_ns = time.perf_counter_ns()
+            while self._full():
+                await _park(self._putters, self._full)
+            self.wait_ms = max(
+                self.wait_ms, (time.perf_counter_ns() - started_ns) / 1e6
+            )
+        return self._overflow(batch, nowait)
 
     async def put(self, batch: Batch) -> Optional[Batch]:
-        """Enqueue one batch, applying the overflow policy.
+        """Enqueue one batch for this app alone, applying the policy.
 
         Returns the batch that was *dropped* to make room (``drop_oldest``
         only), ``None`` otherwise.  Raises :class:`SessionDisconnected`
         when a ``disconnect`` queue overflows.  Puts to a closed queue are
-        silently discarded (the consumer is gone).
+        discarded (the consumer is gone) and returned.
         """
-        if self._closed:
-            return batch
-        if len(self._batches) >= self.capacity:
-            if self.policy == "disconnect":
-                raise SessionDisconnected(
-                    f"queue overflow at capacity {self.capacity}"
-                )
-            if self.policy == "drop_oldest":
-                return self.put_nowait(batch)
-            # "block": wait for the consumer — this await is the
-            # backpressure edge from broker to source feed.
-            while self._full():
-                await self._park(self._putters, self._full)
-            if self._closed:
-                return batch
-        self._batches.append(batch)
-        if self._getters:
-            self._wakeup_next(self._getters)
-        return None
+        refused = await self._make_room(batch, False)
+        if refused is not batch:
+            self._admit(len(batch))
+            self.link._append(batch, [self])
+        return refused
 
     async def get(self) -> Batch:
-        """Dequeue the next batch; raises ``StopAsyncIteration`` when the
-        queue is closed and drained."""
-        while self._empty():
-            await self._park(self._getters, self._empty)
-        if not self._batches:
-            raise StopAsyncIteration
-        batch = self._batches.popleft()
-        if self._putters:
-            self._wakeup_next(self._putters)
-        if self._drainers and not self._batches:
-            self._wake_all(self._drainers)
+        """Dequeue the next batch from a link of this queue's own;
+        raises ``StopAsyncIteration`` when the queue is closed and
+        drained."""
+        if not self._own_link:
+            raise RuntimeError("a shared link is read with DeliveryLink.take()")
+        batch, _ = await self.link.get()
         return batch
 
-    def put_nowait(self, batch: Batch) -> Optional[Batch]:
-        """Non-blocking enqueue (``drop_oldest`` overflow and shutdown paths).
-
-        Returns the batch that did not make it: the evicted oldest batch
-        under ``drop_oldest``, or ``batch`` itself when the queue is full
-        (``block``/``disconnect``) or closed.  Never waits, never raises.
-        """
-        if self._closed:
-            return batch
-        dropped = None
-        if len(self._batches) >= self.capacity:
-            if self.policy != "drop_oldest":
-                return batch
-            dropped = self._batches.popleft()
-        self._batches.append(batch)
-        self._wakeup_next(self._getters)
-        return dropped
-
     def drain_nowait(self) -> list[Batch]:
-        """Synchronously empty the queue (post-run accounting)."""
-        drained = list(self._batches)
-        self._batches.clear()
-        self._wake_all(self._drainers)
+        """Synchronously take this app's queued batches off the link
+        (post-run accounting)."""
+        drained = self.link._evict(self)
+        self.pending -= len(drained)
         for _ in drained:
             if not self._putters:
                 break
-            self._wakeup_next(self._putters)
+            _wakeup_next(self._putters)
         return drained
 
     async def drained(self) -> None:
         """Wait until the consumer has taken every batch put so far (or
-        the queue closed).  The consumer runs on from its ``get`` before
-        a drained waiter wakes, so whatever it does with the last batch
-        up to its next ``await`` has happened by then."""
-        while self._batches and not self._closed:
-            await self._park(
-                self._drainers, lambda: bool(self._batches) and not self._closed
-            )
+        the queue closed); see :meth:`DeliveryLink.drained`."""
+        await self.link.drained()
 
-    @staticmethod
-    def _wake_all(waiters: deque) -> None:
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
+    def _close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        _wake_all(self._putters)
+        if self._own_link:
+            self.link.close()
+        else:
+            self.link._end(self)
 
     async def close(self) -> None:
-        """Close the queue; blocked producers, consumers and drained
-        waiters wake up."""
-        self._closed = True
-        for waiters in (self._getters, self._putters, self._drainers):
-            self._wake_all(waiters)
+        """Close the queue; blocked producers wake, and its consumer
+        ends the app's stream after its queued batches."""
+        self._close()
 
 
 @dataclass
@@ -242,8 +467,8 @@ class SubscriberSession:
     #: The session's batch bounds; while attached, the one batcher its
     #: delivery group shares (the broker swaps it in at every rebuild).
     batcher: MicroBatcher
-    stats: SessionStats = field(default_factory=SessionStats)
-    disconnected: bool = False
+    #: The queue's counters.
+    stats: SessionStats = field(init=False)
     #: Set when the broker exported the session's source: the stream
     #: ended because the source moved, not because the app left.
     migrated: bool = False
@@ -259,6 +484,19 @@ class SubscriberSession:
     qos_listener: Optional[Callable[[dict], None]] = None
     _broker: Optional["DisseminationService"] = None
 
+    def __post_init__(self) -> None:
+        self.stats = self.queue.stats
+
+    @property
+    def disconnected(self) -> bool:
+        """The stream ended by a ``disconnect`` overflow (or the
+        transport gave up on the consumer)."""
+        return self.queue.disconnected
+
+    @disconnected.setter
+    def disconnected(self, value: bool) -> None:
+        self.queue.disconnected = value
+
     @property
     def degradation_level(self) -> int:
         """Active degradation level (0 = preferred quality / no policy)."""
@@ -271,20 +509,14 @@ class SubscriberSession:
         return self.batches()
 
     async def batches(self) -> AsyncIterator[Batch]:
-        """Yield delivered batches until the session closes.
-
-        A traced batch comes out as this session's own copy, its traces
-        extended with the ``session_queue`` stage (flush -> dequeue).
-        """
+        """Yield delivered batches until the session closes (a session
+        on a link of its own; a gateway connection's pump reads its
+        shared link instead)."""
         while True:
             try:
                 batch = await self.queue.get()
             except StopAsyncIteration:
                 return
-            if batch.traces is not None:
-                batch = batch.stamped(_SID_SESSION_QUEUE, time.perf_counter_ns())
-            self.stats.delivered_batches += 1
-            self.stats.delivered_tuples += len(batch)
             yield batch
 
     async def items(self) -> AsyncIterator[StreamTuple]:
@@ -298,52 +530,6 @@ class SubscriberSession:
         if self._broker is None:
             raise RuntimeError("session is not attached to a broker")
         await self._broker.re_filter(self.app_name, new_spec)
-
-    # ------------------------------------------------------------------
-    # Broker side
-    # ------------------------------------------------------------------
-    def _account(self, rejected: Optional[Batch], batch: Batch) -> None:
-        """Record one enqueue attempt's outcome.
-
-        ``rejected`` is what the queue refused: the evicted oldest batch
-        under ``drop_oldest``, ``batch`` itself when it did not make it,
-        ``None`` on a clean enqueue.
-        """
-        if rejected is not None:
-            self.stats.dropped_batches += 1
-            self.stats.dropped_tuples += len(rejected)
-        if rejected is not batch:
-            self.stats.enqueued_batches += 1
-            self.stats.shipped_tuples += len(batch)
-
-    async def deliver(self, batch: Batch) -> None:
-        """Enqueue one flushed batch, recording drops/disconnects."""
-        if self.disconnected:
-            self.stats.dropped_batches += 1
-            self.stats.dropped_tuples += len(batch)
-            return
-        try:
-            rejected = await self.queue.put(batch)
-        except SessionDisconnected:
-            self.disconnected = True
-            self.stats.dropped_batches += 1
-            self.stats.dropped_tuples += len(batch)
-            await self.queue.close()
-            return
-        self._account(rejected, batch)
-
-    def deliver_nowait(self, batch: Batch) -> None:
-        """Non-blocking deliver for shutdown/detach paths.
-
-        Never waits: a batch that cannot be enqueued (full ``block``/
-        ``disconnect`` queue, closed queue, gone consumer) is counted as
-        dropped instead of deadlocking teardown.
-        """
-        if self.disconnected:
-            self.stats.dropped_batches += 1
-            self.stats.dropped_tuples += len(batch)
-            return
-        self._account(self.queue.put_nowait(batch), batch)
 
     async def close(self) -> None:
         await self.queue.close()

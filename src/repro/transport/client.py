@@ -791,7 +791,7 @@ class GatewayClient:
                 data = await self._reader.read(_READ_CHUNK)
                 if not data:
                     break
-                for frame in decoder.feed(data):
+                for frame in decoder.frames(data):
                     if frame.get("t") == "bye":
                         reason = frame.get("reason", "bye")
                         return
@@ -812,11 +812,15 @@ class GatewayClient:
                 future.set_result(frame)
             return
         if kind == "decided":
-            subscription = self._subscriptions.get(frame.get("app"))
-            if subscription is not None:
-                # This put blocks when the consumer lags, intentionally
-                # pausing the read loop (see the module docstring).
-                await subscription._push(batch_from_wire(frame))
+            # One frame, one batch, for every subscription it names.
+            batch = batch_from_wire(frame)
+            for app in frame["apps"]:
+                subscription = self._subscriptions.get(app)
+                if subscription is not None:
+                    # This put blocks when the consumer lags,
+                    # intentionally pausing the read loop (see the
+                    # module docstring).
+                    await subscription._push(batch)
         elif kind == "qos_update":
             subscription = self._subscriptions.get(frame.get("app"))
             if subscription is not None:

@@ -1,6 +1,6 @@
 """Sans-io binary wire codec for the dissemination gateway.
 
-Protocol v3: every tuple frame (``ingest_batch``, ``decided``) is
+Protocol v4: every tuple frame (``ingest_batch``, ``decided``) is
 binary; every control frame (hello, ok, error, subscribe, snapshot, the
 migration verbs, ...) is JSON.  Nothing is negotiated — the two never
 overlap:
@@ -20,10 +20,13 @@ overlap:
 * **Encode-once segments.**  A tuple serializes to an immutable
   :class:`Segment` — a struct-packed record over the *shared* name
   table.  The gateway keeps one :class:`SegmentCache`, so a tuple fanned
-  out to N subscriber sessions is encoded once and the N ``decided``
-  frames are assembled from the same segment bytes by reference
-  (:meth:`BinaryEncoder.decided_pieces` returns a piece list for
-  ``writelines``; nothing is concatenated per session).
+  out to N connections is encoded once and the N ``decided`` frames are
+  assembled from the same segment bytes by reference
+  (:meth:`BinaryEncoder.decided_frame` returns a piece list for
+  ``writelines``; nothing is concatenated per connection).
+* **Sent once per connection.**  A ``decided`` frame names every app on
+  the connection its batch is for, so the members of one sharing class
+  behind one socket cost one frame, one encode and one decode.
 
 Binary frame layouts (after the 4-byte big-endian length header)::
 
@@ -37,7 +40,8 @@ Binary frame layouts (after the 4-byte big-endian length header)::
     0x02 ingest_batch  varint req(0=none, else seq+1), string source,
                        varint pad_len + pad bytes, names,
                        varint count, count * tuple
-    0x03 decided       string app, f64 first_staged_ms, f64 flushed_ms,
+    0x03 decided       varint n_apps (>= 1), n_apps * string app,
+                       f64 first_staged_ms, f64 flushed_ms,
                        names, varint count, count * tuple
 
 When the ``trace`` feature was negotiated in the hello
@@ -55,7 +59,8 @@ between traced and untraced frames::
 ``ingest_batch`` is the only ingest frame: one tuple is a batch of one.
 
 Decoding yields the dict shape control frames have (``{"t":
-"ingest_batch", "source": ..., "tuples": [StreamTuple, ...]}``), so the
+"ingest_batch", "source": ..., "tuples": [StreamTuple, ...]}``, ``{"t":
+"decided", "apps": [...], "items": (StreamTuple, ...), ...}``), so the
 server dispatch and the client read loop handle one kind of frame.
 """
 
@@ -91,6 +96,9 @@ _F64 = struct.Struct("<d")
 # Primitives
 # ---------------------------------------------------------------------------
 def _put_varint(out: bytearray, value: int) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value < 0:
         raise ProtocolError(f"cannot varint-encode negative value {value}")
     while True:
@@ -209,28 +217,13 @@ class NameTable:
         return len(self._names)
 
 
-#: Decided frames a receiving connection remembers the tuples of; as
-#: many as the sender remembers bodies of (``_BODY_MEMO_BATCHES``).
-_RECORDS_MEMO_FRAMES = 64
-
-
 class BinaryNames:
-    """Receiver-side id -> name table, learned from frame deltas.
+    """Receiver-side id -> name table, learned from frame deltas."""
 
-    It also remembers the decoded tuple records of the last
-    :data:`_RECORDS_MEMO_FRAMES` untraced ``decided`` frames, keyed by
-    their bytes.  The members of a delivery group are sent one batch, so
-    their frames differ only before the records: the first is decoded,
-    the others reuse its tuples.  Ids never change their name (see
-    :meth:`learn`), so equal record bytes always decode to equal tuples.
-    """
-
-    __slots__ = ("_names", "records")
+    __slots__ = ("_names",)
 
     def __init__(self) -> None:
         self._names: dict[int, str] = {}
-        #: Record bytes (from the count on) -> the tuples they decode to.
-        self.records: dict[bytes, tuple[StreamTuple, ...]] = {}
 
     def learn(self, nid: int, name: str) -> None:
         # A sender's NameTable is append-only, so an id never changes
@@ -318,21 +311,15 @@ class SegmentCache:
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
-#: Decided batches a connection remembers the encoded body of.  One
-#: member's pump may drain its whole queue (16 batches by default)
-#: before the next member of its delivery group runs; a batch that fell
-#: out is re-assembled from the shared segment cache, nothing worse.
-_BODY_MEMO_BATCHES = 64
-
 
 class BinaryEncoder:
     """Per-connection sending side: struct-packed tuple frames over a
     (possibly shared) name table.
 
     The hot-path encodings are ``ingest_batch_body`` and
-    ``decided_pieces`` (decided fan-out); everything else goes through
+    ``decided_frame`` (decided fan-out); everything else goes through
     :func:`repro.transport.protocol.encode_frame` as JSON.
-    ``decided_pieces`` returns ``(pieces, total_bytes)`` where ``pieces``
+    ``decided_frame`` returns ``(pieces, total_bytes)`` where ``pieces``
     is ready for ``StreamWriter.writelines`` — callers prepend the
     4-byte length header and never join the pieces.
     """
@@ -346,13 +333,6 @@ class BinaryEncoder:
         self._cache = cache if cache is not None else SegmentCache()
         #: Shared-table ids this connection's peer has been told about.
         self._announced: set[int] = set()
-        #: Recently encoded decided batches (a batch hashes by identity):
-        #: ``batch -> (segment bytes, name ids, body length)``.  A
-        #: delivery group's members on this connection are sent one batch
-        #: object, so all but the first pay only the header.  One
-        #: member's pump may drain its whole queue before the next
-        #: member's runs, so this remembers more than the last batch.
-        self._bodies: dict[Batch, tuple[list[bytes], frozenset[int], int]] = {}
 
     # -- segments -------------------------------------------------------
     def tuple_segment(self, item: StreamTuple) -> Segment:
@@ -455,47 +435,57 @@ class BinaryEncoder:
         shared: bool = True,
         traces: Optional[TraceMap] = None,
     ) -> tuple[list[bytes], int]:
-        # ``shared=`` selects nothing; it is accepted because
-        # benchmarks/e2e/harness/layers.py:271 still passes True.
+        """A one-app :meth:`decided_frame`.
+
+        Kept, with ``shared=`` (which selects nothing), because
+        benchmarks/e2e/harness/layers.py:271 calls it with ``shared=True``.
+        """
         if not shared:
             raise ValueError(
                 "decided frames are only assembled from shared segments; "
                 "shared=False selects nothing"
             )
-        bodies = self._bodies
-        body = bodies.get(batch)
-        if body is not None:
-            data, name_ids, body_len = body
-        else:
-            segments = [self.tuple_segment(item) for item in batch.items]
-            data = [segment.data for segment in segments]
-            name_ids = frozenset(
-                nid for segment in segments for nid in segment.name_ids
-            )
-            body_len = sum(map(len, data))
-            if len(bodies) >= _BODY_MEMO_BATCHES:
-                del bodies[next(iter(bodies))]
-            bodies[batch] = (data, name_ids, body_len)
+        return self.decided_frame(
+            (app,), batch, max_frame_bytes=max_frame_bytes, traces=traces
+        )
+
+    def decided_frame(
+        self,
+        apps: Sequence[str],
+        batch: Batch,
+        *,
+        max_frame_bytes: int,
+        traces: Optional[TraceMap] = None,
+    ) -> tuple[list[bytes], int]:
+        """One ``decided`` frame carrying ``batch`` to every app in ``apps``."""
+        segments = [self.tuple_segment(item) for item in batch.items]
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
-        _put_string(head, app)
+        _put_varint(head, len(apps))
+        for app in apps:
+            _put_string(head, app)
         head += _F64.pack(batch.first_staged_ms)
         head += _F64.pack(batch.flushed_ms)
-        fresh = self._names_delta(head, name_ids)
-        _put_varint(head, len(data))
-        tail = b""
-        if traces:
-            tail_out = bytearray()
-            _put_trace_map(tail_out, traces)
-            tail = bytes(tail_out)
+        if len(self._announced) == len(self._table):
+            # The peer knows every name the table holds.
+            fresh = ()
+            head.append(0)
+        else:
+            fresh = self._names_delta(
+                head, [nid for segment in segments for nid in segment.name_ids]
+            )
+        _put_varint(head, len(segments))
         pieces: list[bytes] = [bytes(head)]
-        total = len(head) + body_len + len(tail)
+        pieces.extend(segment.data for segment in segments)
+        if traces:
+            tail = bytearray()
+            _put_trace_map(tail, traces)
+            pieces.append(bytes(tail))
+        total = sum(map(len, pieces))
         if total > max_frame_bytes:
             raise FrameTooLarge(total, max_frame_bytes)
         # Size check passed: the delta will reach the peer, commit it.
-        self._announced |= fresh
-        pieces.extend(data)
-        if tail:
-            pieces.append(tail)
+        if fresh:
+            self._announced |= fresh
         return pieces, total
 
 
@@ -538,13 +528,48 @@ def _read_trace_map(reader: _Reader) -> dict[int, list[tuple[int, int]]]:
 
 
 def _read_tuple(reader: _Reader, names: BinaryNames) -> StreamTuple:
-    seq = reader.varint()
-    ts = reader.f64()
-    n_attrs = reader.varint()
+    # The ingest hot path: one record per tuple, read off local
+    # variables rather than one _Reader call per field.
+    data = reader.data
+    pos = reader.pos
+    resolve = names.resolve
+    unpack = _F64.unpack_from
     values: dict[str, float] = {}
-    for _ in range(n_attrs):
-        nid = reader.varint()
-        values[names.resolve(nid)] = reader.f64()
+    try:
+        seq = data[pos]
+        pos += 1
+        if seq & 0x80:
+            seq &= 0x7F
+            shift = 7
+            while True:
+                byte = data[pos]
+                pos += 1
+                seq |= (byte & 0x7F) << shift
+                if not byte & 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise ProtocolError("varint overflow in binary frame")
+        (ts,) = unpack(data, pos)
+        n_attrs = data[pos + 8]
+        pos += 9
+        if n_attrs & 0x80:
+            reader.pos = pos - 1
+            n_attrs = reader.varint()
+            pos = reader.pos
+        for _ in range(n_attrs):
+            nid = data[pos]
+            if nid & 0x80:
+                reader.pos = pos
+                nid = reader.varint()
+                pos = reader.pos
+            else:
+                pos += 1
+            (values[resolve(nid)],) = unpack(data, pos)
+            pos += 8
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated tuple record in binary frame") from None
+    reader.pos = pos
     # Decoded straight to a StreamTuple; tuple_from_wire passes
     # instances through.
     return StreamTuple.trusted(seq, ts, values)
@@ -559,7 +584,6 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
     """
     reader = _Reader(body, pos=1)
     tag = body[0]
-    key = None
     if tag in (_TAG_INGEST_BATCH, _TAG_INGEST_BATCH_TRACED):
         req = reader.varint()
         source = reader.string()
@@ -577,25 +601,20 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
         if req:
             frame["seq"] = req - 1
     elif tag in (_TAG_DECIDED, _TAG_DECIDED_TRACED):
-        app = reader.string()
+        n_apps = reader.varint()
+        if not n_apps:
+            raise ProtocolError("decided frame names no app")
+        apps = [reader.string() for _ in range(n_apps)]
         first_staged_ms = reader.f64()
         flushed_ms = reader.f64()
         _read_names(reader, names)
-        # An untraced frame ends with its records, so they are the key.
-        key = body[reader.pos :] if tag == _TAG_DECIDED else None
-        items = names.records.get(key) if key is not None else None
-        if items is None:
-            count = reader.varint()
-            items = tuple(_read_tuple(reader, names) for _ in range(count))
-        else:
-            key = None  # a hit: nothing to remember
-            reader.pos = len(body)
+        count = reader.varint()
         frame = {
             "t": "decided",
-            "app": app,
+            "apps": apps,
             "first_staged_ms": first_staged_ms,
             "flushed_ms": flushed_ms,
-            "items": items,
+            "items": tuple(_read_tuple(reader, names) for _ in range(count)),
         }
         if tag == _TAG_DECIDED_TRACED:
             frame["traces"] = _read_trace_map(reader)
@@ -606,10 +625,4 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
             f"trailing bytes in binary frame: {len(body) - reader.pos} "
             f"after a complete {frame['t']!r} body"
         )
-    if key is not None:
-        # Remembered only once the whole body decoded cleanly.
-        records = names.records
-        if len(records) >= _RECORDS_MEMO_FRAMES:
-            del records[next(iter(records))]
-        records[key] = items
     return frame

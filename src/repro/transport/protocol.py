@@ -1,7 +1,7 @@
 """Length-prefixed wire protocol for the dissemination gateway.
 
 One frame on the wire is a 4-byte big-endian length header followed by
-that many body bytes.  Protocol v3 has exactly one body format per frame
+that many body bytes.  Protocol v4 has exactly one body format per frame
 type: the tuple frames (``ingest_batch``, ``decided``) are struct-packed
 binary (:mod:`repro.transport.codec`, which has the layout tables);
 every other frame — the control plane — is a UTF-8 JSON object.
@@ -18,9 +18,9 @@ between.
 The protocol is versioned at the handshake: the first frame on a
 connection must be ``hello`` with ``"v" == PROTOCOL_VERSION``; the
 server answers ``welcome`` (or ``error`` + close on a version or auth
-mismatch — a v1 or v2 hello, from a peer that could still send JSON
-tuple frames or single-tuple ``ingest`` frames, is refused with
-``code=version``).
+mismatch — a v1, v2 or v3 hello, from a peer that could still send JSON
+tuple frames or single-tuple ``ingest`` frames, or read one app per
+``decided`` frame, is refused with ``code=version``).
 
 Frame vocabulary (client → server unless noted)::
 
@@ -41,7 +41,7 @@ Frame vocabulary (client → server unless noted)::
     welcome       {v, server, sources, features} (server → client)
     ok            {reply_to, ...}                (server → client)
     error         {reply_to?, code, message}     (server → client)
-    decided       {app, items, first_staged_ms,
+    decided       {apps, items, first_staged_ms,
                    flushed_ms}                   (server → client)
     qos_update    {app, action, level, spec,
                    signal, value, threshold}     (server → client)
@@ -56,6 +56,10 @@ the attribute dictionary).  ``snapshot`` with ``window=true`` asks the
 server to attach its raw decide-latency sliding window
 (``decide_window_ms``) so a front-tier router can merge several
 workers' windows into one honest percentile computation.
+
+``decided`` carries one batch once per connection: ``apps`` names
+every subscription on the connection it is for (the members of one
+sharing class, which receive the same tuples in the same batches).
 
 ``closed`` ends one subscription's ``decided`` stream, after its last
 batch.  Its ``reason`` is ``unsubscribed`` (the app left),
@@ -92,7 +96,10 @@ defined features:
 — half a header, three frames glued together — and it yields exactly
 the complete frames (as dicts, JSON or binary on the wire), enforcing
 ``max_frame_bytes`` *from the header* so an oversized frame is rejected
-before its body is buffered.
+before its body is buffered.  A read loop iterates
+:meth:`FrameDecoder.frames`, so it acts on every complete frame of a
+chunk before a malformed one after them raises — what a peer sees does
+not depend on how its bytes were split into reads.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ __all__ = [
     "traces_from_wire",
 ]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Frame types that only exist as binary bodies.
 _TUPLE_FRAMES = frozenset(("ingest_batch", "decided"))
@@ -143,6 +150,10 @@ SUPPORTED_FEATURES = (FEATURE_TRACE, FEATURE_QOS)
 MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">I")
+
+#: One encoder for every control frame: ``json.dumps`` with
+#: non-default separators builds a new one per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class ProtocolError(Exception):
@@ -169,7 +180,7 @@ def encode_frame(
     frame: Mapping, *, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> bytes:
     """Serialize one frame to header + JSON body bytes."""
-    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    body = _JSON.encode(frame).encode("utf-8")
     if len(body) > max_frame_bytes:
         raise FrameTooLarge(len(body), max_frame_bytes)
     return _HEADER.pack(len(body)) + body
@@ -228,8 +239,16 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[dict]:
         """Absorb one chunk; return every frame it completed (maybe [])."""
+        return list(self.frames(data))
+
+    def frames(self, data: bytes) -> Iterator[dict]:
+        """Absorb one chunk; yield every frame it completed, in order.
+
+        A malformed frame raises when the iteration reaches it, after
+        the frames before it were yielded.
+        """
         self._buffer.extend(data)
-        return list(self._drain())
+        return self._drain()
 
     def _drain(self) -> Iterator[dict]:
         while True:

@@ -10,13 +10,15 @@ bridges them onto a live :class:`~repro.service.broker.DisseminationService`:
   backpressure all the way to the producer's socket (the server simply
   stops reading further frames until the offer completes);
 * **subscribers** send ``subscribe``; the server attaches a
-  :class:`~repro.service.session.SubscriberSession` and starts a *pump*
-  task that forwards every delivered batch as a ``decided`` frame.  The
+  :class:`~repro.service.session.SubscriberSession` whose batches wait
+  on the connection's one :class:`~repro.service.session.DeliveryLink`,
+  and one *pump* task per link writes each batch once, as one
+  ``decided`` frame naming every app on the connection it is for.  The
   pump awaits ``drain()`` on the socket, so a remote reader that stops
-  consuming fills the kernel buffers, stalls the pump, and lets the
-  session's bounded queue apply its overflow policy — ``drop_oldest``
-  drops server-side, ``disconnect`` reaps the session *and closes the
-  socket*;
+  consuming fills the kernel buffers, stalls the pump, and lets each
+  session's bound on the link apply its overflow policy —
+  ``drop_oldest`` drops server-side, ``disconnect`` reaps the session
+  *and closes the socket*;
 * a connection may do both at once, and many connections multiplex onto
   one broker.
 
@@ -43,7 +45,7 @@ from repro.obs.trace import STAGE_SESSION_QUEUE, STAGE_SOCKET_WRITE
 from repro.qos.controller import policy_from_profile
 from repro.qos.spec import QualitySpec
 from repro.service.broker import DisseminationService
-from repro.service.session import SubscriberSession
+from repro.service.session import DeliveryLink
 from repro.transport.codec import BinaryEncoder, NameTable, SegmentCache
 from repro.transport.protocol import (
     FEATURE_QOS,
@@ -56,7 +58,6 @@ from repro.transport.protocol import (
     negotiate_features,
     pack_header,
     traces_from_wire,
-    tuple_from_wire,
 )
 
 __all__ = ["GatewayServer", "service_snapshot_dict"]
@@ -156,7 +157,8 @@ class _Import:
 
 
 class _Connection:
-    """Per-socket state: the corked writer and owned subscriptions.
+    """Per-socket state: the corked writer, the delivery link and the
+    subscriptions it carries.
 
     Outbound frames are never written one by one.  Every write site
     appends its encoded bytes to one FIFO and a single ``call_soon``
@@ -192,8 +194,13 @@ class _Connection:
             self._bytes_in = metrics.bytes.labels("in")
             self._frames_out = metrics.frames.labels("out")
             self._bytes_out = metrics.bytes.labels("out")
-        self.pumps: dict[str, asyncio.Task] = {}
-        self.sessions: dict[str, SubscriberSession] = {}
+        #: The link this connection's broker sessions share.
+        self.link = DeliveryLink()
+        #: Pump tasks, by the link they read (a cluster session is a
+        #: link of its own), and frame-too-large retirements, by queue.
+        self.tasks: dict[object, asyncio.Task] = {}
+        #: Live subscriptions, by their queue.
+        self.sessions: dict[object, object] = {}
         #: Live-migration staging, per source: exported tuple tables
         #: awaiting ``export_pull`` and imports awaiting their commit.
         #: They belong to the connection that opened them and go with it.
@@ -269,16 +276,16 @@ class _Connection:
         self.post(frame)
         await self._drain()
 
-    async def send_decided(self, app: str, batch, *, traces=None) -> None:
-        """Fan one decided batch out as header + shared body pieces.
+    def post_decided(self, apps, batch, *, traces=None) -> None:
+        """Cork one decided frame naming ``apps``, without awaiting.
 
-        The pieces are the per-tuple segments shared by every session
-        this batch's tuples fanned out to; they are corked by reference
-        and copied once, by the flush that joins them with everything
-        else bound for this socket.
+        The body pieces are the per-tuple segments shared with every
+        other connection this batch's tuples went to; they are corked by
+        reference and copied once, by the flush that joins them with
+        everything else bound for this socket.
         """
-        pieces, total = self.encoder.decided_pieces(
-            app,
+        pieces, total = self.encoder.decided_frame(
+            apps,
             batch,
             max_frame_bytes=self.max_frame_bytes,
             traces=traces,
@@ -286,7 +293,6 @@ class _Connection:
         self._corked.append(pack_header(total))
         self._corked.extend(pieces)
         self._corked_frame(total + 4)
-        await self._drain()
 
     async def send_quiet(self, frame: dict) -> None:
         """Best-effort send on teardown paths (peer may be gone)."""
@@ -430,7 +436,9 @@ class GatewayServer:
                         await queue.close()
         await close_task
         for conn in list(self._connections):
-            pumps = [task for task in conn.pumps.values() if not task.done()]
+            # Every session is closed: each pump ends after their ends.
+            conn.link.close()
+            pumps = [task for task in conn.tasks.values() if not task.done()]
             wedged = False
             if pumps:
                 _, pending = await asyncio.wait(
@@ -522,17 +530,20 @@ class GatewayServer:
             data = await conn.reader.read(_READ_CHUNK)
             if not data:
                 return
-            frames = decoder.feed(data)
-            conn.count_in(len(data), len(frames))
-            for frame in frames:
-                if not greeted:
-                    if not await self._greet(conn, frame):
+            nframes = 0
+            try:
+                for frame in decoder.frames(data):
+                    nframes += 1
+                    if not greeted:
+                        if not await self._greet(conn, frame):
+                            return
+                        greeted = True
+                        continue
+                    if frame.get("t") == "bye":
                         return
-                    greeted = True
-                    continue
-                if frame.get("t") == "bye":
-                    return
-                await self._dispatch(conn, frame)
+                    await self._dispatch(conn, frame)
+            finally:
+                conn.count_in(len(data), nframes)
 
     async def _greet(self, conn: _Connection, frame: dict) -> bool:
         seq = frame.get("seq")
@@ -740,19 +751,12 @@ class GatewayServer:
         with ``export_pull`` until ``done``.
         """
         if destructive:
-            pumps = [
-                conn.pumps[app]
-                for app, session in conn.sessions.items()
-                if session.source_name == name and app in conn.pumps
-            ]
             state = await self.service.export_source(name)
-            if pumps:
-                await asyncio.wait(pumps)
         else:
             state = await self.service.snapshot_source(name)
-            for session in list(conn.sessions.values()):
-                if session.source_name == name:
-                    await session.queue.drained()
+        # The pump has written what the state counts (and, for an
+        # export, each detached stream's end) once it took it all.
+        await conn.link.drained()
         checkpoint = state["checkpoint"]
         rows: list = []
         if checkpoint is not None:
@@ -816,7 +820,8 @@ class GatewayServer:
         # Inline: a block-policy stall anywhere in the batch pauses this
         # connection's read loop, so backpressure reaches the producer.
         source = _field(frame, "source")
-        items = [tuple_from_wire(t) for t in _field(frame, "tuples")]
+        # Binary-only frame: the decoder built the StreamTuples.
+        items = _field(frame, "tuples")
         self._open_traces(frame, source, items)
         emissions = await self.service.offer_many(source, items)
         if seq is not None:
@@ -863,6 +868,7 @@ class GatewayServer:
             degradation=degradation,
             degradation_level=degradation_level,
             degradation_config=degradation_config,
+            link=conn.link,
         )
         if degradation is not None and FEATURE_QOS in conn.features:
             # Invoked synchronously under the source lock: cork the
@@ -873,10 +879,12 @@ class GatewayServer:
                 conn.post({"t": "qos_update", **update})
 
             session.qos_listener = _push_qos
-        conn.sessions[app] = session
-        conn.pumps[app] = asyncio.ensure_future(
-            self._pump(conn, app, session)
-        )
+        conn.sessions[session.queue] = session
+        # A broker session's link is the connection's; a cluster
+        # router's session is a link of its own.
+        link = session.queue.link
+        if link not in conn.tasks:
+            conn.tasks[link] = asyncio.ensure_future(self._pump(conn, link))
         await conn.send(
             {
                 "t": "ok",
@@ -891,78 +899,85 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Delivery pumps
     # ------------------------------------------------------------------
-    async def _pump(
-        self, conn: _Connection, app: str, session: SubscriberSession
-    ) -> None:
-        """Forward one session's delivered batches onto the socket.
+    async def _pump(self, conn: _Connection, link) -> None:
+        """Write one delivery link's items onto the socket.
 
-        ``conn.send_decided`` awaits ``drain()``: a remote reader that
-        stops consuming eventually stalls this pump, the session queue fills,
-        and the overflow policy takes over — the socket inherits the
+        Each batch is one ``decided`` frame naming every app it is for;
+        each ended app gets its ``closed`` frame after its last batch.
+        The pump takes everything queued at once and drains the socket
+        once per take: a remote reader that stops consuming stalls the
+        pump, the apps' pending batches pile up to their bounds, and
+        their overflow policies take over — the socket inherits the
         broker's backpressure semantics.
         """
-        oversized = False
         tele = self.telemetry
+        observe = tele is not None
+        trace_wire = FEATURE_TRACE in conn.features
         try:
-            async for batch in session.batches():
-                wire_traces = None
-                write_start_ns = 0
-                if tele is not None and batch.traces is not None:
-                    tmap = batch.traces[1]
-                    # The session stamped its queue dwell last, on every
-                    # trace of its own copy.
-                    tele.observe_stage(
-                        STAGE_SESSION_QUEUE, next(iter(tmap.values()))[-1][1]
-                    )
-                    if FEATURE_TRACE in conn.features:
-                        wire_traces = tmap
-                    write_start_ns = time.perf_counter_ns()
+            while True:
                 try:
-                    await conn.send_decided(app, batch, traces=wire_traces)
-                    if write_start_ns:
-                        # Encode + cork + drain for the whole decided
-                        # frame (the flush that writes it follows within
-                        # one loop pass); measured after the fact, so this
-                        # stage is histogram-only (never rides the wire).
-                        tele.observe_stage(
-                            STAGE_SOCKET_WRITE,
-                            time.perf_counter_ns() - write_start_ns,
+                    items = await link.take()
+                except StopAsyncIteration:
+                    return
+                for batch, queues in items:
+                    if batch is None:
+                        if self._end_stream(conn, queues[0]):
+                            return
+                        continue
+                    wire_traces = None
+                    write_start_ns = 0
+                    if observe and batch.traces is not None:
+                        tmap = batch.traces[1]
+                        # Stamped with its queue dwell last, on every
+                        # trace, as it was taken.
+                        dwell = next(iter(tmap.values()))[-1][1]
+                        for _ in queues:
+                            tele.observe_stage(STAGE_SESSION_QUEUE, dwell)
+                        if trace_wire:
+                            wire_traces = tmap
+                        write_start_ns = time.perf_counter_ns()
+                    try:
+                        conn.post_decided(
+                            [queue.app for queue in queues],
+                            batch,
+                            traces=wire_traces,
                         )
-                except ProtocolError:
-                    # The batch encodes past max_frame_bytes and cannot
-                    # be delivered whole; end the subscription honestly
-                    # rather than dropping it silently (or dying and
-                    # leaving a full queue to wedge the broker).
-                    oversized = True
-                    break
+                    except ProtocolError:
+                        await self._too_large(conn, queues)
+                        continue
+                    if write_start_ns:
+                        # Encode + cork, once per app it names; the flush
+                        # that writes it follows within one loop pass, so
+                        # this stage is histogram-only (never rides the
+                        # wire).
+                        dur = time.perf_counter_ns() - write_start_ns
+                        for _ in queues:
+                            tele.observe_stage(STAGE_SOCKET_WRITE, dur)
+                await conn._drain()
         except (ConnectionError, RuntimeError):
             # Socket died mid-delivery; the handler's teardown reclaims
-            # the subscription (and the broker re-counts the loss).
+            # the subscriptions (and the broker re-counts the loss).
+            # Nothing will take from the link again: release a request
+            # waiting for it to drain.
+            if isinstance(link, DeliveryLink):
+                link.close()
             return
-        # The subscription is over (unsubscribe, export, shutdown, overflow
-        # or an oversized batch below): forget it, so a later teardown of this
-        # connection cannot unsubscribe a re-registered app of the same
-        # name now owned by someone else.  Guard against a re-subscribe
-        # having already replaced the entries.
-        if conn.sessions.get(app) is session:
-            del conn.sessions[app]
-        if conn.pumps.get(app) is asyncio.current_task():
-            del conn.pumps[app]
-        if oversized:
-            # Close the queue before unsubscribing: a producer blocked on
-            # this full queue holds the source lock, and waking it (its
-            # put is discarded and drop-counted) is what lets the
-            # unsubscribe acquire that lock.
-            session.disconnected = True
-            await session.queue.close()
-            try:
-                await self.service.unsubscribe(app)
-            except (KeyError, RuntimeError):
-                pass
-            await conn.send_quiet(
-                {"t": "closed", "app": app, "reason": "frame_too_large"}
-            )
-            return
+        finally:
+            if conn.tasks.get(link) is asyncio.current_task():
+                del conn.tasks[link]
+
+    def _end_stream(self, conn: _Connection, queue) -> bool:
+        """Cork one ended app's ``closed`` frame (its subscription is over:
+        unsubscribe, export, shutdown or overflow); True when that closed
+        the connection.
+
+        Forgetting the session means a later teardown of this connection
+        cannot unsubscribe a re-registered app of the same name now
+        owned by someone else.
+        """
+        session = conn.sessions.pop(queue, None)
+        if session is None:
+            return False  # retired for its frame size
         if session.disconnected:
             reason = "overflow_disconnect"
         elif self._shutting_down:
@@ -971,26 +986,60 @@ class GatewayServer:
             reason = "migrated"
         else:
             reason = "unsubscribed"
-        await conn.send_quiet({"t": "closed", "app": app, "reason": reason})
+        conn.post({"t": "closed", "app": session.app_name, "reason": reason})
         if session.disconnected:
             # The disconnect overflow policy means it: drop the socket,
             # not just the session, so the laggard notices immediately.
             conn.close()
+            return True
+        return False
+
+    async def _too_large(self, conn: _Connection, queues) -> None:
+        """End the apps of a batch that encodes past ``max_frame_bytes``.
+
+        It cannot be delivered whole; end the subscriptions honestly
+        rather than dropping it silently.  Their queues close at once
+        (a producer blocked on one of them holds the source lock, and
+        waking it is what lets the unsubscribe take that lock); the
+        unsubscribe and the ``closed`` frame follow in a task of their
+        own, so this pump keeps serving the connection's other apps.
+        """
+        for queue in queues:
+            session = conn.sessions.pop(queue, None)
+            if session is None:
+                continue
+            session.disconnected = True
+            queue.drain_nowait()
+            await queue.close()
+            conn.tasks[queue] = asyncio.ensure_future(
+                self._retire_too_large(conn, queue, session.app_name)
+            )
+
+    async def _retire_too_large(self, conn: _Connection, queue, app: str) -> None:
+        try:
+            await self.service.unsubscribe(app)
+        except (KeyError, RuntimeError):
+            pass
+        await conn.send_quiet(
+            {"t": "closed", "app": app, "reason": "frame_too_large"}
+        )
+        if conn.tasks.get(queue) is asyncio.current_task():
+            del conn.tasks[queue]
 
     async def _reap(self, conn: _Connection) -> None:
         """Reclaim a dead connection's subscriptions and pump tasks."""
         conn.abort()
-        for app in list(conn.pumps):
-            if self._shutting_down:
-                continue
-            try:
-                await self.service.unsubscribe(app)
-            except (KeyError, RuntimeError):
-                # Already detached (broker-side disconnect) or the
-                # service closed underneath us.
-                pass
-        if conn.pumps:
-            await asyncio.gather(
-                *conn.pumps.values(), return_exceptions=True
-            )
-            conn.pumps.clear()
+        if not self._shutting_down:
+            for session in list(conn.sessions.values()):
+                if session.queue.closed:
+                    continue  # ended already; its pump just never said so
+                try:
+                    await self.service.unsubscribe(session.app_name)
+                except (KeyError, RuntimeError):
+                    # Already detached (broker-side disconnect) or the
+                    # service closed underneath us.
+                    pass
+        conn.link.close()
+        if conn.tasks:
+            await asyncio.gather(*conn.tasks.values(), return_exceptions=True)
+            conn.tasks.clear()

@@ -6,8 +6,8 @@ Three layers of assurance:
   to exact, hand-derived byte strings (the wire format is a contract,
   not an implementation detail) and round-trip through the sans-io
   decoder, which refuses every malformed shape with a typed error;
-* **handshake** — protocol v3 negotiates nothing about the body format:
-  tuple frames are binary, a v1 or v2 hello is refused, and a tuple
+* **handshake** — protocol v4 negotiates nothing about the body format:
+  tuple frames are binary, a v1, v2 or v3 hello is refused, and a tuple
   frame in a JSON body, or a v2 single-tuple ``ingest`` body, ends that
   connection and no other;
 * **wire equivalence** — a verified loadgen run over the wire is
@@ -18,6 +18,7 @@ Three layers of assurance:
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 
 import pytest
@@ -134,7 +135,7 @@ class TestGoldenBytes:
         assert len(body) == total
         frame = _decode_body(body)
         assert frame["t"] == "decided"
-        assert frame["app"] == "app0"
+        assert frame["apps"] == ["app0"]
         assert frame["first_staged_ms"] == 10.0
         assert frame["flushed_ms"] == 30.0
         decoded = batch_from_wire(frame)
@@ -196,6 +197,29 @@ class TestGoldenBytes:
         with pytest.raises(ProtocolError):
             _decode_body(second, FrameDecoder())
 
+    def test_control_frames_encode_as_json_dumps_does(self):
+        # encode_frame keeps one JSONEncoder; its bytes are json.dumps'.
+        samples = [
+            {"t": "ok", "reply_to": 7, "emissions": 3},
+            {"t": "hello", "v": PROTOCOL_VERSION, "features": ["trace", "qos"]},
+            {"t": "welcome", "reply_to": 1, "sources": ["s\u00e9", "b"]},
+            {"t": "error", "code": "protocol", "message": 'a "quoted"\nline'},
+            {"t": "snapshot", "snapshot": {"p50": 1.25, "none": None, "ok": True}},
+            {"t": "ok", "rows": [[0, 1.5, "temp", 2.0]], "done": False},
+            {"t": "ok", "nan": float("nan"), "big": 10**20, "neg": -0.0},
+        ]
+        for frame in samples:
+            body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+            assert encode_frame(frame) == pack_header(len(body)) + body
+
+    def test_frames_before_a_malformed_one_come_out_first(self):
+        good = BinaryEncoder().ingest_body("src", _item(), seq=0)
+        wire = pack_header(len(good)) + good + pack_header(2) + b"\x7f\x00"
+        frames = FrameDecoder().frames(wire)
+        assert next(frames)["t"] == "ingest_batch"
+        with pytest.raises(ProtocolError, match="unknown binary frame tag"):
+            next(frames)
+
     def test_json_and_binary_interleave_on_one_decoder(self):
         encoder = BinaryEncoder()
         binary = encoder.ingest_body("src", _item())
@@ -250,7 +274,7 @@ class TestEncodeOnce:
         assert pieces_a[-1] is pieces_b[-1]
         assert cache.hits >= 1
 
-    def test_a_groups_members_on_one_connection_pay_only_the_header(self):
+    def test_a_groups_members_on_one_connection_share_one_frame(self):
         encoder = BinaryEncoder()
         batches = [
             Batch(
@@ -263,30 +287,29 @@ class TestEncodeOnce:
             )
             for first in (0, 3)
         ]
-        # Refused oversized: nothing is committed, memo or not.
+        # Refused oversized: nothing is committed.
         with pytest.raises(FrameTooLarge):
-            encoder.decided_pieces("a", batches[0], max_frame_bytes=8)
-        # One member's pump drains both batches before the next runs.
-        first = [
-            encoder.decided_pieces("a", b, max_frame_bytes=1 << 20)[0]
+            encoder.decided_frame(("a", "b"), batches[0], max_frame_bytes=8)
+        # One frame per batch, naming both members.
+        bodies = [
+            b"".join(
+                encoder.decided_frame(("a", "b"), b, max_frame_bytes=1 << 20)[0]
+            )
             for b in batches
         ]
-        lookups = encoder._cache.hits + encoder._cache.misses
-        second = [
-            encoder.decided_pieces("b", b, max_frame_bytes=1 << 20)[0]
-            for b in batches
-        ]
-        assert encoder._cache.hits + encoder._cache.misses == lookups
-        for x, y in zip(first, second):
-            assert all(p is q for p, q in zip(x[1:], y[1:]))
         decoder = FrameDecoder()
-        frames = [_decode_body(b"".join(p), decoder) for p in first + second]
-        assert [f["app"] for f in frames] == ["a", "a", "b", "b"]
+        frames = [_decode_body(body, decoder) for body in bodies]
+        assert [f["apps"] for f in frames] == [["a", "b"], ["a", "b"]]
         assert [[t.seq for t in batch_from_wire(f).items] for f in frames] == [
-            [0, 1, 2], [3, 4, 5], [0, 1, 2], [3, 4, 5]
+            [0, 1, 2], [3, 4, 5]
         ]
         # The name delta went out once, with the first frame.
-        assert len(second[0][0]) == len(first[0][0]) - len(b"\x00\x04temp")
+        assert b"temp" in bodies[0] and b"temp" not in bodies[1]
+        # A one-app frame is the same body with one name in the header.
+        one = b"".join(
+            BinaryEncoder().decided_pieces("a", batches[0], max_frame_bytes=1 << 20)[0]
+        )
+        assert one == bodies[0].replace(b"\x02\x01a\x01b", b"\x01\x01a", 1)
 
     def test_a_groups_members_on_one_connection_are_decoded_once(self):
         encoder = BinaryEncoder()
@@ -295,43 +318,29 @@ class TestEncodeOnce:
             first_staged_ms=0.0,
             flushed_ms=5.0,
         )
-        other = Batch(
-            items=(_item(seq=3, temp=3.0),), first_staged_ms=0.0, flushed_ms=5.0
-        )
 
-        def body(app, batch, traces=None):
-            pieces, _ = encoder.decided_pieces(
-                app, batch, max_frame_bytes=1 << 20, traces=traces
+        def body(apps, batch, traces=None):
+            pieces, _ = encoder.decided_frame(
+                apps, batch, max_frame_bytes=1 << 20, traces=traces
             )
             return b"".join(pieces)
 
         decoder = FrameDecoder()
-        a, b, c = (
-            _decode_body(body(app, batch), decoder)
-            for app, batch in (("a", shared), ("b", shared), ("c", other))
-        )
-        traced = _decode_body(body("d", shared, traces={1: [(0, 9)]}), decoder)
-        assert (a["app"], b["app"]) == ("a", "b")
-        assert b["items"] is a["items"]
-        assert [(t.seq, t.values) for t in a["items"]] == [
+        frame = _decode_body(body(("a", "b", "c"), shared), decoder)
+        assert frame["apps"] == ["a", "b", "c"]
+        assert [(t.seq, t.values) for t in frame["items"]] == [
             (1, {"temp": 1.0}), (2, {"temp": 2.0})
         ]
-        assert [t.seq for t in c["items"]] == [3]
-        # A traced frame's records are not the end of its body: decoded.
-        assert traced["items"] is not a["items"]
-        assert traced["items"] == a["items"] and traced["traces"] == {1: [(0, 9)]}
-        # A malformed body is never remembered, so it fails every time.
-        bad = body("e", other) + b"\x00"
-        for _ in range(2):
-            with pytest.raises(ProtocolError, match="trailing bytes"):
-                _decode_body(bad, decoder)
-        # Bounded: the oldest frames' records are forgotten first.
-        for seq in range(100, 200):
-            one = Batch(items=(_item(seq=seq),), first_staged_ms=0.0, flushed_ms=0.0)
-            _decode_body(body("f", one), decoder)
-        records = decoder._binary_names.records
-        assert len(records) == 64
-        assert _decode_body(body("g", shared), decoder)["items"] is not a["items"]
+        traced = _decode_body(body(("d",), shared, traces={1: [(0, 9)]}), decoder)
+        assert traced["items"] == frame["items"]
+        assert traced["traces"] == {1: [(0, 9)]}
+        # A frame must name an app, and is exactly one body long.
+        nameless = bytearray(body(("e",), shared))
+        nameless[1:4] = b"\x00"
+        with pytest.raises(ProtocolError, match="names no app"):
+            _decode_body(bytes(nameless), decoder)
+        with pytest.raises(ProtocolError, match="trailing bytes"):
+            _decode_body(body(("e",), shared) + b"\x00", decoder)
 
     def test_decided_pieces_has_only_the_shared_path(self):
         batch = Batch(items=(_item(),), first_staged_ms=1.0, flushed_ms=1.0)
@@ -497,7 +506,7 @@ class TestNegotiation:
         )
         welcome = frames[0]
         assert welcome["t"] == "welcome"
-        assert welcome["v"] == PROTOCOL_VERSION == 3
+        assert welcome["v"] == PROTOCOL_VERSION == 4
         assert "codec" not in welcome
         decided = [
             body for body, frame in zip(bodies, frames) if frame["t"] == "decided"
@@ -510,10 +519,11 @@ class TestNegotiation:
             if frame["t"] != "decided"
         )
 
-    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
     def test_old_hello_is_refused(self, version):
         # v1 peers may send JSON tuple frames, v2 peers single-tuple
-        # ``ingest`` frames; neither survives the handshake.
+        # ``ingest`` frames, v3 peers read one app per ``decided`` frame;
+        # none survives the handshake.
         async def run():
             service = DisseminationService()
             service.add_source("src")
@@ -631,6 +641,60 @@ class TestNegotiation:
         expected = "unknown_type" if case == "json_ingest" else "protocol"
         assert replies[-1]["code"] == expected
         assert emissions is not None
+
+    @pytest.mark.parametrize("writes", [1, 2], ids=["one_write", "two_writes"])
+    def test_a_valid_frame_before_a_malformed_one_is_served(self, writes):
+        """What the gateway does with bytes does not depend on how they
+        were split into reads: the acked frame in front of a malformed
+        one is offered and acked before the error ends the connection."""
+
+        def framed(body: bytes) -> bytes:
+            return pack_header(len(body)) + body
+
+        encoder = BinaryEncoder()
+        good = framed(encoder.ingest_body("src", _item(), seq=1))
+        bad = framed(encoder.ingest_body("src", _item(seq=8), seq=2) + b"\xff")
+
+        async def run():
+            service = DisseminationService()
+            service.add_source("src")
+            server = GatewayServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                encode_frame({"t": "hello", "v": PROTOCOL_VERSION, "seq": 1})
+            )
+            decoder = FrameDecoder()
+            replies = decoder.feed(
+                await asyncio.wait_for(reader.read(1 << 16), timeout=5.0)
+            )
+            if writes == 1:
+                writer.write(good + bad)
+            else:
+                writer.write(good)
+                await writer.drain()
+                replies += decoder.feed(
+                    await asyncio.wait_for(reader.read(1 << 16), timeout=5.0)
+                )
+                writer.write(bad)
+            await writer.drain()
+            replies += decoder.feed(await _read_until_closed(reader))
+            writer.close()
+            await writer.wait_closed()
+            offered = service.snapshot().offered
+            await server.shutdown()
+            return replies, offered
+
+        replies, offered = asyncio.run(run())
+        assert [(f["t"], f.get("reply_to")) for f in replies] == [
+            ("welcome", 1),
+            ("ok", 1),
+            ("error", None),
+        ]
+        assert replies[-1]["code"] == "protocol"
+        assert offered == 1
 
 
 # ---------------------------------------------------------------------------

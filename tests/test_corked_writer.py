@@ -129,8 +129,8 @@ class TestCorkedConnection:
             closed = {"t": "closed", "app": "a", "reason": "unsubscribed"}
             first, second = _batch(0, ("temp",)), _batch(2, ("temp", "hum"))
             await conn.send(ack)
-            await conn.send_decided("a", first)
-            await conn.send_decided("b", second)
+            conn.post_decided(("a",), first)
+            conn.post_decided(("b",), second)
             await conn.send_quiet(closed)
             before_flush = list(transport.log)
             await _next_pass()
@@ -209,7 +209,7 @@ class TestCorkedConnection:
         assert [len(w) for w in writes] == [((1 << 16) // size + 1) * size]
 
     def test_name_delta_precedes_first_use_of_the_id(self):
-        """Two pumps share a connection: whichever encodes first carries
+        """Frames corked in one pass: whichever encodes first carries
         the attribute-name delta, and the peer decodes the single write
         in order without ever meeting an undefined id."""
 
@@ -221,20 +221,16 @@ class TestCorkedConnection:
                 ("b", _batch(0, ("temp", "hum"))),
                 ("a", _batch(2, ("hum", "wind"))),
             ]
-            await asyncio.gather(
-                *(
-                    conn.send_decided(app, batch)
-                    for app, batch in batches
-                )
-            )
+            for app, batch in batches:
+                conn.post_decided((app,), batch)
             await _next_pass()
             return batches, transport.writes
 
         batches, writes = asyncio.run(run())
         assert len(writes) == 1
         frames = FrameDecoder().feed(writes[0])
-        assert [(f["t"], f["app"]) for f in frames] == [
-            ("decided", app) for app, _ in batches
+        assert [(f["t"], f["apps"]) for f in frames] == [
+            ("decided", [app]) for app, _ in batches
         ]
         for frame, (_, batch) in zip(frames, batches):
             assert batch_from_wire(frame).items == batch.items

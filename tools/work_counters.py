@@ -17,12 +17,23 @@ same engine as a live broker runs it (``record=False``),
 ``DisseminationService.offer`` — two subscribers on two distinct DC
 specs, region algorithm, default ``ServiceConfig``, sessions emptied
 after every offer — and the same offer path with four subscribers, two
-on each spec (``broker_offer_shared``: two delivery groups of two).  Each reading repeats exactly from run to run on one
+on each spec (``broker_offer_shared``: two delivery groups of two).
+Each of these readings repeats exactly from run to run on one
 interpreter version (bytecode differs between versions), so a change of
 a few opcodes is visible where wall-clock time cannot resolve 10 %.
+
+``gateway_fanout`` is the whole server side of a loopback connection: a
+thread runs a ``GatewayServer`` over a default broker, and only that
+thread is traced, while a ``GatewayClient`` on the main thread holds
+eight subscriptions (four on each spec: two delivery groups of four)
+and sends the prefix as 16-tuple ``ingest_batch`` frames, one in flight
+(each awaits its ack).  The event loop's own Python (selector, handle
+scheduling) counts too, so this reading can move by a few dozen opcodes
+between runs (194 over the 3 000 tuples, the most seen).
+
 Opcodes do not see time spent inside C calls (``marshal.dumps``, dict
-and set operations, ``sorted``): a layer can get slower with fewer
-opcodes.
+and set operations, ``sorted``, socket calls): a layer can get slower
+with fewer opcodes.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import argparse
 import asyncio
 import gc
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 
@@ -40,8 +52,20 @@ from repro.experiments.configs import dc_specs_from_statistics
 from repro.filters.spec import parse_filter
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import random_walk_trace
+from repro.transport.client import GatewayClient
+from repro.transport.server import GatewayServer
 
-LAYERS = ("engine_record", "engine_live", "broker_offer", "broker_offer_shared")
+LAYERS = (
+    "engine_record",
+    "engine_live",
+    "broker_offer",
+    "broker_offer_shared",
+    "gateway_fanout",
+)
+
+#: ``gateway_fanout``: subscribers per spec, and tuples per ingest frame.
+_FANOUT_COPIES = 4
+_FANOUT_FRAME = 16
 
 #: Delta multipliers (of the trace's mean step) of the two subscribers.
 _DELTAS = (1.0, 1.5)
@@ -52,6 +76,9 @@ class OpcodeCounter:
 
     def __init__(self) -> None:
         self.count = 0
+        #: Opcodes count only while set (a thread traced from its start
+        #: gates the window it reports).
+        self.enabled = True
 
     def _call(self, frame, event, arg):
         if frame.f_code is _EXIT:
@@ -60,7 +87,7 @@ class OpcodeCounter:
         return self._step
 
     def _step(self, frame, event, arg):
-        if event == "opcode":
+        if event == "opcode" and self.enabled:
             self.count += 1
         return self._step
 
@@ -136,7 +163,79 @@ def _run_broker(rows, specs, counter=None, copies: int = 1) -> DisseminationServ
     return asyncio.run(run())
 
 
+def _run_gateway(rows, specs, counter=None) -> DisseminationService:
+    """Feed the prefix through a loopback gateway; counts the server
+    thread's opcodes between the first frame and the last ack."""
+    started = threading.Event()
+    server: dict = {}
+
+    def serve() -> None:
+        async def main() -> None:
+            service = DisseminationService(ServiceConfig())
+            service.add_source("src")
+            gateway = GatewayServer(service)
+            await gateway.start()
+            stop = asyncio.Event()
+            server.update(
+                port=gateway.port,
+                loop=asyncio.get_running_loop(),
+                stop=stop,
+                service=service,
+            )
+            started.set()
+            await stop.wait()
+            await gateway.shutdown()
+
+        if counter is not None:
+            sys.settrace(counter._call)  # this thread only
+        try:
+            asyncio.run(main())
+        finally:
+            sys.settrace(None)
+
+    async def drive() -> None:
+        client = await GatewayClient.connect("127.0.0.1", server["port"])
+        subscriptions = [
+            await client.subscribe(
+                f"app{i}.{copy}", "src", spec, queue_capacity=1 << 20
+            )
+            for i, spec in enumerate(specs)
+            for copy in range(_FANOUT_COPIES)
+        ]
+
+        async def consume(subscription) -> None:
+            async for _ in subscription.batches():
+                pass
+
+        consumers = [asyncio.ensure_future(consume(s)) for s in subscriptions]
+        items = list(_fresh(rows))
+        # The server idles in select() between requests, so the window
+        # opens and closes while it runs no Python.
+        if counter is not None:
+            counter.enabled = True
+        for first in range(0, len(items), _FANOUT_FRAME):
+            await client.ingest_many("src", items[first : first + _FANOUT_FRAME])
+        if counter is not None:
+            counter.enabled = False
+        await client.close()
+        await asyncio.gather(*consumers)
+
+    if counter is not None:
+        counter.enabled = False
+    thread = threading.Thread(target=serve, name="gateway")
+    thread.start()
+    started.wait()
+    try:
+        asyncio.run(drive())
+    finally:
+        server["loop"].call_soon_threadsafe(server["stop"].set)
+        thread.join()
+    return server["service"]
+
+
 def _run(layer: str, rows, specs, counter=None):
+    if layer == "gateway_fanout":
+        return _run_gateway(rows, specs, counter)
     if layer == "broker_offer":
         return _run_broker(rows, specs, counter)
     if layer == "broker_offer_shared":
