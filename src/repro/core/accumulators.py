@@ -15,9 +15,10 @@ process executors.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterable, Iterator
+
+from repro.metrics.summary import quantile
 
 __all__ = ["BoundedSamples"]
 
@@ -93,18 +94,7 @@ class BoundedSamples:
         afterwards.  ``p`` is in [0, 100]."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be within [0, 100], got {p}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = p / 100.0 * (len(ordered) - 1)
-        low = math.floor(position)
-        high = math.ceil(position)
-        if low == high:
-            return ordered[low]
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return quantile(self._samples, p / 100.0) if self._samples else 0.0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -242,14 +242,6 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
         help="poll period of the built-in Watchtower serving "
         "/health/report (0 disables; needs --http-port and telemetry)",
     )
-    parser.add_argument(
-        "--metrics-scrape-ttl",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="cluster routers cache per-worker /metrics bodies and "
-        "/events folds this long (0 re-scrapes every request)",
-    )
     _add_telemetry_knobs(parser)
 
 
@@ -326,7 +318,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
                 batch_max_delay_ms=args.batch_delay_ms,
                 tick_cuts=not args.no_tick_cuts,
                 max_frame_bytes=args.max_frame_bytes,
-                metrics_scrape_ttl_s=args.metrics_scrape_ttl,
                 standby=max(args.standby, 0),
             ),
             telemetry=telemetry,

@@ -15,7 +15,8 @@ the same inputs.
 from __future__ import annotations
 
 from collections import deque
-from statistics import median
+
+from repro.metrics.summary import median
 
 __all__ = [
     "BucketDelta",
@@ -86,7 +87,7 @@ class MadDetector:
         if len(self._values) < self.min_samples:
             return 0.0
         center = median(self._values)
-        mad = median(abs(v - center) for v in self._values)
+        mad = median([abs(v - center) for v in self._values])
         scale = max(1.4826 * mad, self.min_scale)
         return abs(value - center) / scale
 

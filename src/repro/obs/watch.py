@@ -78,7 +78,9 @@ class HttpProbe:
         self.port = port
         self.timeout_s = timeout_s
 
-    async def _get(self, path: str) -> Optional[bytes]:
+    async def get(self, path: str) -> Optional[bytes]:
+        """The body of a ``200`` reply to ``GET path``; ``None`` on any
+        other status or any failure to connect, send or read in time."""
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
@@ -107,15 +109,15 @@ class HttpProbe:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
+            except ConnectionError:
                 pass
 
     async def metrics(self) -> Optional[str]:
-        body = await self._get("/metrics")
+        body = await self.get("/metrics")
         return body.decode("utf-8", "replace") if body is not None else None
 
     async def events(self, since: int) -> list[dict]:
-        body = await self._get(f"/events?since={since}")
+        body = await self.get(f"/events?since={since}")
         if not body:
             return []
         records: list[dict] = []

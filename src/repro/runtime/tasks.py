@@ -11,16 +11,22 @@ the same :class:`~repro.core.engine.EngineResult` as a sequential run.
 Tasks serialize to plain tuples (:meth:`GroupTask.to_payload`) so worker
 processes receive cheap, version-stable payloads instead of pickled
 filter objects; filters are re-parsed from their specs inside the worker.
+:func:`engine_from_config` builds the engine an :class:`EngineConfig`
+describes, for a task and for the live broker alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
+from repro.core.cuts import TimeConstraint
+from repro.core.engine import GroupAwareEngine, SelfInterestedEngine
+from repro.core.output import BatchedOutput, PerCandidateSetOutput, RegionOutput
 from repro.core.tuples import StreamTuple
+from repro.filters.base import GroupAwareFilter
 
-__all__ = ["EXECUTORS", "EngineConfig", "GroupTask"]
+__all__ = ["EXECUTORS", "EngineConfig", "GroupTask", "engine_from_config"]
 
 #: Shard executors (:mod:`repro.runtime.sharded` describes each); named
 #: here so a command line can offer the choice without loading them.
@@ -51,6 +57,44 @@ class EngineConfig:
             raise ValueError(f"unknown output strategy {self.output!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+
+
+def _make_strategy(config: EngineConfig):
+    if config.output == "region":
+        return RegionOutput()
+    if config.output == "pcs":
+        return PerCandidateSetOutput()
+    return BatchedOutput(config.batch_size)
+
+
+def engine_from_config(
+    filters: Sequence[GroupAwareFilter],
+    config: EngineConfig,
+    *,
+    record: bool = True,
+) -> Union[GroupAwareEngine, SelfInterestedEngine]:
+    """Fresh engine mirroring a portable config.
+
+    The sharded runtime's tasks, the broker's epoch engines and any
+    batch reference used to verify the service all come through here:
+    algorithm, output strategy and time constraint all shape decided
+    outputs, so every side has to agree on every knob.  ``record`` is
+    not such a knob: it only says whether a group-aware engine keeps its
+    per-tuple log (see :class:`~repro.core.engine.GroupAwareEngine`),
+    never what it decides.
+    """
+    if config.algorithm == "self_interested":
+        return SelfInterestedEngine(filters)
+    constraint: Optional[TimeConstraint] = None
+    if config.constraint_ms is not None:
+        constraint = TimeConstraint(config.constraint_ms)
+    return GroupAwareEngine(
+        list(filters),
+        algorithm=config.algorithm,
+        output_strategy=_make_strategy(config),
+        time_constraint=constraint,
+        record=record,
+    )
 
 
 @dataclass(frozen=True)

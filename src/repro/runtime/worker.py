@@ -10,46 +10,17 @@ process boundary.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
 
-from repro.core.cuts import TimeConstraint
-from repro.core.engine import EngineResult, GroupAwareEngine, SelfInterestedEngine
-from repro.core.output import BatchedOutput, PerCandidateSetOutput, RegionOutput
+from repro.core.engine import EngineResult
 from repro.filters.spec import parse_group
-from repro.runtime.tasks import EngineConfig, GroupTask
+from repro.runtime.tasks import GroupTask, engine_from_config
 
-__all__ = ["build_engine", "run_task", "run_shard"]
-
-
-def _make_strategy(config: EngineConfig):
-    if config.output == "region":
-        return RegionOutput()
-    if config.output == "pcs":
-        return PerCandidateSetOutput()
-    return BatchedOutput(config.batch_size)
-
-
-def build_engine(
-    specs: tuple[str, ...], config: EngineConfig
-) -> Union[GroupAwareEngine, SelfInterestedEngine]:
-    """Fresh engine for one task (fresh filters, no shared state)."""
-    filters = parse_group(list(specs))
-    if config.algorithm == "self_interested":
-        return SelfInterestedEngine(filters)
-    constraint: Optional[TimeConstraint] = None
-    if config.constraint_ms is not None:
-        constraint = TimeConstraint(config.constraint_ms)
-    return GroupAwareEngine(
-        filters,
-        algorithm=config.algorithm,
-        output_strategy=_make_strategy(config),
-        time_constraint=constraint,
-    )
+__all__ = ["run_task", "run_shard"]
 
 
 def run_task(task: GroupTask) -> EngineResult:
     """Run one group's engine over its stream, start to finish."""
-    engine = build_engine(task.specs, task.config)
+    engine = engine_from_config(parse_group(list(task.specs)), task.config)
     return engine.run(task.tuples)
 
 

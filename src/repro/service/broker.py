@@ -46,15 +46,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Container, Iterable, Optional, Sequence
 
-from repro.core.cuts import TimeConstraint
 from repro.core.engine import EngineResult, GroupAwareEngine
-from repro.core.output import (
-    BatchedOutput,
-    Emission,
-    OutputStrategy,
-    PerCandidateSetOutput,
-    RegionOutput,
-)
+from repro.core.output import Emission
 from repro.core.tuples import StreamTuple
 from repro.filters.base import GroupAwareFilter
 from repro.filters.spec import parse_filter
@@ -72,7 +65,7 @@ from repro.qos.controller import (
     DegradationDecision,
 )
 from repro.qos.spec import DegradationPolicy, QualitySpec, session_limits
-from repro.runtime.tasks import EngineConfig
+from repro.runtime.tasks import EngineConfig, engine_from_config
 from repro.service.batching import MicroBatcher
 from repro.service.session import (
     OVERFLOW_POLICIES,
@@ -82,6 +75,8 @@ from repro.service.session import (
 )
 from repro.service.snapshot import ServiceSnapshot, SessionSnapshot
 
+#: ``engine_from_config`` is defined in :mod:`repro.runtime.tasks`; it is
+#: exported here too because the benchmark harness imports it from here.
 __all__ = ["ServiceConfig", "DisseminationService", "engine_from_config"]
 
 #: Bound on per-source arrival-time tracking for decide latency: tuples
@@ -98,47 +93,10 @@ _SID_DECIDE = stage_id(STAGE_DECIDE)
 _SID_BATCH_FLUSH = stage_id(STAGE_BATCH_FLUSH)
 
 
-def _make_strategy(output: str, batch_size: int) -> OutputStrategy:
-    if output == "region":
-        return RegionOutput()
-    if output == "pcs":
-        return PerCandidateSetOutput()
-    return BatchedOutput(batch_size)
-
-
 def _open_tuples(state: dict) -> int:
     """Tuples in a source state's checkpoint (its tuple table's rows)."""
     checkpoint = state.get("checkpoint")
     return 0 if checkpoint is None else len(checkpoint[-1])
-
-
-def engine_from_config(
-    filters: Sequence[GroupAwareFilter],
-    engine_cfg: EngineConfig,
-    *,
-    record: bool = True,
-) -> GroupAwareEngine:
-    """Fresh :class:`GroupAwareEngine` mirroring a portable config.
-
-    Both the broker's epoch engines and any batch reference used to
-    verify the service must come through here: algorithm, output
-    strategy and time constraint all shape decided outputs, so the two
-    sides have to agree on every knob.  ``record`` is not such a knob:
-    it only says whether the engine keeps its per-tuple log (see
-    :class:`~repro.core.engine.GroupAwareEngine`), never what it decides.
-    """
-    constraint = (
-        TimeConstraint(engine_cfg.constraint_ms)
-        if engine_cfg.constraint_ms is not None
-        else None
-    )
-    return GroupAwareEngine(
-        list(filters),
-        algorithm=engine_cfg.algorithm,
-        output_strategy=_make_strategy(engine_cfg.output, engine_cfg.batch_size),
-        time_constraint=constraint,
-        record=record,
-    )
 
 
 @dataclass(frozen=True)
@@ -285,6 +243,8 @@ class DisseminationService:
             self._m_ticks = registry.counter(
                 "repro_broker_ticks_total", "Broker timer ticks."
             )
+            # All three read the broker's own counts at scrape time.
+            registry.register_collector(self._collect_counts)
             self._m_cutovers = registry.counter(
                 "repro_broker_cutovers_total",
                 "Engine cutovers forced by subscription churn.",
@@ -929,19 +889,17 @@ class DisseminationService:
         engine = src.engine
         t = self.telemetry
         traced = False
-        if t is not None:
-            self._m_offers.inc()
-            if t.tracer.sampled(src.name, item.seq):
-                traced = True
-                key = (src.name, item.seq)
-                if key in t.bag:
-                    # The transport already opened this trace at frame
-                    # receive; close the ingest stage at admission.
-                    dur = t.bag.stamp(key, _SID_INGEST_RECV, arrival_ns)
-                    if dur is not None:
-                        t.observe_stage(STAGE_INGEST_RECV, dur)
-                else:
-                    t.bag.begin(key, arrival_ns)
+        if t is not None and t.tracer.sampled(src.name, item.seq):
+            traced = True
+            key = (src.name, item.seq)
+            if key in t.bag:
+                # The transport already opened this trace at frame
+                # receive; close the ingest stage at admission.
+                dur = t.bag.stamp(key, _SID_INGEST_RECV, arrival_ns)
+                if dur is not None:
+                    t.observe_stage(STAGE_INGEST_RECV, dur)
+            else:
+                t.bag.begin(key, arrival_ns)
         emissions = engine.process(item) if engine is not None else []
         self._note_emissions(src, emissions)
         if traced:
@@ -976,8 +934,6 @@ class DisseminationService:
         )
         emitted = 0
         self._ticks += 1
-        if self.telemetry is not None:
-            self._m_ticks.inc()
         for src in targets:
             async with src.lock:
                 self._now = max(self._now, now_ms)
@@ -1008,8 +964,6 @@ class DisseminationService:
         arrivals = src.arrivals_ns
         window = self._decide_window
         t = self.telemetry
-        if t is not None:
-            self._m_decided.inc(len(emissions))
         for emission in emissions:
             # get, not pop: one tuple can be emitted more than once (the
             # pcs and batched outputs release per decision, not per
@@ -1183,6 +1137,17 @@ class DisseminationService:
             batch = group.batcher.flush(self._now)
             if batch is not None:
                 await self._ship(src, group, batch, final)
+
+    def _collect_counts(self) -> None:
+        """Offered tuples, decided emissions and ticks, from the counts
+        the snapshot reports (a count still at 0 is not exposed yet)."""
+        for metric, count in (
+            (self._m_offers, self._offered),
+            (self._m_decided, self._decided_emissions),
+            (self._m_ticks, self._ticks),
+        ):
+            if count:
+                metric.labels().value = float(count)
 
     def _collect_queues(self) -> None:
         """Session queue metrics from the queues' counters: drops per

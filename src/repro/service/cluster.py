@@ -153,16 +153,10 @@ class ClusterConfig:
     #: the checkpoint, replays the tail, and subscribers' streams splice
     #: byte-identically.  Primaries beyond the standby count respawn cold.
     standby: int = 0
-    #: How long scraped worker observability bodies (``/metrics``
-    #: bodies, folded ``/events``) stay fresh before the next request
-    #: re-scrapes the fleet.  0 disables caching entirely.
-    metrics_scrape_ttl_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.metrics_scrape_ttl_s < 0:
-            raise ValueError("metrics_scrape_ttl_s must be >= 0")
         if self.standby < 0 or self.standby > self.workers:
             raise ValueError("standby must be between 0 and workers")
 
@@ -523,9 +517,6 @@ class _Worker:
         #: the router's event log (reset on respawn: fresh process,
         #: fresh id space).
         self.events_cursor = 0
-        #: ``(monotonic_ts, relabeled_text)`` of the last successful
-        #: ``/metrics`` scrape; failures are never cached.
-        self.metrics_cache: Optional[tuple[float, str]] = None
 
 
 class ClusterService:
@@ -583,10 +574,6 @@ class ClusterService:
         #: traces back) but never auto-sample — the router attaches the
         #: carried trace pairs explicitly on the forward path.
         self._client_telemetry: Optional[Telemetry] = None
-        #: Monotonic timestamp of the last fleet events fold (TTL
-        #: throttle for back-to-back ``/events`` polls).
-        self._events_pull_ts: Optional[float] = None
-        self._m_scrape_cache = None
         self._m_migrations = None
         self._m_rearms = None
         if telemetry is not None:
@@ -611,12 +598,6 @@ class ClusterService:
                 "repro_cluster_placement_moves_total",
                 "Source placements onto workers.",
                 ("worker",),
-            )
-            self._m_scrape_cache = registry.counter(
-                "repro_cluster_scrape_cache_total",
-                "Worker observability scrapes answered from the TTL "
-                "cache (hit) vs re-fetched (miss).",
-                ("surface", "result"),
             )
             m_backoff = registry.gauge(
                 "repro_cluster_respawn_backoff_s",
@@ -877,7 +858,6 @@ class ClusterService:
                 telemetry=self._client_telemetry,
             )
             worker.events_cursor = 0
-            worker.metrics_cache = None
             self._emit(
                 "worker_spawn",
                 worker=worker.index,
@@ -1032,8 +1012,6 @@ class ClusterService:
         """
         if worker.respawn_task is not None and not worker.respawn_task.done():
             return
-        # A dead worker must not keep serving its last scrape from cache.
-        worker.metrics_cache = None
         worker.respawn_task = asyncio.ensure_future(self._respawn(worker))
 
     async def _monitor(self) -> None:
@@ -1164,48 +1142,21 @@ class ClusterService:
             self._schedule_respawn(worker)
             return "respawned"
 
-    async def _http_get(
-        self, worker: _Worker, path: str, *, timeout_s: float = 2.0
-    ) -> Optional[bytes]:
-        """One-shot HTTP GET against a worker's snapshot endpoint.
+    @staticmethod
+    def _probe(worker: _Worker):
+        """The HTTP client for ``worker``'s snapshot endpoint; a failed
+        read yields ``None`` (or no events), so a worker dying mid-read
+        degrades the merged view, never the read itself."""
+        # Imported here, not at the top: importing the router loads no
+        # more than the closure ``serve`` starts with.
+        from repro.obs.watch import HttpProbe
 
-        Returns the response body on a 200, ``None`` on any failure —
-        a worker dying mid-scrape degrades the merged view, never the
-        scrape itself.
-        """
-        if worker.http_port is None:
-            return None
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection("127.0.0.1", worker.http_port),
-                timeout=timeout_s,
-            )
-        except (OSError, asyncio.TimeoutError):
-            return None
-        try:
-            writer.write(
-                f"GET {path} HTTP/1.1\r\n"
-                "Host: 127.0.0.1\r\nConnection: close\r\n\r\n".encode("ascii")
-            )
-            await writer.drain()
-            response = await asyncio.wait_for(reader.read(), timeout=timeout_s)
-            head, _, body = response.partition(b"\r\n\r\n")
-            if b" 200 " not in head.split(b"\r\n", 1)[0]:
-                return None
-            return body
-        except (OSError, asyncio.TimeoutError):
-            return None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+        return HttpProbe("127.0.0.1", worker.http_port)
 
     async def _healthz(self, worker: _Worker) -> bool:
         if worker.http_port is None:
             return True
-        return await self._http_get(worker, "/healthz") is not None
+        return await self._probe(worker).get("/healthz") is not None
 
     async def _respawn(self, worker: _Worker) -> None:
         """Drain a dead worker slot and bring up a replacement.
@@ -1864,7 +1815,6 @@ class ClusterService:
         primary.drain_task = standby.drain_task
         primary.stdout_tail = standby.stdout_tail
         primary.events_cursor = standby.events_cursor
-        primary.metrics_cache = None
         primary.health_misses = 0
         standby.process = None
         standby.port = None
@@ -1873,7 +1823,7 @@ class ClusterService:
         standby.drain_task = None
         standby.stdout_tail = deque(maxlen=8)
         standby.ready.clear()
-        # The respawn resets the rest (metrics cache, events cursor).
+        # The respawn resets the rest (the events cursor).
         self._schedule_respawn(standby)
 
     async def _reattach_shard(
@@ -2115,10 +2065,6 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _count_scrape(self, surface: str, result: str, n: int = 1) -> None:
-        if self._m_scrape_cache is not None and n:
-            self._m_scrape_cache.labels(surface, result).inc(n)
-
     def fleet_status(self) -> dict:
         """Synchronous control-plane view (no worker round-trips).
 
@@ -2168,10 +2114,6 @@ class ClusterService:
         port and relabeled with its slot index.  A worker that cannot be
         scraped (dead, mid-respawn) is skipped — the merged text
         degrades, the scrape never fails.
-
-        Per-worker bodies are cached for ``metrics_scrape_ttl_s`` so a
-        fleet fronting several scrapers (Prometheus + a Watchtower) is
-        not re-scraped for every request.
         """
         parts: list[str] = []
         if self.telemetry is not None:
@@ -2180,34 +2122,15 @@ class ClusterService:
                     self.telemetry.registry.render(), {"worker": "router"}
                 )
             )
-        ttl = self.config.metrics_scrape_ttl_s
-        now = time.monotonic()
-        stale: list[_Worker] = []
-        cached: dict[int, str] = {}
-        fleet = self._workers + self._standbys
-        for worker in fleet:
-            entry = worker.metrics_cache
-            if entry is not None and ttl > 0 and now - entry[0] < ttl:
-                cached[worker.index] = entry[1]
-            else:
-                stale.append(worker)
-        self._count_scrape("metrics", "hit", len(cached))
-        self._count_scrape("metrics", "miss", len(stale))
+        fleet = self._http_fleet()
         bodies = await asyncio.gather(
-            *(self._http_get(w, "/metrics") for w in stale)
+            *(self._probe(w).metrics() for w in fleet)
         )
-        for worker, body in zip(stale, bodies):
+        for worker, body in zip(fleet, bodies):
             if body:
-                text = relabel_exposition(
-                    body.decode("utf-8", "replace"),
-                    {"worker": str(worker.index)},
+                parts.append(
+                    relabel_exposition(body, {"worker": str(worker.index)})
                 )
-                worker.metrics_cache = (now, text)
-                cached[worker.index] = text
-        for worker in fleet:
-            part = cached.get(worker.index)
-            if part:
-                parts.append(part)
         return merge_expositions(parts)
 
     async def pull_events(self) -> None:
@@ -2215,52 +2138,28 @@ class ClusterService:
 
         Per-worker cursors mean each worker event is ingested at most
         once; a respawned worker restarts its id space, and its cursor
-        was reset at launch.  Unreachable workers are skipped.  Folds
-        themselves are throttled to one fleet round-trip per
-        ``metrics_scrape_ttl_s`` — repeated ``/events`` polls inside the
-        TTL answer from the already-folded router log.
+        was reset at launch.  Unreachable workers are skipped.
         """
         tele = self.telemetry
         if tele is None:
             return
-        ttl = self.config.metrics_scrape_ttl_s
-        now = time.monotonic()
-        if (
-            self._events_pull_ts is not None
-            and ttl > 0
-            and now - self._events_pull_ts < ttl
-        ):
-            self._count_scrape("events", "hit")
-            return
-        self._events_pull_ts = now
-        self._count_scrape("events", "miss")
-        fleet = self._workers + self._standbys
-        bodies = await asyncio.gather(
-            *(
-                self._http_get(w, f"/events?since={w.events_cursor}")
-                for w in fleet
-            )
+        fleet = self._http_fleet()
+        folds = await asyncio.gather(
+            *(self._probe(w).events(w.events_cursor) for w in fleet)
         )
-        for worker, body in zip(fleet, bodies):
-            if not body:
-                continue
-            records: list[dict] = []
-            top = worker.events_cursor
-            for line in body.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                records.append(record)
-                top = max(top, int(record.get("id", 0)))
+        for worker, records in zip(fleet, folds):
             if records:
                 tele.events.ingest(records, worker=worker.index)
-                worker.events_cursor = top
+                worker.events_cursor = max(
+                    worker.events_cursor,
+                    *(int(record.get("id", 0)) for record in records),
+                )
+
+    def _http_fleet(self) -> list[_Worker]:
+        """Primaries then standbys, each that has a snapshot endpoint."""
+        return [
+            w for w in self._workers + self._standbys if w.http_port is not None
+        ]
 
     async def _worker_snapshot(self, worker: _Worker) -> Optional[dict]:
         if worker.failed or worker.client is None or not worker.ready.is_set():

@@ -54,14 +54,11 @@ from repro.core.engine import EngineResult
 from repro.core.tuples import StreamTuple, Trace
 from repro.experiments.configs import dc_specs_from_statistics
 from repro.filters.spec import parse_filter
+from repro.metrics.summary import quantile
 from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry
 from repro.obs.trace import stage_name
-from repro.runtime.tasks import EngineConfig
-from repro.service.broker import (
-    DisseminationService,
-    ServiceConfig,
-    engine_from_config,
-)
+from repro.runtime.tasks import EngineConfig, engine_from_config
+from repro.service.broker import DisseminationService, ServiceConfig
 from repro.sources import CATALOG
 
 __all__ = [
@@ -458,22 +455,15 @@ async def _consume(
     return total
 
 
-def _pctl_ns(ordered: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not ordered:
-        return 0
-    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
-
-
 def _stage_latency_summary(stages: dict) -> dict:
     """Per-stage p50/p99 (ms) from the run's sampled stage traces."""
     block: dict[str, dict] = {}
     for sid in sorted(stages):
-        durs = sorted(stages[sid])
+        durs = stages[sid]
         block[stage_name(sid)] = {
             "count": len(durs),
-            "p50_ms": round(_pctl_ns(durs, 0.50) / 1e6, 6),
-            "p99_ms": round(_pctl_ns(durs, 0.99) / 1e6, 6),
+            "p50_ms": round(quantile(durs, 0.50) / 1e6, 6),
+            "p99_ms": round(quantile(durs, 0.99) / 1e6, 6),
         }
     return block
 

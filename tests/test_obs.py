@@ -307,7 +307,7 @@ async def _http_raw(port: int, request: bytes) -> bytes:
     return raw
 
 
-async def _http_get(port: int, path: str) -> tuple[str, dict, bytes]:
+async def _fetch(port: int, path: str) -> tuple[str, dict, bytes]:
     raw = await _http_raw(
         port, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode("ascii")
     )
@@ -330,21 +330,26 @@ class TestObservabilityHTTP:
             await service.subscribe(
                 "app0", "src", CHATTY_SPEC, queue_capacity=100
             )
+            decided = 0
             for item in random_walk_trace(n=20, seed=3, attribute="temp"):
-                await service.offer("src", item)
-            metrics = await _http_get(http.port, "/metrics")
-            events_all = await _http_get(http.port, "/events")
-            events_paged = await _http_get(http.port, "/events?since=1")
+                decided += await service.offer("src", item)
+            decided += await service.tick(item.timestamp)
+            metrics = await _fetch(http.port, "/metrics")
+            events_all = await _fetch(http.port, "/events")
+            events_paged = await _fetch(http.port, "/events?since=1")
             await http.close()
             await service.close()
-            return metrics, events_all, events_paged
+            return metrics, events_all, events_paged, decided
 
-        metrics, events_all, events_paged = asyncio.run(run())
+        metrics, events_all, events_paged, decided = asyncio.run(run())
         status, headers, body = metrics
         assert status == "HTTP/1.1 200 OK"
         assert headers["content-type"].startswith("text/plain")
         text = body.decode("utf-8")
         assert "repro_broker_offered_tuples_total 20" in text
+        assert decided > 0
+        assert f"repro_broker_decided_emissions_total {decided}" in text
+        assert "repro_broker_ticks_total 1" in text
         assert "# TYPE repro_broker_offered_tuples_total counter" in text
         assert "repro_broker_sessions 1" in text
         status, headers, body = events_all
@@ -367,8 +372,8 @@ class TestObservabilityHTTP:
             service = _service()
             http = SnapshotHTTP(service)
             await http.start()
-            metrics = await _http_get(http.port, "/metrics")
-            events = await _http_get(http.port, "/events")
+            metrics = await _fetch(http.port, "/metrics")
+            events = await _fetch(http.port, "/events")
             await http.close()
             await service.close()
             return metrics, events
@@ -640,12 +645,8 @@ class TestClusterObservabilityMerge:
 
         async def run():
             router_tele = Telemetry()
-            # ttl=0: this test drives three back-to-back folds and wants
-            # each to hit the worker, not the router's fold throttle.
             cluster = ClusterService(
-                ClusterConfig(
-                    workers=2, sources=("s0", "s1"), metrics_scrape_ttl_s=0.0
-                ),
+                ClusterConfig(workers=2, sources=("s0", "s1")),
                 telemetry=router_tele,
             )
             worker_tele = Telemetry()

@@ -687,7 +687,7 @@ class TestMigrationStaging:
 # ---------------------------------------------------------------------------
 # HTTP snapshot endpoint
 # ---------------------------------------------------------------------------
-async def _http_get(port: int, path: str) -> tuple[str, dict]:
+async def _fetch(port: int, path: str) -> tuple[str, dict]:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(
         f"GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode("ascii")
@@ -709,9 +709,9 @@ class TestSnapshotHTTP:
             await service.subscribe("app0", "src", SPECS[0][1])
             for item in _trace(n=30):
                 await service.offer("src", item)
-            health = await _http_get(http.port, "/healthz")
-            snap = await _http_get(http.port, "/snapshot")
-            missing = await _http_get(http.port, "/nope")
+            health = await _fetch(http.port, "/healthz")
+            snap = await _fetch(http.port, "/snapshot")
+            missing = await _fetch(http.port, "/nope")
             post_reader, post_writer = await asyncio.open_connection(
                 "127.0.0.1", http.port
             )

@@ -68,7 +68,7 @@ def _env() -> dict:
     return env
 
 
-async def _http_get(port: int, path: str) -> tuple[str, bytes]:
+async def _fetch(port: int, path: str) -> tuple[str, bytes]:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(
         f"GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode()
@@ -483,14 +483,14 @@ class TestHealthEndpoint:
             service = DisseminationService(telemetry=tele)
             bare = SnapshotHTTP(service, telemetry=tele)
             await bare.start()
-            status_bare, _ = await _http_get(bare.port, "/health/report")
+            status_bare, _ = await _fetch(bare.port, "/health/report")
             await bare.close()
 
             tower = Watchtower(LocalProbe(tele), events=tele.events)
             http = SnapshotHTTP(service, telemetry=tele, watchtower=tower)
             await http.start()
             # No background poll has run: the endpoint polls on demand.
-            status, body = await _http_get(http.port, "/health/report")
+            status, body = await _fetch(http.port, "/health/report")
             await http.close()
             return status_bare, status, json.loads(body)
 
@@ -503,53 +503,20 @@ class TestHealthEndpoint:
 
 
 # ---------------------------------------------------------------------------
-# Cluster scrape cache + events-fold throttle
+# Cluster fleet reads: every request reads the live workers
 # ---------------------------------------------------------------------------
-class TestClusterScrapeCache:
-    def _cluster(self, ttl: float):
+class TestClusterFleetReads:
+    def _cluster(self):
         from repro.service.cluster import ClusterConfig, ClusterService
 
         return ClusterService(
-            ClusterConfig(
-                workers=2, sources=("s0", "s1"), metrics_scrape_ttl_s=ttl
-            ),
+            ClusterConfig(workers=2, sources=("s0", "s1")),
             telemetry=Telemetry(),
         )
 
-    def _cache_count(self, cluster, surface: str, result: str) -> float:
-        counter = cluster.telemetry.registry.get(
-            "repro_cluster_scrape_cache_total"
-        )
-        return counter.labels(surface, result).value
-
-    def test_metrics_bodies_cached_within_ttl(self):
+    def test_every_metrics_request_rescrapes(self):
         async def run():
-            cluster = self._cluster(ttl=60.0)
-            worker_tele = Telemetry()
-            offered = worker_tele.registry.counter(
-                "repro_broker_offered_tuples_total", "Tuples."
-            )
-            offered.inc(11)
-            worker_http = SnapshotHTTP(
-                DisseminationService(), telemetry=worker_tele
-            )
-            await worker_http.start()
-            cluster._workers[0].http_port = worker_http.port
-            first = await cluster.metrics_text()
-            offered.inc(100)  # invisible until the TTL lapses
-            second = await cluster.metrics_text()
-            hits = self._cache_count(cluster, "metrics", "hit")
-            await worker_http.close()
-            return first, second, hits
-
-        first, second, hits = asyncio.run(run())
-        assert 'repro_broker_offered_tuples_total{worker="0"} 11' in first
-        assert 'repro_broker_offered_tuples_total{worker="0"} 11' in second
-        assert hits == 1.0  # worker 0 cached; dead worker 1 can't be
-
-    def test_ttl_zero_rescrapes_every_request(self):
-        async def run():
-            cluster = self._cluster(ttl=0.0)
+            cluster = self._cluster()
             worker_tele = Telemetry()
             offered = worker_tele.registry.counter(
                 "repro_broker_offered_tuples_total", "Tuples."
@@ -563,17 +530,15 @@ class TestClusterScrapeCache:
             await cluster.metrics_text()
             offered.inc(100)
             second = await cluster.metrics_text()
-            hits = self._cache_count(cluster, "metrics", "hit")
             await worker_http.close()
-            return second, hits
+            return second
 
-        second, hits = asyncio.run(run())
+        second = asyncio.run(run())
         assert 'repro_broker_offered_tuples_total{worker="0"} 111' in second
-        assert hits == 0.0
 
-    def test_events_fold_throttled_within_ttl(self):
+    def test_every_events_pull_folds(self):
         async def run():
-            cluster = self._cluster(ttl=60.0)
+            cluster = self._cluster()
             worker_tele = Telemetry()
             worker_tele.events.emit("overflow_disconnect", app="app7")
             worker_http = SnapshotHTTP(
@@ -582,18 +547,55 @@ class TestClusterScrapeCache:
             await worker_http.start()
             cluster._workers[0].http_port = worker_http.port
             await cluster.pull_events()
-            folded = len(cluster.telemetry.events.since(0))
             worker_tele.events.emit("worker_thing", n=2)
-            await cluster.pull_events()  # throttled: no fleet round-trip
-            throttled = len(cluster.telemetry.events.since(0))
-            hits = self._cache_count(cluster, "events", "hit")
+            await cluster.pull_events()
+            folded = cluster.telemetry.events.since(0)
             await worker_http.close()
-            return folded, throttled, hits
+            return folded
 
-        folded, throttled, hits = asyncio.run(run())
-        assert folded == 1
-        assert throttled == 1
-        assert hits == 1.0
+        folded = asyncio.run(run())
+        assert [e["kind"] for e in folded] == [
+            "overflow_disconnect",
+            "worker_thing",
+        ]
+        assert all(e["worker"] == 0 for e in folded)
+
+
+# ---------------------------------------------------------------------------
+# HttpProbe
+# ---------------------------------------------------------------------------
+class TestHttpProbe:
+    def test_cancel_while_closing_propagates(self, monkeypatch):
+        """A cancel that lands while the probe waits for its connection
+        to close must cancel the read, not be swallowed into a result."""
+
+        async def run():
+            closing = asyncio.Event()
+
+            async def park(self):
+                closing.set()
+                await asyncio.get_running_loop().create_future()
+
+            async def reply(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(b"HTTP/1.1 200 OK\r\n\r\nok")
+                writer.close()
+
+            server = await asyncio.start_server(reply, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", park)
+            task = asyncio.ensure_future(HttpProbe("127.0.0.1", port).get("/"))
+            await asyncio.wait_for(closing.wait(), timeout=5.0)
+            task.cancel()
+            await asyncio.wait({task}, timeout=1.0)
+            monkeypatch.undo()
+            server.close()
+            await server.wait_closed()
+            return task
+
+        task = asyncio.run(run())
+        assert task.done()
+        assert task.cancelled()
 
 
 # ---------------------------------------------------------------------------
@@ -790,14 +792,12 @@ class TestWatchClusterEndToEnd:
             "2",
             "--watch-interval",
             "0.25",
-            "--metrics-scrape-ttl",
-            "0.2",
         )
         try:
 
             async def fetch_report() -> dict | None:
                 try:
-                    status, body = await _http_get(
+                    status, body = await _fetch(
                         http_port, "/health/report"
                     )
                 except OSError:
