@@ -31,19 +31,21 @@ Two transports, one run loop:
   ``repro serve`` instead (whose engine algorithm must match
   ``algorithm`` for verification to be meaningful).
 
-``verify=True`` replays the offered prefix through a fresh batch engine
-built from the final subscription set afterwards and records whether
-the live decided outputs match (exact equality for churn-free runs).
-When the broker is in-process (including the self-hosted TCP server)
-the comparison is decision-by-decision; against an external server the
-per-app *delivered* tuple streams are compared to the flattened batch
-reference, which is exact for churn-free, drop-free runs.
+Every run keeps one record of what each subscriber received: a running
+count and BLAKE2s digest of its delivered seqs (the summary's
+``delivered_digest``).  ``verify=True`` replays the offered prefix
+through a fresh batch engine built from the final subscription set and
+compares each app's record with the record of the reference's decided
+tuples, flattened in order — exact for churn-free, drop-free runs, on
+every transport.  Under churn it checks that the broker's session set
+before teardown is the schedule's outcome.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
 from hashlib import blake2s
@@ -236,6 +238,10 @@ class LoadGenConfig:
                 "drain_trace promises an identical offered set across "
                 "runs; open-loop shedding breaks that — use mode='closed'"
             )
+        if self.metrics_interval_s <= 0:
+            raise ValueError("metrics_interval_s must be positive")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be at least 1")
         if self.watch_interval_s <= 0:
             raise ValueError("watch_interval_s must be positive")
         for i, segment in enumerate(self.rate_profile):
@@ -361,18 +367,28 @@ def default_churn(
     return tuple(sorted(events, key=lambda e: e.at_s))
 
 
-def _stream_digest(seqs: Sequence[int]) -> str:
-    """Order-sensitive digest of one delivered seq stream.
+class _StreamRecord:
+    """What one subscriber received: a running count and an
+    order-sensitive digest of the seqs (8-byte big-endian signed each).
 
-    Two runs delivered byte-identical streams to an app iff their
-    digests (and counts) match — the cross-worker-count determinism
-    check compares these across independent processes, where comparing
-    the raw lists would mean shipping them around.
+    Two runs delivered identical streams to an app iff their records
+    match — the cross-worker-count determinism check compares these
+    across independent processes, and ``verify=`` compares them with
+    the batch reference's, without either side keeping the seqs.
     """
-    digest = blake2s(digest_size=16)
-    for seq in seqs:
-        digest.update(seq.to_bytes(8, "big", signed=True))
-    return digest.hexdigest()
+
+    __slots__ = ("count", "_digest")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._digest = blake2s(digest_size=16)
+
+    def update(self, seqs: Sequence[int]) -> None:
+        self.count += len(seqs)
+        self._digest.update(struct.pack(f">{len(seqs)}q", *seqs))
+
+    def to_dict(self) -> dict:
+        return {"count": self.count, "blake2s": self._digest.hexdigest()}
 
 
 def decided_map(result: EngineResult) -> dict[str, list[tuple[int, ...]]]:
@@ -381,14 +397,6 @@ def decided_map(result: EngineResult) -> dict[str, list[tuple[int, ...]]]:
         name: [tuple(item.seq for item in d.tuples) for d in decided]
         for name, decided in result.decisions.items()
     }
-
-
-def _merge_decided(epochs: Sequence[EngineResult]) -> dict[str, list[tuple[int, ...]]]:
-    merged: dict[str, list[tuple[int, ...]]] = {}
-    for epoch in epochs:
-        for name, rows in decided_map(epoch).items():
-            merged.setdefault(name, []).extend(rows)
-    return merged
 
 
 def _batch_reference(
@@ -423,27 +431,22 @@ def _dead_snapshot() -> dict:
 async def _consume(
     handle,
     delay_ms: float,
-    sink: Optional[list[int]] = None,
+    record: _StreamRecord,
     stages: Optional[dict] = None,
     gate: Optional[asyncio.Event] = None,
-) -> int:
+) -> None:
     """Drain one subscription (in-process session or remote).
 
-    ``sink`` collects the delivered tuple seqs — only external-server
-    verification reads them, so every other mode passes ``None`` and a
-    long run does not retain one int per delivered tuple.  ``stages``
-    (``{stage_id: [dur_ns, ...]}``) accumulates the sampled stage
-    traces that reach this subscriber, feeding the summary's
+    Each delivered batch goes into ``record``, the app's one account of
+    its stream.  ``stages`` (``{stage_id: [dur_ns, ...]}``) accumulates
+    the sampled stage traces that reach this subscriber, feeding the summary's
     ``stage_latency`` block.  ``gate`` (set = flowing) is the chaos
     harness's stalled-reader valve: while cleared, this consumer stops
     taking batches and backpressure does whatever the overflow policy
     says.
     """
-    total = 0
     async for batch in handle.batches():
-        total += len(batch)
-        if sink is not None:
-            sink.extend(item.seq for item in batch.items)
+        record.update([item.seq for item in batch.items])
         if stages is not None and batch.traces is not None:
             for pairs in batch.traces[1].values():
                 for sid, dur in pairs:
@@ -452,7 +455,6 @@ async def _consume(
             await asyncio.sleep(delay_ms / 1000.0)
         if gate is not None and not gate.is_set():
             await gate.wait()
-    return total
 
 
 def _stage_latency_summary(stages: dict) -> dict:
@@ -518,25 +520,12 @@ def _broker_service(
             overflow=config.overflow,
             tick_cuts=tick_cuts,
             tuple_size_bytes=config.tuple_size_bytes,
-            # Only verification reads the engines' epochs back.
-            record_epochs=config.verify,
         ),
         telemetry=telemetry,
     )
     for name in sources:
         service.add_source(name)
     return service
-
-
-async def _close_out(service: DisseminationService, sources: Sequence[str]):
-    """Shared in-process close-out: ``(epochs by source, final snapshot
-    dict, final subscriptions by source)`` — the subscriptions read
-    before the close, straight from the broker (which may have detached
-    disconnect-policy laggards the run loop never saw leave)."""
-    subscriptions = {name: service.subscriptions(name) for name in sources}
-    epochs_all = await service.close()
-    epochs = {name: epochs_all[name] for name in sources}
-    return epochs, service.snapshot().to_dict(), subscriptions
 
 
 class _InProcDriver:
@@ -596,13 +585,8 @@ class _InProcDriver:
     async def snapshot(self) -> dict:
         return self.service.snapshot().to_dict()
 
-    async def finish(self, live_apps: Sequence[str]):
-        """Close out the run; returns ``(epochs by source or None, final
-        snapshot dict, final subscriptions by source or None)``."""
-        return await _close_out(self.service, self.sources)
-
     async def cleanup(self) -> None:
-        pass
+        await self.service.close()
 
 
 class _TcpDriver:
@@ -750,41 +734,6 @@ class _TcpDriver:
     async def snapshot(self) -> dict:
         return await self.control.snapshot()
 
-    async def finish(self, live_apps: Sequence[str]):
-        from repro.transport.client import GatewayError
-
-        if self.own_server and self.cluster is None:
-            # Same-process server: close it directly and verify against
-            # the engines' own epoch record, exactly like inproc.
-            return await _close_out(self.service, self.sources)
-        # External server or worker fleet: the engines' epochs are not
-        # reachable, but a pre-teardown snapshot records which of OUR
-        # sessions the broker really holds (the falsifiable half of
-        # churn verification); then unsubscribe (final-flushing each
-        # session's batcher toward us) so the delivered streams are
-        # complete, and snapshot once more for the summary totals.
-        # Foreign subscribers on the same source are excluded from the
-        # record — though note that their presence changes the filter
-        # group, so external --verify is only meaningful when this
-        # loadgen's subscribers are the source's only ones.
-        ours = set(live_apps)
-        pre = await self.control.snapshot()
-        subscriptions: dict[str, list[tuple[str, str]]] = {
-            source: [] for source in self.sources
-        }
-        for row in pre["sessions"]:
-            if row["source_name"] in subscriptions and row["app_name"] in ours:
-                subscriptions[row["source_name"]].append(
-                    (row["app_name"], row["spec"])
-                )
-        for app in live_apps:
-            try:
-                await self._app_client.get(app, self.control).unsubscribe(app)
-            except GatewayError:
-                # Already gone server-side (e.g. disconnect-policy reap).
-                pass
-        return None, await self.control.snapshot(), subscriptions
-
     async def cleanup(self) -> None:
         for client in self.clients.values():
             await client.close()
@@ -819,7 +768,6 @@ async def _run_async(
     *,
     chaos=None,
     watch_rules=None,
-    collect_digests: bool = False,
 ) -> dict:
     names = _source_names(config)
     schedule = _rate_schedule(config)
@@ -868,30 +816,24 @@ async def _run_async(
     # session) must degrade into a summary with recorded errors and a
     # cleaned-up driver, not a crash that leaks tasks and sockets.
     recoverable: tuple = (ConnectionError, OSError)
+    #: What unsubscribing an app the broker already reaped raises.
+    reaped: tuple = (KeyError,)
     if config.transport == "tcp":
         from repro.transport.client import GatewayError
 
         recoverable = (ConnectionError, OSError, GatewayError)
+        reaped = (KeyError, GatewayError)
 
     #: Insertion-ordered (app -> (source, spec)), mirroring the broker's
     #: session dicts so the verification references group filters
     #: identically.
     live: dict[str, tuple[str, str]] = {}
     consumers: dict[str, asyncio.Task] = {}
-    delivered_seqs: dict[str, list[int]] = {}
+    #: What each app received, across every subscription it held.
+    delivered: dict[str, _StreamRecord] = {}
     #: Sampled stage durations pooled across every subscriber:
     #: ``{stage_id: [dur_ns, ...]}``.
     stage_samples: dict[int, list[int]] = {}
-
-    # Delivered-seq collection feeds the external/cluster verify branch
-    # and the cross-run stream digests; in-process runs verify against
-    # engine epochs and skip the retention.  ``collect_digests`` forces
-    # it on any transport — scenario verdicts want per-app delivered
-    # digests even where verify= is unavailable (degradation re-filters
-    # make the batch reference unmatchable).
-    collect_seqs = (
-        config.verify and config.transport == "tcp"
-    ) or collect_digests
 
     #: Per-app consumer pause gates (set = flowing); the chaos
     #: harness's stall_reader op clears and restores these.
@@ -937,14 +879,13 @@ async def _run_async(
         else:
             handle = await driver.attach(source, app, spec)
         live[app] = (source, spec)
-        sink = delivered_seqs.setdefault(app, []) if collect_seqs else None
         gate = gates.setdefault(app, asyncio.Event())
         gate.set()
         consumers[app] = asyncio.create_task(
             _consume(
                 handle,
                 config.consumer_delay_ms,
-                sink,
+                delivered.setdefault(app, _StreamRecord()),
                 stage_samples if tele is not None else None,
                 gate,
             )
@@ -1219,23 +1160,41 @@ async def _run_async(
         except recoverable as exc:
             errors.append(repr(exc))
 
+    # Close-out: a pre-teardown snapshot records which of OUR sessions
+    # the broker really holds (it may have reaped disconnect-policy
+    # laggards the run loop never saw leave); unsubscribing then
+    # final-flushes each session's batcher toward us, so the delivered
+    # streams are complete; a last snapshot gives the summary totals.
+    # Foreign subscribers on the same source are excluded from the
+    # record — though their presence changes the filter group, so
+    # external --verify is only meaningful when this loadgen's
+    # subscribers are the source's only ones.
+    subs_by_source: dict[str, list[tuple[str, str]]] = {
+        feed.source: [] for feed in feeds
+    }
     try:
-        epochs, final_snapshot, broker_subscriptions = await driver.finish(
-            list(live)
-        )
+        pre = await driver.snapshot()
+        for row in pre["sessions"]:
+            if row["source_name"] in subs_by_source and row["app_name"] in live:
+                subs_by_source[row["source_name"]].append(
+                    (row["app_name"], row["spec"])
+                )
+        for app in list(live):
+            try:
+                await driver.unsubscribe(app)
+            except reaped:
+                pass
+        final_snapshot = await driver.snapshot()
     except recoverable as exc:
         errors.append(repr(exc))
-        epochs, final_snapshot, broker_subscriptions = None, _dead_snapshot(), None
+        final_snapshot = _dead_snapshot()
         for handle in consumers.values():
             handle.cancel()
-    if broker_subscriptions is not None:
-        subs_by_source = broker_subscriptions
-    else:
         subs_by_source = {feed.source: [] for feed in feeds}
         for app, (source, spec) in live.items():
-            subs_by_source.setdefault(source, []).append((app, spec))
+            subs_by_source[source].append((app, spec))
     final_subscriptions = [
-        pair for feed in feeds for pair in subs_by_source.get(feed.source, [])
+        pair for feed in feeds for pair in subs_by_source[feed.source]
     ]
     consumer_results = await asyncio.gather(
         *consumers.values(), return_exceptions=True
@@ -1260,34 +1219,15 @@ async def _run_async(
     except recoverable as exc:
         errors.append(repr(exc))
     wall_s = time.perf_counter() - started
-    delivered_total = sum(
-        r for r in consumer_results if isinstance(r, int)
-    )
 
     equivalent: Optional[bool] = None
     if config.verify:
         stream_ok: list[bool] = []
         for feed in feeds:
-            subscriptions = subs_by_source.get(feed.source, [])
-            reference = _batch_reference(
-                subscriptions, feed.offered, engine_cfg
-            )
-            want = decided_map(reference)
-            if epochs is not None:
-                live_map = _merge_decided(epochs.get(feed.source, []))
-                if config.churn:
-                    # Churn cuts epochs over mid-stream; only the final
-                    # subscription set's presence is checkable, not
-                    # equality.
-                    stream_ok.append(
-                        set(live_map) >= {app for app, _ in subscriptions}
-                    )
-                else:
-                    stream_ok.append(live_map == want)
-            elif config.churn:
-                # External server: the broker's actual session set
-                # (pre-teardown snapshot) must match the churn
-                # schedule's outcome.
+            subscriptions = subs_by_source[feed.source]
+            if config.churn:
+                # Churn cuts epochs over mid-stream; what is checkable is
+                # that the broker's session set is the schedule's outcome.
                 stream_ok.append(
                     dict(subscriptions)
                     == {
@@ -1296,33 +1236,27 @@ async def _run_async(
                         if source == feed.source
                     }
                 )
-            else:
-                # External server or worker fleet: the engines are out
-                # of reach, but with a drop-free policy the delivered
-                # stream per app must equal the reference's decided
-                # tuples, flattened in order — this is also what makes
-                # worker counts comparable (sources are independent, so
-                # any source→worker partitioning must deliver identical
-                # per-subscriber streams).
-                flattened = {
-                    app: [seq for row in rows for seq in row]
-                    for app, rows in want.items()
-                }
-                stream_ok.append(
-                    {app: delivered_seqs.get(app, []) for app in flattened}
-                    == flattened
-                )
-        equivalent = all(stream_ok)
-
-    delivered_digest: Optional[dict] = None
-    if collect_seqs:
-        delivered_digest = {
-            app: {
-                "count": len(seqs),
-                "blake2s": _stream_digest(seqs),
+                continue
+            # With a drop-free policy each app's delivered stream must
+            # equal the reference's decided tuples, flattened in order —
+            # this is also what makes worker counts comparable (sources
+            # are independent, so any source→worker partitioning must
+            # deliver identical per-subscriber streams).
+            reference = _batch_reference(
+                subscriptions, feed.offered, engine_cfg
+            )
+            want: dict[str, dict] = {}
+            for app, rows in decided_map(reference).items():
+                record = _StreamRecord()
+                for row in rows:
+                    record.update(row)
+                want[app] = record.to_dict()
+            got = {
+                app: delivered.get(app, _StreamRecord()).to_dict()
+                for app in want
             }
-            for app, seqs in sorted(delivered_seqs.items())
-        }
+            stream_ok.append(got == want)
+        equivalent = all(stream_ok)
 
     qos_block: Optional[dict] = None
     if config.degradation_levels:
@@ -1401,7 +1335,7 @@ async def _run_async(
             else 0.0
         ),
         "wall_s": round(wall_s, 4),
-        "delivered_tuples": delivered_total,
+        "delivered_tuples": sum(r.count for r in delivered.values()),
         "dropped_tuples": final_snapshot["dropped_tuples"],
         "decided_emissions": final_snapshot["decided_emissions"],
         "decide_latency_ms": {
@@ -1436,7 +1370,9 @@ async def _run_async(
         "churn_unapplied": [asdict(event) for event in pending_churn],
         "final_subscriptions": [list(pair) for pair in final_subscriptions],
         "equivalent_to_batch": equivalent,
-        "delivered_digest": delivered_digest,
+        "delivered_digest": {
+            app: record.to_dict() for app, record in sorted(delivered.items())
+        },
         "errors": errors,
         "clean_shutdown": not errors and not in_flight,
     }
@@ -1470,7 +1406,6 @@ def run_loadgen(
     *,
     chaos=None,
     watch_rules=None,
-    collect_digests: bool = False,
 ) -> dict:
     """Run one load-generation session to completion (blocking wrapper).
 
@@ -1479,9 +1414,7 @@ def run_loadgen(
     :class:`~repro.service.chaos.ChaosSchedule`) injects scheduled
     faults into the run; ``watch_rules`` (a
     :class:`~repro.obs.rulesfile.RulesConfig`) replaces the in-run
-    Watchtower's stock rules/SLOs and settings; ``collect_digests``
-    records per-app delivered-stream digests regardless of ``verify=``
-    (the scenario harness's evidence of intact delivery).
+    Watchtower's stock rules/SLOs and settings.
     """
     return asyncio.run(
         _run_async(
@@ -1489,6 +1422,5 @@ def run_loadgen(
             on_record=on_record,
             chaos=chaos,
             watch_rules=watch_rules,
-            collect_digests=collect_digests,
         )
     )

@@ -395,10 +395,7 @@ def run_scenario(
         config = replace(config, out_dir=str(out_path))
     chaos = ChaosSchedule(scenario.chaos_ops) if scenario.chaos_ops else None
     summary = run_loadgen(
-        config,
-        chaos=chaos,
-        watch_rules=scenario.watch_rules,
-        collect_digests=True,
+        config, chaos=chaos, watch_rules=scenario.watch_rules
     )
     manifest = grade_scenario(
         scenario, summary, degradation=degradation, out_dir=out_path

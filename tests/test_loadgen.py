@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.service.loadgen import (
+    TRANSPORTS,
     ChurnEvent,
     LoadGenConfig,
     _subscriber_specs,
@@ -89,7 +90,7 @@ class TestChurnSchedules:
         assert "app-late" in apps
         assert "app1" not in apps  # unsubscribed by the schedule
         assert summary["regroups"] >= len(config.churn)
-        assert summary["equivalent_to_batch"] is True  # superset check
+        assert summary["equivalent_to_batch"] is True  # sessions match schedule
 
     def test_custom_churn_validation(self):
         with pytest.raises(ValueError, match="needs a filter spec"):
@@ -204,7 +205,7 @@ class TestTcpTransport:
         summary = run_loadgen(config)
         assert summary["clean_shutdown"] is True
         assert len(summary["churn_applied"]) == len(config.churn)
-        assert summary["equivalent_to_batch"] is True  # superset check
+        assert summary["equivalent_to_batch"] is True  # sessions match schedule
 
     def test_tcp_writes_artifacts(self, tmp_path):
         out = tmp_path / "tcp-run"
@@ -278,11 +279,58 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="host:port"):
             _config(transport="tcp", connect="127.0.0.1:")
 
+    def test_rejects_non_positive_metrics_interval_and_in_flight(self):
+        with pytest.raises(ValueError, match="metrics_interval_s"):
+            _config(metrics_interval_s=0.0)
+        with pytest.raises(ValueError, match="max_in_flight"):
+            _config(max_in_flight=0)
+
     def test_subscriber_specs_follow_size(self):
         for size, count in (("tiny", 2), ("small", 8)):
             config = _config(size=size)
             specs = _subscriber_specs(config, make_trace(config))
             assert len(specs) == count
+
+
+class TestStreamOracle:
+    """``verify=`` compares what every subscriber received with the batch
+    reference, whatever the transport."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_lost_batches_fail_verification(self, monkeypatch, transport):
+        from repro.service.broker import DisseminationService
+
+        ship = DisseminationService._ship
+
+        async def lossy_ship(self, src, group, batch, final=()):
+            if batch.items[0].seq % 7 == 3:
+                return  # silently lost
+            await ship(self, src, group, batch, final)
+
+        monkeypatch.setattr(DisseminationService, "_ship", lossy_ship)
+        summary = run_loadgen(
+            _config(mode="closed", transport=transport, verify=True)
+        )
+        assert summary["equivalent_to_batch"] is False
+
+    def test_inproc_and_tcp_deliver_identical_streams(self):
+        digests = {}
+        for transport in TRANSPORTS:
+            summary = run_loadgen(
+                _config(
+                    mode="closed",
+                    sources=2,
+                    ingest_batch=8,
+                    drain_trace=True,
+                    verify=True,
+                    transport=transport,
+                )
+            )
+            assert summary["equivalent_to_batch"] is True, transport
+            digests[transport] = summary["delivered_digest"]
+        assert len(digests["inproc"]) == 4
+        assert all(entry["count"] > 0 for entry in digests["inproc"].values())
+        assert digests["inproc"] == digests["tcp"]
 
 
 class TestMultiStream:

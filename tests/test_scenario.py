@@ -147,6 +147,12 @@ class TestLoader:
                 {"scenario": {"name": "x"}, "load": {"rate": -5.0}}
             )
 
+    def test_non_positive_metrics_interval_and_in_flight_rejected(self):
+        for load in ({"metrics_interval_s": 0.0}, {"max_in_flight": 0}):
+            (key,) = load
+            with pytest.raises(ScenarioError, match=key):
+                scenario_from_dict({"scenario": {"name": "x"}, "load": load})
+
     def test_rate_profile_shape_checked(self):
         for bad in ("fast", [[1.0]], [[1.0, 2.0, 3.0]], [1.0]):
             with pytest.raises(ScenarioError, match="rate_profile"):
