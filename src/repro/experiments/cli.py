@@ -180,23 +180,12 @@ def _add_serve_knobs(parser: argparse.ArgumentParser) -> None:
         "this gateway (default 1: single in-process broker)",
     )
     parser.add_argument(
-        "--standby",
-        type=int,
-        default=0,
-        metavar="N",
-        help="keep N standby spare workers for the first N shards; the "
-        "router keeps each covered source's checkpoint and the tail of "
-        "ingest since, and a failover promotes the spare, restores the "
-        "checkpoint, replays the tail and splices every stream with zero "
-        "delivery gap (requires --workers > 1... N)",
-    )
-    parser.add_argument(
         "--self-heal",
         action="store_true",
         help="run the remediation loop: Watchtower verdict edges drive "
-        "standby adoption, respawns, live migration and (policy-"
-        "gated) scaling; requires --workers > 1, --http-port and "
-        "telemetry",
+        "worker respawns (each splices its sources from the router's "
+        "checkpoint + tail), live migration and (policy-gated) "
+        "scaling; requires --workers > 1, --http-port and telemetry",
     )
     parser.add_argument(
         "--watch-rules",
@@ -318,7 +307,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
                 batch_max_delay_ms=args.batch_delay_ms,
                 tick_cuts=not args.no_tick_cuts,
                 max_frame_bytes=args.max_frame_bytes,
-                standby=max(args.standby, 0),
             ),
             telemetry=telemetry,
         )

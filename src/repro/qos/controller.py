@@ -273,7 +273,7 @@ class DegradationController:
 # Wire-profile serialization: the subscribe handshake carries the whole
 # policy (so the server can drive it) and the cluster re-subscribe paths
 # carry it *at the session's current level* (so degradation state
-# survives worker respawn, migration and standby adoption).
+# survives worker respawn and migration).
 
 
 def policy_to_profile(

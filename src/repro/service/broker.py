@@ -23,7 +23,7 @@ batch machinery:
   and overflow policy (block / drop-oldest / disconnect), so slow
   consumers exert backpressure instead of growing broker memory;
 * a live source keeps its open state, not its history: migration and
-  standby arming ship the engine's checkpoint
+  failover arming ship the engine's checkpoint
   (:meth:`~DisseminationService.export_source`,
   :meth:`~DisseminationService.snapshot_source`), and
   :meth:`~DisseminationService.import_source` restores it without
@@ -277,7 +277,7 @@ class DisseminationService:
             open_state_bytes = registry.gauge(
                 "repro_broker_open_state_bytes",
                 "Bytes the live engines' checkpoints pack to (what a "
-                "migration or standby arming ships).",
+                "migration or failover arming ships).",
             )
             registry.register_collector(
                 lambda: open_state_bytes.set(self.open_state_bytes())

@@ -18,9 +18,9 @@ the fault" verdict vacuous.
 Ops:
 
 * ``kill_worker`` — SIGKILL one worker process (``target`` is the
-  worker index).  The supervisor's monitor sees the death and respawns;
-  subscribers ride through on parked sessions (or splice from a warm
-  standby).
+  worker index).  The supervisor's monitor sees the death and respawns
+  the slot; subscribers ride through on parked sessions, and every
+  source the router holds a checkpoint + tail of splices exactly.
 * ``stop_worker`` — SIGSTOP the process for ``duration_s``, then
   SIGCONT.  Short stops stall deliveries and recover silently; stops
   longer than the supervisor's miss budget are declared unresponsive

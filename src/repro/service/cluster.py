@@ -22,12 +22,12 @@ directly onto process-per-shard scaling:
   (:mod:`repro.transport.protocol`: binary tuple frames, JSON control
   frames) — there is no second serialization scheme;
 * **supervisor** — workers are health-checked (``/healthz`` pings plus
-  process liveness); a dead worker is replaced by its standby spare or
-  respawned, its sources re-registered and its subscriptions
-  re-subscribed with their previously resolved bounds, and the
-  router-side sessions resume transparently.  A source the router
-  holds a failover record for (checkpoint + tail) resumes exactly;
-  any other sees a delivery gap, never a teardown.
+  process liveness); a dead worker is respawned into its slot, its
+  sources re-registered and its subscriptions re-subscribed with their
+  previously resolved bounds, and the router-side sessions resume
+  transparently.  A source the router holds a failover record for
+  (checkpoint + tail) resumes exactly; any other sees a delivery gap,
+  never a teardown.
 
 Backpressure is preserved end to end: a ``block``-policy stall in a
 worker withholds the ingest ack, which suspends the router's inline
@@ -146,19 +146,10 @@ class ClusterConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: Supervisor cadence (its tolerance is :data:`_HEALTH_MISSES`).
     health_interval_s: float = 1.0
-    #: Standby workers.  Standby ``k`` is a blank spare process for
-    #: primary ``k``'s slot, and the router keeps each covered source of
-    #: that shard's checkpoint plus the tail of ingest and ticks since:
-    #: a failover promotes the spare (or respawns the slot), restores
-    #: the checkpoint, replays the tail, and subscribers' streams splice
-    #: byte-identically.  Primaries beyond the standby count respawn cold.
-    standby: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.standby < 0 or self.standby > self.workers:
-            raise ValueError("standby must be between 0 and workers")
 
 
 class _SessionQueue:
@@ -357,7 +348,7 @@ class ClusterSession:
                 self.delivered_this_remote += len(batch.items)
                 yield batch
             # The old stream is fully drained here, so its tuple count is
-            # final — exactly what a standby splice must align against.
+            # final — exactly what a failover splice must align against.
             self.last_remote_delivered = self.delivered_this_remote
             self.delivered_this_remote = 0
             reason = remote.closed_reason or "connection_closed"
@@ -482,18 +473,15 @@ class _Record:
 class _Worker:
     """One worker slot: subprocess, gateway client, owned subscriptions."""
 
-    def __init__(self, index: int, *, role: str = "primary", mirror_of: Optional[int] = None):
+    def __init__(self, index: int):
         self.index = index
-        #: "primary" serves routed traffic; "standby" is a blank spare.
-        self.role = role
-        #: Primary slot index a standby spares (None for primaries).
-        self.mirror_of = mirror_of
         self.process: Optional[asyncio.subprocess.Process] = None
         self.port: Optional[int] = None
         self.http_port: Optional[int] = None
         self.client: Optional[GatewayClient] = None
         self.ready = asyncio.Event()
-        self.failed = False
+        #: Set once the slot spent its respawn budget; it never clears.
+        self.lost = asyncio.Event()
         self.respawns = 0
         #: Monotonic timestamps of recent respawn attempts (the sliding
         #: budget window) and the backoff currently being served.
@@ -503,9 +491,6 @@ class _Worker:
         #: grace accounting); None while alive.
         self.death_seen_ts: Optional[float] = None
         self.health_misses = 0
-        #: Serializes heal decisions for this slot (monitor vs an
-        #: attached remediation loop racing to fix the same death).
-        self.heal_lock = asyncio.Lock()
         #: app -> ClusterSession, in subscription order (the broker
         #: groups filters by session insertion order, so respawn
         #: re-subscribes in the same order).
@@ -517,6 +502,10 @@ class _Worker:
         #: the router's event log (reset on respawn: fresh process,
         #: fresh id space).
         self.events_cursor = 0
+
+    @property
+    def failed(self) -> bool:
+        return self.lost.is_set()
 
 
 class ClusterService:
@@ -536,13 +525,6 @@ class ClusterService:
     ):
         self.config = config
         self._workers = [_Worker(i) for i in range(config.workers)]
-        #: Standby tier: standby ``k`` spares primary ``k``'s slot.
-        #: Standbys live outside ``_workers`` so primary indexing (and
-        #: every merged-snapshot total) never sees them.
-        self._standbys = [
-            _Worker(config.workers + k, role="standby", mirror_of=k)
-            for k in range(config.standby)
-        ]
         #: Consistent-hash ring over primary slot indexes: adding or
         #: removing a worker moves ~1/N of the sources instead of
         #: reshuffling nearly all of them (which modulo hashing did).
@@ -556,7 +538,8 @@ class ClusterService:
         #: failover and re-arming (uncontended in steady state); it also
         #: orders each failover tail.
         self._source_locks: dict[str, asyncio.Lock] = {}
-        #: Failover records of the covered sources (see :meth:`_arm`).
+        #: Failover records of the covered sources (see :meth:`_arm`):
+        #: every slot respawns in place and lands from these.
         self._records: dict[str, _Record] = {}
         #: Set by an attached remediation loop: worker-death actuation
         #: is deferred (up to ``_DEFERRED_HEAL_GRACE_S``) so the
@@ -615,26 +598,26 @@ class ClusterService:
                 "Live source migrations by outcome.",
                 ("outcome",),
             )
-            m_standby_armed = registry.gauge(
-                "repro_cluster_standby_armed_sources",
-                "Sources of this standby's shard whose failover "
+            m_armed = registry.gauge(
+                "repro_cluster_failover_armed_sources",
+                "Sources of this worker's shard whose failover "
                 "checkpoint the router holds.",
                 ("worker",),
             )
-            m_standby_tail = registry.gauge(
-                "repro_cluster_standby_tail_tuples",
+            m_tail = registry.gauge(
+                "repro_cluster_failover_tail_tuples",
                 "Tuples in the failover tails the router holds for this "
-                "standby's shard (replayed at failover).",
+                "worker's shard (replayed at failover).",
                 ("worker",),
             )
             self._m_rearms = registry.counter(
-                "repro_cluster_standby_rearms_total",
+                "repro_cluster_failover_rearms_total",
                 "Failover checkpoints taken (first arms and re-arms).",
             )
 
             def _collect_fleet() -> None:
                 now = time.monotonic()
-                for worker in self._workers + self._standbys:
+                for worker in self._workers:
                     label = str(worker.index)
                     alive = (
                         worker.process is not None
@@ -650,13 +633,13 @@ class ClusterService:
                         if now - ts <= _RESPAWN_WINDOW_S
                     )
                     m_window.labels(label).set(float(in_window))
-                for standby in self._standbys:
-                    label = str(standby.index)
                     records = [
-                        self._records[s] for s in self._armed_sources(standby)
+                        self._records[s]
+                        for s in self._shard_sources(worker.index)
+                        if s in self._records
                     ]
-                    m_standby_armed.labels(label).set(float(len(records)))
-                    m_standby_tail.labels(label).set(
+                    m_armed.labels(label).set(float(len(records)))
+                    m_tail.labels(label).set(
                         float(sum(r.tuples for r in records))
                     )
                 m_sessions.set(float(self.session_count()))
@@ -692,42 +675,11 @@ class ClusterService:
                 return worker
         raise KeyError(f"no worker slot {shard}")
 
-    def _slot(self, index: int) -> Optional[_Worker]:
-        for worker in self._workers + self._standbys:
-            if worker.index == index:
-                return worker
-        return None
-
     def _source_lock(self, source_name: str) -> asyncio.Lock:
         lock = self._source_locks.get(source_name)
         if lock is None:
             lock = self._source_locks[source_name] = asyncio.Lock()
         return lock
-
-    def _standby_slot(self, shard: int) -> Optional[_Worker]:
-        """The standby slot of primary ``shard``, unless lost (or None)."""
-        for standby in self._standbys:
-            if standby.mirror_of == shard and not standby.failed:
-                return standby
-        return None
-
-    def _standby_for(self, shard: int) -> Optional[_Worker]:
-        """The live, ready standby of primary ``shard`` (or None)."""
-        standby = self._standby_slot(shard)
-        if (
-            standby is None
-            or standby.process is None
-            or standby.process.returncode is not None
-            or not standby.ready.is_set()
-            or standby.client is None
-        ):
-            return None
-        return standby
-
-    def _armed_sources(self, standby: _Worker) -> list[str]:
-        return [
-            s for s in self._shard_sources(standby.mirror_of) if s in self._records
-        ]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -738,16 +690,15 @@ class ClusterService:
         self._started = True
         for name in self.config.sources:
             self._sources.setdefault(name, self.shard_of(name))
-        fleet = self._workers + self._standbys
         results = await asyncio.gather(
-            *(self._launch(worker) for worker in fleet),
+            *(self._launch(worker) for worker in self._workers),
             return_exceptions=True,
         )
         failures = [r for r in results if isinstance(r, BaseException)]
         if failures:
             await self._terminate_workers()
             raise failures[0]
-        for worker in fleet:
+        for worker in self._workers:
             worker.ready.set()
         self._monitor_task = asyncio.ensure_future(self._monitor())
 
@@ -765,11 +716,7 @@ class ClusterService:
             "--http-port",
             "0",
             "--sources",
-            ",".join(
-                self._shard_sources(
-                    worker.mirror_of if worker.role == "standby" else worker.index
-                )
-            ),
+            ",".join(self._shard_sources(worker.index)),
             "--algorithm",
             cfg.algorithm,
             "--queue-capacity",
@@ -861,7 +808,6 @@ class ClusterService:
             self._emit(
                 "worker_spawn",
                 worker=worker.index,
-                role=worker.role,
                 pid=process.pid,
                 port=worker.port,
                 http_port=worker.http_port,
@@ -926,7 +872,7 @@ class ClusterService:
                 # process exit) must not abort shutdown: the workers
                 # below still need terminating.
                 pass
-        tasks = [self._arm_task] + [w.respawn_task for w in self._workers + self._standbys]
+        tasks = [self._arm_task] + [w.respawn_task for w in self._workers]
         for task in tasks:
             if task is not None and not task.done():
                 task.cancel()
@@ -935,8 +881,7 @@ class ClusterService:
                 except (asyncio.CancelledError, Exception):
                     pass
         # Latency windows must be read before the workers die; terminal
-        # totals come from the terminal snapshots afterwards.  Standbys
-        # serve no traffic, so they are left out.
+        # totals come from the terminal snapshots afterwards.
         live = await asyncio.gather(
             *(self._worker_snapshot(worker) for worker in self._workers)
         )
@@ -963,10 +908,7 @@ class ClusterService:
     async def _terminate_workers(self) -> None:
         # Concurrent: every process is signalled before any is waited on.
         await asyncio.gather(
-            *(
-                self._stop_process(worker, kill=False)
-                for worker in self._workers + self._standbys
-            )
+            *(self._stop_process(worker, kill=False) for worker in self._workers)
         )
 
     async def _stop_process(self, worker: _Worker, *, kill: bool) -> None:
@@ -1021,7 +963,7 @@ class ClusterService:
         # cancel, and close() would wait on the monitor forever.
         while not self._closed:
             await asyncio.sleep(cfg.health_interval_s)
-            for worker in self._workers + self._standbys:
+            for worker in self._workers:
                 if worker.failed:
                     continue
                 if (
@@ -1031,7 +973,7 @@ class ClusterService:
                     continue
                 process = worker.process
                 if process is None or process.returncode is not None:
-                    await self._on_worker_death(
+                    self._on_worker_death(
                         worker,
                         returncode=(
                             process.returncode if process is not None else None
@@ -1048,7 +990,7 @@ class ClusterService:
                     # Alive but unresponsive: treat as dead.
                     self._signal(process, kill=True)
                     await process.wait()
-                    await self._on_worker_death(
+                    self._on_worker_death(
                         worker,
                         returncode=process.returncode,
                         reason="unresponsive",
@@ -1065,15 +1007,13 @@ class ClusterService:
             if source in self._records:
                 continue
             worker = self._primary(self.shard_of(source))
-            if self._standby_slot(worker.index) is None:
-                continue
             async with self._source_lock(source):
                 if source not in self._records and (
                     self._primary(self.shard_of(source)) is worker
                 ):
                     await self._arm(source, worker)
 
-    async def _on_worker_death(
+    def _on_worker_death(
         self,
         worker: _Worker,
         *,
@@ -1081,66 +1021,46 @@ class ClusterService:
         reason: Optional[str] = None,
     ) -> None:
         """First sighting emits the verdict-grade ``worker_death`` event
-        and (for primaries under ``--self-heal``) starts the deferred
-        grace so the remediation loop owns the fix; past the grace the
-        supervisor heals directly."""
+        and (under ``--self-heal``) starts the deferred grace so the
+        remediation loop owns the fix; past the grace the supervisor
+        respawns the slot directly."""
         now = time.monotonic()
         if worker.death_seen_ts is None:
             worker.death_seen_ts = now
             # Data-path calls park on `ready` instead of erroring into
             # producers while the heal decision is pending.
             worker.ready.clear()
-            fields = {
-                "worker": worker.index,
-                "role": worker.role,
-                "returncode": returncode,
-            }
+            fields = {"worker": worker.index, "returncode": returncode}
             if reason:
                 fields["reason"] = reason
             self._emit("worker_death", **fields)
         if (
-            worker.role == "primary"
-            and self.defer_death_handling
+            self.defer_death_handling
             and now - worker.death_seen_ts < _DEFERRED_HEAL_GRACE_S
         ):
             return
-        await self.heal_worker(worker.index)
+        self._schedule_respawn(worker)
 
-    async def heal_worker(
-        self, index: int, *, prefer_standby: bool = True
-    ) -> str:
-        """Actuate recovery for one worker slot (remediation surface).
+    async def heal_worker(self, index: int) -> str:
+        """Respawn one dead worker slot and wait for the outcome
+        (remediation surface).
 
-        Returns what happened: ``"noop"`` (already healthy), ``"adopted"``
-        (an armed standby was promoted in place), ``"respawned"`` (a
-        replacement process is coming up under the backoff budget), or
-        ``"lost"`` (the slot exhausted its respawn budget).
+        Returns ``"noop"`` (already healthy), ``"respawned"`` (the slot
+        is back, its sources re-attached), or ``"lost"`` (the slot
+        exhausted its respawn budget).  A respawn already under way is
+        awaited, not doubled.
         """
-        worker = self._slot(index)
-        if worker is None:
-            raise KeyError(f"no worker slot {index}")
-        async with worker.heal_lock:
-            if worker.failed:
-                return "lost"
-            process = worker.process
-            if (
-                process is not None
-                and process.returncode is None
-                and worker.ready.is_set()
-            ):
-                return "noop"
-            if worker.role == "primary" and prefer_standby:
-                standby = self._standby_for(worker.index)
-                if standby is not None:
-                    try:
-                        await self.adopt_standby(worker.index)
-                        return "adopted"
-                    except Exception:
-                        # Promotion raced the standby dying (or worse):
-                        # cold respawn is always available.
-                        pass
-            self._schedule_respawn(worker)
-            return "respawned"
+        worker = self._primary(index)
+        if worker.failed:
+            return "lost"
+        process = worker.process
+        if process is not None and process.returncode is None and worker.ready.is_set():
+            return "noop"
+        self._schedule_respawn(worker)
+        # Not a bare await: a respawn cancelled by close() must not
+        # cancel the caller.
+        await asyncio.wait((worker.respawn_task,))
+        return "lost" if worker.failed else "respawned"
 
     @staticmethod
     def _probe(worker: _Worker):
@@ -1167,13 +1087,14 @@ class ClusterService:
         an occasional crash per hour never exhausts anything.  The first
         attempt after a quiet period is immediate.
 
-        For a primary, every source re-attaches (:meth:`_reattach`):
-        a covered source restores the router's checkpoint, replays its
+        Every source of the slot re-attaches (:meth:`_reattach`): a
+        covered source restores the router's checkpoint, replays its
         tail and splices; any other source's sessions re-subscribe with
         their previously resolved bounds on a fresh epoch — a delivery
         gap, which is the paper's timeliness-over-completeness stance
-        applied to process failure.  A respawned standby comes back as a
-        blank spare.
+        applied to process failure.  A slot that spends its budget is
+        lost: its waiting callers fail at once, its records go, and its
+        sessions end.
         """
         self._emit("drain_start", worker=worker.index)
         await self._stop_process(worker, kill=True)
@@ -1197,7 +1118,6 @@ class ClusterService:
                 self._emit(
                     "respawn_backoff",
                     worker=worker.index,
-                    role=worker.role,
                     attempt=attempt,
                     backoff_s=round(backoff, 3),
                 )
@@ -1207,16 +1127,11 @@ class ClusterService:
             worker.respawns += 1
             try:
                 await self._launch(worker)
-                spliced = cold = 0
-                if worker.role == "primary":
-                    spliced, cold = await self._reattach_shard(worker)
-                else:
-                    worker.ready.set()
+                spliced, cold = await self._reattach_shard(worker)
                 worker.death_seen_ts = None
                 self._emit(
                     "worker_respawn",
                     worker=worker.index,
-                    role=worker.role,
                     respawns=worker.respawns,
                     spliced=spliced,
                     cold=cold,
@@ -1224,14 +1139,14 @@ class ClusterService:
                 return
             except Exception:
                 await self._stop_process(worker, kill=True)
-        worker.failed = True
+        # Wakes every caller parked in _worker_for: they raise "lost".
+        worker.lost.set()
         worker.backoff_s = 0.0
-        self._emit(
-            "worker_lost",
-            worker=worker.index,
-            role=worker.role,
-            respawns=worker.respawns,
-        )
+        self._emit("worker_lost", worker=worker.index, respawns=worker.respawns)
+        # Frames waiting in a tail for a replay fail now, not at the
+        # reattach timeout.
+        for source in self._shard_sources(worker.index):
+            self._drop_record(source)
         for app, session in list(worker.apps.items()):
             session.end_local("worker_lost")
             worker.apps.pop(app, None)
@@ -1239,22 +1154,32 @@ class ClusterService:
                 del self._apps[app]
 
     async def _worker_for(self, source_name: str) -> _Worker:
+        """The source's worker once it is ready; waits out a respawn
+        (at most ``_REATTACH_TIMEOUT_S``) and fails as soon as the slot
+        is lost."""
         worker = self._primary(self.shard_of(source_name))
+        if not worker.ready.is_set() and not worker.failed:
+            waits = [
+                asyncio.ensure_future(worker.ready.wait()),
+                asyncio.ensure_future(worker.lost.wait()),
+            ]
+            try:
+                done, _ = await asyncio.wait(
+                    waits,
+                    timeout=_REATTACH_TIMEOUT_S,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                for wait in waits:
+                    wait.cancel()
+            if not done:
+                raise RuntimeError(
+                    f"worker {worker.index} did not come back in time"
+                )
         if worker.failed:
             raise RuntimeError(
                 f"worker {worker.index} (sources like {source_name!r}) is lost"
             )
-        if not worker.ready.is_set():
-            try:
-                await asyncio.wait_for(
-                    worker.ready.wait(), timeout=_REATTACH_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                raise RuntimeError(
-                    f"worker {worker.index} did not come back in time"
-                ) from None
-            if worker.failed:
-                raise RuntimeError(f"worker {worker.index} is lost")
         return worker
 
     # ------------------------------------------------------------------
@@ -1415,15 +1340,15 @@ class ClusterService:
         record.tail.append(items)
         record.tuples += len(items)
         record.retries[id(items)] = future
-        return record, items, future
+        return worker, record, items, future
 
     async def _await_retry(self, source_name: str, retry) -> int:
         """Wait for the re-attach that replays a failed frame (at most
         ``_REATTACH_TIMEOUT_S``); return its emissions.  A cold
-        re-attach, or none in time, raises — and a frame still waiting
-        then leaves the tail, so it is never applied after its caller
-        was told it failed."""
-        record, items, future = retry
+        re-attach, a lost slot, or none in time, raises — and a frame
+        still waiting then leaves the tail, so it is never applied after
+        its caller was told it failed."""
+        worker, record, items, future = retry
         await asyncio.wait((future,), timeout=_REATTACH_TIMEOUT_S)
         if not future.done():
             async with self._source_lock(source_name):
@@ -1434,9 +1359,9 @@ class ClusterService:
                     record.tuples -= len(items)
         emissions = future.result()
         if emissions is None:
+            why = "which is lost" if worker.failed else "and the failover did not replay it"
             raise RuntimeError(
-                f"ingest for {source_name!r} failed with its worker, "
-                "and the failover did not replay it"
+                f"ingest for {source_name!r} failed with worker {worker.index}, {why}"
             )
         return emissions
 
@@ -1663,7 +1588,7 @@ class ClusterService:
             lock.release()
 
     # ------------------------------------------------------------------
-    # Live migration, standby failover, elasticity (the actuator surface)
+    # Live migration, failover, elasticity (the actuator surface)
     # ------------------------------------------------------------------
     def _migration_event(
         self, kind: str, source: str, old: _Worker, new: _Worker, *,
@@ -1686,7 +1611,7 @@ class ClusterService:
         becomes the source's failover record with an empty tail, and
         :meth:`_land` imports it, splices each app and replays nothing —
         the delivered bytes equal an unmigrated run's.  The record stays
-        only if the target's shard is covered.
+        only if the source is covered (:meth:`_covered`).
 
         A target that fails, or an export the old worker refuses,
         unwinds: the old worker still owns the source.  An exporter
@@ -1782,56 +1707,10 @@ class ClusterService:
             "worker": new.index,
         }
 
-    async def adopt_standby(self, shard: int) -> None:
-        """Promote the standby into its primary's slot.
-
-        The standby is a blank spare.  Under every source lock of the
-        shard (:meth:`_reattach_shard`): stop the old process, move the
-        standby's process and client into the primary slot, and
-        re-attach each source (checkpoint + tail replay and a splice, or
-        cold).  The emptied standby slot relaunches as a new spare.
-        """
-        primary = self._primary(shard)
-        standby = self._standby_for(shard)
-        if standby is None:
-            raise RuntimeError(f"no ready standby for worker {shard}")
-        spliced, cold = await self._reattach_shard(primary, standby)
-        primary.death_seen_ts = None
-        primary.failed = False
-        self._emit(
-            "standby_adopt",
-            worker=shard,
-            standby=standby.index,
-            spliced=spliced,
-            cold=cold,
-        )
-
-    async def _promote(self, primary: _Worker, standby: _Worker) -> None:
-        await self._stop_process(primary, kill=True)
-        primary.process = standby.process
-        primary.port = standby.port
-        primary.http_port = standby.http_port
-        primary.client = standby.client
-        primary.drain_task = standby.drain_task
-        primary.stdout_tail = standby.stdout_tail
-        primary.events_cursor = standby.events_cursor
-        primary.health_misses = 0
-        standby.process = None
-        standby.port = None
-        standby.http_port = None
-        standby.client = None
-        standby.drain_task = None
-        standby.stdout_tail = deque(maxlen=8)
-        standby.ready.clear()
-        # The respawn resets the rest (the events cursor).
-        self._schedule_respawn(standby)
-
-    async def _reattach_shard(
-        self, worker: _Worker, standby: Optional[_Worker] = None
-    ) -> tuple[int, int]:
-        """Re-attach every source of a primary's shard to the process
-        now in its slot (promoting ``standby`` into it first, if given)
-        and mark the slot ready; returns the summed ``(spliced, cold)``.
+    async def _reattach_shard(self, worker: _Worker) -> tuple[int, int]:
+        """Re-attach every source of a slot's shard to the process now
+        in it and mark the slot ready; returns the summed
+        ``(spliced, cold)``.
 
         Every lock of the shard is held until the slot is ready, so
         whoever else holds one of them sees a ready slot that serves the
@@ -1843,8 +1722,6 @@ class ClusterService:
         async with AsyncExitStack() as stack:
             for source in sources:
                 await stack.enter_async_context(self._source_lock(source))
-            if standby is not None:
-                await self._promote(worker, standby)
             for source in sources:
                 counts = await self._reattach(worker, source)
                 spliced += counts[0]
@@ -1947,10 +1824,10 @@ class ClusterService:
         return len(sessions), 0
 
     def _covered(self, source_name: str, worker: _Worker) -> bool:
-        """Whether a failover record can cover the source: its shard has
-        a standby, and no open session drops or re-filters what a replay
-        cannot know about (a non-``block`` queue, a degradation ladder)."""
-        return self._standby_slot(worker.index) is not None and all(
+        """Whether a failover record can cover the source: no open
+        session drops or re-filters what a replay cannot know about (a
+        non-``block`` queue, a degradation ladder)."""
+        return all(
             session.queue.policy == "block" and session.degradation is None
             for session in worker.apps.values()
             if session.source_name == source_name and not session.closed
@@ -1982,12 +1859,7 @@ class ClusterService:
         if self._m_rearms is not None:
             self._m_rearms.inc()
         if first:
-            self._emit(
-                "standby_armed",
-                standby=self._standby_slot(worker.index).index,
-                worker=worker.index,
-                source=source_name,
-            )
+            self._emit("failover_armed", worker=worker.index, source=source_name)
 
     def _drop_record(self, source_name: str) -> None:
         record = self._records.pop(source_name, None)
@@ -2008,9 +1880,7 @@ class ClusterService:
         """
         if self._closed:
             raise RuntimeError("cluster is closed")
-        index = 1 + max(
-            worker.index for worker in self._workers + self._standbys
-        )
+        index = 1 + max(worker.index for worker in self._workers)
         worker = _Worker(index)
         await self._launch(worker)
         self._workers.append(worker)
@@ -2032,8 +1902,7 @@ class ClusterService:
         """Shrink the primary tier by one slot (the newest).
 
         Its sources live-migrate to their new ring owners first; only
-        then does the process retire.  The standby of the removed slot
-        retires with it.
+        then does the process retire.
         """
         if len(self._workers) <= 1:
             raise RuntimeError("cannot remove the last worker")
@@ -2053,11 +1922,6 @@ class ClusterService:
             except (asyncio.CancelledError, Exception):
                 pass
         self._workers.remove(worker)
-        for standby in [
-            sb for sb in self._standbys if sb.mirror_of == worker.index
-        ]:
-            self._standbys.remove(standby)
-            await self._stop_process(standby, kill=False)
         await self._stop_process(worker, kill=False)
         self._emit("worker_removed", worker=worker.index)
         return worker.index
@@ -2068,40 +1932,27 @@ class ClusterService:
     def fleet_status(self) -> dict:
         """Synchronous control-plane view (no worker round-trips).
 
-        The remediation loop's working set: per-slot liveness, respawn
-        budget state and standby arming, plus current source placement —
+        The remediation loop's working set: per-slot liveness and
+        respawn budget state, plus current source placement —
         everything its proposers and invariant checks need without
         waiting on a scrape of a possibly-wedged fleet.
         """
 
-        def row(worker: _Worker) -> dict:
-            return {
-                "index": worker.index,
-                "port": worker.port,
-                "alive": worker.process is not None
-                and worker.process.returncode is None,
-                "ready": worker.ready.is_set(),
-                "failed": worker.failed,
-                "respawns": worker.respawns,
-                "backoff_s": worker.backoff_s,
-            }
-
         return {
             "workers": [
                 {
-                    **row(worker),
+                    "index": worker.index,
+                    "port": worker.port,
+                    "alive": worker.process is not None
+                    and worker.process.returncode is None,
+                    "ready": worker.ready.is_set(),
+                    "failed": worker.failed,
+                    "respawns": worker.respawns,
+                    "backoff_s": worker.backoff_s,
                     "sources": self._shard_sources(worker.index),
                     "apps": [a for a, s in worker.apps.items() if not s.closed],
                 }
                 for worker in self._workers
-            ],
-            "standbys": [
-                {
-                    **row(standby),
-                    "mirror_of": standby.mirror_of,
-                    "armed_sources": sorted(self._armed_sources(standby)),
-                }
-                for standby in self._standbys
             ],
             "sources": dict(self._sources),
         }
@@ -2156,10 +2007,8 @@ class ClusterService:
                 )
 
     def _http_fleet(self) -> list[_Worker]:
-        """Primaries then standbys, each that has a snapshot endpoint."""
-        return [
-            w for w in self._workers + self._standbys if w.http_port is not None
-        ]
+        """The workers that have a snapshot endpoint."""
+        return [w for w in self._workers if w.http_port is not None]
 
     async def _worker_snapshot(self, worker: _Worker) -> Optional[dict]:
         if worker.failed or worker.client is None or not worker.ready.is_set():
@@ -2206,7 +2055,6 @@ class ClusterService:
 
         sessions = [row for s in snapshots for row in s.get("sessions", ())]
         retired = [row for s in snapshots for row in s.get("retired", ())]
-        fleet = self.fleet_status()
         return {
             "now_ms": max((float(s.get("now_ms", 0.0)) for s in snapshots), default=0.0),
             "sources": list(self._sources),
@@ -2225,6 +2073,5 @@ class ClusterService:
             "decide_p99_ms": percentiles["p99"],
             "sessions": sessions,
             "retired": retired,
-            "workers": fleet["workers"],
-            "standbys": fleet["standbys"],
+            "workers": self.fleet_status()["workers"],
         }

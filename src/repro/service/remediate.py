@@ -8,12 +8,12 @@ actions through four strictly separated stages:
 
 1. **Proposers** — pure functions from ``(transitions, fleet status)``
    to candidate :class:`Action` lists.  A proposer only *suggests*:
-   promote the armed standby for a dead slot, respawn a dead process,
-   live-migrate the hottest source off an overloaded worker, scale the
-   tier up or down, shed the laggiest subscriber.
+   respawn a dead worker, live-migrate the hottest source off an
+   overloaded worker, scale the tier up or down, shed the laggiest
+   subscriber.
 2. **Verifier** — pre-flight invariant checks against the live control
-   plane (does the slot exist, is a standby actually armed, is the
-   respawn budget spent, is the fleet big enough to shrink) and
+   plane (does the slot exist, is the respawn budget spent, is the
+   fleet big enough to shrink) and
    post-flight checks that the action achieved its stated goal (slot
    ready again, source on the target shard).
 3. **Risk ranker** — every action carries a blast radius (fraction of
@@ -63,12 +63,11 @@ _OVERFLOW_VERDICTS = ("overflow_drops", "slo_overflow_drops", "queue_depth_anoma
 class Action:
     """One proposed cluster actuation, with its own risk assessment.
 
-    ``kind`` is the actuator verb (``adopt_standby`` / ``respawn`` /
-    ``migrate_source`` / ``add_worker`` / ``remove_worker`` /
-    ``shed_load``); ``target`` its arguments.  ``blast_radius`` is the
-    fraction of the fleet a *failed* execution would disturb and
-    ``confidence`` the proposer's belief the action resolves the
-    triggering verdict — both in [0, 1].
+    ``kind`` is the actuator verb (``respawn`` / ``migrate_source`` /
+    ``add_worker`` / ``remove_worker`` / ``shed_load``); ``target`` its
+    arguments.  ``blast_radius`` is the fraction of the fleet a *failed*
+    execution would disturb and ``confidence`` the proposer's belief the
+    action resolves the triggering verdict — both in [0, 1].
     """
 
     kind: str
@@ -145,71 +144,27 @@ def _firing(transitions: Sequence[tuple], *names: str) -> list:
 
 
 def propose_heal(transitions, fleet: dict, policy: RemediationPolicy) -> list[Action]:
-    """Dead worker → promote its armed standby, else respawn the slot.
+    """Dead worker → respawn its slot.
 
-    Adoption is both lower-risk and higher-confidence than a respawn: the
-    spare process is already up, and the router's checkpoint + tail of
-    each armed source restore there with zero delivery gap, while a
-    cold respawn loses the dead epoch's state.  The ranker therefore
-    always prefers it when one is armed.
+    The respawned process restores the router's checkpoint + tail of
+    each source it holds a record of, so those streams splice with zero
+    delivery gap; any other source resumes cold.
     """
     verdicts = _firing(transitions, *_DEATH_VERDICTS)
     if not verdicts:
         return []
-    reason = verdicts[0].name
     workers = fleet.get("workers", ())
-    population = max(len(workers), 1)
-    armed = {
-        standby["mirror_of"]: standby
-        for standby in fleet.get("standbys", ())
-        if standby["alive"] and standby["ready"] and not standby["failed"]
-    }
-    actions: list[Action] = []
-    for worker in workers:
-        if worker["failed"] or (worker["alive"] and worker["ready"]):
-            continue
-        slot = worker["index"]
-        standby = armed.get(slot)
-        if standby is not None and standby["armed_sources"]:
-            actions.append(
-                Action(
-                    kind="adopt_standby",
-                    target={"worker": slot},
-                    reason=reason,
-                    blast_radius=1.0 / population,
-                    confidence=0.9,
-                    detail=f"standby {standby['index']} armed for "
-                    f"{len(standby['armed_sources'])} source(s)",
-                )
-            )
-        else:
-            actions.append(
-                Action(
-                    kind="respawn",
-                    target={"worker": slot},
-                    reason=reason,
-                    blast_radius=1.0 / population,
-                    confidence=0.7,
-                    detail="no armed standby; a respawn restores only the "
-                    "sources the router holds a checkpoint of",
-                )
-            )
-    # A dead standby is repaired too, at near-zero blast radius: no
-    # subscriber traffic flows through it.
-    for standby in fleet.get("standbys", ()):
-        if standby["failed"] or (standby["alive"] and standby["ready"]):
-            continue
-        actions.append(
-            Action(
-                kind="respawn",
-                target={"worker": standby["index"]},
-                reason=reason,
-                blast_radius=0.05,
-                confidence=0.8,
-                detail="standby process down; mirror tier degraded",
-            )
+    return [
+        Action(
+            kind="respawn",
+            target={"worker": worker["index"]},
+            reason=verdicts[0].name,
+            blast_radius=1.0 / max(len(workers), 1),
+            confidence=0.7,
         )
-    return actions
+        for worker in workers
+        if not (worker["failed"] or (worker["alive"] and worker["ready"]))
+    ]
 
 
 def propose_rebalance(
@@ -494,31 +449,14 @@ class RemediationLoop:
         self, action: Action, fleet: dict
     ) -> Optional[str]:
         workers = {w["index"]: w for w in fleet.get("workers", ())}
-        standbys = {s["index"]: s for s in fleet.get("standbys", ())}
-        if action.kind in ("respawn", "adopt_standby"):
-            slot = workers.get(action.target.get("worker")) or standbys.get(
-                action.target.get("worker")
-            )
+        if action.kind == "respawn":
+            slot = workers.get(action.target.get("worker"))
             if slot is None:
                 return "no_such_worker"
             if slot["failed"]:
                 return "slot_lost"
             if slot["alive"] and slot["ready"]:
                 return "already_healthy"
-            if action.kind == "adopt_standby":
-                standby = next(
-                    (
-                        s
-                        for s in fleet.get("standbys", ())
-                        if s["mirror_of"] == action.target["worker"]
-                        and s["alive"]
-                        and s["ready"]
-                        and not s["failed"]
-                    ),
-                    None,
-                )
-                if standby is None:
-                    return "no_armed_standby"
         elif action.kind == "migrate_source":
             if action.target.get("source") not in fleet.get("sources", {}):
                 return "no_such_source"
@@ -584,14 +522,8 @@ class RemediationLoop:
 
     async def _actuate(self, action: Action):
         cluster = self.cluster
-        if action.kind == "adopt_standby":
-            return await cluster.heal_worker(
-                action.target["worker"], prefer_standby=True
-            )
         if action.kind == "respawn":
-            return await cluster.heal_worker(
-                action.target["worker"], prefer_standby=False
-            )
+            return await cluster.heal_worker(action.target["worker"])
         if action.kind == "migrate_source":
             result = await cluster.migrate_source(
                 action.target["source"], action.target["to"]
@@ -610,23 +542,16 @@ class RemediationLoop:
         """Post-flight invariant: did the action reach its stated goal?"""
         fleet = self.cluster.fleet_status()
         workers = {w["index"]: w for w in fleet.get("workers", ())}
-        standbys = {s["index"]: s for s in fleet.get("standbys", ())}
-        if action.kind == "adopt_standby":
-            slot = workers.get(action.target["worker"])
-            if slot is not None and slot["alive"] and slot["ready"]:
-                return True, "slot_ready"
-            return False, "slot_not_ready"
         if action.kind == "respawn":
-            slot = workers.get(action.target["worker"]) or standbys.get(
-                action.target["worker"]
-            )
+            # The actuator waited for the respawn's outcome.
+            slot = workers.get(action.target["worker"])
             if slot is None:
                 return False, "slot_gone"
             if slot["failed"]:
                 return False, "slot_lost"
-            # A respawn is asynchronous under backoff: "scheduled and
-            # not lost" is the strongest sound post-condition here.
-            return True, "respawn_pending" if not slot["ready"] else "slot_ready"
+            if slot["alive"] and slot["ready"]:
+                return True, "slot_ready"
+            return False, "slot_not_ready"
         if action.kind == "migrate_source":
             placed = fleet.get("sources", {}).get(action.target["source"])
             if placed == action.target["to"]:

@@ -69,8 +69,8 @@ class SessionStats:
     enqueued_batches: int = 0
     #: Tuples that entered the delivery queue (the session's outbound
     #: stream position).  After a batcher flush this equals every tuple
-    #: ever routed to the session — the exact splice offset a warm
-    #: standby's mirror stream is aligned against.
+    #: ever routed to the session — the exact splice offset a failover
+    #: restored from a checkpoint is aligned against.
     shipped_tuples: int = 0
     delivered_batches: int = 0
     delivered_tuples: int = 0

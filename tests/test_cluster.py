@@ -368,7 +368,7 @@ def test_slow_worker_throttles_only_its_sources_producers():
     asyncio.run(run())
 
 # ---------------------------------------------------------------------------
-# Live migration / warm standby / elasticity (real subprocess fleets)
+# Live migration / failover / elasticity (real subprocess fleets)
 # ---------------------------------------------------------------------------
 async def _baseline_stream(
     offers: list[StreamTuple], spec: str, *, refilter_at: int = -1
@@ -395,7 +395,7 @@ async def _baseline_stream(
 
 
 def _rearms(telemetry: Telemetry) -> float:
-    return telemetry.registry.get("repro_cluster_standby_rearms_total").value
+    return telemetry.registry.get("repro_cluster_failover_rearms_total").value
 
 
 async def _settled(received: list[int], *, quiet_s: float = 0.4) -> None:
@@ -465,78 +465,10 @@ def test_live_migration_moves_source_without_subscriber_teardown():
     assert "migration_start" in kinds and "migration_complete" in kinds
 
 
-def test_standby_adoption_splices_stream_with_zero_gap():
-    offers = _tuples(0, 30)
-
-    async def run():
-        expected = await _baseline_stream(offers, _CHATTY)
-        cluster = ClusterService(
-            ClusterConfig(
-                workers=1,
-                standby=1,
-                sources=("solo",),
-                batch_max_items=1,
-                health_interval_s=0.25,
-            )
-        )
-        await cluster.start()
-        try:
-            session = await cluster.subscribe("solo.app", "solo", _CHATTY)
-            received: list[int] = []
-
-            async def consume():
-                async for batch in session.batches():
-                    received.extend(item.seq for item in batch.items)
-
-            consumer = asyncio.create_task(consume())
-            for item in offers[:15]:
-                await cluster.offer("solo", item)
-            await _settled(received)
-            primary = cluster._primary(0)
-            standby = cluster._standby_for(0)
-            assert standby is not None, "standby never armed"
-            assert "solo" in cluster.fleet_status()["standbys"][0]["armed_sources"]
-            old_pid = primary.process.pid
-            standby_pid = standby.process.pid
-            primary.process.kill()
-            # Healed = the slot runs a *different* process and is ready
-            # again (ready alone is not enough: it only drops once the
-            # monitor sights the death).
-            for _ in range(600):
-                process = primary.process
-                if (
-                    process is not None
-                    and process.pid != old_pid
-                    and primary.ready.is_set()
-                ):
-                    break
-                await asyncio.sleep(0.05)
-            assert primary.ready.is_set(), "slot never healed"
-            assert primary.process.pid == standby_pid
-            # Healed by adoption, not respawn: the standby's process was
-            # promoted into the primary slot.
-            assert primary.respawns == 0
-            for item in offers[15:]:
-                await cluster.offer("solo", item)
-            assert not session.closed
-            await cluster.close()
-            await asyncio.wait_for(consumer, timeout=30)
-            return received, expected
-        except BaseException:
-            await cluster.close()
-            raise
-
-    received, expected = asyncio.run(run())
-    # The splice drops exactly the already-delivered prefix: the stream
-    # across the failover equals the uncrashed oracle — zero gap, zero
-    # duplicates, zero teardown.
-    assert received == expected
-
-
-def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
+def test_failover_rearmed_from_a_checkpoint_splices_with_zero_gap():
     """A failover record re-armed mid-stream — ``snapshot_source`` on the
     primary after a same-spec ``re_filter`` — and the tail kept since
-    restore the primary's state on the promoted standby, across real
+    restore the primary's state on the respawned process, across real
     processes: the failover after it splices exactly."""
     offers = _tuples(0, 40)
     spec = "DC1(value, 6.0, 3.0)"  # sets of a few tuples stay open
@@ -547,7 +479,6 @@ def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
         cluster = ClusterService(
             ClusterConfig(
                 workers=1,
-                standby=1,
                 sources=("solo",),
                 batch_max_items=1,
                 health_interval_s=0.25,
@@ -568,7 +499,6 @@ def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
                 await cluster.offer("solo", item)
             await _settled(received)
             primary = cluster._primary(0)
-            assert cluster._standby_for(0) is not None, "standby never came up"
             # Re-arm from the primary's checkpoint, 17 offers in.
             rearms = _rearms(telemetry)
             await cluster.re_filter("solo.app", spec)
@@ -594,10 +524,9 @@ def test_standby_rearmed_from_a_checkpoint_splices_with_zero_gap():
             raise
 
     received, expected, events = asyncio.run(run())
-    armed = [e for e in events if e["kind"] == "standby_armed"]
-    adopted = [e for e in events if e["kind"] == "standby_adopt"]
+    armed = [e for e in events if e["kind"] == "failover_armed"]
     assert armed and armed[0]["source"] == "solo"
-    assert [(e["worker"], e["spliced"], e["cold"]) for e in adopted] == [(0, 1, 0)]
+    assert _respawns(events) == [(0, 1, 0)]
     assert received == expected and len(expected) > 3
 
 
@@ -691,28 +620,25 @@ async def _healed(worker, old_pid: int) -> None:
     raise AssertionError("slot never healed")
 
 
-async def _standby_idle(cluster) -> None:
-    """A standby is a blank spare: no ingest, no sessions, before failover."""
-    for _ in range(600):
-        standby = cluster._standby_for(0)
-        if standby is not None:
-            break
-        await asyncio.sleep(0.05)
-    else:
-        raise AssertionError("standby never came up")
-    snapshot = await standby.client.snapshot()
-    assert (snapshot["offered"], snapshot["session_count"]) == (0, 0), snapshot
+def _respawns(events) -> list[tuple]:
+    """``(worker, spliced, cold)`` of every ``worker_respawn`` event."""
+    return [
+        (e["worker"], e["spliced"], e["cold"])
+        for e in events
+        if e["kind"] == "worker_respawn"
+    ]
 
 
 @pytest.mark.parametrize(
     "kill", ["after_rearm", "mid_tail", "offer_in_flight", "second_kill", "constrained"]
 )
-def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
-    """SIGKILL the primary at a chosen point of a real-process run: right
+def test_failover_splices_wherever_the_primary_dies(kill, request):
+    """SIGKILL the worker at a chosen point of a real-process run: right
     after a re-arm (empty tail), mid-tail, with an ``offer_many`` in
     flight (its frame is retried, not raised), twice in a row, and under
-    a time constraint with ticks in the tail.  Every delivered stream
-    equals the uncrashed run's, and each adoption splices every app."""
+    a time constraint with ticks in the tail.  The fleet has no flag but
+    its size: every delivered stream equals the uncrashed run's, and
+    each respawn splices every app."""
     constrained = kill == "constrained"
     if constrained:
         request.getfixturevalue("fixed_solve_times")
@@ -730,7 +656,6 @@ def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
         cluster = ClusterService(
             ClusterConfig(
                 workers=1,
-                standby=1,
                 sources=("solo",),
                 batch_max_items=1,
                 constraint_ms=constraint_ms,
@@ -756,7 +681,6 @@ def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
                 if index not in kills:
                     await cluster.offer_many("solo", step)
                     continue
-                await _standby_idle(cluster)
                 old_pid = primary.process.pid
                 if kill == "offer_in_flight":
                     # Frozen first, so the frame is written but never acked.
@@ -780,12 +704,7 @@ def test_standby_failover_splices_wherever_the_primary_dies(kill, request):
             raise
 
     received, expected, events = asyncio.run(run())
-    adopted = [
-        (e["worker"], e["spliced"], e["cold"])
-        for e in events
-        if e["kind"] == "standby_adopt"
-    ]
-    assert adopted == [(0, len(_FAILOVER_APPS), 0)] * len(kills)
+    assert _respawns(events) == [(0, len(_FAILOVER_APPS), 0)] * len(kills)
     for app, _spec in _FAILOVER_APPS:
         assert len(expected[app]) > 100
         assert received[app] == expected[app], app
@@ -820,7 +739,6 @@ def test_migration_from_a_dead_exporter_fails_over_exactly():
         cluster = ClusterService(
             ClusterConfig(
                 workers=2,
-                standby=1,
                 sources=(source_a, source_b),
                 batch_max_items=1,
                 health_interval_s=60.0,
@@ -861,9 +779,9 @@ def test_migration_from_a_dead_exporter_fails_over_exactly():
 
 
 def test_migration_onto_a_covered_shard_splices_when_the_target_dies():
-    """A migration's export is the landed source's failover record: the
-    target's shard has a standby, so killing the target splices every
-    app from that record plus the tail kept since."""
+    """A migration's export is the landed source's failover record, so
+    killing the target splices every app from that record plus the tail
+    kept since."""
     source_a, source_b = _two_sources_on_distinct_shards()
     script = _failover_script(6 * _FAILOVER_CHUNK, ticks=False)
 
@@ -873,7 +791,6 @@ def test_migration_onto_a_covered_shard_splices_when_the_target_dies():
         cluster = ClusterService(
             ClusterConfig(
                 workers=2,
-                standby=1,
                 sources=(source_a, source_b),
                 batch_max_items=1,
                 health_interval_s=0.25,
@@ -889,7 +806,6 @@ def test_migration_onto_a_covered_shard_splices_when_the_target_dies():
             for step in script[2:4]:
                 await cluster.offer_many(source_b, step)
             tail = cluster._records[source_b].tuples
-            await _standby_idle(cluster)
             primary = cluster._primary(0)
             old_pid = primary.process.pid
             primary.process.kill()
@@ -907,24 +823,20 @@ def test_migration_onto_a_covered_shard_splices_when_the_target_dies():
     result, tail, received, expected, events = asyncio.run(run())
     assert result["exact"] and result["worker"] == 0
     assert tail == 2 * _FAILOVER_CHUNK
-    adopted = [
-        (e["worker"], e["spliced"], e["cold"])
-        for e in events
-        if e["kind"] == "standby_adopt"
-    ]
-    assert adopted == [(0, len(_FAILOVER_APPS), 0)]
+    assert _respawns(events) == [(0, len(_FAILOVER_APPS), 0)]
     for app, _spec in _FAILOVER_APPS:
         assert received[app] == expected[app], app
 
 
-def test_migration_racing_an_adoption_of_its_old_shard_leaves_the_source_alone():
-    """``adopt_standby`` lists its shard's sources before it takes their
-    locks; a migration holding one of those locks moves that source
-    away meanwhile, and an unsubscribe queued behind it re-arms the
-    source's record on the target.  The adoption re-checks placement
-    and skips the source: re-attaching it on the promoted process would
-    reset the record's ``shipped`` offsets, and the target's failover
-    would then splice the remaining app short."""
+def test_migration_racing_a_respawn_of_its_old_shard_leaves_the_source_alone():
+    """A respawn's ``_reattach_shard`` lists its shard's sources before
+    it takes their locks; a migration holding one of those locks moves
+    that source away meanwhile (failing over from the record: its
+    exporter is the dead process), and an unsubscribe queued behind it
+    re-arms the source's record on the target.  The respawn re-checks
+    placement and skips the source: re-attaching it on the new process
+    would reset the record's ``shipped`` offsets, and the target's
+    failover would then splice the remaining app short."""
     source_a, source_b = _two_sources_on_distinct_shards()
     narrow = _FAILOVER_APPS[1][0]
     chunks = _failover_script(4 * _FAILOVER_CHUNK, ticks=False)
@@ -936,7 +848,6 @@ def test_migration_racing_an_adoption_of_its_old_shard_leaves_the_source_alone()
         cluster = ClusterService(
             ClusterConfig(
                 workers=2,
-                standby=2,
                 sources=(source_a, source_b),
                 batch_max_items=1,
                 health_interval_s=0.25,
@@ -948,17 +859,31 @@ def test_migration_racing_an_adoption_of_its_old_shard_leaves_the_source_alone()
             received, consumers = await _subscribe_apps(cluster, source_a)
             for step in chunks[:2]:
                 await cluster.offer_many(source_a, step)
-            await _standby_idle(cluster)
             lock = cluster._source_lock(source_a)
-            migration = asyncio.create_task(cluster.migrate_source(source_a, 1))
-            await asyncio.sleep(0)
-            assert lock.locked()
-            unsubscribe = asyncio.create_task(cluster.unsubscribe(narrow))
-            await asyncio.sleep(0)
-            assert not unsubscribe.done()  # queued on the source lock
-            await cluster.adopt_standby(0)
-            result = await migration
-            await unsubscribe
+            launch = cluster._launch
+            race = {}
+
+            async def launch_then_race(worker):
+                # One shot: the respawn's process is up, its re-attach
+                # is next, and the migration and unsubscribe go first.
+                del cluster._launch
+                await launch(worker)
+                race["migration"] = asyncio.create_task(
+                    cluster.migrate_source(source_a, 1)
+                )
+                await asyncio.sleep(0)
+                assert lock.locked()
+                race["unsubscribe"] = asyncio.create_task(cluster.unsubscribe(narrow))
+                await asyncio.sleep(0)
+                assert not race["unsubscribe"].done()  # queued on the source lock
+
+            cluster._launch = launch_then_race
+            old = cluster._primary(0)
+            old.process.kill()
+            await old.process.wait()
+            assert await cluster.heal_worker(0) == "respawned"
+            result = await race["migration"]
+            await race["unsubscribe"]
             await cluster.offer_many(source_a, chunks[2])
             target = cluster._primary(1)
             old_pid = target.process.pid
@@ -974,14 +899,73 @@ def test_migration_racing_an_adoption_of_its_old_shard_leaves_the_source_alone()
 
     result, received, expected, events = asyncio.run(run())
     assert result["exact"] and result["worker"] == 1
-    adopted = [
-        (e["worker"], e["spliced"], e["cold"])
-        for e in events
-        if e["kind"] == "standby_adopt"
-    ]
-    assert adopted == [(0, 0, 0), (1, 1, 0)]
+    assert _respawns(events) == [(0, 0, 0), (1, 1, 0)]
     for app, _spec in _FAILOVER_APPS:
         assert received[app] == expected[app], app
+
+
+def test_lost_slot_fails_its_waiting_callers_at_once():
+    """A slot that spends its respawn budget is lost: an ``offer`` parked
+    waiting for it and an ``offer_many`` that was in flight when it died
+    (its frame waiting in the tail for a replay) both fail with "lost"
+    as soon as the slot is declared lost, not at the reattach timeout."""
+    script = _failover_script(2 * _FAILOVER_CHUNK, ticks=False)
+
+    async def run():
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=1,
+                sources=("solo",),
+                batch_max_items=1,
+                health_interval_s=0.25,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            received, consumers = await _subscribe_apps(cluster, "solo")
+            await cluster.offer_many("solo", script[0])
+
+            async def refuse(worker):
+                raise RuntimeError("no replacement process")
+
+            cluster._launch = refuse
+            primary = cluster._primary(0)
+            # Frozen first, so the frame is written but never acked.
+            os.kill(primary.process.pid, signal.SIGSTOP)
+            in_flight = asyncio.create_task(cluster.offer_many("solo", script[1]))
+            await asyncio.sleep(0.1)
+            assert not in_flight.done()
+            primary.process.kill()
+            for _ in range(200):
+                if not primary.ready.is_set():
+                    break
+                await asyncio.sleep(0.01)
+            parked = asyncio.create_task(cluster.offer("solo", script[1][0]))
+            await asyncio.sleep(0.05)
+            assert not parked.done()
+            for _ in range(400):
+                if primary.failed:
+                    break
+                await asyncio.sleep(0.01)
+            assert primary.failed, "the slot was never declared lost"
+            errors = await asyncio.wait_for(
+                asyncio.gather(in_flight, parked, return_exceptions=True), timeout=5
+            )
+            records = dict(cluster._records)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return errors, records, telemetry.events.since()
+        except BaseException:
+            await cluster.close()
+            raise
+
+    errors, records, events = asyncio.run(run())
+    for error in errors:
+        assert isinstance(error, RuntimeError) and "lost" in str(error), error
+    assert records == {}
+    assert [e["worker"] for e in events if e["kind"] == "worker_lost"] == [0]
 
 
 def test_per_source_tick_cuts_only_that_source():

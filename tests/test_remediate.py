@@ -34,17 +34,6 @@ def _worker(index, *, alive=True, ready=True, failed=False, sources=(), apps=())
     }
 
 
-def _standby(index, mirror_of, *, alive=True, ready=True, failed=False, armed=()):
-    return {
-        "index": index,
-        "mirror_of": mirror_of,
-        "alive": alive,
-        "ready": ready,
-        "failed": failed,
-        "armed_sources": list(armed),
-    }
-
-
 class FakeCluster:
     """Control-plane double recording every actuation."""
 
@@ -56,13 +45,13 @@ class FakeCluster:
     def fleet_status(self):
         return self.fleet
 
-    async def heal_worker(self, index, *, prefer_standby=True):
-        self.calls.append(("heal", index, prefer_standby))
+    async def heal_worker(self, index):
+        self.calls.append(("heal", index))
         # Healing makes the slot healthy for post-verification.
         for worker in self.fleet["workers"]:
             if worker["index"] == index:
                 worker["alive"] = worker["ready"] = True
-        return "adopted" if prefer_standby else "respawned"
+        return "respawned"
 
     async def migrate_source(self, source, to):
         self.calls.append(("migrate", source, to))
@@ -84,15 +73,12 @@ class FakeCluster:
                 worker["apps"].remove(app)
 
 
-def _dead_worker_fleet(*, with_standby=True):
+def _dead_worker_fleet():
     return {
         "workers": [
             _worker(0, alive=False, ready=False, sources=["s0"], apps=["a"]),
             _worker(1, sources=["s1"]),
         ],
-        "standbys": (
-            [_standby(2, 0, armed=["s0"])] if with_standby else []
-        ),
         "sources": {"s0": 0, "s1": 1},
     }
 
@@ -100,22 +86,13 @@ def _dead_worker_fleet(*, with_standby=True):
 # ---------------------------------------------------------------------------
 # Proposers
 # ---------------------------------------------------------------------------
-def test_heal_prefers_armed_standby_over_respawn():
-    policy = RemediationPolicy()
-    edges = [_edge("worker_dead")]
-    actions = propose_heal(edges, _dead_worker_fleet(), policy)
-    kinds = {a.kind for a in actions}
-    assert "adopt_standby" in kinds
-    adopt = next(a for a in actions if a.kind == "adopt_standby")
-    assert adopt.target == {"worker": 0}
-    assert adopt.confidence > 0.8
-
-    cold = propose_heal(
-        edges, _dead_worker_fleet(with_standby=False), policy
+def test_heal_proposes_one_respawn_per_dead_primary():
+    actions = propose_heal(
+        [_edge("worker_dead")], _dead_worker_fleet(), RemediationPolicy()
     )
-    assert [a.kind for a in cold] == ["respawn"]
-    # Same blast radius, lower confidence: adoption outranks respawn.
-    assert cold[0].risk > adopt.risk
+    assert [(a.kind, a.target) for a in actions] == [("respawn", {"worker": 0})]
+    # One slot of two: a failed respawn disturbs half the fleet.
+    assert actions[0].blast_radius == 0.5
 
 
 def test_heal_ignores_healthy_and_lost_slots():
@@ -124,7 +101,6 @@ def test_heal_ignores_healthy_and_lost_slots():
             _worker(0),
             _worker(1, alive=False, ready=False, failed=True),
         ],
-        "standbys": [],
         "sources": {},
     }
     assert propose_heal([_edge("worker_dead")], fleet, RemediationPolicy()) == []
@@ -134,7 +110,6 @@ def test_rebalance_targets_lopsided_placement_only():
     policy = RemediationPolicy()
     even = {
         "workers": [_worker(0, sources=["a"]), _worker(1, sources=["b"])],
-        "standbys": [],
         "sources": {"a": 0, "b": 1},
     }
     assert propose_rebalance([_edge("queue_depth_anomaly", "warn")], even, policy) == []
@@ -143,7 +118,6 @@ def test_rebalance_targets_lopsided_placement_only():
             _worker(0, sources=["a", "b", "c"]),
             _worker(1, sources=[]),
         ],
-        "standbys": [],
         "sources": {"a": 0, "b": 0, "c": 0},
     }
     actions = propose_rebalance(
@@ -156,7 +130,6 @@ def test_rebalance_targets_lopsided_placement_only():
 def test_scale_is_opt_in_and_respects_the_cap():
     fleet = {
         "workers": [_worker(0), _worker(1)],
-        "standbys": [],
         "sources": {},
     }
     edges = [_edge("slo_decide_p99")]
@@ -171,7 +144,6 @@ def test_scale_is_opt_in_and_respects_the_cap():
 def test_shed_is_opt_in():
     fleet = {
         "workers": [_worker(0, apps=["laggard", "ok"])],
-        "standbys": [],
         "sources": {},
     }
     edges = [_edge("overflow_drops")]
@@ -216,7 +188,7 @@ def _kinds(events):
     return [record["kind"] for record in events.since(0)]
 
 
-def test_incident_runs_full_chain_and_adopts():
+def test_incident_runs_full_chain_and_respawns():
     async def run():
         events = EventLog()
         cluster = FakeCluster(_dead_worker_fleet())
@@ -230,8 +202,8 @@ def test_incident_runs_full_chain_and_adopts():
         return cluster.calls, _kinds(events), loop
 
     calls, kinds, loop = asyncio.run(run())
-    # Standby adoption won the ranking; exactly one actuation ran.
-    assert calls == [("heal", 0, True)]
+    # Exactly one actuation ran.
+    assert calls == [("heal", 0)]
     assert "remediation_proposed" in kinds
     assert "remediation_scheduled" in kinds
     assert "remediation_executed" in kinds
@@ -241,7 +213,7 @@ def test_incident_runs_full_chain_and_adopts():
 def test_risk_gate_blocks_wide_blast_low_confidence_actions():
     async def run():
         events = EventLog()
-        cluster = FakeCluster(_dead_worker_fleet(with_standby=False))
+        cluster = FakeCluster(_dead_worker_fleet())
         # A policy so strict even a 1/2-fleet respawn exceeds it.
         loop = _loop(
             cluster, policy=RemediationPolicy(max_risk=0.05), events=events
@@ -295,7 +267,7 @@ def test_cooldown_and_budget_bound_actuation_frequency():
         return cluster.calls, events.since(0)
 
     calls, records = asyncio.run(run())
-    assert calls == [("heal", 0, True), ("heal", 0, True)]
+    assert calls == [("heal", 0), ("heal", 0)]
     reasons = [
         r["why"] for r in records if r["kind"] == "remediation_skipped"
     ]
@@ -310,8 +282,7 @@ def test_preconditions_catch_stale_proposals():
         cluster = FakeCluster(
             {
                 "workers": [_worker(0), _worker(1)],
-                "standbys": [],
-                "sources": {},
+                        "sources": {},
             }
         )
         loop = _loop(cluster, events=events)
@@ -336,9 +307,9 @@ def test_post_verification_flags_unachieved_goals():
         events = EventLog()
 
         class StubbornCluster(FakeCluster):
-            async def heal_worker(self, index, *, prefer_standby=True):
-                self.calls.append(("heal", index, prefer_standby))
-                return "adopted"  # claims success, changes nothing
+            async def heal_worker(self, index):
+                self.calls.append(("heal", index))
+                return "respawned"  # claims success, changes nothing
 
         cluster = StubbornCluster(_dead_worker_fleet())
         loop = _loop(cluster, events=events)
@@ -358,7 +329,7 @@ def test_loop_survives_actuator_exceptions():
         events = EventLog()
 
         class BrokenCluster(FakeCluster):
-            async def heal_worker(self, index, *, prefer_standby=True):
+            async def heal_worker(self, index):
                 raise RuntimeError("boom")
 
         cluster = BrokenCluster(_dead_worker_fleet())

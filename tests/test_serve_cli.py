@@ -234,6 +234,14 @@ def test_serve_has_no_fanout_to_select_and_no_seed(capsys):
         assert complaint in capsys.readouterr().err
 
 
+def test_serve_has_no_standby_tier(capsys):
+    # A dead worker respawns into its slot; there is no spare to keep.
+    with pytest.raises(SystemExit) as exit_:
+        main(["serve", "--workers", "2", "--standby", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --standby" in capsys.readouterr().err
+
+
 def test_loadgen_has_no_codec_to_select(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["loadgen", "--codec", "json"])
