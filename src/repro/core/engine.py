@@ -692,6 +692,7 @@ class GroupAwareEngine:
         regions = self._tracker.poll(self.now, final=final, cut=cut)
         emissions: list[Emission] = []
         for region in regions:
+            seqs = region.tuple_seqs
             undecided = [
                 s for s in region.sets if s.set_id not in self._early_decided_sets
             ]
@@ -703,10 +704,13 @@ class GroupAwareEngine:
                     weights=[len(s.owners) for s in undecided],
                 )
                 elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-                self._predictor.observe(region.size, elapsed_ms)
+                self._predictor.observe(len(seqs), elapsed_ms)
                 decisions = []
                 record = self._record
                 rows = self._result.decisions
+                # No DecidedOutputs.record here: the region's seqs are
+                # forgotten below, and only an early decider, which runs
+                # before the poll, reads them.
                 for candidate_set in undecided:
                     owners = candidate_set.owners
                     decision = Decision(
@@ -720,11 +724,8 @@ class GroupAwareEngine:
                     if record:
                         for owner in owners:
                             rows[owner].append(decision)
-                    for item in decision.tuples:
-                        self._decided.record(item, *owners)
                 emissions.extend(self._strategy.on_decisions(decisions, self.now))
             emissions.extend(self._strategy.on_region_close(region, self.now))
-            seqs = region.tuple_seqs
             self._utility.forget(seqs)
             self._decided.forget(seqs)
             self._interner.release(seqs)

@@ -67,6 +67,7 @@ from repro.qos.controller import DegradationConfig, policy_to_profile
 from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.runtime.partition import HashRing
 from repro.transport.client import GatewayClient, GatewayError
+from repro.transport.codec import TupleRecords
 from repro.transport.protocol import MAX_FRAME_BYTES
 
 __all__ = ["ClusterConfig", "ClusterService", "ClusterSession"]
@@ -443,7 +444,8 @@ class _SpliceRemote:
                     continue
                 # The copy carries no traces: the dropped prefix's went
                 # out with the dead stream, and traces are advisory.
-                batch = dc_replace(batch, items=items[self._skip :])
+                # Slicing decodes this one batch's records.
+                batch = dc_replace(batch, items=tuple(items[self._skip :]))
                 session.delivered_this_remote += self._skip
                 self._skip = 0
             yield batch
@@ -454,8 +456,9 @@ class _Record:
 
     ``state`` is the latest ``snapshot_source`` payload (or the
     ``export_source`` payload a migration landed); ``tail`` lists what
-    the primary applied since, in its order: each ingest's item
-    list and each tick's ``now_ms`` (a float).  ``retries`` maps the
+    the primary applied since, in its order: each ingest's tuples (a
+    gateway frame's undecoded :class:`TupleRecords`, replayed as bytes)
+    and each tick's ``now_ms`` (a float).  ``retries`` maps the
     ``id`` of a tail entry whose ingest failed with the primary to the
     future its caller waits on: the replay resolves it with the entry's
     emissions, a cold re-attach with ``None``.
@@ -803,6 +806,7 @@ class ClusterService:
                 worker.port,
                 max_frame_bytes=self.config.max_frame_bytes,
                 telemetry=self._client_telemetry,
+                relay=True,
             )
             worker.events_cursor = 0
             self._emit(
@@ -1256,7 +1260,7 @@ class ClusterService:
         return await self.offer_many(source_name, (item,))
 
     def _forward_traces(
-        self, source_name: str, items: Sequence
+        self, source_name: str, seqs: Sequence[int]
     ) -> Optional[dict]:
         """Close each sampled tuple's ``router_forward`` stage and hand
         its pairs over.
@@ -1270,8 +1274,8 @@ class ClusterService:
             return None
         bag = tele.bag
         traces = {}
-        for item in items:
-            key = (source_name, item.seq)
+        for seq in seqs:
+            key = (source_name, seq)
             if key not in bag:
                 continue
             dur = bag.stamp(key, _SID_ROUTER_FORWARD, time.perf_counter_ns())
@@ -1279,7 +1283,7 @@ class ClusterService:
                 tele.observe_stage(STAGE_ROUTER_FORWARD, dur)
             pairs = bag.pop(key)
             if pairs:
-                traces[item.seq] = pairs
+                traces[seq] = pairs
         return traces or None
 
     async def offer_many(self, source_name: str, items: Sequence) -> int:
@@ -1293,29 +1297,40 @@ class ClusterService:
         orders a covered source's failover tail.  A frame that fails
         with its worker is retried by the failover when the source is
         covered (:meth:`_await_retry`), and raises otherwise.
+
+        A gateway frame's records (:class:`TupleRecords`) cross
+        undecoded: one pass checks their framing (a malformed record
+        fails the frame here, before anything is forwarded), the
+        worker's connection sends their bytes on, and the tail keeps the
+        view.
         """
         self._require_source(source_name)
         if not items:
             return 0
+        if type(items) is TupleRecords:
+            seqs = items.seqs
+        else:
+            items = tuple(items)
+            seqs = [item.seq for item in items]
         lock, worker = await self._ingest_guarded(source_name)
         try:
-            traces = self._forward_traces(source_name, items)
+            traces = self._forward_traces(source_name, seqs)
             try:
                 emissions = await worker.client.ingest_many(
                     source_name, items, traces=traces
                 )
             except (ConnectionError, GatewayError) as exc:
-                retry = self._retry_in_tail(source_name, worker, tuple(items), exc)
+                retry = self._retry_in_tail(source_name, worker, items, exc)
             else:
                 if source_name in self._records:
-                    await self._extend_tail(source_name, worker, tuple(items))
+                    await self._extend_tail(source_name, worker, items)
                 return int(emissions or 0)
         finally:
             lock.release()
         return await self._await_retry(source_name, retry)
 
     async def _extend_tail(
-        self, source_name: str, worker: _Worker, items: tuple
+        self, source_name: str, worker: _Worker, items: Sequence
     ) -> None:
         """Append an acked ingest to a covered source's tail (caller
         holds the source lock); re-arm once it holds ``_REARM_TUPLES``."""
@@ -1326,7 +1341,7 @@ class ClusterService:
             await self._arm(source_name, worker)
 
     def _retry_in_tail(
-        self, source_name: str, worker: _Worker, items: tuple, exc: Exception
+        self, source_name: str, worker: _Worker, items: Sequence, exc: Exception
     ):
         """An ingest failed with its worker (caller holds the source
         lock).  A covered source's frame joins the tail, where the

@@ -310,6 +310,7 @@ class GatewayClient:
         *,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         telemetry: Optional[Telemetry] = None,
+        relay: bool = False,
     ):
         self._reader = reader
         self._writer = writer
@@ -332,6 +333,9 @@ class GatewayClient:
         self.server_sources: tuple[str, ...] = ()
         #: Encodes this connection's ``ingest`` / ``ingest_batch`` frames.
         self._encoder = BinaryEncoder()
+        #: Delivered batches keep their records undecoded (a cluster
+        #: router sends them on as bytes).
+        self._relay = relay
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -345,11 +349,18 @@ class GatewayClient:
         token: Optional[str] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         telemetry: Optional[Telemetry] = None,
+        relay: bool = False,
     ) -> "GatewayClient":
-        """Open and authenticate one gateway connection."""
+        """Open and authenticate one gateway connection; ``relay`` keeps
+        delivered batches' records undecoded
+        (:class:`~repro.transport.codec.TupleRecords`)."""
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(
-            reader, writer, max_frame_bytes=max_frame_bytes, telemetry=telemetry
+            reader,
+            writer,
+            max_frame_bytes=max_frame_bytes,
+            telemetry=telemetry,
+            relay=relay,
         )
         client._read_task = asyncio.ensure_future(client._read_loop())
         hello: dict = {"t": "hello", "v": PROTOCOL_VERSION}
@@ -813,7 +824,7 @@ class GatewayClient:
             return
         if kind == "decided":
             # One frame, one batch, for every subscription it names.
-            batch = batch_from_wire(frame)
+            batch = batch_from_wire(frame, relay=self._relay)
             for app in frame["apps"]:
                 subscription = self._subscriptions.get(app)
                 if subscription is not None:

@@ -1,9 +1,9 @@
 """Sans-io binary wire codec for the dissemination gateway.
 
-Protocol v4: every tuple frame (``ingest_batch``, ``decided``) is
-binary; every control frame (hello, ok, error, subscribe, snapshot, the
-migration verbs, ...) is JSON.  Nothing is negotiated — the two never
-overlap:
+Protocol v5: every tuple frame (``ingest_batch``, ``decided``) and the
+``ok`` of an ``ingest_batch`` are binary; every other frame (hello,
+error, subscribe, snapshot, the migration verbs, ...) is JSON.  Nothing
+is negotiated — the two never overlap:
 
 * **Self-describing bodies.**  A frame body whose first byte is ``{``
   (0x7B) is a UTF-8 JSON control frame; any other first byte is a binary
@@ -27,6 +27,14 @@ overlap:
 * **Sent once per connection.**  A ``decided`` frame names every app on
   the connection its batch is for, so the members of one sharing class
   behind one socket cost one frame, one encode and one decode.
+* **Relayed as bytes.**  A tuple frame gives the byte length of its
+  record section, so the decoder hands the records out undecoded, as
+  one :class:`TupleRecords` view: a broker iterates it (which builds
+  every tuple at once), a cluster router never does.  An encoder whose
+  table gives the view's ids the same names (:meth:`BinaryNames.agrees_with`,
+  checked once per newly learned id) writes the record bytes as they
+  came, behind a header of its own; any other encoder decodes and
+  re-encodes them, as a broker's gateway does.
 
 Binary frame layouts (after the 4-byte big-endian length header)::
 
@@ -36,13 +44,15 @@ Binary frame layouts (after the 4-byte big-endian length header)::
     names    = varint count, then per entry: varint id + string name
     tuple    = varint seq + f64 timestamp + varint n_attrs
                + n_attrs * (varint name_id + f64 value)
+    records  = varint count, varint n_bytes, then count * tuple
+               taking exactly n_bytes
 
     0x02 ingest_batch  varint req(0=none, else seq+1), string source,
-                       varint pad_len + pad bytes, names,
-                       varint count, count * tuple
+                       varint pad_len + pad bytes, names, records
     0x03 decided       varint n_apps (>= 1), n_apps * string app,
                        f64 first_staged_ms, f64 flushed_ms,
-                       names, varint count, count * tuple
+                       names, records
+    0x04 ingest ok     varint reply_to, varint emissions
 
 When the ``trace`` feature was negotiated in the hello
 (:data:`repro.transport.protocol.FEATURE_TRACE`), frames carrying
@@ -59,32 +69,37 @@ between traced and untraced frames::
 ``ingest_batch`` is the only ingest frame: one tuple is a batch of one.
 
 Decoding yields the dict shape control frames have (``{"t":
-"ingest_batch", "source": ..., "tuples": [StreamTuple, ...]}``, ``{"t":
-"decided", "apps": [...], "items": (StreamTuple, ...), ...}``), so the
-server dispatch and the client read loop handle one kind of frame.
+"ingest_batch", "source": ..., "tuples": TupleRecords}``, ``{"t":
+"decided", "apps": [...], "items": TupleRecords, ...}``, ``{"t": "ok",
+"reply_to": ..., "emissions": ...}``), so the server dispatch and the
+client read loop handle one kind of frame.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from repro.core.tuples import StreamTuple
 from repro.service.batching import Batch, TraceMap
-from repro.transport.protocol import FrameTooLarge, ProtocolError
+from repro.transport.protocol import FrameTooLarge, ProtocolError, pack_header
 
 __all__ = [
     "NameTable",
     "Segment",
     "SegmentCache",
     "BinaryEncoder",
+    "TupleRecords",
     "make_encoder",
+    "encode_ingest_ack",
     "decode_binary_body",
     "BinaryNames",
 ]
 
 _TAG_INGEST_BATCH = 0x02
 _TAG_DECIDED = 0x03
+_TAG_INGEST_OK = 0x04
 #: Traced variants: base layout + appended trace section (see docstring).
 _TAG_INGEST_BATCH_TRACED = 0x12
 _TAG_DECIDED_TRACED = 0x13
@@ -131,6 +146,22 @@ def _put_trace_map(out: bytearray, traces) -> None:
         _put_trace_pairs(out, pairs)
 
 
+def _varint_rest(data: bytes, pos: int, first: int) -> tuple[int, int]:
+    """Finish a varint whose first byte ``first`` (continuation bit set)
+    was read just before ``pos``; returns ``(value, pos)``."""
+    value = first & 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise ProtocolError("varint overflow in binary frame")
+
+
 class _Reader:
     """Bounds-checked cursor over one frame body."""
 
@@ -141,20 +172,15 @@ class _Reader:
         self.pos = pos
 
     def varint(self) -> int:
-        result = 0
-        shift = 0
-        data = self.data
-        while True:
-            if self.pos >= len(data):
-                raise ProtocolError("truncated varint in binary frame")
-            byte = data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise ProtocolError("varint overflow in binary frame")
+        try:
+            first = self.data[self.pos]
+            if not first & 0x80:
+                self.pos += 1
+                return first
+            value, self.pos = _varint_rest(self.data, self.pos + 1, first)
+        except IndexError:
+            raise ProtocolError("truncated varint in binary frame") from None
+        return value
 
     def f64(self) -> float:
         end = self.pos + 8
@@ -164,13 +190,16 @@ class _Reader:
         self.pos = end
         return value
 
-    def take(self, count: int) -> bytes:
+    def skip(self, count: int) -> None:
         end = self.pos + count
         if end > len(self.data):
             raise ProtocolError("truncated bytes in binary frame")
-        chunk = self.data[self.pos : end]
         self.pos = end
-        return chunk
+
+    def take(self, count: int) -> bytes:
+        start = self.pos
+        self.skip(count)
+        return self.data[start : self.pos]
 
     def string(self) -> str:
         length = self.varint()
@@ -210,6 +239,18 @@ class NameTable:
             self._names.append(name)
         return nid
 
+    def adopt(self, nid: int, name: str) -> bool:
+        """Whether ``nid`` means ``name`` here, interning it when it is
+        the next id and the name is new; False when the table disagrees."""
+        known = self._id_of.get(name)
+        if known is not None:
+            return known == nid
+        if nid != len(self._names):
+            return False
+        self._id_of[name] = nid
+        self._names.append(name)
+        return True
+
     def name_at(self, nid: int) -> str:
         return self._names[nid]
 
@@ -220,10 +261,13 @@ class NameTable:
 class BinaryNames:
     """Receiver-side id -> name table, learned from frame deltas."""
 
-    __slots__ = ("_names",)
+    __slots__ = ("_names", "_agreed")
 
     def __init__(self) -> None:
         self._names: dict[int, str] = {}
+        #: Sending table -> how many of our ids (in learning order) it
+        #: was found to agree with, or -1 once one disagreed.
+        self._agreed: dict[NameTable, int] = {}
 
     def learn(self, nid: int, name: str) -> None:
         # A sender's NameTable is append-only, so an id never changes
@@ -236,13 +280,156 @@ class BinaryNames:
                 f"{known!r} to {name!r}"
             )
 
-    def resolve(self, nid: int) -> str:
+    def agrees_with(self, table: NameTable) -> bool:
+        """Whether every id learned here means the same name in
+        ``table`` — so records read here can be sent on as they are.
+
+        Each id is checked once (new names are adopted into ``table``);
+        one that disagrees settles it for good: both tables are
+        append-only.
+        """
+        checked = self._agreed.get(table, 0)
+        if checked == len(self._names):
+            return True
+        if checked < 0:
+            return False
+        for nid, name in islice(self._names.items(), checked, None):
+            if not table.adopt(nid, name):
+                self._agreed[table] = -1
+                return False
+        self._agreed[table] = len(self._names)
+        return True
+
+
+# ---------------------------------------------------------------------------
+# Undecoded records
+# ---------------------------------------------------------------------------
+class TupleRecords:
+    """One frame's tuple records, undecoded: ``count`` records taking
+    exactly ``data``, their attribute ids resolved through ``names``.
+
+    Iterating (or indexing) builds every :class:`StreamTuple` of the
+    frame at once, and keeps them, so a malformed record fails the whole
+    frame before its first tuple is used.  :attr:`seqs` reads the
+    records' framing in one pass that builds no tuple; a router forwards
+    ``data`` as it is to encoders whose tables agree with ``names``.
+    """
+
+    __slots__ = ("data", "count", "names", "_tuples", "_seqs")
+
+    def __init__(self, data: bytes, count: int, names: BinaryNames):
+        self.data = data
+        self.count = count
+        self.names = names
+        self._tuples: Optional[list[StreamTuple]] = None
+        self._seqs: Optional[list[int]] = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.tuples())
+
+    def __getitem__(self, index):
+        return self.tuples()[index]
+
+    def __repr__(self) -> str:
+        return f"TupleRecords(count={self.count}, bytes={len(self.data)})"
+
+    def tuples(self) -> list[StreamTuple]:
+        """The decoded tuples, built on first use."""
+        built = self._tuples
+        if built is not None:
+            return built
+        data = self.data
+        names = self.names._names
+        unpack = _F64.unpack_from
+        trusted = StreamTuple.trusted
+        built = []
+        pos = 0
         try:
-            return self._names[nid]
-        except KeyError:
+            for _ in range(self.count):
+                seq = data[pos]
+                pos += 1
+                if seq & 0x80:
+                    seq, pos = _varint_rest(data, pos, seq)
+                (ts,) = unpack(data, pos)
+                n_attrs = data[pos + 8]
+                pos += 9
+                if n_attrs & 0x80:
+                    n_attrs, pos = _varint_rest(data, pos, n_attrs)
+                values: dict[str, float] = {}
+                for _ in range(n_attrs):
+                    nid = data[pos]
+                    pos += 1
+                    if nid & 0x80:
+                        nid, pos = _varint_rest(data, pos, nid)
+                    (values[names[nid]],) = unpack(data, pos)
+                    pos += 8
+                built.append(trusted(seq, ts, values))
+        except (IndexError, struct.error):
+            raise ProtocolError("truncated tuple record in binary frame") from None
+        except KeyError as exc:
             raise ProtocolError(
-                f"binary frame references unannounced attribute id {nid}"
+                f"binary frame references unannounced attribute id {exc.args[0]}"
             ) from None
+        self._check_end(pos)
+        self._tuples = built
+        return built
+
+    @property
+    def seqs(self) -> list[int]:
+        """Every record's seq, from a pass that checks the framing and
+        the ids but builds no tuple; raises :class:`ProtocolError` for
+        a malformed record."""
+        seqs = self._seqs
+        if seqs is not None:
+            return seqs
+        if self._tuples is not None:
+            seqs = [item.seq for item in self._tuples]
+        else:
+            data = self.data
+            known = self.names._names
+            seqs = []
+            pos = 0
+            try:
+                for _ in range(self.count):
+                    seq = data[pos]
+                    pos += 1
+                    if seq & 0x80:
+                        seq, pos = _varint_rest(data, pos, seq)
+                    n_attrs = data[pos + 8]
+                    pos += 9
+                    if n_attrs & 0x80:
+                        n_attrs, pos = _varint_rest(data, pos, n_attrs)
+                    for _ in range(n_attrs):
+                        nid = data[pos]
+                        pos += 1
+                        if nid & 0x80:
+                            nid, pos = _varint_rest(data, pos, nid)
+                        if nid not in known:
+                            raise ProtocolError(
+                                "binary frame references unannounced "
+                                f"attribute id {nid}"
+                            )
+                        pos += 8
+                    seqs.append(seq)
+            except IndexError:
+                raise ProtocolError(
+                    "truncated tuple record in binary frame"
+                ) from None
+            self._check_end(pos)
+        self._seqs = seqs
+        return seqs
+
+    def _check_end(self, pos: int) -> None:
+        if pos > len(self.data):
+            raise ProtocolError("truncated tuple record in binary frame")
+        if pos < len(self.data):
+            raise ProtocolError(
+                f"trailing bytes in binary frame: {len(self.data) - pos} "
+                f"after {self.count} tuple records"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +508,9 @@ class BinaryEncoder:
     :func:`repro.transport.protocol.encode_frame` as JSON.
     ``decided_frame`` returns ``(pieces, total_bytes)`` where ``pieces``
     is ready for ``StreamWriter.writelines`` — callers prepend the
-    4-byte length header and never join the pieces.
+    4-byte length header and never join the pieces.  Both take a
+    :class:`TupleRecords` view as their tuples and send its bytes as
+    they are when this encoder's table agrees with the view's names.
     """
 
     def __init__(
@@ -359,13 +548,21 @@ class BinaryEncoder:
             out += pack(value)
         return tuple(ids)
 
+    def _relays(self, items) -> bool:
+        """Whether ``items`` are records this encoder sends as they are."""
+        return type(items) is TupleRecords and items.names.agrees_with(self._table)
+
     def _names_delta(self, out: bytearray, used_ids: Iterable[int]) -> set[int]:
         """Append the delta section for any not-yet-announced ids.
 
         Returns the new ids *without* committing them to ``_announced`` —
         the caller commits only once the frame passed the size check, so
         a refused oversized frame cannot leave the peer's table behind.
+        ``used_ids`` is not read when the peer knows the whole table.
         """
+        if len(self._announced) == len(self._table):
+            out.append(0)
+            return set()
         fresh = set(used_ids).difference(self._announced)
         _put_varint(out, len(fresh))
         for nid in sorted(fresh):
@@ -410,21 +607,27 @@ class BinaryEncoder:
         _put_string(head, source)
         _put_varint(head, max(0, pad_bytes))
         head += b"\x00" * max(0, pad_bytes)
-        body = bytearray()
-        used: list[int] = []
-        _put_varint(body, len(items))
-        for item in items:
-            used.extend(self._encode_tuple(body, item))
+        if self._relays(items):
+            records = items.data
+            fresh = self._names_delta(head, items.names._names)
+        else:
+            records = bytearray()
+            used: list[int] = []
+            for item in items:
+                used.extend(self._encode_tuple(records, item))
+            fresh = self._names_delta(head, used)
+        _put_varint(head, len(items))
+        _put_varint(head, len(records))
+        tail = bytearray()
         if traces:
-            _put_trace_map(body, traces)
-        fresh = self._names_delta(head, used)
-        total = len(head) + len(body)
+            _put_trace_map(tail, traces)
+        total = len(head) + len(records) + len(tail)
         if max_frame_bytes is not None and total > max_frame_bytes:
             # Refused before the delta is committed: the peer never saw
             # this frame, so the names must go out with the next one.
             raise FrameTooLarge(total, max_frame_bytes)
         self._announced |= fresh
-        return bytes(head + body)
+        return b"".join((head, records, tail))
 
     def decided_pieces(
         self,
@@ -458,29 +661,33 @@ class BinaryEncoder:
         traces: Optional[TraceMap] = None,
     ) -> tuple[list[bytes], int]:
         """One ``decided`` frame carrying ``batch`` to every app in ``apps``."""
-        segments = [self.tuple_segment(item) for item in batch.items]
+        items = batch.items
         head = bytearray([_TAG_DECIDED_TRACED if traces else _TAG_DECIDED])
         _put_varint(head, len(apps))
         for app in apps:
             _put_string(head, app)
         head += _F64.pack(batch.first_staged_ms)
         head += _F64.pack(batch.flushed_ms)
-        if len(self._announced) == len(self._table):
-            # The peer knows every name the table holds.
-            fresh = ()
-            head.append(0)
+        if self._relays(items):
+            records = [items.data]
+            fresh = self._names_delta(head, items.names._names)
         else:
+            segments = [self.tuple_segment(item) for item in items]
+            records = [segment.data for segment in segments]
             fresh = self._names_delta(
-                head, [nid for segment in segments for nid in segment.name_ids]
+                head, (nid for segment in segments for nid in segment.name_ids)
             )
-        _put_varint(head, len(segments))
+        size = sum(map(len, records))
+        _put_varint(head, len(items))
+        _put_varint(head, size)
         pieces: list[bytes] = [bytes(head)]
-        pieces.extend(segment.data for segment in segments)
+        pieces.extend(records)
+        total = len(head) + size
         if traces:
             tail = bytearray()
             _put_trace_map(tail, traces)
             pieces.append(bytes(tail))
-        total = sum(map(len, pieces))
+            total += len(tail)
         if total > max_frame_bytes:
             raise FrameTooLarge(total, max_frame_bytes)
         # Size check passed: the delta will reach the peer, commit it.
@@ -503,6 +710,14 @@ def make_encoder(
     return BinaryEncoder(table=table, cache=cache)
 
 
+def encode_ingest_ack(reply_to: int, emissions: int) -> bytes:
+    """Header + body of the binary ``ok`` answering an ``ingest_batch``."""
+    body = bytearray((_TAG_INGEST_OK,))
+    _put_varint(body, reply_to)
+    _put_varint(body, emissions)
+    return pack_header(len(body)) + body
+
+
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -511,6 +726,11 @@ def _read_names(reader: _Reader, names: BinaryNames) -> None:
     for _ in range(count):
         nid = reader.varint()
         names.learn(nid, reader.string())
+
+
+def _read_records(reader: _Reader, names: BinaryNames) -> TupleRecords:
+    count = reader.varint()
+    return TupleRecords(reader.take(reader.varint()), count, names)
 
 
 def _read_trace_pairs(reader: _Reader) -> list[tuple[int, int]]:
@@ -527,59 +747,12 @@ def _read_trace_map(reader: _Reader) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def _read_tuple(reader: _Reader, names: BinaryNames) -> StreamTuple:
-    # The ingest hot path: one record per tuple, read off local
-    # variables rather than one _Reader call per field.
-    data = reader.data
-    pos = reader.pos
-    resolve = names.resolve
-    unpack = _F64.unpack_from
-    values: dict[str, float] = {}
-    try:
-        seq = data[pos]
-        pos += 1
-        if seq & 0x80:
-            seq &= 0x7F
-            shift = 7
-            while True:
-                byte = data[pos]
-                pos += 1
-                seq |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-                if shift > 63:
-                    raise ProtocolError("varint overflow in binary frame")
-        (ts,) = unpack(data, pos)
-        n_attrs = data[pos + 8]
-        pos += 9
-        if n_attrs & 0x80:
-            reader.pos = pos - 1
-            n_attrs = reader.varint()
-            pos = reader.pos
-        for _ in range(n_attrs):
-            nid = data[pos]
-            if nid & 0x80:
-                reader.pos = pos
-                nid = reader.varint()
-                pos = reader.pos
-            else:
-                pos += 1
-            (values[resolve(nid)],) = unpack(data, pos)
-            pos += 8
-    except (IndexError, struct.error):
-        raise ProtocolError("truncated tuple record in binary frame") from None
-    reader.pos = pos
-    # Decoded straight to a StreamTuple; tuple_from_wire passes
-    # instances through.
-    return StreamTuple.trusted(seq, ts, values)
-
-
 def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
     """Decode one binary frame body into the control frames' dict shape.
 
     ``names`` is the connection's receiver-side table; deltas carried by
-    the frame are learned before any tuple record is resolved.  The body
+    the frame are learned here, before any of its records is read.  The
+    records themselves stay undecoded (:class:`TupleRecords`).  The body
     must be exactly one frame: bytes past its end are a protocol error.
     """
     reader = _Reader(body, pos=1)
@@ -587,14 +760,12 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
     if tag in (_TAG_INGEST_BATCH, _TAG_INGEST_BATCH_TRACED):
         req = reader.varint()
         source = reader.string()
-        pad_len = reader.varint()
-        reader.take(pad_len)  # padding is load-shaping only; discard
+        reader.skip(reader.varint())  # padding is load-shaping only
         _read_names(reader, names)
-        count = reader.varint()
         frame: dict = {
             "t": "ingest_batch",
             "source": source,
-            "tuples": [_read_tuple(reader, names) for _ in range(count)],
+            "tuples": _read_records(reader, names),
         }
         if tag == _TAG_INGEST_BATCH_TRACED:
             frame["traces"] = _read_trace_map(reader)
@@ -608,16 +779,17 @@ def decode_binary_body(body: bytes, names: BinaryNames) -> dict:
         first_staged_ms = reader.f64()
         flushed_ms = reader.f64()
         _read_names(reader, names)
-        count = reader.varint()
         frame = {
             "t": "decided",
             "apps": apps,
             "first_staged_ms": first_staged_ms,
             "flushed_ms": flushed_ms,
-            "items": tuple(_read_tuple(reader, names) for _ in range(count)),
+            "items": _read_records(reader, names),
         }
         if tag == _TAG_DECIDED_TRACED:
             frame["traces"] = _read_trace_map(reader)
+    elif tag == _TAG_INGEST_OK:
+        frame = {"t": "ok", "reply_to": reader.varint(), "emissions": reader.varint()}
     else:
         raise ProtocolError(f"unknown binary frame tag 0x{tag:02x}")
     if not reader.exhausted:

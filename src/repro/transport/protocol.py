@@ -1,10 +1,11 @@
 """Length-prefixed wire protocol for the dissemination gateway.
 
 One frame on the wire is a 4-byte big-endian length header followed by
-that many body bytes.  Protocol v4 has exactly one body format per frame
-type: the tuple frames (``ingest_batch``, ``decided``) are struct-packed
-binary (:mod:`repro.transport.codec`, which has the layout tables);
-every other frame — the control plane — is a UTF-8 JSON object.
+that many body bytes.  Protocol v5 has exactly one body format per frame
+type: the tuple frames (``ingest_batch``, ``decided``) and the ``ok``
+answering an ``ingest_batch`` are struct-packed binary
+(:mod:`repro.transport.codec`, which has the layout tables); every
+other frame — the control plane — is a UTF-8 JSON object.
 A body whose first byte is ``{`` is JSON, any other first byte is a
 binary frame tag, and a JSON body that claims a tuple-frame type is a
 :class:`ProtocolError`.  Nothing is negotiated about the format.
@@ -18,15 +19,16 @@ between.
 The protocol is versioned at the handshake: the first frame on a
 connection must be ``hello`` with ``"v" == PROTOCOL_VERSION``; the
 server answers ``welcome`` (or ``error`` + close on a version or auth
-mismatch — a v1, v2 or v3 hello, from a peer that could still send JSON
-tuple frames or single-tuple ``ingest`` frames, or read one app per
-``decided`` frame, is refused with ``code=version``).
+mismatch — a v1 to v4 hello, from a peer that could still send JSON
+tuple frames or single-tuple ``ingest`` frames, read one app per
+``decided`` frame, or read tuple records without their byte length, is
+refused with ``code=version``).
 
 Frame vocabulary (client → server unless noted)::
 
     hello         {v, token?, features?}         -> welcome | error
     ensure_source {seq, source}                  -> ok {created}
-    ingest_batch  {source, tuples, seq?, pad?}   -> ok {emissions}   (when seq given)
+    ingest_batch  {source, tuples, seq?, pad?}   -> ok {emissions}   (binary; when seq given)
     subscribe     {seq, app, source, spec, qos?,
                    degradation?, queue_capacity?,
                    overflow?, batch_max_items?,
@@ -94,7 +96,9 @@ defined features:
 
 :class:`FrameDecoder` is sans-io: feed it whatever ``read()`` returned
 — half a header, three frames glued together — and it yields exactly
-the complete frames (as dicts, JSON or binary on the wire), enforcing
+the complete frames (as dicts, JSON or binary on the wire; a tuple frame's
+records stay one undecoded :class:`~repro.transport.codec.TupleRecords`
+view), enforcing
 ``max_frame_bytes`` *from the header* so an oversized frame is rejected
 before its body is buffered.  A read loop iterates
 :meth:`FrameDecoder.frames`, so it acts on every complete frame of a
@@ -107,7 +111,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from repro.core.tuples import StreamTuple
 from repro.service.batching import Batch, TraceMap
@@ -130,7 +134,7 @@ __all__ = [
     "traces_from_wire",
 ]
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Frame types that only exist as binary bodies.
 _TUPLE_FRAMES = frozenset(("ingest_batch", "decided"))
@@ -224,13 +228,15 @@ class FrameDecoder:
     """
 
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES):
+        # Imported here, once per decoder: codec.py imports this
+        # module's error types.
+        from repro.transport.codec import BinaryNames, decode_binary_body
+
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
-        #: Body length announced by the current header, None between frames.
-        self._expected: Optional[int] = None
-        #: Receiver-side attribute-name table for binary frames, created
-        #: on first use (lazily imported to avoid a module cycle).
-        self._binary_names = None
+        #: Receiver-side attribute-name table for binary frames.
+        self._binary_names = BinaryNames()
+        self._decode_binary = decode_binary_body
 
     @property
     def buffered(self) -> int:
@@ -251,22 +257,19 @@ class FrameDecoder:
         return self._drain()
 
     def _drain(self) -> Iterator[dict]:
-        while True:
-            if self._expected is None:
-                if len(self._buffer) < _HEADER.size:
-                    return
-                (size,) = _HEADER.unpack(bytes(self._buffer[: _HEADER.size]))
-                if size > self.max_frame_bytes:
-                    # Reject from the header alone: the body is never
-                    # buffered, so a hostile length cannot balloon memory.
-                    raise FrameTooLarge(size, self.max_frame_bytes)
-                del self._buffer[: _HEADER.size]
-                self._expected = size
-            if len(self._buffer) < self._expected:
+        buffer = self._buffer
+        while len(buffer) >= _HEADER.size:
+            (size,) = _HEADER.unpack_from(buffer)
+            if size > self.max_frame_bytes:
+                # Reject from the header alone: the body is never
+                # buffered, so a hostile length cannot balloon memory.
+                raise FrameTooLarge(size, self.max_frame_bytes)
+            end = _HEADER.size + size
+            if len(buffer) < end:
                 return
-            body = bytes(self._buffer[: self._expected])
-            del self._buffer[: self._expected]
-            self._expected = None
+            with memoryview(buffer) as view:
+                body = bytes(view[_HEADER.size : end])
+            del buffer[:end]
             if not body:
                 raise ProtocolError("empty frame body")
             if body[0] == 0x7B:  # "{" — a JSON control frame
@@ -283,16 +286,8 @@ class FrameDecoder:
                         "carry one"
                     )
             else:
-                frame = self._decode_binary(body)
+                frame = self._decode_binary(body, self._binary_names)
             yield frame
-
-    def _decode_binary(self, body: bytes) -> dict:
-        # Local import: codec.py imports the error types from this module.
-        import repro.transport.codec as _codec
-
-        if self._binary_names is None:
-            self._binary_names = _codec.BinaryNames()
-        return _codec.decode_binary_body(body, self._binary_names)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +312,16 @@ def tuple_from_wire(payload) -> StreamTuple:
         raise ProtocolError(f"malformed tuple payload: {exc!r}") from exc
 
 
-def batch_from_wire(payload: Mapping) -> Batch:
+def batch_from_wire(payload: Mapping, *, relay: bool = False) -> Batch:
+    """The batch a ``decided`` frame carries.
+
+    A decoded frame's records view builds its tuples here, unless
+    ``relay`` keeps it undecoded for an encoder that forwards its bytes
+    (a cluster router's worker connections)."""
     try:
         items = payload["items"]
-        if items and all(type(item) is StreamTuple for item in items):
-            # Binary decode already produced StreamTuples; adopt them.
-            decoded = tuple(items)
+        if not isinstance(items, (list, tuple)):
+            decoded = items if relay else tuple(items)
         else:
             decoded = tuple(tuple_from_wire(item) for item in items)
         batch = Batch(

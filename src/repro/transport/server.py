@@ -46,7 +46,12 @@ from repro.qos.controller import policy_from_profile
 from repro.qos.spec import QualitySpec
 from repro.service.broker import DisseminationService
 from repro.service.session import DeliveryLink
-from repro.transport.codec import BinaryEncoder, NameTable, SegmentCache
+from repro.transport.codec import (
+    BinaryEncoder,
+    NameTable,
+    SegmentCache,
+    encode_ingest_ack,
+)
 from repro.transport.protocol import (
     FEATURE_QOS,
     FEATURE_TRACE,
@@ -274,6 +279,14 @@ class _Connection:
     async def send(self, frame: dict) -> None:
         """Cork one frame, then honour the socket's backpressure."""
         self.post(frame)
+        await self._drain()
+
+    async def send_ingest_ack(self, seq: int, emissions: int) -> None:
+        """Cork the binary ``ok`` of an ``ingest_batch``, then honour
+        the socket's backpressure."""
+        payload = encode_ingest_ack(seq, emissions)
+        self._corked.append(payload)
+        self._corked_frame(len(payload))
         await self._drain()
 
     def post_decided(self, apps, batch, *, traces=None) -> None:
@@ -711,7 +724,7 @@ class GatewayServer:
                 }
             )
 
-    def _open_traces(self, frame: dict, source: str, items) -> None:
+    def _open_traces(self, frame: dict, source: str, records) -> None:
         """Open traces for sampled tuples before they reach the broker.
 
         The bag entry carries any ``(stage, ns)`` pairs accumulated by
@@ -721,17 +734,19 @@ class GatewayServer:
         tele = self.telemetry
         if tele is None or not tele.tracer.enabled:
             return
-        sampled = [
-            item for item in items if tele.tracer.sampled(source, item.seq)
-        ]
+        if isinstance(self.service, DisseminationService):
+            # A broker builds every tuple before its first offer anyway.
+            seqs = [item.seq for item in records]
+        else:
+            # A relay never builds them: its framing check has the seqs.
+            seqs = records.seqs
+        sampled = [seq for seq in seqs if tele.tracer.sampled(source, seq)]
         if not sampled:
             return
         carried = traces_from_wire(frame)
         recv_ns = time.perf_counter_ns()
-        for item in sampled:
-            tele.bag.begin(
-                (source, item.seq), recv_ns, carried.get(item.seq)
-            )
+        for seq in sampled:
+            tele.bag.begin((source, seq), recv_ns, carried.get(seq))
 
     async def _send_source_state(
         self, conn: _Connection, seq, name: str, *, destructive: bool
@@ -820,14 +835,14 @@ class GatewayServer:
         # Inline: a block-policy stall anywhere in the batch pauses this
         # connection's read loop, so backpressure reaches the producer.
         source = _field(frame, "source")
-        # Binary-only frame: the decoder built the StreamTuples.
-        items = _field(frame, "tuples")
-        self._open_traces(frame, source, items)
-        emissions = await self.service.offer_many(source, items)
+        # Binary-only frame: its records, undecoded (TupleRecords).  A
+        # broker builds every tuple before its first offer; a cluster
+        # router forwards the bytes.
+        records = _field(frame, "tuples")
+        self._open_traces(frame, source, records)
+        emissions = await self.service.offer_many(source, records)
         if seq is not None:
-            await conn.send(
-                {"t": "ok", "reply_to": seq, "emissions": emissions}
-            )
+            await conn.send_ingest_ack(seq, emissions)
 
     async def _on_subscribe(
         self, conn: _Connection, frame: dict, seq

@@ -6,8 +6,8 @@ Three layers of assurance:
   to exact, hand-derived byte strings (the wire format is a contract,
   not an implementation detail) and round-trip through the sans-io
   decoder, which refuses every malformed shape with a typed error;
-* **handshake** — protocol v4 negotiates nothing about the body format:
-  tuple frames are binary, a v1, v2 or v3 hello is refused, and a tuple
+* **handshake** — protocol v5 negotiates nothing about the body format:
+  tuple frames are binary, a v1 to v4 hello is refused, and a tuple
   frame in a JSON body, or a v2 single-tuple ``ingest`` body, ends that
   connection and no other;
 * **wire equivalence** — a verified loadgen run over the wire is
@@ -76,6 +76,7 @@ class TestGoldenBytes:
             b"\x00"  # pad length 0
             b"\x01\x00\x04temp"  # names delta: 1 entry, id 0 -> "temp"
             b"\x01"  # one tuple
+            b"\x13"  # its record takes 19 bytes
             b"\x03"  # tuple seq 3
             + struct.pack("<d", 30.0)
             + b"\x01"  # one attribute
@@ -190,12 +191,15 @@ class TestGoldenBytes:
 
     def test_unannounced_name_id_rejected(self):
         # A fresh decoder never saw the names delta of a previous
-        # connection; referencing the id must fail loudly.
+        # connection; referencing the id must fail loudly, whether the
+        # records are built or only checked.
         encoder = BinaryEncoder()
         encoder.ingest_body("src", _item())  # announces "temp"
         second = encoder.ingest_body("src", _item(seq=8))
-        with pytest.raises(ProtocolError):
-            _decode_body(second, FrameDecoder())
+        with pytest.raises(ProtocolError, match="unannounced attribute id 0"):
+            list(_decode_body(second, FrameDecoder())["tuples"])
+        with pytest.raises(ProtocolError, match="unannounced attribute id 0"):
+            _decode_body(second, FrameDecoder())["tuples"].seqs
 
     def test_control_frames_encode_as_json_dumps_does(self):
         # encode_frame keeps one JSONEncoder; its bytes are json.dumps'.
@@ -332,7 +336,7 @@ class TestEncodeOnce:
             (1, {"temp": 1.0}), (2, {"temp": 2.0})
         ]
         traced = _decode_body(body(("d",), shared, traces={1: [(0, 9)]}), decoder)
-        assert traced["items"] == frame["items"]
+        assert list(traced["items"]) == list(frame["items"])
         assert traced["traces"] == {1: [(0, 9)]}
         # A frame must name an app, and is exactly one body long.
         nameless = bytearray(body(("e",), shared))
@@ -506,7 +510,7 @@ class TestNegotiation:
         )
         welcome = frames[0]
         assert welcome["t"] == "welcome"
-        assert welcome["v"] == PROTOCOL_VERSION == 4
+        assert welcome["v"] == PROTOCOL_VERSION == 5
         assert "codec" not in welcome
         decided = [
             body for body, frame in zip(bodies, frames) if frame["t"] == "decided"
@@ -519,11 +523,14 @@ class TestNegotiation:
             if frame["t"] != "decided"
         )
 
-    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+    @pytest.mark.parametrize(
+        "version", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"]
+    )
     def test_old_hello_is_refused(self, version):
         # v1 peers may send JSON tuple frames, v2 peers single-tuple
-        # ``ingest`` frames, v3 peers read one app per ``decided`` frame;
-        # none survives the handshake.
+        # ``ingest`` frames, v3 peers read one app per ``decided`` frame,
+        # v4 peers tuple records without their byte length; none
+        # survives the handshake.
         async def run():
             service = DisseminationService()
             service.add_source("src")
