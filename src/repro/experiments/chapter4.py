@@ -4,7 +4,9 @@ Each function regenerates one artifact (the rows/series the paper
 reports) on the synthetic NAMOS/cow/volcano/fire traces.  Absolute CPU
 numbers differ from the 2008 Java/PowerPC prototype; the comparisons the
 paper draws (who wins, by what factor, which direction a sweep moves)
-are what these reproductions target - see EXPERIMENTS.md.
+are what these reproductions target: each report's ``paper_claim``
+states the paper's, printed beside the reproduction by
+``python -m repro.experiments run <id>``.
 """
 
 from __future__ import annotations

@@ -9,10 +9,15 @@ corresponding delta values" (section 4.3).
 
 Where the synthetic NAMOS trace matches the statistics the paper's
 literal numbers imply (thermo/fluoro channels - see
-``repro.sources.namos``), the table values are used verbatim; for the
-other sources (Figure 4.19) and the trend filters the same recipe is
-applied to the measured statistics of our traces, which EXPERIMENTS.md
-documents as a substitution.
+``repro.sources.namos``), the table values are used verbatim.
+
+One substitution: the paper's own traces for the other sources (the
+cow, volcano and fire-experiment series of Figure 4.19) and its fluoro
+scale in Chapter 5 are not available, so for Figure 4.19, Table 5.2's
+fluoro DC1 group and every DC2 (trend) filter the same recipe is
+applied to the measured statistics of our synthetic traces
+(:func:`dc_specs_from_statistics`, :func:`trend_statistic`) instead of
+copying the paper's numbers, which were measured on other data.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ __all__ = ["ExperimentReport", "ExperimentRegistry"]
 class ExperimentReport:
     """The regenerated artifact for one paper table or figure.
 
-    ``text`` is the printable reproduction of the table/series;
-    ``data`` holds the raw numbers for tests and EXPERIMENTS.md;
-    ``paper_claim`` states what the paper reports, for side-by-side
-    comparison.
+    ``text`` is the printable reproduction of the table/series (what
+    ``python -m repro.experiments run <id>`` prints); ``data`` holds the
+    raw numbers the tests check; ``paper_claim`` states what the paper
+    reports, printed beside the reproduction for comparison.
     """
 
     experiment_id: str

@@ -25,7 +25,7 @@ Stage vocabulary (ordered; the index is the binary wire id):
  5         ``batch_flush``      emission -> session micro-batch flush
  6         ``session_queue``    batch flush -> delivery pump dequeue
  7         ``socket_write``     pump dequeue -> decided bytes drained
- 8         ``router_reassembly``router decided recv -> session push
+ 8         ``router_reassembly``router decided recv -> front link put
 ========  ===================  ==========================================
 """
 

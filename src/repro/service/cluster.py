@@ -16,18 +16,25 @@ directly onto process-per-shard scaling:
   and exposes the same async data-path surface as the broker
   (``offer`` / ``offer_many`` / ``subscribe`` / ``tick`` / ``snapshot``
   / ``close``), so the *existing* :class:`GatewayServer` fronts it
-  unchanged: client connections, subscriptions and the encode-once
-  decided fan-out all stay in the router while every decide runs in a
-  worker process.  Router↔worker traffic is the wire protocol itself
+  unchanged: client connections, subscriptions and the decided fan-out
+  all stay in the router while every decide runs in a worker process.
+  Router↔worker traffic is the wire protocol itself
   (:mod:`repro.transport.protocol`: binary tuple frames, JSON control
   frames) — there is no second serialization scheme;
+* **delivery** — a routed app's :class:`ClusterSession` holds a real
+  :class:`~repro.service.session.DeliveryQueue` on its subscriber's
+  link (a gateway connection's), bounded at the app's resolved
+  capacity with the ``block`` policy.  A worker ``decided`` frame is
+  put once per link its apps read (:meth:`ClusterService._relay`), so
+  it leaves the router as one frame per subscriber connection, with
+  the record bytes relayed undecoded;
 * **supervisor** — workers are health-checked (``/healthz`` pings plus
   process liveness); a dead worker is respawned into its slot, its
   sources re-registered and its subscriptions re-subscribed with their
-  previously resolved bounds, and the router-side sessions resume
-  transparently.  A source the router holds a failover record for
-  (checkpoint + tail) resumes exactly; any other sees a delivery gap,
-  never a teardown.
+  previously resolved bounds, and the router-side sessions, open all
+  along, carry on with the new process's streams.  A source the router
+  holds a failover record for (checkpoint + tail) resumes exactly; any
+  other sees a delivery gap, never a teardown.
 
 Backpressure is preserved end to end: a ``block``-policy stall in a
 worker withholds the ingest ack, which suspends the router's inline
@@ -60,13 +67,13 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.trace import (
     STAGE_ROUTER_FORWARD,
     STAGE_ROUTER_REASSEMBLY,
-    STAGE_SESSION_QUEUE,
     stage_id,
 )
 from repro.qos.controller import DegradationConfig, policy_to_profile
 from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.runtime.partition import HashRing
-from repro.transport.client import GatewayClient, GatewayError
+from repro.service.session import DeliveryLink, DeliveryQueue
+from repro.transport.client import GatewayClient, GatewayError, RemoteSubscription
 from repro.transport.codec import TupleRecords
 from repro.transport.protocol import MAX_FRAME_BYTES
 
@@ -75,7 +82,8 @@ __all__ = ["ClusterConfig", "ClusterService", "ClusterSession"]
 #: Subscription-close reasons that are final: the worker (or the router)
 #: ended the subscription on purpose, so the session must not re-attach.
 #: Any other end — ``"migrated"`` (the source was exported) or a dead
-#: connection — parks the session until :meth:`ClusterSession.adopt`.
+#: connection — leaves the session open for the re-attach on the
+#: source's new process (:meth:`ClusterService._adopt`).
 _FINAL_REASONS = frozenset(
     {
         "unsubscribed",
@@ -89,7 +97,6 @@ _FINAL_REASONS = frozenset(
 
 _SID_ROUTER_FORWARD = stage_id(STAGE_ROUTER_FORWARD)
 _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
-_SID_SESSION_QUEUE = stage_id(STAGE_SESSION_QUEUE)
 
 #: Tail tuples after which a covered source's failover checkpoint is
 #: re-armed and its tail dropped.  The trade, measured on a 2-CPU Xeon
@@ -124,8 +131,8 @@ _DEFERRED_HEAL_GRACE_S = 10.0
 _MIGRATE_TIMEOUT_S = 30.0
 #: How long a starting worker has to report ready.
 _READY_TIMEOUT_S = 30.0
-#: How long data-path calls (and orphaned sessions) wait for a
-#: respawning worker before giving up.
+#: How long data-path calls wait for a respawning worker before giving
+#: up.
 _REATTACH_TIMEOUT_S = 30.0
 
 
@@ -153,83 +160,41 @@ class ClusterConfig:
             raise ValueError("workers must be at least 1")
 
 
-class _SessionQueue:
-    """Queue facade over a cluster session for ``GatewayServer`` paths.
+def _bounds(resolved: dict, defaults: "ClusterConfig") -> dict:
+    """The bounds a worker resolved for a subscription (its subscribe
+    reply), with the fleet's defaults for any it did not echo."""
 
-    The router's front tier inspects ``session.queue`` (capacity /
-    policy / depth / closed, and ``close()`` in the shutdown
-    wedge-breaker) and pumps ``session.queue.link``.  For a routed
-    session the real bounded queue lives in the worker; this facade
-    reports the worker-resolved bounds and the router-side buffer depth,
-    and is a delivery link of one app: :meth:`take` hands out the
-    session's batches one at a time, then its end item.
-    """
+    def bound(key: str, cast):
+        # None-check, not truthiness: 0.0 is a legitimate resolved
+        # batching delay (immediate flush) and must survive the echo to
+        # the client and any respawn re-subscribe.
+        value = resolved.get(key)
+        return cast(getattr(defaults, key) if value is None else value)
 
-    def __init__(self, session: "ClusterSession", capacity: int, policy: str):
-        self._session = session
-        self.app = session.app_name
-        self.capacity = capacity
-        self.policy = policy
-        self._stream = None
-        self._ended = False
-
-    @property
-    def link(self) -> "_SessionQueue":
-        return self
-
-    @property
-    def depth(self) -> int:
-        return self._session.remote.buffered
-
-    @property
-    def closed(self) -> bool:
-        return self._session.closed
-
-    async def take(self) -> list:
-        if self._ended:
-            raise StopAsyncIteration
-        if self._stream is None:
-            self._stream = self._session.batches()
-        try:
-            batch = await self._stream.__anext__()
-        except StopAsyncIteration:
-            self._ended = True
-            return [(None, (self,))]
-        return [(batch, (self,))]
-
-    def drain_nowait(self) -> list:
-        """Nothing waits here: the batches stream from the worker."""
-        return []
-
-    async def close(self) -> None:
-        self._session.end_local("router_closed")
-
-
-class _SessionBatcher:
-    """Bounds-only stand-in for ``session.batcher`` (batching runs in
-    the worker; the router only echoes the resolved bounds)."""
-
-    __slots__ = ("max_items", "max_delay_ms", "pending")
-
-    def __init__(self, max_items: int, max_delay_ms: float):
-        self.max_items = max_items
-        self.max_delay_ms = max_delay_ms
-        self.pending = 0
+    return {
+        "queue_capacity": bound("queue_capacity", int),
+        "overflow": bound("overflow", str),
+        "batch_max_items": bound("batch_max_items", int),
+        "batch_max_delay_ms": bound("batch_max_delay_ms", float),
+    }
 
 
 class ClusterSession:
-    """Router-side view of one app's subscription on some worker.
+    """Router-side session of one app whose filter runs on a worker.
 
-    Duck-compatible with the slice of
-    :class:`~repro.service.session.SubscriberSession` the front tier
-    touches: ``batches()``, ``disconnected``, ``migrated`` (never set:
-    the router exports nothing), ``queue`` and ``batcher``.
-    When the owning worker dies or exports the source mid-stream,
-    :meth:`batches` parks until the router re-attaches it on the
-    source's new process and then keeps yielding — the subscriber's
-    socket never learns the worker changed.  Like a broker session it
-    yields a traced batch as its own copy, with the router's stages
-    stamped on (see :meth:`batches`).
+    Its :attr:`queue` is a :class:`~repro.service.session.DeliveryQueue`
+    on the subscriber's link — a gateway connection's, shared with the
+    connection's other apps, or one of its own, which :meth:`batches`
+    reads — bounded at the app's resolved capacity with the ``block``
+    policy: the relay buffer between the worker's stream and the
+    subscriber.  The app's overflow policy, degradation ladder and
+    batcher run in the worker; :attr:`bounds` holds what it resolved.
+
+    The router puts each decided frame of the session's current
+    :attr:`remote` (:meth:`ClusterService._relay`).  When the worker
+    dies or exports the source the session stays open, and the re-attach
+    on the source's new process swaps the new remote in — the subscriber
+    never learns the worker changed.
     """
 
     def __init__(
@@ -237,48 +202,28 @@ class ClusterSession:
         app_name: str,
         source_name: str,
         spec: str,
-        remote,
-        *,
-        defaults: "ClusterConfig",
-        telemetry: Optional[Telemetry] = None,
+        bounds: dict,
+        link: Optional[DeliveryLink] = None,
     ):
         self.app_name = app_name
         self.source_name = source_name
         self.spec = spec
-        self.remote = remote
-        self._telemetry = telemetry
-        resolved = remote.resolved
-
-        def bound(key: str, fallback):
-            # None-check, not truthiness: 0.0 is a legitimate resolved
-            # batching delay (immediate flush) and must survive the
-            # echo to the client and any respawn re-subscribe.
-            value = resolved.get(key)
-            return fallback if value is None else value
-
-        self.queue = _SessionQueue(
-            self,
-            int(bound("queue_capacity", defaults.queue_capacity)),
-            str(bound("overflow", defaults.overflow)),
+        self.bounds = bounds
+        self.queue = DeliveryQueue(
+            bounds["queue_capacity"], "block", link=link, app=app_name
         )
-        self.batcher = _SessionBatcher(
-            int(bound("batch_max_items", defaults.batch_max_items)),
-            float(bound("batch_max_delay_ms", defaults.batch_max_delay_ms)),
-        )
-        self.disconnected = False
+        #: The worker subscription whose stream the session relays.
+        self.remote = None
+        #: Tuples the current remote's stream has yet to drop (a
+        #: failover splice's already-delivered prefix).
+        self.skip = 0
+        #: Position in the current remote's stream: tuples put to the
+        #: queue or skipped — the offset a failover splice aligns with.
+        self.position = 0
+        #: Never set: the router exports nothing.
         self.migrated = False
-        self.closed = False
-        self._explicit = False
-        self._replacement: Optional[asyncio.Future] = None
-        #: Tuples this session has yielded to the front tier.
-        self.delivered_tuples = 0
-        #: Position in the *current* remote's stream, counted as its
-        #: worker's shipped tuples (reset at every generation switch; a
-        #: splice's dropped prefix counts) — what a failover splice
-        #: aligns against.  When a stream ends, its final count parks in
-        #: :attr:`last_remote_delivered` for the splice-skip math.
-        self.delivered_this_remote = 0
-        self.last_remote_delivered = 0
+        #: The next stream end is intentional; do not re-attach.
+        self.explicit = False
         #: Wire-shape degradation profile (``policy_to_profile`` dict)
         #: with its ``level`` key tracking the worker's active level, so
         #: every re-subscribe path (respawn, migration, failover) can
@@ -292,163 +237,35 @@ class ClusterSession:
         self.qos_listener = None
 
     @property
+    def closed(self) -> bool:
+        return self.queue.closed
+
+    @property
+    def disconnected(self) -> bool:
+        """The worker ended the stream with a ``disconnect`` overflow."""
+        return self.queue.disconnected
+
+    @disconnected.setter
+    def disconnected(self, value: bool) -> None:
+        self.queue.disconnected = value
+
+    @property
     def degradation_level(self) -> int:
         """Active degradation level as last reported by the worker."""
         if self.degradation is None:
             return 0
         return int(self.degradation.get("level", 0))
 
-    def adopt(self, remote) -> None:
-        """Swap in the subscription a re-attach (failover, respawn or
-        migration) made on the source's new process."""
-        self.remote = remote
-        waiter = self._replacement
-        if waiter is not None and not waiter.done():
-            waiter.set_result(remote)
-
-    def mark_explicit(self) -> None:
-        """The next stream end is intentional; do not re-attach."""
-        self._explicit = True
+    def batches(self):
+        """Yield delivered batches (a session on a link of its own)."""
+        return self.queue.batches()
 
     def end_local(self, reason: str) -> None:
-        """End the session here (unsubscribe, shutdown, worker lost)."""
-        self._explicit = True
-        self.closed = True
-        # A batches() loop parked waiting for a re-attach must end now,
-        # not after the reattach timeout.
-        waiter = self._replacement
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+        """End the session here (unsubscribe, shutdown, worker lost):
+        its stream ends after what is queued, and its remote goes."""
+        self.explicit = True
+        self.queue._close()
         self.remote.close_local(reason)
-
-    def _stamp(self, batch):
-        """The router's stages on a traced batch from the worker.
-
-        The worker's decided frame carried each sampled tuple's stage
-        pairs, marked when the router decoded it; this copy adds
-        ``router_reassembly`` (frame decode -> the batch surfacing here)
-        and then this session's ``session_queue`` — the hand-off to the
-        front tier's pump, which this generator makes directly.  Only a
-        router with telemetry asks its workers for traces.
-        """
-        now_ns = time.perf_counter_ns()
-        dur = now_ns - batch.traces[0]
-        for _ in batch.traces[1]:
-            self._telemetry.observe_stage(STAGE_ROUTER_REASSEMBLY, dur)
-        batch = batch.stamped(_SID_ROUTER_REASSEMBLY, now_ns)
-        return batch.stamped(_SID_SESSION_QUEUE, now_ns)
-
-    async def batches(self):
-        """Yield delivered batches across worker generations."""
-        while True:
-            remote = self.remote
-            async for batch in remote.batches():
-                if batch.traces is not None:
-                    batch = self._stamp(batch)
-                self.delivered_tuples += len(batch.items)
-                self.delivered_this_remote += len(batch.items)
-                yield batch
-            # The old stream is fully drained here, so its tuple count is
-            # final — exactly what a failover splice must align against.
-            self.last_remote_delivered = self.delivered_this_remote
-            self.delivered_this_remote = 0
-            reason = remote.closed_reason or "connection_closed"
-            if reason == "overflow_disconnect":
-                self.disconnected = True
-            # An unsubscribe in flight goes to wherever a migrated
-            # source lands, and that stream ends after its final flush.
-            explicit = self._explicit and reason != "migrated"
-            if explicit or self.closed or reason in _FINAL_REASONS:
-                self.closed = True
-                return
-            # The source moved, or its worker connection died: wait for
-            # the re-attach on the source's new process.
-            replacement = await self._await_replacement(remote)
-            if replacement is None:
-                self.closed = True
-                return
-
-    async def _await_replacement(self, old):
-        if self.remote is not old and self.remote.closed_reason is None:
-            return self.remote  # adoption already happened
-        loop = asyncio.get_running_loop()
-        self._replacement = loop.create_future()
-        # Re-check after installing the future: adopt() may have raced in
-        # between the stream ending and the future existing.
-        if self.remote is not old and self.remote.closed_reason is None:
-            self._replacement = None
-            return self.remote
-        try:
-            return await asyncio.wait_for(
-                self._replacement, timeout=_REATTACH_TIMEOUT_S
-            )
-        except asyncio.TimeoutError:
-            return None
-        finally:
-            self._replacement = None
-
-
-class _SpliceRemote:
-    """A re-attached subscription minus its already-delivered prefix.
-
-    At failover the new process restores the router's checkpoint of the
-    source and replays the tail kept since, so its stream for each app
-    starts at the checkpoint's ``shipped`` offset (``consumed``) —
-    behind what the dead stream had delivered.  Dropping exactly that
-    prefix makes the spliced stream continue byte-identically from the
-    subscriber's point of view: a delivery gap of zero, not a replay
-    and not a hole.
-
-    The skip is computed *lazily*, on first consumption: the session's
-    ``batches()`` loop only switches remotes after fully draining the
-    dead stream, so only then is ``last_remote_delivered`` final.  The
-    checkpoint's reply followed every ``decided`` frame its offsets
-    count, so ``consumed <= delivered`` and the skip is never negative;
-    should the dead stream still have lost tuples, the clamp surfaces
-    that as a small delivery gap, never as duplicates.  Dropped tuples
-    count toward the session's position on this stream: the offset
-    the next splice aligns against.
-    """
-
-    def __init__(self, remote, session: "ClusterSession", consumed: int):
-        self._remote = remote
-        self._session = session
-        self._consumed = consumed
-        self._skip: Optional[int] = None
-
-    @property
-    def resolved(self):
-        return self._remote.resolved
-
-    @property
-    def closed_reason(self):
-        return self._remote.closed_reason
-
-    @property
-    def buffered(self):
-        return self._remote.buffered
-
-    def close_local(self, reason: str) -> None:
-        self._remote.close_local(reason)
-
-    async def batches(self):
-        session = self._session
-        if self._skip is None:
-            self._skip = max(0, session.last_remote_delivered - self._consumed)
-        async for batch in self._remote.batches():
-            if self._skip:
-                items = batch.items
-                if len(items) <= self._skip:
-                    self._skip -= len(items)
-                    session.delivered_this_remote += len(items)
-                    continue
-                # The copy carries no traces: the dropped prefix's went
-                # out with the dead stream, and traces are advisory.
-                # Slicing decodes this one batch's records.
-                batch = dc_replace(batch, items=tuple(items[self._skip :]))
-                session.delivered_this_remote += self._skip
-                self._skip = 0
-            yield batch
 
 
 class _Record:
@@ -549,6 +366,9 @@ class ClusterService:
         #: propose/verify/schedule pipeline owns the fix.
         self.defer_death_handling = False
         self._apps: dict[str, ClusterSession] = {}
+        #: Each session's current worker subscription, until its stream
+        #: ends: where :meth:`_relay` puts that stream's batches.
+        self._streams: dict[RemoteSubscription, ClusterSession] = {}
         self._monitor_task: Optional[asyncio.Task] = None
         self._arm_task: Optional[asyncio.Task] = None
         self._started = False
@@ -806,7 +626,7 @@ class ClusterService:
                 worker.port,
                 max_frame_bytes=self.config.max_frame_bytes,
                 telemetry=self._client_telemetry,
-                relay=True,
+                on_decided=self._relay,
             )
             worker.events_cursor = 0
             self._emit(
@@ -859,7 +679,7 @@ class ClusterService:
 
         Mirrors the broker's ``close()`` contract as the front tier sees
         it: after this returns, every session's remaining batches are
-        either in flight to the router's pumps or accounted as dropped.
+        either queued or accounted as dropped.
         Workers get SIGTERM (their own graceful path final-flushes every
         batcher onto our sockets and prints a terminal snapshot), and
         the merged terminal totals become the router's final snapshot.
@@ -1449,9 +1269,9 @@ class ClusterService:
 
         Same signature the broker exposes (the front tier calls either
         interchangeably); QoS resolution happens in the worker, and the
-        resolved bounds come back with the subscribe reply.  ``link`` is
-        not used: the session's batches arrive from the worker's stream,
-        and its ``queue`` is a delivery link of its own.
+        resolved bounds come back with the subscribe reply.  The
+        session's queue joins ``link`` (a gateway connection's), or has
+        a link of its own that :meth:`ClusterSession.batches` reads.
         ``degradation`` (a :class:`DegradationPolicy` or a wire-shape
         profile mapping) attaches the controller in the *worker*; the
         router records the profile so respawn/migration/failover can
@@ -1497,12 +1317,11 @@ class ClusterService:
                 app_name,
                 source_name,
                 spec,
-                remote,
-                defaults=self.config,
-                telemetry=self.telemetry,
+                _bounds(remote.resolved, self.config),
+                link,
             )
             session.degradation = profile
-            self._wire_qos(session, remote)
+            self._adopt(session, remote)
             self._apps[app_name] = session
             worker.apps[app_name] = session
             await self._arm(source_name, worker)
@@ -1540,6 +1359,80 @@ class ClusterService:
 
         remote.qos_listener = _on_update
 
+    def _adopt(
+        self, session: ClusterSession, remote: RemoteSubscription, skip: int = 0
+    ) -> None:
+        """Make ``remote`` the stream ``session`` relays, minus its first
+        ``skip`` tuples (subscribe, and every re-attach: failover,
+        respawn, migration)."""
+        self._streams.pop(session.remote, None)
+        self._streams[remote] = session
+        session.remote = remote
+        session.skip = skip
+        session.position = 0
+        remote.close_listener = lambda reason: self._stream_ended(remote, reason)
+        self._wire_qos(session, remote)
+
+    def _stream_ended(self, remote: RemoteSubscription, reason: str) -> None:
+        """A worker stream ended: a final reason (or an unsubscribe in
+        flight) ends its session; any other leaves the session open for
+        the re-attach on the source's new process."""
+        session = self._streams.pop(remote, None)
+        if session is None:
+            return  # an older generation's, or dismissed
+        if reason == "overflow_disconnect":
+            session.disconnected = True
+        # An unsubscribe in flight goes to wherever a migrated source
+        # lands, and that stream ends after its final flush.
+        if reason in _FINAL_REASONS or (session.explicit and reason != "migrated"):
+            session.end_local(reason)
+
+    async def _relay(self, batch, remotes: list) -> None:
+        """Put one worker ``decided`` frame's batch on the links its apps
+        read: once per link, naming that link's apps, so a frame for k
+        apps of one subscriber connection leaves the router as one frame
+        (the paper's "each tuple is transmitted at most once on any
+        link").  The record bytes go on undecoded.
+
+        An app still owed a splice's prefix (``skip``) drops it here,
+        and a batch it cuts into goes as a copy of its own (untraced:
+        traces are advisory).  An app's ``position`` moves only once its
+        put is done, so it counts what this stream actually put — a put
+        cancelled with a dead worker's read loop queued nothing.
+        """
+        size = len(batch)
+        full, traced = batch, 0
+        if batch.traces is not None:
+            # Marked at frame decode; each link's take then stamps its
+            # own session_queue.  Only a router with telemetry asks its
+            # workers for traces.
+            now_ns = time.perf_counter_ns()
+            dur = now_ns - batch.traces[0]
+            full = batch.stamped(_SID_ROUTER_REASSEMBLY, now_ns)
+            traced = len(batch.traces[1])
+        puts: dict[tuple, list[ClusterSession]] = {}
+        for remote in remotes:
+            session = self._streams.get(remote)
+            if session is None:
+                continue  # dismissed, or an older generation's
+            skip = session.skip
+            if skip >= size:
+                session.skip -= size
+                session.position += size
+                continue
+            if skip:
+                out = dc_replace(batch, items=tuple(batch.items[skip:]))
+            else:
+                out = full
+                for _ in range(traced):
+                    self.telemetry.observe_stage(STAGE_ROUTER_REASSEMBLY, dur)
+            puts.setdefault((session.queue.link, out), []).append(session)
+        for (link, out), sessions in puts.items():
+            await link.put(out, [session.queue for session in sessions])
+            for session in sessions:
+                session.skip = 0
+                session.position += size
+
     async def unsubscribe(self, app_name: str) -> None:
         # A locally-closed session (oversized decided frame, shutdown
         # wedge-break) must still be unsubscribable: the *worker* still
@@ -1548,7 +1441,7 @@ class ClusterService:
         session = self._apps.get(app_name)
         if session is None:
             raise KeyError(f"app {app_name!r} is not subscribed")
-        session.mark_explicit()
+        session.explicit = True
         async with self._source_lock(session.source_name):
             worker = self._primary(self.shard_of(session.source_name))
             self._apps.pop(app_name, None)
@@ -1747,18 +1640,13 @@ class ClusterService:
     async def _resubscribe(self, worker: _Worker, session: ClusterSession):
         """Subscribe ``session``'s app on ``worker`` with its resolved
         bounds and degradation profile (re-attach and migration)."""
-        remote = await worker.client.subscribe(
+        return await worker.client.subscribe(
             session.app_name,
             session.source_name,
             session.spec,
-            queue_capacity=session.queue.capacity,
-            overflow=session.queue.policy,
-            batch_max_items=session.batcher.max_items,
-            batch_max_delay_ms=session.batcher.max_delay_ms,
             degradation=session.degradation,
+            **session.bounds,
         )
-        self._wire_qos(session, remote)
-        return remote
 
     def _open_sessions(self, worker: _Worker, source: str) -> list[ClusterSession]:
         """The source's open sessions on ``worker``, in insertion order;
@@ -1798,16 +1686,22 @@ class ClusterService:
         ``(spliced, cold)`` app counts.  Failover, respawn and migration
         all land here.
 
-        With a record, the checkpoint is imported, each app continues
-        at its delivered offset (:class:`_SpliceRemote`) and the tail is
-        replayed — ``offer_many`` per item list, a per-source ``tick``
-        per tick — so the streams splice with zero gap.  Offer-driven
+        With a record, the checkpoint is imported, each app's new stream
+        skips what its old one put past the checkpoint's ``shipped``
+        offset (:meth:`_relay`) and the tail is replayed — ``offer_many``
+        per item list, a per-source ``tick`` per tick — so the streams
+        splice with zero gap.  Offer-driven
         output is exact.  Under a ``TimeConstraint`` the replay measures
         its solve times afresh, so a timely cut there repeats the dead
         primary's only where those measurements agree.  Without a record
         (or when the import is refused) the apps continue on a fresh
         epoch: cold, a state gap, never a teardown.
         """
+        # Each old stream's position is final once its worker
+        # connection has dropped it: no put of the old stream may follow
+        # one of the new.
+        for session in sessions:
+            await session.remote.removed()
         record = self._records.get(source)
         if record is not None:
             try:
@@ -1817,14 +1711,16 @@ class ClusterService:
                 record = None
         if record is None:
             for session, remote in zip(sessions, remotes):
-                session.adopt(remote)
+                self._adopt(session, remote)
             return 0, len(sessions)
         # Adopt before the replay: its output must flow while it runs.
+        # The checkpoint's reply followed every decided frame its
+        # offsets count, so an old stream put at least that many; the
+        # clamp turns any shortfall into a gap, never a repeat.
         shipped = record.state.get("shipped") or {}
         for session, remote in zip(sessions, remotes):
-            session.adopt(
-                _SpliceRemote(remote, session, int(shipped.get(session.app_name, 0)))
-            )
+            consumed = int(shipped.get(session.app_name, 0))
+            self._adopt(session, remote, max(0, session.position - consumed))
         # From here on each app's position counts on this process, whose
         # streams start at the checkpoint.
         record.state["shipped"] = {}
@@ -1843,7 +1739,7 @@ class ClusterService:
         session drops or re-filters what a replay cannot know about (a
         non-``block`` queue, a degradation ladder)."""
         return all(
-            session.queue.policy == "block" and session.degradation is None
+            session.bounds["overflow"] == "block" and session.degradation is None
             for session in worker.apps.values()
             if session.source_name == source_name and not session.closed
         )

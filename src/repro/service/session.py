@@ -173,6 +173,12 @@ class DeliveryLink:
                 except SessionDisconnected:
                     disconnected = True
                     continue
+                except BaseException:
+                    # Cancelled while waiting: the batch is queued for
+                    # nobody, so the queues admitted so far take it back.
+                    for queue in named:
+                        queue._unadmit(size)
+                    raise
                 if refused is batch:
                     continue
             # _admit, inlined: this runs per member of every batch.
@@ -188,9 +194,7 @@ class DeliveryLink:
             # queued: the batch must not follow it.
             for queue in [queue for queue in named if queue._closed]:
                 named.remove(queue)
-                queue.pending -= 1
-                queue.stats.enqueued_batches -= 1
-                queue.stats.shipped_tuples -= size
+                queue._unadmit(size)
                 queue._drop(batch)
         self._append(batch, named)
         return disconnected
@@ -359,6 +363,15 @@ class DeliveryQueue:
         self.stats.enqueued_batches += 1
         self.stats.shipped_tuples += size
 
+    def _unadmit(self, size: int) -> None:
+        """Undo :meth:`_admit` for a batch that was never queued; the
+        freed room goes to the next waiting producer."""
+        self.pending -= 1
+        self.stats.enqueued_batches -= 1
+        self.stats.shipped_tuples -= size
+        if self._putters:
+            _wakeup_next(self._putters)
+
     def _overflow(self, batch: Batch, nowait: bool) -> Optional[Batch]:
         """The policy's verdict on one more batch, without waiting.
 
@@ -423,6 +436,16 @@ class DeliveryQueue:
             raise RuntimeError("a shared link is read with DeliveryLink.take()")
         batch, _ = await self.link.get()
         return batch
+
+    async def batches(self) -> AsyncIterator[Batch]:
+        """Yield batches from a link of this queue's own until the queue
+        closes (a gateway connection's pump reads a shared link)."""
+        while True:
+            try:
+                batch = await self.get()
+            except StopAsyncIteration:
+                return
+            yield batch
 
     def drain_nowait(self) -> list[Batch]:
         """Synchronously take this app's queued batches off the link
@@ -502,22 +525,28 @@ class SubscriberSession:
         """Active degradation level (0 = preferred quality / no policy)."""
         return self.degradation.level if self.degradation is not None else 0
 
+    @property
+    def bounds(self) -> dict:
+        """The resolved bounds a subscribe reply echoes (and a cluster
+        router re-subscribes with)."""
+        return {
+            "queue_capacity": self.queue.capacity,
+            "overflow": self.queue.policy,
+            "batch_max_items": self.batcher.max_items,
+            "batch_max_delay_ms": self.batcher.max_delay_ms,
+        }
+
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
     def __aiter__(self) -> AsyncIterator[Batch]:
         return self.batches()
 
-    async def batches(self) -> AsyncIterator[Batch]:
+    def batches(self) -> AsyncIterator[Batch]:
         """Yield delivered batches until the session closes (a session
         on a link of its own; a gateway connection's pump reads its
         shared link instead)."""
-        while True:
-            try:
-                batch = await self.queue.get()
-            except StopAsyncIteration:
-                return
-            yield batch
+        return self.queue.batches()
 
     async def items(self) -> AsyncIterator[StreamTuple]:
         """Yield delivered tuples one by one (batch-flattening view)."""

@@ -18,6 +18,11 @@ overflow policy — slow consumption propagates across the wire instead of
 ballooning client memory.  (This also means one wedged consumer stalls
 the whole connection, acks included; give independent consumers their
 own connections.)
+
+A relay (the cluster router's worker connections) passes ``on_decided``
+instead: each ``decided`` frame's batch, its records undecoded, goes to
+that one callback with the subscriptions it names, and the read loop
+waits on it as it would on a full buffer.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from typing import AsyncIterator, Mapping, Optional, Sequence, Union
+from typing import AsyncIterator, Awaitable, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
@@ -55,6 +60,9 @@ __all__ = [
 ]
 
 _READ_CHUNK = 1 << 16
+
+#: A relay's sink: ``(batch, subscriptions)`` of each ``decided`` frame.
+_OnDecided = Callable[[Batch, list], Awaitable[None]]
 
 #: Checkpoint tuple-table rows per frame while streaming a live-migration
 #: transfer (kept well under MAX_FRAME_BYTES at typical tuple widths).
@@ -204,6 +212,9 @@ class RemoteSubscription:
         self.degradation_level: int = 0
         self.qos_updates: list[dict] = []
         self.qos_listener = None
+        #: Called with the reason when the stream ends, however it ends
+        #: (a ``closed`` frame, the connection, :meth:`close_local`).
+        self.close_listener: Optional[Callable[[str], None]] = None
 
     def _resize(self, capacity: int) -> None:
         """Adopt the server-resolved bound without dropping anything.
@@ -227,11 +238,6 @@ class RemoteSubscription:
         # its next attempt.
         self._space.set()
 
-    @property
-    def buffered(self) -> int:
-        """Client-side batches waiting for the consumer."""
-        return self._queue.qsize()
-
     def close_local(self, reason: str) -> None:
         """End the stream from this side (no wire traffic).
 
@@ -240,6 +246,12 @@ class RemoteSubscription:
         waiting for a ``closed`` frame that may never come.
         """
         self._close(reason)
+
+    async def removed(self) -> None:
+        """Wait until the client has dropped this subscription (its
+        ``closed`` frame arrived or the connection ended): no later
+        ``decided`` frame reaches it."""
+        await self._removed.wait()
 
     def __aiter__(self) -> AsyncIterator[Batch]:
         return self.batches()
@@ -266,9 +278,8 @@ class RemoteSubscription:
 
         The blocking wait is interruptible by :meth:`close_local` via
         the space event, so a subscription dismissed while its buffer is
-        full (router shutdown, lost worker) releases the read loop
-        instead of wedging the whole connection behind a consumer that
-        will never pop again.
+        full releases the read loop instead of wedging the whole
+        connection behind a consumer that will never pop again.
         """
         while not self._ended:
             try:
@@ -284,8 +295,7 @@ class RemoteSubscription:
         A full buffer gets no end-of-stream sentinel: its consumer is not
         parked, and :meth:`batches` ends once it has drained the buffer.
         Either way every batch that arrived is yielded, in order, before
-        the stream ends — what a cluster router's failover splice counts
-        on.
+        the stream ends.
         """
         if self._ended:
             return
@@ -298,6 +308,8 @@ class RemoteSubscription:
             self._queue.put_nowait(None)
         except asyncio.QueueFull:
             pass
+        if self.close_listener is not None:
+            self.close_listener(reason)
 
 
 class GatewayClient:
@@ -310,7 +322,7 @@ class GatewayClient:
         *,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         telemetry: Optional[Telemetry] = None,
-        relay: bool = False,
+        on_decided: Optional[_OnDecided] = None,
     ):
         self._reader = reader
         self._writer = writer
@@ -333,9 +345,9 @@ class GatewayClient:
         self.server_sources: tuple[str, ...] = ()
         #: Encodes this connection's ``ingest`` / ``ingest_batch`` frames.
         self._encoder = BinaryEncoder()
-        #: Delivered batches keep their records undecoded (a cluster
-        #: router sends them on as bytes).
-        self._relay = relay
+        #: A relay's one sink for every decided batch, records undecoded
+        #: (a cluster router sends them on as bytes).
+        self._on_decided = on_decided
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -349,18 +361,24 @@ class GatewayClient:
         token: Optional[str] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         telemetry: Optional[Telemetry] = None,
-        relay: bool = False,
+        on_decided: Optional[_OnDecided] = None,
     ) -> "GatewayClient":
-        """Open and authenticate one gateway connection; ``relay`` keeps
-        delivered batches' records undecoded
-        (:class:`~repro.transport.codec.TupleRecords`)."""
+        """Open and authenticate one gateway connection.
+
+        With ``on_decided`` the connection is a relay: every delivered
+        batch, its records undecoded
+        (:class:`~repro.transport.codec.TupleRecords`), is awaited as
+        ``on_decided(batch, subscriptions)`` with this connection's
+        subscriptions its frame names, instead of being buffered per
+        subscription.
+        """
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(
             reader,
             writer,
             max_frame_bytes=max_frame_bytes,
             telemetry=telemetry,
-            relay=relay,
+            on_decided=on_decided,
         )
         client._read_task = asyncio.ensure_future(client._read_loop())
         hello: dict = {"t": "hello", "v": PROTOCOL_VERSION}
@@ -824,13 +842,20 @@ class GatewayClient:
             return
         if kind == "decided":
             # One frame, one batch, for every subscription it names.
-            batch = batch_from_wire(frame, relay=self._relay)
-            for app in frame["apps"]:
-                subscription = self._subscriptions.get(app)
-                if subscription is not None:
-                    # This put blocks when the consumer lags,
-                    # intentionally pausing the read loop (see the
-                    # module docstring).
+            relay = self._on_decided
+            batch = batch_from_wire(frame, relay=relay is not None)
+            subscriptions = [
+                subscription
+                for subscription in map(self._subscriptions.get, frame["apps"])
+                if subscription is not None
+            ]
+            # These puts block when the consumer lags, intentionally
+            # pausing the read loop (see the module docstring).
+            if relay is not None:
+                if subscriptions:
+                    await relay(batch, subscriptions)
+            else:
+                for subscription in subscriptions:
                     await subscription._push(batch)
         elif kind == "qos_update":
             subscription = self._subscriptions.get(frame.get("app"))

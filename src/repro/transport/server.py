@@ -9,16 +9,18 @@ bridges them onto a live :class:`~repro.service.broker.DisseminationService`:
   so a ``block`` overflow policy on any subscriber propagates as
   backpressure all the way to the producer's socket (the server simply
   stops reading further frames until the offer completes);
-* **subscribers** send ``subscribe``; the server attaches a
-  :class:`~repro.service.session.SubscriberSession` whose batches wait
-  on the connection's one :class:`~repro.service.session.DeliveryLink`,
-  and one *pump* task per link writes each batch once, as one
-  ``decided`` frame naming every app on the connection it is for.  The
-  pump awaits ``drain()`` on the socket, so a remote reader that stops
-  consuming fills the kernel buffers, stalls the pump, and lets each
-  session's bound on the link apply its overflow policy —
-  ``drop_oldest`` drops server-side, ``disconnect`` reaps the session
-  *and closes the socket*;
+* **subscribers** send ``subscribe``; the server attaches a session
+  (a broker's :class:`~repro.service.session.SubscriberSession`, a
+  cluster router's :class:`~repro.service.cluster.ClusterSession`)
+  whose batches wait on the connection's one
+  :class:`~repro.service.session.DeliveryLink`, and the connection's
+  one *pump* task writes each batch once, as one ``decided`` frame
+  naming every app on the connection it is for.  The pump awaits
+  ``drain()`` on the socket, so a remote reader that stops consuming
+  fills the kernel buffers, stalls the pump, and lets each session's
+  bound on the link apply its overflow policy — ``drop_oldest`` drops
+  server-side, ``disconnect`` reaps the session *and closes the
+  socket*;
 * a connection may do both at once, and many connections multiplex onto
   one broker.
 
@@ -199,11 +201,10 @@ class _Connection:
             self._bytes_in = metrics.bytes.labels("in")
             self._frames_out = metrics.frames.labels("out")
             self._bytes_out = metrics.bytes.labels("out")
-        #: The link this connection's broker sessions share.
+        #: The link this connection's sessions share.
         self.link = DeliveryLink()
-        #: Pump tasks, by the link they read (a cluster session is a
-        #: link of its own), and frame-too-large retirements, by queue.
-        self.tasks: dict[object, asyncio.Task] = {}
+        #: The link's pump, and frame-too-large retirements.
+        self.tasks: set[asyncio.Task] = set()
         #: Live subscriptions, by their queue.
         self.sessions: dict[object, object] = {}
         #: Live-migration staging, per source: exported tuple tables
@@ -221,6 +222,12 @@ class _Connection:
         self._cork_limit = min(
             _CORK_MAX_BYTES, writer.transport.get_write_buffer_limits()[1]
         )
+
+    def spawn(self, coro) -> None:
+        """Run ``coro`` as one of this connection's tasks."""
+        task = asyncio.ensure_future(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
 
     def count_in(self, nbytes: int, nframes: int) -> None:
         """Account one read chunk and the frames it completed."""
@@ -449,9 +456,9 @@ class GatewayServer:
                         await queue.close()
         await close_task
         for conn in list(self._connections):
-            # Every session is closed: each pump ends after their ends.
+            # Every session is closed: the pump ends after their ends.
             conn.link.close()
-            pumps = [task for task in conn.tasks.values() if not task.done()]
+            pumps = [task for task in conn.tasks if not task.done()]
             wedged = False
             if pumps:
                 _, pending = await asyncio.wait(
@@ -512,6 +519,7 @@ class GatewayServer:
         if self._metrics is not None:
             self._metrics.connections.inc()
         self._connections.add(conn)
+        conn.spawn(self._pump(conn))
         try:
             await self._serve_connection(conn)
         except ProtocolError as exc:
@@ -895,27 +903,13 @@ class GatewayServer:
 
             session.qos_listener = _push_qos
         conn.sessions[session.queue] = session
-        # A broker session's link is the connection's; a cluster
-        # router's session is a link of its own.
-        link = session.queue.link
-        if link not in conn.tasks:
-            conn.tasks[link] = asyncio.ensure_future(self._pump(conn, link))
-        await conn.send(
-            {
-                "t": "ok",
-                "reply_to": seq,
-                "queue_capacity": session.queue.capacity,
-                "overflow": session.queue.policy,
-                "batch_max_items": session.batcher.max_items,
-                "batch_max_delay_ms": session.batcher.max_delay_ms,
-            }
-        )
+        await conn.send({"t": "ok", "reply_to": seq, **session.bounds})
 
     # ------------------------------------------------------------------
-    # Delivery pumps
+    # Delivery pump
     # ------------------------------------------------------------------
-    async def _pump(self, conn: _Connection, link) -> None:
-        """Write one delivery link's items onto the socket.
+    async def _pump(self, conn: _Connection) -> None:
+        """Write the connection's delivery link's items onto the socket.
 
         Each batch is one ``decided`` frame naming every app it is for;
         each ended app gets its ``closed`` frame after its last batch.
@@ -927,7 +921,7 @@ class GatewayServer:
         """
         tele = self.telemetry
         observe = tele is not None
-        trace_wire = FEATURE_TRACE in conn.features
+        link = conn.link
         try:
             while True:
                 try:
@@ -948,7 +942,7 @@ class GatewayServer:
                         dwell = next(iter(tmap.values()))[-1][1]
                         for _ in queues:
                             tele.observe_stage(STAGE_SESSION_QUEUE, dwell)
-                        if trace_wire:
+                        if FEATURE_TRACE in conn.features:
                             wire_traces = tmap
                         write_start_ns = time.perf_counter_ns()
                     try:
@@ -974,12 +968,7 @@ class GatewayServer:
             # the subscriptions (and the broker re-counts the loss).
             # Nothing will take from the link again: release a request
             # waiting for it to drain.
-            if isinstance(link, DeliveryLink):
-                link.close()
-            return
-        finally:
-            if conn.tasks.get(link) is asyncio.current_task():
-                del conn.tasks[link]
+            link.close()
 
     def _end_stream(self, conn: _Connection, queue) -> bool:
         """Cork one ended app's ``closed`` frame (its subscription is over:
@@ -1026,11 +1015,9 @@ class GatewayServer:
             session.disconnected = True
             queue.drain_nowait()
             await queue.close()
-            conn.tasks[queue] = asyncio.ensure_future(
-                self._retire_too_large(conn, queue, session.app_name)
-            )
+            conn.spawn(self._retire_too_large(conn, session.app_name))
 
-    async def _retire_too_large(self, conn: _Connection, queue, app: str) -> None:
+    async def _retire_too_large(self, conn: _Connection, app: str) -> None:
         try:
             await self.service.unsubscribe(app)
         except (KeyError, RuntimeError):
@@ -1038,8 +1025,6 @@ class GatewayServer:
         await conn.send_quiet(
             {"t": "closed", "app": app, "reason": "frame_too_large"}
         )
-        if conn.tasks.get(queue) is asyncio.current_task():
-            del conn.tasks[queue]
 
     async def _reap(self, conn: _Connection) -> None:
         """Reclaim a dead connection's subscriptions and pump tasks."""
@@ -1056,5 +1041,4 @@ class GatewayServer:
                     pass
         conn.link.close()
         if conn.tasks:
-            await asyncio.gather(*conn.tasks.values(), return_exceptions=True)
-            conn.tasks.clear()
+            await asyncio.gather(*conn.tasks, return_exceptions=True)

@@ -508,12 +508,7 @@ def test_failover_rearmed_from_a_checkpoint_splices_with_zero_gap():
             await _settled(received)
             old_pid = primary.process.pid
             primary.process.kill()
-            for _ in range(600):
-                process = primary.process
-                if process is not None and process.pid != old_pid and primary.ready.is_set():
-                    break
-                await asyncio.sleep(0.05)
-            assert primary.ready.is_set(), "slot never healed"
+            await _healed(primary, old_pid)
             for item in offers[25:]:
                 await cluster.offer("solo", item)
             await cluster.close()
@@ -605,19 +600,32 @@ async def _failover_oracle(script: list, constraint_ms) -> dict[str, list[int]]:
     return received
 
 
-async def _consume(session, into: list[int]) -> None:
+async def _consume(session, into: list[int], gate: asyncio.Event | None = None) -> None:
+    """Drain ``session`` into ``into``; while ``gate`` is clear, take
+    nothing more."""
     async for batch in session.batches():
         into.extend(item.seq for item in batch.items)
+        if gate is not None:
+            await gate.wait()
+
+
+async def _until(condition, what: str, timeout_s: float = 30.0) -> None:
+    """Poll ``condition`` until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not condition():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError(f"never {what}")
+        await asyncio.sleep(0.01)
 
 
 async def _healed(worker, old_pid: int) -> None:
     """Wait until the slot runs a different, ready process."""
-    for _ in range(600):
-        process = worker.process
-        if process is not None and process.pid != old_pid and worker.ready.is_set():
-            return
-        await asyncio.sleep(0.05)
-    raise AssertionError("slot never healed")
+    await _until(
+        lambda: worker.process is not None
+        and worker.process.pid != old_pid
+        and worker.ready.is_set(),
+        "healed",
+    )
 
 
 def _respawns(events) -> list[tuple]:
@@ -630,15 +638,18 @@ def _respawns(events) -> list[tuple]:
 
 
 @pytest.mark.parametrize(
-    "kill", ["after_rearm", "mid_tail", "offer_in_flight", "second_kill", "constrained"]
+    "kill",
+    ["after_rearm", "mid_tail", "offer_in_flight", "second_kill", "constrained", "lagging"],
 )
 def test_failover_splices_wherever_the_primary_dies(kill, request):
     """SIGKILL the worker at a chosen point of a real-process run: right
     after a re-arm (empty tail), mid-tail, with an ``offer_many`` in
-    flight (its frame is retried, not raised), twice in a row, and under
-    a time constraint with ticks in the tail.  The fleet has no flag but
-    its size: every delivered stream equals the uncrashed run's, and
-    each respawn splices every app."""
+    flight (its frame is retried, not raised), twice in a row, under a
+    time constraint with ticks in the tail, and with one app's consumer
+    paused, so the router's read loop is parked putting to that app's
+    full queue (resumed once the respawn is under way).  The fleet has
+    no flag but its size: every delivered stream equals the uncrashed
+    run's, and each respawn splices every app."""
     constrained = kill == "constrained"
     if constrained:
         request.getfixturevalue("fixed_solve_times")
@@ -667,10 +678,22 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
         try:
             received: dict[str, list[int]] = {}
             consumers = []
+            gate = asyncio.Event()
+            gate.set()
+            lagging = None
             for app, spec in _FAILOVER_APPS:
-                session = await cluster.subscribe(app, "solo", spec)
+                # The lagging app's queue holds one batch, so a pause
+                # fills it at once.
+                laggard = kill == "lagging" and app == _FAILOVER_APPS[1][0]
+                session = await cluster.subscribe(
+                    app, "solo", spec, queue_capacity=1 if laggard else None
+                )
+                if laggard:
+                    lagging = session.queue
                 consumers.append(
-                    asyncio.create_task(_consume(session, received.setdefault(app, [])))
+                    asyncio.create_task(
+                        _consume(session, received.setdefault(app, []), gate if laggard else None)
+                    )
                 )
             rearms = _rearms(telemetry)
             primary = cluster._primary(0)
@@ -689,6 +712,19 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
                     await asyncio.sleep(0.1)
                     assert not in_flight.done()
                     primary.process.kill()
+                    assert isinstance(await in_flight, int)
+                elif kill == "lagging":
+                    gate.clear()
+                    in_flight = asyncio.create_task(cluster.offer_many("solo", step))
+                    await _until(
+                        lambda: lagging.pending == lagging.capacity and lagging._putters,
+                        "parked a put on the paused app's full queue",
+                    )
+                    primary.process.kill()
+                    await _until(
+                        lambda: primary.process.pid != old_pid, "started the respawn"
+                    )
+                    gate.set()
                     assert isinstance(await in_flight, int)
                 else:
                     if kill == "after_rearm":

@@ -145,7 +145,8 @@ class _Hops:
         )
         batch = batch_from_wire(back, relay=self.relay)
         if batch.traces is not None:
-            # ClusterSession's stamps, at fixed instants.
+            # The router's stamps (reassembly at the put, the queue
+            # dwell at the pump's take), at fixed instants.
             batch = Batch.with_traces(batch, (0, batch.traces[1]))
             batch = batch.stamped(_SID_REASSEMBLY, 700).stamped(_SID_QUEUE, 900)
         pieces, _ = self.front.decided_frame(
@@ -481,3 +482,89 @@ def test_the_router_encodes_nothing_it_relays():
     assert metrics.value("repro_transport_segment_cache_misses_total") == 0
     assert metrics.value("repro_transport_segment_cache_hits_total") == 0
     assert metrics.value("repro_stage_latency_ms_count", stage="router_forward")
+
+
+# ---------------------------------------------------------------------------
+# One decided frame per front link
+# ---------------------------------------------------------------------------
+def test_the_router_writes_one_frame_per_front_link(monkeypatch):
+    """Three apps of one sharing class behind a one-worker cluster, two
+    on one subscriber connection and one on another: each ``decided``
+    frame of the worker (one frame naming all three) leaves the router
+    as one frame per connection, naming that connection's apps — and
+    every app receives what it would from a single broker."""
+    import repro.transport.client as client_module
+    from repro.transport.server import _Connection
+
+    spec = "DC1(a, 0.5, 0.25)"
+    apps = {"app0": 0, "app1": 0, "app2": 1}  # app -> subscriber connection
+    worker_frames = []
+    front_frames = []
+    decode = client_module.batch_from_wire
+    post_decided = _Connection.post_decided
+
+    def counting_decode(frame, *, relay=False):
+        if relay:
+            worker_frames.append(tuple(frame["apps"]))
+        return decode(frame, relay=relay)
+
+    def counting_post(self, names, batch, **kwargs):
+        front_frames.append((id(self), tuple(names)))
+        return post_decided(self, names, batch, **kwargs)
+
+    async def deliver(subscribe_for, ingest) -> dict:
+        got = {app: [] for app in apps}
+
+        async def consume(app, stream):
+            async for batch in stream:
+                got[app].extend(_rows(batch.items))
+
+        tasks = []
+        for app in apps:
+            sub = await subscribe_for(app)(app, "src", spec, queue_capacity=10_000)
+            tasks.append(asyncio.create_task(consume(app, sub.batches())))
+        for n in range(4):
+            await ingest("src", _tuples(16 * (n + 1))[16 * n :])
+        return got, tasks
+
+    async def in_process():
+        service = DisseminationService()
+        service.add_source("src")
+        got, tasks = await deliver(lambda app: service.subscribe, service.offer_many)
+        await service.close()
+        await asyncio.gather(*tasks)
+        return got
+
+    async def routed():
+        cluster = ClusterService(ClusterConfig(workers=1, sources=("src",)))
+        await cluster.start()
+        gateway = GatewayServer(cluster)
+        await gateway.start()
+        clients = [await GatewayClient.connect("127.0.0.1", gateway.port) for _ in range(3)]
+        try:
+            got, tasks = await deliver(
+                lambda app: clients[apps[app]].subscribe, clients[2].ingest_many
+            )
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*tasks), timeout=30)
+            return got
+        finally:
+            for client in clients:
+                await client.close()
+            await gateway.shutdown()
+            await cluster.close()
+
+    expected = asyncio.run(in_process())
+    monkeypatch.setattr(client_module, "batch_from_wire", counting_decode)
+    monkeypatch.setattr(_Connection, "post_decided", counting_post)
+    got = asyncio.run(routed())
+    assert got == expected
+    assert sum(map(len, got.values())) > 0
+    assert worker_frames and set(worker_frames) == {("app0", "app1", "app2")}
+    assert len(front_frames) == 2 * len(worker_frames)
+    by_connection = {}
+    for conn, names in front_frames:
+        by_connection.setdefault(conn, set()).add(names)
+    assert sorted(map(sorted, by_connection.values())) == [
+        [("app0", "app1")], [("app2",)]
+    ]

@@ -16,7 +16,7 @@ from repro.runtime.tasks import EngineConfig
 from repro.service.batching import Batch, MicroBatcher
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.loadgen import decided_map
-from repro.service.session import DeliveryQueue, SessionDisconnected
+from repro.service.session import DeliveryLink, DeliveryQueue, SessionDisconnected
 from repro.sources import random_walk_trace
 
 SPECS = [
@@ -303,6 +303,36 @@ class TestBackpressure:
             assert [b.items[0].seq for b in queue.drain_nowait()] == [2]
 
         asyncio.run(run())
+
+    def test_a_put_cancelled_mid_way_takes_its_admissions_back(self):
+        """A put over two queues of one link, cancelled while it waits on
+        the full one, queues the batch for nobody: the queue it already
+        admitted it to is left as it was, room and counters alike."""
+        from repro.service.session import DeliveryLink
+
+        async def run():
+            link = DeliveryLink()
+            roomy = DeliveryQueue(capacity=4, policy="block", link=link, app="a")
+            full = DeliveryQueue(capacity=1, policy="block", link=link, app="b")
+            await link.put(_batch(0), (full,))
+            put = asyncio.create_task(link.put(_batch(1), (roomy, full)))
+            await _passes()
+            assert not put.done()
+            put.cancel()
+            await _passes()
+            assert put.cancelled()
+            assert (roomy.pending, roomy.stats.enqueued_batches) == (0, 0)
+            assert roomy.stats.shipped_tuples == 0
+            assert (full.pending, link.depth) == (1, 1)
+            # All four of its slots are still free.
+            for seq in range(2, 6):
+                await asyncio.wait_for(link.put(_batch(seq), (roomy,)), 1.0)
+            taken = await link.take()
+            return [(b.items[0].seq, [q.app for q in qs]) for b, qs in taken]
+
+        assert asyncio.run(run()) == [
+            (0, ["b"]), (2, ["a"]), (3, ["a"]), (4, ["a"]), (5, ["a"])
+        ]
 
     def test_drop_oldest_bounds_queue_and_counts_drops(self):
         trace = _trace(n=500, seed=2)

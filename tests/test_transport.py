@@ -561,6 +561,83 @@ class TestConnectionTeardown:
 
 
 # ---------------------------------------------------------------------------
+# A batch too large for one frame
+# ---------------------------------------------------------------------------
+class TestFrameTooLarge:
+    #: Room for a control frame, an 8-tuple ingest frame and a one-tuple
+    #: batch, not for a 32-tuple batch.
+    MAX_FRAME_BYTES = 320
+
+    @pytest.mark.parametrize("behind", ["broker", "router"])
+    def test_an_oversized_batch_retires_only_the_apps_it_names(self, behind):
+        """The app whose batch encodes past ``max_frame_bytes`` gets
+        ``closed reason=frame_too_large``; its neighbour on the same
+        connection keeps receiving, and the app name can be subscribed
+        again — behind a broker and behind a cluster router alike."""
+        trace = _trace(n=128)
+
+        async def run():
+            if behind == "broker":
+                service = _service()
+            else:
+                from repro.service.cluster import ClusterConfig, ClusterService
+
+                service = ClusterService(ClusterConfig(workers=1, sources=("src",)))
+                await service.start()
+            gateway = GatewayServer(service, max_frame_bytes=self.MAX_FRAME_BYTES)
+            await gateway.start()
+            client = await GatewayClient.connect("127.0.0.1", gateway.port)
+            received: dict[str, list[int]] = {}
+
+            async def consume(name, sub):
+                async for batch in sub.batches():
+                    received.setdefault(name, []).extend(i.seq for i in batch.items)
+
+            async def subscribe(name, app, items):
+                sub = await client.subscribe(
+                    app, "src", CHATTY_SPEC, queue_capacity=1000,
+                    batch_max_items=items, batch_max_delay_ms=1e9,
+                )
+                return sub, asyncio.create_task(consume(name, sub))
+
+            async def ingest(start, stop):
+                for first in range(start, stop, 8):
+                    await client.ingest_many("src", trace[first : first + 8])
+
+            async def until(condition):
+                for _ in range(1000):
+                    if condition():
+                        return
+                    await asyncio.sleep(0.01)
+                raise AssertionError("timed out")
+
+            try:
+                big, big_done = await subscribe("big", "big", 32)
+                await subscribe("small", "small", 1)
+                await ingest(0, 64)
+                await asyncio.wait_for(big_done, 10)
+                await ingest(64, 96)
+                await until(lambda: max(received.get("small", [-1])) >= 64)
+                again, _ = await subscribe("again", "big", 1)
+                await ingest(96, 128)
+                await until(lambda: received.get("again"))
+                return big.closed_reason, again.closed_reason, received
+            finally:
+                await client.close()
+                await gateway.shutdown()
+                if behind == "router":
+                    await service.close()
+
+        reason, again_reason, received = asyncio.run(run())
+        assert reason == "frame_too_large"
+        assert again_reason is None
+        assert "big" not in received  # its first batch was the oversized one
+        small = received["small"]
+        assert small == sorted(set(small)) and small[-1] >= 96
+        assert min(received["again"]) >= 96
+
+
+# ---------------------------------------------------------------------------
 # Client-side subscription buffer
 # ---------------------------------------------------------------------------
 class TestRemoteSubscription:
