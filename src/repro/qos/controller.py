@@ -21,17 +21,22 @@ oscillating.  The probe wait resets once the session sits at level 0
 through a full healthy window.
 
 Everything here is pure synchronous bookkeeping — no clocks, no I/O —
-so the broker can evaluate it under the source lock and the cluster can
-reconstruct a controller at the session's current level after a
-migration or failover.
+so a service (the broker, or the cluster router for the apps it routes)
+can evaluate it under the source lock.  :func:`resolve_session` is the
+one place a subscription's delivery bounds and controller are resolved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
-from repro.qos.spec import DegradationPolicy, QualitySpec
+from repro.qos.spec import (
+    DegradationPolicy,
+    QualitySpec,
+    SessionLimits,
+    session_limits,
+)
 
 __all__ = [
     "DegradationConfig",
@@ -39,6 +44,7 @@ __all__ = [
     "DegradationDecision",
     "policy_from_profile",
     "policy_to_profile",
+    "resolve_session",
 ]
 
 
@@ -269,11 +275,62 @@ class DegradationController:
         return decision
 
 
+def resolve_session(
+    defaults,
+    app_name: str,
+    spec: str,
+    *,
+    qos: Optional[QualitySpec] = None,
+    degradation: Optional[DegradationPolicy] = None,
+    degradation_level: int = 0,
+    degradation_config: Optional[DegradationConfig] = None,
+    **bounds,
+) -> tuple[SessionLimits, Optional[DegradationController]]:
+    """One subscription's delivery bounds and degradation controller,
+    as the broker and the cluster router both resolve a subscribe.
+
+    ``degradation`` builds a controller at ``degradation_level``: the
+    policy must name ``app_name``, ``spec`` must equal the level's
+    filter spec, and the level's :class:`QualitySpec` stands in for an
+    absent ``qos``.  ``qos`` maps ``defaults`` (the service's config)
+    onto bounds through :func:`~repro.qos.spec.session_limits`, and an
+    explicit bound in ``bounds`` (``queue_capacity``, ``overflow``,
+    ``batch_max_items``, ``batch_max_delay_ms``; None for unset) wins.
+    ``ValueError`` on a mismatch.
+    """
+    controller: Optional[DegradationController] = None
+    if degradation is not None:
+        if degradation.app_name != app_name:
+            raise ValueError(
+                f"degradation policy names app {degradation.app_name!r}, "
+                f"subscription is for {app_name!r}"
+            )
+        controller = DegradationController(
+            degradation, degradation_config, level=degradation_level
+        )
+        if spec != controller.spec:
+            raise ValueError(
+                "subscription spec must equal the degradation policy's "
+                f"active level spec {controller.spec!r}, got {spec!r}"
+            )
+        if qos is None:
+            qos = degradation.levels[degradation_level]
+    base = {f.name: getattr(defaults, f.name) for f in fields(SessionLimits)}
+    if qos is not None:
+        if qos.app_name != app_name:
+            raise ValueError(
+                f"QoS profile names app {qos.app_name!r}, "
+                f"subscription is for {app_name!r}"
+            )
+        base = asdict(session_limits(qos, **base))
+    chosen = {key: value for key, value in bounds.items() if value is not None}
+    return SessionLimits(**{**base, **chosen}), controller
+
+
 # ----------------------------------------------------------------------
 # Wire-profile serialization: the subscribe handshake carries the whole
-# policy (so the server can drive it) and the cluster re-subscribe paths
-# carry it *at the session's current level* (so degradation state
-# survives worker respawn and migration).
+# policy, so the server it reaches (a broker, or a cluster router) can
+# drive it.
 
 
 def policy_to_profile(

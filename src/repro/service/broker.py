@@ -42,7 +42,7 @@ import marshal
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Container, Iterable, Optional, Sequence
 
@@ -59,19 +59,16 @@ from repro.obs.trace import (
     STAGE_INGEST_RECV,
     stage_id,
 )
-from repro.qos.controller import (
-    DegradationConfig,
-    DegradationController,
-    DegradationDecision,
-)
-from repro.qos.spec import DegradationPolicy, QualitySpec, session_limits
+from repro.qos.controller import resolve_session
 from repro.runtime.tasks import EngineConfig, engine_from_config
 from repro.service.batching import MicroBatcher
 from repro.service.session import (
     OVERFLOW_POLICIES,
     DeliveryLink,
     DeliveryQueue,
+    QueueSeries,
     SubscriberSession,
+    adapt_quality,
 )
 from repro.service.snapshot import ServiceSnapshot, SessionSnapshot
 
@@ -293,24 +290,15 @@ class DisseminationService:
                 "repro_session_batch_flushes_total",
                 "Micro-batch flushes shipped toward session queues.",
             )
-            self._m_queue_hw = registry.gauge(
-                "repro_session_queue_depth_high_water",
-                "Highest observed session queue depth.",
-                ("app",),
-            )
-            self._m_drops = registry.counter(
-                "repro_session_overflow_dropped_tuples_total",
-                "Tuples dropped by session overflow policy.",
-                ("policy",),
-            )
-            # Both read the queues' own counters, at scrape time and
-            # when a session retires, not per delivered batch.
-            registry.register_collector(self._collect_queues)
-            self._m_degradation = registry.gauge(
-                "repro_session_degradation_level",
-                "Active QoS degradation level per session "
-                "(0 = preferred quality).",
-                ("app",),
+            # Read off the queues' own counters at scrape time and when
+            # a session retires, not per delivered batch.
+            self._queue_series = QueueSeries(registry)
+            registry.register_collector(
+                lambda: self._queue_series.collect(
+                    session
+                    for src in self._sources.values()
+                    for session in src.sessions.values()
+                )
             )
 
     # ------------------------------------------------------------------
@@ -379,15 +367,8 @@ class DisseminationService:
         source_name: str,
         spec: str,
         *,
-        queue_capacity: Optional[int] = None,
-        overflow: Optional[str] = None,
-        batch_max_items: Optional[int] = None,
-        batch_max_delay_ms: Optional[float] = None,
-        qos: Optional[QualitySpec] = None,
-        degradation: Optional[DegradationPolicy] = None,
-        degradation_level: int = 0,
-        degradation_config: Optional[DegradationConfig] = None,
         link: Optional[DeliveryLink] = None,
+        **knobs,
     ) -> SubscriberSession:
         """Attach a subscriber at runtime; forces an engine rebuild.
 
@@ -396,71 +377,21 @@ class DisseminationService:
         connection); by default the session reads a link of its own
         through :meth:`SubscriberSession.batches`.
 
-        ``qos`` resolves the session's queue and batching bounds from the
-        application's declared quality requirement (see
-        :func:`repro.qos.spec.session_limits`); explicit keyword
-        overrides win over the QoS mapping, and broker-wide defaults
-        remain the fallback for everything else.
-
-        ``degradation`` attaches a server-driven
+        ``knobs`` (``qos``, the explicit queue and batch bounds, and a
+        ``degradation`` ladder with its level and thresholds) resolve
+        as :func:`repro.qos.controller.resolve_session` says.  A
+        ladder attaches a server-driven
         :class:`~repro.qos.controller.DegradationController`: under
         overload the broker steps the session down the policy's levels
         instead of letting its queue drop or disconnect, and probes back
-        up AIMD-style once the session is healthy again.  ``spec`` must
-        equal the active level's filter spec (the cluster's re-subscribe
-        paths pass ``degradation_level`` > 0 so a degraded session
-        resumes at its level after respawn/migration/failover).
+        up AIMD-style once the session is healthy again.
         """
         src = self._src(source_name)
-        controller: Optional[DegradationController] = None
-        if degradation is not None:
-            if degradation.app_name != app_name:
-                raise ValueError(
-                    f"degradation policy names app {degradation.app_name!r}, "
-                    f"subscription is for {app_name!r}"
-                )
-            controller = DegradationController(
-                degradation, degradation_config, level=degradation_level
-            )
-            if spec != controller.spec:
-                raise ValueError(
-                    "subscription spec must equal the degradation policy's "
-                    f"active level spec {controller.spec!r}, got {spec!r}"
-                )
-            if qos is None:
-                qos = degradation.levels[degradation_level]
+        limits, controller = resolve_session(self.config, app_name, spec, **knobs)
         async with src.lock:
             if app_name in self._app_sources:
                 raise ValueError(f"app {app_name!r} is already subscribed")
             parse_filter(spec, name=app_name)  # validate before any churn
-            cfg = self.config
-            if qos is not None:
-                if qos.app_name != app_name:
-                    raise ValueError(
-                        f"QoS profile names app {qos.app_name!r}, "
-                        f"subscription is for {app_name!r}"
-                    )
-                limits = session_limits(
-                    qos,
-                    queue_capacity=cfg.queue_capacity,
-                    overflow=cfg.overflow,
-                    batch_max_items=cfg.batch_max_items,
-                    batch_max_delay_ms=cfg.batch_max_delay_ms,
-                )
-                queue_capacity = (
-                    limits.queue_capacity if queue_capacity is None else queue_capacity
-                )
-                overflow = limits.overflow if overflow is None else overflow
-                batch_max_items = (
-                    limits.batch_max_items
-                    if batch_max_items is None
-                    else batch_max_items
-                )
-                batch_max_delay_ms = (
-                    limits.batch_max_delay_ms
-                    if batch_max_delay_ms is None
-                    else batch_max_delay_ms
-                )
             # Everything fallible — spec parsing, per-session knob
             # validation (queue/batcher construction) — happens before
             # the cutover: a failed subscribe must leave the current
@@ -470,20 +401,10 @@ class DisseminationService:
                 source_name=source_name,
                 spec=spec,
                 queue=DeliveryQueue(
-                    capacity=queue_capacity
-                    if queue_capacity is not None
-                    else cfg.queue_capacity,
-                    policy=overflow if overflow is not None else cfg.overflow,
-                    link=link,
-                    app=app_name,
+                    limits.queue_capacity, limits.overflow, link=link, app=app_name
                 ),
                 batcher=MicroBatcher(
-                    max_items=batch_max_items
-                    if batch_max_items is not None
-                    else cfg.batch_max_items,
-                    max_delay_ms=batch_max_delay_ms
-                    if batch_max_delay_ms is not None
-                    else cfg.batch_max_delay_ms,
+                    limits.batch_max_items, limits.batch_max_delay_ms
                 ),
                 degradation=controller,
                 _broker=self,
@@ -504,8 +425,6 @@ class DisseminationService:
                 raise
             if self.telemetry is not None:
                 self._m_sessions.set(self.session_count())
-                if controller is not None:
-                    self._m_degradation.labels(app_name).set(controller.level)
                 self.telemetry.events.emit(
                     "subscribe", app=app_name, source=source_name, spec=spec
                 )
@@ -532,10 +451,7 @@ class DisseminationService:
         async with src.lock:
             session = src.sessions[app_name]
             await self._re_filter_locked(src, session, new_spec)
-            if session.degradation is not None:
-                session.degradation = None
-                if self.telemetry is not None:
-                    self._m_degradation.labels(app_name).set(0)
+            session.degradation = None
             if self.telemetry is not None:
                 self.telemetry.events.emit(
                     "re_filter", app=app_name, spec=new_spec
@@ -999,91 +915,12 @@ class DisseminationService:
             for app in dead:
                 await self._detach(src, app)
         if src.controlled:
-            await self._adapt_quality(src)
-
-    async def _adapt_quality(self, src: _SourceState) -> None:
-        """Evaluate degradation controllers; apply at most one step each.
-
-        Runs under the source lock at the tail of every dispatch (so
-        arrivals *and* idle ticks drive both directions — recovery
-        probing needs the tick cadence when a burst has passed and
-        arrivals are sparse).  Decisions are collected first and applied
-        after the iteration: applying one runs a cutover + rebuild,
-        which must not happen mid-iteration over the session dict.
-        """
-        decisions: Optional[
-            list[tuple[SubscriberSession, DegradationDecision]]
-        ] = None
-        tuple_bytes = self.config.tuple_size_bytes
-        for session in src.controlled:
-            controller = session.degradation
-            if controller is None or session.disconnected:
-                continue
-            queue = session.queue
-            if queue.wait_ms:
-                controller.note_flush_wait(queue.wait_ms)
-                queue.wait_ms = 0.0
-            decision = controller.observe(
-                time.monotonic(),
-                queue_depth=session.queue.depth,
-                queue_capacity=session.queue.capacity,
-                dropped_tuples=session.stats.dropped_tuples,
-                egress_bytes=session.stats.shipped_tuples * tuple_bytes,
-            )
-            if decision is not None:
-                if decisions is None:
-                    decisions = []
-                decisions.append((session, decision))
-        if not decisions:
-            return
-        for session, decision in decisions:
-            await self._apply_degradation(src, session, decision)
-
-    async def _apply_degradation(
-        self,
-        src: _SourceState,
-        session: SubscriberSession,
-        decision: DegradationDecision,
-    ) -> None:
-        """Push one controller decision through the re-filter machinery."""
-        try:
-            await self._re_filter_locked(src, session, decision.spec)
-        except Exception:
-            # Degradation is best-effort: a failed autonomous re-filter
-            # must not break the ingest path.  The rollback inside
-            # _re_filter_locked left the old spec serving; rewind the
-            # controller to match.
-            controller = session.degradation
-            if controller is not None:
-                controller.level = decision.from_level
-                controller.trajectory.pop()
-            return
-        if self.telemetry is not None:
-            self._m_degradation.labels(session.app_name).set(decision.to_level)
-            self.telemetry.events.emit(
-                "qos_degraded" if decision.action == "degrade"
-                else "qos_recovered",
-                app=session.app_name,
-                source=src.name,
-                from_level=decision.from_level,
-                level=decision.to_level,
-                spec=decision.spec,
-                signal=decision.signal,
-                value=round(decision.value, 4),
-                threshold=decision.threshold,
-            )
-        if session.qos_listener is not None:
-            session.qos_listener(
-                {
-                    "app": session.app_name,
-                    "source": src.name,
-                    "action": decision.action,
-                    "level": decision.to_level,
-                    "spec": decision.spec,
-                    "signal": decision.signal,
-                    "value": decision.value,
-                    "threshold": decision.threshold,
-                }
+            await adapt_quality(
+                src.controlled,
+                src.name,
+                partial(self._re_filter_locked, src),
+                self.telemetry,
+                self.config.tuple_size_bytes,
             )
 
     async def _route(
@@ -1149,30 +986,11 @@ class DisseminationService:
             if count:
                 metric.labels().value = float(count)
 
-    def _collect_queues(self) -> None:
-        """Session queue metrics from the queues' counters: drops per
-        policy (live and retired sessions) and each live app's
-        high-water mark."""
-        drops = dict.fromkeys(OVERFLOW_POLICIES, 0)
-        for retired in self._retired:
-            drops[retired.policy] += retired.dropped_tuples
-        for src in self._sources.values():
-            for session in src.sessions.values():
-                drops[session.queue.policy] += session.stats.dropped_tuples
-                self._m_queue_hw.labels(session.app_name).max(
-                    session.queue.high_water
-                )
-        for policy, dropped in drops.items():
-            if dropped:
-                self._m_drops.labels(policy).value = float(dropped)
-
     def _retire(self, session: SubscriberSession) -> None:
         """Keep a departed session's counters in broker-wide totals."""
-        self._retired.append(self._session_snapshot(session))
+        self._retired.append(SessionSnapshot.of(session))
         if self.telemetry is not None:
-            self._m_queue_hw.labels(session.app_name).max(
-                session.queue.high_water
-            )
+            self._queue_series.retire(session)
 
     def _traced(self, src: _SourceState, batch):
         """``batch`` carrying its sampled items' stages up to the flush.
@@ -1209,25 +1027,6 @@ class DisseminationService:
     # ------------------------------------------------------------------
     # Observation and shutdown
     # ------------------------------------------------------------------
-    @staticmethod
-    def _session_snapshot(session: SubscriberSession) -> SessionSnapshot:
-        return SessionSnapshot(
-            app_name=session.app_name,
-            source_name=session.source_name,
-            spec=session.spec,
-            policy=session.queue.policy,
-            queue_depth=session.queue.depth,
-            queue_capacity=session.queue.capacity,
-            batcher_pending=session.batcher.pending,
-            staged_tuples=session.stats.staged_tuples,
-            enqueued_batches=session.stats.enqueued_batches,
-            delivered_batches=session.stats.delivered_batches,
-            delivered_tuples=session.stats.delivered_tuples,
-            dropped_batches=session.stats.dropped_batches,
-            dropped_tuples=session.stats.dropped_tuples,
-            disconnected=session.disconnected,
-        )
-
     def decide_window(self) -> list[float]:
         """The sliding window of wall-clock decide latencies (ms).
 
@@ -1240,7 +1039,7 @@ class DisseminationService:
     def snapshot(self) -> ServiceSnapshot:
         """Live stats: sessions, queue depths, drops, decide percentiles."""
         sessions = tuple(
-            self._session_snapshot(session)
+            SessionSnapshot.of(session)
             for src in self._sources.values()
             for session in src.sessions.values()
         )

@@ -23,18 +23,22 @@ directly onto process-per-shard scaling:
   frames) — there is no second serialization scheme;
 * **delivery** — a routed app's :class:`ClusterSession` holds a real
   :class:`~repro.service.session.DeliveryQueue` on its subscriber's
-  link (a gateway connection's), bounded at the app's resolved
-  capacity with the ``block`` policy.  A worker ``decided`` frame is
-  put once per link its apps read (:meth:`ClusterService._relay`), so
-  it leaves the router as one frame per subscriber connection, with
-  the record bytes relayed undecoded;
+  link (a gateway connection's), with the app's resolved bound and
+  overflow policy, and its degradation ladder: the queue the
+  subscriber drains decides.  The worker's side of every app blocks,
+  so a worker's streams are lossless and a failover's replay can
+  reproduce them.  A worker ``decided`` frame is put once per link its
+  apps read (:meth:`ClusterService._relay`), so it leaves the router
+  as one frame per subscriber connection, with the record bytes
+  relayed undecoded;
 * **supervisor** — workers are health-checked (``/healthz`` pings plus
   process liveness); a dead worker is respawned into its slot, its
   sources re-registered and its subscriptions re-subscribed with their
   previously resolved bounds, and the router-side sessions, open all
-  along, carry on with the new process's streams.  A source the router
-  holds a failover record for (checkpoint + tail) resumes exactly; any
-  other sees a delivery gap, never a teardown.
+  along, carry on with the new process's streams.  Every source the
+  router has armed a failover record for (checkpoint + tail) resumes
+  exactly; one that fails before its first arm comes back on a fresh
+  epoch — a delivery gap, never a teardown.
 
 Backpressure is preserved end to end: a ``block``-policy stall in a
 worker withholds the ingest ack, which suspends the router's inline
@@ -58,7 +62,8 @@ import sys
 import time
 from collections import deque
 from contextlib import AsyncExitStack
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.metrics.latency import latency_percentiles
@@ -69,10 +74,19 @@ from repro.obs.trace import (
     STAGE_ROUTER_REASSEMBLY,
     stage_id,
 )
-from repro.qos.controller import DegradationConfig, policy_to_profile
-from repro.qos.spec import DegradationPolicy, QualitySpec
+from repro.qos.controller import DegradationController, resolve_session
+from repro.qos.spec import SessionLimits
 from repro.runtime.partition import HashRing
-from repro.service.session import DeliveryLink, DeliveryQueue
+from repro.service.batching import MicroBatcher
+from repro.service.broker import ServiceConfig
+from repro.service.session import (
+    DeliveryLink,
+    DeliveryQueue,
+    QueueSeries,
+    SubscriberSession,
+    adapt_quality,
+)
+from repro.service.snapshot import SessionSnapshot
 from repro.transport.client import GatewayClient, GatewayError, RemoteSubscription
 from repro.transport.codec import TupleRecords
 from repro.transport.protocol import MAX_FRAME_BYTES
@@ -87,7 +101,6 @@ __all__ = ["ClusterConfig", "ClusterService", "ClusterSession"]
 _FINAL_REASONS = frozenset(
     {
         "unsubscribed",
-        "overflow_disconnect",
         "shutdown",
         "frame_too_large",
         "router_closed",
@@ -98,7 +111,7 @@ _FINAL_REASONS = frozenset(
 _SID_ROUTER_FORWARD = stage_id(STAGE_ROUTER_FORWARD)
 _SID_ROUTER_REASSEMBLY = stage_id(STAGE_ROUTER_REASSEMBLY)
 
-#: Tail tuples after which a covered source's failover checkpoint is
+#: Tail tuples after which a source's failover checkpoint is
 #: re-armed and its tail dropped.  The trade, measured on a 2-CPU Xeon
 #: (one source, four subscribers, a random walk in 64-tuple frames): a
 #: re-arm costs ~1.2 ms (one ~1 KB checkpoint round trip), ~1.2 us per
@@ -160,41 +173,23 @@ class ClusterConfig:
             raise ValueError("workers must be at least 1")
 
 
-def _bounds(resolved: dict, defaults: "ClusterConfig") -> dict:
-    """The bounds a worker resolved for a subscription (its subscribe
-    reply), with the fleet's defaults for any it did not echo."""
-
-    def bound(key: str, cast):
-        # None-check, not truthiness: 0.0 is a legitimate resolved
-        # batching delay (immediate flush) and must survive the echo to
-        # the client and any respawn re-subscribe.
-        value = resolved.get(key)
-        return cast(getattr(defaults, key) if value is None else value)
-
-    return {
-        "queue_capacity": bound("queue_capacity", int),
-        "overflow": bound("overflow", str),
-        "batch_max_items": bound("batch_max_items", int),
-        "batch_max_delay_ms": bound("batch_max_delay_ms", float),
-    }
-
-
-class ClusterSession:
+class ClusterSession(SubscriberSession):
     """Router-side session of one app whose filter runs on a worker.
 
-    Its :attr:`queue` is a :class:`~repro.service.session.DeliveryQueue`
-    on the subscriber's link — a gateway connection's, shared with the
-    connection's other apps, or one of its own, which :meth:`batches`
-    reads — bounded at the app's resolved capacity with the ``block``
-    policy: the relay buffer between the worker's stream and the
-    subscriber.  The app's overflow policy, degradation ladder and
-    batcher run in the worker; :attr:`bounds` holds what it resolved.
+    A :class:`~repro.service.session.SubscriberSession` whose
+    :attr:`queue` is on the subscriber's link (a gateway connection's,
+    or one of its own, which :meth:`batches` reads), under the app's
+    bound and overflow policy, and whose :attr:`degradation` ladder the
+    router runs: the queue the subscriber drains decides.  The worker
+    runs the app's filter and batcher (:attr:`batcher` holds only its
+    bounds) and relays the stream losslessly, blocking
+    (:attr:`relay_bounds`).
 
     The router puts each decided frame of the session's current
     :attr:`remote` (:meth:`ClusterService._relay`).  When the worker
     dies or exports the source the session stays open, and the re-attach
-    on the source's new process swaps the new remote in — the subscriber
-    never learns the worker changed.
+    on the source's new process swaps the new remote in, at the current
+    :attr:`spec` — the subscriber never learns the worker changed.
     """
 
     def __init__(
@@ -202,15 +197,19 @@ class ClusterSession:
         app_name: str,
         source_name: str,
         spec: str,
-        bounds: dict,
+        limits: SessionLimits,
+        degradation: Optional[DegradationController] = None,
         link: Optional[DeliveryLink] = None,
     ):
-        self.app_name = app_name
-        self.source_name = source_name
-        self.spec = spec
-        self.bounds = bounds
-        self.queue = DeliveryQueue(
-            bounds["queue_capacity"], "block", link=link, app=app_name
+        super().__init__(
+            app_name,
+            source_name,
+            spec,
+            DeliveryQueue(
+                limits.queue_capacity, limits.overflow, link=link, app=app_name
+            ),
+            MicroBatcher(limits.batch_max_items, limits.batch_max_delay_ms),
+            degradation=degradation,
         )
         #: The worker subscription whose stream the session relays.
         self.remote = None
@@ -220,56 +219,34 @@ class ClusterSession:
         #: Position in the current remote's stream: tuples put to the
         #: queue or skipped — the offset a failover splice aligns with.
         self.position = 0
-        #: Never set: the router exports nothing.
-        self.migrated = False
         #: The next stream end is intentional; do not re-attach.
         self.explicit = False
-        #: Wire-shape degradation profile (``policy_to_profile`` dict)
-        #: with its ``level`` key tracking the worker's active level, so
-        #: every re-subscribe path (respawn, migration, failover) can
-        #: re-attach the ladder at the level the worker last reported.
-        #: ``None`` for fixed-spec sessions and after a client re-filter
-        #: (an explicit spec choice overrides the automatic policy).
-        self.degradation: Optional[dict] = None
-        #: Same contract as ``SubscriberSession.qos_listener``: the front
-        #: tier wires this to a ``qos_update`` push frame; the router
-        #: forwards every worker-side transition through it.
-        self.qos_listener = None
+        #: Ended by the router (:meth:`ClusterService._end`).
+        self.ended = False
+
+    @property
+    def relay_bounds(self) -> dict:
+        """The bounds the worker's side of the app runs with."""
+        return {**self.bounds, "overflow": "block"}
 
     @property
     def closed(self) -> bool:
         return self.queue.closed
 
-    @property
-    def disconnected(self) -> bool:
-        """The worker ended the stream with a ``disconnect`` overflow."""
-        return self.queue.disconnected
 
-    @disconnected.setter
-    def disconnected(self, value: bool) -> None:
-        self.queue.disconnected = value
+class _SourceGate(asyncio.Lock):
+    """A source's lock, and what its dispatch tail tends under it
+    (:meth:`ClusterService._tend`): the open sessions with a ladder, and
+    whether a put disconnected one."""
 
-    @property
-    def degradation_level(self) -> int:
-        """Active degradation level as last reported by the worker."""
-        if self.degradation is None:
-            return 0
-        return int(self.degradation.get("level", 0))
-
-    def batches(self):
-        """Yield delivered batches (a session on a link of its own)."""
-        return self.queue.batches()
-
-    def end_local(self, reason: str) -> None:
-        """End the session here (unsubscribe, shutdown, worker lost):
-        its stream ends after what is queued, and its remote goes."""
-        self.explicit = True
-        self.queue._close()
-        self.remote.close_local(reason)
+    def __init__(self) -> None:
+        super().__init__()
+        self.controlled: list[ClusterSession] = []
+        self.disconnects = False
 
 
 class _Record:
-    """A covered source's failover state, held by the router.
+    """A source's failover state, held by the router.
 
     ``state`` is the latest ``snapshot_source`` payload (or the
     ``export_source`` payload a migration landed); ``tail`` lists what
@@ -354,11 +331,9 @@ class ClusterService:
         #: sources on first registration, so a migrated source stays
         #: where the migration put it.
         self._sources: dict[str, int] = {}
-        #: Per-source serialization of the data path against migration,
-        #: failover and re-arming (uncontended in steady state); it also
-        #: orders each failover tail.
-        self._source_locks: dict[str, asyncio.Lock] = {}
-        #: Failover records of the covered sources (see :meth:`_arm`):
+        #: Per-source locks, with what each source's dispatch tail tends.
+        self._source_locks: dict[str, _SourceGate] = {}
+        #: Failover records of the armed sources (see :meth:`_arm`):
         #: every slot respawns in place and lands from these.
         self._records: dict[str, _Record] = {}
         #: Set by an attached remediation loop: worker-death actuation
@@ -374,6 +349,9 @@ class ClusterService:
         self._started = False
         self._closed = False
         self._final_snapshot: Optional[dict] = None
+        #: Overflow drops of the router's ended sessions.
+        self._retired_dropped = 0
+        self._queue_series: Optional[QueueSeries] = None
         self.telemetry = telemetry
         #: Telemetry handed to the router->worker gateway clients: it
         #: makes them *offer* the trace feature (so workers send decided
@@ -437,6 +415,11 @@ class ClusterService:
                 "repro_cluster_failover_rearms_total",
                 "Failover checkpoints taken (first arms and re-arms).",
             )
+            # A routed app's queue is the router's: its series are too.
+            self._queue_series = QueueSeries(registry)
+            registry.register_collector(
+                lambda: self._queue_series.collect(self._live_sessions())
+            )
 
             def _collect_fleet() -> None:
                 now = time.monotonic()
@@ -498,10 +481,10 @@ class ClusterService:
                 return worker
         raise KeyError(f"no worker slot {shard}")
 
-    def _source_lock(self, source_name: str) -> asyncio.Lock:
+    def _source_lock(self, source_name: str) -> _SourceGate:
         lock = self._source_locks.get(source_name)
         if lock is None:
-            lock = self._source_locks[source_name] = asyncio.Lock()
+            lock = self._source_locks[source_name] = _SourceGate()
         return lock
 
     # ------------------------------------------------------------------
@@ -542,14 +525,8 @@ class ClusterService:
             ",".join(self._shard_sources(worker.index)),
             "--algorithm",
             cfg.algorithm,
-            "--queue-capacity",
-            str(cfg.queue_capacity),
-            "--overflow",
-            cfg.overflow,
-            "--batch-items",
-            str(cfg.batch_max_items),
-            "--batch-delay-ms",
-            str(cfg.batch_max_delay_ms),
+            # No queue or batch defaults: the router resolves every
+            # subscription's bounds and sends them all.
             "--max-frame-bytes",
             str(cfg.max_frame_bytes),
             # Workers never self-watch; health analysis runs once, at
@@ -724,8 +701,7 @@ class ClusterService:
             if terminal is not None:
                 terminals.append(terminal)
         for session in list(self._apps.values()):
-            if not session.closed:
-                session.end_local("shutdown")
+            self._end(session, "shutdown")
         self._final_snapshot = self._merge(terminals, window_override=window)
         return dict(self._final_snapshot)
 
@@ -819,8 +795,8 @@ class ClusterService:
                         returncode=process.returncode,
                         reason="unresponsive",
                     )
-            # A covered source without a failover record (born since,
-            # or back cold) is armed on the supervisor's cadence, in a
+            # A source without a failover record (born since, or back
+            # cold) is armed on the supervisor's cadence, in a
             # task of its own: a snapshot stuck behind backpressure must
             # not stall the health checks.
             if self._arm_task is None or self._arm_task.done():
@@ -911,14 +887,13 @@ class ClusterService:
         an occasional crash per hour never exhausts anything.  The first
         attempt after a quiet period is immediate.
 
-        Every source of the slot re-attaches (:meth:`_reattach`): a
-        covered source restores the router's checkpoint, replays its
-        tail and splices; any other source's sessions re-subscribe with
-        their previously resolved bounds on a fresh epoch — a delivery
-        gap, which is the paper's timeliness-over-completeness stance
-        applied to process failure.  A slot that spends its budget is
-        lost: its waiting callers fail at once, its records go, and its
-        sessions end.
+        Every source of the slot re-attaches (:meth:`_reattach`): an
+        armed source restores the router's checkpoint, replays its tail
+        and splices; one never armed re-subscribes its sessions on a
+        fresh epoch — a delivery gap, which is the paper's
+        timeliness-over-completeness stance applied to process failure.
+        A slot that spends its budget is lost: its waiting callers fail
+        at once, its records go, and its sessions end.
         """
         self._emit("drain_start", worker=worker.index)
         await self._stop_process(worker, kill=True)
@@ -972,7 +947,7 @@ class ClusterService:
         for source in self._shard_sources(worker.index):
             self._drop_record(source)
         for app, session in list(worker.apps.items()):
-            session.end_local("worker_lost")
+            self._end(session, "worker_lost")
             worker.apps.pop(app, None)
             if self._apps.get(app) is session:
                 del self._apps[app]
@@ -1114,9 +1089,10 @@ class ClusterService:
         router read loop that forwarded this frame — per-connection
         backpressure survives the extra hop.  The per-source lock held
         across the ingest is the migration/re-arm offer gate, and it
-        orders a covered source's failover tail.  A frame that fails
-        with its worker is retried by the failover when the source is
-        covered (:meth:`_await_retry`), and raises otherwise.
+        orders the source's failover tail; the dispatch tail
+        (:meth:`_tend`) runs under it too.  A frame that fails with its
+        worker is retried by the failover when the source holds a record
+        (:meth:`_await_retry`), and raises otherwise.
 
         A gateway frame's records (:class:`TupleRecords`) cross
         undecoded: one pass checks their framing (a malformed record
@@ -1144,6 +1120,8 @@ class ClusterService:
             else:
                 if source_name in self._records:
                     await self._extend_tail(source_name, worker, items)
+                if lock.controlled or lock.disconnects:
+                    await self._tend(source_name, lock, worker)
                 return int(emissions or 0)
         finally:
             lock.release()
@@ -1152,7 +1130,7 @@ class ClusterService:
     async def _extend_tail(
         self, source_name: str, worker: _Worker, items: Sequence
     ) -> None:
-        """Append an acked ingest to a covered source's tail (caller
+        """Append an acked ingest to the source's tail (caller
         holds the source lock); re-arm once it holds ``_REARM_TUPLES``."""
         record = self._records[source_name]
         record.tail.append(items)
@@ -1164,8 +1142,8 @@ class ClusterService:
         self, source_name: str, worker: _Worker, items: Sequence, exc: Exception
     ):
         """An ingest failed with its worker (caller holds the source
-        lock).  A covered source's frame joins the tail, where the
-        failover replays it; anything else raises as before."""
+        lock).  With a record the frame joins the tail, where the
+        failover replays it; without one it raises."""
         record = self._records.get(source_name)
         if record is None or not isinstance(exc, ConnectionError):
             raise RuntimeError(
@@ -1204,10 +1182,11 @@ class ClusterService:
         """Broadcast a timer tick to the primaries (or route a
         per-source one).
 
-        Where a worker's sources hold failover records, the forward runs
-        under those sources' locks, so the tick takes its exact place in
-        each tail; a tick a dead worker missed joins the tails as well,
-        for the failover to replay.
+        The forward runs under the worker's sources' locks, so the tick
+        takes its exact place in each failover tail (a tick a dead
+        worker missed joins the tails as well, for the failover to
+        replay), and each source's dispatch tail (:meth:`_tend`) follows
+        it there.
         """
         if source_name is not None:
             self._require_source(source_name)
@@ -1231,9 +1210,9 @@ class ClusterService:
             if source_name is not None
             else self._shard_sources(worker.index)
         )
-        recorded = sorted(s for s in sources if s in self._records)
+        sources = sorted(sources)
         async with AsyncExitStack() as stack:
-            for source in recorded:
+            for source in sources:
                 await stack.enter_async_context(self._source_lock(source))
             emissions = 0
             if worker.ready.is_set() and worker.client is not None:
@@ -1243,10 +1222,15 @@ class ClusterService:
                     return 0  # refused: applied nowhere
                 except ConnectionError:
                     pass  # died with it: the failover replays it
-            for source in recorded:
+            for source in sources:
+                if self._sources[source] != worker.index:
+                    continue  # moved while this tick waited
                 record = self._records.get(source)
-                if record is not None and self._sources[source] == worker.index:
+                if record is not None:
                     record.tail.append(float(now_ms))
+                lock = self._source_lock(source)
+                if (lock.controlled or lock.disconnects) and worker.ready.is_set():
+                    await self._tend(source, lock, worker)
         return emissions
 
     async def subscribe(
@@ -1255,75 +1239,42 @@ class ClusterService:
         source_name: str,
         spec: str,
         *,
-        queue_capacity: Optional[int] = None,
-        overflow: Optional[str] = None,
-        batch_max_items: Optional[int] = None,
-        batch_max_delay_ms: Optional[float] = None,
-        qos: Optional[QualitySpec] = None,
-        degradation=None,
-        degradation_level: int = 0,
-        degradation_config: Optional[DegradationConfig] = None,
-        link=None,
+        link: Optional[DeliveryLink] = None,
+        **knobs,
     ) -> ClusterSession:
         """Attach a subscriber on its source's worker.
 
         Same signature the broker exposes (the front tier calls either
-        interchangeably); QoS resolution happens in the worker, and the
-        resolved bounds come back with the subscribe reply.  The
-        session's queue joins ``link`` (a gateway connection's), or has
-        a link of its own that :meth:`ClusterSession.batches` reads.
-        ``degradation`` (a :class:`DegradationPolicy` or a wire-shape
-        profile mapping) attaches the controller in the *worker*; the
-        router records the profile so respawn/migration/failover can
-        re-attach it at the worker's last reported level, and forwards
-        every ``qos_update`` to the front tier.
+        interchangeably): ``knobs`` resolve the same way
+        (:func:`~repro.qos.controller.resolve_session`).  The session's
+        queue joins ``link`` (a gateway connection's), or has a link of
+        its own that :meth:`ClusterSession.batches` reads, under the
+        app's bound and policy; its ladder runs here, at the source's
+        dispatch tail (:meth:`_tend`).  The worker runs the filter and
+        batcher with the same bounds, blocking.
         """
         self._require_source(source_name)
         if app_name in self._apps and not self._apps[app_name].closed:
             raise ValueError(f"app {app_name!r} is already subscribed")
-        profile: Optional[dict] = None
-        if degradation is not None:
-            if isinstance(degradation, DegradationPolicy):
-                profile = policy_to_profile(
-                    degradation,
-                    level=degradation_level,
-                    config=degradation_config,
-                )
-            else:
-                profile = dict(degradation)
-                if degradation_level:
-                    profile["level"] = degradation_level
+        limits, controller = resolve_session(self.config, app_name, spec, **knobs)
+        session = ClusterSession(
+            app_name, source_name, spec, limits, controller, link
+        )
         lock, worker = await self._ingest_guarded(source_name)
         try:
             try:
-                remote = await worker.client.subscribe(
-                    app_name,
-                    source_name,
-                    spec,
-                    qos=qos,
-                    queue_capacity=queue_capacity,
-                    overflow=overflow,
-                    batch_max_items=batch_max_items,
-                    batch_max_delay_ms=batch_max_delay_ms,
-                    degradation=profile,
-                )
+                remote = await self._resubscribe(worker, session)
             except GatewayError as exc:
                 raise ValueError(str(exc)) from exc
             except ConnectionError as exc:
                 raise RuntimeError(
                     f"worker {worker.index} failed subscribe: {exc}"
                 ) from exc
-            session = ClusterSession(
-                app_name,
-                source_name,
-                spec,
-                _bounds(remote.resolved, self.config),
-                link,
-            )
-            session.degradation = profile
             self._adopt(session, remote)
             self._apps[app_name] = session
             worker.apps[app_name] = session
+            if controller is not None:
+                lock.controlled.append(session)
             await self._arm(source_name, worker)
             self._emit(
                 "subscribe",
@@ -1334,30 +1285,6 @@ class ClusterService:
             return session
         finally:
             lock.release()
-
-    def _wire_qos(self, session: ClusterSession, remote) -> None:
-        """Forward one remote subscription's ``qos_update`` pushes.
-
-        The worker owns the controller; the router mirrors each applied
-        transition into the session (spec + profile level, so the next
-        re-subscribe carries the ladder at the right rung) and relays
-        the update to the front tier's listener.
-        """
-        if session.degradation is None:
-            return
-
-        def _on_update(update: dict) -> None:
-            spec = update.get("spec")
-            if isinstance(spec, str):
-                session.spec = spec
-            level = update.get("level")
-            if isinstance(level, int) and session.degradation is not None:
-                session.degradation["level"] = level
-            listener = session.qos_listener
-            if listener is not None:
-                listener(update)
-
-        remote.qos_listener = _on_update
 
     def _adopt(
         self, session: ClusterSession, remote: RemoteSubscription, skip: int = 0
@@ -1371,7 +1298,6 @@ class ClusterService:
         session.skip = skip
         session.position = 0
         remote.close_listener = lambda reason: self._stream_ended(remote, reason)
-        self._wire_qos(session, remote)
 
     def _stream_ended(self, remote: RemoteSubscription, reason: str) -> None:
         """A worker stream ended: a final reason (or an unsubscribe in
@@ -1380,12 +1306,29 @@ class ClusterService:
         session = self._streams.pop(remote, None)
         if session is None:
             return  # an older generation's, or dismissed
-        if reason == "overflow_disconnect":
-            session.disconnected = True
         # An unsubscribe in flight goes to wherever a migrated source
         # lands, and that stream ends after its final flush.
         if reason in _FINAL_REASONS or (session.explicit and reason != "migrated"):
-            session.end_local(reason)
+            self._end(session, reason)
+
+    def _end(self, session: ClusterSession, reason: str) -> None:
+        """End ``session`` here (a final stream end, an unsubscribe,
+        shutdown, a lost worker): its stream ends after what is queued,
+        its remote goes, and its counters join the retired totals."""
+        if session.ended:
+            return
+        session.ended = session.explicit = True
+        session.queue._close()
+        self._retired_dropped += session.stats.dropped_tuples
+        if self._queue_series is not None:
+            self._queue_series.retire(session)
+        controlled = self._source_lock(session.source_name).controlled
+        if session in controlled:
+            controlled.remove(session)
+        session.remote.close_local(reason)
+
+    def _live_sessions(self) -> list[ClusterSession]:
+        return [s for s in self._apps.values() if not s.ended]
 
     async def _relay(self, batch, remotes: list) -> None:
         """Put one worker ``decided`` frame's batch on the links its apps
@@ -1428,7 +1371,14 @@ class ClusterService:
                     self.telemetry.observe_stage(STAGE_ROUTER_REASSEMBLY, dur)
             puts.setdefault((session.queue.link, out), []).append(session)
         for (link, out), sessions in puts.items():
-            await link.put(out, [session.queue for session in sessions])
+            if await link.put(out, [session.queue for session in sessions]):
+                # A disconnect overflow, reaped at the source's next
+                # dispatch tail: this is the worker connection's read
+                # loop, and a worker request awaited here would never
+                # see its reply.
+                for session in sessions:
+                    if session.disconnected:
+                        self._source_lock(session.source_name).disconnects = True
             for session in sessions:
                 session.skip = 0
                 session.position += size
@@ -1444,33 +1394,41 @@ class ClusterService:
         session.explicit = True
         async with self._source_lock(session.source_name):
             worker = self._primary(self.shard_of(session.source_name))
-            self._apps.pop(app_name, None)
-            worker.apps.pop(app_name, None)
-            forwarded = False
-            # Forward whenever a client exists, ready flag or not: during
-            # a respawn the fresh worker may already hold this app's
-            # re-subscription before `ready` is set, and skipping the
-            # forward would leak the registration there.  (While the
-            # client is still None mid-launch, popping the app above plus
-            # the closed flag set below keeps the respawn's re-subscribe
-            # loop from recreating it.)
-            if worker.client is not None:
-                try:
-                    await worker.client.unsubscribe(app_name)
-                    forwarded = True
-                except (ConnectionError, GatewayError):
-                    pass
-            if forwarded:
-                await self._arm(session.source_name, worker)
-            if forwarded and not session.closed:
-                # Do NOT end the remote locally here: the worker's
-                # final-flushed decided frames may still be in flight
-                # behind the unsubscribe ack (its pump writes and its
-                # dispatch reply are ordered independently), and a local
-                # close would drop them.  The worker's `closed` frame
-                # ends the stream after every delivery.
-                return
-            session.end_local("unsubscribed")
+            await self._detach(session, worker)
+
+    async def _detach(self, session: ClusterSession, worker: _Worker) -> None:
+        """Unsubscribe the app at ``worker`` (caller holds the source
+        lock) and re-arm."""
+        app_name = session.app_name
+        session.explicit = True
+        if self._apps.get(app_name) is session:
+            del self._apps[app_name]
+        worker.apps.pop(app_name, None)
+        forwarded = False
+        # Forward whenever a client exists, ready flag or not: during
+        # a respawn the fresh worker may already hold this app's
+        # re-subscription before `ready` is set, and skipping the
+        # forward would leak the registration there.  (While the
+        # client is still None mid-launch, popping the app above plus
+        # the explicit flag keeps the respawn's re-subscribe loop from
+        # recreating it.)
+        if worker.client is not None:
+            try:
+                await worker.client.unsubscribe(app_name)
+                forwarded = True
+            except (ConnectionError, GatewayError):
+                pass
+        if forwarded:
+            await self._arm(session.source_name, worker)
+        if forwarded and not session.closed:
+            # Do NOT end the remote locally here: the worker's
+            # final-flushed decided frames may still be in flight
+            # behind the unsubscribe ack (its pump writes and its
+            # dispatch reply are ordered independently), and a local
+            # close would drop them.  The worker's `closed` frame
+            # ends the stream after every delivery.
+            return
+        self._end(session, "unsubscribed")
 
     async def re_filter(self, app_name: str, new_spec: str) -> None:
         session = self._apps.get(app_name)
@@ -1479,21 +1437,51 @@ class ClusterService:
         lock, worker = await self._ingest_guarded(session.source_name)
         try:
             try:
-                await worker.client.re_filter(app_name, new_spec)
+                await self._step(worker, session, new_spec)
             except GatewayError as exc:
                 raise ValueError(str(exc)) from exc
             except ConnectionError as exc:
                 raise RuntimeError(
                     f"worker {worker.index} failed re_filter: {exc}"
                 ) from exc
-            session.spec = new_spec
-            # A client re-filter is an explicit spec choice: the worker
-            # detaches its controller, so drop the recorded ladder too
-            # (a respawn must not resurrect the automatic policy).
+            # A client re-filter is an explicit spec choice: it
+            # detaches the ladder, as on a broker.
             session.degradation = None
-            await self._arm(session.source_name, worker)
+            if session in lock.controlled:
+                lock.controlled.remove(session)
         finally:
             lock.release()
+
+    async def _tend(self, source: str, lock: _SourceGate, worker: _Worker) -> None:
+        """One source's dispatch tail, as a broker's (caller holds
+        ``lock``, the source's): reap the apps a ``disconnect`` overflow
+        ended at a put, then evaluate the ladders.  A step re-filters
+        the app at its worker and re-arms, like any churn."""
+        if lock.disconnects:
+            lock.disconnects = False
+            for session in list(worker.apps.values()):
+                if (
+                    session.source_name == source
+                    and session.disconnected
+                    and not session.explicit
+                ):
+                    self._emit("overflow_disconnect", app=session.app_name, source=source)
+                    await self._detach(session, worker)
+        if lock.controlled:
+            await adapt_quality(
+                lock.controlled,
+                source,
+                partial(self._step, worker),
+                self.telemetry,
+                ServiceConfig.tuple_size_bytes,
+            )
+
+    async def _step(self, worker: _Worker, session: ClusterSession, spec: str) -> None:
+        """The app's new spec at its worker, re-armed (a client re-filter
+        or a ladder step)."""
+        await worker.client.re_filter(session.app_name, spec)
+        session.spec = spec
+        await self._arm(session.source_name, worker)
 
     # ------------------------------------------------------------------
     # Live migration, failover, elasticity (the actuator surface)
@@ -1518,8 +1506,7 @@ class ClusterService:
         (flush + detach; its streams end as ``"migrated"``), the export
         becomes the source's failover record with an empty tail, and
         :meth:`_land` imports it, splices each app and replays nothing —
-        the delivered bytes equal an unmigrated run's.  The record stays
-        only if the source is covered (:meth:`_covered`).
+        the delivered bytes equal an unmigrated run's.
 
         A target that fails, or an export the old worker refuses,
         unwinds: the old worker still owns the source.  An exporter
@@ -1601,8 +1588,6 @@ class ClusterService:
             self._m_placements.labels(str(new.index)).inc()
         spliced, cold = await self._land(new, source_name, sessions, remotes)
         exact = source_name in self._records
-        if not self._covered(source_name, new):
-            self._drop_record(source_name)
         self._migration_event(
             "migration_complete", source_name, old, new,
             outcome="complete" if exact else "lossy",
@@ -1638,21 +1623,21 @@ class ClusterService:
         return spliced, cold
 
     async def _resubscribe(self, worker: _Worker, session: ClusterSession):
-        """Subscribe ``session``'s app on ``worker`` with its resolved
-        bounds and degradation profile (re-attach and migration)."""
+        """Subscribe ``session``'s app on ``worker`` at its current spec
+        with its relay bounds (subscribe, re-attach and migration)."""
         return await worker.client.subscribe(
             session.app_name,
             session.source_name,
             session.spec,
-            degradation=session.degradation,
-            **session.bounds,
+            **session.relay_bounds,
         )
 
     def _open_sessions(self, worker: _Worker, source: str) -> list[ClusterSession]:
         """The source's open sessions on ``worker``, in insertion order;
-        its closed ones are forgotten."""
+        its closed ones end and are forgotten."""
         for app, session in list(worker.apps.items()):
             if session.source_name == source and session.closed:
+                self._end(session, "unsubscribed")
                 worker.apps.pop(app, None)
                 # Identity check: the name may have been re-used by a
                 # live session on another worker.
@@ -1734,16 +1719,6 @@ class ClusterService:
                 future.set_result(int(emissions or 0))
         return len(sessions), 0
 
-    def _covered(self, source_name: str, worker: _Worker) -> bool:
-        """Whether a failover record can cover the source: no open
-        session drops or re-filters what a replay cannot know about (a
-        non-``block`` queue, a degradation ladder)."""
-        return all(
-            session.bounds["overflow"] == "block" and session.degradation is None
-            for session in worker.apps.values()
-            if session.source_name == source_name and not session.closed
-        )
-
     async def _arm(self, source_name: str, worker: _Worker) -> None:
         """(Re-)arm a source's failover record from its serving primary
         (caller holds the source lock).
@@ -1754,11 +1729,8 @@ class ClusterService:
         export is the new record.)  The new
         record replaces the old one only once its snapshot has arrived:
         a primary dying mid-snapshot leaves the old record and its tail
-        intact.  An uncovered source holds no record.
+        intact.
         """
-        if not self._covered(source_name, worker):
-            self._drop_record(source_name)
-            return
         if not worker.ready.is_set() or worker.client is None:
             return
         try:
@@ -1938,7 +1910,9 @@ class ClusterService:
 
         Totals are summed, session rows concatenated, and the decide
         percentiles recomputed over the concatenation of every worker's
-        raw latency window.
+        raw latency window.  A routed app's row reads its queue counters
+        off the router's queue, where its policy runs, and the router's
+        drops join ``dropped_tuples``.
         """
         if self._final_snapshot is not None:
             return dict(self._final_snapshot)
@@ -1964,8 +1938,13 @@ class ClusterService:
         def total(key: str) -> int:
             return sum(int(s.get(key, 0)) for s in snapshots)
 
-        sessions = [row for s in snapshots for row in s.get("sessions", ())]
+        sessions = [
+            self._routed_row(row) for s in snapshots for row in s.get("sessions", ())
+        ]
         retired = [row for s in snapshots for row in s.get("retired", ())]
+        dropped = self._retired_dropped + sum(
+            s.stats.dropped_tuples for s in self._live_sessions()
+        )
         return {
             "now_ms": max((float(s.get("now_ms", 0.0)) for s in snapshots), default=0.0),
             "sources": list(self._sources),
@@ -1973,7 +1952,7 @@ class ClusterService:
             "offered": total("offered"),
             "decided_emissions": total("decided_emissions"),
             "delivered_tuples": total("delivered_tuples"),
-            "dropped_tuples": total("dropped_tuples"),
+            "dropped_tuples": total("dropped_tuples") + dropped,
             "regroups": total("regroups"),
             # A broadcast tick reaches every worker and each counts it
             # once; max (not sum) keeps the merged counter comparable to
@@ -1985,4 +1964,18 @@ class ClusterService:
             "sessions": sessions,
             "retired": retired,
             "workers": self.fleet_status()["workers"],
+        }
+
+    def _routed_row(self, row: dict) -> dict:
+        """A worker's session row, with its queue counters read off the
+        router's queue when the router routes the app."""
+        session = self._apps.get(row.get("app_name"))
+        if session is None or session.source_name != row.get("source_name"):
+            return row
+        # The router's session has no batcher of its own: the worker's
+        # staging counts stand.
+        return {
+            **asdict(SessionSnapshot.of(session)),
+            "batcher_pending": row["batcher_pending"],
+            "staged_tuples": row["staged_tuples"],
         }

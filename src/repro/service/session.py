@@ -33,13 +33,22 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AsyncIterator, Callable, Container, Optional
+from typing import (
+    TYPE_CHECKING,
+    AsyncIterator,
+    Awaitable,
+    Callable,
+    Container,
+    Iterable,
+    Optional,
+)
 
 from repro.core.tuples import StreamTuple
 from repro.obs.trace import STAGE_SESSION_QUEUE, stage_id
 from repro.service.batching import Batch, MicroBatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.obs.telemetry import Telemetry
     from repro.qos.controller import DegradationController
     from repro.service.broker import DisseminationService
 
@@ -49,7 +58,9 @@ __all__ = [
     "SessionStats",
     "DeliveryLink",
     "DeliveryQueue",
+    "QueueSeries",
     "SubscriberSession",
+    "adapt_quality",
 ]
 
 OVERFLOW_POLICIES = ("block", "drop_oldest", "disconnect")
@@ -496,8 +507,8 @@ class SubscriberSession:
     #: ended because the source moved, not because the app left.
     migrated: bool = False
     #: Server-driven quality adaptation (None = fixed-spec session).
-    #: The broker evaluates it per dispatch and applies its decisions
-    #: through the re-filter machinery; a *client* re-filter detaches it
+    #: The service evaluates it per dispatch (:func:`adapt_quality`) and
+    #: applies its decisions as re-filters; a *client* re-filter detaches it
     #: (an explicit spec choice overrides the automatic policy).
     degradation: Optional["DegradationController"] = None
     #: Called with every applied level transition (a plain dict update);
@@ -562,3 +573,128 @@ class SubscriberSession:
 
     async def close(self) -> None:
         await self.queue.close()
+
+
+class QueueSeries:
+    """The session-queue series a service exposes, read off its
+    sessions' queues at scrape time: overflow drops per policy (gone
+    sessions included), and each live app's queue high-water mark and
+    degradation level.  The broker and the cluster router each keep one
+    over their own sessions (for a routed app, the router's queue)."""
+
+    def __init__(self, registry) -> None:
+        self._high_water = registry.gauge(
+            "repro_session_queue_depth_high_water",
+            "Highest observed session queue depth.",
+            ("app",),
+        )
+        self._drops = registry.counter(
+            "repro_session_overflow_dropped_tuples_total",
+            "Tuples dropped by session overflow policy.",
+            ("policy",),
+        )
+        self._level = registry.gauge(
+            "repro_session_degradation_level",
+            "Active QoS degradation level per session "
+            "(0 = preferred quality).",
+            ("app",),
+        )
+        #: Drops per policy of the sessions that are gone.
+        self._retired = dict.fromkeys(OVERFLOW_POLICIES, 0)
+
+    def retire(self, session) -> None:
+        """Keep a departing session's drops and high-water mark."""
+        queue = session.queue
+        self._retired[queue.policy] += queue.stats.dropped_tuples
+        self._high_water.labels(session.app_name).max(queue.high_water)
+
+    def collect(self, sessions: Iterable) -> None:
+        """Set the series from the live ``sessions``."""
+        drops = dict(self._retired)
+        for session in sessions:
+            queue = session.queue
+            drops[queue.policy] += queue.stats.dropped_tuples
+            self._high_water.labels(session.app_name).max(queue.high_water)
+            self._level.labels(session.app_name).set(session.degradation_level)
+        for policy, dropped in drops.items():
+            if dropped:
+                self._drops.labels(policy).value = float(dropped)
+
+
+async def adapt_quality(
+    sessions: Iterable,
+    source: str,
+    step: Callable[..., Awaitable[None]],
+    telemetry: Optional["Telemetry"],
+    tuple_bytes: int,
+) -> None:
+    """Evaluate each session's degradation controller and apply at most
+    one step each, as ``await step(session, spec)`` (a re-filter).
+
+    The broker and the cluster router both run this under the source
+    lock at the tail of every dispatch, so arrivals *and* idle ticks
+    drive both directions (recovery probing needs the tick cadence once
+    a burst has passed).  Decisions are collected first and applied
+    after the iteration: a step re-filters, which must not happen
+    mid-iteration.  A step that fails rewinds its controller (the old
+    spec still serves; degradation is best-effort).  An applied one is
+    announced with a ``qos_degraded`` / ``qos_recovered`` event and the
+    session's ``qos_listener``, called synchronously under the lock.
+    """
+    decisions = None
+    for session in sessions:
+        controller = session.degradation
+        queue = session.queue
+        if controller is None or queue.closed:
+            continue
+        if queue.wait_ms:
+            controller.note_flush_wait(queue.wait_ms)
+            queue.wait_ms = 0.0
+        decision = controller.observe(
+            time.monotonic(),
+            queue_depth=queue.depth,
+            queue_capacity=queue.capacity,
+            dropped_tuples=queue.stats.dropped_tuples,
+            egress_bytes=queue.stats.shipped_tuples * tuple_bytes,
+        )
+        if decision is not None:
+            if decisions is None:
+                decisions = []
+            decisions.append((session, decision))
+    if not decisions:
+        return
+    for session, decision in decisions:
+        try:
+            await step(session, decision.spec)
+        except Exception:
+            controller = session.degradation
+            if controller is not None:
+                controller.level = decision.from_level
+                controller.trajectory.pop()
+            continue
+        if telemetry is not None:
+            telemetry.events.emit(
+                "qos_degraded" if decision.action == "degrade"
+                else "qos_recovered",
+                app=session.app_name,
+                source=source,
+                from_level=decision.from_level,
+                level=decision.to_level,
+                spec=decision.spec,
+                signal=decision.signal,
+                value=round(decision.value, 4),
+                threshold=decision.threshold,
+            )
+        if session.qos_listener is not None:
+            session.qos_listener(
+                {
+                    "app": session.app_name,
+                    "source": source,
+                    "action": decision.action,
+                    "level": decision.to_level,
+                    "spec": decision.spec,
+                    "signal": decision.signal,
+                    "value": decision.value,
+                    "threshold": decision.threshold,
+                }
+            )

@@ -34,6 +34,27 @@ class SessionSnapshot:
     dropped_tuples: int
     disconnected: bool
 
+    @classmethod
+    def of(cls, session) -> "SessionSnapshot":
+        """A :class:`~repro.service.session.SubscriberSession`'s view."""
+        queue, stats = session.queue, session.stats
+        return cls(
+            app_name=session.app_name,
+            source_name=session.source_name,
+            spec=session.spec,
+            policy=queue.policy,
+            queue_depth=queue.depth,
+            queue_capacity=queue.capacity,
+            batcher_pending=session.batcher.pending,
+            staged_tuples=stats.staged_tuples,
+            enqueued_batches=stats.enqueued_batches,
+            delivered_batches=stats.delivered_batches,
+            delivered_tuples=stats.delivered_tuples,
+            dropped_batches=stats.dropped_batches,
+            dropped_tuples=stats.dropped_tuples,
+            disconnected=session.disconnected,
+        )
+
 
 @dataclass(frozen=True)
 class ServiceSnapshot:

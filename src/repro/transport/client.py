@@ -182,11 +182,6 @@ class RemoteSubscription:
         self.spec = spec
         #: Why the server closed this subscription (None while live).
         self.closed_reason: Optional[str] = None
-        #: Server-resolved session bounds echoed by the subscribe reply
-        #: (queue_capacity / overflow / batch_max_items /
-        #: batch_max_delay_ms); the cluster router re-subscribes crashed
-        #: workers' sessions with exactly these.
-        self.resolved: dict = {}
         #: ``capacity=0`` means unbounded — used for the one-round-trip
         #: window before the server echoes the resolved queue bound.
         self._queue: asyncio.Queue[Optional[Batch]] = asyncio.Queue(
@@ -206,9 +201,7 @@ class RemoteSubscription:
         self._ended = False
         #: Server-driven degradation state: the active level (updated by
         #: ``qos_update`` frames), every update received (in order), and
-        #: an optional synchronous callback invoked per update — the
-        #: cluster router uses it to forward worker-side transitions to
-        #: the end subscriber.
+        #: an optional synchronous callback invoked per update.
         self.degradation_level: int = 0
         self.qos_updates: list[dict] = []
         self.qos_listener = None
@@ -690,7 +683,6 @@ class GatewayClient:
         *,
         qos: Union[QualitySpec, Mapping, None] = None,
         degradation: Union[DegradationPolicy, Mapping, None] = None,
-        degradation_level: int = 0,
         degradation_config: Optional[DegradationConfig] = None,
         queue_capacity: Optional[int] = None,
         overflow: Optional[str] = None,
@@ -749,16 +741,10 @@ class GatewayClient:
             frame["qos"] = profile
         if degradation is not None:
             if isinstance(degradation, DegradationPolicy):
-                ladder = policy_to_profile(
-                    degradation,
-                    level=degradation_level,
-                    config=degradation_config,
+                degradation = policy_to_profile(
+                    degradation, config=degradation_config
                 )
-            else:
-                ladder = dict(degradation)
-                if degradation_level:
-                    ladder["level"] = degradation_level
-            frame["degradation"] = ladder
+            frame["degradation"] = dict(degradation)
         for key, value in (
             ("queue_capacity", queue_capacity),
             ("overflow", overflow),
@@ -785,17 +771,7 @@ class GatewayClient:
             self._subscriptions.pop(app, None)
             raise
         # The server echoes the resolved bounds; mirror the capacity so
-        # client-side buffering matches the session's queue bound, and
-        # keep the full set for callers that re-subscribe elsewhere.
-        subscription.resolved = {
-            key: reply.get(key)
-            for key in (
-                "queue_capacity",
-                "overflow",
-                "batch_max_items",
-                "batch_max_delay_ms",
-            )
-        }
+        # client-side buffering matches the session's queue bound.
         resolved = reply.get("queue_capacity")
         if queue_capacity is None and isinstance(resolved, int) and resolved >= 1:
             subscription._resize(resolved)

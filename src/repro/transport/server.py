@@ -1027,12 +1027,20 @@ class GatewayServer:
         )
 
     async def _reap(self, conn: _Connection) -> None:
-        """Reclaim a dead connection's subscriptions and pump tasks."""
+        """Reclaim a dead connection's subscriptions and pump tasks.
+
+        The open sessions' queues close first, as in :meth:`_too_large`:
+        a producer parked on a full ``block`` queue of theirs holds the
+        source lock that the unsubscribes take, and nothing reads the
+        link any more to wake it.
+        """
         conn.abort()
         if not self._shutting_down:
-            for session in list(conn.sessions.values()):
-                if session.queue.closed:
-                    continue  # ended already; its pump just never said so
+            # Sessions closed already ended; their pump just never said so.
+            live = [s for s in conn.sessions.values() if not s.queue.closed]
+            for session in live:
+                await session.queue.close()
+            for session in live:
                 try:
                     await self.service.unsubscribe(session.app_name)
                 except (KeyError, RuntimeError):

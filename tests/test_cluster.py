@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from repro.core.cuts import RuntimePredictor
 from repro.core.tuples import StreamTuple
 from repro.obs.telemetry import Telemetry
+from repro.qos.controller import DegradationConfig
+from repro.qos.spec import DegradationPolicy, QualitySpec
 from repro.runtime.partition import HashRing
 from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
@@ -349,9 +351,10 @@ def test_slow_worker_throttles_only_its_sources_producers():
             await asyncio.sleep(0.3)
             assert not stalled.done(), "producer A never hit backpressure"
             assert progress["a"] < 30
-            # Unstick: dismiss the laggard's subscription; the worker's
-            # queue drains and the blocked offer completes.
-            session.end_local("router_closed")
+            # Unstick: close the laggard's queue, as a gateway does for
+            # a dead connection; the worker's queue drains and the
+            # blocked offer completes.
+            await session.queue.close()
             await asyncio.wait_for(stalled, timeout=60)
             assert progress["a"] == 30
             # A locally-closed session must still unsubscribe on the
@@ -530,6 +533,30 @@ def test_failover_rearmed_from_a_checkpoint_splices_with_zero_gap():
 # ---------------------------------------------------------------------------
 _FAILOVER_APPS = (("solo.wide", "DC1(value, 6.0, 3.0)"), ("solo.narrow", "DC1(value, 3.0, 1.5)"))
 _FAILOVER_CHUNK = 64
+#: One app per overflow policy besides ``block``, and one with a ladder:
+#: ``(app, spec, subscribe knobs)``.  None overflows or steps.
+_POLICY_APPS = (
+    ("solo.fresh", "DC1(value, 6.0, 3.0)", {"overflow": "drop_oldest"}),
+    ("solo.strict", "DC1(value, 3.0, 1.5)", {"overflow": "disconnect"}),
+    (
+        "solo.ladder",
+        "DC1(value, 4.0, 2.0)",
+        {
+            "degradation": DegradationPolicy(
+                "solo.ladder",
+                (
+                    QualitySpec("solo.ladder", "DC1(value, 4.0, 2.0)"),
+                    QualitySpec("solo.ladder", "DC1(value, 12.0, 6.0)"),
+                ),
+            ),
+            # Depth never reaches a 10 000-batch bound; the other
+            # signals are off.
+            "degradation_config": DegradationConfig(
+                queue_high_ratio=1.0, drop_rate_per_s=0.0, flush_wait_ms=None
+            ),
+        },
+    ),
+)
 
 
 @pytest.fixture
@@ -573,7 +600,9 @@ def _failover_script(tuples: int, *, ticks: bool) -> list:
     return script
 
 
-async def _failover_oracle(script: list, constraint_ms) -> dict[str, list[int]]:
+async def _failover_oracle(
+    script: list, constraint_ms, apps=_FAILOVER_APPS
+) -> dict[str, list[int]]:
     service = DisseminationService(
         ServiceConfig(
             engine=EngineConfig(algorithm="region", constraint_ms=constraint_ms),
@@ -585,7 +614,7 @@ async def _failover_oracle(script: list, constraint_ms) -> dict[str, list[int]]:
     service.add_source("solo")
     received: dict[str, list[int]] = {}
     consumers = []
-    for app, spec in _FAILOVER_APPS:
+    for app, spec in apps:
         session = await service.subscribe(app, "solo", spec)
         consumers.append(asyncio.create_task(_consume(session, received.setdefault(app, []))))
     for step in script:
@@ -639,17 +668,26 @@ def _respawns(events) -> list[tuple]:
 
 @pytest.mark.parametrize(
     "kill",
-    ["after_rearm", "mid_tail", "offer_in_flight", "second_kill", "constrained", "lagging"],
+    [
+        "after_rearm",
+        "mid_tail",
+        "offer_in_flight",
+        "second_kill",
+        "constrained",
+        "lagging",
+        "policies",
+    ],
 )
 def test_failover_splices_wherever_the_primary_dies(kill, request):
     """SIGKILL the worker at a chosen point of a real-process run: right
     after a re-arm (empty tail), mid-tail, with an ``offer_many`` in
     flight (its frame is retried, not raised), twice in a row, under a
-    time constraint with ticks in the tail, and with one app's consumer
+    time constraint with ticks in the tail, with one app's consumer
     paused, so the router's read loop is parked putting to that app's
-    full queue (resumed once the respawn is under way).  The fleet has
-    no flag but its size: every delivered stream equals the uncrashed
-    run's, and each respawn splices every app."""
+    full queue (resumed once the respawn is under way), and mid-tail
+    with a ``drop_oldest``, a ``disconnect`` and a laddered app.  The
+    fleet has no flag but its size: every delivered stream equals the
+    uncrashed run's, and each respawn splices every app."""
     constrained = kill == "constrained"
     if constrained:
         request.getfixturevalue("fixed_solve_times")
@@ -661,8 +699,18 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
     at = per_arm if kill == "after_rearm" else per_arm + 2
     kills = [at, at + 3] if kill == "second_kill" else [at]
 
+    if kill == "policies":
+        # Bounds no burst of the script can fill.
+        apps = [(a, s, {**knobs, "queue_capacity": 10_000}) for a, s, knobs in _POLICY_APPS]
+    else:
+        apps = [(app, spec, {}) for app, spec in _FAILOVER_APPS]
+        if kill == "lagging":
+            # The lagging app's queue holds one batch, so a pause fills
+            # it at once.
+            apps[1] = (*apps[1][:2], {"queue_capacity": 1})
+
     async def run():
-        expected = await _failover_oracle(script, constraint_ms)
+        expected = await _failover_oracle(script, constraint_ms, [a[:2] for a in apps])
         telemetry = Telemetry()
         cluster = ClusterService(
             ClusterConfig(
@@ -681,13 +729,9 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
             gate = asyncio.Event()
             gate.set()
             lagging = None
-            for app, spec in _FAILOVER_APPS:
-                # The lagging app's queue holds one batch, so a pause
-                # fills it at once.
-                laggard = kill == "lagging" and app == _FAILOVER_APPS[1][0]
-                session = await cluster.subscribe(
-                    app, "solo", spec, queue_capacity=1 if laggard else None
-                )
+            for app, spec, knobs in apps:
+                laggard = kill == "lagging" and app == apps[1][0]
+                session = await cluster.subscribe(app, "solo", spec, **knobs)
                 if laggard:
                     lagging = session.queue
                 consumers.append(
@@ -740,8 +784,8 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
             raise
 
     received, expected, events = asyncio.run(run())
-    assert _respawns(events) == [(0, len(_FAILOVER_APPS), 0)] * len(kills)
-    for app, _spec in _FAILOVER_APPS:
+    assert _respawns(events) == [(0, len(apps), 0)] * len(kills)
+    for app, _spec, _knobs in apps:
         assert len(expected[app]) > 100
         assert received[app] == expected[app], app
 
