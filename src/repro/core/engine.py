@@ -66,6 +66,18 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 
+def _tuple_from_row(row) -> tuple[int, StreamTuple]:
+    """One checkpoint tuple-table row, ``[seq, timestamp, name, value,
+    ...]``, as ``(seq, tuple)``."""
+    seq, timestamp, *pairs = row
+    names = pairs[::2]
+    if len(pairs) % 2 or not all(isinstance(name, str) for name in names):
+        raise ValueError("a tuple row is seq, timestamp, then name/value pairs")
+    seq = int(seq)
+    values = {name: float(value) for name, value in zip(names, pairs[1::2])}
+    return seq, StreamTuple.trusted(seq, float(timestamp), values)
+
+
 @runtime_checkable
 class GroupFilterProtocol(Protocol):
     """What the engine requires of a group-aware filter (section 2.2.2)."""
@@ -472,12 +484,11 @@ class GroupAwareEngine:
         and lists — it packs with ``marshal`` and travels as JSON.  Its
         last element is the tuple table, ``[seq, timestamp, name,
         value, name, value, ...]`` per tuple the state refers to; the
-        rest refers to tuples by seq, so a transport may ship the table
-        on its own.  Candidate-set ids are renumbered ``0..n-1`` in
-        order.  :meth:`restore` on an engine built the same way (same
-        filters in the same order, algorithm, output strategy and time
-        constraint) continues exactly where this one stands, and its
-        own checkpoint is this image again.
+        rest refers to tuples by seq.  Candidate-set ids are renumbered
+        ``0..n-1`` in order.  :meth:`restore` on an engine built the
+        same way (same filters in the same order, algorithm, output
+        strategy and time constraint) continues exactly where this one
+        stands, and its own checkpoint is this image again.
         """
         if self._finished:
             raise RuntimeError("engine already finished")
@@ -526,13 +537,17 @@ class GroupAwareEngine:
             ],
         ]
 
-    def restore(self, image: Sequence) -> None:
-        """Continue from a :meth:`checkpoint` image.
+    def restore(self, image: Sequence) -> int:
+        """Continue from a :meth:`checkpoint` image; returns the number
+        of tuples it restored.
 
         The engine must be built the way the checkpointed one was;
         ``ValueError`` if the image is of another layout or another
         engine, or malformed (the engine is then unusable: build a
-        fresh one).  Runs no engine step.
+        fresh one).  Each tuple-table row is checked and coerced as an
+        ingested tuple is (an int seq, then float timestamp and values
+        under string names), so an image that crossed a wire as JSON
+        restores the tuples it was taken from.  Runs no engine step.
         """
         if self._finished:
             raise RuntimeError("engine already finished")
@@ -564,10 +579,7 @@ class GroupAwareEngine:
                 raise ValueError(
                     f"checkpoint of another engine: {shape!r}, this one is {self._shape()!r}"
                 )
-            tuples = {
-                row[0]: StreamTuple.trusted(row[0], row[1], dict(zip(row[2::2], row[3::2])))
-                for row in rows
-            }
+            tuples = dict(map(_tuple_from_row, rows))
             first_id = reserve_set_ids(set_count)
 
             def set_id(rank: int) -> int:
@@ -597,8 +609,9 @@ class GroupAwareEngine:
             self._predictor.restore(predictor)
             self.now = now
             self._result.input_count, self._result.cuts_triggered = counters
-        except (TypeError, KeyError, IndexError, AttributeError) as exc:
+        except (TypeError, KeyError, IndexError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed checkpoint image: {exc!r}") from exc
+        return len(tuples)
 
     def _shape(self) -> list:
         """What a checkpoint must agree on with the engine restoring it."""

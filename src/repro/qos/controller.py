@@ -282,17 +282,16 @@ def resolve_session(
     *,
     qos: Optional[QualitySpec] = None,
     degradation: Optional[DegradationPolicy] = None,
-    degradation_level: int = 0,
     degradation_config: Optional[DegradationConfig] = None,
     **bounds,
 ) -> tuple[SessionLimits, Optional[DegradationController]]:
     """One subscription's delivery bounds and degradation controller,
     as the broker and the cluster router both resolve a subscribe.
 
-    ``degradation`` builds a controller at ``degradation_level``: the
-    policy must name ``app_name``, ``spec`` must equal the level's
-    filter spec, and the level's :class:`QualitySpec` stands in for an
-    absent ``qos``.  ``qos`` maps ``defaults`` (the service's config)
+    ``degradation`` builds a controller at its first level: the policy
+    must name ``app_name``, ``spec`` must equal that level's filter
+    spec, and its :class:`QualitySpec` stands in for an absent
+    ``qos``.  ``qos`` maps ``defaults`` (the service's config)
     onto bounds through :func:`~repro.qos.spec.session_limits`, and an
     explicit bound in ``bounds`` (``queue_capacity``, ``overflow``,
     ``batch_max_items``, ``batch_max_delay_ms``; None for unset) wins.
@@ -305,16 +304,14 @@ def resolve_session(
                 f"degradation policy names app {degradation.app_name!r}, "
                 f"subscription is for {app_name!r}"
             )
-        controller = DegradationController(
-            degradation, degradation_config, level=degradation_level
-        )
+        controller = DegradationController(degradation, degradation_config)
         if spec != controller.spec:
             raise ValueError(
                 "subscription spec must equal the degradation policy's "
                 f"active level spec {controller.spec!r}, got {spec!r}"
             )
         if qos is None:
-            qos = degradation.levels[degradation_level]
+            qos = degradation.levels[0]
     base = {f.name: getattr(defaults, f.name) for f in fields(SessionLimits)}
     if qos is not None:
         if qos.app_name != app_name:
@@ -336,10 +333,9 @@ def resolve_session(
 def policy_to_profile(
     policy: DegradationPolicy,
     *,
-    level: int = 0,
     config: Optional[DegradationConfig] = None,
 ) -> dict:
-    """Portable JSON shape of a policy (+ current level and thresholds)."""
+    """Portable JSON shape of a policy (+ its thresholds)."""
     profile: dict = {
         "levels": [
             {
@@ -352,8 +348,6 @@ def policy_to_profile(
     }
     if policy.bandwidth_floors_kbps:
         profile["bandwidth_floors_kbps"] = list(policy.bandwidth_floors_kbps)
-    if level:
-        profile["level"] = level
     if config is not None:
         profile["config"] = {
             "queue_high_ratio": config.queue_high_ratio,
@@ -373,8 +367,8 @@ def policy_to_profile(
 
 def policy_from_profile(
     profile: Mapping, app_name: str
-) -> tuple[DegradationPolicy, int, Optional[DegradationConfig]]:
-    """Parse a wire profile back into ``(policy, level, config)``.
+) -> tuple[DegradationPolicy, Optional[DegradationConfig]]:
+    """Parse a wire profile back into ``(policy, config)``.
 
     Raises ``ValueError`` on malformed profiles — the transport maps
     that onto a subscribe error frame, mirroring spec validation.
@@ -410,12 +404,6 @@ def policy_from_profile(
         levels=tuple(levels),
         bandwidth_floors_kbps=floors,
     )
-    level = int(profile.get("level", 0))
-    if not 0 <= level < len(policy.levels):
-        raise ValueError(
-            f"degradation level {level} outside the policy's "
-            f"{len(policy.levels)} levels"
-        )
     raw_cfg = profile.get("config")
     config: Optional[DegradationConfig] = None
     if raw_cfg is not None:
@@ -437,4 +425,4 @@ def policy_from_profile(
                 f"unknown degradation config keys: {sorted(unknown)}"
             )
         config = DegradationConfig(**{k: raw_cfg[k] for k in raw_cfg})
-    return policy, level, config
+    return policy, config

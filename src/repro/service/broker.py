@@ -378,7 +378,7 @@ class DisseminationService:
         through :meth:`SubscriberSession.batches`.
 
         ``knobs`` (``qos``, the explicit queue and batch bounds, and a
-        ``degradation`` ladder with its level and thresholds) resolve
+        ``degradation`` ladder with its thresholds) resolve
         as :func:`repro.qos.controller.resolve_session` says.  A
         ladder attaches a server-driven
         :class:`~repro.qos.controller.DegradationController`: under
@@ -733,11 +733,10 @@ class DisseminationService:
             restored = 0
             if checkpoint is not None and src.engine is not None:
                 try:
-                    src.engine.restore(checkpoint)
+                    restored = src.engine.restore(checkpoint)
                 except (ValueError, RuntimeError):
                     self._rebuild(src)
                     raise
-                restored = _open_tuples(state)
             src.fed = int(state.get("fed", 0))
             src.offered += int(state.get("offered", 0))
             if self.telemetry is not None:

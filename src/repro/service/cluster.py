@@ -121,6 +121,9 @@ _REARM_TUPLES = 1024
 
 #: Missed health checks in a row that declare a live worker dead.
 _HEALTH_MISSES = 3
+#: How long a worker whose router connection ended has to exit on its
+#: own before the supervisor kills it (``connection_lost``).
+_EXIT_GRACE_S = 0.5
 #: Sliding-window respawn budget per worker slot: more than
 #: ``_RESPAWNS_PER_WINDOW`` respawn attempts inside
 #: ``_RESPAWN_WINDOW_S`` declares the slot lost (a crash-looping
@@ -714,7 +717,12 @@ class ClusterService:
     async def _stop_process(self, worker: _Worker, *, kill: bool) -> None:
         """Stop the slot's process — SIGKILL, or SIGTERM with a 10 s
         grace before SIGKILL — then await its stdout drain and close its
-        client.  The slot is left unready and empty of both."""
+        client.  The slot is left unready and empty of both.
+
+        After a SIGTERM the worker's last frames (its final flush, then
+        ``bye``) may still wait in the socket when it has exited: the
+        client's read loop gets the same grace to relay them first.
+        """
         worker.ready.clear()
         process = worker.process
         if process is not None:
@@ -725,6 +733,11 @@ class ClusterService:
             except asyncio.TimeoutError:
                 self._signal(process, kill=True)
                 await process.wait()
+        if not kill and worker.client is not None:
+            try:
+                await asyncio.wait_for(worker.client.ended(), timeout=10.0)
+            except asyncio.TimeoutError:
+                pass
         if worker.drain_task is not None:
             await worker.drain_task
             worker.drain_task = None
@@ -781,6 +794,21 @@ class ClusterService:
                     )
                     continue
                 if not worker.ready.is_set():
+                    continue
+                if worker.client.closed_reason is not None:
+                    # Nothing reaches its sources any more: dead.  A
+                    # process that just exited closed the connection
+                    # too; its exit gets a moment to be reaped.
+                    reason = None
+                    try:
+                        await asyncio.wait_for(process.wait(), _EXIT_GRACE_S)
+                    except asyncio.TimeoutError:
+                        reason = "connection_lost"
+                        self._signal(process, kill=True)
+                        await process.wait()
+                    self._on_worker_death(
+                        worker, returncode=process.returncode, reason=reason
+                    )
                     continue
                 if await self._healthz(worker):
                     worker.health_misses = 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import time
 from typing import AsyncIterator, Awaitable, Callable, Mapping, Optional, Sequence, Union
 
@@ -50,6 +51,7 @@ from repro.transport.protocol import (
     batch_from_wire,
     encode_frame,
     pack_header,
+    state_slice_chars,
 )
 
 __all__ = [
@@ -63,10 +65,6 @@ _READ_CHUNK = 1 << 16
 
 #: A relay's sink: ``(batch, subscriptions)`` of each ``decided`` frame.
 _OnDecided = Callable[[Batch, list], Awaitable[None]]
-
-#: Checkpoint tuple-table rows per frame while streaming a live-migration
-#: transfer (kept well under MAX_FRAME_BYTES at typical tuple widths).
-_MIGRATION_CHUNK = 1024
 
 _SID_INGEST_SEND = stage_id(STAGE_INGEST_SEND)
 
@@ -328,6 +326,8 @@ class GatewayClient:
         self.features: list[str] = []
         self._seq = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
+        #: Characters of a source state's JSON text per frame, both ways.
+        self._slice_chars = state_slice_chars(max_frame_bytes)
         self._subscriptions: dict[str, RemoteSubscription] = {}
         self._read_task: Optional[asyncio.Task] = None
         self._closed = False
@@ -394,6 +394,17 @@ class GatewayClient:
         if isinstance(confirmed, list):
             client.features = [f for f in confirmed if isinstance(f, str)]
         return client
+
+    @property
+    def closed_reason(self) -> Optional[str]:
+        """Why the connection ended (None while it serves)."""
+        return self._dead_reason
+
+    async def ended(self) -> None:
+        """Wait until the read loop has ended: every frame the server
+        sent before its ``bye`` (or before it closed) has been handled."""
+        if self._read_task is not None:
+            await asyncio.wait((self._read_task,))
 
     async def close(self, *, send_bye: bool = True) -> None:
         """Tear the connection down; live subscriptions end locally."""
@@ -467,6 +478,14 @@ class GatewayClient:
             write(seq)
             await self._writer.drain()
             reply = await future
+        except BaseException:
+            # A write or drain that raised leaves the future unread, and
+            # the connection's end may already have failed it.
+            if not future.done():
+                future.cancel()
+            elif not future.cancelled():
+                future.exception()
+            raise
         finally:
             self._pending.pop(seq, None)
         if reply.get("t") == "error":
@@ -598,17 +617,11 @@ class GatewayClient:
         return reply["snapshot"]
 
     async def export_source(self, source: str) -> dict:
-        """Detach ``source`` on the server; returns its portable state.
-
-        The checkpoint's tuple table can exceed one frame, so it streams
-        back in ``export_pull`` chunks and is put back in place: the
-        returned state is what
-        :meth:`~repro.service.broker.DisseminationService.export_source`
-        returned on the server, ready to feed :meth:`import_source` on
-        another gateway unchanged.
-        """
-        reply = await self._request({"t": "export_source", "source": source})
-        return await self._pull_source_state(source, reply)
+        """Detach ``source`` on the server; returns its portable state:
+        what :meth:`~repro.service.broker.DisseminationService.export_source`
+        returned there, ready to feed :meth:`import_source` on another
+        gateway unchanged."""
+        return await self._pull_source_state("export_source", source)
 
     async def snapshot_source(self, source: str) -> dict:
         """Copy ``source``'s portable state without detaching it.
@@ -616,63 +629,45 @@ class GatewayClient:
         The non-destructive sibling of :meth:`export_source` — the
         failover checkpoint a cluster router keeps of a serving primary.
         """
-        reply = await self._request(
-            {"t": "snapshot_source", "source": source}
-        )
-        return await self._pull_source_state(source, reply)
+        return await self._pull_source_state("snapshot_source", source)
 
-    async def _pull_source_state(self, source: str, reply: dict) -> dict:
-        state = dict(reply["state"])
-        total = int(state.pop("rows", 0))
-        rows: list = []
-        while len(rows) < total:
-            pull = await self._request(
-                {
-                    "t": "export_pull",
-                    "source": source,
-                    "offset": len(rows),
-                    "count": _MIGRATION_CHUNK,
-                }
+    async def _pull_source_state(self, kind: str, source: str) -> dict:
+        """The state's JSON text arrives in slices: the first with the
+        reply, the rest by ``export_pull``.  Joined, it decodes once."""
+        count = self._slice_chars
+        reply = await self._request({"t": kind, "source": source, "count": count})
+        text = [reply["chunk"]]
+        offset = len(text[0])
+        while not reply["done"]:
+            reply = await self._request(
+                {"t": "export_pull", "source": source, "offset": offset, "count": count}
             )
-            chunk = list(pull.get("rows") or ())
-            rows.extend(chunk)
-            if pull.get("done") or not chunk:
-                break
-        if state.get("checkpoint") is not None:
-            state["checkpoint"] = [*state["checkpoint"], rows]
-        return state
+            chunk = reply["chunk"]
+            if not chunk:
+                raise GatewayError("protocol", f"the state of {source!r} stopped short")
+            text.append(chunk)
+            offset += len(chunk)
+        return json.loads("".join(text))
 
     async def import_source(self, source: str, state: dict) -> int:
         """Stream an exported source's state into this gateway's broker.
 
         ``source`` must already exist on the target with the migrated
-        subscriptions re-attached in their original order.  The
-        checkpoint's tuple table goes in ``import_chunk`` rows (their
-        count announced by ``import_begin``), the rest with
-        ``import_commit``; returns the number of open tuples restored.
+        subscriptions re-attached in their original order.  The state's
+        JSON text goes in ``import_chunk`` slices, the last one marked
+        ``done``; returns the number of open tuples restored.
         """
-        checkpoint = state.get("checkpoint")
-        rows = [] if checkpoint is None else checkpoint[-1]
-        await self._request(
-            {"t": "import_begin", "source": source, "rows": len(rows)}
-        )
-        for start in range(0, len(rows), _MIGRATION_CHUNK):
-            await self._request(
+        text = json.dumps(state, separators=(",", ":"))
+        count = self._slice_chars
+        for offset in range(0, len(text), count):
+            reply = await self._request(
                 {
                     "t": "import_chunk",
                     "source": source,
-                    "rows": rows[start : start + _MIGRATION_CHUNK],
+                    "chunk": text[offset : offset + count],
+                    "done": offset + count >= len(text),
                 }
             )
-        reply = await self._request(
-            {
-                "t": "import_commit",
-                "source": source,
-                "checkpoint": None if checkpoint is None else checkpoint[:-1],
-                "fed": int(state.get("fed", 0)),
-                "offered": int(state.get("offered", 0)),
-            }
-        )
         return int(reply.get("restored", 0))
 
     async def subscribe(
@@ -760,10 +755,6 @@ class GatewayClient:
         subscription = RemoteSubscription(
             app, source, spec, capacity=queue_capacity or 0
         )
-        if degradation is not None:
-            subscription.degradation_level = int(
-                frame["degradation"].get("level", 0)
-            )
         self._subscriptions[app] = subscription
         try:
             reply = await self._request(frame)

@@ -1,8 +1,8 @@
 """Sans-io binary wire codec for the dissemination gateway.
 
-Protocol v5: every tuple frame (``ingest_batch``, ``decided``) and the
+Protocol v6: every tuple frame (``ingest_batch``, ``decided``) and the
 ``ok`` of an ``ingest_batch`` are binary; every other frame (hello,
-error, subscribe, snapshot, the migration verbs, ...) is JSON.  Nothing
+error, subscribe, snapshot, the source-state verbs, ...) is JSON.  Nothing
 is negotiated — the two never overlap:
 
 * **Self-describing bodies.**  A frame body whose first byte is ``{``

@@ -1,7 +1,7 @@
 """Length-prefixed wire protocol for the dissemination gateway.
 
 One frame on the wire is a 4-byte big-endian length header followed by
-that many body bytes.  Protocol v5 has exactly one body format per frame
+that many body bytes.  Protocol v6 has exactly one body format per frame
 type: the tuple frames (``ingest_batch``, ``decided``) and the ``ok``
 answering an ``ingest_batch`` are struct-packed binary
 (:mod:`repro.transport.codec`, which has the layout tables); every
@@ -19,10 +19,11 @@ between.
 The protocol is versioned at the handshake: the first frame on a
 connection must be ``hello`` with ``"v" == PROTOCOL_VERSION``; the
 server answers ``welcome`` (or ``error`` + close on a version or auth
-mismatch — a v1 to v4 hello, from a peer that could still send JSON
+mismatch — a v1 to v5 hello, from a peer that could still send JSON
 tuple frames or single-tuple ``ingest`` frames, read one app per
-``decided`` frame, or read tuple records without their byte length, is
-refused with ``code=version``).
+``decided`` frame, read tuple records without their byte length, or
+move a source's state as checkpoint rows, is refused with
+``code=version``).
 
 Frame vocabulary (client → server unless noted)::
 
@@ -38,6 +39,10 @@ Frame vocabulary (client → server unless noted)::
     re_filter     {seq, app, spec}               -> ok
     tick          {seq?, now_ms}                 -> ok {emissions}
     snapshot      {seq, window?}                 -> snapshot {snapshot}
+    export_source {seq, source, count}           -> ok {chunk, done}
+    snapshot_source {seq, source, count}         -> ok {chunk, done}
+    export_pull   {seq, source, offset, count}   -> ok {chunk, done}
+    import_chunk  {seq, source, chunk, done}     -> ok (done: {restored})
     bye           {reason?}                      (either direction)
 
     welcome       {v, server, sources, features} (server → client)
@@ -58,6 +63,15 @@ the attribute dictionary).  ``snapshot`` with ``window=true`` asks the
 server to attach its raw decide-latency sliding window
 (``decide_window_ms``) so a front-tier router can merge several
 workers' windows into one honest percentile computation.
+
+A source's state (``export_source`` detaches it, ``snapshot_source``
+copies it) is one JSON text the transport never looks inside, sliced to
+fit the frame bound: each reply carries a slice of at most ``count``
+characters (:func:`state_slice_chars` of the caller's bound, capped by
+the server's) and ``export_pull`` fetches the rest.  ``import_chunk``
+stages slices the other way and its ``done`` slice imports.  A stash
+belongs to its connection; a malformed slice, text or image is refused
+with ``bad_request``.
 
 ``decided`` carries one batch once per connection: ``apps`` names
 every subscription on the connection it is for (the members of one
@@ -86,7 +100,7 @@ defined features:
   the feature but find no trace field simply record nothing.
 * ``"qos"``: server-initiated graceful degradation.  ``subscribe`` may
   carry ``degradation`` — a :func:`repro.qos.controller.policy_to_profile` shape
-  (``{levels, bandwidth_floors_kbps?, level?, config?}``) handing the
+  (``{levels, bandwidth_floors_kbps?, config?}``) handing the
   server a whole fallback ladder — and the server pushes an unsolicited
   ``qos_update`` frame per applied level transition, carrying the
   triggering signal as evidence.  Degradation itself is server-side
@@ -127,6 +141,7 @@ __all__ = [
     "encode_frame",
     "pack_header",
     "negotiate_features",
+    "state_slice_chars",
     "FrameDecoder",
     "tuple_to_wire",
     "tuple_from_wire",
@@ -134,7 +149,7 @@ __all__ = [
     "traces_from_wire",
 ]
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Frame types that only exist as binary bodies.
 _TUPLE_FRAMES = frozenset(("ingest_batch", "decided"))
@@ -154,6 +169,9 @@ SUPPORTED_FEATURES = (FEATURE_TRACE, FEATURE_QOS)
 MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">I")
+
+#: Bytes a state slice's frame keeps for its fields besides the slice.
+_SLICE_HEADROOM = 256
 
 #: One encoder for every control frame: ``json.dumps`` with
 #: non-default separators builds a new one per call.
@@ -207,6 +225,13 @@ def negotiate_features(
         for name in offered
         if name in supported and name in SUPPORTED_FEATURES
     ]
+
+
+def state_slice_chars(max_frame_bytes: int) -> int:
+    """Characters of a state's JSON text one frame carries: the text is
+    ASCII, and the frame's encoding at most doubles it (``"`` and ``\\``
+    become two characters)."""
+    return max(1, (max_frame_bytes - _SLICE_HEADROOM) // 2)
 
 
 def pack_header(size: int) -> bytes:

@@ -38,6 +38,7 @@ batches onto the sockets, send ``bye``, and return a terminal snapshot.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import time
 from typing import Optional
@@ -60,10 +61,12 @@ from repro.transport.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
+    FrameTooLarge,
     ProtocolError,
     encode_frame,
     negotiate_features,
     pack_header,
+    state_slice_chars,
     traces_from_wire,
 )
 
@@ -136,31 +139,11 @@ def _field(frame: dict, name: str):
         ) from None
 
 
-def _row_from_wire(row) -> list:
-    """One checkpoint tuple-table row, ``[seq, timestamp, name, value,
-    ...]``, checked and coerced as an ingested tuple would be."""
-    try:
-        seq, timestamp, *pairs = row
-        names = pairs[::2]
-        if len(pairs) % 2 or not all(isinstance(name, str) for name in names):
-            raise ValueError("a row is seq, timestamp, then name/value pairs")
-        out = [int(seq), float(timestamp)]
-        for name, value in zip(names, pairs[1::2]):
-            out += (name, float(value))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _BadRequest(f"malformed checkpoint row: {exc}") from None
-    return out
-
-
-class _Import:
-    """One connection's inbound source state, between ``import_begin``
-    (which announces the tuple-table rows) and ``import_commit``."""
-
-    __slots__ = ("expected", "rows")
-
-    def __init__(self, expected: int):
-        self.expected = expected
-        self.rows: list[list] = []
+def _slice_count(conn: "_Connection", frame: dict) -> int:
+    """The state slice length a request asks for (``count``), within
+    what the connection's frame bound carries."""
+    count = int(_field(frame, "count"))
+    return max(1, min(count, state_slice_chars(conn.max_frame_bytes)))
 
 
 class _Connection:
@@ -207,11 +190,12 @@ class _Connection:
         self.tasks: set[asyncio.Task] = set()
         #: Live subscriptions, by their queue.
         self.sessions: dict[object, object] = {}
-        #: Live-migration staging, per source: exported tuple tables
-        #: awaiting ``export_pull`` and imports awaiting their commit.
-        #: They belong to the connection that opened them and go with it.
-        self.export_stash: dict[str, list] = {}
-        self.import_stash: dict[str, _Import] = {}
+        #: Source-state staging, per source: the JSON text of an export
+        #: or snapshot awaiting ``export_pull``, and the slices of an
+        #: import awaiting its ``done`` one.  They belong to the
+        #: connection that opened them and go with it.
+        self.export_stash: dict[str, str] = {}
+        self.import_stash: dict[str, list[str]] = {}
         self.peer = writer.get_extra_info("peername")
         self._loop = asyncio.get_running_loop()
         self._corked: list[bytes] = []
@@ -660,43 +644,19 @@ class GatewayServer:
                         "snapshot": snapshot,
                     }
                 )
-            elif kind == "export_source":
-                await self._send_source_state(
-                    conn,
-                    seq,
-                    _field(frame, "source"),
-                    destructive=True,
-                )
-            elif kind == "snapshot_source":
-                await self._send_source_state(
-                    conn,
-                    seq,
-                    _field(frame, "source"),
-                    destructive=False,
-                )
+            elif kind in ("export_source", "snapshot_source"):
+                await self._send_source_state(conn, frame, seq)
             elif kind == "export_pull":
                 name = _field(frame, "source")
+                text = conn.export_stash.get(name)
+                if text is None:
+                    raise _BadRequest(f"no export of {name!r} to pull")
                 offset = int(_field(frame, "offset"))
-                count = max(1, int(_field(frame, "count")))
-                rows = conn.export_stash.get(name, [])
-                chunk = rows[offset : offset + count]
-                done = offset + len(chunk) >= len(rows)
-                if done:
-                    conn.export_stash.pop(name, None)
-                await conn.send(
-                    {"t": "ok", "reply_to": seq, "rows": chunk, "done": done}
+                await self._send_slice(
+                    conn, seq, name, text, offset, _slice_count(conn, frame)
                 )
-            elif kind == "import_begin":
-                rows = int(_field(frame, "rows"))
-                if rows < 0:
-                    raise _BadRequest(f"import_begin announces {rows} rows")
-                conn.import_stash[_field(frame, "source")] = _Import(rows)
-                await conn.send({"t": "ok", "reply_to": seq})
             elif kind == "import_chunk":
-                self._on_import_chunk(conn, frame)
-                await conn.send({"t": "ok", "reply_to": seq})
-            elif kind == "import_commit":
-                await self._on_import_commit(conn, frame, seq)
+                await self._on_import_chunk(conn, frame, seq)
             elif kind == "ensure_source":
                 name = _field(frame, "source")
                 created = not self.service.has_source(name)
@@ -711,6 +671,17 @@ class GatewayServer:
                 raise ProtocolError(
                     f"unknown frame type {kind!r}", code="unknown_type"
                 )
+        except FrameTooLarge as exc:
+            # A reply past the bound (a snapshot of a long-lived
+            # broker): refuse the request, not the connection.
+            await conn.send(
+                {
+                    "t": "error",
+                    "reply_to": seq,
+                    "code": exc.code,
+                    "message": str(exc),
+                }
+            )
         except (
             _BadRequest,
             KeyError,
@@ -756,85 +727,68 @@ class GatewayServer:
         for seq in sampled:
             tele.bag.begin((source, seq), recv_ns, carried.get(seq))
 
-    async def _send_source_state(
-        self, conn: _Connection, seq, name: str, *, destructive: bool
-    ) -> None:
-        """Reply with a source's portable state; tuple table chunked.
+    async def _send_source_state(self, conn: _Connection, frame: dict, seq) -> None:
+        """Reply with the first slice of a source's portable state.
 
         ``export_source`` detaches the source (migration), and its reply
         follows the end of each detached stream on this connection;
         ``snapshot_source`` copies it non-destructively (a cluster
-        router's failover checkpoint), and its reply follows every
+        router's failover record), and its reply follows every
         ``decided`` frame this connection's sessions of the source were
         shipped before it.  Either way the caller holds each stream up
         to the state's ``shipped`` offsets when the reply arrives.  The
-        reply carries the state with the checkpoint minus its tuple
-        table (the last element, and the one part that can exceed a
-        frame), whose length is ``rows``; the caller streams the table
-        with ``export_pull`` until ``done``.
+        state is JSON-encoded once; what the first slice leaves waits
+        in the connection's stash for ``export_pull``.
         """
-        if destructive:
+        name = _field(frame, "source")
+        count = _slice_count(conn, frame)
+        if frame["t"] == "export_source":
             state = await self.service.export_source(name)
         else:
             state = await self.service.snapshot_source(name)
         # The pump has written what the state counts (and, for an
         # export, each detached stream's end) once it took it all.
         await conn.link.drained()
-        checkpoint = state["checkpoint"]
-        rows: list = []
-        if checkpoint is not None:
-            rows = checkpoint[-1]
-            state["checkpoint"] = checkpoint[:-1]
-        if rows:
-            conn.export_stash[name] = rows
-        state["rows"] = len(rows)
-        state["subscriptions"] = [list(sub) for sub in state["subscriptions"]]
-        await conn.send({"t": "ok", "reply_to": seq, "state": state})
+        text = json.dumps(state, separators=(",", ":"))
+        conn.export_stash[name] = text
+        await self._send_slice(conn, seq, name, text, 0, count)
 
     @staticmethod
-    def _on_import_chunk(conn: _Connection, frame: dict) -> None:
-        """Stage tuple-table rows, never more than ``import_begin``
-        announced: an import that overruns is dropped and refused."""
-        name = _field(frame, "source")
-        pending = conn.import_stash.get(name)
-        if pending is None:
-            raise _BadRequest(f"no import in progress for source {name!r}")
-        rows = _field(frame, "rows")
-        if not isinstance(rows, list):
-            raise _BadRequest("import_chunk 'rows' must be a list")
-        if len(pending.rows) + len(rows) > pending.expected:
-            del conn.import_stash[name]
-            raise _BadRequest(
-                f"import of {name!r} announced {pending.expected} rows, "
-                f"got {len(pending.rows) + len(rows)}"
-            )
-        pending.rows.extend(_row_from_wire(row) for row in rows)
-
-    async def _on_import_commit(
-        self, conn: _Connection, frame: dict, seq
+    async def _send_slice(
+        conn: _Connection, seq, name: str, text: str, offset: int, count: int
     ) -> None:
+        """Reply with ``count`` characters of ``text`` from ``offset``;
+        the last slice drops the stash."""
+        chunk = text[offset : offset + count]
+        done = offset + len(chunk) >= len(text)
+        if done:
+            conn.export_stash.pop(name, None)
+        await conn.send({"t": "ok", "reply_to": seq, "chunk": chunk, "done": done})
+
+    async def _on_import_chunk(self, conn: _Connection, frame: dict, seq) -> None:
+        """Stage one slice of a source's state; the ``done`` slice
+        imports the joined text.  A refused slice drops the import."""
         name = _field(frame, "source")
-        pending = conn.import_stash.pop(name, None)
-        if pending is None:
-            raise _BadRequest(f"no import in progress for source {name!r}")
-        if len(pending.rows) != pending.expected:
+        staged = conn.import_stash.pop(name, [])
+        chunk = _field(frame, "chunk")
+        if not isinstance(chunk, str):
+            raise _BadRequest("import_chunk 'chunk' must be a string")
+        staged.append(chunk)
+        if not frame.get("done"):
+            conn.import_stash[name] = staged
+            await conn.send({"t": "ok", "reply_to": seq})
+            return
+        try:
+            state = json.loads("".join(staged))
+        except ValueError as exc:
+            raise _BadRequest(f"the state of {name!r} is not JSON: {exc}") from None
+        if not isinstance(state, dict) or not isinstance(
+            state.get("checkpoint"), (list, type(None))
+        ):
             raise _BadRequest(
-                f"import of {name!r} announced {pending.expected} rows, "
-                f"got {len(pending.rows)}"
+                f"the state of {name!r} needs a 'checkpoint' list or null"
             )
-        checkpoint = frame.get("checkpoint")
-        if checkpoint is not None:
-            if not isinstance(checkpoint, list):
-                raise _BadRequest("import_commit 'checkpoint' must be a list")
-            checkpoint = [*checkpoint, pending.rows]
-        restored = await self.service.import_source(
-            name,
-            {
-                "checkpoint": checkpoint,
-                "fed": int(frame.get("fed", 0)),
-                "offered": int(frame.get("offered", 0)),
-            },
-        )
+        restored = await self.service.import_source(name, state)
         await conn.send({"t": "ok", "reply_to": seq, "restored": restored})
 
     async def _on_ingest_batch(
@@ -871,14 +825,11 @@ class GatewayServer:
             )
         ladder = frame.get("degradation")
         degradation = None
-        degradation_level = 0
         degradation_config = None
         if ladder is not None:
             # Malformed profiles raise ValueError, which _dispatch turns
             # into a bad_request reply instead of a socket teardown.
-            degradation, degradation_level, degradation_config = (
-                policy_from_profile(ladder, app)
-            )
+            degradation, degradation_config = policy_from_profile(ladder, app)
         session = await self.service.subscribe(
             app,
             _field(frame, "source"),
@@ -889,7 +840,6 @@ class GatewayServer:
             batch_max_delay_ms=frame.get("batch_max_delay_ms"),
             qos=qos,
             degradation=degradation,
-            degradation_level=degradation_level,
             degradation_config=degradation_config,
             link=conn.link,
         )

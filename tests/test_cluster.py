@@ -17,6 +17,7 @@ Three contracts:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 
@@ -34,6 +35,7 @@ from repro.runtime.tasks import EngineConfig
 from repro.service.broker import DisseminationService, ServiceConfig
 from repro.service.cluster import _REARM_TUPLES, ClusterConfig, ClusterService
 from repro.transport.client import GatewayError
+from repro.transport.protocol import MAX_FRAME_BYTES
 from repro.sources import random_walk_trace
 
 SOURCES = ("part-a", "part-b", "part-c")
@@ -533,6 +535,11 @@ def test_failover_rearmed_from_a_checkpoint_splices_with_zero_gap():
 # ---------------------------------------------------------------------------
 _FAILOVER_APPS = (("solo.wide", "DC1(value, 6.0, 3.0)"), ("solo.narrow", "DC1(value, 3.0, 1.5)"))
 _FAILOVER_CHUNK = 64
+#: An app whose reservoir keeps every tuple open, so the source's image
+#: grows with the stream: about 75 bytes a tuple.
+_HOARD_APP = ("solo.keep", "RS(2, 1000000)")
+#: The frame bound of the large-image cases; their images pass 4x it.
+_SMALL_FRAME_BYTES = 64 * 1024
 #: One app per overflow policy besides ``block``, and one with a ladder:
 #: ``(app, spec, subscribe knobs)``.  None overflows or steps.
 _POLICY_APPS = (
@@ -676,6 +683,8 @@ def _respawns(events) -> list[tuple]:
         "constrained",
         "lagging",
         "policies",
+        "connection_lost",
+        "large_image",
     ],
 )
 def test_failover_splices_wherever_the_primary_dies(kill, request):
@@ -684,19 +693,24 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
     flight (its frame is retried, not raised), twice in a row, under a
     time constraint with ticks in the tail, with one app's consumer
     paused, so the router's read loop is parked putting to that app's
-    full queue (resumed once the respawn is under way), and mid-tail
-    with a ``drop_oldest``, a ``disconnect`` and a laddered app.  The
-    fleet has no flag but its size: every delivered stream equals the
-    uncrashed run's, and each respawn splices every app."""
+    full queue (resumed once the respawn is under way), mid-tail with a
+    ``drop_oldest``, a ``disconnect`` and a laddered app, mid-tail by
+    its router connection alone (the process lives on; the supervisor
+    kills it), and at a frame bound a quarter of the source's image.
+    The fleet has no flag but its size: every delivered stream equals
+    the uncrashed run's, and each respawn splices every app."""
     constrained = kill == "constrained"
     if constrained:
         request.getfixturevalue("fixed_solve_times")
     constraint_ms = 30.0 if constrained else None
-    script = _failover_script(_REARM_TUPLES + 8 * _FAILOVER_CHUNK, ticks=constrained)
+    large = kill == "large_image"
+    # The large image's record is taken at its fourth re-arm.
+    arms = 4 if large else 1
+    script = _failover_script(arms * _REARM_TUPLES + 8 * _FAILOVER_CHUNK, ticks=constrained)
     per_arm = _REARM_TUPLES // _FAILOVER_CHUNK * (2 if constrained else 1)
     # Kill after script[:at] has run (the re-arm fires inside the step
     # that fills the tail).
-    at = per_arm if kill == "after_rearm" else per_arm + 2
+    at = per_arm if kill == "after_rearm" else arms * per_arm + 2
     kills = [at, at + 3] if kill == "second_kill" else [at]
 
     if kill == "policies":
@@ -708,6 +722,8 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
             # The lagging app's queue holds one batch, so a pause fills
             # it at once.
             apps[1] = (*apps[1][:2], {"queue_capacity": 1})
+        if large:
+            apps.append((*_HOARD_APP, {}))
 
     async def run():
         expected = await _failover_oracle(script, constraint_ms, [a[:2] for a in apps])
@@ -719,6 +735,7 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
                 batch_max_items=1,
                 constraint_ms=constraint_ms,
                 health_interval_s=0.25,
+                max_frame_bytes=_SMALL_FRAME_BYTES if large else MAX_FRAME_BYTES,
             ),
             telemetry=telemetry,
         )
@@ -770,7 +787,14 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
                     )
                     gate.set()
                     assert isinstance(await in_flight, int)
+                elif kill == "connection_lost":
+                    primary.client._writer.transport.abort()
+                    assert isinstance(await cluster.offer_many("solo", step), int)
                 else:
+                    if large:
+                        assert _rearms(telemetry) >= rearms + arms
+                        image = json.dumps(cluster._records["solo"].state)
+                        assert len(image) >= 4 * _SMALL_FRAME_BYTES
                     if kill == "after_rearm":
                         assert _rearms(telemetry) == rearms + 1
                     primary.process.kill()
@@ -785,9 +809,52 @@ def test_failover_splices_wherever_the_primary_dies(kill, request):
 
     received, expected, events = asyncio.run(run())
     assert _respawns(events) == [(0, len(apps), 0)] * len(kills)
+    if kill == "connection_lost":
+        deaths = [e for e in events if e["kind"] == "worker_death"]
+        assert [e.get("reason") for e in deaths] == ["connection_lost"]
     for app, _spec, _knobs in apps:
-        assert len(expected[app]) > 100
+        assert len(expected[app]) > 100 or app == _HOARD_APP[0]
         assert received[app] == expected[app], app
+
+
+def test_close_relays_a_workers_final_flush_to_a_slow_consumer():
+    """The hoarding app holds every decision until the source closes, so
+    the worker's final flush is the whole stream; a consumer taking a
+    few milliseconds a batch still gets all of it, because the router
+    relays what the worker wrote before it exited."""
+    script = _failover_script(_REARM_TUPLES, ticks=False)
+    apps = (*_FAILOVER_APPS, _HOARD_APP)
+
+    async def slow(session, into: list[int]) -> None:
+        async for batch in session.batches():
+            into.extend(item.seq for item in batch.items)
+            await asyncio.sleep(0.003)
+
+    async def run():
+        expected = await _failover_oracle(script, None, apps)
+        cluster = ClusterService(
+            ClusterConfig(workers=1, sources=("solo",), batch_max_items=1)
+        )
+        await cluster.start()
+        try:
+            received: dict[str, list[int]] = {}
+            consumers = [
+                asyncio.create_task(
+                    slow(await cluster.subscribe(app, "solo", spec), received.setdefault(app, []))
+                )
+                for app, spec in apps
+            ]
+            for step in script:
+                await cluster.offer_many("solo", step)
+        finally:
+            await cluster.close()
+        await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+        return received, expected
+
+    received, expected = asyncio.run(run())
+    for app, _spec in apps:
+        assert received[app] == expected[app], app
+    assert len(received[_FAILOVER_APPS[1][0]]) > 300
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +871,60 @@ async def _subscribe_apps(cluster, source: str):
             asyncio.create_task(_consume(session, received.setdefault(app, [])))
         )
     return received, consumers
+
+
+def test_a_large_image_migrates_exactly():
+    """At a frame bound a quarter of the source's image, the source
+    arms, re-arms and migrates with ``exact=True``, and every stream
+    equals a single broker's."""
+    source_a, source_b = _two_sources_on_distinct_shards()
+    script = _failover_script(4 * _REARM_TUPLES + 8 * _FAILOVER_CHUNK, ticks=False)
+    apps = (*_FAILOVER_APPS, _HOARD_APP)
+    moved_at = len(script) - 4
+
+    async def run():
+        expected = await _failover_oracle(script, None, apps)
+        telemetry = Telemetry()
+        cluster = ClusterService(
+            ClusterConfig(
+                workers=2,
+                sources=(source_a, source_b),
+                batch_max_items=1,
+                health_interval_s=60.0,
+                max_frame_bytes=_SMALL_FRAME_BYTES,
+            ),
+            telemetry=telemetry,
+        )
+        await cluster.start()
+        try:
+            received: dict[str, list[int]] = {}
+            consumers = []
+            for app, spec in apps:
+                session = await cluster.subscribe(app, source_a, spec)
+                consumers.append(
+                    asyncio.create_task(_consume(session, received.setdefault(app, [])))
+                )
+            rearms = _rearms(telemetry)
+            for step in script[:moved_at]:
+                await cluster.offer_many(source_a, step)
+            assert _rearms(telemetry) >= rearms + 4
+            result = await cluster.migrate_source(source_a, 1)
+            image = json.dumps(cluster._records[source_a].state)
+            for step in script[moved_at:]:
+                await cluster.offer_many(source_a, step)
+            await cluster.close()
+            await asyncio.wait_for(asyncio.gather(*consumers), timeout=30)
+            return result, len(image), received, expected
+        except BaseException:
+            await cluster.close()
+            raise
+
+    result, image_bytes, received, expected = asyncio.run(run())
+    assert result == {"source": source_a, "moved": True, "exact": True, "worker": 1}
+    assert image_bytes >= 4 * _SMALL_FRAME_BYTES
+    for app, _spec in apps:
+        assert len(expected[app]) > 100 or app == _HOARD_APP[0]
+        assert received[app] == expected[app], app
 
 
 def test_migration_from_a_dead_exporter_fails_over_exactly():

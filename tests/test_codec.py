@@ -6,8 +6,8 @@ Three layers of assurance:
   to exact, hand-derived byte strings (the wire format is a contract,
   not an implementation detail) and round-trip through the sans-io
   decoder, which refuses every malformed shape with a typed error;
-* **handshake** — protocol v5 negotiates nothing about the body format:
-  tuple frames are binary, a v1 to v4 hello is refused, and a tuple
+* **handshake** — protocol v6 negotiates nothing about the body format:
+  tuple frames are binary, a v1 to v5 hello is refused, and a tuple
   frame in a JSON body, or a v2 single-tuple ``ingest`` body, ends that
   connection and no other;
 * **wire equivalence** — a verified loadgen run over the wire is
@@ -209,7 +209,7 @@ class TestGoldenBytes:
             {"t": "welcome", "reply_to": 1, "sources": ["s\u00e9", "b"]},
             {"t": "error", "code": "protocol", "message": 'a "quoted"\nline'},
             {"t": "snapshot", "snapshot": {"p50": 1.25, "none": None, "ok": True}},
-            {"t": "ok", "rows": [[0, 1.5, "temp", 2.0]], "done": False},
+            {"t": "ok", "chunk": '{"checkpoint":[1,"a\\"b"]}', "done": False},
             {"t": "ok", "nan": float("nan"), "big": 10**20, "neg": -0.0},
         ]
         for frame in samples:
@@ -510,7 +510,7 @@ class TestNegotiation:
         )
         welcome = frames[0]
         assert welcome["t"] == "welcome"
-        assert welcome["v"] == PROTOCOL_VERSION == 5
+        assert welcome["v"] == PROTOCOL_VERSION == 6
         assert "codec" not in welcome
         decided = [
             body for body, frame in zip(bodies, frames) if frame["t"] == "decided"
@@ -524,13 +524,14 @@ class TestNegotiation:
         )
 
     @pytest.mark.parametrize(
-        "version", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"]
+        "version", [1, 2, 3, 4, 5], ids=["v1", "v2", "v3", "v4", "v5"]
     )
     def test_old_hello_is_refused(self, version):
         # v1 peers may send JSON tuple frames, v2 peers single-tuple
         # ``ingest`` frames, v3 peers read one app per ``decided`` frame,
-        # v4 peers tuple records without their byte length; none
-        # survives the handshake.
+        # v4 peers tuple records without their byte length, v5 peers
+        # a source's state as checkpoint rows; none survives the
+        # handshake.
         async def run():
             service = DisseminationService()
             service.add_source("src")

@@ -315,7 +315,7 @@ class TestValidation:
 
 
 class TestProfileRoundTrip:
-    def test_policy_round_trips_with_level_and_config(self):
+    def test_policy_round_trips_with_config(self):
         policy = DegradationPolicy(
             app_name="app",
             levels=(
@@ -330,10 +330,9 @@ class TestProfileRoundTrip:
             bandwidth_floors_kbps=(300.0, 0.0),
         )
         config = _config(flush_wait_ms=50.0)
-        profile = policy_to_profile(policy, level=1, config=config)
-        back, level, back_cfg = policy_from_profile(profile, "app")
+        profile = policy_to_profile(policy, config=config)
+        back, back_cfg = policy_from_profile(profile, "app")
         assert back == policy
-        assert level == 1
         assert back_cfg == config
 
     def test_flush_wait_none_survives_round_trip(self):
@@ -341,28 +340,24 @@ class TestProfileRoundTrip:
             _policy(2), config=_config(flush_wait_ms=None)
         )
         assert profile["config"]["flush_wait_ms"] is None
-        _, _, config = policy_from_profile(profile, "app")
+        _, config = policy_from_profile(profile, "app")
         assert config.flush_wait_ms is None
 
     def test_bare_spec_strings_accepted(self):
-        policy, level, config = policy_from_profile(
+        policy, config = policy_from_profile(
             {"levels": ["DC1(temp, 1.0, 0.5)", "DC1(temp, 4.0, 2.0)"]}, "app"
         )
         assert [s.filter_spec for s in policy.levels] == [
             "DC1(temp, 1.0, 0.5)",
             "DC1(temp, 4.0, 2.0)",
         ]
-        assert level == 0 and config is None
+        assert config is None
 
     def test_malformed_profiles_rejected(self):
         with pytest.raises(ValueError, match="non-empty 'levels'"):
             policy_from_profile({"levels": []}, "app")
         with pytest.raises(ValueError, match="'spec' key"):
             policy_from_profile({"levels": [{"latency_tolerance_ms": 5}]}, "app")
-        with pytest.raises(ValueError, match="outside the policy"):
-            policy_from_profile(
-                {"levels": ["DC1(temp, 1.0, 0.5)"], "level": 1}, "app"
-            )
         with pytest.raises(ValueError, match="unknown degradation config"):
             policy_from_profile(
                 {

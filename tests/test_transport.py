@@ -637,6 +637,43 @@ class TestFrameTooLarge:
         assert min(received["again"]) >= 96
 
 
+    def test_an_oversized_reply_is_refused_and_the_connection_keeps_serving(self):
+        """A snapshot past the bound (here grown by a few hundred retired
+        sessions) is refused with ``frame_too_large``; the connection
+        keeps serving and its live subscription keeps receiving."""
+        bound = 32 * 1024
+        trace = _trace(n=20)
+
+        async def run():
+            service = _service()
+
+            async def body(gateway):
+                client = await GatewayClient.connect("127.0.0.1", gateway.port)
+                live = await client.subscribe("live", "src", CHATTY_SPEC)
+
+                async def collect():
+                    return [item.seq async for batch in live.batches() for item in batch.items]
+
+                received = asyncio.create_task(collect())
+                for index in range(300):
+                    await client.subscribe(f"churn{index}", "src", CHATTY_SPEC)
+                    await client.unsubscribe(f"churn{index}")
+                with pytest.raises(GatewayError) as refused:
+                    await client.snapshot()
+                await client.ingest_many("src", trace)
+                await client.unsubscribe("live")
+                created = await client.ensure_source("src")
+                await client.close()
+                return refused.value.code, await received, created
+
+            return await _with_gateway(service, body, max_frame_bytes=bound)
+
+        code, received, created = asyncio.run(run())
+        assert code == "frame_too_large"
+        assert received and received == sorted(set(received))
+        assert created is False
+
+
 # ---------------------------------------------------------------------------
 # Client-side subscription buffer
 # ---------------------------------------------------------------------------
@@ -660,8 +697,46 @@ class TestRemoteSubscription:
         assert received == sent
 
 
+    def test_a_drain_failure_leaves_no_unretrieved_future(self):
+        """The connection ends between a request's write and its drain:
+        the caller gets ``ConnectionError`` and the failed reply future
+        is retrieved, so the loop's exception handler hears nothing."""
+        import gc
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            heard = []
+            loop.set_exception_handler(lambda _loop, context: heard.append(context))
+
+            async def body(gateway):
+                client = await GatewayClient.connect("127.0.0.1", gateway.port)
+
+                async def failing_drain():
+                    client._fail_all("connection_closed")
+                    raise ConnectionResetError("reset mid-drain")
+
+                client._writer.drain = failing_drain
+                try:
+                    await client.snapshot()
+                except ConnectionError as exc:
+                    raised = type(exc)
+                else:
+                    raised = None
+                gc.collect()
+                await client.close(send_bye=False)
+                return raised
+
+            raised = await _with_gateway(_service(), body)
+            gc.collect()
+            return raised, heard
+
+        raised, heard = asyncio.run(run())
+        assert raised is ConnectionResetError
+        assert heard == []
+
+
 # ---------------------------------------------------------------------------
-# Live-migration staging (export_pull / import_begin / import_chunk)
+# Source-state staging (export_pull / import_chunk)
 # ---------------------------------------------------------------------------
 class TestMigrationStaging:
     #: Every offer stays in the reservoir's open window: one checkpoint
@@ -705,24 +780,36 @@ class TestMigrationStaging:
                 for item in _trace(n=40):
                     await client.ingest("src", item)
                 (conn,) = gateway._connections
-                reply = await client._request({"t": "snapshot_source", "source": "src"})
-                pull = await client._request(
-                    {"t": "export_pull", "source": "src", "offset": 0, "count": 5}
+                reply = await client._request(
+                    {"t": "snapshot_source", "source": "src", "count": 50}
                 )
-                staged = len(conn.export_stash["src"])
+                pull = await client._request(
+                    {"t": "export_pull", "source": "src", "offset": 50, "count": 5}
+                )
+                await client._request(
+                    {"t": "import_chunk", "source": "src", "chunk": "{", "done": False}
+                )
+                staged = (conn.export_stash["src"], conn.import_stash["src"])
                 await client.close(send_bye=False)
                 await asyncio.wait_for(asyncio.gather(*gateway._handlers), 10)
-                return reply["state"]["rows"], len(pull["rows"]), staged, conn, gateway
+                return reply, pull, staged, conn, gateway
 
             return await _with_gateway(service, body)
 
-        rows, pulled, staged, conn, gateway = asyncio.run(run())
-        assert rows == staged == 40 and pulled == 5
+        reply, pull, (text, slices), conn, gateway = asyncio.run(run())
+        assert len(reply["chunk"]) == 50 and not reply["done"]
+        assert pull["chunk"] == text[50:55] and not pull["done"]
+        assert len(json.loads(text)["checkpoint"][-1]) == 40
+        assert slices == ["{"]
         assert conn.export_stash == {} and conn.import_stash == {}
         assert not gateway._connections
 
     def test_an_overlong_import_is_refused_and_the_connection_keeps_serving(self):
-        row = [1, 10.0, "temp", 0.5]
+        """An image one element too long, a malformed tuple row, a slice
+        that is not a string, a text that is not JSON and a checkpoint
+        that is not a list are each refused with ``bad_request``; a
+        refused slice drops its import, and the connection keeps
+        serving until the well-formed state imports."""
 
         async def run():
             service = _service()
@@ -730,35 +817,87 @@ class TestMigrationStaging:
             async def body(gateway):
                 client = await GatewayClient.connect("127.0.0.1", gateway.port)
                 (conn,) = gateway._connections
-                errors = []
-                await client._request({"t": "import_begin", "source": "src", "rows": 2})
-                await client._request({"t": "import_chunk", "source": "src", "rows": [row]})
-                for frame in (
-                    {"t": "import_chunk", "source": "src", "rows": [row, row]},
-                    {"t": "import_commit", "source": "src"},
+                await client.subscribe("app0", "src", self.SPEC)
+                for item in _trace(n=10):
+                    await client.ingest("src", item)
+                state = await client.export_source("src")
+                await client.ensure_source("src")
+                await client.subscribe("app0", "src", self.SPEC)
+                checkpoint = state["checkpoint"]
+                bad_row = [*checkpoint[:-1], [[1, 10.0, 5, 0.5]]]
+                refused = []
+                for bad in (
+                    {**state, "checkpoint": [*checkpoint, []]},
+                    {**state, "checkpoint": bad_row},
+                    {**state, "checkpoint": 7},
                 ):
-                    with pytest.raises(GatewayError) as refused:
-                        await client._request(frame)
-                    errors.append((refused.value.code, refused.value.message))
+                    with pytest.raises(GatewayError) as error:
+                        await client.import_source("src", bad)
+                    refused.append(error.value.code)
+                await client._request(
+                    {"t": "import_chunk", "source": "src", "chunk": "{", "done": False}
+                )
+                for chunk in (5, "{nope"):
+                    with pytest.raises(GatewayError) as error:
+                        await client._request(
+                            {"t": "import_chunk", "source": "src", "chunk": chunk, "done": True}
+                        )
+                    refused.append(error.value.code)
                 stash = dict(conn.import_stash)
-                await client._request({"t": "import_begin", "source": "src", "rows": 1})
-                with pytest.raises(GatewayError) as malformed:
-                    await client._request(
-                        {"t": "import_chunk", "source": "src", "rows": [[1, "x"]]}
-                    )
+                restored = await client.import_source("src", state)
                 snapshot = await client.snapshot()
                 await client.close()
-                return errors, stash, malformed.value.code, snapshot
+                return refused, stash, restored, len(checkpoint[-1]), snapshot
 
             return await _with_gateway(service, body)
 
-        errors, stash, malformed, snapshot = asyncio.run(run())
-        assert errors == [
-            ("bad_request", "import of 'src' announced 2 rows, got 3"),
-            ("bad_request", "no import in progress for source 'src'"),
-        ]
-        assert stash == {} and malformed == "bad_request"
+        refused, stash, restored, rows, snapshot = asyncio.run(run())
+        assert refused == ["bad_request"] * 5
+        assert stash == {}
+        assert restored == rows == 10
         assert snapshot["sources"] == ["src"]
+
+    def test_a_large_image_round_trips_between_two_gateways(self):
+        """A state four times the frame bound leaves one gateway in
+        slices and enters another the same way; the target's own
+        snapshot is the exported image again."""
+        bound = 64 * 1024
+        trace = [
+            StreamTuple(seq=seq, timestamp=seq * 10.0, values={"temp": float(seq % 24)})
+            for seq in range(4500)
+        ]
+
+        async def run():
+            services = [_service(), _service()]
+            gateways = [GatewayServer(s, max_frame_bytes=bound) for s in services]
+            for gateway in gateways:
+                await gateway.start()
+            clients = [
+                await GatewayClient.connect("127.0.0.1", g.port, max_frame_bytes=bound)
+                for g in gateways
+            ]
+            try:
+                source, target = clients
+                for client in clients:
+                    await client.subscribe("keep", "src", "RS(2, 1000000)")
+                    await client.subscribe("app0", "src", SPECS[0][1])
+                for first in range(0, len(trace), 64):
+                    await source.ingest_many("src", trace[first : first + 64])
+                state = await source.export_source("src")
+                restored = await target.import_source("src", state)
+                again = await target.snapshot_source("src")
+                return state, restored, again
+            finally:
+                for client in clients:
+                    await client.close()
+                for gateway in gateways:
+                    await gateway.shutdown()
+
+        state, restored, again = asyncio.run(run())
+        assert len(json.dumps(state)) >= 4 * bound
+        assert restored == len(state["checkpoint"][-1]) > 4000
+        assert again["checkpoint"] == state["checkpoint"]
+        assert (again["fed"], again["offered"]) == (state["fed"], state["offered"])
 
 
 # ---------------------------------------------------------------------------
